@@ -6,7 +6,7 @@ COVER_FLOOR ?= 78.0
 # BENCH_<date>b.json next to an existing same-day baseline.
 BENCH_SUFFIX ?=
 
-.PHONY: build test race bench bench-json bench-guard check cover fmt vet lint chaos
+.PHONY: build test race bench bench-json bench-guard benchmark-smoke check cover fmt vet lint chaos
 
 build:
 	$(GO) build ./...
@@ -62,4 +62,10 @@ lint:
 		echo "staticcheck not installed; skipping lint"; \
 	fi
 
-check: fmt vet lint race chaos cover
+# benchmark/ is its own Go module, so the targets above never compile it;
+# this catches a root-module API change that breaks it. vet, not build:
+# `go build ./...` there drops a stray benchmark/benchmark binary.
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+check: fmt vet lint race chaos cover benchmark-smoke

@@ -21,11 +21,10 @@
 // -store-interval adds an optional linger), and at startup the engine
 // replays the journal — tasks that were accepted but never started are
 // re-enqueued, tasks interrupted mid-enactment resume from their latest
-// checkpoint, and finished tasks stay queryable. A bare path (no scheme) is
-// the legacy mode: an in-memory store loaded from that JSON dump at startup
-// and saved back on SIGINT/SIGTERM. -workers sizes the engine's coordinator
-// worker pool (default: GOMAXPROCS); -enact-delay sleeps that long per
-// enacted activity, emulating remote service latency for load experiments.
+// checkpoint, and finished tasks stay queryable. A value without a scheme is
+// rejected. -workers sizes the engine's coordinator worker pool (default:
+// GOMAXPROCS); -enact-delay sleeps that long per enacted activity, emulating
+// remote service latency for load experiments.
 //
 // -tenants assigns fair-share weights (id:weight,...) to named tenants; the
 // -tenant-* flags set the default admission quotas — max queued tasks, max
@@ -72,14 +71,12 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -90,76 +87,31 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/load"
 	"repro/internal/planner"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		clusters  = flag.Int("clusters", 6, "PC clusters in the synthetic grid")
-		smps      = flag.Int("smps", 3, "SMP nodes")
-		supers    = flag.Int("supers", 1, "supercomputers")
-		seed      = flag.Int64("seed", 1, "grid and planner seed")
-		storeDSN  = flag.String("store", "", "storage backend DSN: mem:, file:DIR, bolt:PATH.db (bare path = legacy JSON dump)")
-		storeBat  = flag.Int("store-batch", 0, "group-commit batch bound for durable backends (0 = default)")
-		storeIntv = flag.Duration("store-interval", 0, "group-commit linger interval (0 = flush when the flusher is free)")
-		workers   = flag.Int("workers", 0, "enactment worker pool size (0 = GOMAXPROCS)")
-		enactDel  = flag.Duration("enact-delay", 0, "emulated per-activity service latency (load experiments; 0 = none)")
-		planWkrs  = flag.Int("plan-workers", 0, "planning service worker pool size (0 = GOMAXPROCS)")
-		planCache = flag.Int("plan-cache", 0, "plan cache size in entries (0 = default 4096)")
-		tenants   = flag.String("tenants", "", "per-tenant fair-share weights as id:weight,... (empty = all weight 1)")
-		tMaxQ     = flag.Int("tenant-max-queued", 0, "default per-tenant queued-task quota (0 = unlimited)")
-		tMaxIF    = flag.Int("tenant-max-inflight", 0, "default per-tenant concurrent-enactment cap (0 = unlimited)")
-		tRate     = flag.Float64("tenant-rate", 0, "default per-tenant submit rate per second (0 = unlimited)")
-		tBurst    = flag.Int("tenant-burst", 0, "default per-tenant submit burst (0 = max(1, ceil(rate)))")
-		nodeID    = flag.String("node-id", "", "this node's cluster identity (required with -peers)")
-		peers     = flag.String("peers", "", "cluster membership as id=addr[,id=addr=weight,...] including this node (empty = single-node)")
-		heartbeat = flag.Duration("heartbeat", 0, "cluster heartbeat probe interval (0 = 500ms)")
-		logLevel  = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error")
-		logFmt    = flag.String("log-format", "text", "structured log encoding: text or json")
-		pprof     = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
-		trSpans   = flag.Int("trace-spans", 0, "spans retained per task trace (0 = default 2048)")
-		trTasks   = flag.Int("trace-tasks", 0, "task traces retained before the oldest is evicted (0 = default 1024)")
-	)
-	flag.Parse()
-	clusterCfg := clusterOptions{nodeID: *nodeID, peers: *peers, heartbeat: *heartbeat}
-	tenantCfg := tenantOptions{
-		weights: *tenants,
-		defaults: engine.TenantConfig{
-			MaxQueued: *tMaxQ, MaxInFlight: *tMaxIF,
-			RatePerSec: *tRate, Burst: *tBurst,
-		},
+	cfg, err := parseFlags(os.Args[1:])
+	if err == nil {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		err = run(ctx, cfg)
 	}
-	storeCfg := storeOptions{
-		dsn:   *storeDSN,
-		flush: store.FlushConfig{MaxBatch: *storeBat, Interval: *storeIntv},
-	}
-	if err := run(*addr, *clusters, *smps, *supers, *seed, storeCfg, *workers, *enactDel, *planWkrs, *planCache, tenantCfg, clusterCfg, traceOptions{spanCap: *trSpans, maxTasks: *trTasks}, *logLevel, *logFmt, *pprof); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gridenv:", err)
 		os.Exit(1)
 	}
 }
 
-// storeOptions carries the storage flags into run.
-type storeOptions struct {
-	dsn   string
-	flush store.FlushConfig
-}
-
-// split separates the DSN from the legacy bare-path form: a value with a
-// known scheme is a backend DSN; anything else is a JSON dump path handled
-// by the pre-DSN load/save flow on an in-memory backend.
-func (s storeOptions) split() (dsn, legacyDump string) {
-	switch {
-	case s.dsn == "":
-		return "", ""
-	case strings.HasPrefix(s.dsn, "mem:"), strings.HasPrefix(s.dsn, "file:"), strings.HasPrefix(s.dsn, "bolt:"):
-		return s.dsn, ""
-	}
-	return "", s.dsn
+// config is the parsed command line: the environment's options, filled
+// directly by the flags, plus what only this command needs.
+type config struct {
+	addr    string
+	opts    core.Options
+	cluster clusterOptions
+	pprof   bool
 }
 
 // clusterOptions carries the clustering flags into run.
@@ -169,17 +121,104 @@ type clusterOptions struct {
 	heartbeat time.Duration
 }
 
-// node builds and starts the cluster node, or returns nil when -peers is
-// unset (single-node deployment).
-func (c clusterOptions) node(env *core.Environment) (*cluster.Node, error) {
-	if c.peers == "" {
-		if c.nodeID != "" {
-			return nil, fmt.Errorf("-node-id given without -peers")
+// parseFlags turns the command line into a config, rejecting flag values
+// and combinations that cannot work before anything is built. Like
+// flag.Parse it exits on a malformed flag or -h.
+func parseFlags(args []string) (config, error) {
+	var (
+		cfg                 config
+		tenants             string
+		enactDelay          time.Duration
+		logLevel, logFormat string
+	)
+	gridCfg := grid.DefaultSyntheticConfig()
+	cfg.opts = core.Options{
+		GridConfig: &gridCfg,
+		Catalog:    virolab.Catalog(),
+		Checkpoint: true,
+	}
+	fs := flag.NewFlagSet("gridenv", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&gridCfg.Clusters, "clusters", gridCfg.Clusters, "PC clusters in the synthetic grid")
+	fs.IntVar(&gridCfg.SMPs, "smps", gridCfg.SMPs, "SMP nodes")
+	fs.IntVar(&gridCfg.Supercomputers, "supers", gridCfg.Supercomputers, "supercomputers")
+	fs.Int64Var(&gridCfg.Seed, "seed", gridCfg.Seed, "grid and planner seed")
+	fs.StringVar(&cfg.opts.StoreDSN, "store", "", "storage backend DSN: mem:, file:DIR, bolt:PATH.db (empty = mem:)")
+	fs.IntVar(&cfg.opts.StoreFlush.MaxBatch, "store-batch", 0, "group-commit batch bound for durable backends (0 = default)")
+	fs.DurationVar(&cfg.opts.StoreFlush.Interval, "store-interval", 0, "group-commit linger interval (0 = flush when the flusher is free)")
+	fs.IntVar(&cfg.opts.Workers, "workers", 0, "enactment worker pool size (0 = GOMAXPROCS)")
+	fs.DurationVar(&enactDelay, "enact-delay", 0, "emulated per-activity service latency (load experiments; 0 = none)")
+	fs.IntVar(&cfg.opts.PlanWorkers, "plan-workers", 0, "planning service worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.opts.PlanCacheSize, "plan-cache", 0, "plan cache size in entries (0 = default 4096)")
+	fs.StringVar(&tenants, "tenants", "", "per-tenant fair-share weights as id:weight,... (empty = all weight 1)")
+	fs.IntVar(&cfg.opts.TenantDefaults.MaxQueued, "tenant-max-queued", 0, "default per-tenant queued-task quota (0 = unlimited)")
+	fs.IntVar(&cfg.opts.TenantDefaults.MaxInFlight, "tenant-max-inflight", 0, "default per-tenant concurrent-enactment cap (0 = unlimited)")
+	fs.Float64Var(&cfg.opts.TenantDefaults.RatePerSec, "tenant-rate", 0, "default per-tenant submit rate per second (0 = unlimited)")
+	fs.IntVar(&cfg.opts.TenantDefaults.Burst, "tenant-burst", 0, "default per-tenant submit burst (0 = max(1, ceil(rate)))")
+	fs.StringVar(&cfg.cluster.nodeID, "node-id", "", "this node's cluster identity (required with -peers)")
+	fs.StringVar(&cfg.cluster.peers, "peers", "", "cluster membership as id=addr[,id=addr=weight,...] including this node (empty = single-node)")
+	fs.DurationVar(&cfg.cluster.heartbeat, "heartbeat", 0, "cluster heartbeat probe interval (0 = 500ms)")
+	fs.StringVar(&logLevel, "log-level", "info", "structured log threshold: debug, info, warn, error")
+	fs.StringVar(&logFormat, "log-format", "text", "structured log encoding: text or json")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
+	fs.IntVar(&cfg.opts.TraceSpanCap, "trace-spans", 0, "spans retained per task trace (0 = default 2048)")
+	fs.IntVar(&cfg.opts.TraceMaxTasks, "trace-tasks", 0, "task traces retained before the oldest is evicted (0 = default 1024)")
+	_ = fs.Parse(args) // ExitOnError: a malformed flag prints usage and exits 2
+
+	switch {
+	case cfg.cluster.peers == "" && cfg.cluster.nodeID != "":
+		return config{}, fmt.Errorf("-node-id given without -peers")
+	case cfg.cluster.peers != "" && cfg.cluster.nodeID == "":
+		return config{}, fmt.Errorf("-peers requires -node-id")
+	}
+	cfg.opts.Planner = planner.DefaultParams()
+	cfg.opts.Planner.Seed = gridCfg.Seed
+	var err error
+	if cfg.opts.Logger, err = telemetry.NewLogger(os.Stderr, logLevel, logFormat); err != nil {
+		return config{}, err
+	}
+	if cfg.opts.Tenants, err = tenantConfigs(tenants, cfg.opts.TenantDefaults); err != nil {
+		return config{}, err
+	}
+
+	// -enact-delay emulates per-activity service latency (network + remote
+	// compute) so load experiments exercise worker-pool capacity rather than
+	// raw single-process CPU; it composes with the resolution hook.
+	cfg.opts.PostProcess = virolab.ResolutionHook(nil)
+	if enactDelay > 0 {
+		inner := cfg.opts.PostProcess
+		cfg.opts.PostProcess = func(a *workflow.Activity, items []*workflow.DataItem, iter int) {
+			time.Sleep(enactDelay)
+			inner(a, items, iter)
 		}
+	}
+	return cfg, nil
+}
+
+// tenantConfigs parses -tenants and merges the default quotas into every
+// explicit entry, so a weighted tenant still gets the shared quota settings.
+func tenantConfigs(weights string, defaults engine.TenantConfig) (map[string]engine.TenantConfig, error) {
+	if weights == "" {
 		return nil, nil
 	}
-	if c.nodeID == "" {
-		return nil, fmt.Errorf("-peers requires -node-id")
+	mix, err := load.ParseTenants(weights)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]engine.TenantConfig, len(mix))
+	for _, m := range mix {
+		cfg := defaults
+		cfg.Weight = m.Weight
+		out[m.ID] = cfg
+	}
+	return out, nil
+}
+
+// node builds the cluster node, or returns nil when -peers is unset
+// (single-node deployment).
+func (c clusterOptions) node(env *core.Environment) (*cluster.Node, error) {
+	if c.peers == "" {
+		return nil, nil
 	}
 	list, err := cluster.ParsePeers(c.peers)
 	if err != nil {
@@ -195,90 +234,16 @@ func (c clusterOptions) node(env *core.Environment) (*cluster.Node, error) {
 	})
 }
 
-// tenantOptions carries the tenancy flags into run.
-type tenantOptions struct {
-	weights  string
-	defaults engine.TenantConfig
-}
-
-// resolve parses -tenants and merges the default quotas into every explicit
-// entry, so a weighted tenant still gets the shared quota settings.
-func (t tenantOptions) resolve() (map[string]engine.TenantConfig, engine.TenantConfig, error) {
-	if t.weights == "" {
-		return nil, t.defaults, nil
-	}
-	mix, err := load.ParseTenants(t.weights)
-	if err != nil {
-		return nil, t.defaults, err
-	}
-	out := make(map[string]engine.TenantConfig, len(mix))
-	for _, m := range mix {
-		cfg := t.defaults
-		cfg.Weight = m.Weight
-		out[m.ID] = cfg
-	}
-	return out, t.defaults, nil
-}
-
-// traceOptions carries the trace-retention flags into run.
-type traceOptions struct {
-	spanCap  int // spans per task trace; 0 = telemetry default
-	maxTasks int // retained task traces; 0 = telemetry default
-}
-
-func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOptions, workers int, enactDelay time.Duration, planWorkers, planCache int, tenants tenantOptions, clusterCfg clusterOptions, traceCfg traceOptions, logLevel, logFmt string, pprof bool) error {
-	gridCfg := grid.DefaultSyntheticConfig()
-	gridCfg.Clusters = clusters
-	gridCfg.SMPs = smps
-	gridCfg.Supercomputers = supers
-	gridCfg.Seed = seed
-	params := planner.DefaultParams()
-	params.Seed = seed
-	logger, err := telemetry.NewLogger(os.Stderr, logLevel, logFmt)
-	if err != nil {
-		return err
-	}
-	tenantMap, tenantDefaults, err := tenants.resolve()
-	if err != nil {
-		return err
-	}
-
-	// -enact-delay emulates per-activity service latency (network + remote
-	// compute) so load experiments exercise worker-pool capacity rather than
-	// raw single-process CPU; it composes with the resolution hook.
-	post := virolab.ResolutionHook(nil)
-	if enactDelay > 0 {
-		inner := post
-		post = func(a *workflow.Activity, items []*workflow.DataItem, iter int) {
-			time.Sleep(enactDelay)
-			inner(a, items, iter)
-		}
-	}
-
-	dsn, legacyDump := storeCfg.split()
-	env, err := core.NewEnvironment(core.Options{
-		GridConfig:     &gridCfg,
-		Catalog:        virolab.Catalog(),
-		Planner:        params,
-		PostProcess:    post,
-		Checkpoint:     true,
-		StoreDSN:       dsn,
-		StoreFlush:     storeCfg.flush,
-		Workers:        workers,
-		PlanWorkers:    planWorkers,
-		PlanCacheSize:  planCache,
-		Tenants:        tenantMap,
-		TenantDefaults: tenantDefaults,
-		TraceSpanCap:   traceCfg.spanCap,
-		TraceMaxTasks:  traceCfg.maxTasks,
-		Logger:         logger,
-	})
+// run builds the environment, replays a durable journal, and serves the
+// HTTP API until the listener fails or ctx is cancelled.
+func run(ctx context.Context, cfg config) error {
+	env, err := core.NewEnvironment(cfg.opts)
 	if err != nil {
 		return err
 	}
 	defer env.Close()
 
-	node, err := clusterCfg.node(env)
+	node, err := cfg.cluster.node(env)
 	if err != nil {
 		return err
 	}
@@ -286,16 +251,7 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 		env.AttachCluster(node)
 	}
 
-	replay := dsn != "" && env.Store.Kind() != "mem"
-	if legacyDump != "" {
-		if err := env.Services.Storage.Load(legacyDump); err == nil {
-			fmt.Printf("loaded persistent storage from %s\n", legacyDump)
-			replay = true
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-	}
-	if replay {
+	if env.Store.Kind() != "mem" {
 		// Clustered nodes sharing a replicated store replay only their own
 		// ring partition, so a restart does not steal live peers' tasks.
 		var own func(tenant, taskID string) bool
@@ -314,13 +270,13 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 				len(report.Requeued), len(report.Resumed), len(report.Restarted), report.Terminal)
 		}
 	}
-	if dsn != "" {
+	if cfg.opts.StoreDSN != "" {
 		fmt.Printf("storage backend: %s\n", env.Store.Kind())
 	}
 
 	ui := httpapi.New(env)
-	ui.EnablePprof = pprof
-	server := &http.Server{Addr: addr, Handler: ui.Handler()}
+	ui.EnablePprof = cfg.pprof
+	server := &http.Server{Addr: cfg.addr, Handler: ui.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	if node != nil {
@@ -331,21 +287,13 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 			node.Self().ID, len(node.Ring().Members())-1, node.Ring().Version())
 	}
 	fmt.Printf("grid environment up: %d nodes, %d containers; serving on %s\n",
-		len(env.Grid.Nodes()), len(env.Grid.Containers()), addr)
+		len(env.Grid.Nodes()), len(env.Grid.Containers()), cfg.addr)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		return err
-	case <-sig:
+	case <-ctx.Done():
 	}
 	_ = server.Close()
-	if legacyDump != "" {
-		if err := env.Services.Storage.Save(legacyDump); err != nil {
-			return fmt.Errorf("saving storage: %w", err)
-		}
-		fmt.Printf("persistent storage saved to %s\n", legacyDump)
-	}
 	return nil
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gridload [-mode sim|live] [-pattern closed|open] [-seed 1]
-//	         [-tenants alpha:3,beta:1,gamma:1] [-n 1000]
+//	         [-tenants alpha:3,beta:1,gamma:1] [-n N]
 //	         [-rate 100] [-outstanding 8] [-workers 4] [-capacity 0]
 //	         [-service-mean 0.05] [-endpoints URL,URL,...] [-indent]
 //	         [-scenario fairness|costmix] [-nodes 16]
@@ -17,7 +17,8 @@
 // half fast-expensive) through the production candidate scorer, and the
 // report carries one SLO verdict per tenant (batch inside budget, rush
 // meeting deadlines). Always a seeded virtual clock — byte-identical at a
-// fixed seed.
+// fixed seed. Without -n the fairness workload runs 1000 tasks and costmix
+// 200 per tenant.
 //
 // -endpoints (live mode) drives already-running gridenv processes over
 // their HTTP API instead of building an in-process engine, round-robining
@@ -65,17 +66,18 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("gridload", flag.ContinueOnError)
+	var spec load.Spec
+	fs.StringVar(&spec.Mode, "pattern", "closed", "arrival pattern: closed (saturating windows) or open (Poisson)")
+	fs.Int64Var(&spec.Seed, "seed", 1, "seed for arrivals, mixes, and service times")
+	fs.IntVar(&spec.Arrivals, "n", 0, "total tasks: completions (closed) or submissions (open); per tenant in costmix (0 = 1000, costmix 200)")
+	fs.Float64Var(&spec.RatePerSec, "rate", 100, "open-loop aggregate arrival rate per second")
+	fs.IntVar(&spec.Outstanding, "outstanding", 8, "closed-loop in-flight window per tenant")
+	fs.IntVar(&spec.Workers, "workers", 4, "simulated workers (sim) / engine worker pool (live)")
+	fs.IntVar(&spec.QueueCapacity, "capacity", 0, "admission queue capacity (0 = sized automatically)")
+	fs.Float64Var(&spec.ServiceMeanSec, "service-mean", 0.05, "simulated mean service seconds (sim only)")
 	var (
 		mode        = fs.String("mode", "sim", "sim (virtual clock, reproducible) or live (real engine)")
-		pattern     = fs.String("pattern", "closed", "arrival pattern: closed (saturating windows) or open (Poisson)")
-		seed        = fs.Int64("seed", 1, "seed for arrivals, mixes, and service times")
 		tenants     = fs.String("tenants", "alpha:3,beta:1,gamma:1", "tenant mix as id:weight[:share],...")
-		n           = fs.Int("n", 1000, "total tasks: completions (closed) or submissions (open)")
-		rate        = fs.Float64("rate", 100, "open-loop aggregate arrival rate per second")
-		outstanding = fs.Int("outstanding", 8, "closed-loop in-flight window per tenant")
-		workers     = fs.Int("workers", 4, "simulated workers (sim) / engine worker pool (live)")
-		capacity    = fs.Int("capacity", 0, "admission queue capacity (0 = sized automatically)")
-		serviceMean = fs.Float64("service-mean", 0.05, "simulated mean service seconds (sim only)")
 		endpoints   = fs.String("endpoints", "", "comma-separated gridenv base URLs to drive over HTTP (live mode; empty = in-process engine)")
 		traceparent = fs.Bool("traceparent", false, "send a fresh W3C traceparent header per submission so server traces join client-originated trace IDs (HTTP live mode)")
 		indent      = fs.Bool("indent", false, "pretty-print the JSON report")
@@ -85,39 +87,28 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *scenario == "costmix" {
-		cmSpec := load.CostMixSpec{Seed: *seed, Tasks: *n, Nodes: *nodes}
-		if *n == 1000 {
-			cmSpec.Tasks = 0 // fall back to the costmix default (200/tenant)
-		}
-		cmReport, err := load.RunCostMix(cmSpec)
-		if err != nil {
-			return err
-		}
+	emit := func(report any) error {
 		enc := json.NewEncoder(out)
 		if *indent {
 			enc.SetIndent("", "  ")
 		}
-		return enc.Encode(cmReport)
+		return enc.Encode(report)
+	}
+	if *scenario == "costmix" {
+		report, err := load.RunCostMix(load.CostMixSpec{Seed: spec.Seed, Tasks: spec.Arrivals, Nodes: *nodes})
+		if err != nil {
+			return err
+		}
+		return emit(report)
 	}
 	if *scenario != "fairness" {
 		return fmt.Errorf("unknown scenario %q (want fairness or costmix)", *scenario)
 	}
-	mix, err := load.ParseTenants(*tenants)
-	if err != nil {
+	var err error
+	if spec.Tenants, err = load.ParseTenants(*tenants); err != nil {
 		return err
 	}
-	spec := load.Spec{
-		Seed:           *seed,
-		Mode:           *pattern,
-		Tenants:        mix,
-		Arrivals:       *n,
-		RatePerSec:     *rate,
-		Outstanding:    *outstanding,
-		Workers:        *workers,
-		QueueCapacity:  *capacity,
-		ServiceMeanSec: *serviceMean,
-	}
+	spec = spec.Defaults()
 
 	var report *load.Report
 	switch *mode {
@@ -138,11 +129,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(out)
-	if *indent {
-		enc.SetIndent("", "  ")
-	}
-	return enc.Encode(report)
+	return emit(report)
 }
 
 // runLive builds an in-process grid environment with the spec's tenant
@@ -170,12 +157,7 @@ func runLive(spec load.Spec) (*load.Report, error) {
 		return nil, err
 	}
 	defer env.Close()
-	runner := &load.EngineRunner{
-		Engine:   env.Engine,
-		NewTask:  liveTask,
-		Priority: engine.PriorityNormal,
-	}
-	return runner.Run(spec)
+	return load.RunLive(load.EngineTarget(env.Engine, liveTask), spec)
 }
 
 // runHTTP drives already-running gridenv nodes over their HTTP API,
@@ -191,8 +173,7 @@ func runHTTP(spec load.Spec, endpoints []string, traceparent bool) (*load.Report
 			cleaned = append(cleaned, e)
 		}
 	}
-	runner := &load.HTTPRunner{Endpoints: cleaned, NewBody: liveBody, Traceparent: traceparent}
-	return runner.Run(spec)
+	return load.RunLive(load.HTTPTarget(cleaned, liveBody, traceparent), spec)
 }
 
 // liveBody builds the POST /api/v1/tasks JSON for the n-th task of a

@@ -66,3 +66,25 @@ func TestBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCostMixTaskCount pins how -n reaches the costmix scenario: absent it
+// means the scenario's own default, and an explicit value is taken as given
+// — including 1000, the fairness default.
+func TestCostMixTaskCount(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-scenario", "costmix"}, 200},
+		{[]string{"-scenario", "costmix", "-n", "50"}, 50},
+		{[]string{"-scenario", "costmix", "-n", "1000"}, 1000},
+	} {
+		var report load.CostMixReport
+		if err := json.Unmarshal(runToBytes(t, tc.args...), &report); err != nil {
+			t.Fatalf("run(%v) output is not a costmix report: %v", tc.args, err)
+		}
+		if report.Spec.Tasks != tc.want {
+			t.Errorf("run(%v) ran %d tasks per tenant, want %d", tc.args, report.Spec.Tasks, tc.want)
+		}
+	}
+}

@@ -143,14 +143,6 @@ func (cd *CheckpointData) RestoreState() *workflow.State {
 	return st
 }
 
-// ResumeTask continues an enactment from its latest checkpoint with the
-// default policy and no cancellation.
-//
-// Deprecated: use ResumeTaskContext.
-func (c *Coordinator) ResumeTask(taskID string) (*Report, error) {
-	return c.ResumeTaskContext(context.Background(), taskID, nil)
-}
-
 // ResumeTaskContext continues an enactment from its latest checkpoint in the
 // storage service: the process description, data state, token positions,
 // and accounting are restored, and the token game picks up at the next
@@ -173,15 +165,7 @@ func (c *Coordinator) ResumeTaskContext(ctx context.Context, taskID string, pol 
 	if err := json.Unmarshal(gr.Value, &snap); err != nil {
 		return nil, err
 	}
-	return c.resume(ctx, &snap, pol)
-}
-
-// Resume continues an enactment from an explicit checkpoint snapshot with
-// the default policy and no cancellation.
-//
-// Deprecated: use ResumeContext.
-func (c *Coordinator) Resume(snap *CheckpointData) (*Report, error) {
-	return c.ResumeContext(context.Background(), snap, nil)
+	return c.ResumeContext(ctx, &snap, pol)
 }
 
 // ResumeContext continues an enactment from an explicit checkpoint snapshot.
@@ -189,10 +173,6 @@ func (c *Coordinator) ResumeContext(ctx context.Context, snap *CheckpointData, p
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.resume(ctx, snap, pol)
-}
-
-func (c *Coordinator) resume(ctx context.Context, snap *CheckpointData, pol *Policy) (*Report, error) {
 	pd, err := workflow.DecodeProcess(snap.Process)
 	if err != nil {
 		return nil, fmt.Errorf("coordination: checkpointed process corrupt: %w", err)

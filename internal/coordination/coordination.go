@@ -255,15 +255,6 @@ func (c *Coordinator) handle(ctx *agent.Context, msg agent.Message) {
 	_ = ctx.Reply(msg, agent.Inform, report)
 }
 
-// RunTask enacts the task with the coordinator's default policy and no
-// cancellation.
-//
-// Deprecated: use RunTaskContext, which additionally supports cancellation
-// and a per-task fault-tolerance policy.
-func (c *Coordinator) RunTask(task *workflow.Task) (*Report, error) {
-	return c.RunTaskContext(context.Background(), task, nil)
-}
-
 // RunTaskContext enacts the task: if it needs planning, the planning service
 // is asked for a process description first (Figure 2); then the case is
 // enacted under the resolved policy, re-planning on failures (Figure 3),

@@ -1,6 +1,7 @@
 package coordination
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -117,7 +118,7 @@ func countTrace(report *Report, kind, activity string) int {
 // passes with the default schedule).
 func TestFig10Enactment(t *testing.T) {
 	e := newEnv(t, false)
-	report, err := e.coord.RunTask(virolab.Task())
+	report, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestFig2PlanningFlow(t *testing.T) {
 		Case:         virolab.Case(),
 		NeedPlanning: true,
 	}
-	report, err := e.coord.RunTask(task)
+	report, err := e.coord.RunTaskContext(context.Background(), task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestFig3ReplanningFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := e.coord.RunTask(virolab.Task())
+	report, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatalf("err=%v trace=%+v", err, report)
 	}
@@ -253,7 +254,7 @@ func TestReplanningBudgetExhausted(t *testing.T) {
 	e := newEnv(t, false)
 	_ = e.grid.SetNodeUp("smp-1", false)
 	_ = e.grid.SetNodeUp("cluster-1", false)
-	_, err := e.coord.RunTask(virolab.Task())
+	_, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err == nil {
 		t.Fatal("task with no resources succeeded")
 	}
@@ -263,7 +264,7 @@ func TestReplanningBudgetExhausted(t *testing.T) {
 // and that the final one restores the final data state.
 func TestCheckpointing(t *testing.T) {
 	e := newEnv(t, true)
-	report, err := e.coord.RunTask(virolab.Task())
+	report, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestCheckpointing(t *testing.T) {
 func TestRetryOnFlakyNode(t *testing.T) {
 	e := newEnv(t, false)
 	e.grid.Node("smp-1").FailureRate = 1.0 // every execution fails
-	report, err := e.coord.RunTask(virolab.Task())
+	report, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatalf("err=%v", err)
 	}
@@ -319,7 +320,7 @@ func TestRetryOnFlakyNode(t *testing.T) {
 
 func TestRunTaskValidation(t *testing.T) {
 	e := newEnv(t, false)
-	if _, err := e.coord.RunTask(&workflow.Task{ID: ""}); err == nil {
+	if _, err := e.coord.RunTaskContext(context.Background(), &workflow.Task{ID: ""}, nil); err == nil {
 		t.Error("invalid task accepted")
 	}
 }
@@ -393,7 +394,7 @@ func TestDecideConstraintPath(t *testing.T) {
 		Process: pd,
 		Case:    virolab.Case(),
 	}
-	report, err := c2.RunTask(task)
+	report, err := c2.RunTaskContext(context.Background(), task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestDecideConstraintPath(t *testing.T) {
 // version and verifies the resumed run finishes the remaining work exactly.
 func TestResumeFromMidwayCheckpoint(t *testing.T) {
 	e := newEnv(t, true)
-	full, err := e.coord.RunTask(virolab.Task())
+	full, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func TestResumeFromMidwayCheckpoint(t *testing.T) {
 		if snap.Executed < version {
 			t.Fatalf("snapshot v%d has executed=%d (< version)", version, snap.Executed)
 		}
-		report, err := e.coord.Resume(snap)
+		report, err := e.coord.ResumeContext(context.Background(), snap, nil)
 		if err != nil {
 			t.Fatalf("resume from v%d: %v", version, err)
 		}
@@ -449,10 +450,10 @@ func TestResumeFromMidwayCheckpoint(t *testing.T) {
 // TestResumeTaskViaStorageService resumes through the message interface.
 func TestResumeTaskViaStorageService(t *testing.T) {
 	e := newEnv(t, true)
-	if _, err := e.coord.RunTask(virolab.Task()); err != nil {
+	if _, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil); err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.coord.ResumeTask("T1")
+	report, err := e.coord.ResumeTaskContext(context.Background(), "T1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestResumeTaskViaStorageService(t *testing.T) {
 	if report.Executed != 17 {
 		t.Errorf("resume re-ran activities: executed=%d", report.Executed)
 	}
-	if _, err := e.coord.ResumeTask("ghost"); err == nil {
+	if _, err := e.coord.ResumeTaskContext(context.Background(), "ghost", nil); err == nil {
 		t.Error("resume of missing checkpoint succeeded")
 	}
 }
@@ -475,7 +476,7 @@ func TestResumeTaskViaStorageService(t *testing.T) {
 // provider disappeared: the resumed enactment re-plans and still finishes.
 func TestResumeSurvivesProviderLoss(t *testing.T) {
 	e := newEnv(t, true)
-	if _, err := e.coord.RunTask(virolab.Task()); err != nil {
+	if _, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := LoadCheckpointVersion(e.core.Storage, "T1", 3)
@@ -484,7 +485,7 @@ func TestResumeSurvivesProviderLoss(t *testing.T) {
 	}
 	// Kill the only P3DR provider before resuming.
 	_ = e.grid.SetNodeUp("smp-1", false)
-	report, err := e.coord.Resume(snap)
+	report, err := e.coord.ResumeContext(context.Background(), snap, nil)
 	if err != nil {
 		t.Fatalf("resume: %v (trace %+v)", err, report)
 	}
@@ -519,7 +520,7 @@ func TestChaosChurn(t *testing.T) {
 
 		task := virolab.Task()
 		task.ID = fmt.Sprintf("T-chaos-%d", i)
-		report, err := e.coord.RunTask(task)
+		report, err := e.coord.RunTaskContext(context.Background(), task, nil)
 		if err != nil {
 			t.Fatalf("round %d (smp=%v cluster=%v): %v", i, smpUp, clusterUp, err)
 		}
@@ -544,7 +545,7 @@ func TestChaosChurn(t *testing.T) {
 // longest chain.
 func TestWallClockOverlapsConcurrentBranches(t *testing.T) {
 	e := newEnv(t, false)
-	report, err := e.coord.RunTask(virolab.Task())
+	report, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +569,7 @@ func TestSoftDeadline(t *testing.T) {
 	e := newEnv(t, false)
 	tight := virolab.Task()
 	tight.Case.Deadline = 1 // one simulated second: hopeless
-	report, err := e.coord.RunTask(tight)
+	report, err := e.coord.RunTaskContext(context.Background(), tight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +586,7 @@ func TestSoftDeadline(t *testing.T) {
 	loose := virolab.Task()
 	loose.ID = "T-loose"
 	loose.Case.Deadline = 1e9
-	report, err = e.coord.RunTask(loose)
+	report, err = e.coord.RunTaskContext(context.Background(), loose, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +623,7 @@ func TestHistoryAwareDispatch(t *testing.T) {
 		pd.Add(&workflow.Activity{ID: "e", Kind: workflow.KindEnd, Name: "END"})
 		pd.Connect("b", "p")
 		pd.Connect("p", "e")
-		report, err := e.coord.RunTask(&workflow.Task{ID: id, Name: id, Process: pd, Case: c})
+		report, err := e.coord.RunTaskContext(context.Background(), &workflow.Task{ID: id, Name: id, Process: pd, Case: c}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -660,7 +661,7 @@ func TestContractNetDispatch(t *testing.T) {
 	cnp := &Coordinator{cfg: e.coord.cfg, ctx: e.coord.ctx}
 	cnp.cfg.UseContractNet = true
 
-	report, err := cnp.RunTask(virolab.Task())
+	report, err := cnp.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +686,7 @@ func TestContractNetDispatch(t *testing.T) {
 	_ = e.grid.SetNodeUp("smp-1", false)
 	task := virolab.Task()
 	task.ID = "T-cnp-stale"
-	report, err = cnp.RunTask(task)
+	report, err = cnp.RunTaskContext(context.Background(), task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

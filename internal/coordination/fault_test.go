@@ -115,7 +115,7 @@ func TestRetriesExhaustedReplanCompletes(t *testing.T) {
 	if err := e.grid.SetFaults(&grid.FaultSpec{Seed: 5, Nodes: []string{"smp-1"}, FailureRate: 1}); err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.coord.RunTask(virolab.Task())
+	report, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,14 +312,6 @@ func (e *Environment) Close() {
 	}
 }
 
-// Submit enacts a task through the coordination service with the default
-// policy and no cancellation.
-//
-// Deprecated: use SubmitContext.
-func (e *Environment) Submit(task *workflow.Task) (*coordination.Report, error) {
-	return e.Coordinator.RunTaskContext(context.Background(), task, nil)
-}
-
 // SubmitContext enacts a task through the coordination service under the
 // given fault-tolerance policy (nil means defaults), aborting when ctx is
 // cancelled.

@@ -1,65 +1,65 @@
 package core
 
 import (
-	"path/filepath"
+	"context"
 	"testing"
 
 	"repro/internal/coordination"
 	"repro/internal/planner"
+	"repro/internal/store"
 	"repro/internal/virolab"
 )
 
 // TestRestartSurvivability is the full durability story: an environment runs
-// the case study with checkpointing, saves the persistent storage to disk,
-// and is shut down. A brand-new environment (fresh platform, fresh agents,
-// fresh coordinator) loads the storage file and resumes the task from an
-// intermediate checkpoint to completion — the "persistent and reliable"
+// the case study with checkpointing on its own handle of the persistent
+// store, and is killed (the handle fenced, then shut down). A brand-new
+// environment (fresh platform, fresh agents, fresh coordinator) opens a fresh
+// handle on the same store and resumes the task from an intermediate
+// checkpoint to completion — the "persistent and reliable"
 // core-services promise of Section 2 made concrete.
 func TestRestartSurvivability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full restart cycle in -short mode")
 	}
-	store := filepath.Join(t.TempDir(), "state.json")
+	shared := store.NewMemory(store.Options{})
 	params := planner.DefaultParams()
 	params.PopulationSize = 120
 	params.Generations = 15
 
-	// First life: run, checkpoint, archive a plan, save, die.
+	// First life: run, checkpoint, archive a plan, die.
+	fence1 := store.NewFenced(shared)
 	env1, err := NewEnvironment(Options{
 		Catalog:     virolab.Catalog(),
 		Planner:     params,
 		PostProcess: virolab.ResolutionHook(nil),
 		Checkpoint:  true,
+		Store:       fence1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	report1, err := env1.Submit(virolab.Task())
+	report1, err := env1.SubmitContext(context.Background(), virolab.Task(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !report1.Completed {
 		t.Fatal("first life did not complete")
 	}
-	if err := env1.Services.Storage.Save(store); err != nil {
-		t.Fatal(err)
-	}
+	fence1.Fence()
 	env1.Close()
 
-	// Second life: fresh everything, restore the disk state.
+	// Second life: fresh everything, a fresh handle on the persistent store.
 	env2, err := NewEnvironment(Options{
 		Catalog:     virolab.Catalog(),
 		Planner:     params,
 		PostProcess: virolab.ResolutionHook(nil),
 		Checkpoint:  true,
+		Store:       store.NewFenced(shared),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env2.Close()
-	if err := env2.Services.Storage.Load(store); err != nil {
-		t.Fatal(err)
-	}
 
 	// The checkpoints survived the restart; pick a mid-run snapshot and
 	// resume it on the brand-new coordinator.
@@ -70,7 +70,7 @@ func TestRestartSurvivability(t *testing.T) {
 	if snap.Executed >= report1.Executed {
 		t.Fatalf("snapshot v4 executed=%d not intermediate (total %d)", snap.Executed, report1.Executed)
 	}
-	report2, err := env2.Coordinator.Resume(snap)
+	report2, err := env2.Coordinator.ResumeContext(context.Background(), snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

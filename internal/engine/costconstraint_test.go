@@ -106,11 +106,12 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 	control.Close()
 
 	dir := t.TempDir()
-	var dsn1, dsn2, memSnap string
+	var dsn1, dsn2 string
+	var handle1, handle2 *store.Fenced // mem only: one handle per life on a shared store
 	switch backend {
 	case "mem":
-		dsn1, dsn2 = "mem:", "mem:"
-		memSnap = filepath.Join(dir, "state.json")
+		shared := store.NewMemory(store.Options{})
+		handle1, handle2 = store.NewFenced(shared), store.NewFenced(shared)
 	case "file":
 		dsn1 = "file:" + filepath.Join(dir, "live")
 		dsn2 = "file:" + filepath.Join(dir, "crash")
@@ -128,6 +129,9 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 		opts.Workers = 1
 		opts.Checkpoint = true
 		opts.StoreDSN = dsn1
+		if handle1 != nil {
+			opts.Store = handle1
+		}
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) {
 			if calls1.Add(1) == 2 {
 				close(midway)
@@ -144,9 +148,8 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 		t.Fatal("constrained task never reached its second activity")
 	}
 	if backend == "mem" {
-		if err := env1.Services.Storage.Save(memSnap); err != nil {
-			t.Fatal(err)
-		}
+		// A true kill -9: the first life never lands another write.
+		handle1.Fence()
 	} else {
 		dc, ok := env1.Store.(store.DurableCopier)
 		if !ok {
@@ -165,13 +168,11 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 		opts.Workers = 1
 		opts.Checkpoint = true
 		opts.StoreDSN = dsn2
+		if handle2 != nil {
+			opts.Store = handle2
+		}
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) { calls2.Add(1) }
 	})
-	if backend == "mem" {
-		if err := env2.Services.Storage.Load(memSnap); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// The crash image must carry the constraint durably: the journaled
 	// envelope keeps the budget, and the checkpoint holds the spend already

@@ -17,9 +17,10 @@ import (
 // per storage backend: a burst of tasks is submitted to a single-worker
 // engine with checkpointing on; the first task is stopped mid-enactment
 // (after its first checkpoint, inside its second dispatch batch) and the
-// crash state is captured — a JSON snapshot of the in-memory store, or the
-// fsynced on-disk prefix (CopyDurable) of the file and bolt backends, which
-// is exactly what a kill -9 leaves behind. A brand-new environment opens
+// crash state is captured — the in-memory store's handle is fenced so the
+// doomed environment never lands another write, or the fsynced on-disk
+// prefix (CopyDurable) of the file and bolt backends is cloned, which is
+// exactly what a kill -9 leaves behind. A brand-new environment opens
 // that state, replays the journal, resumes the interrupted task from its
 // checkpoint, and re-enqueues the never-started ones. Every task must end
 // completed, no journal entry may stay non-terminal, and no activity past
@@ -36,11 +37,12 @@ func TestCrashRecovery(t *testing.T) {
 
 func crashRecovery(t *testing.T, backend string) {
 	dir := t.TempDir()
-	var dsn1, dsn2, memSnap string
+	var dsn1, dsn2 string
+	var handle1, handle2 *store.Fenced // mem only: one handle per life on a shared store
 	switch backend {
 	case "mem":
-		dsn1, dsn2 = "mem:", "mem:"
-		memSnap = filepath.Join(dir, "state.json")
+		shared := store.NewMemory(store.Options{})
+		handle1, handle2 = store.NewFenced(shared), store.NewFenced(shared)
 	case "file":
 		dsn1 = "file:" + filepath.Join(dir, "live")
 		dsn2 = "file:" + filepath.Join(dir, "crash")
@@ -60,6 +62,9 @@ func crashRecovery(t *testing.T, backend string) {
 		opts.Workers = 1
 		opts.Checkpoint = true
 		opts.StoreDSN = dsn1
+		if handle1 != nil {
+			opts.Store = handle1
+		}
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) {
 			if calls1.Add(1) == 2 {
 				close(midway)
@@ -78,12 +83,11 @@ func crashRecovery(t *testing.T, backend string) {
 		t.Fatal("first task never reached its second activity")
 	}
 	// Capture the crash state mid-enactment, then let the doomed environment
-	// unwind. The in-memory backend needs an explicit snapshot; the durable
-	// backends clone their fsynced prefix — the bytes a crash preserves.
+	// unwind. The in-memory backend is fenced: every later write of the first
+	// life fails, as after a kill -9. The durable backends clone their
+	// fsynced prefix — the bytes a crash preserves.
 	if backend == "mem" {
-		if err := env1.Services.Storage.Save(memSnap); err != nil {
-			t.Fatal(err)
-		}
+		handle1.Fence()
 	} else {
 		dc, ok := env1.Store.(store.DurableCopier)
 		if !ok {
@@ -103,13 +107,11 @@ func crashRecovery(t *testing.T, backend string) {
 		opts.Workers = 1
 		opts.Checkpoint = true
 		opts.StoreDSN = dsn2
+		if handle2 != nil {
+			opts.Store = handle2
+		}
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) { calls2.Add(1) }
 	})
-	if backend == "mem" {
-		if err := env2.Services.Storage.Load(memSnap); err != nil {
-			t.Fatal(err)
-		}
-	}
 	report, err := env2.Engine.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -172,21 +174,17 @@ func crashRecovery(t *testing.T, backend string) {
 // TestRecoverIdempotent replays a journal of already-finished tasks: their
 // records are restored for lookups and nothing re-runs.
 func TestRecoverIdempotent(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "state.json")
-	env1 := newEnv(t, func(opts *core.Options) { opts.Workers = 1 })
+	shared := store.NewMemory(store.Options{})
+	fence1 := store.NewFenced(shared)
+	env1 := newEnv(t, func(opts *core.Options) { opts.Workers = 1; opts.Store = fence1 })
 	if _, err := env1.Engine.Submit(engine.Submission{Task: forkTask(t, "T-done"), Priority: engine.PriorityNormal}); err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, env1.Engine, "T-done")
-	if err := env1.Services.Storage.Save(store); err != nil {
-		t.Fatal(err)
-	}
+	fence1.Fence()
 	env1.Close()
 
-	env2 := newEnv(t, func(opts *core.Options) { opts.Workers = 1 })
-	if err := env2.Services.Storage.Load(store); err != nil {
-		t.Fatal(err)
-	}
+	env2 := newEnv(t, func(opts *core.Options) { opts.Workers = 1; opts.Store = store.NewFenced(shared) })
 	report, err := env2.Engine.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,8 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"net/http"
 	"time"
 
@@ -14,226 +13,116 @@ import (
 
 // BodyFactory builds the n-th synthetic POST /api/v1/tasks body for a
 // tenant, returning the task ID it named inside. IDs must be unique across
-// the run; the runner passes a monotonically increasing n per tenant.
+// the run.
 type BodyFactory func(tenant string, n int) (id string, body []byte, err error)
 
-// HTTPRunner drives one or more gridenv nodes over their HTTP API with the
-// spec's arrival pattern and measures wall-clock goodput and latency —
-// the cluster-scale counterpart of EngineRunner. Submissions round-robin
-// across Endpoints, so on a multi-node cluster a share of them lands on a
-// non-owner and rides the forwarding path; the report therefore reflects
-// whole-cluster goodput including forwarding overhead. Each task is polled
-// on the endpoint that accepted it.
-type HTTPRunner struct {
-	// Endpoints are the nodes' base URLs (no trailing slash); required.
-	Endpoints []string
-	// NewBody builds the submitted task bodies; required.
-	NewBody BodyFactory
-	// Client is the HTTP client; nil means a 10s-timeout default.
-	Client *http.Client
-	// Poll is the completion-poll interval; 0 means 2ms.
-	Poll time.Duration
-	// Timeout aborts a stuck run; 0 means 120s.
-	Timeout time.Duration
-	// Traceparent makes every submission carry a fresh W3C traceparent
-	// header, so the server's task root span joins a client-originated
-	// trace (visible in GET /tasks/{id}/trace as the root's parentId).
-	Traceparent bool
+// HTTPTarget drives one or more gridenv nodes over their HTTP API — the
+// cluster-scale counterpart of EngineTarget. endpoints are the nodes' base
+// URLs (no trailing slash). Submissions round-robin across them, so on a
+// multi-node cluster a share lands on a non-owner and rides the forwarding
+// path; the report therefore reflects whole-cluster goodput including
+// forwarding overhead. Each task is polled on the endpoint that accepted
+// it, and its latency runs from the 202 to the poll that saw it finished.
+//
+// traceparent makes every submission carry a fresh W3C traceparent header,
+// so the server's task root span joins a client-originated trace (visible
+// in GET /tasks/{id}/trace as the root's parentId).
+func HTTPTarget(endpoints []string, newBody BodyFactory, traceparent bool) Target {
+	return &httpTarget{
+		endpoints:   endpoints,
+		newBody:     newBody,
+		traceparent: traceparent,
+		client:      &http.Client{Timeout: 10 * time.Second},
+		tasks:       map[string]httpTask{},
+	}
+}
+
+type httpTarget struct {
+	endpoints   []string
+	newBody     BodyFactory
+	traceparent bool
+	client      *http.Client
+	next        int                 // round-robin endpoint cursor
+	tasks       map[string]httpTask // accepted, not yet seen finished
 }
 
 // httpTask tracks one outstanding submission.
 type httpTask struct {
-	tenant   int // index into spec.Tenants
 	endpoint string
-	tenantID string
+	tenant   string
+	accepted time.Time
 }
 
-// Run executes the spec; the modes mirror EngineRunner.Run.
-func (r *HTTPRunner) Run(spec Spec) (*Report, error) {
-	spec = spec.Defaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
+func (t *httpTarget) Submit(tenant string, n int) (string, bool, error) {
+	if len(t.endpoints) == 0 {
+		return "", false, errors.New("no endpoints")
 	}
-	if len(r.Endpoints) == 0 || r.NewBody == nil {
-		return nil, fmt.Errorf("load: HTTPRunner needs Endpoints and NewBody")
+	id, body, err := t.newBody(tenant, n)
+	if err != nil {
+		return "", false, err
 	}
-	client := r.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+	endpoint := t.endpoints[t.next%len(t.endpoints)]
+	t.next++
+	req, err := http.NewRequest(http.MethodPost, endpoint+"/api/v1/tasks", bytes.NewReader(body))
+	if err != nil {
+		return "", false, err
 	}
-	poll := r.Poll
-	if poll <= 0 {
-		poll = 2 * time.Millisecond
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Tenant", tenant)
+	if t.traceparent {
+		sc := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID()}
+		req.Header.Set("traceparent", sc.Traceparent())
 	}
-	timeout := r.Timeout
-	if timeout <= 0 {
-		timeout = 120 * time.Second
+	resp, err := t.client.Do(req)
+	if err != nil {
+		return "", false, err
 	}
+	resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusAccepted:
+		t.tasks[id] = httpTask{endpoint: endpoint, tenant: tenant, accepted: time.Now()}
+		return id, true, nil
+	case http.StatusTooManyRequests:
+		return id, false, nil
+	}
+	return "", false, fmt.Errorf("unexpected status %d", resp.StatusCode)
+}
 
-	report := &Report{Spec: spec, Tenants: make([]TenantReport, len(spec.Tenants))}
-	latencies := make([][]float64, len(spec.Tenants))
-	counters := make([]int, len(spec.Tenants))
-	outstanding := map[string]httpTask{} // task ID → tracking
-	submitted := map[string]time.Time{}  // task ID → accept time
-	rr := 0                              // round-robin endpoint cursor
-	for i, t := range spec.Tenants {
-		report.Tenants[i] = TenantReport{ID: t.ID, Weight: t.Weight}
+func (t *httpTarget) Poll(id string) (done, succeeded bool, latency time.Duration, err error) {
+	ht := t.tasks[id]
+	req, err := http.NewRequest(http.MethodGet, ht.endpoint+"/api/v1/tasks/"+id, nil)
+	if err != nil {
+		return false, false, 0, err
 	}
-
-	submit := func(ti int) error {
-		counters[ti]++
-		tenant := spec.Tenants[ti].ID
-		id, body, err := r.NewBody(tenant, counters[ti])
-		if err != nil {
-			return err
-		}
-		endpoint := r.Endpoints[rr%len(r.Endpoints)]
-		rr++
-		tr := &report.Tenants[ti]
-		tr.Submitted++
-		report.Submitted++
-		req, err := http.NewRequest(http.MethodPost, endpoint+"/api/v1/tasks", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Tenant", tenant)
-		if r.Traceparent {
-			sc := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID()}
-			req.Header.Set("traceparent", sc.Traceparent())
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return fmt.Errorf("load: submit for tenant %s: %w", tenant, err)
-		}
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusAccepted:
-			tr.Accepted++
-			report.Accepted++
-			outstanding[id] = httpTask{tenant: ti, endpoint: endpoint, tenantID: tenant}
-			submitted[id] = time.Now()
-		case resp.StatusCode == http.StatusTooManyRequests:
-			tr.Rejected++
-			report.Rejected++
-		default:
-			return fmt.Errorf("load: submit for tenant %s: unexpected status %d", tenant, resp.StatusCode)
-		}
-		return nil
+	req.Header.Set("X-Tenant", ht.tenant)
+	resp, err := t.client.Do(req)
+	if err != nil {
+		return false, false, 0, err
 	}
-
-	// reap polls every outstanding task where it was accepted; returns how
-	// many reached a terminal state.
-	reap := func() (int, error) {
-		done := 0
-		for id, ht := range outstanding {
-			req, err := http.NewRequest(http.MethodGet, ht.endpoint+"/api/v1/tasks/"+id, nil)
-			if err != nil {
-				return done, err
-			}
-			req.Header.Set("X-Tenant", ht.tenantID)
-			resp, err := client.Do(req)
-			if err != nil {
-				return done, fmt.Errorf("load: poll %s: %w", id, err)
-			}
-			if resp.StatusCode == http.StatusNotFound {
-				// Retention evicted the record before we polled it; count the
-				// completion but lose the latency sample.
-				resp.Body.Close()
-				delete(outstanding, id)
-				delete(submitted, id)
-				report.Tenants[ht.tenant].Completed++
-				report.Completed++
-				done++
-				continue
-			}
-			var view struct {
-				Status string `json:"status"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&view)
-			resp.Body.Close()
-			if err != nil {
-				return done, fmt.Errorf("load: poll %s: %w", id, err)
-			}
-			switch view.Status {
-			case "succeeded", "failed", "cancelled":
-				delete(outstanding, id)
-				done++
-				if view.Status == "succeeded" {
-					report.Tenants[ht.tenant].Completed++
-					report.Completed++
-					latencies[ht.tenant] = append(latencies[ht.tenant],
-						time.Since(submitted[id]).Seconds())
-				}
-				delete(submitted, id)
-			}
-		}
-		return done, nil
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
+		// Retention evicted the record before we polled it; count the
+		// completion but lose the latency sample.
+		delete(t.tasks, id)
+		return true, true, -1, nil
+	default:
+		return false, false, 0, fmt.Errorf("unexpected status %d", resp.StatusCode)
 	}
-
-	start := time.Now()
-	deadline := start.Add(timeout)
-	switch spec.Mode {
-	case "closed":
-		for ti := range spec.Tenants {
-			for k := 0; k < spec.Outstanding; k++ {
-				if err := submit(ti); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for report.Completed < spec.Arrivals {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("load: closed-loop run timed out at %d/%d completions", report.Completed, spec.Arrivals)
-			}
-			if _, err := reap(); err != nil {
-				return nil, err
-			}
-			for ti := range spec.Tenants {
-				have := 0
-				for _, ht := range outstanding {
-					if ht.tenant == ti {
-						have++
-					}
-				}
-				for ; have < spec.Outstanding && report.Completed < spec.Arrivals; have++ {
-					if err := submit(ti); err != nil {
-						return nil, err
-					}
-				}
-			}
-			time.Sleep(poll)
-		}
-	case "open":
-		rng := rand.New(rand.NewSource(spec.Seed))
-		for i := 0; i < spec.Arrivals; i++ {
-			u := rng.Float64()
-			for u == 0 {
-				u = rng.Float64()
-			}
-			time.Sleep(time.Duration(-math.Log(u) / spec.RatePerSec * float64(time.Second)))
-			if err := submit(i % len(spec.Tenants)); err != nil {
-				return nil, err
-			}
-			if _, err := reap(); err != nil {
-				return nil, err
-			}
-		}
-		for len(outstanding) > 0 {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("load: open-loop drain timed out with %d tasks outstanding", len(outstanding))
-			}
-			if _, err := reap(); err != nil {
-				return nil, err
-			}
-			time.Sleep(poll)
-		}
+	var view struct {
+		Status string `json:"status"`
 	}
-
-	report.DurationSec = time.Since(start).Seconds()
-	for i := range report.Tenants {
-		report.Tenants[i].Latency = latencyStats(latencies[i])
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		return false, false, 0, err
 	}
-	report.finalize()
-	return report, nil
+	switch view.Status {
+	case "succeeded":
+		delete(t.tasks, id)
+		return true, true, time.Since(ht.accepted), nil
+	case "failed", "cancelled":
+		delete(t.tasks, id)
+		return true, false, 0, nil
+	}
+	return false, false, 0, nil
 }

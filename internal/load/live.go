@@ -11,147 +11,121 @@ import (
 	"repro/internal/workflow"
 )
 
-// TaskFactory builds the n-th synthetic task for a tenant. IDs must be
-// unique across the run; the runner passes a monotonically increasing n per
-// tenant.
-type TaskFactory func(tenant string, n int) (*workflow.Task, error)
-
-// EngineRunner drives a real enactment engine with the spec's arrival
-// pattern and measures wall-clock goodput and latency. Unlike RunSim, the
-// report depends on real scheduling and service times, so it is not
-// byte-reproducible — use it for soak tests with tolerance bounds.
-type EngineRunner struct {
-	Engine *engine.Engine
-	// NewTask builds the submitted tasks; required.
-	NewTask TaskFactory
-	// Priority applies to every submission (default high-less normal).
-	Priority engine.Priority
-	// Poll is the completion-poll interval; 0 means 2ms.
-	Poll time.Duration
-	// Timeout aborts a stuck run; 0 means 120s.
-	Timeout time.Duration
+// Target is the system a live run drives: an in-process enactment engine
+// (EngineTarget) or gridenv nodes over HTTP (HTTPTarget). RunLive calls it
+// from one goroutine.
+type Target interface {
+	// Submit builds and submits the tenant's n-th task (n counts up from 1
+	// per tenant). accepted is false when the target refused the task under
+	// back-pressure — a rejection the report counts, not an error.
+	Submit(tenant string, n int) (id string, accepted bool, err error)
+	// Poll reports whether an accepted task has reached a terminal state,
+	// whether it succeeded, and its submission-to-completion latency. A
+	// negative latency means the sample is lost: the target evicted the
+	// finished record before it was polled.
+	Poll(id string) (done, succeeded bool, latency time.Duration, err error)
 }
 
-// Run executes the spec. Closed mode keeps spec.Outstanding tasks in flight
-// per tenant until spec.Arrivals tasks have completed; open mode submits
-// spec.Arrivals tasks at the spec's Poisson rate and then drains.
-func (r *EngineRunner) Run(spec Spec) (*Report, error) {
+const (
+	// pollInterval spaces the completion polls of a live run.
+	pollInterval = 2 * time.Millisecond
+	// runTimeout aborts a stuck live run.
+	runTimeout = 120 * time.Second
+)
+
+// RunLive drives target with the spec's arrival pattern and measures
+// wall-clock goodput and latency. Closed mode keeps spec.Outstanding tasks
+// in flight per tenant until spec.Arrivals tasks have completed; open mode
+// submits spec.Arrivals tasks at the spec's Poisson rate and then drains.
+// Unlike RunSim, the report depends on real scheduling and service times,
+// so it is not byte-reproducible — use it for soak tests with tolerance
+// bounds.
+func RunLive(target Target, spec Spec) (*Report, error) {
 	spec = spec.Defaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if r.Engine == nil || r.NewTask == nil {
-		return nil, fmt.Errorf("load: EngineRunner needs Engine and NewTask")
-	}
-	poll := r.Poll
-	if poll <= 0 {
-		poll = 2 * time.Millisecond
-	}
-	timeout := r.Timeout
-	if timeout <= 0 {
-		timeout = 120 * time.Second
-	}
 
 	report := &Report{Spec: spec, Tenants: make([]TenantReport, len(spec.Tenants))}
 	latencies := make([][]float64, len(spec.Tenants))
-	counters := make([]int, len(spec.Tenants)) // per-tenant task numbering
+	inFlight := make([]int, len(spec.Tenants)) // per-tenant outstanding count
 	outstanding := map[string]int{}            // task ID → tenant index
 	for i, t := range spec.Tenants {
 		report.Tenants[i] = TenantReport{ID: t.ID, Weight: t.Weight}
 	}
 
 	submit := func(ti int) error {
-		counters[ti]++
-		task, err := r.NewTask(spec.Tenants[ti].ID, counters[ti])
-		if err != nil {
-			return err
-		}
 		tr := &report.Tenants[ti]
+		id, accepted, err := target.Submit(tr.ID, tr.Submitted+1)
+		if err != nil {
+			return fmt.Errorf("load: submit for tenant %s: %w", tr.ID, err)
+		}
 		tr.Submitted++
 		report.Submitted++
-		_, err = r.Engine.Submit(engine.Submission{
-			Task: task, Priority: r.Priority, Tenant: spec.Tenants[ti].ID,
-		})
-		switch {
-		case err == nil:
+		if accepted {
 			tr.Accepted++
 			report.Accepted++
-			outstanding[task.ID] = ti
-		case errors.Is(err, engine.ErrQueueFull),
-			errors.Is(err, engine.ErrTenantQueueFull),
-			errors.Is(err, engine.ErrTenantRateLimited):
+			outstanding[id] = ti
+			inFlight[ti]++
+		} else {
 			tr.Rejected++
 			report.Rejected++
-		default:
-			return fmt.Errorf("load: submit for tenant %s: %w", spec.Tenants[ti].ID, err)
 		}
 		return nil
 	}
 
-	// reap records finished outstanding tasks; returns how many completed.
-	reap := func() (int, error) {
-		done := 0
+	// reap records the outstanding tasks that have finished.
+	reap := func() error {
 		for id, ti := range outstanding {
-			st, err := r.Engine.Task(id)
-			if errors.Is(err, engine.ErrEvicted) {
-				// Retention dropped the record before we polled it; count
-				// the completion but lose the latency sample.
-				delete(outstanding, id)
-				report.Tenants[ti].Completed++
-				report.Completed++
-				done++
+			done, succeeded, latency, err := target.Poll(id)
+			if err != nil {
+				return fmt.Errorf("load: poll %s: %w", id, err)
+			}
+			if !done {
 				continue
 			}
-			if err != nil {
-				return done, fmt.Errorf("load: poll %s: %w", id, err)
-			}
-			switch st.Status {
-			case engine.StatusCompleted, engine.StatusFailed, engine.StatusCancelled:
-				delete(outstanding, id)
-				done++
-				if st.Status == engine.StatusCompleted {
-					report.Tenants[ti].Completed++
-					report.Completed++
-					latencies[ti] = append(latencies[ti], st.Finished.Sub(st.Submitted).Seconds())
+			delete(outstanding, id)
+			inFlight[ti]--
+			if succeeded {
+				report.Tenants[ti].Completed++
+				report.Completed++
+				if latency >= 0 {
+					latencies[ti] = append(latencies[ti], latency.Seconds())
 				}
 			}
 		}
-		return done, nil
+		return nil
 	}
 
 	start := time.Now()
-	deadline := start.Add(timeout)
+	deadline := start.Add(runTimeout)
+	// wait lets one poll interval pass and reaps, until the run times out.
+	wait := func() error {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("load: %s-loop run timed out at %d/%d completions with %d tasks outstanding",
+				spec.Mode, report.Completed, spec.Arrivals, len(outstanding))
+		}
+		time.Sleep(pollInterval)
+		return reap()
+	}
 	switch spec.Mode {
 	case "closed":
-		for ti := range spec.Tenants {
-			for k := 0; k < spec.Outstanding; k++ {
-				if err := submit(ti); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for report.Completed < spec.Arrivals {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("load: closed-loop run timed out at %d/%d completions", report.Completed, spec.Arrivals)
-			}
-			if _, err := reap(); err != nil {
-				return nil, err
-			}
-			// Refill every tenant's window (a rejection or failure shrank it).
+		for {
+			// Fill every tenant's window (initially empty; later a
+			// completion, rejection or failure shrank it).
 			for ti := range spec.Tenants {
-				have := 0
-				for _, oti := range outstanding {
-					if oti == ti {
-						have++
-					}
-				}
-				for ; have < spec.Outstanding && report.Completed < spec.Arrivals; have++ {
+				for need := spec.Outstanding - inFlight[ti]; need > 0 && report.Completed < spec.Arrivals; need-- {
 					if err := submit(ti); err != nil {
 						return nil, err
 					}
 				}
 			}
-			time.Sleep(poll)
+			if report.Completed >= spec.Arrivals {
+				break
+			}
+			if err := wait(); err != nil {
+				return nil, err
+			}
 		}
 	case "open":
 		rng := rand.New(rand.NewSource(spec.Seed))
@@ -161,22 +135,17 @@ func (r *EngineRunner) Run(spec Spec) (*Report, error) {
 				u = rng.Float64()
 			}
 			time.Sleep(time.Duration(-math.Log(u) / spec.RatePerSec * float64(time.Second)))
-			ti := i % len(spec.Tenants)
-			if err := submit(ti); err != nil {
+			if err := submit(i % len(spec.Tenants)); err != nil {
 				return nil, err
 			}
-			if _, err := reap(); err != nil {
+			if err := reap(); err != nil {
 				return nil, err
 			}
 		}
 		for len(outstanding) > 0 {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("load: open-loop drain timed out with %d tasks outstanding", len(outstanding))
-			}
-			if _, err := reap(); err != nil {
+			if err := wait(); err != nil {
 				return nil, err
 			}
-			time.Sleep(poll)
 		}
 	}
 
@@ -186,4 +155,56 @@ func (r *EngineRunner) Run(spec Spec) (*Report, error) {
 	}
 	report.finalize()
 	return report, nil
+}
+
+// TaskFactory builds the n-th synthetic task for a tenant. IDs must be
+// unique across the run.
+type TaskFactory func(tenant string, n int) (*workflow.Task, error)
+
+// EngineTarget submits newTask's tasks to an in-process enactment engine at
+// normal priority (what an HTTP submission without a priority gets), and
+// reads latency off the engine's own submitted/finished timestamps.
+func EngineTarget(eng *engine.Engine, newTask TaskFactory) Target {
+	return &engineTarget{eng: eng, newTask: newTask}
+}
+
+type engineTarget struct {
+	eng     *engine.Engine
+	newTask TaskFactory
+}
+
+func (t *engineTarget) Submit(tenant string, n int) (string, bool, error) {
+	task, err := t.newTask(tenant, n)
+	if err != nil {
+		return "", false, err
+	}
+	_, err = t.eng.Submit(engine.Submission{Task: task, Priority: engine.PriorityNormal, Tenant: tenant})
+	switch {
+	case err == nil:
+		return task.ID, true, nil
+	case errors.Is(err, engine.ErrQueueFull),
+		errors.Is(err, engine.ErrTenantQueueFull),
+		errors.Is(err, engine.ErrTenantRateLimited):
+		return task.ID, false, nil
+	}
+	return "", false, err
+}
+
+func (t *engineTarget) Poll(id string) (done, succeeded bool, latency time.Duration, err error) {
+	st, err := t.eng.Task(id)
+	if errors.Is(err, engine.ErrEvicted) {
+		// Retention dropped the record before we polled it; count the
+		// completion but lose the latency sample.
+		return true, true, -1, nil
+	}
+	if err != nil {
+		return false, false, 0, err
+	}
+	switch st.Status {
+	case engine.StatusCompleted:
+		return true, true, st.Finished.Sub(st.Submitted), nil
+	case engine.StatusFailed, engine.StatusCancelled:
+		return true, false, 0, nil
+	}
+	return false, false, 0, nil
 }

@@ -8,8 +8,9 @@
 //
 // Two drivers consume a Spec: RunSim (sim.go) replays the workload against
 // the real fair-queue scheduling code under a virtual clock, so the same
-// seed always yields a byte-identical JSON report; EngineRunner (live.go)
-// drives a real enactment engine and measures wall-clock behavior.
+// seed always yields a byte-identical JSON report; RunLive (live.go) drives
+// a Target — an in-process enactment engine (EngineTarget) or gridenv nodes
+// over HTTP (HTTPTarget) — and measures wall-clock behavior.
 package load
 
 import (

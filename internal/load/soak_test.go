@@ -85,12 +85,7 @@ func TestEngineSoakFairness(t *testing.T) {
 	}
 	defer env.Close()
 
-	runner := &load.EngineRunner{
-		Engine:   env.Engine,
-		NewTask:  soakTask,
-		Priority: engine.PriorityNormal,
-	}
-	report, err := runner.Run(load.Spec{
+	report, err := load.RunLive(load.EngineTarget(env.Engine, soakTask), load.Spec{
 		Seed: 1,
 		Mode: "closed",
 		Tenants: []load.TenantSpec{

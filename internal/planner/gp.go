@@ -99,12 +99,6 @@ func New(problem *workflow.Problem, params Params) (*GP, error) {
 	}, nil
 }
 
-// Run executes the full GP procedure without cancellation support.
-//
-// Deprecated: use RunContext. Run survives as a thin wrapper for the
-// experiment harness and older call sites.
-func (gp *GP) Run() (*Result, error) { return gp.RunContext(context.Background()) }
-
 // RunContext executes the procedure of Section 3.4.6: initialize, then for
 // each generation evaluate, select, cross over, and mutate; finally return
 // the highest-fitness plan seen in the last evaluated population. The
@@ -499,19 +493,11 @@ func Neighborhood(rng *rand.Rand, failed *plantree.Node, excluded map[string]boo
 	return seeds
 }
 
-// RunMany performs n independent GP runs with seeds seed, seed+1, ... and
-// returns the per-run results, reproducing the paper's 10-run protocol.
-//
-// Deprecated: use RunManyContext, which runs the same protocol through the
-// planning service (parallel across runs) and supports cancellation.
-func RunMany(problem *workflow.Problem, params Params, n int) ([]*Result, error) {
-	return RunManyContext(context.Background(), problem, params, n)
-}
-
 // RunManyContext performs n independent GP runs with seeds seed, seed+1,
-// ... through an ephemeral planning service, so independent runs execute
-// across the service worker pool, and returns the per-run results in run
-// order. Plan caching is disabled: every run is a cold plan.
+// ... (the paper's 10-run protocol) through an ephemeral planning service,
+// so independent runs execute across the service worker pool, and returns
+// the per-run results in run order. Plan caching is disabled: every run is a
+// cold plan.
 func RunManyContext(ctx context.Context, problem *workflow.Problem, params Params, n int) ([]*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("planner: RunMany with n=%d", n)

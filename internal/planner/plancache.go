@@ -153,17 +153,6 @@ func (c *PlanCache) InvalidateService(name string) int {
 	return dropped
 }
 
-// InvalidateAll empties the cache and returns how many entries it held.
-func (c *PlanCache) InvalidateAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	c.entries = make(map[string]PlanResult)
-	c.order = nil
-	c.invalidations += int64(n)
-	return n
-}
-
 // Len reports the number of cached plans.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()

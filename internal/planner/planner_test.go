@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -325,7 +326,7 @@ func TestGPFindsValidPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gp.Run()
+	res, err := gp.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestGPDeterministicBySeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := gp.Run()
+		res, err := gp.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +376,7 @@ func TestGPRouletteSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gp.Run()
+	res, err := gp.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestRunManyAndSummarize(t *testing.T) {
 	p := DefaultParams()
 	p.PopulationSize = 60
 	p.Generations = 10
-	results, err := RunMany(testProblem(), p, 3)
+	results, err := RunManyContext(context.Background(), testProblem(), p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestRunManyAndSummarize(t *testing.T) {
 	if s.MinFitness > s.MaxFitness {
 		t.Error("min > max")
 	}
-	if _, err := RunMany(testProblem(), p, 0); err == nil {
+	if _, err := RunManyContext(context.Background(), testProblem(), p, 0); err == nil {
 		t.Error("RunMany(0) accepted")
 	}
 	empty := Summarize(nil)
@@ -467,7 +468,7 @@ func TestTable2Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 protocol in -short mode")
 	}
-	results, err := RunMany(testProblem(), DefaultParams(), 10)
+	results, err := RunManyContext(context.Background(), testProblem(), DefaultParams(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +511,7 @@ func BenchmarkGPGeneration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := gp.Run(); err != nil {
+		if _, err := gp.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -564,7 +565,7 @@ func TestGPSeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 	gp.Seed(perfectPlan())
-	res, err := gp.Run()
+	res, err := gp.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +600,7 @@ func TestGPSeedingAccelerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeded.Seed(perfectPlan())
-	rs, err := seeded.Run()
+	rs, err := seeded.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +621,7 @@ func TestElitismPreservesBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	gp.Seed(perfectPlan())
-	res, err := gp.Run()
+	res, err := gp.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -432,15 +432,6 @@ func (s *Service) InvalidateService(name string) int {
 	return n
 }
 
-// InvalidateCache empties the plan cache and returns the evicted count.
-func (s *Service) InvalidateCache() int {
-	n := s.cache.InvalidateAll()
-	if n > 0 {
-		s.tel.Counter("planner.plan_cache.invalidations").Add(int64(n))
-	}
-	return n
-}
-
 // Close stops accepting plans, cancels running ones, drains the queue
 // (queued plans finalize as cancelled), and waits for the workers.
 func (s *Service) Close() {

@@ -37,9 +37,6 @@ func NewFenced(inner Store) *Fenced { return &Fenced{inner: inner} }
 // failover.
 func (f *Fenced) Fence() { f.fenced.Store(true) }
 
-// IsFenced reports whether the fence has dropped.
-func (f *Fenced) IsFenced() bool { return f.fenced.Load() }
-
 func (f *Fenced) guard() error {
 	if f.fenced.Load() {
 		return ErrFenced

@@ -12,8 +12,9 @@ var errClosed = errors.New("store: closed")
 
 // Memory is the volatile backend: the versioned map the storage service has
 // always kept, now behind the Store interface. Mutations are immediate and
-// never fail; durability comes only from explicit dumps (services.Storage
-// Save/Load) — a crash loses everything since the last dump.
+// never fail; nothing is durable — the contents die with the process. Tests
+// that need a second life over the same contents share one Memory between
+// Fenced handles.
 type Memory struct {
 	stats *counters
 

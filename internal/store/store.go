@@ -4,7 +4,7 @@
 // architectural model): everything above speaks the Store interface, and the
 // backend is selected at startup by a DSN —
 //
-//	mem:            volatile in-memory map (fast, durability only via dumps)
+//	mem:            volatile in-memory map (fast, nothing survives the process)
 //	file:DIR        append-only segmented log with rotation and compaction
 //	bolt:PATH.db    embedded single-file KV (binary records, CRC-checked,
 //	                offset-indexed values read from disk on demand)
