@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -701,26 +700,21 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // writers either serialized against their own fsync (unbatched: MaxBatch 1,
 // one caller) or arriving from 16 concurrent writers that share
 // group-commit batches (batched: the 1 ms linger the engine uses). The gap
-// between the two modes on the durable backends is the group commit win;
+// between the two modes on the durable backend is the group commit win;
 // mem is the no-durability control.
 func BenchmarkJournalAppend(b *testing.B) {
 	val := []byte(`{"event":"accepted","taskId":"T-bench","seq":42,"priority":1,` +
 		`"task":{"id":"T-bench","name":"journal append benchmark payload","goal":["G.Classification"]}}`)
-	for _, kind := range []string{"mem", "file", "bolt"} {
+	for _, kind := range []string{"mem", "file"} {
 		for _, batched := range []bool{false, true} {
 			mode := "unbatched"
 			if batched {
 				mode = "batched"
 			}
 			b.Run(fmt.Sprintf("backend=%s/mode=%s", kind, mode), func(b *testing.B) {
-				var dsn string
-				switch kind {
-				case "mem":
-					dsn = "mem:"
-				case "file":
+				dsn := "mem:"
+				if kind == "file" {
 					dsn = "file:" + b.TempDir()
-				case "bolt":
-					dsn = "bolt:" + filepath.Join(b.TempDir(), "kv.db")
 				}
 				flush := store.FlushConfig{MaxBatch: 1}
 				if batched {

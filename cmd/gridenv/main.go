@@ -5,18 +5,18 @@
 // Usage:
 //
 //	gridenv [-addr :8080] [-clusters 6] [-smps 3] [-supers 1] [-seed 1]
-//	        [-store mem:|file:DIR|bolt:PATH.db] [-store-batch N]
+//	        [-store mem:|file:DIR] [-store-batch N]
 //	        [-store-interval D] [-workers N] [-enact-delay D]
 //	        [-tenants alpha:3,beta:1] [-tenant-max-queued N]
 //	        [-tenant-max-inflight N] [-tenant-rate R] [-tenant-burst N]
 //	        [-node-id a -peers a=http://h1:8080,b=http://h2:8080]
 //	        [-log-level info] [-log-format text] [-pprof]
 //
-// -store selects the storage backend by DSN: "mem:" (volatile, the default),
-// "file:DIR" (append-only segmented log with rotation and compaction), or
-// "bolt:PATH.db" (embedded single-file KV). On the durable backends,
-// checkpoints, archived plans, and the enactment engine's write-ahead task
-// journal survive restarts with no explicit save step: journal appends are
+// -store selects the storage backend by DSN: "mem:" (volatile, the default)
+// or "file:DIR" (append-only segmented log of CRC-checked frames, with
+// rotation and compaction). On the durable backend, checkpoints, archived
+// plans, and the enactment engine's write-ahead task journal survive
+// restarts with no explicit save step: journal appends are
 // group-committed (one fsync per batch; -store-batch bounds the batch,
 // -store-interval adds an optional linger), and at startup the engine
 // replays the journal — tasks that were accepted but never started are
@@ -143,7 +143,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&gridCfg.SMPs, "smps", gridCfg.SMPs, "SMP nodes")
 	fs.IntVar(&gridCfg.Supercomputers, "supers", gridCfg.Supercomputers, "supercomputers")
 	fs.Int64Var(&gridCfg.Seed, "seed", gridCfg.Seed, "grid and planner seed")
-	fs.StringVar(&cfg.opts.StoreDSN, "store", "", "storage backend DSN: mem:, file:DIR, bolt:PATH.db (empty = mem:)")
+	fs.StringVar(&cfg.opts.StoreDSN, "store", "", "storage backend DSN: mem: or file:DIR (empty = mem:)")
 	fs.IntVar(&cfg.opts.StoreFlush.MaxBatch, "store-batch", 0, "group-commit batch bound for durable backends (0 = default)")
 	fs.DurationVar(&cfg.opts.StoreFlush.Interval, "store-interval", 0, "group-commit linger interval (0 = flush when the flusher is free)")
 	fs.IntVar(&cfg.opts.Workers, "workers", 0, "enactment worker pool size (0 = GOMAXPROCS)")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -561,8 +562,9 @@ func (c *Coordinator) invalidatePerf(service string) {
 	c.perfMu.Unlock()
 }
 
-// apply merges a successful dispatch into the report and case state:
-// accounting, trace, postconditions (with the steering hook), data items.
+// apply merges a dispatch into the report and case state: accounting, trace,
+// postconditions (with the steering hook), data items. Compute time and cost
+// are summed by runBatch, which sees the whole batch.
 func (c *Coordinator) apply(report *Report, res execResult, state *workflow.State) {
 	report.Trace = append(report.Trace, res.events...)
 	for _, ev := range res.events {
@@ -583,8 +585,6 @@ func (c *Coordinator) apply(report *Report, res execResult, state *workflow.Stat
 	}
 	report.Executed++
 	c.mExecuted.Inc()
-	report.SimulatedTime += res.duration
-	report.TotalCost += res.cost
 	svc := c.cfg.Catalog.Get(res.act.Service)
 	produced := svc.Produce(res.act.Outputs, report.Executed)
 	if c.cfg.PostProcess != nil {
@@ -618,11 +618,27 @@ func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, ba
 		wg.Wait()
 	}
 	longest := 0.0
+	var dbuf, cbuf [8]float64 // wider batches spill to the heap
+	durations, costs := dbuf[:0], cbuf[:0]
 	for i := range results {
 		c.apply(report, results[i], state)
 		if d := results[i].duration + results[i].backoff; d > longest {
 			longest = d
 		}
+		if results[i].err == nil {
+			durations = append(durations, results[i].duration)
+			costs = append(costs, results[i].cost)
+		}
+	}
+	// Concurrent members draw their jitter from a node's stream in goroutine
+	// arrival order: the seed fixes the multiset of a batch's durations, not
+	// which member drew which. Float addition is not associative, so the
+	// totals take the batch in ascending order rather than member order.
+	slices.Sort(durations)
+	slices.Sort(costs)
+	for i := range durations {
+		report.SimulatedTime += durations[i]
+		report.TotalCost += costs[i]
 	}
 	report.WallClockTime += longest
 	c.mBatches.Inc()

@@ -62,9 +62,8 @@ type Options struct {
 	Checkpoint bool
 
 	// StoreDSN selects the storage backend behind the storage service and the
-	// engine's journal: "mem:" (volatile map), "file:DIR" (append-only
-	// segmented log), or "bolt:PATH" (embedded single-file KV). Empty means
-	// "mem:". Ignored when Store is set.
+	// engine's journal: "mem:" (volatile map) or "file:DIR" (append-only
+	// segmented log). Empty means "mem:". Ignored when Store is set.
 	StoreDSN string
 
 	// StoreFlush tunes group commit on durable backends: batch bound and

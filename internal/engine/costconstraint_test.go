@@ -77,7 +77,7 @@ func TestBudgetCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crash/recovery cycle in -short mode")
 	}
-	for _, backend := range []string{"mem", "file", "bolt"} {
+	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) { budgetCrashRecovery(t, backend) })
 	}
 }
@@ -115,9 +115,6 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 	case "file":
 		dsn1 = "file:" + filepath.Join(dir, "live")
 		dsn2 = "file:" + filepath.Join(dir, "crash")
-	case "bolt":
-		dsn1 = "bolt:" + filepath.Join(dir, "live.db")
-		dsn2 = "bolt:" + filepath.Join(dir, "crash.db")
 	}
 
 	// First life: block at the second activity — checkpoint v1 (the POD

@@ -557,6 +557,11 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 			slog.String("task", id), slog.String("error", jerr.Error()))
 		return TaskStatus{}, jerr
 	}
+	// The acceptance is durable: count it before either outcome below, so a
+	// task a racing Cancel finishes still balances the tenant's books.
+	ts.accepted++
+	ts.mAccepted.Inc()
+	e.mAccepted.Inc()
 	if rec.preempt || e.closed {
 		// A Cancel (or Close) raced the admission. The accepted record is
 		// durable, so finish the task as cancelled — the terminal record
@@ -580,8 +585,6 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 		return st, nil
 	}
 	e.fq.Push(int(rec.priority), tenant, rec)
-	ts.accepted++
-	ts.mAccepted.Inc()
 	ts.gQueued.Set(float64(ts.queued))
 	pos := e.positionLocked(rec)
 	depth := e.queued
@@ -589,7 +592,6 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 	status := e.statusLocked(rec)
 	e.mu.Unlock()
 
-	e.mAccepted.Inc()
 	e.gDepth.Set(float64(depth))
 	tr.Span("queue", "", fmt.Sprintf("admitted at position %d (%s priority)", pos, rec.priority))
 	logAttrs := []any{

@@ -13,6 +13,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/pdl"
 	"repro/internal/planner"
+	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
@@ -326,6 +328,88 @@ func TestCancelQueued(t *testing.T) {
 	open()
 	if st := waitTerminal(t, eng, "B"); st.Status != engine.StatusCompleted {
 		t.Errorf("blocker = %+v", st)
+	}
+}
+
+// gatedStore holds the Put of one key (a task's accepted record) until
+// release closes, and closes entered once that Put has arrived.
+type gatedStore struct {
+	store.Store
+	key              string
+	entered, release chan struct{}
+}
+
+func (g *gatedStore) Put(key string, value []byte) (int, error) {
+	if key == g.key {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Store.Put(key, value)
+}
+
+// TestCancelDuringAdmissionIsCounted pins the Cancel-races-admission
+// interleaving: the Cancel lands while Submit's write-ahead append is in
+// flight, so Submit itself finishes the task as cancelled. The acceptance was
+// journaled, so it must be counted — accepted equals terminal per tenant and
+// engine-wide — and the journal compacts to one cancelled snapshot.
+func TestCancelDuringAdmissionIsCounted(t *testing.T) {
+	env := newEnv(t, nil)
+	gated := &gatedStore{
+		Store:   store.NewMemory(store.Options{}),
+		key:     engine.JournalKey("R"),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	eng, err := engine.New(engine.Config{
+		Coordinator: env.Coordinator,
+		Storage:     gated,
+		Telemetry:   telemetry.New(),
+		Workers:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	t.Cleanup(eng.Close)
+
+	type submitted struct {
+		st  engine.TaskStatus
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		st, err := eng.Submit(engine.Submission{Task: forkTask(t, "R"), Priority: engine.PriorityNormal})
+		done <- submitted{st, err}
+	}()
+	select {
+	case <-gated.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Submit never reached the journal append")
+	}
+	if result, err := eng.Cancel("R"); err != nil || result != engine.StatusCancelled {
+		t.Fatalf("cancel during admission = %q, %v", result, err)
+	}
+	close(gated.release)
+	if got := <-done; got.err != nil || got.st.Status != engine.StatusCancelled {
+		t.Fatalf("Submit = %+v, %v, want a cancelled task", got.st, got.err)
+	}
+
+	var terminal int64
+	for _, ts := range eng.Tenants() {
+		if got := ts.Completed + ts.Failed + ts.Cancelled; got != ts.Accepted {
+			t.Errorf("tenant %s books unbalanced: accepted %d, terminal %d", ts.Tenant, ts.Accepted, got)
+		}
+		terminal += ts.Completed + ts.Failed + ts.Cancelled
+	}
+	if accepted := eng.Stats().Accepted; accepted != 1 || terminal != 1 {
+		t.Errorf("engine-wide accepted %d, terminal %d, want 1 and 1", accepted, terminal)
+	}
+	recs, err := engine.ReadJournal(gated, "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Event != engine.EventSnapshot || recs[0].Status != engine.StatusCancelled {
+		t.Errorf("journal = %+v, want one cancelled snapshot", recs)
 	}
 }
 

@@ -17,9 +17,6 @@ const (
 	EventAccepted     = "accepted"     // admitted to the queue; carries the full task envelope
 	EventStarted      = "started"      // a worker began attempt N
 	EventCheckpointed = "checkpointed" // the coordinator wrote checkpoint version V
-	EventCompleted    = "completed"    // legacy terminal append; recovery still honors it
-	EventFailed       = "failed"       // legacy terminal append; recovery still honors it
-	EventCancelled    = "cancelled"    // legacy terminal append; recovery still honors it
 	EventSnapshot     = "snapshot"     // compaction record replacing older history; terminal
 	//                                    transitions write this directly (status + error), so a
 	//                                    finished task's journal is exactly one snapshot record

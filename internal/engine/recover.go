@@ -172,15 +172,6 @@ func replay(id string, recs []JournalRecord) *replayState {
 			st.attempt = r.Attempt
 		case EventCheckpointed:
 			st.checkpointed = true
-		case EventCompleted:
-			st.status = StatusCompleted
-			st.err = r.Error
-		case EventFailed:
-			st.status = StatusFailed
-			st.err = r.Error
-		case EventCancelled:
-			st.status = StatusCancelled
-			st.err = r.Error
 		case EventSnapshot:
 			st.status = r.Status
 			st.seq = r.Seq

@@ -19,7 +19,7 @@ import (
 // (after its first checkpoint, inside its second dispatch batch) and the
 // crash state is captured — the in-memory store's handle is fenced so the
 // doomed environment never lands another write, or the fsynced on-disk
-// prefix (CopyDurable) of the file and bolt backends is cloned, which is
+// prefix (CopyDurable) of the file backend is cloned, which is
 // exactly what a kill -9 leaves behind. A brand-new environment opens
 // that state, replays the journal, resumes the interrupted task from its
 // checkpoint, and re-enqueues the never-started ones. Every task must end
@@ -30,7 +30,7 @@ func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crash/recovery cycle in -short mode")
 	}
-	for _, backend := range []string{"mem", "file", "bolt"} {
+	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) { crashRecovery(t, backend) })
 	}
 }
@@ -46,9 +46,6 @@ func crashRecovery(t *testing.T, backend string) {
 	case "file":
 		dsn1 = "file:" + filepath.Join(dir, "live")
 		dsn2 = "file:" + filepath.Join(dir, "crash")
-	case "bolt":
-		dsn1 = "bolt:" + filepath.Join(dir, "live.db")
-		dsn2 = "bolt:" + filepath.Join(dir, "crash.db")
 	}
 	ids := []string{"T-run", "T-q1", "T-q2", "T-q3"}
 

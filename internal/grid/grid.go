@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Hardware mirrors the Hardware ontology class (Figure 12).
@@ -43,11 +44,13 @@ type Node struct {
 	CostPerSec  float64 // spot-market cost of one second of computation
 	FailureRate float64 // probability that a single execution fails on this node
 
-	up bool
+	// up is written under the grid lock (SetNodeUp, an injected crash in
+	// Execute) and read by the services without it.
+	up atomic.Bool
 }
 
 // Up reports whether the node is currently available.
-func (n *Node) Up() bool { return n.up }
+func (n *Node) Up() bool { return n.up.Load() }
 
 // HasSoftware reports whether the named package is installed.
 func (n *Node) HasSoftware(name string) bool {
@@ -134,7 +137,7 @@ func (g *Grid) AddNode(n *Node) error {
 	if n.Hardware.Speed <= 0 {
 		return fmt.Errorf("grid: node %q has non-positive speed", n.ID)
 	}
-	n.up = true
+	n.up.Store(true)
 	g.nodes[n.ID] = n
 	g.streams[n.ID] = nodeStream(g.seed, n.ID, 0)
 	if g.faults != nil {
@@ -232,7 +235,7 @@ func (g *Grid) SetNodeUp(id string, up bool) error {
 	if n == nil {
 		return fmt.Errorf("grid: unknown node %q", id)
 	}
-	n.up = up
+	n.up.Store(up)
 	return nil
 }
 
@@ -263,7 +266,7 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 		return Execution{}, fmt.Errorf("grid: unknown container %q", containerID)
 	}
 	n := g.nodes[c.NodeID]
-	if n == nil || !n.up {
+	if n == nil || !n.Up() {
 		return Execution{}, fmt.Errorf("grid: container %q node is down", containerID)
 	}
 	if !c.Provides(service) {
@@ -301,7 +304,7 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 	g.history = append(g.history, ex)
 	g.clock += dur
 	if crashed {
-		n.up = false
+		n.up.Store(false)
 		g.crashes = append(g.crashes, Crash{Node: n.ID, Clock: g.clock})
 		return ex, fmt.Errorf("grid: node %q crashed during execution of %q", n.ID, service)
 	}

@@ -42,7 +42,7 @@ type DeleteRequest struct{ Key string }
 // store backing checkpoints of long-lasting tasks, the enactment engine's
 // write-ahead journal, and the archive of process descriptions. Since the
 // Store extraction it is a thin agent facade over a pluggable backend
-// (store.Open's mem:, file:, bolt: DSNs) — durability semantics, group
+// (store.Open's mem: and file: DSNs) — durability semantics, group
 // commit, and compaction all live in internal/store.
 type Storage struct {
 	store.Store

@@ -2,9 +2,12 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,15 +15,21 @@ import (
 	"sync"
 )
 
-// File is the append-only segmented backend. Every mutation is one JSON line
-// appended to the active segment through the group committer; the live state
-// is kept in memory (reads never touch the disk), so the segments are purely
-// the durability log:
+// File is the append-only segmented backend. Every mutation is one
+// CRC-checked frame appended to the active segment through the group
+// committer; the live state is kept in memory (reads never touch the disk),
+// so the segments are purely the durability log:
 //
-//	dir/seg-00000003.log    sealed segments (immutable, fully fsynced)
-//	dir/seg-00000004.log    the active segment (append + group fsync)
-//	dir/snap-00000002.log   at most one snapshot: the fold of every segment
+//	dir/seg-00000003.rec    sealed segments (immutable, fully fsynced)
+//	dir/seg-00000004.rec    the active segment (append + group fsync)
+//	dir/snap-00000002.rec   at most one snapshot: the fold of every segment
 //	                        with index <= 2, written by compaction
+//
+// Segments and snapshots share one record frame,
+//
+//	[u32 crc][u8 op][u16 klen][u32 vlen][key][value]
+//
+// little-endian, with the CRC-32 (IEEE) covering everything after itself.
 //
 // The active segment rotates once it outgrows SegmentMaxBytes; when enough
 // sealed segments accumulate, compaction folds them (and the previous
@@ -29,8 +38,9 @@ import (
 // fsync is still in flight, and a crash at any point leaves either the old
 // or the new snapshot intact.
 //
-// On open, a torn final line in the active segment (the half-written batch a
-// kill left behind) is truncated away; corruption anywhere else is an error.
+// On open, the first bad frame in the active segment marks the torn batch a
+// kill left behind and the segment is truncated there; a bad frame in a
+// sealed segment or a snapshot is an error naming the file and offset.
 type File struct {
 	dir   string
 	opts  Options
@@ -62,11 +72,126 @@ type segment struct {
 	size int64
 }
 
-// fileOp is the JSON-line record format.
-type fileOp struct {
-	Op  string `json:"op"` // "put", "rep", or "del"
-	Key string `json:"key"`
-	Val []byte `json:"val,omitempty"`
+// File name patterns, shared by the directory scan and the path builders.
+const (
+	segPattern  = "seg-%08d.rec"
+	snapPattern = "snap-%08d.rec"
+)
+
+// Frame op codes.
+const (
+	opPut byte = 1
+	opDel byte = 2
+	opRep byte = 3 // replace: drop all versions, write value as v1
+
+	frameHeader = 4 + 1 + 2 + 4 // crc + op + klen + vlen
+)
+
+// errBadFrame marks a frame that is torn or fails its checks, as opposed to
+// an I/O error while reading one.
+var errBadFrame = errors.New("bad frame")
+
+// encodeFrame frames one mutation.
+func encodeFrame(op byte, key string, val []byte) ([]byte, error) {
+	if key == "" {
+		return nil, fmt.Errorf("store: empty key")
+	}
+	if len(key) > math.MaxUint16 {
+		return nil, fmt.Errorf("store: key longer than 64KiB")
+	}
+	if uint64(len(val)) > math.MaxUint32 {
+		return nil, fmt.Errorf("store: value longer than 4GiB")
+	}
+	buf := make([]byte, frameHeader+len(key)+len(val))
+	buf[4] = op
+	binary.LittleEndian.PutUint16(buf[5:], uint16(len(key)))
+	binary.LittleEndian.PutUint32(buf[7:], uint32(len(val)))
+	copy(buf[frameHeader:], key)
+	copy(buf[frameHeader+len(key):], val)
+	binary.LittleEndian.PutUint32(buf[0:], crc32.ChecksumIEEE(buf[4:]))
+	return buf, nil
+}
+
+// scan reads frames from r, which holds size bytes, and hands each one that
+// passes its checks to fn. It returns the length of the valid prefix; the
+// error is nil at a clean end, wraps errBadFrame when the frame at that
+// offset is torn or corrupt, and is the read error otherwise. Whether a
+// frame is torn is decided from size alone, before anything is read or
+// allocated, so a corrupt length field cannot ask for more memory than the
+// file holds.
+func scan(r io.Reader, size int64, fn func(op byte, key string, val []byte)) (int64, error) {
+	var hdr [frameHeader]byte
+	keyBuf := make([]byte, math.MaxUint16) // the largest key a frame can carry
+	var offset int64
+	for offset < size {
+		if size-offset < frameHeader {
+			return offset, fmt.Errorf("%w: torn header", errBadFrame)
+		}
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return offset, err
+		}
+		op := hdr[4]
+		klen := int(binary.LittleEndian.Uint16(hdr[5:]))
+		vlen := int64(binary.LittleEndian.Uint32(hdr[7:]))
+		if int64(klen)+vlen > size-offset-frameHeader {
+			return offset, fmt.Errorf("%w: body runs past the end of the file", errBadFrame)
+		}
+		key := keyBuf[:klen]
+		val := make([]byte, vlen)
+		if _, err := io.ReadFull(r, key); err != nil {
+			return offset, err
+		}
+		if _, err := io.ReadFull(r, val); err != nil {
+			return offset, err
+		}
+		crc := crc32.ChecksumIEEE(hdr[4:])
+		crc = crc32.Update(crc, crc32.IEEETable, key)
+		crc = crc32.Update(crc, crc32.IEEETable, val)
+		if crc != binary.LittleEndian.Uint32(hdr[0:]) {
+			return offset, fmt.Errorf("%w: checksum mismatch", errBadFrame)
+		}
+		if klen == 0 || (op != opPut && op != opDel && op != opRep) {
+			return offset, fmt.Errorf("%w: unknown op %d or empty key", errBadFrame, op)
+		}
+		fn(op, string(key), val)
+		offset += frameHeader + int64(klen) + vlen
+	}
+	return offset, nil
+}
+
+// fold applies one mutation to a versioned map; the live write path, the
+// open-time replay and compaction all go through it.
+func fold(m map[string][][]byte, op byte, key string, val []byte) {
+	switch op {
+	case opPut:
+		m[key] = append(m[key], val)
+	case opRep:
+		m[key] = [][]byte{val}
+	case opDel:
+		delete(m, key)
+	}
+}
+
+// replay folds the frames of one file into m. It returns the length of the
+// valid prefix and, for a bad frame or read error, an error naming the file
+// and that offset.
+func replay(m map[string][][]byte, path string) (int64, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer file.Close()
+	info, err := file.Stat()
+	if err != nil {
+		return 0, err
+	}
+	good, err := scan(bufio.NewReaderSize(file, 1<<16), info.Size(), func(op byte, key string, val []byte) {
+		fold(m, op, key, val)
+	})
+	if err != nil {
+		return good, fmt.Errorf("store: %s at offset %d: %w", path, good, err)
+	}
+	return good, nil
 }
 
 // OpenFile opens (or initializes) a segmented file store rooted at dir.
@@ -106,27 +231,25 @@ func (f *File) load() error {
 	var snaps []segment
 	for _, e := range entries {
 		name := e.Name()
-		var idx int
-		switch {
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log"):
-			if _, err := fmt.Sscanf(name, "seg-%08d.log", &idx); err != nil {
-				continue
-			}
-			info, err := e.Info()
-			if err != nil {
-				return err
-			}
-			segs = append(segs, segment{path: filepath.Join(f.dir, name), idx: idx, size: info.Size()})
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".log"):
-			if _, err := fmt.Sscanf(name, "snap-%08d.log", &idx); err != nil {
-				continue
-			}
-			info, err := e.Info()
-			if err != nil {
-				return err
-			}
-			snaps = append(snaps, segment{path: filepath.Join(f.dir, name), idx: idx, size: info.Size()})
+		if (strings.HasPrefix(name, "seg-") || strings.HasPrefix(name, "snap-")) && strings.HasSuffix(name, ".log") {
+			// Refused before anything is pruned or truncated: there is no
+			// reader for that format, and its records carry no checksum.
+			return fmt.Errorf("store: %s holds %s, a JSON-lines segment of the format before CRC frames; this version cannot read it (open an empty directory instead)", f.dir, name)
 		}
+		var idx int
+		var into *[]segment
+		if _, err := fmt.Sscanf(name, segPattern, &idx); err == nil && name == filepath.Base(f.segPath(idx)) {
+			into = &segs
+		} else if _, err := fmt.Sscanf(name, snapPattern, &idx); err == nil && name == filepath.Base(f.snapPath(idx)) {
+			into = &snaps
+		} else {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			return err
+		}
+		*into = append(*into, segment{path: filepath.Join(f.dir, name), idx: idx, size: info.Size()})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].idx < segs[j].idx })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].idx < snaps[j].idx })
@@ -154,15 +277,24 @@ func (f *File) load() error {
 	}
 
 	if f.snap != nil {
-		if err := f.replayFile(f.snap.path, false, nil); err != nil {
+		if _, err := replay(f.data, f.snap.path); err != nil {
 			return err
 		}
 	}
 	for i, s := range segs {
-		last := i == len(segs)-1
-		if err := f.replayFile(s.path, last, &segs[i].size); err != nil {
+		good, err := replay(f.data, s.path)
+		if err == nil {
+			continue
+		}
+		// Only the active segment may end in the torn batch a crash left
+		// behind; drop it. Corruption anywhere else is an error.
+		if i != len(segs)-1 || !errors.Is(err, errBadFrame) {
 			return err
 		}
+		if err := os.Truncate(s.path, good); err != nil {
+			return fmt.Errorf("store: truncating torn tail of %s: %w", s.path, err)
+		}
+		segs[i].size = good
 	}
 
 	// The highest segment becomes the active one; with none, start fresh
@@ -186,88 +318,23 @@ func (f *File) load() error {
 	return nil
 }
 
-// replayFile applies one segment's ops to the live map. When tolerateTail is
-// set (the active segment), a torn final record is truncated away and size
-// is updated; anywhere else corruption is an error naming the offset.
-func (f *File) replayFile(path string, tolerateTail bool, size *int64) error {
-	file, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	r := bufio.NewReaderSize(file, 1<<16)
-	var offset int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF && len(line) == 0 {
-			return nil
-		}
-		torn := err == io.EOF // unterminated final line
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("store: reading %s at offset %d: %w", path, offset, err)
-		}
-		var op fileOp
-		if uerr := json.Unmarshal(line, &op); uerr != nil || op.Key == "" {
-			if tolerateTail {
-				return f.truncateTail(path, offset, size)
-			}
-			return fmt.Errorf("store: corrupt record in %s at offset %d", path, offset)
-		}
-		if torn {
-			// A parseable but unterminated line: the newline is part of the
-			// record frame, so treat it as torn too.
-			if tolerateTail {
-				return f.truncateTail(path, offset, size)
-			}
-			return fmt.Errorf("store: torn record in %s at offset %d", path, offset)
-		}
-		f.apply(op)
-		offset += int64(len(line))
-	}
-}
-
-// truncateTail drops the torn batch tail a crash left in the active segment.
-func (f *File) truncateTail(path string, offset int64, size *int64) error {
-	if err := os.Truncate(path, offset); err != nil {
-		return fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
-	}
-	if size != nil {
-		*size = offset
-	}
-	return nil
-}
-
-// apply folds one op into the live map (open/compaction replay only).
-func (f *File) apply(op fileOp) {
-	switch op.Op {
-	case "put":
-		f.data[op.Key] = append(f.data[op.Key], op.Val)
-	case "rep":
-		f.data[op.Key] = [][]byte{op.Val}
-	case "del":
-		delete(f.data, op.Key)
-	}
-}
-
 func (f *File) segPath(idx int) string {
-	return filepath.Join(f.dir, fmt.Sprintf("seg-%08d.log", idx))
+	return filepath.Join(f.dir, fmt.Sprintf(segPattern, idx))
 }
 
 func (f *File) snapPath(idx int) string {
-	return filepath.Join(f.dir, fmt.Sprintf("snap-%08d.log", idx))
+	return filepath.Join(f.dir, fmt.Sprintf(snapPattern, idx))
 }
 
 // Kind implements Store.
 func (f *File) Kind() string { return "file" }
 
-// Put implements Store: apply to the live map, enqueue the record, and
-// return once its batch is fsynced.
-func (f *File) Put(key string, value []byte) (int, error) {
-	if key == "" {
-		return 0, fmt.Errorf("store: empty key")
-	}
-	cp := append([]byte(nil), value...)
-	enc, err := encodeOp(fileOp{Op: "put", Key: key, Val: cp})
+// mutate is the one write path: frame the mutation, fold it into the live
+// map and enqueue the frame under the ordering mutex (so batch order equals
+// version order), then — unless the caller tolerates losing it to a crash —
+// wait for the batch's fsync. It returns the key's version count.
+func (f *File) mutate(op byte, key string, value []byte, wait bool) (int, error) {
+	enc, err := encodeFrame(op, key, value)
 	if err != nil {
 		return 0, err
 	}
@@ -276,78 +343,51 @@ func (f *File) Put(key string, value []byte) (int, error) {
 		f.mu.Unlock()
 		return 0, errClosed
 	}
-	f.data[key] = append(f.data[key], cp)
+	if _, ok := f.data[key]; op == opDel && !ok {
+		f.mu.Unlock()
+		return 0, nil
+	}
+	// The live map keeps the frame's own copy of the value: enc is never
+	// written again once encoded.
+	fold(f.data, op, key, enc[frameHeader+len(key):])
 	ver := len(f.data[key])
 	b, err := f.c.enqueue(enc)
 	f.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if err := f.c.wait(b); err != nil {
-		return 0, err
+	if wait {
+		if err := f.c.wait(b); err != nil {
+			return 0, err
+		}
 	}
 	f.stats.appends.Add(1)
 	f.stats.mAppends.Inc()
 	return ver, nil
 }
 
+// Put implements Store: the call returns once the record's batch is fsynced.
+func (f *File) Put(key string, value []byte) (int, error) {
+	return f.mutate(opPut, key, value, true)
+}
+
 // PutAsync implements Store: the record joins the log (and the live map) in
 // call order, but the call returns without waiting for the fsync.
 func (f *File) PutAsync(key string, value []byte) (int, error) {
-	if key == "" {
-		return 0, fmt.Errorf("store: empty key")
-	}
-	cp := append([]byte(nil), value...)
-	enc, err := encodeOp(fileOp{Op: "put", Key: key, Val: cp})
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return 0, errClosed
-	}
-	f.data[key] = append(f.data[key], cp)
-	ver := len(f.data[key])
-	_, err = f.c.enqueue(enc)
-	f.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	f.stats.appends.Add(1)
-	f.stats.mAppends.Inc()
-	return ver, nil
+	return f.mutate(opPut, key, value, false)
 }
 
 // Replace implements Store: a single "rep" record both discards the key's
 // history and writes value as version 1, so the discard and the write share
 // one fsync and cannot be torn apart by a crash.
 func (f *File) Replace(key string, value []byte) (int, error) {
-	if key == "" {
-		return 0, fmt.Errorf("store: empty key")
-	}
-	cp := append([]byte(nil), value...)
-	enc, err := encodeOp(fileOp{Op: "rep", Key: key, Val: cp})
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return 0, errClosed
-	}
-	f.data[key] = [][]byte{cp}
-	b, err := f.c.enqueue(enc)
-	f.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := f.c.wait(b); err != nil {
-		return 0, err
-	}
-	f.stats.appends.Add(1)
-	f.stats.mAppends.Inc()
-	return 1, nil
+	return f.mutate(opRep, key, value, true)
+}
+
+// Delete implements Store. Deleting an absent key writes nothing.
+func (f *File) Delete(key string) error {
+	_, err := f.mutate(opDel, key, nil, true)
+	return err
 }
 
 // Get implements Store; reads are served from the live map.
@@ -379,35 +419,6 @@ func (f *File) Keys(prefix string) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Delete implements Store. Deleting an absent key writes nothing.
-func (f *File) Delete(key string) error {
-	enc, err := encodeOp(fileOp{Op: "del", Key: key})
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return errClosed
-	}
-	if _, ok := f.data[key]; !ok {
-		f.mu.Unlock()
-		return nil
-	}
-	delete(f.data, key)
-	b, err := f.c.enqueue(enc)
-	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := f.c.wait(b); err != nil {
-		return err
-	}
-	f.stats.appends.Add(1)
-	f.stats.mAppends.Inc()
-	return nil
 }
 
 // Sync implements Store.
@@ -480,20 +491,13 @@ func (f *File) CopyDurable(dst string) error {
 	}
 	f.fileMu.Lock()
 	defer f.fileMu.Unlock()
-	type job struct {
-		src, dst string
-		bytes    int64
-	}
-	var jobs []job
+	files := append([]segment(nil), f.sealed...)
 	if f.snap != nil {
-		jobs = append(jobs, job{f.snap.path, filepath.Join(dst, filepath.Base(f.snap.path)), f.snap.size})
+		files = append(files, *f.snap)
 	}
-	for _, seg := range f.sealed {
-		jobs = append(jobs, job{seg.path, filepath.Join(dst, filepath.Base(seg.path)), seg.size})
-	}
-	jobs = append(jobs, job{f.segPath(f.actIdx), filepath.Join(dst, filepath.Base(f.segPath(f.actIdx))), f.durable})
-	for _, j := range jobs {
-		if err := copyPrefix(j.src, j.dst, j.bytes); err != nil {
+	files = append(files, segment{path: f.segPath(f.actIdx), size: f.durable})
+	for _, s := range files {
+		if err := copyPrefix(s.path, filepath.Join(dst, filepath.Base(s.path)), s.size); err != nil {
 			return err
 		}
 	}
@@ -583,101 +587,62 @@ func (f *File) rotateLocked() error {
 // snapshot and deletes them. It reads only immutable, fully fsynced files,
 // so the fold can never include a mutation whose fsync is pending.
 func (f *File) compactLocked() error {
-	fold := make(map[string][][]byte)
-	applyInto := func(path string) error {
-		file, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		r := bufio.NewReaderSize(file, 1<<16)
-		for {
-			line, err := r.ReadBytes('\n')
-			if err == io.EOF && len(line) == 0 {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("store: compaction reading %s: %w", path, err)
-			}
-			var op fileOp
-			if err := json.Unmarshal(line, &op); err != nil {
-				return fmt.Errorf("store: compaction: corrupt record in %s: %w", path, err)
-			}
-			switch op.Op {
-			case "put":
-				fold[op.Key] = append(fold[op.Key], op.Val)
-			case "rep":
-				fold[op.Key] = [][]byte{op.Val}
-			case "del":
-				delete(fold, op.Key)
-			}
-		}
-	}
+	live := make(map[string][][]byte)
 	var folded []string
 	if f.snap != nil {
-		if err := applyInto(f.snap.path); err != nil {
-			return err
-		}
 		folded = append(folded, f.snap.path)
 	}
-	maxIdx := 0
 	for _, seg := range f.sealed {
-		if err := applyInto(seg.path); err != nil {
-			return err
-		}
 		folded = append(folded, seg.path)
-		if seg.idx > maxIdx {
-			maxIdx = seg.idx
+	}
+	for _, path := range folded {
+		if _, err := replay(live, path); err != nil {
+			return fmt.Errorf("store: compaction: %w", err)
 		}
 	}
+	maxIdx := f.sealed[len(f.sealed)-1].idx
 
 	tmp, err := os.CreateTemp(f.dir, ".snap-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
 	w := bufio.NewWriterSize(tmp, 1<<16)
 	var size int64
-	keys := make([]string, 0, len(fold))
-	for k := range fold {
+	keys := make([]string, 0, len(live))
+	for k := range live {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for _, v := range fold[k] {
-			enc, err := encodeOp(fileOp{Op: "put", Key: k, Val: v})
+		for _, v := range live[k] {
+			enc, err := encodeFrame(opPut, k, v)
 			if err != nil {
-				tmp.Close()
-				os.Remove(tmpName)
-				return err
+				return fail(err)
 			}
 			m, err := w.Write(enc)
 			if err != nil {
-				tmp.Close()
-				os.Remove(tmpName)
-				return err
+				return fail(err)
 			}
 			size += int64(m)
 		}
 	}
 	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+		return fail(err)
 	}
 	snapPath := f.snapPath(maxIdx)
-	if err := os.Rename(tmpName, snapPath); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err := os.Rename(tmp.Name(), snapPath); err != nil {
+		return fail(err)
 	}
 	if err := syncDir(f.dir); err != nil {
 		return err
@@ -702,13 +667,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// encodeOp renders one JSON-line record.
-func encodeOp(op fileOp) ([]byte, error) {
-	enc, err := json.Marshal(op)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding record: %w", err)
-	}
-	return append(enc, '\n'), nil
 }

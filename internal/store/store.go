@@ -5,9 +5,8 @@
 // backend is selected at startup by a DSN —
 //
 //	mem:            volatile in-memory map (fast, nothing survives the process)
-//	file:DIR        append-only segmented log with rotation and compaction
-//	bolt:PATH.db    embedded single-file KV (binary records, CRC-checked,
-//	                offset-indexed values read from disk on demand)
+//	file:DIR        append-only segmented log of CRC-checked binary frames,
+//	                with rotation and compaction (the one durable backend)
 //
 // The data model is the versioned key-value store the system has always
 // used: Put appends a new version of a key (1-based), Get addresses a
@@ -15,7 +14,7 @@
 // The enactment journal is a key per task whose versions are the append-only
 // lifecycle log, so journal appends are Puts.
 //
-// Durable backends write through a group commit: mutations coalesce into
+// The durable backend writes through a group commit: mutations coalesce into
 // batches and each batch costs one fsync, so N concurrent admissions share
 // one durability round-trip. A mutation only returns once the batch holding
 // it is on disk — callers never observe an acknowledged write that a crash
@@ -37,7 +36,7 @@ import (
 // use. Mutations on durable backends return only after the write is fsynced
 // (group-committed); reads never block on the committer.
 type Store interface {
-	// Kind names the backend ("mem", "file", "bolt").
+	// Kind names the backend ("mem" or "file").
 	Kind() string
 	// Put appends a new version of key and returns its 1-based number.
 	Put(key string, value []byte) (int, error)
@@ -71,7 +70,7 @@ type Store interface {
 
 // DurableCopier is implemented by disk-backed stores. CopyDurable clones
 // exactly the bytes guaranteed on disk — the image a kill -9 would leave
-// behind — into dst (a directory for file stores, a file path for bolt).
+// behind — into the directory dst.
 // Crash-recovery tests and backup tooling use it; in-flight batches that
 // have not been fsynced are deliberately excluded.
 type DurableCopier interface {
@@ -81,13 +80,13 @@ type DurableCopier interface {
 // Stats is a point-in-time snapshot of one backend, served by
 // GET /api/v1/store and folded into /api/v1/stats.
 type Stats struct {
-	// Backend is the kind string ("mem", "file", "bolt").
+	// Backend is the kind string ("mem" or "file").
 	Backend string `json:"backend"`
 	// Keys is the number of live keys; Records counts live versions.
 	Keys    int `json:"keys"`
 	Records int `json:"records"`
-	// Segments counts on-disk segment files (file backend; 1 for bolt,
-	// 0 for mem). Bytes is the on-disk footprint.
+	// Segments counts on-disk segment files, the snapshot included (file
+	// backend; 0 for mem). Bytes is the on-disk footprint.
 	Segments int   `json:"segments"`
 	Bytes    int64 `json:"bytes"`
 	// Appends counts accepted mutations (puts + deletes); Batched counts
@@ -150,12 +149,12 @@ const (
 	DefaultCompactAfterSegments = 4
 )
 
-// Open builds a backend from its DSN. Supported forms: "mem:",
-// "file:DIR", "bolt:PATH". The path part may be empty only for mem.
+// Open builds a backend from its DSN. Supported forms: "mem:" and
+// "file:DIR". The path part may be empty only for mem.
 func Open(dsn string, opts Options) (Store, error) {
 	scheme, path, ok := strings.Cut(dsn, ":")
 	if !ok {
-		return nil, fmt.Errorf("store: DSN %q has no scheme (want mem:, file:DIR, or bolt:PATH)", dsn)
+		return nil, fmt.Errorf("store: DSN %q has no scheme (want mem: or file:DIR)", dsn)
 	}
 	switch scheme {
 	case "mem":
@@ -168,13 +167,8 @@ func Open(dsn string, opts Options) (Store, error) {
 			return nil, fmt.Errorf("store: file: needs a directory, e.g. file:/var/lib/gridenv")
 		}
 		return OpenFile(path, opts)
-	case "bolt":
-		if path == "" {
-			return nil, fmt.Errorf("store: bolt: needs a file path, e.g. bolt:/var/lib/gridenv.db")
-		}
-		return OpenBolt(path, opts)
 	}
-	return nil, fmt.Errorf("store: unknown backend %q (want mem, file, or bolt)", scheme)
+	return nil, fmt.Errorf("store: unknown backend %q (want mem or file)", scheme)
 }
 
 // counters aggregates the commit-path accounting shared by all backends.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,13 +28,11 @@ func dsnFor(kind, dir string) string {
 		return "mem:"
 	case "file":
 		return "file:" + filepath.Join(dir, "segs")
-	case "bolt":
-		return "bolt:" + filepath.Join(dir, "kv.db")
 	}
 	panic("unknown kind " + kind)
 }
 
-var backends = []string{"mem", "file", "bolt"}
+var backends = []string{"mem", "file"}
 
 func TestRoundTrip(t *testing.T) {
 	for _, kind := range backends {
@@ -106,7 +105,7 @@ func TestRoundTrip(t *testing.T) {
 
 // TestReplace exercises the atomic discard-and-write: history collapses to a
 // single version 1 on every backend, including across a reopen of the
-// durable pair (the "rep" record must replay correctly).
+// durable one (the "rep" record must replay correctly).
 func TestReplace(t *testing.T) {
 	for _, kind := range backends {
 		t.Run(kind, func(t *testing.T) {
@@ -161,10 +160,9 @@ func TestReplace(t *testing.T) {
 
 // TestPutAsync pins the PutAsync contract on every backend: versions are
 // assigned in call order interleaved with synchronous mutations, the record
-// is durable once a later Sync (or Close) returns, and it survives reopen.
-// Read-your-writes timing deliberately stays unpinned — the file backend
-// updates its live map at enqueue while bolt publishes after the fsync — so
-// reads here only happen after a Sync barrier.
+// is readable as soon as the call returns (the live map is updated at
+// enqueue, before the fsync), durable once a later Sync (or Close) returns,
+// and it survives reopen.
 func TestPutAsync(t *testing.T) {
 	for _, kind := range backends {
 		t.Run(kind, func(t *testing.T) {
@@ -179,6 +177,10 @@ func TestPutAsync(t *testing.T) {
 			}
 			if v, err := s.PutAsync("k", []byte("v3")); err != nil || v != 3 {
 				t.Fatalf("PutAsync = (%d, %v), want (3, nil)", v, err)
+			}
+			// Read-your-writes holds before any durability barrier.
+			if val, ver, found, err := s.Get("k", 0); err != nil || !found || ver != 3 || string(val) != "v3" {
+				t.Fatalf("Get right after PutAsync = (%q, %d, %v, %v), want (v3, 3, true, nil)", val, ver, found, err)
 			}
 			// ...and a later synchronous append lands after them.
 			if v, err := s.Put("k", []byte("v4")); err != nil || v != 4 {
@@ -213,7 +215,7 @@ func TestPutAsync(t *testing.T) {
 }
 
 func TestDurableReopen(t *testing.T) {
-	for _, kind := range []string{"file", "bolt"} {
+	for _, kind := range backends[1:] { // the durable ones
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openBackend(t, kind, dir, Options{})
@@ -296,124 +298,161 @@ func TestFileRotationAndCompaction(t *testing.T) {
 	}
 }
 
-func TestBoltCompaction(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{SegmentMaxBytes: 256, CompactAfterSegments: 2}
-	s, err := OpenBolt(filepath.Join(dir, "kv.db"), opts)
+// readTree returns every file under dir by name, for byte-identity checks.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte("y"), 64)
-	for i := 0; i < 100; i++ {
-		if _, err := s.Put("hot", payload); err != nil {
+	tree := make(map[string][]byte)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Delete("hot"); err != nil {
-			t.Fatal(err)
-		}
+		tree[e.Name()] = b
 	}
-	if _, err := s.Put("keep", []byte("survivor")); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().Compactions == 0 {
-		t.Fatal("no compaction ran")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenBolt(filepath.Join(dir, "kv.db"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	val, _, found, err := s2.Get("keep", 0)
-	if err != nil || !found || string(val) != "survivor" {
-		t.Fatalf("after compaction+reopen Get keep = (%q, %v, %v)", val, found, err)
-	}
-	if _, _, found, _ := s2.Get("hot", 0); found {
-		t.Fatal("deleted key resurrected by compaction")
-	}
+	return tree
 }
 
+// TestFileTornTailTruncated damages a closed store one way per row. A bad
+// frame at the tail of the active segment is the torn batch of a crash: Open
+// drops it and keeps everything before it. A bad frame in a sealed segment,
+// or a directory in the JSON-lines format that preceded CRC frames, is
+// refused with the directory left byte-identical.
 func TestFileTornTailTruncated(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "segs")
-	s, err := OpenFile(dir, Options{})
+	torn, err := encodeFrame(opPut, "torn", []byte("partial-value"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("a", []byte("whole")); err != nil {
-		t.Fatal(err)
+	flipped := func(i int) []byte {
+		b := append([]byte(nil), torn...)
+		b[i] ^= 0x10
+		return b
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	const sealed, active = "seg-00000001.rec", "seg-00000002.rec"
+	appendActive := func(tail []byte) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			f, err := os.OpenFile(filepath.Join(dir, active), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Simulate a torn write: append half a record to the active segment.
-	seg := filepath.Join(dir, "seg-00000001.log")
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	sealedFirst, err := encodeFrame(opPut, "a", []byte("whole"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","key":"torn","va`); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		refuse string // non-empty: Open must fail with an error containing it
+	}{
+		{name: "torn header", damage: appendActive(torn[:5])},
+		{name: "torn body", damage: appendActive(torn[:len(torn)-5])},
+		{name: "bit-flipped tail", damage: appendActive(flipped(len(torn) - 1))},
+		{name: "flipped length byte", damage: appendActive(flipped(9))},
+		{
+			name: "flipped bit in a sealed segment",
+			damage: func(t *testing.T, dir string) {
+				path := filepath.Join(dir, sealed)
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[len(sealedFirst)+frameHeader+5] ^= 0x01 // inside the second frame's payload
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			refuse: fmt.Sprintf("%s at offset %d", sealed, len(sealedFirst)),
+		},
+		{
+			name: "JSON-lines directory of the parent format",
+			damage: func(t *testing.T, dir string) {
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				line := `{"op":"put","key":"a","val":"d2hvbGU="}` + "\n"
+				if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), []byte(line+line[:20]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			refuse: "seg-00000001.log, a JSON-lines segment",
+		},
 	}
-	f.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "segs")
+			// "a" and the padding seal segment 1; "last" sits in the active one.
+			opts := Options{SegmentMaxBytes: 64, CompactAfterSegments: 100}
+			s, err := OpenFile(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range [][2]string{{"a", "whole"}, {"pad", strings.Repeat("x", 64)}, {"last", "kept"}} {
+				if _, err := s.Put(kv[0], []byte(kv[1])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			before := readTree(t, dir)
 
-	s2, err := OpenFile(dir, Options{})
-	if err != nil {
-		t.Fatalf("open with torn tail: %v", err)
-	}
-	defer s2.Close()
-	if _, _, found, _ := s2.Get("a", 0); !found {
-		t.Fatal("intact record lost with the torn tail")
-	}
-	if _, _, found, _ := s2.Get("torn", 0); found {
-		t.Fatal("torn record survived")
-	}
-	// The truncated store accepts writes again.
-	if _, err := s2.Put("b", []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBoltTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "kv.db")
-	s, err := OpenBolt(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("a", []byte("whole")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := encodeRecord(boltOpPut, "torn", []byte("partial-value"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(rec[:len(rec)-5]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := OpenBolt(path, Options{})
-	if err != nil {
-		t.Fatalf("open with torn tail: %v", err)
-	}
-	defer s2.Close()
-	if _, _, found, _ := s2.Get("a", 0); !found {
-		t.Fatal("intact record lost with the torn tail")
-	}
-	if _, _, found, _ := s2.Get("torn", 0); found {
-		t.Fatal("torn record survived")
-	}
-	if _, err := s2.Put("b", []byte("after")); err != nil {
-		t.Fatal(err)
+			s2, err := OpenFile(dir, opts)
+			if tc.refuse != "" {
+				if err == nil {
+					s2.Close()
+					t.Fatal("Open of a damaged store succeeded")
+				}
+				if !strings.Contains(err.Error(), tc.refuse) {
+					t.Fatalf("Open error = %q, want it to contain %q", err, tc.refuse)
+				}
+				if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatal("refused Open modified the store directory")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("open with torn tail: %v", err)
+			}
+			for _, key := range []string{"a", "last"} {
+				if _, _, found, _ := s2.Get(key, 0); !found {
+					t.Fatalf("intact record %q lost with the torn tail", key)
+				}
+			}
+			if _, _, found, _ := s2.Get("torn", 0); found {
+				t.Fatal("torn record survived")
+			}
+			// The truncated store accepts writes again, and they land on a
+			// clean frame boundary.
+			if _, err := s2.Put("b", []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s3, err := OpenFile(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen after truncation: %v", err)
+			}
+			defer s3.Close()
+			for _, key := range []string{"last", "b"} {
+				if _, _, found, _ := s3.Get(key, 0); !found {
+					t.Fatalf("record %q lost across truncation and reopen", key)
+				}
+			}
+		})
 	}
 }
 
@@ -474,27 +513,37 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 }
 
 func TestOpenDSN(t *testing.T) {
-	for _, bad := range []string{"", "mem", "mem:extra", "file:", "bolt:", "redis:host"} {
-		if s, err := Open(bad, Options{}); err == nil {
+	for bad, want := range map[string]string{
+		"":           "no scheme",
+		"mem":        "no scheme",
+		"mem:extra":  "takes no path",
+		"file:":      "needs a directory",
+		"bolt:x":     `unknown backend "bolt" (want mem or file)`,
+		"redis:host": "unknown backend",
+	} {
+		s, err := Open(bad, Options{})
+		if err == nil {
 			s.Close()
 			t.Fatalf("Open(%q) succeeded", bad)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open(%q) error = %q, want it to contain %q", bad, err, want)
 		}
 	}
 }
 
-// TestBackendEquivalence drives all three backends through the same random
-// op sequence — including reopens of the durable pair — and requires
+// TestBackendEquivalence drives both backends through the same random op
+// sequence — including reopens of the durable one — and requires
 // observationally identical results throughout, with Memory as the reference
 // semantics.
 func TestBackendEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	dirs := map[string]string{"file": t.TempDir(), "bolt": t.TempDir()}
+	dirs := map[string]string{"file": t.TempDir()}
 	ref := NewMemory(Options{})
 	defer ref.Close()
 	opts := Options{SegmentMaxBytes: 1024, CompactAfterSegments: 2}
 	stores := map[string]Store{
 		"file": openBackend(t, "file", dirs["file"], opts),
-		"bolt": openBackend(t, "bolt", dirs["bolt"], opts),
 	}
 	defer func() {
 		for _, s := range stores {
@@ -569,9 +618,8 @@ func TestBackendEquivalence(t *testing.T) {
 					t.Fatalf("step %d: %s Keys = %v, want %v", step, kind, got, want)
 				}
 			}
-		default: // reopen a durable backend: state must survive
-			kind := []string{"file", "bolt"}[rng.Intn(2)]
-			reopen(kind)
+		default: // reopen the durable backend: state must survive
+			reopen("file")
 		}
 	}
 	// Final full-state comparison.
@@ -592,7 +640,7 @@ func TestBackendEquivalence(t *testing.T) {
 // TestCopyDurableIsConsistent asserts the clone a mid-write CopyDurable
 // produces always opens cleanly and contains every acknowledged write.
 func TestCopyDurableIsConsistent(t *testing.T) {
-	for _, kind := range []string{"file", "bolt"} {
+	for _, kind := range backends[1:] { // the durable ones
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openBackend(t, kind, dir, Options{SegmentMaxBytes: 512, CompactAfterSegments: 2})
@@ -637,13 +685,7 @@ func TestCopyDurableIsConsistent(t *testing.T) {
 			if err := s.(DurableCopier).CopyDurable(final); err != nil {
 				t.Fatal(err)
 			}
-			var c Store
-			var err error
-			if kind == "file" {
-				c, err = OpenFile(final, Options{})
-			} else {
-				c, err = OpenBolt(final, Options{})
-			}
+			c, err := OpenFile(final, Options{})
 			if err != nil {
 				t.Fatalf("open crash image: %v", err)
 			}
@@ -659,12 +701,7 @@ func TestCopyDurableIsConsistent(t *testing.T) {
 			// Mid-flight images must at least open and replay cleanly.
 			for i := 0; i < 5; i++ {
 				target := fmt.Sprintf("%s-%d", clone, i)
-				var mid Store
-				if kind == "file" {
-					mid, err = OpenFile(target, Options{})
-				} else {
-					mid, err = OpenBolt(target, Options{})
-				}
+				mid, err := OpenFile(target, Options{})
 				if err != nil {
 					t.Fatalf("open mid-flight image %d: %v", i, err)
 				}
