@@ -67,6 +67,7 @@ func BenchmarkTable2GPPlanning(b *testing.B) {
 	problem := virolab.Problem()
 	var sum planner.Summary
 	results := make([]*planner.Result, 0, b.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := table2Params()

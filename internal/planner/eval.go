@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"repro/internal/expr"
 	"repro/internal/plantree"
 	"repro/internal/workflow"
 )
@@ -26,13 +25,15 @@ type Evaluation struct {
 // the oldest half of the entries is evicted.
 const defaultCacheLimit = 1 << 17
 
-// Evaluator scores plan trees against a planning problem. It caches
-// per-tree results (selection duplicates individuals heavily) and
-// pre-compiles the goal conditions.
+// Evaluator scores plan trees against a planning problem. It compiles the
+// problem into a kernel once and caches per-tree results (selection
+// duplicates individuals heavily).
 type Evaluator struct {
-	problem *workflow.Problem
-	params  Params
-	goals   []expr.Node
+	params Params
+	kernel *kernel
+	// workers holds one simulation scratch per evaluation worker; worker 0 is
+	// also the one Evaluate uses.
+	workers []*scratch
 	cache   map[string]Evaluation
 	// order lists the cached keys in insertion order, so trimming can evict
 	// the oldest half instead of wiping the whole cache (a full wipe forces
@@ -52,27 +53,25 @@ func NewEvaluator(problem *workflow.Problem, params Params) (*Evaluator, error) 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	ev := &Evaluator{
-		problem:    problem,
+	k, err := compileKernel(problem, params)
+	if err != nil {
+		return nil, err
+	}
+	return &Evaluator{
 		params:     params,
+		kernel:     k,
 		cache:      make(map[string]Evaluation),
 		cacheLimit: defaultCacheLimit,
-	}
-	for _, c := range problem.Goal.Conditions {
-		n, err := expr.Parse(c)
-		if err != nil {
-			return nil, err
-		}
-		ev.goals = append(ev.goals, n)
-	}
-	return ev, nil
+	}, nil
 }
 
-// decisionPoint is one selective or iterative node, whose flow choice is
-// enumerated.
-type decisionPoint struct {
-	node   *plantree.Node
-	domain int // selective: child count; iterative: MaxLoopUnroll
+// worker returns the scratch of evaluation worker w, building the scratches
+// up to it on first use. Call it from the goroutine that owns the Evaluator.
+func (ev *Evaluator) worker(w int) *scratch {
+	for len(ev.workers) <= w {
+		ev.workers = append(ev.workers, newScratch(ev.kernel))
+	}
+	return ev.workers[w]
 }
 
 // Evaluate scores the tree.
@@ -81,7 +80,7 @@ func (ev *Evaluator) Evaluate(tree *plantree.Node) Evaluation {
 	if e, ok := ev.cache[key]; ok {
 		return e
 	}
-	e := ev.evaluateOnly(tree)
+	e := ev.evaluateOnly(tree, ev.worker(0))
 	ev.Evaluations++
 	ev.cacheAdd(key, e)
 	return e
@@ -112,55 +111,29 @@ func (ev *Evaluator) trimCache() {
 }
 
 // evaluateOnly computes the fitness without touching the cache or the
-// evaluation counter; it is safe to call from multiple goroutines
-// concurrently (the problem and params are read-only).
-func (ev *Evaluator) evaluateOnly(tree *plantree.Node) Evaluation {
-	size := tree.Size()
+// evaluation counter: it enumerates the tree's execution flows, at most
+// MaxFlows of them, and simulates each on sc. It is safe to call from
+// multiple goroutines concurrently, each with its own scratch (the kernel and
+// params are read-only).
+func (ev *Evaluator) evaluateOnly(tree *plantree.Node, sc *scratch) Evaluation {
+	size := sc.load(tree)
 	fr := 1 - float64(size)/float64(ev.params.Smax)
 	if fr < 0 {
 		fr = 0
 	}
 
-	// Collect decision points in pre-order.
-	var points []decisionPoint
-	for _, loc := range tree.Nodes() {
-		switch loc.Node.Kind {
-		case plantree.KindSelective:
-			if len(loc.Node.Children) > 1 {
-				points = append(points, decisionPoint{loc.Node, len(loc.Node.Children)})
-			}
-		case plantree.KindIterative:
-			if ev.params.MaxLoopUnroll > 1 {
-				points = append(points, decisionPoint{loc.Node, ev.params.MaxLoopUnroll})
-			}
-		case plantree.KindConcurrent:
-			// Concurrent children may run in any order; enumerating the
-			// forward and reverse orders catches most order dependencies.
-			if ev.params.StrictConcurrency && len(loc.Node.Children) > 1 {
-				points = append(points, decisionPoint{loc.Node, 2})
-			}
-		}
-	}
-
-	decisions := make(map[*plantree.Node]int, len(points))
-	odometer := make([]int, len(points))
 	totalValid, totalExecuted := 0, 0
 	goalSum, costSum, timeSum := 0.0, 0.0, 0.0
 	flows := 0
-	initial := workflow.ItemList(ev.problem.Initial.Items())
 	for {
-		for i, p := range points {
-			decisions[p.node] = odometer[i]
-		}
-		sim := flowSim{ev: ev, decisions: decisions}
-		items := sim.run(tree, initial)
-		totalValid += sim.valid
-		totalExecuted += sim.executed
-		goalSum += ev.goalFitness(items)
-		costSum += sim.cost
-		timeSum += sim.time
+		sc.runFlow()
+		totalValid += sc.valid
+		totalExecuted += sc.executed
+		goalSum += sc.goalsMet()
+		costSum += sc.cost
+		timeSum += sc.time
 		flows++
-		if flows >= ev.params.MaxFlows || !advance(odometer, points) {
+		if flows >= ev.params.MaxFlows || !sc.nextFlow() {
 			break
 		}
 	}
@@ -186,112 +159,4 @@ func (ev *Evaluator) evaluateOnly(tree *plantree.Node) Evaluation {
 	}
 	f := ev.params.WV*fv + ev.params.WG*fg + ev.params.WR*fr*penalty
 	return Evaluation{Fitness: f, FV: fv, FG: fg, FR: fr, Size: size, Flows: flows, Cost: cost, Time: nomTime}
-}
-
-// advance increments the odometer; it reports false on wrap-around.
-func advance(odometer []int, points []decisionPoint) bool {
-	for i := len(odometer) - 1; i >= 0; i-- {
-		odometer[i]++
-		if odometer[i] < points[i].domain {
-			return true
-		}
-		odometer[i] = 0
-	}
-	return false
-}
-
-// goalFitness evaluates Equation 2 with the pre-compiled goal conditions: a
-// condition is met if some data item, bound to the formal object G,
-// satisfies it.
-func (ev *Evaluator) goalFitness(items workflow.ItemList) float64 {
-	if len(ev.goals) == 0 {
-		return 1
-	}
-	met := 0
-	formals := map[string]*workflow.DataItem{}
-	b := workflow.Binding{Formals: formals, Base: items}
-	for _, g := range ev.goals {
-		for _, it := range items {
-			formals["G"] = it
-			if g.Eval(b) {
-				met++
-				break
-			}
-		}
-	}
-	return float64(met) / float64(len(ev.goals))
-}
-
-// flowSim simulates one execution flow of a plan (the validity simulation of
-// Section 3.4.4): activities apply their service's pre- and postconditions
-// to the metadata state; invalid activities count against fv and leave the
-// state unchanged. The state is an append-only item list, so flows are
-// cheap: no cloning, only appends.
-type flowSim struct {
-	ev        *Evaluator
-	decisions map[*plantree.Node]int
-	valid     int
-	executed  int
-	seq       int
-	cost      float64 // nominal resource cost of valid activities
-	time      float64 // nominal run time of valid activities
-}
-
-func (fs *flowSim) run(n *plantree.Node, items workflow.ItemList) workflow.ItemList {
-	switch n.Kind {
-	case plantree.KindActivity:
-		fs.executed++
-		svc := fs.ev.problem.Catalog.Get(n.Service)
-		if svc == nil {
-			return items // unknown service: invalid activity
-		}
-		if _, ok := svc.BindItems(items); !ok {
-			return items
-		}
-		fs.valid++
-		fs.seq++
-		fs.cost += svc.Cost
-		fs.time += svc.BaseTime
-		return append(items, svc.Produce(nil, fs.seq)...)
-
-	case plantree.KindSequential:
-		for _, c := range n.Children {
-			items = fs.run(c, items)
-		}
-		return items
-
-	case plantree.KindConcurrent:
-		// Decision 0 runs the children left to right, decision 1 right to
-		// left (StrictConcurrency); without strict mode only order 0 exists.
-		if fs.decisions[n] == 1 {
-			for i := len(n.Children) - 1; i >= 0; i-- {
-				items = fs.run(n.Children[i], items)
-			}
-			return items
-		}
-		for _, c := range n.Children {
-			items = fs.run(c, items)
-		}
-		return items
-
-	case plantree.KindSelective:
-		if len(n.Children) == 0 {
-			return items
-		}
-		pick := fs.decisions[n]
-		if pick >= len(n.Children) {
-			pick = 0
-		}
-		return fs.run(n.Children[pick], items)
-
-	case plantree.KindIterative:
-		iters := fs.decisions[n] + 1 // decision d means d+1 iterations
-		for i := 0; i < iters; i++ {
-			for _, c := range n.Children {
-				items = fs.run(c, items)
-			}
-		}
-		return items
-	}
-	return items
 }

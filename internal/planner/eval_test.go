@@ -1,0 +1,518 @@
+package planner
+
+import (
+	"context"
+	"encoding/binary"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/plantree"
+	"repro/internal/virolab"
+	"repro/internal/workflow"
+)
+
+// ---------------------------------------------------------------------------
+// The reference: the interpreted flow simulation the kernel replaced, kept as
+// it was (plan-tree nodes, data-item lists, Service.BindItems/Produce,
+// decisions by node pointer) so the kernel has something independent to be
+// compared against.
+
+type oracle struct {
+	problem *workflow.Problem
+	params  Params
+	goals   []expr.Node
+}
+
+func newOracle(t testing.TB, problem *workflow.Problem, params Params) *oracle {
+	t.Helper()
+	o := &oracle{problem: problem, params: params}
+	for _, c := range problem.Goal.Conditions {
+		n, err := expr.Parse(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.goals = append(o.goals, n)
+	}
+	return o
+}
+
+// decisionPoint is one selective or iterative node, whose flow choice is
+// enumerated.
+type decisionPoint struct {
+	node   *plantree.Node
+	domain int // selective: child count; iterative: MaxLoopUnroll
+}
+
+func (o *oracle) evaluate(tree *plantree.Node) Evaluation {
+	size := tree.Size()
+	fr := 1 - float64(size)/float64(o.params.Smax)
+	if fr < 0 {
+		fr = 0
+	}
+
+	// Collect decision points in pre-order.
+	var points []decisionPoint
+	for _, loc := range tree.Nodes() {
+		switch loc.Node.Kind {
+		case plantree.KindSelective:
+			if len(loc.Node.Children) > 1 {
+				points = append(points, decisionPoint{loc.Node, len(loc.Node.Children)})
+			}
+		case plantree.KindIterative:
+			if o.params.MaxLoopUnroll > 1 {
+				points = append(points, decisionPoint{loc.Node, o.params.MaxLoopUnroll})
+			}
+		case plantree.KindConcurrent:
+			if o.params.StrictConcurrency && len(loc.Node.Children) > 1 {
+				points = append(points, decisionPoint{loc.Node, 2})
+			}
+		}
+	}
+
+	decisions := make(map[*plantree.Node]int, len(points))
+	odometer := make([]int, len(points))
+	totalValid, totalExecuted := 0, 0
+	goalSum, costSum, timeSum := 0.0, 0.0, 0.0
+	flows := 0
+	initial := itemList(o.problem.Initial.Items())
+	for {
+		for i, p := range points {
+			decisions[p.node] = odometer[i]
+		}
+		sim := flowSim{o: o, decisions: decisions}
+		items := sim.run(tree, initial)
+		totalValid += sim.valid
+		totalExecuted += sim.executed
+		goalSum += o.goalFitness(items)
+		costSum += sim.cost
+		timeSum += sim.time
+		flows++
+		if flows >= o.params.MaxFlows || !advance(odometer, points) {
+			break
+		}
+	}
+
+	fv := 1.0
+	if totalExecuted > 0 {
+		fv = float64(totalValid) / float64(totalExecuted)
+	}
+	fg := goalSum / float64(flows)
+	cost := costSum / float64(flows)
+	nomTime := timeSum / float64(flows)
+	penalty := 1.0
+	if o.params.MaxCost > 0 && cost > o.params.MaxCost {
+		penalty *= o.params.MaxCost / cost
+	}
+	if o.params.MaxTime > 0 && nomTime > o.params.MaxTime {
+		penalty *= o.params.MaxTime / nomTime
+	}
+	f := o.params.WV*fv + o.params.WG*fg + o.params.WR*fr*penalty
+	return Evaluation{Fitness: f, FV: fv, FG: fg, FR: fr, Size: size, Flows: flows, Cost: cost, Time: nomTime}
+}
+
+// advance increments the odometer; it reports false on wrap-around.
+func advance(odometer []int, points []decisionPoint) bool {
+	for i := len(odometer) - 1; i >= 0; i-- {
+		odometer[i]++
+		if odometer[i] < points[i].domain {
+			return true
+		}
+		odometer[i] = 0
+	}
+	return false
+}
+
+// itemList is the reference state: an append-only list of data items that
+// resolves named references by linear scan.
+type itemList []*workflow.DataItem
+
+func (l itemList) Lookup(obj, prop string) (expr.Value, bool) {
+	for _, it := range l {
+		if it.Name == obj {
+			return it.Prop(prop)
+		}
+	}
+	return expr.Value{}, false
+}
+
+// goalFitness evaluates Equation 2: a condition is met if some data item,
+// bound to the formal object G, satisfies it.
+func (o *oracle) goalFitness(items itemList) float64 {
+	if len(o.goals) == 0 {
+		return 1
+	}
+	met := 0
+	formals := map[string]*workflow.DataItem{}
+	b := workflow.Binding{Formals: formals, Base: items}
+	for _, g := range o.goals {
+		for _, it := range items {
+			formals["G"] = it
+			if g.Eval(b) {
+				met++
+				break
+			}
+		}
+	}
+	return float64(met) / float64(len(o.goals))
+}
+
+// flowSim simulates one execution flow of a plan.
+type flowSim struct {
+	o         *oracle
+	decisions map[*plantree.Node]int
+	valid     int
+	executed  int
+	seq       int
+	cost      float64
+	time      float64
+}
+
+func (fs *flowSim) run(n *plantree.Node, items itemList) itemList {
+	switch n.Kind {
+	case plantree.KindActivity:
+		fs.executed++
+		svc := fs.o.problem.Catalog.Get(n.Service)
+		if svc == nil {
+			return items // unknown service: invalid activity
+		}
+		if _, ok := svc.BindItems(items); !ok {
+			return items
+		}
+		fs.valid++
+		fs.seq++
+		fs.cost += svc.Cost
+		fs.time += svc.BaseTime
+		return append(items, svc.Produce(nil, fs.seq)...)
+
+	case plantree.KindSequential:
+		for _, c := range n.Children {
+			items = fs.run(c, items)
+		}
+		return items
+
+	case plantree.KindConcurrent:
+		if fs.decisions[n] == 1 {
+			for i := len(n.Children) - 1; i >= 0; i-- {
+				items = fs.run(n.Children[i], items)
+			}
+			return items
+		}
+		for _, c := range n.Children {
+			items = fs.run(c, items)
+		}
+		return items
+
+	case plantree.KindSelective:
+		if len(n.Children) == 0 {
+			return items
+		}
+		pick := fs.decisions[n]
+		if pick >= len(n.Children) {
+			pick = 0
+		}
+		return fs.run(n.Children[pick], items)
+
+	case plantree.KindIterative:
+		iters := fs.decisions[n] + 1 // decision d means d+1 iterations
+		for i := 0; i < iters; i++ {
+			for _, c := range n.Children {
+				items = fs.run(c, items)
+			}
+		}
+		return items
+	}
+	return items
+}
+
+// ---------------------------------------------------------------------------
+// Differential test.
+
+// crossProblem is a catalog built to reach everything the virolab catalog
+// does not: a condition over two formals, a condition over a named case
+// item, a service with two outputs, a service with no inputs, and — through
+// crossServices — a leaf naming a service the catalog does not have.
+func crossProblem() *workflow.Problem {
+	class := func(c string) map[string]expr.Value {
+		return map[string]expr.Value{workflow.PropClassification: expr.String(c)}
+	}
+	gen := &workflow.Service{ // no inputs: always valid
+		Name:    "GEN",
+		Outputs: []workflow.OutputSpec{{Name: "O", Props: class("Raw")}},
+		Cost:    0.5, BaseTime: 7,
+	}
+	split := &workflow.Service{ // two outputs
+		Name:   "SPLIT",
+		Inputs: []workflow.ParamSpec{{Name: "A", Condition: `A.Classification = "Raw"`}},
+		Outputs: []workflow.OutputSpec{
+			{Name: "L", Props: class("Half")},
+			{Name: "R", Props: map[string]expr.Value{
+				workflow.PropClassification: expr.String("Half"),
+				workflow.PropCreator:        expr.String("Elsewhere"),
+			}},
+		},
+		Cost: 1.25, BaseTime: 11,
+	}
+	join := &workflow.Service{ // C's condition reads B: two halves of different make
+		Name: "JOIN",
+		Inputs: []workflow.ParamSpec{
+			{Name: "A", Condition: `A.Classification = "Join-Parameter"`},
+			{Name: "B", Condition: `B.Classification = "Half"`},
+			{Name: "C", Condition: `C.Classification = "Half" and B.Creator != C.Creator`},
+		},
+		Outputs: []workflow.OutputSpec{{Name: "D", Props: class("Whole")}},
+		Cost:    3.1, BaseTime: 13,
+	}
+	pack := &workflow.Service{ // a named case item gates the service
+		Name: "PACK",
+		Inputs: []workflow.ParamSpec{
+			{Name: "A", Condition: `A.Classification = "Whole" and D1.Size > 0`},
+		},
+		Outputs: []workflow.OutputSpec{{Name: "P", Props: class("Package")}},
+		Cost:    0.7, BaseTime: 3,
+	}
+	return &workflow.Problem{
+		Name: "cross",
+		Initial: workflow.NewState(
+			workflow.NewDataItem("D1", "Join-Parameter").With(workflow.PropSize, expr.Number(4)),
+			workflow.NewDataItem("D2", "Raw"),
+		),
+		// The second goal reads a named item beside G, so it has no table.
+		Goal: workflow.NewGoal(
+			`G.Classification = "Package"`,
+			`G.Classification = "Whole" and D1.Size > 3`,
+		),
+		Catalog: workflow.NewCatalog(gen, split, join, pack),
+	}
+}
+
+// crossServices is the alphabet of the random trees over crossProblem.
+var crossServices = []string{"GEN", "JOIN", "PACK", "SPLIT", "NOSUCH"}
+
+// paramGrid is the cross product of the evaluation switches the kernel
+// compiles in or enumerates by.
+func paramGrid() []Params {
+	var grid []Params
+	for _, strict := range []bool{false, true} {
+		for _, unroll := range []int{1, 2, 3} {
+			for _, flows := range []int{1, 4, 32} {
+				for _, caps := range []bool{false, true} {
+					p := DefaultParams()
+					p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows = strict, unroll, flows
+					if caps {
+						p.MaxCost, p.MaxTime = 9, 2000
+					}
+					grid = append(grid, p)
+				}
+			}
+		}
+	}
+	return grid
+}
+
+func TestKernelMatchesOracle(t *testing.T) {
+	trees := 2000
+	if testing.Short() {
+		trees = 200
+	}
+	cases := []struct {
+		name     string
+		problem  *workflow.Problem
+		services []string
+	}{
+		{"virolab", virolab.Problem(), virolab.Problem().Catalog.Names()},
+		{"cross", crossProblem(), crossServices},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(20260930))
+			forest := make([]*plantree.Node, trees)
+			for i := range forest {
+				forest[i] = plantree.Random(rng, c.services, DefaultParams().Smax)
+			}
+			for _, p := range paramGrid() {
+				ev, err := NewEvaluator(c.problem, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := newOracle(t, c.problem, p)
+				for _, tree := range forest {
+					if got, want := ev.evaluateOnly(tree, ev.worker(0)), o.evaluate(tree); got != want {
+						t.Fatalf("strict=%v unroll=%d flows=%d caps=%v %s:\nkernel %+v\noracle %+v",
+							p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows, p.MaxCost > 0, tree, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestKernelCompilesTables pins which conditions the differential test
+// drives through which path, so a catalog edit cannot quietly leave the
+// scratch-backed expr.Env untested.
+func TestKernelCompilesTables(t *testing.T) {
+	tabled := func(p *workflow.Problem) (tables, nodes int) {
+		ev, err := NewEvaluator(p, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conds := append([]kernelCond(nil), ev.kernel.goals...)
+		for _, s := range ev.kernel.svcs {
+			conds = append(conds, s.inputs...)
+		}
+		for _, c := range conds {
+			if c.table != nil {
+				tables++
+			} else {
+				nodes++
+			}
+		}
+		return tables, nodes
+	}
+	if tables, nodes := tabled(virolab.Problem()); tables != 13 || nodes != 0 {
+		t.Errorf("virolab: %d tables, %d expressions, want 13 and 0", tables, nodes)
+	}
+	if tables, nodes := tabled(crossProblem()); tables != 4 || nodes != 3 {
+		t.Errorf("cross: %d tables, %d expressions, want 4 and 3", tables, nodes)
+	}
+}
+
+// fuzzCase turns fuzz input into one comparison: the first byte picks the
+// problem and the parameter combination, the rest seed the tree generator.
+func fuzzCase(data []byte) (*workflow.Problem, Params, *plantree.Node) {
+	var head [9]byte
+	copy(head[:], data)
+	grid := paramGrid()
+	problem, services := virolab.Problem(), virolab.Problem().Catalog.Names()
+	if head[0]&1 == 1 {
+		problem, services = crossProblem(), crossServices
+	}
+	params := grid[int(head[0]>>1)%len(grid)]
+	rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(head[1:]))))
+	return problem, params, plantree.Random(rng, services, params.Smax)
+}
+
+func FuzzKernelMatchesOracle(f *testing.F) {
+	for i := 0; i < 144; i++ {
+		f.Add([]byte{byte(i), byte(i * 37), byte(i >> 1), 3})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		problem, params, tree := fuzzCase(data)
+		ev, err := NewEvaluator(problem, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := ev.Evaluate(tree), newOracle(t, problem, params).evaluate(tree)
+		if got != want {
+			t.Fatalf("%s %s:\nkernel %+v\noracle %+v", problem.Name, tree, got, want)
+		}
+	})
+}
+
+// ---------------------------------------------------------------------------
+// Golden plans and allocation gates.
+
+// TestGoldenPlans pins the Table-1 plans of seeds 1-4 as the interpreted
+// evaluator found them (commit b11e76f): the kernel and the plan-tree
+// changes around it may not move a single rng draw or fitness bit.
+func TestGoldenPlans(t *testing.T) {
+	golden := []struct {
+		seed    int64
+		evals   int
+		fitness float64
+		plan    string
+	}{
+		{1, 2400, 0.9175, "(seq POD (iter POD (seq P3DR) (iter (seq P3DR POD)) PSF))"},
+		{2, 2481, 0.9324999999999999, "(iter (sel (seq (seq POD) P3DR (iter P3DR) PSF)))"},
+		{3, 2420, 0.955, "(iter (iter POD P3DR P3DR) PSF)"},
+		{4, 2461, 0.94, "(iter (seq POD (iter P3DR)) P3DR PSF PSF)"},
+	}
+	for _, g := range golden {
+		p := DefaultParams()
+		p.Seed = g.seed
+		gp, err := New(virolab.Problem(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := gp.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evaluations != g.evals || res.Best.Eval.Fitness != g.fitness || res.Best.Tree.String() != g.plan {
+			t.Errorf("seed %d: %d evaluations, f = %v, %s\nwant %d, %v, %s",
+				g.seed, res.Evaluations, res.Best.Eval.Fitness, res.Best.Tree, g.evals, g.fitness, g.plan)
+		}
+	}
+}
+
+// TestEvaluateAllocatesNothingWarm gates the kernel's steady state: once a
+// worker's scratch has grown to the tree, a cache-missing evaluation makes
+// no allocation at all.
+func TestEvaluateAllocatesNothingWarm(t *testing.T) {
+	for _, problem := range []*workflow.Problem{virolab.Problem(), crossProblem()} {
+		ev, err := NewEvaluator(problem, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := virolab.PlanTree() // Figure 11
+		if problem.Name == "cross" {
+			tree = plantree.Seq(plantree.Activity("GEN"), plantree.Activity("SPLIT"),
+				plantree.Iter(plantree.Activity("JOIN"), plantree.Activity("PACK")))
+		}
+		sc := ev.worker(0)
+		if allocs := testing.AllocsPerRun(100, func() { ev.evaluateOnly(tree, sc) }); allocs != 0 {
+			t.Errorf("%s: warm evaluation of %s allocates %v times, want 0", problem.Name, tree, allocs)
+		}
+	}
+}
+
+// TestPlanAllocationBudget gates a whole cold Table-1 plan. The interpreted
+// evaluator spent 25 M mallocs here; the kernel leaves the GP loop's own
+// (clones, cache keys, random subtrees), about 32 k.
+func TestPlanAllocationBudget(t *testing.T) {
+	p := DefaultParams()
+	p.Seed = 1
+	p.EvalWorkers = 1
+	gp, err := New(virolab.Problem(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := gp.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("one Table-1 plan: %d mallocs, %d KB", mallocs, (after.TotalAlloc-before.TotalAlloc)/1024)
+	if mallocs > 60000 {
+		t.Errorf("one Table-1 plan made %d mallocs, budget 60000", mallocs)
+	}
+}
+
+// TestEvaluateAllParallelWorkers drives evaluateAll's fan-out with more
+// workers than the default on a small box, for the race detector: each
+// worker simulates on its own scratch and shares only the read-only kernel.
+func TestEvaluateAllParallelWorkers(t *testing.T) {
+	run := func(workers int) *Result {
+		p := DefaultParams()
+		p.Seed = 5
+		p.Generations = 3
+		p.EvalWorkers = workers
+		gp, err := New(crossProblem(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := gp.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one, four := run(1), run(4)
+	if one.Evaluations != four.Evaluations || one.Best.Eval != four.Best.Eval || !one.Best.Tree.Equal(four.Best.Tree) {
+		t.Errorf("1 worker: %d evals %+v %s\n4 workers: %d evals %+v %s",
+			one.Evaluations, one.Best.Eval, one.Best.Tree, four.Evaluations, four.Best.Eval, four.Best.Tree)
+	}
+}

@@ -175,10 +175,6 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// evaluateAll scores the population, computing each distinct tree once and
-// fanning the cache misses out over the available cores. Results are
-// independent of evaluation order, so parallelism does not affect
-// determinism.
 // takeElites clones the top-k individuals of the evaluated population.
 func (gp *GP) takeElites(pop []Individual) []Individual {
 	k := gp.params.Elites
@@ -199,6 +195,10 @@ func (gp *GP) takeElites(pop []Individual) []Individual {
 	return elites
 }
 
+// evaluateAll scores the population, computing each distinct tree once and
+// fanning the cache misses out over the available cores, one simulation
+// scratch per worker. Results are independent of evaluation order, so
+// parallelism does not affect determinism.
 func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 	keys := make([]string, len(pop))
 	misses := make(map[string]*plantree.Node)
@@ -221,6 +221,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
+			sc := gp.eval.worker(w)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -229,17 +230,18 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 					if i >= len(missKeys) {
 						return
 					}
-					results[i] = gp.eval.evaluateOnly(misses[missKeys[i]])
+					results[i] = gp.eval.evaluateOnly(misses[missKeys[i]], sc)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
+		sc := gp.eval.worker(0)
 		for i, k := range missKeys {
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = gp.eval.evaluateOnly(misses[k])
+			results[i] = gp.eval.evaluateOnly(misses[k], sc)
 		}
 	}
 	if ctx.Err() != nil {

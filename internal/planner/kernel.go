@@ -1,0 +1,403 @@
+package planner
+
+import (
+	"repro/internal/expr"
+	"repro/internal/plantree"
+	"repro/internal/workflow"
+)
+
+// kernel is a planning problem compiled for the validity simulation of
+// Section 3.4.4. Everything the simulation re-decides per activity per flow
+// is fixed once the catalog is known, so it is decided here, once:
+//
+//   - services are small integers;
+//   - every data item a flow can ever hold is one of a finite set of kinds —
+//     each initial item, then each (service, output) pair — and a kind fixes
+//     the item's properties, so the state of a flow is a []int32 of kinds;
+//   - a condition that references only its own formal is a []bool by kind.
+//
+// A condition that references another formal or a named case item keeps its
+// parsed expression and is evaluated against the same integer state through
+// the scratch (scratch.Lookup). The kernel is immutable after compile; all
+// mutable state lives in a per-worker scratch.
+type kernel struct {
+	services map[string]int32 // service name -> index into svcs
+	svcs     []kernelService
+
+	// items holds one representative data item per kind. The initial items
+	// are kinds 0..initial-1, in the sorted-name order of State.Items(), and
+	// open every flow's state in that order. A named reference (D1.Size) can
+	// only resolve to one of them: generated item names contain dots, which
+	// the condition grammar's identifiers cannot.
+	items   []*workflow.DataItem
+	initial int
+
+	goals []kernelCond // bound to the formal G
+
+	unroll int  // Params.MaxLoopUnroll
+	strict bool // Params.StrictConcurrency
+}
+
+type kernelService struct {
+	inputs  []kernelCond
+	formals []string // distinct formal names of the inputs
+	needEnv bool     // some input condition is evaluated through the scratch
+	outKind int32    // outputs are kinds outKind..outKind+nOut-1
+	nOut    int32
+	cost    float64
+	time    float64
+}
+
+// kernelCond is one compiled condition.
+type kernelCond struct {
+	formal int32     // index of the formal it binds, in the owner's formals
+	table  []bool    // truth by kind of the bound item; nil: evaluate node
+	node   expr.Node // the parsed condition
+}
+
+var goalFormals = []string{"G"}
+
+// compileKernel compiles a validated problem.
+func compileKernel(problem *workflow.Problem, params Params) (*kernel, error) {
+	k := &kernel{
+		services: make(map[string]int32, problem.Catalog.Len()),
+		unroll:   params.MaxLoopUnroll,
+		strict:   params.StrictConcurrency,
+	}
+	k.items = problem.Initial.Items()
+	k.initial = len(k.items)
+	services := problem.Catalog.Services()
+	for _, svc := range services {
+		ks := kernelService{outKind: int32(len(k.items)), nOut: int32(len(svc.Outputs)), cost: svc.Cost, time: svc.BaseTime}
+		k.items = append(k.items, svc.Produce(nil, 0)...)
+		k.services[svc.Name] = int32(len(k.svcs))
+		k.svcs = append(k.svcs, ks)
+	}
+	// Tables span every kind, so they are built after the kinds are known.
+	for si, svc := range services {
+		ks := &k.svcs[si]
+		for i := range svc.Inputs {
+			in := &svc.Inputs[i]
+			node, err := expr.Parse(in.Condition)
+			if err != nil {
+				return nil, err
+			}
+			formal := -1
+			for fi, f := range ks.formals {
+				if f == in.Name {
+					formal = fi
+				}
+			}
+			if formal < 0 {
+				formal = len(ks.formals)
+				ks.formals = append(ks.formals, in.Name)
+			}
+			c := k.compileCond(node, in.Name, int32(formal))
+			ks.needEnv = ks.needEnv || c.table == nil
+			ks.inputs = append(ks.inputs, c)
+		}
+	}
+	for _, g := range problem.Goal.Conditions {
+		node, err := expr.Parse(g)
+		if err != nil {
+			return nil, err
+		}
+		k.goals = append(k.goals, k.compileCond(node, goalFormals[0], 0))
+	}
+	return k, nil
+}
+
+// compileCond tabulates node by kind when its value depends only on the item
+// bound to formal, which is the case when formal is the only object it
+// references: the formal shadows any case item of the same name.
+func (k *kernel) compileCond(node expr.Node, formal string, idx int32) kernelCond {
+	c := kernelCond{formal: idx, node: node}
+	for _, r := range node.Refs(nil) {
+		if r.Obj != formal {
+			return c
+		}
+	}
+	c.table = make([]bool, len(k.items))
+	bound := map[string]*workflow.DataItem{}
+	var env expr.Env = workflow.Binding{Formals: bound}
+	for kind, it := range k.items {
+		bound[formal] = it
+		c.table[kind] = node.Eval(env)
+	}
+	return c
+}
+
+// flatNode is one plan-tree node in a scratch.
+type flatNode struct {
+	kind  plantree.Kind
+	svc   int32 // activity: service index, -1 when the catalog has none
+	first int32 // the children are kids[first:first+nkids]
+	nkids int32
+	point int32 // index into odo/domain of the node's flow decision, or -1
+}
+
+// scratch is the mutable state of one evaluation worker: the tree flattened
+// to integer arrays, the flow odometer, and the simulated item state. Its
+// slices are reused across evaluations, so a warm evaluation allocates
+// nothing. A scratch belongs to one goroutine at a time.
+type scratch struct {
+	k *kernel
+
+	// The tree in pre-order.
+	nodes []flatNode
+	kids  []int32
+
+	// One digit per decision point, in pre-order; flows are enumerated in
+	// lexicographic order of odo, last digit fastest.
+	odo    []int32
+	domain []int32
+
+	// One flow.
+	state    []int32 // kinds of the items available, in production order
+	used     []bool  // by state index: bound to an earlier input of the activity being checked
+	valid    int
+	executed int
+	cost     float64 // nominal resource cost of valid activities
+	time     float64 // nominal run time of valid activities
+
+	// The binding under test, for conditions evaluated through Lookup:
+	// bound[f] is the state index formals[f] is bound to, or -1.
+	formals []string
+	bound   []int32
+}
+
+func newScratch(k *kernel) *scratch {
+	sc := &scratch{k: k}
+	for kind := 0; kind < k.initial; kind++ {
+		sc.state = append(sc.state, int32(kind))
+	}
+	return sc
+}
+
+// flatten appends the subtree at n and returns its index.
+func (sc *scratch) flatten(n *plantree.Node) int32 {
+	fn := flatNode{kind: n.Kind, svc: -1, first: int32(len(sc.kids)), nkids: int32(len(n.Children)), point: -1}
+	domain := 0
+	switch n.Kind {
+	case plantree.KindActivity:
+		if id, ok := sc.k.services[n.Service]; ok {
+			fn.svc = id
+		}
+	case plantree.KindSelective:
+		if len(n.Children) > 1 {
+			domain = len(n.Children)
+		}
+	case plantree.KindIterative:
+		if sc.k.unroll > 1 {
+			domain = sc.k.unroll
+		}
+	case plantree.KindConcurrent:
+		// Concurrent children may run in any order; enumerating the forward
+		// and reverse orders catches most order dependencies.
+		if sc.k.strict && len(n.Children) > 1 {
+			domain = 2
+		}
+	}
+	if domain > 0 {
+		fn.point = int32(len(sc.odo))
+		sc.odo = append(sc.odo, 0)
+		sc.domain = append(sc.domain, int32(domain))
+	}
+	i := int32(len(sc.nodes))
+	sc.nodes = append(sc.nodes, fn)
+	for range n.Children {
+		sc.kids = append(sc.kids, 0)
+	}
+	for c, ch := range n.Children {
+		sc.kids[int(fn.first)+c] = sc.flatten(ch)
+	}
+	return i
+}
+
+// load replaces the scratch's tree with tree and returns its size.
+func (sc *scratch) load(tree *plantree.Node) int {
+	sc.nodes, sc.kids, sc.odo, sc.domain = sc.nodes[:0], sc.kids[:0], sc.odo[:0], sc.domain[:0]
+	sc.flatten(tree)
+	return len(sc.nodes)
+}
+
+// nextFlow increments the odometer; it reports false on wrap-around.
+func (sc *scratch) nextFlow() bool {
+	for i := len(sc.odo) - 1; i >= 0; i-- {
+		sc.odo[i]++
+		if sc.odo[i] < sc.domain[i] {
+			return true
+		}
+		sc.odo[i] = 0
+	}
+	return false
+}
+
+// runFlow simulates the flow the odometer selects, from the initial state.
+func (sc *scratch) runFlow() {
+	sc.state = sc.state[:sc.k.initial]
+	sc.valid, sc.executed, sc.cost, sc.time = 0, 0, 0, 0
+	sc.run(0)
+}
+
+// decision returns the flow choice at n, 0 where there is none to make.
+func (sc *scratch) decision(n *flatNode) int32 {
+	if n.point >= 0 {
+		return sc.odo[n.point]
+	}
+	return 0
+}
+
+// run executes node i: activities apply their service's pre- and
+// postconditions to the state; invalid activities count against fv and leave
+// the state unchanged.
+func (sc *scratch) run(i int32) {
+	n := &sc.nodes[i]
+	kids := sc.kids[n.first:][:n.nkids]
+	switch n.kind {
+	case plantree.KindActivity:
+		sc.executed++
+		if n.svc < 0 {
+			return // unknown service: invalid activity
+		}
+		s := &sc.k.svcs[n.svc]
+		for len(sc.used) < len(sc.state) {
+			sc.used = append(sc.used, false)
+		}
+		if s.needEnv {
+			sc.setFormals(s.formals)
+		}
+		if !sc.bind(s, 0) {
+			return
+		}
+		sc.valid++
+		sc.cost += s.cost
+		sc.time += s.time
+		for o := int32(0); o < s.nOut; o++ {
+			sc.state = append(sc.state, s.outKind+o)
+		}
+
+	case plantree.KindSequential:
+		for _, c := range kids {
+			sc.run(c)
+		}
+
+	case plantree.KindConcurrent:
+		// Decision 0 runs the children left to right, decision 1 right to
+		// left (StrictConcurrency); without strict mode only order 0 exists.
+		if sc.decision(n) == 1 {
+			for c := len(kids) - 1; c >= 0; c-- {
+				sc.run(kids[c])
+			}
+			return
+		}
+		for _, c := range kids {
+			sc.run(c)
+		}
+
+	case plantree.KindSelective:
+		if len(kids) > 0 {
+			sc.run(kids[sc.decision(n)])
+		}
+
+	case plantree.KindIterative:
+		iters := sc.decision(n) + 1 // decision d means d+1 iterations
+		for ; iters > 0; iters-- {
+			for _, c := range kids {
+				sc.run(c)
+			}
+		}
+	}
+}
+
+// setFormals points Lookup at the formals of the service or goal about to be
+// checked, all unbound.
+func (sc *scratch) setFormals(formals []string) {
+	sc.formals = formals
+	sc.bound = sc.bound[:0]
+	for range formals {
+		sc.bound = append(sc.bound, -1)
+	}
+}
+
+// bind searches, from input i on, for an injective assignment of distinct
+// state items to the service's inputs such that every input condition holds:
+// Service.BindItems over the integer state, same try order. It leaves used
+// and bound as it found them.
+func (sc *scratch) bind(s *kernelService, i int) bool {
+	if i == len(s.inputs) {
+		return true
+	}
+	c := &s.inputs[i]
+	// Locals: the loop below is the planner's innermost, and through sc the
+	// compiler must reload both slices after every recursive call.
+	state, used, table := sc.state, sc.used[:len(sc.state)], c.table
+	for j, kind := range state {
+		if used[j] {
+			continue
+		}
+		ok := false
+		if table != nil {
+			ok = table[kind]
+			if ok && s.needEnv {
+				sc.bound[c.formal] = int32(j)
+			}
+		} else {
+			sc.bound[c.formal] = int32(j)
+			ok = c.node.Eval(sc)
+		}
+		if ok {
+			used[j] = true
+			ok = sc.bind(s, i+1)
+			used[j] = false
+		}
+		if s.needEnv {
+			sc.bound[c.formal] = -1
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// goalsMet evaluates Equation 2 on the flow's final state: a goal condition
+// is met if some item, bound to the formal G, satisfies it.
+func (sc *scratch) goalsMet() float64 {
+	met := 0
+	sc.setFormals(goalFormals)
+	for gi := range sc.k.goals {
+		g := &sc.k.goals[gi]
+		for j, kind := range sc.state {
+			ok := false
+			if g.table != nil {
+				ok = g.table[kind]
+			} else {
+				sc.bound[0] = int32(j)
+				ok = g.node.Eval(sc)
+			}
+			if ok {
+				met++
+				break
+			}
+		}
+	}
+	return float64(met) / float64(len(sc.k.goals))
+}
+
+// Lookup implements expr.Env over the integer state for the conditions that
+// have no table: a bound formal shadows the case items, as in
+// workflow.Binding.
+func (sc *scratch) Lookup(obj, prop string) (expr.Value, bool) {
+	for f, name := range sc.formals {
+		if name == obj && sc.bound[f] >= 0 {
+			return sc.k.items[sc.state[sc.bound[f]]].Prop(prop)
+		}
+	}
+	for _, it := range sc.k.items[:sc.k.initial] {
+		if it.Name == obj {
+			return it.Prop(prop)
+		}
+	}
+	return expr.Value{}, false
+}

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -77,6 +78,10 @@ type PlanCache struct {
 	limit   int
 	entries map[string]PlanResult
 	order   []string // insertion order for oldest-half trims
+	// uses counts the cached plans that use each service, so the invalidation
+	// of a service no cached plan uses — every Figure-3 re-plan after the
+	// first for the same dead service — does not scan the entries.
+	uses map[string]int
 
 	hits          int64
 	misses        int64
@@ -89,7 +94,16 @@ func NewPlanCache(limit int) *PlanCache {
 	if limit <= 0 {
 		limit = defaultPlanCacheLimit
 	}
-	return &PlanCache{limit: limit, entries: make(map[string]PlanResult)}
+	return &PlanCache{limit: limit, entries: make(map[string]PlanResult), uses: make(map[string]int)}
+}
+
+// count adds delta to the use count of each distinct service of r.
+func (c *PlanCache) count(r PlanResult, delta int) {
+	for i, svc := range r.Services {
+		if !slices.Contains(r.Services[:i], svc) {
+			c.uses[svc] += delta
+		}
+	}
 }
 
 // Get looks the key up, counting the hit or miss.
@@ -109,15 +123,19 @@ func (c *PlanCache) Get(key string) (PlanResult, bool) {
 func (c *PlanCache) Put(key string, r PlanResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok {
+	if old, ok := c.entries[key]; ok {
+		c.count(old, -1)
+	} else {
 		c.order = append(c.order, key)
 	}
 	c.entries[key] = r
+	c.count(r, +1)
 	if len(c.entries) <= c.limit {
 		return
 	}
 	keep := c.order[len(c.order)/2:]
 	for _, k := range c.order[:len(c.order)/2] {
+		c.count(c.entries[k], -1)
 		delete(c.entries, k)
 	}
 	c.order = append([]string(nil), keep...)
@@ -130,14 +148,15 @@ func (c *PlanCache) Put(key string, r PlanResult) {
 func (c *PlanCache) InvalidateService(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.uses[name] == 0 {
+		return 0
+	}
 	dropped := 0
 	for key, r := range c.entries {
-		for _, svc := range r.Services {
-			if svc == name {
-				delete(c.entries, key)
-				dropped++
-				break
-			}
+		if slices.Contains(r.Services, name) {
+			c.count(r, -1)
+			delete(c.entries, key)
+			dropped++
 		}
 	}
 	if dropped > 0 {

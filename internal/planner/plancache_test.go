@@ -155,3 +155,45 @@ func TestPlanCacheInvalidateService(t *testing.T) {
 		t.Errorf("invalidation counter = %d, want 3", invalidations)
 	}
 }
+
+// TestPlanCacheUseCounts holds the per-service use counts to the entries
+// through every path that adds or drops one: overwrite, trim, invalidation.
+func TestPlanCacheUseCounts(t *testing.T) {
+	c := NewPlanCache(8)
+	check := func(when string) {
+		t.Helper()
+		want := map[string]int{}
+		for _, r := range c.entries {
+			seen := map[string]bool{}
+			for _, svc := range r.Services {
+				if !seen[svc] {
+					seen[svc] = true
+					want[svc]++
+				}
+			}
+		}
+		for svc, n := range c.uses {
+			if n != want[svc] {
+				t.Fatalf("%s: uses[%s] = %d, entries say %d", when, svc, n, want[svc])
+			}
+			delete(want, svc)
+		}
+		if len(want) != 0 {
+			t.Fatalf("%s: services without a count: %v", when, want)
+		}
+	}
+	c.Put("a", planFor("POD", "P3DR", "P3DR", "PSF")) // a leaf list repeats services
+	c.Put("a", planFor("POD", "POR"))                 // overwrite
+	check("overwrite")
+	for i := 0; i < 30; i++ { // several oldest-half trims
+		c.Put(fmt.Sprintf("k%02d", i), planFor("POD", []string{"P3DR", "POR", "PSF"}[i%3]))
+	}
+	check("trim")
+	if n := c.InvalidateService("POR"); n == 0 {
+		t.Fatal("no POR plan left to invalidate")
+	}
+	check("invalidate")
+	if n := c.InvalidateService("POR"); n != 0 {
+		t.Fatalf("second invalidation dropped %d plans", n)
+	}
+}

@@ -136,21 +136,53 @@ func (n *Node) Services() []string {
 	return out
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree. The copy's nodes share one backing
+// array and its child lists another, so a tree costs two allocations, not
+// two per node; each child list is capped at its own length, so appending
+// to one reallocates it instead of running into its neighbour.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := &Node{Kind: n.Kind, Service: n.Service, Name: n.Name, Condition: n.Condition}
-	c.Inputs = append([]string(nil), n.Inputs...)
-	c.Outputs = append([]string(nil), n.Outputs...)
-	if len(n.Children) > 0 {
-		c.Children = make([]*Node, len(n.Children))
-		for i, ch := range n.Children {
-			c.Children[i] = ch.Clone()
+	nodes, links := 0, 0
+	n.count(&nodes, &links)
+	c := cloner{nodes: make([]Node, nodes), links: make([]*Node, links)}
+	return c.clone(n)
+}
+
+// count adds the subtree's nodes and child links to the totals.
+func (n *Node) count(nodes, links *int) {
+	*nodes++
+	*links += len(n.Children)
+	for _, c := range n.Children {
+		if c != nil {
+			c.count(nodes, links)
 		}
 	}
-	return c
+}
+
+// cloner hands out the nodes and child lists of one Clone.
+type cloner struct {
+	nodes []Node
+	links []*Node
+}
+
+func (c *cloner) clone(n *Node) *Node {
+	m := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	*m = Node{Kind: n.Kind, Service: n.Service, Name: n.Name, Condition: n.Condition}
+	m.Inputs = append([]string(nil), n.Inputs...)
+	m.Outputs = append([]string(nil), n.Outputs...)
+	if k := len(n.Children); k > 0 {
+		m.Children = c.links[:k:k]
+		c.links = c.links[k:]
+		for i, ch := range n.Children {
+			if ch != nil {
+				m.Children[i] = c.clone(ch)
+			}
+		}
+	}
+	return m
 }
 
 // Equal reports structural equality.
@@ -213,10 +245,31 @@ func (n *Node) Nodes() []Located {
 	return out
 }
 
-// At returns the i-th node in pre-order.
+// At returns the i-th node in pre-order; it panics when the tree has no
+// such node.
 func (n *Node) At(i int) Located {
-	nodes := n.Nodes()
-	return nodes[i]
+	loc, left := Located{Node: n, Index: -1}, i
+	if !loc.skip(&left) {
+		panic(fmt.Sprintf("plantree: At(%d) in a tree of %d nodes", i, n.Size()))
+	}
+	return loc
+}
+
+// skip moves loc forward *i nodes in pre-order within the subtree it points
+// at, counting *i down; it reports false when the subtree ends first.
+func (loc *Located) skip(i *int) bool {
+	if *i == 0 {
+		return true
+	}
+	*i--
+	parent := loc.Node
+	for idx, c := range parent.Children {
+		*loc = Located{Node: c, Parent: parent, Index: idx}
+		if loc.skip(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate checks the structural invariants of plan trees: controller nodes
@@ -256,12 +309,42 @@ func (n *Node) String() string {
 	if n.Kind == KindActivity {
 		return n.Service
 	}
-	parts := make([]string, 0, len(n.Children)+1)
-	parts = append(parts, n.Kind.String())
-	for _, c := range n.Children {
-		parts = append(parts, c.String())
+	var sb strings.Builder
+	sb.Grow(n.renderLen())
+	n.render(&sb)
+	return sb.String()
+}
+
+// renderLen returns the number of bytes render writes.
+func (n *Node) renderLen() int {
+	switch {
+	case n == nil:
+		return len("()")
+	case n.Kind == KindActivity:
+		return len(n.Service)
 	}
-	return "(" + strings.Join(parts, " ") + ")"
+	size := len("()") + len(n.Kind.String())
+	for _, c := range n.Children {
+		size += 1 + c.renderLen()
+	}
+	return size
+}
+
+func (n *Node) render(sb *strings.Builder) {
+	switch {
+	case n == nil:
+		sb.WriteString("()")
+	case n.Kind == KindActivity:
+		sb.WriteString(n.Service)
+	default:
+		sb.WriteByte('(')
+		sb.WriteString(n.Kind.String())
+		for _, c := range n.Children {
+			sb.WriteByte(' ')
+			c.render(sb)
+		}
+		sb.WriteByte(')')
+	}
 }
 
 // Normalize simplifies the tree without changing its semantics: nested

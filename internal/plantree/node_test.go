@@ -238,3 +238,98 @@ func TestStringContainsAllLeaves(t *testing.T) {
 		}
 	}
 }
+
+// annotated is fig11 with every optional field set somewhere: Clone copies
+// Name, Condition, Inputs and Outputs besides the structure.
+func annotated() *Node {
+	tr := fig11()
+	tr.Children[0].Name = "A1"
+	tr.Children[0].Inputs = []string{"D1", "D7"}
+	tr.Children[0].Outputs = []string{"D8"}
+	tr.Children[2].Condition = "D12.Value > 8"
+	tr.Children[2].Children[2].Outputs = []string{"D12"}
+	return tr
+}
+
+func TestCloneRoundTripsEveryField(t *testing.T) {
+	tr := annotated()
+	cl := tr.Clone()
+	if !cl.Equal(tr) {
+		t.Fatalf("clone %s differs from %s", cl, tr)
+	}
+	cl.Children[0].Inputs[0] = "MUTATED"
+	cl.Children[2].Condition = ""
+	if !tr.Equal(annotated()) {
+		t.Error("editing a clone's Inputs/Condition reached the source")
+	}
+}
+
+// TestCloneSlabIsolation pins what the shared backing arrays of Clone must
+// not leak: the in-place edits the genetic operators make to one clone may
+// not reach the source, nor a sibling clone of it.
+func TestCloneSlabIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 200; i++ {
+		src := Random(rng, services, 30)
+		want := src.String()
+		check := func(op string) {
+			t.Helper()
+			if got := src.String(); got != want {
+				t.Fatalf("%s on a clone changed the source:\n got %s\nwant %s", op, got, want)
+			}
+		}
+
+		// Appending to a child list must reallocate it, not overwrite the
+		// next list in the slab.
+		a := src.Clone()
+		for _, loc := range a.Nodes() {
+			if loc.Node.Kind.IsController() {
+				loc.Node.Children = append(loc.Node.Children, Activity("EXTRA"))
+			}
+		}
+		check("append")
+		if got, want := a.Size(), src.Size()+len(src.Nodes())-len(src.Leaves()); got != want {
+			t.Fatalf("appending one child per controller: size %d, want %d: %s", got, want, a)
+		}
+
+		// The crossover's content swap between nodes of two clones.
+		b, c := src.Clone(), src.Clone()
+		x, y := b.At(rng.Intn(b.Size())).Node, c.At(rng.Intn(c.Size())).Node
+		xs, ys := x.String(), y.String()
+		*x, *y = *y, *x
+		check("swap")
+		if x.String() != ys || y.String() != xs {
+			t.Fatalf("swap: got %s and %s, want %s and %s", x, y, ys, xs)
+		}
+		if b.Size()+c.Size() != 2*src.Size() {
+			t.Fatalf("swap lost nodes: %s / %s from %s", b, c, src)
+		}
+
+		// Normalize rewrites child lists in place.
+		d := src.Clone().Normalize()
+		check("Normalize")
+		if !equalStrings(d.Services(), src.Services()) {
+			t.Fatalf("Normalize of a clone changed the leaves: %s from %s", d, src)
+		}
+	}
+}
+
+// TestCloneAndStringAllocations gates the planner's two per-individual costs
+// outside the fitness kernel: a clone is the two slabs plus one slice per
+// non-empty Inputs/Outputs, a rendering is the builder's buffer.
+func TestCloneAndStringAllocations(t *testing.T) {
+	plain, notes := fig11(), annotated()
+	var sink *Node
+	if got := testing.AllocsPerRun(100, func() { sink = plain.Clone() }); got > 2 {
+		t.Errorf("Clone of %s: %v allocations, want <= 2", plain, got)
+	}
+	if got := testing.AllocsPerRun(100, func() { sink = notes.Clone() }); got > 2+3 {
+		t.Errorf("Clone with 3 non-empty Inputs/Outputs: %v allocations, want <= 5", got)
+	}
+	_ = sink
+	var s string
+	if got := testing.AllocsPerRun(100, func() { s = plain.String() }); got > 2 {
+		t.Errorf("String of %s: %v allocations, want <= 2", plain, got)
+	}
+	_ = s
+}

@@ -67,14 +67,13 @@ func (s *Service) Validate() error {
 	return nil
 }
 
-// ItemList is an ordered collection of data items; it implements expr.Env
-// by linear scan and is the allocation-light state representation used on
-// the planner's evaluation hot path (items are append-only during plan
-// simulation, so lists share prefixes safely).
-type ItemList []*DataItem
+// itemList implements expr.Env over an ordered collection of data items by
+// linear scan: the fallback environment of BindItems, which resolves
+// conditions that name a data item instead of a formal.
+type itemList []*DataItem
 
 // Lookup implements expr.Env over the list.
-func (l ItemList) Lookup(obj, prop string) (expr.Value, bool) {
+func (l itemList) Lookup(obj, prop string) (expr.Value, bool) {
 	for _, it := range l {
 		if it.Name == obj {
 			return it.Prop(prop)
@@ -96,41 +95,58 @@ func (s *Service) Bind(st *State) (map[string]*DataItem, bool) {
 }
 
 // BindItems is Bind over an explicit item list, tried in list order.
-func (s *Service) BindItems(items ItemList) (map[string]*DataItem, bool) {
-	chosen := make(map[string]*DataItem, len(s.Inputs))
-	used := make(map[*DataItem]bool, len(s.Inputs))
-	env := Binding{Formals: chosen, Base: items}
-
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(s.Inputs) {
-			return true
-		}
-		p := &s.Inputs[i]
-		cond, err := p.compile()
-		if err != nil {
-			return false
-		}
-		for _, it := range items {
-			if used[it] {
-				continue
-			}
-			chosen[p.Name] = it
-			if cond.Eval(env) {
-				used[it] = true
-				if rec(i + 1) {
-					return true
-				}
-				used[it] = false
-			}
-			delete(chosen, p.Name)
-		}
-		return false
+func (s *Service) BindItems(items []*DataItem) (map[string]*DataItem, bool) {
+	b := binder{
+		inputs: s.Inputs,
+		items:  items,
+		chosen: make(map[string]*DataItem, len(s.Inputs)),
+		picked: make([]*DataItem, 0, len(s.Inputs)),
 	}
-	if rec(0) {
-		return chosen, true
+	// Boxed once: every candidate of every input evaluates against it.
+	b.env = Binding{Formals: b.chosen, Base: itemList(items)}
+	if b.bind(0) {
+		return b.chosen, true
 	}
 	return nil, false
+}
+
+// binder is the state of one BindItems search.
+type binder struct {
+	inputs []ParamSpec
+	items  []*DataItem
+	chosen map[string]*DataItem // the binding under test, by formal name
+	picked []*DataItem          // the items bound to inputs[:i], at depth i
+	env    expr.Env             // chosen over items
+}
+
+// bind extends the binding to inputs[i:].
+func (b *binder) bind(i int) bool {
+	if i == len(b.inputs) {
+		return true
+	}
+	p := &b.inputs[i]
+	cond, err := p.compile()
+	if err != nil {
+		return false
+	}
+next:
+	for _, it := range b.items {
+		for _, u := range b.picked {
+			if u == it {
+				continue next
+			}
+		}
+		b.chosen[p.Name] = it
+		if cond.Eval(b.env) {
+			b.picked = append(b.picked, it)
+			if b.bind(i + 1) {
+				return true
+			}
+			b.picked = b.picked[:len(b.picked)-1]
+		}
+		delete(b.chosen, p.Name)
+	}
+	return false
 }
 
 // Produce builds the output items of one application. Output names are
