@@ -2,11 +2,8 @@ GO ?= go
 
 # Minimum acceptable total statement coverage (percent) for `make cover`.
 COVER_FLOOR ?= 78.0
-# Optional suffix for bench-json output, e.g. BENCH_SUFFIX=b to write
-# BENCH_<date>b.json next to an existing same-day baseline.
-BENCH_SUFFIX ?=
 
-.PHONY: build test race bench bench-json bench-guard benchmark-smoke check cover fmt vet lint chaos
+.PHONY: build test race bench benchmark-smoke check cover fmt vet lint chaos
 
 build:
 	$(GO) build ./...
@@ -19,18 +16,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark run: the full suite in `go test -json` event
-# form, dated so successive runs can be diffed for regressions.
-bench-json:
-	$(GO) test -json -run '^$$' -bench=. -benchmem . > BENCH_$(shell date +%Y%m%d)$(BENCH_SUFFIX).json
-
-# Regression gate on the enactment-overhead benchmark: re-runs it and fails
-# when the best instrumented sample degrades more than 5% against the newest
-# committed BENCH_*.json baseline (benchstat prints the comparison when
-# installed; the verdict itself needs only awk).
-bench-guard:
-	sh scripts/bench_guard.sh
 
 # Total statement coverage with a floor: fails when the suite drops below
 # COVER_FLOOR percent. -short skips the soak/stress scenarios (the race and

@@ -5,6 +5,9 @@ package repro
 // DESIGN.md. Each benchmark prints the quantities the paper reports as
 // custom metrics, so `go test -bench=. -benchmem` regenerates the numbers
 // next to the timing data (see EXPERIMENTS.md for paper-vs-measured).
+// Service-level performance — engine throughput, journal appends, the
+// planning service, telemetry overhead — is the benchmark/ module's job, as
+// named metrics with samples and bounds; it is not measured here.
 
 import (
 	"context"
@@ -13,22 +16,18 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/httpapi"
 	"repro/internal/ontology"
-	"repro/internal/pdl"
 	"repro/internal/planner"
 	"repro/internal/plantree"
 	"repro/internal/services"
-	"repro/internal/store"
 	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
@@ -278,42 +277,6 @@ func BenchmarkFig10Enactment(b *testing.B) {
 	b.ReportMetric(float64(executed), "activity-executions")
 	b.ReportMetric(wall, "wallclock-s")
 	b.ReportMetric(compute, "compute-s")
-}
-
-// BenchmarkEnactOverhead compares the Figure 10 enactment bare (telemetry
-// disabled, every record site paying only a nil check) against the default
-// instrumented environment; the acceptance bar is <5% overhead.
-func BenchmarkEnactOverhead(b *testing.B) {
-	for _, instrumented := range []bool{false, true} {
-		name := "bare"
-		if instrumented {
-			name = "instrumented"
-		}
-		b.Run(name, func(b *testing.B) {
-			env, err := core.NewEnvironment(core.Options{
-				Catalog:     virolab.Catalog(),
-				Planner:     reducedParams(),
-				PostProcess: virolab.ResolutionHook(nil),
-				NoTelemetry: !instrumented,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				task := virolab.Task()
-				task.ID = fmt.Sprintf("T-ovh-%s-%d", name, i)
-				report, err := env.SubmitContext(context.Background(), task, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !report.Completed {
-					b.Fatal("enactment incomplete")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkFig11PlanTree measures recovering the Figure 11 plan tree from
@@ -602,274 +565,6 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures the enactment engine's sustained rate:
-// a 200-task burst submitted through the admission queue, timed until the
-// last task settles, at three worker-pool sizes. The tasks/sec metric is the
-// quantity the worker-pool sizing advice in README.md is based on. The
-// engine journals through the durable file backend, so every admission and
-// completion rides the group-committed write-ahead log — the number includes
-// real fsyncs.
-func BenchmarkEngineThroughput(b *testing.B) {
-	const burst = 200
-	text, err := pdl.Format(virolab.PlanTree())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			env, err := core.NewEnvironment(core.Options{
-				Catalog:       virolab.Catalog(),
-				Planner:       reducedParams(),
-				PostProcess:   virolab.ResolutionHook(nil),
-				Workers:       workers,
-				QueueCapacity: burst * 2,
-				StoreDSN:      "file:" + b.TempDir(),
-				StoreFlush:    store.FlushConfig{Interval: time.Millisecond},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Task construction (PDL parse, case setup) happens off the
-				// clock: the metric is the engine's admission+enactment rate,
-				// not the parser's.
-				b.StopTimer()
-				ids := make([]string, burst)
-				tasks := make([]*workflow.Task, burst)
-				for j := range tasks {
-					id := fmt.Sprintf("T-thr-%d-%d", i, j)
-					process, err := pdl.ParseProcess(id, text)
-					if err != nil {
-						b.Fatal(err)
-					}
-					task := virolab.Task()
-					task.ID = id
-					task.Process = process
-					ids[j] = id
-					tasks[j] = task
-				}
-				b.StartTimer()
-				// The burst arrives from concurrent clients — as it would in
-				// the HTTP API — so the admission appends share group-commit
-				// batches instead of paying one fsync wait per task.
-				const submitters = 16
-				var wg sync.WaitGroup
-				errs := make(chan error, submitters)
-				for w := 0; w < submitters; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for j := w; j < burst; j += submitters {
-							if _, err := env.Engine.Submit(engine.Submission{Task: tasks[j]}); err != nil {
-								errs <- err
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				close(errs)
-				if err := <-errs; err != nil {
-					b.Fatal(err)
-				}
-				for _, id := range ids {
-					for {
-						st, err := env.Engine.Task(id)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if st.Status == engine.StatusCompleted {
-							break
-						}
-						if st.Status == engine.StatusFailed || st.Status == engine.StatusCancelled {
-							b.Fatalf("task %s ended %s: %s", id, st.Status, st.Error)
-						}
-						time.Sleep(time.Millisecond)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*burst)/b.Elapsed().Seconds(), "tasks/sec")
-		})
-	}
-}
-
-// BenchmarkJournalAppend isolates the storage layer's append path from the
-// engine: one journal-sized record per operation, on each backend, with the
-// writers either serialized against their own fsync (unbatched: MaxBatch 1,
-// one caller) or arriving from 16 concurrent writers that share
-// group-commit batches (batched: the 1 ms linger the engine uses). The gap
-// between the two modes on the durable backend is the group commit win;
-// mem is the no-durability control.
-func BenchmarkJournalAppend(b *testing.B) {
-	val := []byte(`{"event":"accepted","taskId":"T-bench","seq":42,"priority":1,` +
-		`"task":{"id":"T-bench","name":"journal append benchmark payload","goal":["G.Classification"]}}`)
-	for _, kind := range []string{"mem", "file"} {
-		for _, batched := range []bool{false, true} {
-			mode := "unbatched"
-			if batched {
-				mode = "batched"
-			}
-			b.Run(fmt.Sprintf("backend=%s/mode=%s", kind, mode), func(b *testing.B) {
-				dsn := "mem:"
-				if kind == "file" {
-					dsn = "file:" + b.TempDir()
-				}
-				flush := store.FlushConfig{MaxBatch: 1}
-				if batched {
-					flush = store.FlushConfig{Interval: time.Millisecond}
-				}
-				s, err := store.Open(dsn, store.Options{Flush: flush})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				if !batched {
-					for i := 0; i < b.N; i++ {
-						if _, err := s.Put("journal/T-serial", val); err != nil {
-							b.Fatal(err)
-						}
-					}
-				} else {
-					const writers = 16
-					var wg sync.WaitGroup
-					errs := make(chan error, writers)
-					for w := 0; w < writers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							key := fmt.Sprintf("journal/T-%d", w)
-							for i := w; i < b.N; i += writers {
-								if _, err := s.Put(key, val); err != nil {
-									errs <- err
-									return
-								}
-							}
-						}(w)
-					}
-					wg.Wait()
-					close(errs)
-					if err := <-errs; err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/sec")
-			})
-		}
-	}
-}
-
-// BenchmarkEngineThroughputMultiTenant is the same 200-task burst split over
-// four weighted tenants, so the deficit-round-robin queue (rather than a
-// single FIFO flow) is on the dispatch path. Comparing its tasks/sec against
-// BenchmarkEngineThroughput at the same worker count bounds the fair queue's
-// scheduling overhead.
-func BenchmarkEngineThroughputMultiTenant(b *testing.B) {
-	const burst = 200
-	tenants := []string{"alpha", "beta", "gamma", "delta"}
-	text, err := pdl.Format(virolab.PlanTree())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			env, err := core.NewEnvironment(core.Options{
-				Catalog:       virolab.Catalog(),
-				Planner:       reducedParams(),
-				PostProcess:   virolab.ResolutionHook(nil),
-				Workers:       workers,
-				QueueCapacity: burst * 2,
-				Tenants: map[string]engine.TenantConfig{
-					"alpha": {Weight: 4},
-					"beta":  {Weight: 2},
-					"gamma": {Weight: 1},
-					"delta": {Weight: 1},
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids := make([]string, burst)
-				for j := range ids {
-					id := fmt.Sprintf("T-mt-%d-%d", i, j)
-					process, err := pdl.ParseProcess(id, text)
-					if err != nil {
-						b.Fatal(err)
-					}
-					task := virolab.Task()
-					task.ID = id
-					task.Process = process
-					ids[j] = id
-					sub := engine.Submission{Task: task, Tenant: tenants[j%len(tenants)]}
-					if _, err := env.Engine.Submit(sub); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, id := range ids {
-					for {
-						st, err := env.Engine.Task(id)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if st.Status == engine.StatusCompleted {
-							break
-						}
-						if st.Status == engine.StatusFailed || st.Status == engine.StatusCancelled {
-							b.Fatalf("task %s ended %s: %s", id, st.Status, st.Error)
-						}
-						time.Sleep(time.Millisecond)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*burst)/b.Elapsed().Seconds(), "tasks/sec")
-		})
-	}
-}
-
-// BenchmarkPDLParseFig10 measures parsing the Figure 10 PDL text.
-func BenchmarkPDLParseFig10(b *testing.B) {
-	text, err := pdl.Format(virolab.PlanTree())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := pdl.Parse(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServiceCallRoundTrip measures one request/reply between core
-// services (the unit cost of every arrow in Figures 2 and 3).
-func BenchmarkServiceCallRoundTrip(b *testing.B) {
-	p := agent.NewPlatform()
-	defer p.Shutdown()
-	g := grid.New(1)
-	_ = g.AddNode(&grid.Node{ID: "n", Hardware: grid.Hardware{Speed: 1}})
-	if _, err := services.Bootstrap(p, g); err != nil {
-		b.Fatal(err)
-	}
-	client := p.MustRegister("bench-client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Call(services.MonitoringName, services.OntMonitoring,
-			services.NodeStatusRequest{Node: "n"}, time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGridSimScalability runs the simulation-service what-if model at
 // two grid sizes (the cmd/gridsim sweep's endpoints).
 func BenchmarkGridSimScalability(b *testing.B) {
@@ -891,163 +586,6 @@ func BenchmarkGridSimScalability(b *testing.B) {
 			}
 			b.ReportMetric(res.Makespan, "makespan-s")
 			b.ReportMetric(res.Utilization*100, "utilization-pct")
-		})
-	}
-}
-
-// --- Planning-service benches (the /api/v1/plans production surface) ------
-
-// BenchmarkGPPlanningParallel measures plan-level throughput through the
-// planning service at 1, 4, and 8 plan workers: a burst of 16 distinct
-// seeded cases (every one a cold plan — the cache is bypassed) at the
-// reduced GP budget, timed until the last plan settles. EvalWorkers is
-// pinned to 1 so the scaling measured is the service worker pool's, not
-// the per-run evaluator's; plans/sec is the headline metric the ≥8×
-// throughput target on 8 cores is judged by.
-func BenchmarkGPPlanningParallel(b *testing.B) {
-	const burst = 16
-	problem := virolab.Problem()
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			svc, err := planner.NewService(planner.ServiceConfig{
-				Catalog:       problem.Catalog,
-				Params:        reducedParams(),
-				Workers:       workers,
-				QueueCapacity: burst * 2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids := make([]string, burst)
-				for j := range ids {
-					p := reducedParams()
-					p.Seed = int64(i*burst + j + 1)
-					p.EvalWorkers = 1
-					spec := planner.PlanSpec{
-						ID:      fmt.Sprintf("par-%d-%d", i, j),
-						Initial: problem.Initial.Items(),
-						Goal:    problem.Goal.Conditions,
-						Params:  &p,
-						NoCache: true,
-					}
-					if _, err := svc.Submit(context.Background(), spec); err != nil {
-						b.Fatal(err)
-					}
-					ids[j] = spec.ID
-				}
-				for _, id := range ids {
-					st, err := svc.Wait(context.Background(), id)
-					if err != nil || st.Status != planner.StatusSucceeded {
-						b.Fatalf("plan %s: %+v, %v", id, st, err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*burst)/b.Elapsed().Seconds(), "plans/sec")
-		})
-	}
-}
-
-// BenchmarkPlanCacheHit measures the warm path: the same canonical case
-// submitted against a populated plan cache answers terminally at submit
-// time. The per-op time is the <1ms warm-plan target.
-func BenchmarkPlanCacheHit(b *testing.B) {
-	problem := virolab.Problem()
-	svc, err := planner.NewService(planner.ServiceConfig{
-		Catalog: problem.Catalog,
-		Params:  reducedParams(),
-		Workers: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	spec := func(id string) planner.PlanSpec {
-		return planner.PlanSpec{ID: id, Initial: problem.Initial.Items(), Goal: problem.Goal.Conditions}
-	}
-	if _, err := svc.Submit(context.Background(), spec("warmup")); err != nil {
-		b.Fatal(err)
-	}
-	if st, err := svc.Wait(context.Background(), "warmup"); err != nil || st.Status != planner.StatusSucceeded {
-		b.Fatalf("warmup plan: %+v, %v", st, err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := svc.Submit(context.Background(), spec(fmt.Sprintf("hit-%d", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !st.CacheHit {
-			b.Fatal("warm submit missed the plan cache")
-		}
-	}
-}
-
-// BenchmarkIncrementalReplan compares a cold plan against the Figure 3
-// incremental re-plan of the same case: the failed plan's neighborhood
-// seeds a reduced-budget run that excludes the dead service. The
-// evals-vs-cold-pct metric is the <10%-of-cold acceptance bar.
-func BenchmarkIncrementalReplan(b *testing.B) {
-	problem := virolab.Problem()
-	failed := plantree.Seq(
-		plantree.Activity("POD"), plantree.Activity("P3DR"),
-		plantree.Activity("POR"), plantree.Activity("P3DR"),
-		plantree.Activity("PSF"),
-	)
-	var coldEvals, incEvals int
-	for _, mode := range []string{"cold", "incremental"} {
-		b.Run(mode, func(b *testing.B) {
-			svc, err := planner.NewService(planner.ServiceConfig{
-				Catalog: problem.Catalog,
-				Params:  reducedParams(),
-				Workers: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			evals := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := reducedParams()
-				p.Seed = int64(i + 1)
-				spec := planner.PlanSpec{
-					ID:      fmt.Sprintf("%s-%d", mode, i),
-					Initial: problem.Initial.Items(),
-					Goal:    problem.Goal.Conditions,
-					NoCache: true,
-				}
-				if mode == "incremental" {
-					spec.Excluded = []string{"POR"}
-					spec.Failed = failed
-					inc := p.Incremental()
-					spec.Params = &inc
-				} else {
-					spec.Params = &p
-				}
-				if _, err := svc.Submit(context.Background(), spec); err != nil {
-					b.Fatal(err)
-				}
-				st, err := svc.Wait(context.Background(), spec.ID)
-				if err != nil || st.Status != planner.StatusSucceeded {
-					b.Fatalf("%s plan %d: %+v, %v", mode, i, st, err)
-				}
-				evals += st.Evaluations
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(evals)/float64(b.N), "evals/plan")
-			if mode == "cold" {
-				coldEvals = evals / b.N
-			} else {
-				incEvals = evals / b.N
-				if coldEvals > 0 {
-					b.ReportMetric(100*float64(incEvals)/float64(coldEvals), "evals-vs-cold-pct")
-				}
-			}
 		})
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,18 +208,6 @@ func (p *Platform) Deregister(name string) error {
 	close(rt.mailbox)
 	<-rt.done
 	return nil
-}
-
-// Agents returns the registered agent names, sorted.
-func (p *Platform) Agents() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	names := make([]string, 0, len(p.agents))
-	for n := range p.agents {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Has reports whether the named agent is registered.

@@ -205,13 +205,12 @@ func TestAgentsListingAndShutdown(t *testing.T) {
 	p := NewPlatform()
 	p.MustRegister("b", echoHandler())
 	p.MustRegister("a", echoHandler())
-	names := p.Agents()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Agents = %v", names)
+	if !p.Has("a") || !p.Has("b") || p.Has("c") {
+		t.Errorf("Has(a, b, c) = %v, %v, %v", p.Has("a"), p.Has("b"), p.Has("c"))
 	}
 	p.Shutdown()
 	p.Shutdown() // idempotent
-	if len(p.Agents()) != 0 {
+	if p.Has("a") || p.Has("b") {
 		t.Error("agents survive shutdown")
 	}
 	if _, err := p.Register("late", echoHandler()); !errors.Is(err, ErrStopped) {

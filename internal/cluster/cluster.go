@@ -223,12 +223,20 @@ func (n *Node) probeOne(ps *peerState) {
 	}
 	ps.misses++
 	ps.lastErr = errText
+	n.mHeartbeatMisses.Inc()
 	died := ps.alive && ps.misses >= n.cfg.MissThreshold
+	var leave func()
 	if died {
+		// Death and its failover are one transition: the failover is counted
+		// and the node is rebalancing (so /readyz answers 503) before the
+		// lock that publishes alive=false is released. Whoever then sees the
+		// peer dead — Alive, or Owner routing its keys here — also sees the
+		// partition being claimed, never a ready node that has not begun to.
 		ps.alive = false
+		n.mFailovers.Inc()
+		leave = n.EnterRebalance()
 	}
 	n.mu.Unlock()
-	n.mHeartbeatMisses.Inc()
 	if died {
 		n.cfg.Logger.Warn("peer declared dead",
 			slog.String("peer", ps.peer.ID), slog.Int("misses", ps.misses),
@@ -236,7 +244,7 @@ func (n *Node) probeOne(ps *peerState) {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.Failover(ps.peer.ID)
+			n.replayPartition(ps.peer.ID, leave)
 		}()
 	}
 }
@@ -296,15 +304,21 @@ func (n *Node) Owner(tenant, id string) (Peer, bool) {
 // skips tasks the engine already tracks, so only the dead peer's partition
 // actually moves). While the replay runs the node reports itself
 // rebalancing and /readyz answers 503, so load balancers hold traffic
-// until the partition is consistent. Also invoked by operational tooling
-// to force a partition sweep.
+// until the partition is consistent. The heartbeat loop runs the same
+// transition when it declares a peer dead; this entry point is for
+// operational tooling forcing a partition sweep.
 func (n *Node) Failover(deadID string) {
 	n.mFailovers.Inc()
+	n.replayPartition(deadID, n.EnterRebalance())
+}
+
+// replayPartition is the replay half of a failover that has already been
+// counted and has already entered rebalancing; leave ends the latter.
+func (n *Node) replayPartition(deadID string, leave func()) {
+	defer leave()
 	if n.cfg.Engine == nil {
 		return
 	}
-	leave := n.EnterRebalance()
-	defer leave()
 	report, err := n.cfg.Engine.RecoverOwned(func(tenant, taskID string) bool {
 		_, mine := n.Owner(tenant, taskID)
 		return mine
@@ -363,17 +377,11 @@ type Status struct {
 	Failovers       int64 `json:"failovers"`
 }
 
-// Status snapshots the node's cluster view.
+// Status snapshots the node's cluster view. The counters and the
+// rebalancing flag are read after the member overlay, so a snapshot that
+// shows a peer dead also shows its failover (see probeOne).
 func (n *Node) Status() Status {
-	st := Status{
-		NodeID:      n.cfg.NodeID,
-		RingVersion: n.ring.Version(),
-		Rebalancing: n.Rebalancing(),
-		Forwarded:   n.mForwarded.Value(),
-	}
-	st.ForwardErrors = n.mForwardErrors.Value()
-	st.HeartbeatMisses = n.mHeartbeatMisses.Value()
-	st.Failovers = n.mFailovers.Value()
+	st := Status{NodeID: n.cfg.NodeID, RingVersion: n.ring.Version()}
 	w := n.self.Weight
 	if w <= 0 {
 		w = 1
@@ -395,6 +403,11 @@ func (n *Node) Status() Status {
 	}
 	n.mu.Unlock()
 	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].ID < st.Members[j].ID })
+	st.Rebalancing = n.Rebalancing()
+	st.Forwarded = n.mForwarded.Value()
+	st.ForwardErrors = n.mForwardErrors.Value()
+	st.HeartbeatMisses = n.mHeartbeatMisses.Value()
+	st.Failovers = n.mFailovers.Value()
 	return st
 }
 

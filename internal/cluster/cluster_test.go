@@ -112,6 +112,42 @@ func TestOwnerFailsOverToSuccessor(t *testing.T) {
 	}
 }
 
+// TestDeathPublishesFailover drives the heartbeat by hand: when the probe
+// that crosses the miss threshold returns, the peer is dead AND its failover
+// is already counted — there is no moment at which an observer (Status, or
+// Owner routing the dead peer's keys here) sees one without the other.
+func TestDeathPublishesFailover(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadAddr := dead.URL
+	dead.Close()
+	n, err := New(Config{
+		NodeID:        "self",
+		Peers:         []Peer{{ID: "self", Addr: "http://ignored"}, {ID: "dead", Addr: deadAddr}},
+		Telemetry:     telemetry.New(),
+		MissThreshold: 2,
+		PeerTimeout:   200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := n.peers["dead"]
+	n.probeOne(ps)
+	if st := n.Status(); !n.Alive("dead") || st.Failovers != 0 || st.HeartbeatMisses != 1 {
+		t.Fatalf("after one miss: alive=%v status=%+v", n.Alive("dead"), st)
+	}
+	n.probeOne(ps)
+	if n.Alive("dead") {
+		t.Fatal("peer still alive at the miss threshold")
+	}
+	if st := n.Status(); st.Failovers != 1 {
+		t.Fatalf("peer is dead but failovers = %d", st.Failovers)
+	}
+	n.Stop() // waits for the replay goroutine
+	if n.Rebalancing() {
+		t.Error("still rebalancing after the replay finished")
+	}
+}
+
 // TestHeartbeatDeclaresDeath runs a real heartbeat loop against one live
 // and one dead HTTP endpoint and checks the overlay converges: the live
 // peer stays alive, the dead one crosses the miss threshold and is

@@ -3,12 +3,11 @@ package coordination
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/expr"
 	"repro/internal/services"
-	"repro/internal/telemetry"
 	"repro/internal/workflow"
 )
 
@@ -18,7 +17,7 @@ import (
 // It is complete: the token state, the case data state, the accounting, and
 // the process description itself (in its lossless JSON form), so a
 // coordinator — even a fresh one after a crash — can resume exactly where
-// the enactment stopped via ResumeTask.
+// the enactment stopped via ResumeContext.
 type CheckpointData struct {
 	TaskID   string           `json:"taskId"`
 	TaskName string           `json:"taskName,omitempty"`
@@ -39,6 +38,11 @@ type CheckpointData struct {
 	Time         float64 `json:"simulatedTime"`
 	Wall         float64 `json:"wallClockTime"`
 	Cost         float64 `json:"totalCost"`
+	// The rest of the fault accounting beside Failures; omitempty, so a
+	// checkpoint written before these existed replays them as 0.
+	Retries     int     `json:"retries,omitempty"`
+	Faults      int     `json:"faults,omitempty"`
+	BackoffWait float64 `json:"backoffWait,omitempty"`
 }
 
 // CheckpointItem is one serialized data item.
@@ -59,17 +63,13 @@ func (c *Coordinator) checkpoint(ctx context.Context, report *Report, task *work
 		return
 	}
 	snap := CheckpointData{
-		TaskID:   task.ID,
-		TaskName: task.Name,
-		Executed: report.Executed,
-		Failures: report.Failures,
-		Replans:  report.Replans,
-		Fired:    report.Fired,
-		Tokens: enactState{
-			Ready:   append([]string(nil), es.Ready...),
-			Arrived: copyCounts(es.Arrived),
-			Visits:  copyCounts(es.Visits),
-		},
+		TaskID:       task.ID,
+		TaskName:     task.Name,
+		Executed:     report.Executed,
+		Failures:     report.Failures,
+		Replans:      report.Replans,
+		Fired:        report.Fired,
+		Tokens:       *es.clone(),
 		Process:      pdJSON,
 		Goal:         goal.Conditions,
 		Deadline:     task.Case.Deadline,
@@ -78,6 +78,9 @@ func (c *Coordinator) checkpoint(ctx context.Context, report *Report, task *work
 		Time:         report.SimulatedTime,
 		Wall:         report.WallClockTime,
 		Cost:         report.TotalCost,
+		Retries:      report.Retries,
+		Faults:       report.Faults,
+		BackoffWait:  report.BackoffWait,
 	}
 	for _, item := range state.Items() {
 		snap.Items = append(snap.Items, CheckpointItem{Name: item.Name, Props: item.Props})
@@ -103,22 +106,29 @@ func (c *Coordinator) checkpoint(ctx context.Context, report *Report, task *work
 	}
 }
 
+// clone deep-copies the token state, so a checkpoint and the live enactment
+// (or a snapshot and the run resumed from it) never share a map.
+func (es *enactState) clone() *enactState {
+	return &enactState{
+		Ready:   append([]string(nil), es.Ready...),
+		Arrived: copyCounts(es.Arrived),
+		Visits:  copyCounts(es.Visits),
+	}
+}
+
+// copyCounts never returns nil: the token game increments into the copy.
 func copyCounts(m map[string]int) map[string]int {
 	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
+	maps.Copy(out, m)
 	return out
 }
 
-// LoadCheckpoint fetches and decodes the latest checkpoint of a task
-// directly from a storage service instance.
-func LoadCheckpoint(store *services.Storage, taskID string) (*CheckpointData, error) {
-	return LoadCheckpointVersion(store, taskID, 0)
-}
-
-// LoadCheckpointVersion fetches a specific checkpoint version (0 = latest).
-func LoadCheckpointVersion(store *services.Storage, taskID string, version int) (*CheckpointData, error) {
+// LoadCheckpointVersion fetches and decodes a checkpoint of a task (version
+// 0 = latest) from anything that reads the store: the storage service, a
+// backend, or the engine's journal handle.
+func LoadCheckpointVersion(store interface {
+	Get(key string, version int) (value []byte, ver int, found bool, err error)
+}, taskID string, version int) (*CheckpointData, error) {
 	raw, _, found, err := store.Get(CheckpointKey(taskID), version)
 	if err != nil {
 		return nil, fmt.Errorf("coordination: reading checkpoint of task %q: %w", taskID, err)
@@ -128,7 +138,7 @@ func LoadCheckpointVersion(store *services.Storage, taskID string, version int) 
 	}
 	var snap CheckpointData
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("coordination: checkpoint of task %q corrupt: %w", taskID, err)
 	}
 	return &snap, nil
 }
@@ -143,88 +153,24 @@ func (cd *CheckpointData) RestoreState() *workflow.State {
 	return st
 }
 
-// ResumeTaskContext continues an enactment from its latest checkpoint in the
-// storage service: the process description, data state, token positions,
-// and accounting are restored, and the token game picks up at the next
-// pending activity. Re-planning still works during the resumed run. A nil
-// ctx behaves like context.Background(); a nil pol means defaults.
-func (c *Coordinator) ResumeTaskContext(ctx context.Context, taskID string, pol *Policy) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	reply, err := c.ctx.CallContext(ctx, services.StorageName, services.OntStorage,
-		services.GetRequest{Key: CheckpointKey(taskID)}, c.cfg.CallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	gr, ok := reply.Content.(services.GetReply)
-	if !ok || !gr.Found {
-		return nil, fmt.Errorf("coordination: no checkpoint for task %q", taskID)
-	}
-	var snap CheckpointData
-	if err := json.Unmarshal(gr.Value, &snap); err != nil {
-		return nil, err
-	}
-	return c.ResumeContext(ctx, &snap, pol)
-}
-
-// ResumeContext continues an enactment from an explicit checkpoint snapshot.
+// ResumeContext continues an enactment from a checkpoint snapshot: the
+// process description, data state, token positions, and accounting are
+// restored, and the token game picks up at the next pending activity.
+// Re-planning still works during the resumed run. A nil ctx behaves like
+// context.Background(); a nil pol means defaults.
 func (c *Coordinator) ResumeContext(ctx context.Context, snap *CheckpointData, pol *Policy) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	pd, err := workflow.DecodeProcess(snap.Process)
 	if err != nil {
 		return nil, fmt.Errorf("coordination: checkpointed process corrupt: %w", err)
-	}
-	state := snap.RestoreState()
-	goal := workflow.NewGoal(snap.Goal...)
-	p := c.ResolvePolicy(pol)
-	if p.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Deadline)
-		defer cancel()
-	}
-	report := &Report{
-		TaskID:        snap.TaskID,
-		Executed:      snap.Executed,
-		Failures:      snap.Failures,
-		Replans:       snap.Replans,
-		Fired:         snap.Fired,
-		SimulatedTime: snap.Time,
-		WallClockTime: snap.Wall,
-		TotalCost:     snap.Cost,
-		Policy:        p,
-		spans:         c.cfg.Telemetry.TaskTrace(snap.TaskID),
-		span:          telemetry.SpanFromContext(ctx),
-	}
-	report.trace("resume", "", fmt.Sprintf("from checkpoint after %d executions", snap.Executed))
-	es := &enactState{
-		Ready:   append([]string(nil), snap.Tokens.Ready...),
-		Arrived: copyCounts(snap.Tokens.Arrived),
-		Visits:  copyCounts(snap.Tokens.Visits),
 	}
 	task := &workflow.Task{
 		ID:      snap.TaskID,
 		Name:    snap.TaskName,
 		Process: pd,
 		Case: &workflow.CaseDescription{
-			ID: snap.TaskID, Name: snap.TaskName, Goal: goal, Deadline: snap.Deadline,
+			ID: snap.TaskID, Name: snap.TaskName, Goal: workflow.NewGoal(snap.Goal...), Deadline: snap.Deadline,
 			Budget: snap.Budget, HardDeadline: snap.HardDeadline,
 		},
 	}
-	// The ledger seeds from the restored report, so checkpointed spend and
-	// wall clock are not charged a second time after a crash.
-	cc := newCaseConstraints(task.Case, report)
-	if err := c.enactWithReplanning(ctx, p, report, task, pd, state, goal, es, cc); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			report.Cancelled = true
-			report.trace("cancel", "", err.Error())
-		}
-		return report, err
-	}
-	report.GoalFitness = goal.Fitness(state)
-	report.Completed = report.GoalFitness >= 1
-	report.FinalState = state
-	return report, nil
+	return c.run(ctx, task, pol, snap)
 }

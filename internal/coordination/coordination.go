@@ -261,11 +261,18 @@ func (c *Coordinator) handle(ctx *agent.Context, msg agent.Message) {
 // until the goal is met, the budgets are exhausted, or ctx is cancelled. A
 // nil ctx behaves like context.Background(); a nil pol means defaults.
 func (c *Coordinator) RunTaskContext(ctx context.Context, task *workflow.Task, pol *Policy) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := task.Validate(); err != nil {
 		return nil, err
+	}
+	return c.run(ctx, task, pol, nil)
+}
+
+// run is the one tail behind RunTaskContext (snap nil: fresh data state,
+// token on Begin) and ResumeContext (snap set: data state, token positions
+// and accounting restored from the checkpoint).
+func (c *Coordinator) run(ctx context.Context, task *workflow.Task, pol *Policy, snap *CheckpointData) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	p := c.ResolvePolicy(pol)
 	if p.Deadline > 0 {
@@ -298,8 +305,21 @@ func (c *Coordinator) RunTaskContext(ctx context.Context, task *workflow.Task, p
 			slog.Int("replans", report.Replans),
 			slog.Float64("wallSec", time.Since(start).Seconds()))
 	}()
-	state := task.Case.InitialState()
+	var state *workflow.State
+	var es *enactState
+	if snap != nil {
+		report.Executed, report.Fired, report.Replans = snap.Executed, snap.Fired, snap.Replans
+		report.Failures, report.Retries, report.Faults = snap.Failures, snap.Retries, snap.Faults
+		report.BackoffWait = snap.BackoffWait
+		report.SimulatedTime, report.WallClockTime, report.TotalCost = snap.Time, snap.Wall, snap.Cost
+		report.trace("resume", "", fmt.Sprintf("from checkpoint after %d executions", snap.Executed))
+		state, es = snap.RestoreState(), snap.Tokens.clone()
+	} else {
+		state = task.Case.InitialState()
+	}
 	goal := task.Case.Goal
+	// The ledger seeds from the report, so on resume checkpointed spend and
+	// wall clock are not charged a second time after a crash.
 	cc := newCaseConstraints(task.Case, report)
 
 	pd := task.Process
@@ -310,8 +330,11 @@ func (c *Coordinator) RunTaskContext(ctx context.Context, task *workflow.Task, p
 		}
 		pd = newPD
 	}
+	if es == nil {
+		es = newEnactState(pd)
+	}
 
-	if err := c.enactWithReplanning(ctx, p, report, task, pd, state, goal, newEnactState(pd), cc); err != nil {
+	if err := c.enactWithReplanning(ctx, p, report, task, pd, state, goal, es, cc); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			report.Cancelled = true
 			report.trace("cancel", "", err.Error())

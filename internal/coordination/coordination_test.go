@@ -3,6 +3,7 @@ package coordination
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -65,7 +66,7 @@ func newEnvWith(t *testing.T, checkpoint bool, mod func(*Config)) *env {
 	}))
 
 	p := agent.NewPlatform()
-	core, err := services.Bootstrap(p, g)
+	core, err := services.Bootstrap(p, g, nil)
 	must(err)
 
 	catalog := virolab.Catalog()
@@ -268,7 +269,7 @@ func TestCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadCheckpoint(e.core.Storage, "T1")
+	snap, err := LoadCheckpointVersion(e.core.Storage, "T1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestCheckpointing(t *testing.T) {
 		t.Errorf("checkpoint versions = %d (found=%v), want 11", ver, found)
 	}
 	// Missing checkpoint errors.
-	if _, err := LoadCheckpoint(e.core.Storage, "ghost"); err == nil {
+	if _, err := LoadCheckpointVersion(e.core.Storage, "ghost", 0); err == nil {
 		t.Error("ghost checkpoint loaded")
 	}
 }
@@ -354,6 +355,33 @@ func TestDecideConstraintPath(t *testing.T) {
 	// A Choice with an activity-level constraint but unconditioned
 	// transitions (the Figure 13 "Constraint" style) picks the first
 	// successor while the constraint holds, the last when it fails.
+	report, err := runConstraintLoop(t, []float64{1, 1, 0}, 0) // loop twice, then exit
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countTrace(report, "complete", "PSFX"); got != 3 {
+		t.Errorf("PSFX completions = %d, want 3 (loop twice + exit pass)", got)
+	}
+}
+
+// TestMaxFiresStopsLivelock loops the same Choice on a constraint that never
+// turns false: the token game must stop at the firing bound with an error,
+// not spin.
+func TestMaxFiresStopsLivelock(t *testing.T) {
+	report, err := runConstraintLoop(t, []float64{1}, 40)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 40 activity firings") {
+		t.Fatalf("err = %v, want the firing-bound error", err)
+	}
+	if report == nil || report.Completed || report.Fired != 40 {
+		t.Errorf("report = %+v, want incomplete with 40 firings", report)
+	}
+}
+
+// runConstraintLoop enacts BEGIN, POD, {MERGE, PSFX, CHOICE} looping while
+// the CHOICE's constraint DX.marker = 1 holds, END; PSFX's visit v stamps
+// marker[v-1] (the last entry repeating). maxFires 0 keeps the default bound.
+func runConstraintLoop(t *testing.T, marker []float64, maxFires int) (*Report, error) {
+	t.Helper()
 	e := newEnv(t, false)
 	pd := workflow.NewProcess("constraint-choice")
 	pd.Add(&workflow.Activity{ID: "b", Kind: workflow.KindBegin, Name: "BEGIN"})
@@ -373,8 +401,10 @@ func TestDecideConstraintPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	marker := []float64{1, 1, 0} // loop twice, then exit
 	coordCfg := e.coord.cfg
+	if maxFires > 0 {
+		coordCfg.MaxFires = maxFires
+	}
 	coordCfg.PostProcess = func(act *workflow.Activity, produced []*workflow.DataItem, visit int) {
 		if act.Name != "PSFX" {
 			return
@@ -394,42 +424,65 @@ func TestDecideConstraintPath(t *testing.T) {
 		Process: pd,
 		Case:    virolab.Case(),
 	}
-	report, err := c2.RunTaskContext(context.Background(), task, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countTrace(report, "complete", "PSFX"); got != 3 {
-		t.Errorf("PSFX completions = %d, want 3 (loop twice + exit pass)", got)
-	}
+	return c2.RunTaskContext(context.Background(), task, nil)
 }
 
 // TestResumeFromMidwayCheckpoint runs the case study to completion (writing
-// a checkpoint per activity), then resumes from an intermediate checkpoint
-// version and verifies the resumed run finishes the remaining work exactly.
+// a checkpoint per dispatch batch), then for EVERY checkpoint version crashes
+// an identical run right after that checkpoint and resumes it: the resumed
+// run must finish the remaining work exactly. The matchmaker's first choice
+// faults (and eventually crashes), so the uninterrupted run accumulates
+// failures, retries, faults and backoff; a resumed report must carry the
+// checkpointed share of each and end on the same totals.
 func TestResumeFromMidwayCheckpoint(t *testing.T) {
-	e := newEnv(t, true)
-	full, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil)
+	faults := &grid.FaultSpec{Seed: 4, Nodes: []string{"cluster-1"}, FailureRate: 1, CrashRate: 0.2}
+	pol := &Policy{BackoffBase: 10, Seed: 42}
+	// crashAt, when > 0, cancels the enactment as soon as that checkpoint
+	// version is stored: what a kill -9 right after the write leaves behind.
+	run := func(crashAt int) (*env, *Report, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e := newEnvWith(t, true, func(cfg *Config) {
+			cfg.OnCheckpoint = func(_ string, version int) {
+				if version == crashAt {
+					cancel()
+				}
+			}
+		})
+		if err := e.grid.SetFaults(faults); err != nil {
+			t.Fatal(err)
+		}
+		report, err := e.coord.RunTaskContext(ctx, virolab.Task(), pol)
+		return e, report, err
+	}
+	e, full, err := run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Executed != 17 {
 		t.Fatalf("full run executed %d, want 17", full.Executed)
 	}
-	// Snapshots are per dispatch batch; resuming from EVERY version must
-	// complete the remaining work exactly (total 17 executions each time).
+	if full.Retries == 0 || full.Faults == 0 || full.BackoffWait <= 0 {
+		t.Fatalf("seeded faults produced retries=%d faults=%d backoff=%g; the resume check needs all > 0",
+			full.Retries, full.Faults, full.BackoffWait)
+	}
 	_, latest, found, _ := e.core.Storage.Get(CheckpointKey("T1"), 0)
 	if !found || latest < 3 {
 		t.Fatalf("latest checkpoint version = %d", latest)
 	}
 	for version := 1; version <= latest; version++ {
-		snap, err := LoadCheckpointVersion(e.core.Storage, "T1", version)
+		e, crashed, err := run(version)
+		if version < latest && (err == nil || !crashed.Cancelled) {
+			t.Fatalf("run crashed at v%d: err=%v report=%+v", version, err, crashed)
+		}
+		snap, err := LoadCheckpointVersion(e.core.Storage, "T1", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if snap.Executed < version {
 			t.Fatalf("snapshot v%d has executed=%d (< version)", version, snap.Executed)
 		}
-		report, err := e.coord.ResumeContext(context.Background(), snap, nil)
+		report, err := e.coord.ResumeContext(context.Background(), snap, pol)
 		if err != nil {
 			t.Fatalf("resume from v%d: %v", version, err)
 		}
@@ -440,6 +493,14 @@ func TestResumeFromMidwayCheckpoint(t *testing.T) {
 			t.Errorf("resume from v%d: total executed = %d, want 17 (%d checkpointed)",
 				version, report.Executed, snap.Executed)
 		}
+		if report.Failures != full.Failures || report.Retries != full.Retries || report.Faults != full.Faults {
+			t.Errorf("resume from v%d: failures/retries/faults = %d/%d/%d, uninterrupted run %d/%d/%d",
+				version, report.Failures, report.Retries, report.Faults, full.Failures, full.Retries, full.Faults)
+		}
+		if math.Abs(report.BackoffWait-full.BackoffWait) > 1e-9 || math.Abs(report.WallClockTime-full.WallClockTime) > 1e-6 {
+			t.Errorf("resume from v%d: backoff/wall = %g/%g, uninterrupted run %g/%g",
+				version, report.BackoffWait, report.WallClockTime, full.BackoffWait, full.WallClockTime)
+		}
 		d12 := report.FinalState.Get("D12")
 		if v, _ := d12.Prop(workflow.PropValue); v.Str() != "7.8" {
 			t.Errorf("resume from v%d: resolution %v", version, v)
@@ -447,28 +508,28 @@ func TestResumeFromMidwayCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResumeTaskViaStorageService resumes through the message interface.
+// TestResumeTaskViaStorageService resumes from the latest checkpoint the
+// storage service holds.
 func TestResumeTaskViaStorageService(t *testing.T) {
 	e := newEnv(t, true)
 	if _, err := e.coord.RunTaskContext(context.Background(), virolab.Task(), nil); err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.coord.ResumeTaskContext(context.Background(), "T1", nil)
+	snap, err := LoadCheckpointVersion(e.core.Storage, "T1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The final checkpoint has one pending token (the successor of PSF);
-	// resuming from it completes with no further executions... except the
-	// final checkpoint was written right after PSF's third run, with CHOICE
-	// pending; resuming fires CHOICE then END only.
+	report, err := e.coord.ResumeContext(context.Background(), snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The final checkpoint was written right after PSF's third run, with
+	// CHOICE pending; resuming fires CHOICE then END only.
 	if !report.Completed {
 		t.Errorf("resumed report: %+v", report)
 	}
 	if report.Executed != 17 {
 		t.Errorf("resume re-ran activities: executed=%d", report.Executed)
-	}
-	if _, err := e.coord.ResumeTaskContext(context.Background(), "ghost", nil); err == nil {
-		t.Error("resume of missing checkpoint succeeded")
 	}
 }
 

@@ -201,7 +201,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 	}
 
 	platform := agent.NewPlatform()
-	coreSvcs, err := services.BootstrapWithStore(platform, g, backend)
+	coreSvcs, err := services.Bootstrap(platform, g, backend)
 	if err != nil {
 		platform.Shutdown()
 		backend.Close()

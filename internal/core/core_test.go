@@ -35,7 +35,7 @@ func TestNewEnvironmentDefaults(t *testing.T) {
 	}
 	// Core services and container agents registered.
 	if !env.Platform.Has("coordination") || !env.Platform.Has("planning") || !env.Platform.Has("matchmaking") {
-		t.Errorf("agents = %v", env.Platform.Agents())
+		t.Error("coordination, planning or matchmaking agent not registered")
 	}
 	for _, s := range env.Catalog.Names() {
 		if len(env.Grid.ContainersFor(s)) == 0 {

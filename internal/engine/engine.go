@@ -414,9 +414,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// Workers returns the configured worker-pool size.
-func (e *Engine) Workers() int { return e.cfg.Workers }
-
 // Ready reports whether the engine is accepting work: the worker pool has
 // started and Close has not been called. The /readyz probe serves this.
 func (e *Engine) Ready() bool {

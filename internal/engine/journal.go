@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/coordination"
 	"repro/internal/expr"
+	"repro/internal/telemetry"
 	"repro/internal/workflow"
 )
 
@@ -144,6 +145,24 @@ func (te *TaskEnvelope) task() (*workflow.Task, error) {
 // append one "checkpointed" record per dispatch batch).
 const maxJournalVersions = 64
 
+// journalWrite is the one marshal / error / counter path behind the three
+// journal writes; write is the store method (as a method expression, so
+// picking it allocates nothing) and what names it in the error.
+func (e *Engine) journalWrite(write func(storageAPI, string, []byte) (int, error), what string, n *telemetry.Counter, rec JournalRecord) (int, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		// Records are built from plain serializable fields; a marshal
+		// failure is a programming error, not a runtime condition.
+		panic(fmt.Sprintf("engine: journal record marshal: %v", err))
+	}
+	ver, err := write(e.store, JournalKey(rec.TaskID), data)
+	if err != nil {
+		return 0, fmt.Errorf("engine: journal %s for task %s: %w", what, rec.TaskID, err)
+	}
+	n.Inc()
+	return ver, nil
+}
+
 // journalAppend appends one record to the task's journal — on durable
 // backends it blocks until the record's group-commit batch is fsynced — and
 // returns the new journal depth. The caller must NOT hold e.mu: the append
@@ -152,33 +171,15 @@ const maxJournalVersions = 64
 // (admission before the task is queued, then its worker), so appends to one
 // key never race.
 func (e *Engine) journalAppend(rec JournalRecord) (int, error) {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		// Records are built from plain serializable fields; a marshal
-		// failure is a programming error, not a runtime condition.
-		panic(fmt.Sprintf("engine: journal record marshal: %v", err))
-	}
-	ver, err := e.store.Put(JournalKey(rec.TaskID), data)
-	if err != nil {
-		return 0, fmt.Errorf("engine: journal append for task %s: %w", rec.TaskID, err)
-	}
-	e.mJournalRecords.Inc()
-	return ver, nil
+	return e.journalWrite(storageAPI.Put, "append", e.mJournalRecords, rec)
 }
 
 // journalAppendAsync appends one record without waiting for its group-commit
 // batch to reach disk; the record's position in the log is still fixed here.
 // For records whose loss a crash already tolerates (the "started" marker).
 func (e *Engine) journalAppendAsync(rec JournalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("engine: journal record marshal: %v", err))
-	}
-	if _, err := e.store.PutAsync(JournalKey(rec.TaskID), data); err != nil {
-		return fmt.Errorf("engine: journal append for task %s: %w", rec.TaskID, err)
-	}
-	e.mJournalRecords.Inc()
-	return nil
+	_, err := e.journalWrite(storageAPI.PutAsync, "append", e.mJournalRecords, rec)
+	return err
 }
 
 // compact replaces a task's journal history with a single snapshot record
@@ -190,15 +191,8 @@ func (e *Engine) journalAppendAsync(rec JournalRecord) error {
 // (separate fsync batches) could not guarantee.
 func (e *Engine) compact(snapshot JournalRecord) error {
 	snapshot.Event = EventSnapshot
-	data, err := json.Marshal(snapshot)
-	if err != nil {
-		panic(fmt.Sprintf("engine: journal snapshot marshal: %v", err))
-	}
-	if _, err := e.store.Replace(JournalKey(snapshot.TaskID), data); err != nil {
-		return fmt.Errorf("engine: journal compact for task %s: %w", snapshot.TaskID, err)
-	}
-	e.mJournalCompactions.Inc()
-	return nil
+	_, err := e.journalWrite(storageAPI.Replace, "compact", e.mJournalCompactions, snapshot)
+	return err
 }
 
 // ReadJournal returns every journal record of a task in append order,

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -129,7 +128,7 @@ func (e *Engine) RecoverOwned(own func(tenant, taskID string) bool) (RecoveryRep
 			e.tel.TaskTrace(st.id).Span("recovered", "", "re-enqueued: accepted but never started")
 			e.log.Info("recovery re-enqueued task", slog.String("task", st.id))
 		case st.checkpointed:
-			snap, err := e.loadCheckpoint(st.id)
+			snap, err := coordination.LoadCheckpointVersion(e.store, st.id, 0)
 			if err != nil {
 				return report, fmt.Errorf("engine: recover task %s: %w", st.id, err)
 			}
@@ -185,21 +184,4 @@ func replay(id string, recs []JournalRecord) *replayState {
 		}
 	}
 	return st
-}
-
-// loadCheckpoint reads the latest coordination checkpoint for a task through
-// the engine's storage handle.
-func (e *Engine) loadCheckpoint(taskID string) (*coordination.CheckpointData, error) {
-	raw, _, found, err := e.store.Get(coordination.CheckpointKey(taskID), 0)
-	if err != nil {
-		return nil, fmt.Errorf("reading checkpoint: %w", err)
-	}
-	if !found {
-		return nil, fmt.Errorf("journaled checkpoint missing from store")
-	}
-	var snap coordination.CheckpointData
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("checkpoint corrupt: %w", err)
-	}
-	return &snap, nil
 }

@@ -109,7 +109,6 @@ type Grid struct {
 	faults       *FaultSpec
 	faultStreams map[string]*rand.Rand
 	crashes      []Crash
-	history      []Execution
 	clock        float64 // accumulated busy time, advanced by Execute
 }
 
@@ -254,7 +253,7 @@ func ExecTime(baseTime float64, dataMB float64, n *Node) float64 {
 
 // Execute simulates one run of service on the container: it computes the
 // duration from the node's hardware, samples the node's failure rate (plus
-// any injected fault spec), and records the execution in the history.
+// any injected fault spec), and advances the busy-time clock.
 // baseTime is the service's nominal duration, dataMB the input volume. It
 // fails when the container does not provide the service or its node is down;
 // an injected crash additionally takes the node down mid-execution.
@@ -301,7 +300,6 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 		OK:        ok,
 		Fault:     fault,
 	}
-	g.history = append(g.history, ex)
 	g.clock += dur
 	if crashed {
 		n.up.Store(false)
@@ -312,20 +310,6 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 		return ex, fmt.Errorf("grid: execution of %q on %q failed", service, n.ID)
 	}
 	return ex, nil
-}
-
-// History returns a copy of the execution log.
-func (g *Grid) History() []Execution {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return append([]Execution(nil), g.history...)
-}
-
-// BusyTime returns the total simulated compute seconds consumed so far.
-func (g *Grid) BusyTime() float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.clock
 }
 
 // EquivalenceClass is a group of nodes with similar characteristics; the

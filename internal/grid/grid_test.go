@@ -134,12 +134,6 @@ func TestExecute(t *testing.T) {
 	if ex.Cost <= 0 {
 		t.Error("cost not accounted")
 	}
-	if g.BusyTime() <= 0 {
-		t.Error("busy time not accumulated")
-	}
-	if len(g.History()) != 1 {
-		t.Error("history not recorded")
-	}
 
 	if _, err := g.Execute("cx", "P3DR", 1, 0); err == nil {
 		t.Error("unknown container accepted")
@@ -165,10 +159,6 @@ func TestExecuteFailureSampling(t *testing.T) {
 	}
 	if fails < 60 || fails > 140 {
 		t.Errorf("failures = %d/200, want ~100 at rate 0.5", fails)
-	}
-	// History keeps failed executions too.
-	if len(g.History()) != 200 {
-		t.Errorf("history = %d, want 200", len(g.History()))
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/pdl"
-	"repro/internal/plantree"
 	"repro/internal/workflow"
 )
 
@@ -51,15 +50,6 @@ func (a *Archive) Put(name, creator, comment string, p *workflow.ProcessDescript
 		Name: name, Version: version, PDL: text, Creator: creator, Comment: comment,
 	})
 	return version, nil
-}
-
-// PutTree archives a plan tree.
-func (a *Archive) PutTree(name, creator, comment string, tree *plantree.Node) (int, error) {
-	p, err := plantree.ToProcess(name, tree)
-	if err != nil {
-		return 0, err
-	}
-	return a.Put(name, creator, comment, p)
 }
 
 // Get returns the requested version (0 = latest), parsed back into a

@@ -37,12 +37,21 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
+// putTree archives a plan tree through its process-description form.
+func putTree(a *Archive, name, creator, comment string, tree *plantree.Node) (int, error) {
+	p, err := plantree.ToProcess(name, tree)
+	if err != nil {
+		return 0, err
+	}
+	return a.Put(name, creator, comment, p)
+}
+
 func TestArchiveVersioning(t *testing.T) {
 	a := NewArchive()
-	if _, err := a.PutTree("plan", "u", "v1", plantree.Seq(plantree.Activity("A"), plantree.Activity("B"))); err != nil {
+	if _, err := putTree(a, "plan", "u", "v1", plantree.Seq(plantree.Activity("A"), plantree.Activity("B"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.PutTree("plan", "u", "v2", plantree.Seq(plantree.Activity("A"), plantree.Activity("B"), plantree.Activity("C"))); err != nil {
+	if _, err := putTree(a, "plan", "u", "v2", plantree.Seq(plantree.Activity("A"), plantree.Activity("B"), plantree.Activity("C"))); err != nil {
 		t.Fatal(err)
 	}
 	if a.Versions("plan") != 2 {
@@ -69,9 +78,9 @@ func TestArchiveVersioning(t *testing.T) {
 
 func TestArchiveNamesAndDelete(t *testing.T) {
 	a := NewArchive()
-	_, _ = a.PutTree("bio/3dsd", "u", "", plantree.Activity("A"))
-	_, _ = a.PutTree("bio/other", "u", "", plantree.Activity("B"))
-	_, _ = a.PutTree("misc", "u", "", plantree.Activity("C"))
+	_, _ = putTree(a, "bio/3dsd", "u", "", plantree.Activity("A"))
+	_, _ = putTree(a, "bio/other", "u", "", plantree.Activity("B"))
+	_, _ = putTree(a, "misc", "u", "", plantree.Activity("C"))
 	names := a.Names("bio/")
 	if len(names) != 2 || names[0] != "bio/3dsd" {
 		t.Errorf("names = %v", names)
@@ -93,7 +102,7 @@ func TestArchiveRejections(t *testing.T) {
 	if _, err := a.Put("bad", "u", "", workflow.NewProcess("empty")); err == nil {
 		t.Error("invalid process accepted")
 	}
-	if _, err := a.PutTree("bad", "u", "", plantree.Seq()); err == nil {
+	if _, err := putTree(a, "bad", "u", "", plantree.Seq()); err == nil {
 		t.Error("invalid tree accepted")
 	}
 	if !strings.Contains(func() string {

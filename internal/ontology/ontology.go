@@ -312,13 +312,6 @@ func (kb *KB) AddInstance(in *Instance) error {
 	return nil
 }
 
-// MustAddInstance is AddInstance that panics on error.
-func (kb *KB) MustAddInstance(in *Instance) {
-	if err := kb.AddInstance(in); err != nil {
-		panic(err)
-	}
-}
-
 // checkInstance validates slots against the class definition.
 func (kb *KB) checkInstance(in *Instance) error {
 	cls := kb.classes[in.Class]

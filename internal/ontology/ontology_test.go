@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// MustAddInstance is AddInstance that panics on error (test fixtures only).
+func (kb *KB) MustAddInstance(in *Instance) {
+	if err := kb.AddInstance(in); err != nil {
+		panic(err)
+	}
+}
+
 func animalKB(t *testing.T) *KB {
 	t.Helper()
 	kb := NewKB()

@@ -210,9 +210,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return s, nil
 }
 
-// Workers reports the plan worker pool size.
-func (s *Service) Workers() int { return s.workers }
-
 // validateSpec rejects malformed cases up front, so the caller gets a
 // synchronous ErrInvalidSpec instead of an async failed plan.
 func (s *Service) validateSpec(spec *PlanSpec, params Params) error {

@@ -106,7 +106,7 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	}
 	p := agent.NewPlatform()
 	defer p.Shutdown()
-	if _, err := services.Bootstrap(p, g); err != nil {
+	if _, err := services.Bootstrap(p, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	svc := New(virolab.Catalog(), smallParams())

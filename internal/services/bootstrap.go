@@ -25,19 +25,12 @@ type Core struct {
 
 // Bootstrap registers the standard core services plus one agent per grid
 // application container on the platform, and registers everything with the
-// information service. The storage service runs on a fresh in-memory
-// backend; use BootstrapWithStore to plug in a durable one.
-func Bootstrap(p *agent.Platform, g *grid.Grid) (*Core, error) {
-	return BootstrapWithStore(p, g, nil)
-}
-
-// BootstrapWithStore is Bootstrap with an explicit storage backend (opened
-// via store.Open); nil means a fresh in-memory store. The caller keeps
-// ownership of the backend's lifecycle.
-func BootstrapWithStore(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, error) {
-	storage := NewStorage()
-	if backend != nil {
-		storage = NewStorageWith(backend)
+// information service. The storage service runs on backend (opened via
+// store.Open; the caller keeps ownership of its lifecycle); nil means a
+// fresh in-memory store.
+func Bootstrap(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, error) {
+	if backend == nil {
+		backend = store.NewMemory(store.Options{})
 	}
 	core := &Core{
 		Information: NewInformation(),
@@ -45,7 +38,7 @@ func BootstrapWithStore(p *agent.Platform, g *grid.Grid, backend store.Store) (*
 		Matchmaking: &Matchmaking{Grid: g},
 		Monitoring:  &Monitoring{Grid: g},
 		Scheduling:  &Scheduling{Grid: g},
-		Storage:     storage,
+		Storage:     &Storage{Store: backend},
 		Auth:        NewAuthentication("bootstrap-signing-key"),
 		Simulation:  &Simulation{Grid: g},
 		Ontology:    NewOntologyService(),

@@ -55,12 +55,6 @@ type Scheduling struct {
 	Logger *slog.Logger
 }
 
-// Schedule computes the min-min schedule (the default policy); use
-// ScheduleWith for the other heuristics.
-func (s *Scheduling) Schedule(tasks []TaskSpec) ScheduleReply {
-	return s.ScheduleWith(tasks, HeuristicMinMin)
-}
-
 // record feeds the telemetry registry after one scheduling decision.
 func (s *Scheduling) record(h Heuristic, requested int, out ScheduleReply) {
 	if s.Logger != nil {

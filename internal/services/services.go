@@ -102,14 +102,6 @@ func (s *Information) HandleMessage(ctx *agent.Context, msg agent.Message) {
 	}
 }
 
-// RegisterOffer registers an offering with the information service on
-// behalf of ctx's agent.
-func RegisterOffer(ctx *agent.Context, offerType, location string) error {
-	_, err := ctx.Call(InformationName, OntInformation,
-		Offer{Name: ctx.Name(), Type: offerType, Location: location}, CallTimeout)
-	return err
-}
-
 // Lookup queries the information service for offers of a type.
 func Lookup(ctx *agent.Context, offerType string) ([]Offer, error) {
 	reply, err := ctx.Call(InformationName, OntInformation, LookupRequest{Type: offerType}, CallTimeout)

@@ -44,7 +44,7 @@ func newFixture(t *testing.T) *fixture {
 	mustNoErr(g.AddContainer(&grid.Container{ID: "ac-2", NodeID: "n2", Services: []string{"P3DR", "PSF"}}))
 
 	p := agent.NewPlatform()
-	core, err := Bootstrap(p, g)
+	core, err := Bootstrap(p, g, nil)
 	mustNoErr(err)
 	client := p.MustRegister("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
 	t.Cleanup(p.Shutdown)
@@ -80,7 +80,8 @@ func TestInformationLookup(t *testing.T) {
 		t.Errorf("phantom offers = %+v", offers)
 	}
 	// New registrations are visible.
-	if err := RegisterOffer(f.client, "end-user:NEW", "here"); err != nil {
+	if _, err := f.client.Call(InformationName, OntInformation,
+		Offer{Name: f.client.Name(), Type: "end-user:NEW", Location: "here"}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	offers, _ = Lookup(f.client, "end-user:NEW")
@@ -388,7 +389,9 @@ func TestOntologyService(t *testing.T) {
 	}
 	// Publish a populated KB and fetch it back.
 	pop := ontology.GridShell()
-	pop.MustAddInstance(ontology.NewInstance("hw1", ontology.ClassHardware).Set("Speed", ontology.Num(2)))
+	if err := pop.AddInstance(ontology.NewInstance("hw1", ontology.ClassHardware).Set("Speed", ontology.Num(2))); err != nil {
+		t.Fatal(err)
+	}
 	data, _ := pop.MarshalJSON()
 	if _, err := f.client.Call(OntologyName, OntOntology, PublishKB{Name: "mine", JSON: data}, time.Second); err != nil {
 		t.Fatal(err)

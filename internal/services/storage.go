@@ -48,17 +48,6 @@ type Storage struct {
 	store.Store
 }
 
-// NewStorage returns a storage service over a fresh in-memory backend.
-func NewStorage() *Storage {
-	return NewStorageWith(store.NewMemory(store.Options{}))
-}
-
-// NewStorageWith wraps an opened backend. The caller keeps ownership of the
-// backend's lifecycle (core closes it when the environment shuts down).
-func NewStorageWith(backend store.Store) *Storage {
-	return &Storage{Store: backend}
-}
-
 // HandleMessage implements agent.Handler. Mutations (put, delete) are
 // answered from a goroutine: on durable backends they block until their
 // group-commit batch is fsynced, and parking that wait off the mailbox

@@ -96,15 +96,6 @@ func (e *Engine) Schedule(delay float64, name string, fn func()) *Event {
 	return ev
 }
 
-// ScheduleAt enqueues fn at absolute virtual time t (clamped to now).
-func (e *Engine) ScheduleAt(t float64, name string, fn func()) *Event {
-	return e.Schedule(t-e.now, name, fn)
-}
-
-// Pending returns the number of events still queued (including cancelled
-// ones not yet reaped).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 

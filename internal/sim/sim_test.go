@@ -94,8 +94,9 @@ func TestStop(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1 (stopped)", fired)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
+	// The unfired event stays queued: a second Run picks it up.
+	if e.RunAll(); fired != 2 {
+		t.Errorf("fired = %d after resuming, want 2", fired)
 	}
 }
 
@@ -103,9 +104,9 @@ func TestScheduleAtAndClamping(t *testing.T) {
 	e := NewEngine(1)
 	var at []float64
 	e.Schedule(2, "adv", func() {
-		// Absolute scheduling in the past clamps to now.
-		e.ScheduleAt(1, "past", func() { at = append(at, e.Now()) })
-		e.ScheduleAt(4, "future", func() { at = append(at, e.Now()) })
+		// Scheduling at an absolute time in the past clamps to now.
+		e.Schedule(1-e.Now(), "past", func() { at = append(at, e.Now()) })
+		e.Schedule(4-e.Now(), "future", func() { at = append(at, e.Now()) })
 	})
 	e.RunAll()
 	if len(at) != 2 || at[0] != 2 || at[1] != 4 {

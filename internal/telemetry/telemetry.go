@@ -157,9 +157,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Add is shorthand for Counter(name).Add(n).
-func (r *Registry) Add(name string, n int64) { r.Counter(name).Add(n) }
-
 // ---------------------------------------------------------------------------
 // Instruments
 

@@ -58,7 +58,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(1)
 	r.Histogram("h", nil).Observe(1)
-	r.Add("c", 5)
+	r.Counter("c").Add(5)
 	r.TaskTrace("t").Span("k", "n", "d")
 	if tr := r.LookupTrace("t"); tr.Spans() != nil || tr.Dropped() != 0 {
 		t.Error("nil trace not empty")

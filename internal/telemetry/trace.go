@@ -165,16 +165,15 @@ func (t *TaskTrace) Context() SpanContext {
 	return t.root
 }
 
-// Span appends one point event to the trace, parented under the root span.
+// Span appends one point event to the trace, parented under the root span:
+// the zero-parent case of SpanUnder.
 func (t *TaskTrace) Span(kind, name, detail string) {
-	if t == nil {
-		return
-	}
-	t.record(Span{Time: time.Now(), Kind: kind, Name: name, Detail: detail})
+	t.SpanUnder(SpanContext{}, kind, name, detail)
 }
 
 // SpanUnder appends one point event parented under an explicit duration
-// span (e.g. gp-generation events under their plan span).
+// span (e.g. gp-generation events under their plan span); record orients a
+// zero parent under the latched root.
 func (t *TaskTrace) SpanUnder(parent SpanContext, kind, name, detail string) {
 	if t == nil {
 		return

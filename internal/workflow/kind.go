@@ -71,9 +71,6 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("workflow: unknown activity kind %q", s)
 }
 
-// IsFlowControl reports whether k is one of the six flow-control kinds.
-func (k Kind) IsFlowControl() bool { return k != KindEndUser }
-
 // minMaxDegree returns the allowed (min,max) in- and out-degree for the kind;
 // max of -1 means unbounded.
 func (k Kind) minMaxDegree() (inMin, inMax, outMin, outMax int) {

@@ -204,17 +204,6 @@ func (p *ProcessDescription) uniqueKind(k Kind) *Activity {
 	return found
 }
 
-// EndUserActivities returns the end-user activities in declaration order.
-func (p *ProcessDescription) EndUserActivities() []*Activity {
-	var out []*Activity
-	for _, a := range p.Activities {
-		if a.Kind == KindEndUser {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // CountKind returns the number of activities of kind k.
 func (p *ProcessDescription) CountKind(k Kind) int {
 	n := 0

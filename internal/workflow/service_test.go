@@ -267,10 +267,6 @@ func TestStateBasics(t *testing.T) {
 	if st.Get("A").Classification() == "mutated" {
 		t.Error("Clone is shallow")
 	}
-	st.Remove("A")
-	if st.Has("A") {
-		t.Error("Remove failed")
-	}
 	if v, ok := st.Lookup("B", PropSize); !ok || v.Str() != "10" {
 		t.Errorf("Lookup = %v, %v", v, ok)
 	}

@@ -107,9 +107,6 @@ func (s *State) Put(item *DataItem) {
 	s.items[item.Name] = item
 }
 
-// Remove deletes the named item if present.
-func (s *State) Remove(name string) { delete(s.items, name) }
-
 // Get returns the named item, or nil.
 func (s *State) Get(name string) *DataItem { return s.items[name] }
 
