@@ -91,7 +91,7 @@ func (c *Coordinator) checkpoint(ctx context.Context, report *Report, task *work
 		return
 	}
 	reply, err := c.ctx.CallContext(ctx, services.StorageName, services.OntStorage,
-		services.PutRequest{Key: CheckpointKey(task.ID), Value: data}, c.cfg.CallTimeout)
+		services.PutRequest{Key: CheckpointKey(task.ID), Value: data}, services.CallTimeout)
 	if err != nil {
 		report.trace("checkpoint", "", "store failed: "+err.Error())
 		return

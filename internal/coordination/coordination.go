@@ -32,21 +32,13 @@ type Config struct {
 	// nominal times) for the end-user activities.
 	Catalog *workflow.Catalog
 
-	// MaxRetries bounds execution attempts per activity across candidate
-	// containers before the activity is declared non-executable.
-	MaxRetries int
-
 	// UseContractNet acquires resources by bidding: the coordinator sends a
 	// call for proposals to the brokerage's candidate containers and awards
 	// execution by earliest predicted completion (ties by cost), instead of
 	// asking the matchmaking service for a metadata ranking.
 	UseContractNet bool
-	// MaxReplans bounds re-planning rounds per task.
-	MaxReplans int
 	// MaxFires bounds total activity firings per enactment (loop safety).
 	MaxFires int
-	// CallTimeout bounds each service interaction.
-	CallTimeout time.Duration
 
 	// PostProcess, when set, is invoked after each successful end-user
 	// activity with the produced data items and the per-activity visit
@@ -112,8 +104,9 @@ type Report struct {
 	// spans mirrors Trace into the telemetry task trace when telemetry is
 	// wired; nil otherwise (TaskTrace methods are nil-safe).
 	spans *telemetry.TaskTrace
-	// span is the enclosing enact span extracted from the run context; child
-	// duration spans (scheduling consults, plan requests) parent under it.
+	// span is the enclosing enact span extracted from the run context; plan
+	// requests carry it to the planning service so the plan span parents
+	// under it.
 	span telemetry.SpanContext
 }
 
@@ -136,7 +129,7 @@ type Coordinator struct {
 	mBudgetExceeded, mDeadlinePreempts      *telemetry.Counter
 	mDeadlineMissed                         *telemetry.Counter
 	hBatchWall, hEnactReal, hCkptBytes      *telemetry.Histogram
-	hBackoff, hStageSchedule                *telemetry.Histogram
+	hBackoff                                *telemetry.Histogram
 
 	// perfMu guards perfCache, the short-TTL memo of brokerage
 	// past-performance replies used by history-aware dispatch. The brokerage
@@ -166,22 +159,16 @@ type candCacheEntry struct {
 // perfCacheTTL bounds how stale a memoized past-performance reply may be.
 const perfCacheTTL = 250 * time.Millisecond
 
+// maxReplans bounds re-planning rounds per task.
+const maxReplans = 3
+
 // New builds a coordinator and registers its agent (services.CoordinationName).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Platform == nil || cfg.Catalog == nil {
 		return nil, fmt.Errorf("coordination: platform and catalog are required")
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.MaxReplans <= 0 {
-		cfg.MaxReplans = 3
-	}
 	if cfg.MaxFires <= 0 {
 		cfg.MaxFires = 1000
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = services.CallTimeout
 	}
 	c := &Coordinator{cfg: cfg, log: cfg.Logger}
 	if c.log == nil {
@@ -211,7 +198,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.hBatchWall = tel.Histogram("coordination.batch.simulated.seconds", []float64{1, 10, 60, 300, 1800, 3600, 10800})
 		c.hEnactReal = tel.Histogram("coordination.enact.real.seconds", []float64{0.001, 0.01, 0.1, 1, 10, 60})
 		c.hCkptBytes = tel.Histogram("coordination.checkpoint.bytes", []float64{1024, 4096, 16384, 65536, 262144})
-		c.hStageSchedule = tel.Histogram("trace.stage.schedule.seconds", []float64{0.0001, 0.001, 0.01, 0.1, 1, 10})
 	}
 	ctx, err := cfg.Platform.Register(services.CoordinationName, agent.HandlerFunc(c.handle))
 	if err != nil {
@@ -367,7 +353,7 @@ func (c *Coordinator) enactWithReplanning(ctx context.Context, p Policy, report 
 		if !isReplan {
 			return err
 		}
-		if report.Replans >= c.cfg.MaxReplans {
+		if report.Replans >= maxReplans {
 			return fmt.Errorf("coordination: task %s: re-planning budget exhausted after %q failed", task.ID, ne.service)
 		}
 		report.Replans++
@@ -414,7 +400,7 @@ func (c *Coordinator) quarantine(ctx context.Context, report *Report, ne *nonExe
 	reason := fmt.Sprintf("retries exhausted for %s (activity %s)", ne.service, ne.activity)
 	for _, node := range ne.nodes {
 		_, err := c.ctx.CallContext(ctx, services.MonitoringName, services.OntMonitoring,
-			services.QuarantineRequest{Node: node, Reason: reason}, c.cfg.CallTimeout)
+			services.QuarantineRequest{Node: node, Reason: reason}, services.CallTimeout)
 		if err != nil {
 			report.trace("fault", ne.activity, fmt.Sprintf("quarantine of %s failed: %v", node, err))
 			continue
@@ -446,7 +432,7 @@ func (c *Coordinator) requestPlan(ctx context.Context, report *Report, state *wo
 		}
 		req.MaxTime = cc.remainingDeadline()
 	}
-	reply, err := c.ctx.CallContext(ctx, services.PlanningName, services.OntPlanning, req, c.cfg.CallTimeout)
+	reply, err := c.ctx.CallContext(ctx, services.PlanningName, services.OntPlanning, req, services.CallTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("coordination: planning request failed: %w", err)
 	}

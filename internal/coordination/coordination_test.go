@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -656,28 +657,28 @@ func TestSoftDeadline(t *testing.T) {
 	}
 }
 
-// TestHistoryAwareDispatch lets the coordinator learn: the faster node fails
-// every execution, so after a few tasks its record in the brokerage demotes
-// it and later tasks stop trying it first.
-func TestHistoryAwareDispatch(t *testing.T) {
+// flakyCheapEnv is the demoted-node fixture of the history-aware dispatch
+// tests. Both containers offer POD. The smp advertises a low failure rate
+// and a rock-bottom price, so matchmaking ranks it first — but in reality it
+// fails (almost) every execution. Only the brokerage's history reveals the
+// truth; this is exactly the "proven record of reliability" the paper wants
+// brokers to track. run enacts one single-POD case (budget 0 =
+// unconstrained).
+func flakyCheapEnv(t *testing.T) (run func(id string, budget float64) *Report) {
 	e := newEnv(t, false)
-	// Both containers offer POD. The smp advertises a low failure rate and
-	// a rock-bottom price, so matchmaking ranks it first — but in reality it
-	// fails (almost) every execution. Only the brokerage's history reveals
-	// the truth; this is exactly the "proven record of reliability" the
-	// paper wants brokers to track.
 	smp := e.grid.Node("smp-1")
 	smp.FailureRate = 0.99
 	smp.CostPerSec = 0.001
 	e.grid.Node("cluster-1").CostPerSec = 10
 
 	goal := `G.Classification = "Orientation File"`
-	run := func(id string) *Report {
+	return func(id string, budget float64) *Report {
 		c := workflow.NewCase(id, id).AddData(
 			workflow.NewDataItem("D1", "POD-Parameter"),
 			workflow.NewDataItem("D7", "2D Image"),
 		)
 		c.Goal = workflow.NewGoal(goal)
+		c.Budget = budget
 		pd := workflow.NewProcess(id)
 		pd.Add(&workflow.Activity{ID: "b", Kind: workflow.KindBegin, Name: "BEGIN"})
 		pd.Add(&workflow.Activity{ID: "p", Kind: workflow.KindEndUser, Name: "POD", Service: "POD"})
@@ -690,12 +691,19 @@ func TestHistoryAwareDispatch(t *testing.T) {
 		}
 		return report
 	}
+}
+
+// TestHistoryAwareDispatch lets the coordinator learn: the faster node fails
+// every execution, so after a few tasks its record in the brokerage demotes
+// it and later tasks stop trying it first.
+func TestHistoryAwareDispatch(t *testing.T) {
+	run := flakyCheapEnv(t)
 
 	// Warm-up rounds accumulate failure history for smp-1 (each run fails
 	// there once, then succeeds on the backup).
 	early := 0
 	for i := 0; i < 4; i++ {
-		early += run(fmt.Sprintf("warm-%d", i)).Failures
+		early += run(fmt.Sprintf("warm-%d", i), 0).Failures
 	}
 	// The flaky node is tried first until three runs are on record (it may
 	// even get lucky once), so at least two warm-up failures accumulate.
@@ -706,10 +714,31 @@ func TestHistoryAwareDispatch(t *testing.T) {
 	// next runs go straight to the healthy container.
 	late := 0
 	for i := 0; i < 3; i++ {
-		late += run(fmt.Sprintf("learned-%d", i)).Failures
+		late += run(fmt.Sprintf("learned-%d", i), 0).Failures
 	}
 	if late != 0 {
 		t.Errorf("failures after learning = %d, want 0 (history-aware dispatch)", late)
+	}
+}
+
+// TestHistoryAwareDispatchConstrained is the same fixture under a budget: a
+// constrained case is ranked by estimated cost alone (history enters through
+// the ETA inflation, not through demotion), so the near-free flaky node
+// stays first however bad its record. The container sequence is the one
+// recorded before dispatch ranked either by history or by cost.
+func TestHistoryAwareDispatchConstrained(t *testing.T) {
+	run := flakyCheapEnv(t)
+	var got []string
+	for i := 0; i < 7; i++ {
+		for _, ev := range run(fmt.Sprintf("budget-%d", i), 1e6).Trace {
+			if ev.Kind == "dispatch" {
+				got = append(got, ev.Detail)
+			}
+		}
+	}
+	want := strings.Fields(strings.Repeat("ac-main ac-backup ", 7))
+	if !slices.Equal(got, want) {
+		t.Errorf("constrained dispatch sequence\n got %v\nwant %v", got, want)
 	}
 }
 

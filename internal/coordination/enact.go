@@ -282,17 +282,13 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		res.err = &nonExecutableError{activity: act.Name, service: act.Service}
 		return res
 	}
-	candidates := c.reorderByHistory(ctx, act.Service, ranked)
-	if cc != nil {
-		var minCost float64
-		candidates, minCost = c.costRank(ctx, act, svc, state, candidates, cc)
-		if cc.budget > 0 && cc.spent+minCost > cc.budget {
-			res.events = append(res.events, TraceEvent{Kind: "constraint", Activity: act.Name,
-				Detail: fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget)})
-			res.err = &ConstraintError{Reason: ReasonBudgetExceeded,
-				Detail: fmt.Sprintf("activity %s: cheapest estimate %.2f exceeds remaining budget %.2f", act.Name, minCost, cc.budget-cc.spent)}
-			return res
-		}
+	candidates, minCost := c.rank(ctx, act, svc, state, ranked, cc)
+	if cc != nil && cc.budget > 0 && cc.spent+minCost > cc.budget {
+		res.events = append(res.events, TraceEvent{Kind: "constraint", Activity: act.Name,
+			Detail: fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget)})
+		res.err = &ConstraintError{Reason: ReasonBudgetExceeded,
+			Detail: fmt.Sprintf("activity %s: cheapest estimate %.2f exceeds remaining budget %.2f", act.Name, minCost, cc.budget-cc.spent)}
+		return res
 	}
 
 	var rng *rand.Rand // lazily seeded: most dispatches never retry
@@ -308,7 +304,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			Service:  act.Service,
 			BaseTime: svc.BaseTime,
 			DataMB:   dataMB,
-		}, c.cfg.CallTimeout)
+		}, services.CallTimeout)
 		if err == nil && execReply.Performative != agent.Failure {
 			if er, ok := execReply.Content.(services.ExecuteReply); ok {
 				res.duration = er.Exec.Duration
@@ -335,10 +331,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		// against the live grid so later attempts stop rotating through a
 		// snapshot that may still rank a node that went down mid-dispatch.
 		if fresh, ferr := c.matchCandidates(ctx, act.Service); ferr == nil && len(fresh) > 0 {
-			candidates = c.reorderByHistory(ctx, act.Service, fresh)
-			if cc != nil {
-				candidates, _ = c.costRank(ctx, act, svc, state, candidates, cc)
-			}
+			candidates, _ = c.rank(ctx, act, svc, state, fresh, cc)
 		}
 		res.retries++
 		next := candidates[attempt%len(candidates)]
@@ -377,7 +370,7 @@ func (c *Coordinator) noteFault(ctx context.Context, res *execResult, act *workf
 		return
 	}
 	reply, err := c.ctx.CallContext(ctx, services.MonitoringName, services.OntMonitoring,
-		services.NodeStatusRequest{Node: cand.Node}, c.cfg.CallTimeout)
+		services.NodeStatusRequest{Node: cand.Node}, services.CallTimeout)
 	if err != nil {
 		return
 	}
@@ -397,7 +390,7 @@ func (c *Coordinator) noteFault(ctx context.Context, res *execResult, act *workf
 func (c *Coordinator) contractNet(ctx context.Context, res *execResult, act *workflow.Activity, svc *workflow.Service, dataMB float64) ([]services.Candidate, error) {
 	c.mCNRounds.Inc()
 	reply, err := c.ctx.CallContext(ctx, services.BrokerageName, services.OntBrokerage,
-		services.ContainersRequest{Service: act.Service}, c.cfg.CallTimeout)
+		services.ContainersRequest{Service: act.Service}, services.CallTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +401,7 @@ func (c *Coordinator) contractNet(ctx context.Context, res *execResult, act *wor
 	cfp := services.CallForProposal{Service: act.Service, BaseTime: svc.BaseTime, DataMB: dataMB}
 	var bids []services.Proposal
 	for _, containerID := range cr.Containers {
-		bidReply, err := c.ctx.CallContext(ctx, containerID, services.OntExecution, cfp, c.cfg.CallTimeout)
+		bidReply, err := c.ctx.CallContext(ctx, containerID, services.OntExecution, cfp, services.CallTimeout)
 		if err != nil || bidReply.Performative != agent.Inform {
 			continue // refused or unreachable: not a bidder
 		}
@@ -433,6 +426,18 @@ func (c *Coordinator) contractNet(ctx context.Context, res *execResult, act *wor
 		out[i] = services.Candidate{Container: b.Container, Node: b.Node, Cost: b.CostPerSec, PredictedTime: b.PredictedTime}
 	}
 	return out, nil
+}
+
+// rank orders a service's candidates for dispatch. An unconstrained case
+// (cc nil) keeps the matchmaking order with poorly performing nodes demoted;
+// a constrained case is ordered by estimated cost and ETA alone — a total
+// order, so the incoming order does not matter — and also reports the
+// cheapest estimate.
+func (c *Coordinator) rank(ctx context.Context, act *workflow.Activity, svc *workflow.Service, state *workflow.State, cands []services.Candidate, cc *caseConstraints) ([]services.Candidate, float64) {
+	if cc == nil {
+		return c.reorderByHistory(ctx, act.Service, cands), 0
+	}
+	return c.costRank(ctx, act, svc, state, cands, cc)
 }
 
 // reorderByHistory consults the brokerage's past-performance data base and
@@ -497,7 +502,7 @@ func (c *Coordinator) perfStats(ctx context.Context, service string, cands []ser
 		nodes[i] = cand.Node
 	}
 	reply, err := c.ctx.CallContext(ctx, services.BrokerageName, services.OntBrokerage,
-		services.PerfBatchRequest{Service: service, Nodes: nodes}, c.cfg.CallTimeout)
+		services.PerfBatchRequest{Service: service, Nodes: nodes}, services.CallTimeout)
 	if err != nil {
 		return nil
 	}
@@ -532,7 +537,7 @@ func (c *Coordinator) matchCandidates(ctx context.Context, service string) ([]se
 	c.perfMu.Unlock()
 
 	reply, err := c.ctx.CallContext(ctx, services.MatchmakingName, services.OntMatchmaking,
-		services.MatchRequest{Service: service}, c.cfg.CallTimeout)
+		services.MatchRequest{Service: service}, services.CallTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -606,7 +611,6 @@ func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, ba
 	if len(batch) == 1 {
 		results[0] = c.dispatch(ctx, p, batch[0].act, state, batch[0].visit, cc)
 	} else {
-		c.consultScheduling(ctx, report, batch)
 		var wg sync.WaitGroup
 		for i := range batch {
 			wg.Add(1)
@@ -661,38 +665,6 @@ func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, ba
 		}
 	}
 	return replanErr
-}
-
-// consultScheduling asks the scheduling service for a min-min placement of
-// a concurrent batch before it is dispatched. The placement is advisory:
-// each activity still matchmakes (or bids) for its own container, which
-// keeps per-activity failure recovery intact — but the batch-level decision
-// is recorded, so the schedule and its predicted makespan appear in the
-// task trace and the scheduling metrics. A missing scheduling service is
-// noted and otherwise ignored.
-func (c *Coordinator) consultScheduling(ctx context.Context, report *Report, batch []pendingExec) {
-	specs := make([]services.TaskSpec, 0, len(batch))
-	for _, p := range batch {
-		if svc := c.cfg.Catalog.Get(p.act.Service); svc != nil {
-			specs = append(specs, services.TaskSpec{ID: p.act.Name, Service: p.act.Service, BaseTime: svc.BaseTime})
-		}
-	}
-	if len(specs) == 0 {
-		return
-	}
-	report.trace("invoke", "", services.SchedulingName)
-	_, endSched := report.spans.Begin(report.span, "schedule", services.SchedulingName)
-	reply, err := c.ctx.CallContext(ctx, services.SchedulingName, services.OntScheduling,
-		services.ScheduleRequest{Tasks: specs}, c.cfg.CallTimeout)
-	if err != nil {
-		c.hStageSchedule.ObserveExemplar(endSched("scheduling service unavailable: "+err.Error()), report.span.TraceID)
-		return
-	}
-	detail := fmt.Sprintf("min-min over %d ready activities", len(specs))
-	if sr, ok := reply.Content.(services.ScheduleReply); ok {
-		detail = fmt.Sprintf("min-min over %d ready activities: makespan %.0fs", len(specs), sr.Makespan)
-	}
-	c.hStageSchedule.ObserveExemplar(endSched(detail), report.span.TraceID)
 }
 
 // pendingExec is one batch member.

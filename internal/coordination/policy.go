@@ -11,6 +11,10 @@ import (
 // policy does not set its own cap.
 const DefaultBackoffCap = 300.0
 
+// defaultMaxRetries is the attempts-per-activity bound of a policy that
+// leaves MaxRetries zero.
+const defaultMaxRetries = 3
+
 // Policy is the per-task fault-tolerance policy: how often an activity is
 // retried, how long the enactment backs off between attempts (in simulated
 // time — no real sleeping happens), and an optional real-time deadline for
@@ -19,8 +23,7 @@ const DefaultBackoffCap = 300.0
 type Policy struct {
 	// MaxRetries bounds execution attempts per activity; attempts cycle
 	// through the matchmade candidate list, so a retry lands on the next
-	// best container before coming back around. 0 means the coordinator's
-	// configured default (3).
+	// best container before coming back around. 0 means the default (3).
 	MaxRetries int
 	// ActivityTimeout caps the accumulated backoff per activity, in
 	// simulated seconds; once a further wait would exceed it the activity is
@@ -62,19 +65,14 @@ func (p *Policy) Validate() error {
 	return nil
 }
 
-// ResolvePolicy completes a (possibly nil) policy with the coordinator's
-// defaults. Defaults are applied at call time, not construction time, so
-// coordinators built literally in tests behave the same as New'd ones.
+// ResolvePolicy completes a (possibly nil) policy with the defaults.
 func (c *Coordinator) ResolvePolicy(p *Policy) Policy {
 	var out Policy
 	if p != nil {
 		out = *p
 	}
 	if out.MaxRetries <= 0 {
-		out.MaxRetries = c.cfg.MaxRetries
-		if out.MaxRetries <= 0 {
-			out.MaxRetries = 3
-		}
+		out.MaxRetries = defaultMaxRetries
 	}
 	if out.BackoffBase < 0 {
 		out.BackoffBase = 0

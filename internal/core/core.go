@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/cluster"
@@ -77,9 +76,6 @@ type Options struct {
 	// UseContractNet acquires resources by container bidding instead of
 	// matchmaking rankings (see coordination.Config).
 	UseContractNet bool
-
-	// CallTimeout bounds service interactions; zero uses the default.
-	CallTimeout time.Duration
 
 	// Workers sizes the enactment engine's coordinator worker pool — the cap
 	// on concurrent case enactments. 0 means GOMAXPROCS.
@@ -242,7 +238,6 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		Catalog:        opts.Catalog,
 		PostProcess:    opts.PostProcess,
 		Checkpoint:     opts.Checkpoint,
-		CallTimeout:    opts.CallTimeout,
 		UseContractNet: opts.UseContractNet,
 		Telemetry:      tel,
 		Logger:         telemetry.ComponentLogger(logger, "coordination"),

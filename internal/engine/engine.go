@@ -189,12 +189,15 @@ type Submission struct {
 
 // TaskStatus is a point-in-time public view of one task record.
 type TaskStatus struct {
-	ID        string
-	Status    string
-	Priority  Priority
-	Tenant    string
-	Seq       int64
-	Attempt   int
+	ID       string
+	Status   string
+	Priority Priority
+	Tenant   string
+	Seq      int64
+	Attempt  int
+	// Submitted is the admission instant in this process: for a task
+	// re-queued by journal replay it is the re-admission instant, because
+	// the original wall-clock submit time is not journaled.
 	Submitted time.Time
 	Finished  time.Time
 	// QueuePosition is the 1-based position among queued tasks (all
@@ -618,6 +621,9 @@ func (e *Engine) enqueueRecovered(rec *record) {
 	_, rec.endQueue = tr.Begin(rec.rootCtx, "queue_wait", "")
 	e.mu.Lock()
 	rec.status = StatusQueued
+	// Queue wait is measured from re-admission: the previous life's submit
+	// instant is not journaled.
+	rec.submitted = time.Now()
 	rec.tenant = canonicalTenant(rec.tenant)
 	e.records[rec.id] = rec
 	if rec.seq > e.seq {

@@ -202,3 +202,70 @@ func TestRecoverIdempotent(t *testing.T) {
 		t.Errorf("second replay = %+v, want nothing", again)
 	}
 }
+
+// TestRecoveredQueueWaitIsThisLife recovers a crash image of one started and
+// two never-started tasks and drains it. The original submit instant is not
+// journaled, so a re-queued task's queue wait is measured from its
+// re-admission: no wait may exceed the time since Recover was called, and the
+// tenant's mean wait stays a real number of seconds, not the 292 years a
+// zero submit time reads as.
+func TestRecoveredQueueWaitIsThisLife(t *testing.T) {
+	shared := store.NewMemory(store.Options{})
+	fence1 := store.NewFenced(shared)
+	running := make(chan struct{})
+	crashed := make(chan struct{})
+	var calls atomic.Int64
+	env1 := newEnv(t, func(opts *core.Options) {
+		opts.Workers = 1
+		opts.Store = fence1
+		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) {
+			if calls.Add(1) == 1 {
+				close(running)
+				<-crashed
+			}
+		}
+	})
+	ids := []string{"T-run", "T-q1", "T-q2"}
+	for _, id := range ids {
+		if _, err := env1.Engine.Submit(engine.Submission{Task: forkTask(t, id), Priority: engine.PriorityNormal}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatal("first task never started")
+	}
+	fence1.Fence()
+	close(crashed)
+	env1.Close()
+
+	env2 := newEnv(t, func(opts *core.Options) { opts.Workers = 1; opts.Store = store.NewFenced(shared) })
+	recovering := time.Now()
+	report, err := env2.Engine.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Total() != len(ids) {
+		t.Fatalf("report = %+v, want all %d tasks re-queued", report, len(ids))
+	}
+	for _, id := range ids {
+		st := waitTerminal(t, env2.Engine, id)
+		if st.Status != engine.StatusCompleted {
+			t.Errorf("task %s = %+v", id, st)
+		}
+		if limit := time.Since(recovering).Seconds(); st.QueueWait < 0 || st.QueueWait > limit {
+			t.Errorf("task %s queue wait = %gs, want within the %gs since Recover", id, st.QueueWait, limit)
+		}
+		if st.Submitted.Before(recovering) {
+			t.Errorf("task %s submitted %v, before Recover was called (%v)", id, st.Submitted, recovering)
+		}
+	}
+	ts, ok := env2.Engine.Tenant(engine.DefaultTenant)
+	if !ok {
+		t.Fatal("default tenant unknown after recovery")
+	}
+	if !(ts.MeanWaitSec >= 0 && ts.MeanWaitSec < 60) {
+		t.Errorf("tenant mean wait = %gs, want finite and < 60", ts.MeanWaitSec)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -488,15 +489,15 @@ func TestRetentionEvictedOverHTTP(t *testing.T) {
 }
 
 // TestMetricsAndTrace runs a workflow through the API and then checks that
-// the telemetry surface reports it: nonzero enactment/scheduling/http
+// the telemetry surface reports it: nonzero enactment/matchmaking/http
 // counters and an ordered span log.
 func TestMetricsAndTrace(t *testing.T) {
 	_, ts := testServer(t)
 	sub := TaskSubmission{
 		ID:   "T-obs",
 		Name: "observed",
-		// The FORK makes a concurrent batch, so the coordinator consults the
-		// scheduling service and the scheduling counters move too.
+		// The FORK makes a concurrent batch: its members still matchmake one
+		// by one, and nothing asks the scheduling service for a placement.
 		PDL: `BEGIN,
   POD(D1, D7 -> D8);
   {FORK
@@ -534,8 +535,6 @@ END`,
 		"coordination.activities.executed",
 		"coordination.tasks.completed",
 		"matchmaking.requests",
-		"scheduling.requests",
-		"scheduling.tasks.assigned",
 		"http.requests.total",
 		"http.responses.2xx",
 	} {
@@ -545,6 +544,17 @@ END`,
 	}
 	if h := snap.Histograms["http.request.seconds"]; h.Count <= 0 {
 		t.Errorf("http latency histogram = %+v", h)
+	}
+	if n := snap.Counters["scheduling.requests"]; n != 0 {
+		t.Errorf("scheduling.requests = %d, want 0: enactment places activities by matchmaking alone", n)
+	}
+	// The stage histograms are those of the three duration spans of an
+	// enactment: there is no scheduling stage to time.
+	stages := []string{"trace.stage.queue_wait.seconds", "trace.stage.enact.seconds", "trace.stage.journal_commit.seconds"}
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "trace.stage.") && !slices.Contains(stages, name) {
+			t.Errorf("stage histogram %s is registered, want only %v", name, stages)
+		}
 	}
 
 	var trace traceView
@@ -563,7 +573,7 @@ END`,
 		lastSeq = s.Seq
 		kinds[s.Kind]++
 	}
-	for _, k := range []string{"fire", "invoke", "dispatch", "complete", "schedule"} {
+	for _, k := range []string{"fire", "invoke", "dispatch", "complete"} {
 		if kinds[k] == 0 {
 			t.Errorf("trace missing %q spans; kinds = %v", k, kinds)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -467,5 +468,86 @@ func TestPprofGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof with opt-in: status %d", resp.StatusCode)
+	}
+}
+
+// TestObservabilityDocListsEveryName is the forward half of "the docs cannot
+// drift from the registry": after one Figure-10 task submitted over HTTP and
+// a metrics scrape, every instrument the registry holds and every span kind
+// in the task's trace is named in OBSERVABILITY.md, and a stage histogram
+// the doc names is one the registry holds.
+func TestObservabilityDocListsEveryName(t *testing.T) {
+	raw, err := os.ReadFile("../../OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	quoted := func(name string) bool { return strings.Contains(doc, "`"+name+"`") }
+
+	s, ts := testServer(t)
+	sub := TaskSubmission{ID: "T-doc", PDL: virolab.PDLSource, Goal: []string{virolab.GoalCondition}, InitialData: virolabItems()}
+	if code := postJSON(t, ts.URL+"/api/v1/tasks", sub, nil); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if view := pollStatus(t, ts.URL+"/api/v1/tasks/T-doc", settled); view.Status != "succeeded" {
+		t.Fatalf("task = %+v", view)
+	}
+	if code := getJSON(t, ts.URL+"/api/v1/metrics", nil); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+
+	// Tenant instruments are documented as a pattern plus a suffix table; a
+	// sanitized tenant ID holds no dot, so the suffix starts after the first.
+	const tenantPattern = "engine.tenant.<id>.<suffix>"
+	if !quoted(tenantPattern) {
+		t.Errorf("OBSERVABILITY.md no longer documents the %s pattern", tenantPattern)
+	}
+	documented := func(name string) {
+		if rest, ok := strings.CutPrefix(name, "engine.tenant."); ok {
+			if _, suffix, found := strings.Cut(rest, "."); !found || !quoted(suffix) {
+				t.Errorf("tenant instrument %s: suffix not in OBSERVABILITY.md", name)
+			}
+		} else if !quoted(name) {
+			t.Errorf("instrument %s is registered but not in OBSERVABILITY.md", name)
+		}
+	}
+	snap := s.env.Telemetry.Snapshot()
+	for name := range snap.Counters {
+		documented(name)
+	}
+	for name := range snap.Gauges {
+		documented(name)
+	}
+	for name := range snap.Histograms {
+		documented(name)
+	}
+
+	var trace traceView
+	if code := getJSON(t, ts.URL+"/api/v1/tasks/T-doc/trace", &trace); code != http.StatusOK {
+		t.Fatalf("trace status %d", code)
+	}
+	kinds := map[string]bool{}
+	for _, sp := range trace.Spans {
+		kinds[sp.Kind] = true
+	}
+	if len(kinds) == 0 {
+		t.Fatal("trace has no spans")
+	}
+	for kind := range kinds {
+		if !strings.Contains(doc, "| `"+kind+"` |") {
+			t.Errorf("span kind %s is recorded but has no row in OBSERVABILITY.md", kind)
+		}
+	}
+
+	// The reverse direction, for what an enactment always registers: a
+	// documented stage histogram or duration-span row nothing produces is a
+	// deleted instrument the doc kept.
+	for _, name := range regexp.MustCompile("`(trace\\.stage\\.[a-z_]+\\.seconds)`").FindAllStringSubmatch(doc, -1) {
+		if _, ok := snap.Histograms[name[1]]; !ok {
+			t.Errorf("OBSERVABILITY.md names %s, which the registry does not hold", name[1])
+		}
+	}
+	if strings.Contains(doc, "| `schedule` |") {
+		t.Error("OBSERVABILITY.md still has a row for the schedule span, which nothing records")
 	}
 }

@@ -19,24 +19,13 @@ type ContainersRequest struct{ Service string }
 // container whose node failed after the last refresh is still listed.
 type ContainersReply struct{ Containers []string }
 
-// PerfRequest asks for past performance statistics of a service, optionally
-// restricted to executions on one node (used by the coordinator's
-// history-aware dispatch).
-type PerfRequest struct {
-	Service string
-	Node    string // empty = all nodes
-}
-
-// PerfStats aggregates the execution history of a service.
+// PerfStats aggregates the execution history of a service on one node.
 type PerfStats struct {
 	Runs         int
 	SuccessRate  float64
 	MeanDuration float64
 	MeanCost     float64
 }
-
-// PerfReply carries the stats.
-type PerfReply struct{ Stats PerfStats }
 
 // PerfBatchRequest asks for one service's statistics on several nodes in a
 // single round-trip (the coordinator queries every dispatch candidate at
@@ -65,8 +54,8 @@ type RefreshRequest struct{}
 
 // Brokerage is the brokerage service agent. It keeps a best-effort snapshot
 // of container offerings plus the performance history, folded incrementally
-// into per-service and per-service-per-node aggregates so a PerfRequest is
-// O(1) regardless of how many executions were ever recorded.
+// into one aggregate per (service, node) so a PerfBatchRequest costs one map
+// lookup per node regardless of how many executions were ever recorded.
 type Brokerage struct {
 	Grid *grid.Grid
 
@@ -75,8 +64,8 @@ type Brokerage struct {
 	Telemetry *telemetry.Registry
 
 	mu       sync.Mutex
-	snapshot map[string][]string   // service -> container IDs (possibly stale)
-	perf     map[string]*perfAccum // "service" and "service\x00node" aggregates
+	snapshot map[string][]string // service -> container IDs (possibly stale)
+	perf     map[perfKey]*perfAccum
 }
 
 // perfAccum is one running performance aggregate.
@@ -107,8 +96,8 @@ func (a *perfAccum) stats() PerfStats {
 	}
 }
 
-// perfKey joins service and node with a separator no service name contains.
-func perfKey(service, node string) string { return service + "\x00" + node }
+// perfKey names one aggregate: a service's executions on one node.
+type perfKey struct{ service, node string }
 
 // NewBrokerage builds a brokerage with an immediate snapshot.
 func NewBrokerage(g *grid.Grid) *Brokerage {
@@ -143,28 +132,23 @@ func (b *Brokerage) Refresh() {
 func (b *Brokerage) Record(ex grid.Execution) {
 	b.mu.Lock()
 	if b.perf == nil {
-		b.perf = make(map[string]*perfAccum)
+		b.perf = make(map[perfKey]*perfAccum)
 	}
-	for _, key := range []string{ex.Service, perfKey(ex.Service, ex.Node)} {
-		a := b.perf[key]
-		if a == nil {
-			a = &perfAccum{}
-			b.perf[key] = a
-		}
-		a.add(ex)
+	key := perfKey{ex.Service, ex.Node}
+	a := b.perf[key]
+	if a == nil {
+		a = &perfAccum{}
+		b.perf[key] = a
 	}
+	a.add(ex)
 	b.mu.Unlock()
 	b.Telemetry.Counter("brokerage.executions.recorded").Inc()
 }
 
 func (b *Brokerage) stats(service, node string) PerfStats {
-	key := service
-	if node != "" {
-		key = perfKey(service, node)
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.perf[key].stats()
+	return b.perf[perfKey{service, node}].stats()
 }
 
 // HandleMessage implements agent.Handler.
@@ -176,8 +160,6 @@ func (b *Brokerage) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		list := append([]string(nil), b.snapshot[req.Service]...)
 		b.mu.Unlock()
 		_ = ctx.Reply(msg, agent.Inform, ContainersReply{Containers: list})
-	case PerfRequest:
-		_ = ctx.Reply(msg, agent.Inform, PerfReply{Stats: b.stats(req.Service, req.Node)})
 	case PerfBatchRequest:
 		stats := make([]PerfStats, len(req.Nodes))
 		for i, node := range req.Nodes {

@@ -118,16 +118,22 @@ func TestBrokerageSnapshotAndStaleness(t *testing.T) {
 
 func TestBrokeragePerformanceHistory(t *testing.T) {
 	f := newFixture(t)
-	f.broker.Record(grid.Execution{Service: "P3DR", Duration: 10, Cost: 1, OK: true})
-	f.broker.Record(grid.Execution{Service: "P3DR", Duration: 20, Cost: 3, OK: false})
-	f.broker.Record(grid.Execution{Service: "POD", Duration: 5, OK: true})
-	reply, err := f.client.Call(BrokerageName, OntBrokerage, PerfRequest{Service: "P3DR"}, time.Second)
+	f.broker.Record(grid.Execution{Service: "P3DR", Node: "n1", Duration: 10, Cost: 1, OK: true})
+	f.broker.Record(grid.Execution{Service: "P3DR", Node: "n1", Duration: 20, Cost: 3, OK: false})
+	f.broker.Record(grid.Execution{Service: "POD", Node: "n1", Duration: 5, OK: true})
+	reply, err := f.client.Call(BrokerageName, OntBrokerage, PerfBatchRequest{Service: "P3DR", Nodes: []string{"n1", "n2"}}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := reply.Content.(PerfReply).Stats
-	if s.Runs != 2 || s.MeanDuration != 15 || s.SuccessRate != 0.5 || s.MeanCost != 2 {
-		t.Errorf("stats = %+v", s)
+	stats := reply.Content.(PerfBatchReply).Stats
+	if len(stats) != 2 {
+		t.Fatalf("stats = %+v, want one entry per requested node", stats)
+	}
+	if s := stats[0]; s.Runs != 2 || s.MeanDuration != 15 || s.SuccessRate != 0.5 || s.MeanCost != 2 {
+		t.Errorf("n1 stats = %+v", s)
+	}
+	if stats[1] != (PerfStats{}) {
+		t.Errorf("n2 stats = %+v, want none: nothing ran there", stats[1])
 	}
 	reply, _ = f.client.Call(BrokerageName, OntBrokerage, ClassesRequest{}, time.Second)
 	if classes := reply.Content.(ClassesReply).Classes; len(classes) != 2 {
