@@ -5,8 +5,7 @@
 // Usage:
 //
 //	gridenv [-addr :8080] [-clusters 6] [-smps 3] [-supers 1] [-seed 1]
-//	        [-store mem:|file:DIR] [-store-batch N]
-//	        [-store-interval D] [-workers N] [-enact-delay D]
+//	        [-store mem:|file:DIR] [-workers N] [-enact-delay D]
 //	        [-tenants alpha:3,beta:1] [-tenant-max-queued N]
 //	        [-tenant-max-inflight N] [-tenant-rate R] [-tenant-burst N]
 //	        [-node-id a -peers a=http://h1:8080,b=http://h2:8080]
@@ -16,15 +15,14 @@
 // or "file:DIR" (append-only segmented log of CRC-checked frames, with
 // rotation and compaction). On the durable backend, checkpoints, archived
 // plans, and the enactment engine's write-ahead task journal survive
-// restarts with no explicit save step: journal appends are
-// group-committed (one fsync per batch; -store-batch bounds the batch,
-// -store-interval adds an optional linger), and at startup the engine
-// replays the journal — tasks that were accepted but never started are
-// re-enqueued, tasks interrupted mid-enactment resume from their latest
-// checkpoint, and finished tasks stay queryable. A value without a scheme is
-// rejected. -workers sizes the engine's coordinator worker pool (default:
-// GOMAXPROCS); -enact-delay sleeps that long per enacted activity, emulating
-// remote service latency for load experiments.
+// restarts with no explicit save step: journal appends are group-committed
+// (concurrent writers share an fsync; there is nothing to tune), and at
+// startup the engine replays the journal — tasks that were accepted but
+// never started are re-enqueued, tasks interrupted mid-enactment resume from
+// their latest checkpoint, and finished tasks stay queryable. A value
+// without a scheme is rejected. -workers sizes the engine's coordinator
+// worker pool (default: GOMAXPROCS); -enact-delay sleeps that long per
+// enacted activity, emulating remote service latency for load experiments.
 //
 // -tenants assigns fair-share weights (id:weight,...) to named tenants; the
 // -tenant-* flags set the default admission quotas — max queued tasks, max
@@ -144,8 +142,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&gridCfg.Supercomputers, "supers", gridCfg.Supercomputers, "supercomputers")
 	fs.Int64Var(&gridCfg.Seed, "seed", gridCfg.Seed, "grid and planner seed")
 	fs.StringVar(&cfg.opts.StoreDSN, "store", "", "storage backend DSN: mem: or file:DIR (empty = mem:)")
-	fs.IntVar(&cfg.opts.StoreFlush.MaxBatch, "store-batch", 0, "group-commit batch bound for durable backends (0 = default)")
-	fs.DurationVar(&cfg.opts.StoreFlush.Interval, "store-interval", 0, "group-commit linger interval (0 = flush when the flusher is free)")
 	fs.IntVar(&cfg.opts.Workers, "workers", 0, "enactment worker pool size (0 = GOMAXPROCS)")
 	fs.DurationVar(&enactDelay, "enact-delay", 0, "emulated per-activity service latency (load experiments; 0 = none)")
 	fs.IntVar(&cfg.opts.PlanWorkers, "plan-workers", 0, "planning service worker pool size (0 = GOMAXPROCS)")

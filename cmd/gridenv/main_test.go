@@ -22,7 +22,6 @@ func TestParseFlags(t *testing.T) {
 	}{
 		{[]string{"-workers", "3"}, func(o core.Options) any { return o.Workers }, 3},
 		{[]string{"-plan-cache", "64"}, func(o core.Options) any { return o.PlanCacheSize }, 64},
-		{[]string{"-store-batch", "16"}, func(o core.Options) any { return o.StoreFlush.MaxBatch }, 16},
 		{[]string{"-trace-spans", "99"}, func(o core.Options) any { return o.TraceSpanCap }, 99},
 		{[]string{"-seed", "5"}, func(o core.Options) any { return [2]int64{o.GridConfig.Seed, o.Planner.Seed} }, [2]int64{5, 5}},
 		{

@@ -61,8 +61,7 @@ type Config struct {
 
 	// OnCheckpoint, when set, is invoked after every checkpoint successfully
 	// written to the storage service, with the task ID and the stored
-	// version. The enactment engine uses it to append "checkpointed" records
-	// to its write-ahead task journal.
+	// version. Tests use it to stop an enactment at a known checkpoint.
 	OnCheckpoint func(taskID string, version int)
 }
 
@@ -214,13 +213,6 @@ func (c *Coordinator) logger() *slog.Logger {
 		return telemetry.NopLogger()
 	}
 	return c.log
-}
-
-// SetCheckpointHook installs (or replaces) the Config.OnCheckpoint callback.
-// Like the Telemetry wiring in core.NewEnvironment, this is only safe before
-// the coordinator receives traffic.
-func (c *Coordinator) SetCheckpointHook(fn func(taskID string, version int)) {
-	c.cfg.OnCheckpoint = fn
 }
 
 // TaskRequest asks the coordination service to enact a task.

@@ -65,10 +65,6 @@ type Options struct {
 	// segmented log). Empty means "mem:". Ignored when Store is set.
 	StoreDSN string
 
-	// StoreFlush tunes group commit on durable backends: batch bound and
-	// optional linger interval (see store.FlushConfig).
-	StoreFlush store.FlushConfig
-
 	// Store injects an already opened backend instead of StoreDSN. The
 	// environment takes ownership and closes it on Close.
 	Store store.Store
@@ -190,7 +186,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 			dsn = "mem:"
 		}
 		var err error
-		backend, err = store.Open(dsn, store.Options{Flush: opts.StoreFlush, Telemetry: tel})
+		backend, err = store.Open(dsn, store.Options{Telemetry: tel})
 		if err != nil {
 			return nil, err
 		}
@@ -263,9 +259,6 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		backend.Close()
 		return nil, err
 	}
-	// The engine journals coordinator checkpoints so recovery knows how far
-	// each enactment got.
-	coord.SetCheckpointHook(eng.NoteCheckpoint)
 	eng.Start()
 	return &Environment{
 		Platform:    platform,

@@ -16,10 +16,10 @@ import (
 
 // TestCrashMidBatchStress snapshots the file backend's durable prefix while
 // the engine is running hot — submissions still arriving, workers enacting,
-// the group-commit flusher fsyncing batches — and restarts a fresh
-// environment on the copy. The copy lands mid-batch by construction:
-// CopyDurable serializes only against the flusher's file mutex, so it falls
-// between two fsyncs of a live stream of appends. Invariants checked on the
+// group-commit rounds fsyncing batches — and restarts a fresh environment on
+// the copy. The copy lands mid-batch by construction: CopyDurable serializes
+// only against the flush's file mutex, so it falls between two fsyncs of a
+// live stream of appends. Invariants checked on the
 // second life:
 //
 //   - no lost task: every submission acknowledged before the copy began is
@@ -47,7 +47,6 @@ func TestCrashMidBatchStress(t *testing.T) {
 		opts.Workers = 3
 		opts.Checkpoint = true
 		opts.StoreDSN = "file:" + live
-		opts.StoreFlush = store.FlushConfig{Interval: time.Millisecond}
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) {
 			if executed.Add(1) == 4 {
 				triggerOnce.Do(func() { close(trigger) })

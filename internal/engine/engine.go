@@ -529,7 +529,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 	// visible in the queue, so a crash between here and the first worker
 	// pickup still re-enqueues it on recovery.
 	_, endJournal := tr.Begin(rec.rootCtx, "journal_commit", "accepted")
-	_, jerr := e.journalAppend(JournalRecord{
+	jerr := e.journalAppend(JournalRecord{
 		Event: EventAccepted, TaskID: id, Seq: rec.seq,
 		Priority: int(rec.priority), Tenant: rec.tenant, Task: env,
 	})
@@ -705,9 +705,10 @@ func (e *Engine) run(rec *record) {
 
 	// The started record rides the log asynchronously: its durability is not
 	// load-bearing (a crash mid-run re-enqueues the task from the accepted
-	// record either way), so the worker should not stall on an fsync before
-	// the enactment even begins. Ordering against the terminal snapshot is
-	// preserved — this worker enqueues both, and batches flush FIFO.
+	// record either way; the record only tells "restarted" from "requeued"),
+	// so it costs no fsync of its own — it is durable with the next durable
+	// write, which is this task's first checkpoint or terminal snapshot at
+	// the latest.
 	if err := e.journalAppendAsync(JournalRecord{Event: EventStarted, TaskID: rec.id, Attempt: rec.attempt}); err != nil {
 		e.log.Error("journal append failed for started event",
 			slog.String("task", rec.id), slog.String("error", err.Error()))
@@ -846,35 +847,6 @@ func (e *Engine) finishReason(rec *record, status, reason string, report *coordi
 		e.log.Warn("task finished", attrs...)
 	} else {
 		e.log.Info("task finished", attrs...)
-	}
-}
-
-// NoteCheckpoint is the coordination.Config.OnCheckpoint hook: it journals
-// checkpoint progress for tasks the engine owns (direct coordinator use
-// outside the engine is ignored).
-func (e *Engine) NoteCheckpoint(taskID string, version int) {
-	e.mu.Lock()
-	rec := e.records[taskID]
-	owned := rec != nil && rec.status == StatusRunning
-	e.mu.Unlock()
-	if !owned {
-		return
-	}
-	ver, err := e.journalAppend(JournalRecord{Event: EventCheckpointed, TaskID: taskID, CheckpointVersion: version})
-	if err != nil {
-		e.log.Error("journal append failed for checkpoint event",
-			slog.String("task", taskID), slog.String("error", err.Error()))
-		return
-	}
-	if ver > maxJournalVersions {
-		if err := e.compact(JournalRecord{
-			TaskID: taskID, Seq: rec.seq, Attempt: rec.attempt,
-			Priority: int(rec.priority), Tenant: rec.tenant,
-			Status: StatusRunning, CheckpointVersion: version, Task: rec.env,
-		}); err != nil {
-			e.log.Error("journal compaction failed",
-				slog.String("task", taskID), slog.String("error", err.Error()))
-		}
 	}
 }
 

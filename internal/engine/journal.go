@@ -15,12 +15,10 @@ import (
 // the transition takes effect, so a crashed engine can reconstruct where
 // every task stood from the persistent storage service alone.
 const (
-	EventAccepted     = "accepted"     // admitted to the queue; carries the full task envelope
-	EventStarted      = "started"      // a worker began attempt N
-	EventCheckpointed = "checkpointed" // the coordinator wrote checkpoint version V
-	EventSnapshot     = "snapshot"     // compaction record replacing older history; terminal
-	//                                    transitions write this directly (status + error), so a
-	//                                    finished task's journal is exactly one snapshot record
+	EventAccepted = "accepted" // admitted to the queue; carries the full task envelope
+	EventStarted  = "started"  // a worker began attempt N
+	EventSnapshot = "snapshot" // the terminal record (status + error): it replaces the
+	//                            history, so a finished task's journal is exactly one record
 )
 
 // JournalKey returns the storage key of a task's journal. Each journal
@@ -44,12 +42,9 @@ type JournalRecord struct {
 	Priority int    `json:"priority,omitempty"`
 	Tenant   string `json:"tenant,omitempty"`
 	Error    string `json:"error,omitempty"`
-	// CheckpointVersion is the coordination checkpoint version (on
-	// checkpointed records and snapshots of started tasks).
-	CheckpointVersion int `json:"checkpointVersion,omitempty"`
-	// Task is the serialized submission (on accepted records and on
-	// snapshots of non-terminal tasks); recovery re-creates the workflow
-	// task from it.
+	// Task is the serialized submission (on accepted records, and on the
+	// non-terminal snapshots older versions wrote); recovery re-creates the
+	// workflow task from it.
 	Task *TaskEnvelope `json:"task,omitempty"`
 	// Status is the effective task status (on snapshot records only).
 	Status string `json:"status,omitempty"`
@@ -140,59 +135,49 @@ func (te *TaskEnvelope) task() (*workflow.Task, error) {
 	return task, nil
 }
 
-// maxJournalVersions bounds a task's journal length before mid-run
-// compaction folds the history into one snapshot record (long enactments
-// append one "checkpointed" record per dispatch batch).
-const maxJournalVersions = 64
-
 // journalWrite is the one marshal / error / counter path behind the three
 // journal writes; write is the store method (as a method expression, so
 // picking it allocates nothing) and what names it in the error.
-func (e *Engine) journalWrite(write func(storageAPI, string, []byte) (int, error), what string, n *telemetry.Counter, rec JournalRecord) (int, error) {
+func (e *Engine) journalWrite(write func(storageAPI, string, []byte) (int, error), what string, n *telemetry.Counter, rec JournalRecord) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		// Records are built from plain serializable fields; a marshal
 		// failure is a programming error, not a runtime condition.
 		panic(fmt.Sprintf("engine: journal record marshal: %v", err))
 	}
-	ver, err := write(e.store, JournalKey(rec.TaskID), data)
-	if err != nil {
-		return 0, fmt.Errorf("engine: journal %s for task %s: %w", what, rec.TaskID, err)
+	if _, err := write(e.store, JournalKey(rec.TaskID), data); err != nil {
+		return fmt.Errorf("engine: journal %s for task %s: %w", what, rec.TaskID, err)
 	}
 	n.Inc()
-	return ver, nil
+	return nil
 }
 
-// journalAppend appends one record to the task's journal — on durable
-// backends it blocks until the record's group-commit batch is fsynced — and
-// returns the new journal depth. The caller must NOT hold e.mu: the append
-// can wait on an fsync, and concurrent appends are exactly what group commit
-// batches together. Per-task journal keys have a single writer at any time
-// (admission before the task is queued, then its worker), so appends to one
-// key never race.
-func (e *Engine) journalAppend(rec JournalRecord) (int, error) {
+// journalAppend appends one record to the task's journal; on durable
+// backends it blocks until the fsync that carries the record is done. The
+// caller must NOT hold e.mu: the append can wait on an fsync, and concurrent
+// appends are exactly what group commit batches together. Per-task journal
+// keys have a single writer at any time (admission before the task is
+// queued, then its worker), so appends to one key never race.
+func (e *Engine) journalAppend(rec JournalRecord) error {
 	return e.journalWrite(storageAPI.Put, "append", e.mJournalRecords, rec)
 }
 
-// journalAppendAsync appends one record without waiting for its group-commit
-// batch to reach disk; the record's position in the log is still fixed here.
-// For records whose loss a crash already tolerates (the "started" marker).
+// journalAppendAsync appends one record without waiting for an fsync or
+// starting one; the record's position in the log is still fixed here, and it
+// is durable no later than the task's terminal snapshot. For records whose
+// loss a crash already tolerates (the "started" marker).
 func (e *Engine) journalAppendAsync(rec JournalRecord) error {
-	_, err := e.journalWrite(storageAPI.PutAsync, "append", e.mJournalRecords, rec)
-	return err
+	return e.journalWrite(storageAPI.PutAsync, "append", e.mJournalRecords, rec)
 }
 
-// compact replaces a task's journal history with a single snapshot record
-// describing its effective state. Terminal tasks compact to a bare status;
-// live tasks keep their envelope and checkpoint cursor so recovery still
-// works from the compacted form. The whole compaction is one Replace — one
-// store record, one group-commit slot — so a crash can never land between
+// compact replaces a task's journal history with the single snapshot record
+// of its terminal state. The whole compaction is one Replace — one store
+// record, one group-commit slot — so a crash can never land between
 // discarding the history and writing the snapshot, which a Delete+Put pair
-// (separate fsync batches) could not guarantee.
+// (separate fsync rounds) could not guarantee.
 func (e *Engine) compact(snapshot JournalRecord) error {
 	snapshot.Event = EventSnapshot
-	_, err := e.journalWrite(storageAPI.Replace, "compact", e.mJournalCompactions, snapshot)
-	return err
+	return e.journalWrite(storageAPI.Replace, "compact", e.mJournalCompactions, snapshot)
 }
 
 // ReadJournal returns every journal record of a task in append order,

@@ -31,23 +31,22 @@ func (r RecoveryReport) Total() int {
 
 // replayState is the effective state of one task after folding its journal.
 type replayState struct {
-	id           string
-	seq          int64
-	attempt      int
-	priority     Priority
-	tenant       string
-	status       string
-	err          string
-	reason       string
-	envelope     *TaskEnvelope
-	checkpointed bool
+	id       string
+	seq      int64
+	attempt  int
+	priority Priority
+	tenant   string
+	status   string
+	err      string
+	reason   string
+	envelope *TaskEnvelope
 }
 
 // Recover replays every task journal in the storage service and rebuilds the
 // engine's state: terminal tasks get their records restored for lookups,
 // accepted-but-never-started tasks are re-enqueued in admission order, and
 // started tasks re-enter the queue flagged to resume from their latest
-// coordination checkpoint (or from scratch if none was written). Call it
+// coordination checkpoint (or from scratch if the store holds none). Call it
 // after core loads a store file and before traffic arrives; tasks the engine
 // already tracks are skipped, so calling it on a warm engine is harmless.
 func (e *Engine) Recover() (RecoveryReport, error) {
@@ -120,14 +119,18 @@ func (e *Engine) RecoverOwned(own func(tenant, taskID string) bool) (RecoveryRep
 			// instead of silently dropping the task.
 			return report, fmt.Errorf("engine: recover: journal of task %s has no envelope", st.id)
 		}
-		switch {
+		// Whether a started task resumes is the store's word, not the
+		// journal's: a checkpoint that is there is used.
+		switch _, _, checkpointed, err := e.store.Get(coordination.CheckpointKey(st.id), 0); {
+		case err != nil:
+			return report, fmt.Errorf("engine: recover task %s: %w", st.id, err)
 		case st.status == StatusQueued:
 			e.enqueueRecovered(rec)
 			e.mRequeued.Inc()
 			report.Requeued = append(report.Requeued, st.id)
 			e.tel.TaskTrace(st.id).Span("recovered", "", "re-enqueued: accepted but never started")
 			e.log.Info("recovery re-enqueued task", slog.String("task", st.id))
-		case st.checkpointed:
+		case checkpointed:
 			snap, err := coordination.LoadCheckpointVersion(e.store, st.id, 0)
 			if err != nil {
 				return report, fmt.Errorf("engine: recover task %s: %w", st.id, err)
@@ -169,8 +172,6 @@ func replay(id string, recs []JournalRecord) *replayState {
 		case EventStarted:
 			st.status = StatusRunning
 			st.attempt = r.Attempt
-		case EventCheckpointed:
-			st.checkpointed = true
 		case EventSnapshot:
 			st.status = r.Status
 			st.seq = r.Seq
@@ -180,7 +181,6 @@ func replay(id string, recs []JournalRecord) *replayState {
 			st.err = r.Error
 			st.reason = r.Reason
 			st.envelope = r.Task
-			st.checkpointed = r.CheckpointVersion > 0
 		}
 	}
 	return st

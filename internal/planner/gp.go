@@ -512,8 +512,29 @@ func RunManyContext(ctx context.Context, problem *workflow.Problem, params Param
 		return nil, err
 	}
 	defer svc.Close()
+	// At most runWindow runs are in the service at once — its queue holds
+	// 256 and it forgets all but the last 1 024 finished plans — so run i is
+	// submitted only once run i-runWindow has been collected.
+	const runWindow = 256
 	ids := make([]string, n)
+	results := make([]*Result, n)
+	collect := func(i int) error {
+		st, err := svc.Wait(ctx, ids[i])
+		if err != nil {
+			return err
+		}
+		if st.Status != StatusSucceeded || st.Result == nil {
+			return fmt.Errorf("planner: run %d %s: %s", i, st.Status, st.Error)
+		}
+		results[i] = st.Result
+		return nil
+	}
 	for i := range ids {
+		if i >= runWindow {
+			if err := collect(i - runWindow); err != nil {
+				return nil, err
+			}
+		}
 		p := params
 		p.Seed = params.Seed + int64(i)
 		st, err := svc.Submit(ctx, PlanSpec{
@@ -529,16 +550,10 @@ func RunManyContext(ctx context.Context, problem *workflow.Problem, params Param
 		}
 		ids[i] = st.ID
 	}
-	results := make([]*Result, n)
-	for i, id := range ids {
-		st, err := svc.Wait(ctx, id)
-		if err != nil {
+	for i := max(0, n-runWindow); i < n; i++ {
+		if err := collect(i); err != nil {
 			return nil, err
 		}
-		if st.Status != StatusSucceeded || st.Result == nil {
-			return nil, fmt.Errorf("planner: run %d %s: %s", i, st.Status, st.Error)
-		}
-		results[i] = st.Result
 	}
 	return results, nil
 }

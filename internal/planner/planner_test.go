@@ -416,6 +416,35 @@ func TestRunManyAndSummarize(t *testing.T) {
 	}
 }
 
+// TestRunManyBeyondQueueCapacity asks for more runs than the planning
+// service queues (256): the runs go through a bounded window, and each is
+// still the single run of its seed.
+func TestRunManyBeyondQueueCapacity(t *testing.T) {
+	p := DefaultParams()
+	p.PopulationSize = 20 // a run outlasts 300 submissions, so all-at-once overflows
+	p.Generations = 3
+	const n = 300
+	results, err := RunManyContext(context.Background(), testProblem(), p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != n {
+		t.Fatalf("got %d results, want %d", len(results), n)
+	}
+	for i, got := range results {
+		single := p
+		single.Seed = p.Seed + int64(i)
+		one, err := RunManyContext(context.Background(), testProblem(), single, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := one[0]; got.Best.Tree.String() != want.Best.Tree.String() || got.Best.Eval != want.Best.Eval {
+			t.Fatalf("run %d = %s %+v, single run of seed %d = %s %+v",
+				i, got.Best.Tree, got.Best.Eval, single.Seed, want.Best.Tree, want.Best.Eval)
+		}
+	}
+}
+
 func TestForwardSearchBaseline(t *testing.T) {
 	plan, err := ForwardSearch(testProblem(), 10)
 	if err != nil {

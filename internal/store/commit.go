@@ -5,169 +5,116 @@ import (
 	"time"
 )
 
-// batch is one group-commit round: the encoded mutations it carries and the
-// completion signal its waiters block on.
-type batch struct {
-	ops  [][]byte
-	done chan struct{}
-	err  error
-}
+// maxUnflushed is the backlog of appended-but-not-durable mutations at which
+// an async append stops riding along and waits for a flush like any other
+// writer, so the buffer stays bounded when nothing else asks for durability.
+const maxUnflushed = 256
 
-// committer is the group-commit engine shared by the durable backends. A
-// single flusher goroutine drains batches: it hands each batch's bytes to
-// the backend's flush function (write + fsync + post-processing such as
-// segment rotation), then releases every waiter at once. While a flush is in
-// flight new mutations pile into the next batch, so concurrent writers share
-// fsyncs without any of them observing a non-durable acknowledgement.
+// committer is the group commit shared by the durable backends: one buffer
+// of encoded mutations and two sequence numbers. A writer that needs
+// durability and finds no flush in flight becomes the leader: it takes
+// everything appended so far and hands it to the backend's flush function
+// (write + fsync + post-processing such as segment rotation). Writers that
+// arrive meanwhile append and wait; when the round ends the first to wake
+// leads the next one with all of them aboard, so concurrent writers share
+// fsyncs and none observes a non-durable acknowledgement. An async append
+// only joins the buffer — it rides the next durable write, Sync or Close.
 type committer struct {
-	cfg   FlushConfig
 	stats *counters
 
-	// flush persists one batch of encoded records; it runs on the flusher
-	// goroutine only and must return once the bytes are on disk.
-	flush func(ops [][]byte) error
+	// flush persists a run of encoded records; only the leader of a round
+	// calls it, and it must return once the bytes are on disk.
+	flush func(buf []byte) error
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*batch // open + full batches, oldest first
-	pending int      // mutations accepted but not yet durable
-	closed  bool
-	failed  error // sticky: first flush error poisons the store
-
-	wg sync.WaitGroup
+	mu       sync.Mutex
+	cond     *sync.Cond // signalled at the end of every round
+	buf      []byte     // mutations (durable, appended], encoded, unless a round holds them
+	idle     []byte     // the previous round's buffer, kept for its capacity
+	appended uint64     // mutations accepted
+	durable  uint64     // mutations on disk; durable <= appended
+	flushing bool       // a leader is inside flush
+	failed   error      // sticky: first flush error poisons the store
 }
 
-func newCommitter(cfg FlushConfig, stats *counters, flush func([][]byte) error) *committer {
-	c := &committer{cfg: cfg, stats: stats, flush: flush}
+func newCommitter(stats *counters, flush func([]byte) error) *committer {
+	c := &committer{stats: stats, flush: flush}
 	c.cond = sync.NewCond(&c.mu)
-	c.wg.Add(1)
-	go c.run()
 	return c
 }
 
-// commit enqueues one encoded mutation and blocks until the batch holding it
-// is durable. The caller must NOT hold the backend mutex used to order
-// mutations while waiting — enqueue under it, then release it before the
-// wait (enqueue order is batch order, so versions stay consistent).
-func (c *committer) commit(enc []byte) error {
-	b, err := c.enqueue(enc)
-	if err != nil {
-		return err
-	}
-	return c.wait(b)
-}
-
-// enqueue is the first half of commit: it adds the mutation to the open
-// batch and returns immediately. Backends call it while holding their
-// ordering mutex so batch order matches version order, then release that
-// mutex and wait. Lock order is backend mutex → c.mu, never the reverse.
-func (c *committer) enqueue(enc []byte) (*batch, error) {
+// append adds one encoded mutation to the buffer and returns its sequence
+// number. Backends call it while holding their ordering mutex, so buffer
+// order matches version order, then release that mutex before commit. Lock
+// order is backend mutex → c.mu, never the reverse.
+func (c *committer) append(enc []byte) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errClosed
-	}
 	if c.failed != nil {
-		return nil, c.failed
+		return 0, c.failed
 	}
-	b := c.tail()
-	b.ops = append(b.ops, enc)
-	c.pending++
-	c.stats.gPending.Set(float64(c.pending))
-	c.cond.Broadcast()
-	return b, nil
+	c.buf = append(c.buf, enc...)
+	c.appended++
+	c.stats.gPending.Set(float64(c.appended - c.durable))
+	return c.appended, nil
 }
 
-// wait blocks until the batch is durable.
-func (c *committer) wait(b *batch) error {
-	<-b.done
-	return b.err
-}
-
-// tail returns the open batch, starting a new one when none is open or the
-// last is full; caller holds c.mu.
-func (c *committer) tail() *batch {
-	if n := len(c.queue); n > 0 && len(c.queue[n-1].ops) < c.cfg.maxBatch() {
-		return c.queue[n-1]
+// commit blocks until mutation seq is durable. With wait false (an async
+// append) it returns at once unless the backlog has reached maxUnflushed.
+// The caller must NOT hold the backend's ordering mutex.
+func (c *committer) commit(seq uint64, wait bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !wait && c.appended-c.durable < maxUnflushed {
+		return nil
 	}
-	b := &batch{done: make(chan struct{})}
-	c.queue = append(c.queue, b)
-	return b
+	return c.waitLocked(seq)
 }
 
-// sync blocks until everything accepted so far is durable.
+// waitLocked returns once mutation seq is durable, leading as many rounds as
+// it finds nobody else leading; caller holds c.mu.
+func (c *committer) waitLocked(seq uint64) error {
+	for c.durable < seq {
+		if c.failed != nil {
+			return c.failed
+		}
+		if c.flushing {
+			c.cond.Wait()
+			continue
+		}
+		out, upto, n := c.buf, c.appended, int(c.appended-c.durable)
+		c.buf, c.flushing = c.idle[:0], true
+		c.mu.Unlock()
+
+		start := time.Now()
+		err := c.flush(out)
+		c.stats.noteFlush(n, time.Since(start))
+
+		c.mu.Lock()
+		c.idle, c.flushing = out, false
+		if err != nil {
+			c.failed = err
+		} else {
+			c.durable = upto
+			c.stats.gPending.Set(float64(c.appended - c.durable))
+		}
+		c.cond.Broadcast()
+	}
+	return nil
+}
+
+// sync blocks until everything accepted so far is durable; it is also how a
+// backend that has stopped appending drains the buffer before it closes its
+// file. A failed flush leaves durable short of appended for good, so a
+// poisoned store answers with the sticky error.
 func (c *committer) sync() error {
 	c.mu.Lock()
-	for c.pending > 0 && c.failed == nil && !c.closed {
-		c.cond.Wait()
-	}
-	err := c.failed
-	c.mu.Unlock()
-	return err
+	defer c.mu.Unlock()
+	return c.waitLocked(c.appended)
 }
 
 // pendingCount reports mutations awaiting fsync.
 func (c *committer) pendingCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pending
-}
-
-// close drains the queue and stops the flusher.
-func (c *committer) close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-	c.mu.Lock()
-	err := c.failed
-	c.mu.Unlock()
-	return err
-}
-
-// run is the flusher goroutine.
-func (c *committer) run() {
-	defer c.wg.Done()
-	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.closed {
-			c.mu.Unlock()
-			return
-		}
-		b := c.queue[0]
-		if c.cfg.Interval > 0 && len(b.ops) < c.cfg.maxBatch() && !c.closed {
-			// Linger: let more mutations join this batch. Re-check under the
-			// lock after sleeping — the batch may have filled meanwhile.
-			c.mu.Unlock()
-			time.Sleep(c.cfg.Interval)
-			c.mu.Lock()
-			b = c.queue[0]
-		}
-		c.queue = c.queue[1:]
-		c.mu.Unlock()
-
-		start := time.Now()
-		err := c.flush(b.ops)
-		c.stats.noteFlush(len(b.ops), time.Since(start))
-
-		c.mu.Lock()
-		c.pending -= len(b.ops)
-		c.stats.gPending.Set(float64(c.pending))
-		if err != nil && c.failed == nil {
-			c.failed = err
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
-
-		b.err = err
-		close(b.done)
-	}
+	return int(c.appended - c.durable)
 }

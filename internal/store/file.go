@@ -17,7 +17,7 @@ import (
 
 // File is the append-only segmented backend. Every mutation is one
 // CRC-checked frame appended to the active segment through the group
-// committer; the live state is kept in memory (reads never touch the disk),
+// commit; the live state is kept in memory (reads never touch the disk),
 // so the segments are purely the durability log:
 //
 //	dir/seg-00000003.rec    sealed segments (immutable, fully fsynced)
@@ -58,11 +58,6 @@ type File struct {
 	actIdx  int
 	actSize int64 // bytes written to the active segment
 	durable int64 // bytes of the active segment known fsynced
-
-	// bw is the flusher's buffered writer, reused across batches (reset to
-	// the active segment each flush) so group commit does not allocate a
-	// fresh 64 KiB buffer per fsync.
-	bw *bufio.Writer
 }
 
 // segment is one immutable on-disk file.
@@ -214,7 +209,7 @@ func OpenFile(dir string, opts Options) (*File, error) {
 	if err := f.load(); err != nil {
 		return nil, err
 	}
-	f.c = newCommitter(opts.Flush, f.stats, f.flushBatch)
+	f.c = newCommitter(f.stats, f.flushBatch)
 	f.stats.gSegments.Set(float64(f.segmentCount()))
 	return f, nil
 }
@@ -330,9 +325,10 @@ func (f *File) snapPath(idx int) string {
 func (f *File) Kind() string { return "file" }
 
 // mutate is the one write path: frame the mutation, fold it into the live
-// map and enqueue the frame under the ordering mutex (so batch order equals
-// version order), then — unless the caller tolerates losing it to a crash —
-// wait for the batch's fsync. It returns the key's version count.
+// map and append the frame to the commit buffer under the ordering mutex (so
+// buffer order equals version order), then — unless the caller tolerates
+// losing it to a crash — wait for the fsync that carries it. It returns the
+// key's version count.
 func (f *File) mutate(op byte, key string, value []byte, wait bool) (int, error) {
 	enc, err := encodeFrame(op, key, value)
 	if err != nil {
@@ -347,32 +343,32 @@ func (f *File) mutate(op byte, key string, value []byte, wait bool) (int, error)
 		f.mu.Unlock()
 		return 0, nil
 	}
+	seq, err := f.c.append(enc)
+	if err != nil {
+		f.mu.Unlock()
+		return 0, err
+	}
 	// The live map keeps the frame's own copy of the value: enc is never
 	// written again once encoded.
 	fold(f.data, op, key, enc[frameHeader+len(key):])
 	ver := len(f.data[key])
-	b, err := f.c.enqueue(enc)
 	f.mu.Unlock()
-	if err != nil {
+	if err := f.c.commit(seq, wait); err != nil {
 		return 0, err
-	}
-	if wait {
-		if err := f.c.wait(b); err != nil {
-			return 0, err
-		}
 	}
 	f.stats.appends.Add(1)
 	f.stats.mAppends.Inc()
 	return ver, nil
 }
 
-// Put implements Store: the call returns once the record's batch is fsynced.
+// Put implements Store: the call returns once the record is fsynced.
 func (f *File) Put(key string, value []byte) (int, error) {
 	return f.mutate(opPut, key, value, true)
 }
 
 // PutAsync implements Store: the record joins the log (and the live map) in
-// call order, but the call returns without waiting for the fsync.
+// call order, but the call returns without waiting for an fsync or starting
+// one (short of a backlog of maxUnflushed): it rides the next durable write.
 func (f *File) PutAsync(key string, value []byte) (int, error) {
 	return f.mutate(opPut, key, value, false)
 }
@@ -464,7 +460,7 @@ func (f *File) segmentCountLocked() int {
 	return n
 }
 
-// Close implements Store: drain the committer, then close the active file.
+// Close implements Store: drain the commit buffer, then close the active file.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -473,7 +469,7 @@ func (f *File) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	err := f.c.close()
+	err := f.c.sync() // mutate refuses from here on, so this drains for good
 	f.fileMu.Lock()
 	defer f.fileMu.Unlock()
 	if cerr := f.active.Close(); err == nil {
@@ -522,34 +518,20 @@ func copyPrefix(src, dst string, n int64) error {
 	return out.Close()
 }
 
-// --- flusher side -----------------------------------------------------------
+// --- flush side -------------------------------------------------------------
 
-// flushBatch persists one group-commit batch: buffered write, one fsync,
-// then rotation and compaction bookkeeping. Runs on the committer goroutine.
-func (f *File) flushBatch(ops [][]byte) error {
+// flushBatch persists one group-commit round: one write, one fsync, then
+// rotation and compaction bookkeeping. Runs on the round's leader.
+func (f *File) flushBatch(buf []byte) error {
 	f.fileMu.Lock()
 	defer f.fileMu.Unlock()
-	if f.bw == nil {
-		f.bw = bufio.NewWriterSize(f.active, 1<<16)
-	} else {
-		f.bw.Reset(f.active)
-	}
-	w := f.bw
-	var n int64
-	for _, op := range ops {
-		m, err := w.Write(op)
-		if err != nil {
-			return err
-		}
-		n += int64(m)
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := f.active.Write(buf); err != nil {
 		return err
 	}
 	if err := f.active.Sync(); err != nil {
 		return err
 	}
-	f.actSize += n
+	f.actSize += int64(len(buf))
 	f.durable = f.actSize
 
 	if f.actSize >= f.opts.SegmentMaxBytes {

@@ -14,12 +14,12 @@
 // The enactment journal is a key per task whose versions are the append-only
 // lifecycle log, so journal appends are Puts.
 //
-// The durable backend writes through a group commit: mutations coalesce into
-// batches and each batch costs one fsync, so N concurrent admissions share
-// one durability round-trip. A mutation only returns once the batch holding
-// it is on disk — callers never observe an acknowledged write that a crash
-// can undo. FlushConfig tunes the batch bound and the optional linger
-// interval.
+// The durable backend writes through a group commit: a writer that finds no
+// fsync in flight flushes everything appended so far, writers that arrive
+// meanwhile share the next one, so N concurrent admissions share one
+// durability round-trip. A mutation only returns once the fsync that carries
+// it is done — callers never observe an acknowledged write that a crash can
+// undo. There is nothing to tune.
 package store
 
 import (
@@ -40,12 +40,13 @@ type Store interface {
 	Kind() string
 	// Put appends a new version of key and returns its 1-based number.
 	Put(key string, value []byte) (int, error)
-	// PutAsync appends a new version of key without waiting for its
-	// group-commit batch to reach disk. Ordering against other mutations is
-	// still fixed at the call (the record joins the log in call order); only
-	// the durability wait is skipped, so use it for records whose loss a
-	// crash already tolerates. A flush failure surfaces on the next
-	// synchronous mutation or Sync.
+	// PutAsync appends a new version of key without waiting for an fsync or
+	// starting one: the record becomes durable with the next durable write,
+	// Sync or Close. Ordering against other mutations is still fixed at the
+	// call (the record joins the log in call order); only the durability
+	// wait is skipped, so use it for records whose loss a crash already
+	// tolerates. A flush failure surfaces on the next synchronous mutation
+	// or Sync.
 	PutAsync(key string, value []byte) (int, error)
 	// Replace atomically discards every version of key and writes value as
 	// version 1 — one log record, one group-commit slot, so a crash can
@@ -104,33 +105,8 @@ type Stats struct {
 	LastCompaction time.Time `json:"lastCompaction,omitzero"`
 }
 
-// FlushConfig tunes the group commit of durable backends.
-type FlushConfig struct {
-	// MaxBatch bounds how many mutations one fsync may carry. 0 means
-	// DefaultMaxBatch.
-	MaxBatch int
-	// Interval is how long the flusher lingers after the first mutation of a
-	// batch to let more join. 0 (the default) means flush as soon as the
-	// flusher is free — batches then form naturally while an fsync is in
-	// flight, adding no latency under low load.
-	Interval time.Duration
-}
-
-// DefaultMaxBatch is the group-commit batch bound when FlushConfig.MaxBatch
-// is zero.
-const DefaultMaxBatch = 256
-
-func (fc FlushConfig) maxBatch() int {
-	if fc.MaxBatch <= 0 {
-		return DefaultMaxBatch
-	}
-	return fc.MaxBatch
-}
-
 // Options configures Open.
 type Options struct {
-	// Flush tunes group commit on durable backends.
-	Flush FlushConfig
 	// Telemetry, when set, records store.* metrics (appends, flushes, batch
 	// sizes, flush latency, segment counts, compactions).
 	Telemetry *telemetry.Registry

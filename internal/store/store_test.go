@@ -161,35 +161,55 @@ func TestReplace(t *testing.T) {
 // TestPutAsync pins the PutAsync contract on every backend: versions are
 // assigned in call order interleaved with synchronous mutations, the record
 // is readable as soon as the call returns (the live map is updated at
-// enqueue, before the fsync), durable once a later Sync (or Close) returns,
-// and it survives reopen.
+// append, before the fsync), durable once a later Sync (or Close) returns,
+// and it survives reopen. On the file backend it also pins, in exact counts,
+// that an async append never buys an fsync: it rides the next durable write,
+// Sync or Close, and only a backlog of maxUnflushed flushes itself.
 func TestPutAsync(t *testing.T) {
 	for _, kind := range backends {
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openBackend(t, kind, dir, Options{})
-			if v, err := s.Put("k", []byte("v1")); err != nil || v != 1 {
-				t.Fatalf("Put = (%d, %v), want (1, nil)", v, err)
+			// moved asserts the fsync rounds, the mutations that shared one
+			// and the unflushed backlog since the last call.
+			last := s.Stats()
+			moved := func(s Store, when string, flushes, batched int64, pending int) {
+				t.Helper()
+				st := s.Stats()
+				if kind == "file" && (st.Flushes-last.Flushes != flushes || st.Batched-last.Batched != batched || st.PendingFlush != pending) {
+					t.Fatalf("%s: flushes +%d batched +%d pending %d, want +%d +%d %d", when,
+						st.Flushes-last.Flushes, st.Batched-last.Batched, st.PendingFlush, flushes, batched, pending)
+				}
+				last = st
 			}
+			put := func(s Store, write func(string, []byte) (int, error), want int) {
+				t.Helper()
+				if v, err := write("k", []byte(fmt.Sprintf("v%d", want))); err != nil || v != want {
+					t.Fatalf("write = (%d, %v), want (%d, nil)", v, err, want)
+				}
+			}
+			put(s, s.Put, 1)
+			moved(s, "one Put", 1, 0, 0)
 			// Async appends claim the next versions in call order...
-			if v, err := s.PutAsync("k", []byte("v2")); err != nil || v != 2 {
-				t.Fatalf("PutAsync = (%d, %v), want (2, nil)", v, err)
-			}
-			if v, err := s.PutAsync("k", []byte("v3")); err != nil || v != 3 {
-				t.Fatalf("PutAsync = (%d, %v), want (3, nil)", v, err)
-			}
+			put(s, s.PutAsync, 2)
+			put(s, s.PutAsync, 3)
+			moved(s, "two PutAsync", 0, 0, 2)
 			// Read-your-writes holds before any durability barrier.
 			if val, ver, found, err := s.Get("k", 0); err != nil || !found || ver != 3 || string(val) != "v3" {
 				t.Fatalf("Get right after PutAsync = (%q, %d, %v, %v), want (v3, 3, true, nil)", val, ver, found, err)
 			}
-			// ...and a later synchronous append lands after them.
-			if v, err := s.Put("k", []byte("v4")); err != nil || v != 4 {
-				t.Fatalf("Put after async = (%d, %v), want (4, nil)", v, err)
-			}
+			// ...and a later synchronous append lands after them, carrying
+			// them to disk in its own round.
+			put(s, s.Put, 4)
+			moved(s, "Put after two PutAsync", 1, 3, 0)
+			put(s, s.PutAsync, 5)
+			put(s, s.PutAsync, 6)
 			if err := s.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			for v := 1; v <= 4; v++ {
+			moved(s, "Sync over two PutAsync", 1, 2, 0)
+			put(s, s.PutAsync, 7)
+			for v := 1; v <= 7; v++ {
 				val, _, found, err := s.Get("k", v)
 				if err != nil || !found || string(val) != fmt.Sprintf("v%d", v) {
 					t.Fatalf("Get v%d = (%q, %v, %v)", v, val, found, err)
@@ -203,13 +223,23 @@ func TestPutAsync(t *testing.T) {
 			}
 			s2 := openBackend(t, kind, dir, Options{})
 			defer s2.Close()
-			val, ver, found, err := s2.Get("k", 0)
-			if err != nil || !found || ver != 4 || string(val) != "v4" {
-				t.Fatalf("reopened Get latest = (%q, %d, %v, %v), want (v4, 4, true, nil)", val, ver, found, err)
+			for _, v := range []int{3, 7} { // an async append before a Put, one before Close
+				if val, _, found, _ := s2.Get("k", v); !found || string(val) != fmt.Sprintf("v%d", v) {
+					t.Fatalf("async append v%d lost across reopen: (%q, %v)", v, val, found)
+				}
 			}
-			if val, _, found, _ := s2.Get("k", 3); !found || string(val) != "v3" {
-				t.Fatalf("async append lost across reopen: (%q, %v)", val, found)
+			if _, ver, _, _ := s2.Get("k", 0); ver != 7 {
+				t.Fatalf("reopened latest version = %d, want 7", ver)
 			}
+			// A backlog nobody flushes is bounded: append number
+			// maxUnflushed takes all of them to disk.
+			last = s2.Stats()
+			for v := 8; v < 7+maxUnflushed; v++ {
+				put(s2, s2.PutAsync, v)
+			}
+			moved(s2, "maxUnflushed-1 PutAsync", 0, 0, maxUnflushed-1)
+			put(s2, s2.PutAsync, 7+maxUnflushed)
+			moved(s2, "PutAsync number maxUnflushed", 1, maxUnflushed, 0)
 		})
 	}
 }
@@ -491,6 +521,45 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 	if st.PendingFlush != 0 {
 		t.Fatalf("pendingFlush = %d after all writes acked", st.PendingFlush)
+	}
+}
+
+// TestFlushErrorPoisons pins the sticky failure of the group commit: the
+// round that fails answers every writer aboard with the error, async riders
+// included, and so does every later append and Sync (which is what Close
+// drains with) — nothing is acknowledged after a write that may not be on
+// disk.
+func TestFlushErrorPoisons(t *testing.T) {
+	boom := fmt.Errorf("disk gone")
+	var fail bool
+	c := newCommitter(newCounters(nil), func([]byte) error {
+		if fail {
+			return boom
+		}
+		return nil
+	})
+	first, err := c.append([]byte("a"))
+	if err != nil || c.commit(first, true) != nil {
+		t.Fatalf("healthy round failed: %v", err)
+	}
+	fail = true
+	rider, _ := c.append([]byte("b"))
+	if err := c.commit(rider, false); err != nil {
+		t.Fatalf("async append flushed by itself: %v", err)
+	}
+	waiter, _ := c.append([]byte("c"))
+	if err := c.commit(waiter, true); err != boom {
+		t.Fatalf("commit over a failing flush = %v, want the flush error", err)
+	}
+	fail = false // the error is sticky, not retried
+	if _, err := c.append([]byte("d")); err != boom {
+		t.Fatalf("append after a failed flush = %v, want the flush error", err)
+	}
+	if err := c.commit(first, true); err != nil {
+		t.Fatalf("mutation durable before the failure now reports %v", err)
+	}
+	if err := c.sync(); err != boom {
+		t.Fatalf("sync after a failed flush = %v, want the flush error", err)
 	}
 }
 
