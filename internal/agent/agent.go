@@ -70,11 +70,34 @@ type Message struct {
 	// Content is the payload; services define typed structs.
 	Content any
 
-	replyCh chan Message // set for synchronous calls
-	// deferred, when set true via DeferReply, tells the agent runtime the
-	// handler hands the reply to another goroutine, suppressing the
-	// terminated-without-replying fallback.
-	deferred *atomic.Bool
+	call *call // the caller's side of a synchronous call; nil otherwise
+}
+
+// call is the caller's side of one synchronous request, pooled: an answered
+// call hands its record on to the next. Whoever moves conv from the request's
+// conversation to 0 — Reply or the runtime's no-reply fallback — owns the
+// one send on reply, so neither a duplicate Reply nor a fallback running
+// after the caller moved on reaches a record serving another conversation.
+type call struct {
+	reply    chan Message // capacity 1: the one reply never blocks its sender
+	timer    *time.Timer  // stopped while the record is pooled
+	conv     atomic.Uint64
+	deferred atomic.Bool // DeferReply: another goroutine replies, no fallback
+}
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &call{reply: make(chan Message, 1), timer: t}
+}}
+
+// answer delivers the reply to conversation conv, unless it already has one.
+func (c *call) answer(conv uint64, reply Message) bool {
+	if !c.conv.CompareAndSwap(conv, 0) {
+		return false
+	}
+	c.reply <- reply
+	return true
 }
 
 // DeferReply marks a synchronous request as answered asynchronously: the
@@ -82,8 +105,8 @@ type Message struct {
 // later. Must be called on the handler goroutine, before HandleMessage
 // returns. A no-op for messages that are not synchronous calls.
 func (m Message) DeferReply() {
-	if m.deferred != nil {
-		m.deferred.Store(true)
+	if m.call != nil {
+		m.call.deferred.Store(true)
 	}
 }
 
@@ -127,6 +150,20 @@ type runtime struct {
 	mailbox chan Message
 	ctx     *Context
 	done    chan struct{}
+
+	// sendMu makes delivery and close exclusive — deliver holds it shared
+	// across its send, stop alone to close the mailbox — or a sender that
+	// looked the runtime up just before Shutdown sends on a closed channel.
+	sendMu sync.RWMutex
+	closed bool
+}
+
+// stop closes the mailbox once no send is in flight; the agent drains it.
+func (rt *runtime) stop() {
+	rt.sendMu.Lock()
+	rt.closed = true
+	close(rt.mailbox)
+	rt.sendMu.Unlock()
 }
 
 // NewPlatform returns an empty platform. Mailboxes are buffered (capacity
@@ -183,13 +220,10 @@ func (p *Platform) serve(rt *runtime, h Handler) {
 	defer close(rt.done)
 	for msg := range rt.mailbox {
 		h.HandleMessage(rt.ctx, msg)
-		if msg.replyCh != nil && !msg.deferred.Load() {
+		if c := msg.call; c != nil && !c.deferred.Load() {
 			// If the handler never replied (and did not defer the reply to
 			// another goroutine), release the caller.
-			select {
-			case msg.replyCh <- Message{Performative: Failure, Sender: rt.name, Content: ErrNoReply}:
-			default:
-			}
+			c.answer(msg.ConversationID, Message{Performative: Failure, Sender: rt.name, Content: ErrNoReply})
 		}
 	}
 }
@@ -205,7 +239,7 @@ func (p *Platform) Deregister(name string) error {
 	if !ok {
 		return ErrUnknownAgent
 	}
-	close(rt.mailbox)
+	rt.stop()
 	<-rt.done
 	return nil
 }
@@ -230,7 +264,7 @@ func (p *Platform) Shutdown() {
 	p.agents = make(map[string]*runtime)
 	p.mu.Unlock()
 	for _, rt := range agents {
-		close(rt.mailbox)
+		rt.stop()
 	}
 	p.wg.Wait()
 }
@@ -247,6 +281,11 @@ func (p *Platform) deliver(msg Message) error {
 	}
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAgent, msg.Receiver)
+	}
+	rt.sendMu.RLock()
+	defer rt.sendMu.RUnlock()
+	if rt.closed {
+		return ErrStopped
 	}
 	if trace != nil {
 		trace(msg)
@@ -302,9 +341,8 @@ func (c *Context) CallContext(ctx context.Context, receiver, ontology string, co
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	replyCh := make(chan Message, 1)
+	rec := callPool.Get().(*call)
 	msg := Message{
-		deferred:       new(atomic.Bool),
 		ID:             c.platform.nextID.Add(1),
 		ConversationID: c.platform.nextConv.Add(1),
 		Performative:   Request,
@@ -312,24 +350,34 @@ func (c *Context) CallContext(ctx context.Context, receiver, ontology string, co
 		Receiver:       receiver,
 		Ontology:       ontology,
 		Content:        content,
-		replyCh:        replyCh,
+		call:           rec,
 	}
+	rec.conv.Store(msg.ConversationID)
+	rec.deferred.Store(false)
 	if err := c.platform.deliver(msg); err != nil {
+		callPool.Put(rec) // never left this goroutine
 		return Message{}, err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	rec.timer.Reset(timeout)
 	select {
-	case reply := <-replyCh:
+	case reply := <-rec.reply:
+		// Only an answered call recycles its record, and only if its timer
+		// had not fired: one that did may still deliver its tick.
+		if rec.timer.Stop() {
+			callPool.Put(rec)
+		}
 		if reply.Performative == Failure {
 			if err, ok := reply.Content.(error); ok {
 				return reply, err
 			}
 		}
 		return reply, nil
+	// A call that gives up drops its record, so the reply that may still
+	// come lands in a channel nobody will use again.
 	case <-ctx.Done():
+		rec.timer.Stop()
 		return Message{}, ctx.Err()
-	case <-timer.C:
+	case <-rec.timer.C:
 		return Message{}, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, c.self, receiver, ontology)
 	}
 }
@@ -347,7 +395,7 @@ func (c *Context) Reply(to Message, perf Performative, content any) error {
 		Ontology:       to.Ontology,
 		Content:        content,
 	}
-	if to.replyCh != nil {
+	if to.call != nil {
 		p := c.platform
 		p.mu.RLock()
 		trace := p.trace
@@ -355,12 +403,10 @@ func (c *Context) Reply(to Message, perf Performative, content any) error {
 		if trace != nil {
 			trace(reply)
 		}
-		select {
-		case to.replyCh <- reply:
-			return nil
-		default:
+		if !to.call.answer(to.ConversationID, reply) {
 			return fmt.Errorf("agent: duplicate reply to conversation %d", to.ConversationID)
 		}
+		return nil
 	}
 	return c.platform.deliver(reply)
 }

@@ -307,3 +307,95 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestSendRacingShutdown is the "send on closed channel" regression: senders
+// that resolved the receiver before Shutdown — most of them parked behind its
+// full mailbox — must see their send complete or fail with ErrStopped, never
+// reach a closed channel.
+func TestSendRacingShutdown(t *testing.T) {
+	p := NewPlatform()
+	p.MustRegister("busy", HandlerFunc(func(ctx *Context, msg Message) {
+		time.Sleep(5 * time.Microsecond) // slower than its senders: the mailbox stays full
+		if msg.Performative == Request {
+			_ = ctx.Reply(msg, Inform, nil)
+		}
+	}))
+	sender := p.MustRegister("sender", HandlerFunc(func(*Context, Message) {}))
+
+	var wg sync.WaitGroup
+	var sent atomic.Int64
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				var err error
+				if g%4 == 0 {
+					_, err = sender.Call("busy", "t", nil, 5*time.Second)
+				} else {
+					err = sender.Send("busy", Inform, "t", nil)
+				}
+				if errors.Is(err, ErrStopped) {
+					return
+				}
+				if err != nil {
+					t.Errorf("send during shutdown: %v", err)
+					return
+				}
+				sent.Add(1)
+			}
+		}(g)
+	}
+	for sent.Load() < 2*256 { // past the mailbox capacity: senders are blocking on it
+		time.Sleep(time.Millisecond)
+	}
+	p.Shutdown()
+	wg.Wait()
+}
+
+// TestCallRecordsNeverCrossTalk drives the pooled call records through every
+// way a call ends — answered, answered from another goroutine, timed out and
+// answered late — at once, and checks each caller only ever sees the reply
+// to its own request.
+func TestCallRecordsNeverCrossTalk(t *testing.T) {
+	p := NewPlatform()
+	defer p.Shutdown()
+	p.MustRegister("echo", echoHandler())
+	p.MustRegister("deferring", HandlerFunc(func(ctx *Context, msg Message) {
+		msg.DeferReply()
+		go func() { _ = ctx.Reply(msg, Inform, msg.Content) }()
+	}))
+	p.MustRegister("late", HandlerFunc(func(ctx *Context, msg Message) {
+		msg.DeferReply()
+		go func() {
+			time.Sleep(2 * time.Millisecond) // past the caller's timeout
+			_ = ctx.Reply(msg, Inform, "late")
+		}()
+	}))
+	caller := p.MustRegister("caller", HandlerFunc(func(*Context, Message) {}))
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				want := g*1000 + i
+				target := [...]string{"echo", "deferring", "late"}[i%3]
+				timeout := time.Second
+				if target == "late" {
+					timeout = 100 * time.Microsecond
+				}
+				reply, err := caller.Call(target, "t", want, timeout)
+				switch {
+				case target == "late" && errors.Is(err, ErrTimeout):
+				case err != nil:
+					t.Errorf("call %d to %s: %v", want, target, err)
+				case target != "late" && reply.Content != want:
+					t.Errorf("call %d to %s answered with %v", want, target, reply.Content)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

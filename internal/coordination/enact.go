@@ -7,11 +7,11 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/expr"
 	"repro/internal/services"
 	"repro/internal/workflow"
 )
@@ -30,7 +30,7 @@ func newEnactState(pd *workflow.ProcessDescription) *enactState {
 	return &enactState{
 		Ready:   []string{pd.Begin().ID},
 		Arrived: map[string]int{},
-		Visits:  map[string]int{},
+		Visits:  make(map[string]int, len(pd.Activities)),
 	}
 }
 
@@ -49,7 +49,8 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var batch []pendingExec
+		var members [4]pendingExec // wider batches spill to the heap
+		batch := members[:0]
 		// Drain the current worklist: flow control fires in place (and may
 		// enqueue more tokens); end-user activities accumulate into the
 		// concurrent batch.
@@ -57,8 +58,10 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 			if report.Fired >= c.cfg.MaxFires {
 				return fmt.Errorf("coordination: task %s exceeded %d activity firings (livelock?)", task.ID, c.cfg.MaxFires)
 			}
+			// Pop the head in place: the worklist is a handful of tokens, and
+			// re-slicing past the head would leak its capacity to every append.
 			id := es.Ready[0]
-			es.Ready = es.Ready[1:]
+			es.Ready = es.Ready[:copy(es.Ready, es.Ready[1:])]
 			act := pd.Activity(id)
 			if act == nil {
 				return fmt.Errorf("coordination: token at unknown activity %q", id)
@@ -86,11 +89,7 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 				es.Ready = append(es.Ready, pd.Out(id)[0].Dest)
 
 			case workflow.KindChoice:
-				dest, err := c.decide(report, pd, act, state, es.Visits)
-				if err != nil {
-					return err
-				}
-				es.Ready = append(es.Ready, dest)
+				es.Ready = append(es.Ready, c.decide(report, pd, act, state, es.Visits))
 
 			case workflow.KindEndUser:
 				batch = append(batch, pendingExec{act: act, visit: es.Visits[id], token: id})
@@ -150,51 +149,41 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 // first true one wins; otherwise the first unconditional transition is the
 // default. The activity's own constraint (e.g. Cons1) is consulted when no
 // transition carries a condition: if it evaluates true the first successor
-// is taken, otherwise the last.
-func (c *Coordinator) decide(report *Report, pd *workflow.ProcessDescription, act *workflow.Activity, state *workflow.State, visits map[string]int) (string, error) {
+// is taken, otherwise the last. Conditions and constraint are the trees
+// Validate parsed; a validated Choice has two successors or more.
+func (c *Coordinator) decide(report *Report, pd *workflow.ProcessDescription, act *workflow.Activity, state *workflow.State, visits map[string]int) string {
 	outs := pd.Out(act.ID)
-	if len(outs) == 0 {
-		return "", fmt.Errorf("coordination: choice %s has no successors", act.ID)
-	}
+	last := outs[len(outs)-1]
 	anyConditional := false
 	for _, t := range outs {
-		if t.Condition == "" {
+		if t.CondNode() == nil {
 			continue
 		}
 		anyConditional = true
-		ok, err := expr.Eval(t.Condition, state)
-		if err != nil {
-			return "", fmt.Errorf("coordination: choice %s condition: %w", act.ID, err)
-		}
-		if ok {
-			report.trace("choice", act.Name, fmt.Sprintf("took %s [%s]", t.ID, t.Condition))
-			return t.Dest, nil
+		if t.CondNode().Eval(state) {
+			report.trace("choice", act.Name, "took "+t.ID+" ["+t.Condition+"]")
+			return t.Dest
 		}
 	}
 	if anyConditional {
 		for _, t := range outs {
-			if t.Condition == "" {
+			if t.CondNode() == nil {
 				report.trace("choice", act.Name, "took default "+t.ID)
-				return t.Dest, nil
+				return t.Dest
 			}
 		}
 		// All conditional and none true: the last transition is the
 		// fallback (the loop-exit convention of Figure 10).
-		t := outs[len(outs)-1]
-		report.trace("choice", act.Name, "fell through to "+t.ID)
-		return t.Dest, nil
+		report.trace("choice", act.Name, "fell through to "+last.ID)
+		return last.Dest
 	}
-	if act.Constraint != "" {
-		ok, err := expr.Eval(act.Constraint, state)
-		if err != nil {
-			return "", fmt.Errorf("coordination: choice %s constraint: %w", act.ID, err)
-		}
-		if ok {
+	if constraint := act.ConstraintNode(); constraint != nil {
+		if constraint.Eval(state) {
 			report.trace("choice", act.Name, "constraint true: took "+outs[0].ID)
-			return outs[0].Dest, nil
+			return outs[0].Dest
 		}
-		report.trace("choice", act.Name, "constraint false: took "+outs[len(outs)-1].ID)
-		return outs[len(outs)-1].Dest, nil
+		report.trace("choice", act.Name, "constraint false: took "+last.ID)
+		return last.Dest
 	}
 	// No conditions anywhere: prefer a successor not yet visited, which
 	// exits condition-less loops after a single pass instead of spinning
@@ -202,11 +191,11 @@ func (c *Coordinator) decide(report *Report, pd *workflow.ProcessDescription, ac
 	for _, t := range outs {
 		if visits[t.Dest] == 0 {
 			report.trace("choice", act.Name, "unconditioned: took "+t.ID)
-			return t.Dest, nil
+			return t.Dest
 		}
 	}
 	report.trace("choice", act.Name, "unconditioned: took "+outs[0].ID)
-	return outs[0].Dest, nil
+	return outs[0].Dest
 }
 
 // execResult is the outcome of one dispatched activity, gathered before its
@@ -221,8 +210,17 @@ type execResult struct {
 	retries  int
 	faults   int
 	backoff  float64 // simulated seconds waited between attempts
-	events   []TraceEvent
 	err      error
+
+	// The trace events of the dispatch, in order; buf backs the first few (an
+	// undisturbed dispatch records three), so the result must stay in place.
+	events []TraceEvent
+	buf    [4]TraceEvent
+}
+
+// event records one trace event of the dispatch.
+func (r *execResult) event(kind, activity, detail string) {
+	r.events = append(r.events, TraceEvent{Kind: kind, Activity: activity, Detail: detail})
 }
 
 // dispatch runs one end-user activity remotely: it verifies the service's
@@ -234,18 +232,18 @@ type execResult struct {
 // constrained case (cc non-nil) the ranking is cost-aware — cheapest
 // candidate that still meets the deadline first — and an activity no
 // remaining budget can afford aborts before the first attempt, consuming no
-// retry. It does NOT mutate the state; apply() does that afterwards. Safe to
-// call from multiple goroutines over the same state.
-func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Activity, state *workflow.State, visit int, cc *caseConstraints) execResult {
-	res := execResult{act: act, visit: visit}
+// retry. It fills res and does NOT mutate the state; apply() does that
+// afterwards. Safe to call from multiple goroutines over the same state.
+func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Activity, state *workflow.State, visit int, cc *caseConstraints, res *execResult) {
+	res.act, res.visit, res.events = act, visit, res.buf[:0]
 	svc := c.cfg.Catalog.Get(act.Service)
 	if svc == nil {
 		res.err = fmt.Errorf("coordination: activity %s references unknown service %q", act.ID, act.Service)
-		return res
+		return
 	}
-	if _, ok := svc.Bind(state); !ok {
+	if !svc.Applicable(state) {
 		res.err = fmt.Errorf("coordination: activity %s preconditions unmet in current state %v", act.Name, state.Names())
-		return res
+		return
 	}
 
 	// Input volume drives the communication term of the execution model.
@@ -262,44 +260,44 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 
 	var ranked []services.Candidate
 	if c.cfg.UseContractNet {
-		res.events = append(res.events, TraceEvent{Kind: "invoke", Activity: act.Name, Detail: services.BrokerageName})
-		cands, err := c.contractNet(ctx, &res, act, svc, dataMB)
+		res.event("invoke", act.Name, services.BrokerageName)
+		cands, err := c.contractNet(ctx, res, act, svc, dataMB)
 		if err != nil {
 			res.err = err
-			return res
+			return
 		}
 		ranked = cands
 	} else {
-		res.events = append(res.events, TraceEvent{Kind: "invoke", Activity: act.Name, Detail: services.MatchmakingName})
+		res.event("invoke", act.Name, services.MatchmakingName)
 		cands, err := c.matchCandidates(ctx, act.Service)
 		if err != nil {
 			res.err = err
-			return res
+			return
 		}
 		ranked = cands
 	}
 	if len(ranked) == 0 {
 		res.err = &nonExecutableError{activity: act.Name, service: act.Service}
-		return res
+		return
 	}
 	candidates, minCost := c.rank(ctx, act, svc, state, ranked, cc)
 	if cc != nil && cc.budget > 0 && cc.spent+minCost > cc.budget {
-		res.events = append(res.events, TraceEvent{Kind: "constraint", Activity: act.Name,
-			Detail: fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget)})
+		res.event("constraint", act.Name, fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget))
 		res.err = &ConstraintError{Reason: ReasonBudgetExceeded,
 			Detail: fmt.Sprintf("activity %s: cheapest estimate %.2f exceeds remaining budget %.2f", act.Name, minCost, cc.budget-cc.spent)}
-		return res
+		return
 	}
 
-	var rng *rand.Rand // lazily seeded: most dispatches never retry
-	failedNodes := map[string]bool{}
+	// Both made on the first failure: most dispatches never see one.
+	var rng *rand.Rand
+	var failedNodes map[string]bool
 	for attempt := 1; attempt <= p.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			res.err = err
-			return res
+			return
 		}
 		cand := candidates[(attempt-1)%len(candidates)]
-		res.events = append(res.events, TraceEvent{Kind: "dispatch", Activity: act.Name, Detail: cand.Container})
+		res.event("dispatch", act.Name, cand.Container)
 		execReply, err := c.ctx.CallContext(ctx, cand.Container, services.OntExecution, services.ExecuteRequest{
 			Service:  act.Service,
 			BaseTime: svc.BaseTime,
@@ -309,21 +307,25 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			if er, ok := execReply.Content.(services.ExecuteReply); ok {
 				res.duration = er.Exec.Duration
 				res.cost = er.Exec.Cost
-				res.events = append(res.events, TraceEvent{Kind: "complete", Activity: act.Name,
-					Detail: fmt.Sprintf("on %s in %.1fs", cand.Container, er.Exec.Duration)})
-				return res
+				var buf [64]byte // "on <container> in <d>s"
+				detail := append(append(buf[:0], "on "...), cand.Container...)
+				detail = strconv.AppendFloat(append(detail, " in "...), er.Exec.Duration, 'f', 1, 64)
+				res.event("complete", act.Name, string(append(detail, 's')))
+				return
 			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			res.err = cerr
-			return res
+			return
 		}
 		res.failures++
 		c.invalidatePerf(act.Service)
-		res.events = append(res.events, TraceEvent{Kind: "fail", Activity: act.Name,
-			Detail: fmt.Sprintf("on %s: %v", cand.Container, err)})
+		res.event("fail", act.Name, fmt.Sprintf("on %s: %v", cand.Container, err))
+		if failedNodes == nil {
+			failedNodes = map[string]bool{}
+		}
 		failedNodes[cand.Node] = true
-		c.noteFault(ctx, &res, act, cand)
+		c.noteFault(ctx, res, act, cand)
 		if attempt == p.MaxRetries {
 			break
 		}
@@ -341,16 +343,13 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			}
 			wait := p.backoff(attempt, rng)
 			if p.ActivityTimeout > 0 && res.backoff+wait > p.ActivityTimeout {
-				res.events = append(res.events, TraceEvent{Kind: "retry", Activity: act.Name,
-					Detail: fmt.Sprintf("abandoned: backoff budget %.0fs exhausted", p.ActivityTimeout)})
+				res.event("retry", act.Name, fmt.Sprintf("abandoned: backoff budget %.0fs exhausted", p.ActivityTimeout))
 				break
 			}
 			res.backoff += wait
-			res.events = append(res.events, TraceEvent{Kind: "retry", Activity: act.Name,
-				Detail: fmt.Sprintf("attempt %d/%d on %s after %.1fs backoff", attempt+1, p.MaxRetries, next.Container, wait)})
+			res.event("retry", act.Name, fmt.Sprintf("attempt %d/%d on %s after %.1fs backoff", attempt+1, p.MaxRetries, next.Container, wait))
 		} else {
-			res.events = append(res.events, TraceEvent{Kind: "retry", Activity: act.Name,
-				Detail: fmt.Sprintf("attempt %d/%d on %s", attempt+1, p.MaxRetries, next.Container)})
+			res.event("retry", act.Name, fmt.Sprintf("attempt %d/%d on %s", attempt+1, p.MaxRetries, next.Container))
 		}
 	}
 	ne := &nonExecutableError{activity: act.Name, service: act.Service, hadCandidates: true}
@@ -359,7 +358,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 	}
 	sort.Strings(ne.nodes)
 	res.err = ne
-	return res
+	return
 }
 
 // noteFault asks the monitoring service whether the candidate's node went
@@ -376,8 +375,7 @@ func (c *Coordinator) noteFault(ctx context.Context, res *execResult, act *workf
 	}
 	if sr, ok := reply.Content.(services.NodeStatusReply); ok && sr.Known && !sr.Up {
 		res.faults++
-		res.events = append(res.events, TraceEvent{Kind: "fault", Activity: act.Name,
-			Detail: fmt.Sprintf("node %s down after failed attempt on %s", cand.Node, cand.Container)})
+		res.event("fault", act.Name, fmt.Sprintf("node %s down after failed attempt on %s", cand.Node, cand.Container))
 	}
 }
 
@@ -408,8 +406,7 @@ func (c *Coordinator) contractNet(ctx context.Context, res *execResult, act *wor
 		if prop, ok := bidReply.Content.(services.Proposal); ok {
 			bids = append(bids, prop)
 			c.mCNBids.Inc()
-			res.events = append(res.events, TraceEvent{Kind: "bid", Activity: act.Name,
-				Detail: fmt.Sprintf("%s offers %.0fs at %.2f", prop.Container, prop.PredictedTime, prop.PredictedCost)})
+			res.event("bid", act.Name, fmt.Sprintf("%s offers %.0fs at %.2f", prop.Container, prop.PredictedTime, prop.PredictedCost))
 		}
 	}
 	sort.Slice(bids, func(i, j int) bool {
@@ -570,7 +567,7 @@ func (c *Coordinator) invalidatePerf(service string) {
 // apply merges a dispatch into the report and case state: accounting, trace,
 // postconditions (with the steering hook), data items. Compute time and cost
 // are summed by runBatch, which sees the whole batch.
-func (c *Coordinator) apply(report *Report, res execResult, state *workflow.State) {
+func (c *Coordinator) apply(report *Report, res *execResult, state *workflow.State) {
 	report.Trace = append(report.Trace, res.events...)
 	for _, ev := range res.events {
 		report.spans.Span(ev.Kind, ev.Activity, ev.Detail)
@@ -609,15 +606,15 @@ func (c *Coordinator) apply(report *Report, res execResult, state *workflow.Stat
 func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, batch []pendingExec, state *workflow.State, cc *caseConstraints) error {
 	results := make([]execResult, len(batch))
 	if len(batch) == 1 {
-		results[0] = c.dispatch(ctx, p, batch[0].act, state, batch[0].visit, cc)
+		c.dispatch(ctx, p, batch[0].act, state, batch[0].visit, cc, &results[0])
 	} else {
 		var wg sync.WaitGroup
-		for i := range batch {
+		for i, b := range batch {
 			wg.Add(1)
-			go func(i int) {
+			go func() { // b by value: the caller's batch stays on its stack
 				defer wg.Done()
-				results[i] = c.dispatch(ctx, p, batch[i].act, state, batch[i].visit, cc)
-			}(i)
+				c.dispatch(ctx, p, b.act, state, b.visit, cc, &results[i])
+			}()
 		}
 		wg.Wait()
 	}
@@ -625,7 +622,7 @@ func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, ba
 	var dbuf, cbuf [8]float64 // wider batches spill to the heap
 	durations, costs := dbuf[:0], cbuf[:0]
 	for i := range results {
-		c.apply(report, results[i], state)
+		c.apply(report, &results[i], state)
 		if d := results[i].duration + results[i].backoff; d > longest {
 			longest = d
 		}

@@ -251,11 +251,14 @@ type record struct {
 	reason    string
 	report    *coordination.Report
 	policy    coordination.Policy
-	env       *TaskEnvelope
-	// task is the live submission, kept so a fresh run does not have to
-	// decode the envelope back into a task; recovered records leave it nil
-	// and rebuild from env (the only copy that survived the crash).
+	// pol is the policy as submitted (nil: defaults), which is what the
+	// coordinator is handed.
+	pol *coordination.Policy
+	// task is the live submission; a recovered record leaves it nil and
+	// rebuilds it from env, the journaled envelope (the only copy that
+	// survived the crash), which a live one does not have.
 	task *workflow.Task
+	env  *TaskEnvelope
 	// admitting marks a record whose write-ahead journal append is still in
 	// flight (Submit holds no lock across the fsync); it is reserved in
 	// e.records but not yet in the queue. preempt asks the admitting Submit
@@ -444,10 +447,6 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 	if sub.Priority < PriorityHigh || sub.Priority >= numPriorities {
 		return TaskStatus{}, fmt.Errorf("engine: invalid priority %d", sub.Priority)
 	}
-	env, err := envelope(sub.Task, sub.Policy)
-	if err != nil {
-		return TaskStatus{}, err
-	}
 	resolved := e.coord.ResolvePolicy(sub.Policy)
 
 	e.mu.Lock()
@@ -503,7 +502,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 		admitting: true,
 		submitted: time.Now(),
 		policy:    resolved,
-		env:       env,
+		pol:       sub.Policy,
 		task:      sub.Task,
 	}
 	// Reserve the ID and the queue slot, then release the lock for the
@@ -531,7 +530,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 	_, endJournal := tr.Begin(rec.rootCtx, "journal_commit", "accepted")
 	jerr := e.journalAppend(JournalRecord{
 		Event: EventAccepted, TaskID: id, Seq: rec.seq,
-		Priority: int(rec.priority), Tenant: rec.tenant, Task: env,
+		Priority: int(rec.priority), Tenant: rec.tenant, task: sub.Task, policy: sub.Policy,
 	})
 	e.hStageJournal.ObserveExemplar(endJournal("write-ahead accepted record"), rec.rootCtx.TraceID)
 	// The queue_wait span opens here — before the record becomes poppable —
@@ -731,14 +730,14 @@ func (e *Engine) run(rec *record) {
 	var report *coordination.Report
 	var err error
 	if rec.resume != nil {
-		report, err = e.coord.ResumeContext(ctx, rec.resume, rec.env.Policy)
+		report, err = e.coord.ResumeContext(ctx, rec.resume, rec.pol)
 	} else {
 		task := rec.task
 		if task == nil { // recovered: rebuild from the durable envelope
 			task, err = rec.env.task()
 		}
 		if err == nil {
-			report, err = e.coord.RunTaskContext(ctx, task, rec.env.Policy)
+			report, err = e.coord.RunTaskContext(ctx, task, rec.pol)
 		}
 	}
 	e.hRun.Observe(time.Since(rec.started).Seconds())
@@ -995,10 +994,10 @@ func (e *Engine) statusLocked(rec *record) TaskStatus {
 		Report:    rec.report,
 		Policy:    rec.policy,
 	}
-	if rec.env != nil {
-		s.Budget = rec.env.Budget
-		s.Deadline = rec.env.Deadline
-		s.HardDeadline = rec.env.HardDeadline
+	if rec.task != nil { // Submit validated the task: it has a case
+		s.Budget, s.Deadline, s.HardDeadline = rec.task.Case.Budget, rec.task.Case.Deadline, rec.task.Case.HardDeadline
+	} else if rec.env != nil {
+		s.Budget, s.Deadline, s.HardDeadline = rec.env.Budget, rec.env.Deadline, rec.env.HardDeadline
 	}
 	if rec.status == StatusQueued && !rec.admitting {
 		s.QueuePosition = e.positionLocked(rec)

@@ -3,12 +3,21 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/coordination"
 	"repro/internal/expr"
 	"repro/internal/telemetry"
 	"repro/internal/workflow"
 )
+
+// The journal's format is the JSON of JournalRecord. It is read with
+// json.Unmarshal and written by appendRecord, an append-style encoder held to
+// encoding/json's bytes — the same keys in the same order, omitempty, map
+// keys sorted, the same escaping and float form, byte for byte
+// (TestJournalEncodingMatchesEncodingJSON) — so journals written before and
+// after it are interchangeable.
 
 // Journal event names. Every lifecycle transition of a task appends one
 // record to the task's journal key before (write-ahead) or immediately after
@@ -51,6 +60,11 @@ type JournalRecord struct {
 	// Reason refines a terminal status (budget_exceeded, deadline_missed);
 	// empty on ordinary outcomes, so pre-existing journals replay unchanged.
 	Reason string `json:"reason,omitempty"`
+
+	// task and policy are the write side of Task (which is only ever read):
+	// appendRecord renders the envelope straight from the live submission.
+	task   *workflow.Task
+	policy *coordination.Policy
 }
 
 // TaskEnvelope is the durable, self-contained form of a submission: enough
@@ -76,38 +90,129 @@ type EnvelopeItem struct {
 	Props map[string]expr.Value `json:"props"`
 }
 
-// envelope serializes a submission for the journal.
-func envelope(task *workflow.Task, pol *coordination.Policy) (*TaskEnvelope, error) {
-	env := &TaskEnvelope{
-		ID:           task.ID,
-		Name:         task.Name,
-		NeedPlanning: task.NeedPlanning,
-		Policy:       pol,
+// appendRecord renders rec as encoding/json renders a JournalRecord, its Task
+// from rec.task and rec.policy as the TaskEnvelope of that submission.
+func appendRecord(b []byte, rec *JournalRecord) ([]byte, error) {
+	e := &enc{b: b}
+	e.str(`{"event":`, rec.Event, false)
+	e.str(`,"taskId":`, rec.TaskID, false)
+	e.int(`,"seq":`, rec.Seq)
+	e.int(`,"attempt":`, int64(rec.Attempt))
+	e.int(`,"priority":`, int64(rec.Priority))
+	e.str(`,"tenant":`, rec.Tenant, true)
+	e.str(`,"error":`, rec.Error, true)
+	if rec.task != nil {
+		e.envelope(rec.task, rec.policy)
 	}
-	if task.Process != nil {
-		raw, err := task.Process.MarshalJSON()
-		if err != nil {
-			return nil, fmt.Errorf("engine: marshal process of task %s: %w", task.ID, err)
-		}
-		env.Process = raw
+	e.str(`,"status":`, rec.Status, true)
+	e.str(`,"reason":`, rec.Reason, true)
+	return append(e.b, '}'), e.err
+}
+
+// envelope renders the Task field: the TaskEnvelope of a submission.
+func (e *enc) envelope(task *workflow.Task, pol *coordination.Policy) {
+	e.str(`,"task":{"id":`, task.ID, false)
+	e.str(`,"name":`, task.Name, true)
+	e.flag(`,"needPlanning":true`, task.NeedPlanning)
+	if task.Process != nil && e.err == nil {
+		e.b, e.err = task.Process.AppendJSON(append(e.b, `,"process":`...))
 	}
 	if c := task.Case; c != nil {
-		env.Goal = append([]string(nil), c.Goal.Conditions...)
-		env.ResultSet = append([]string(nil), c.ResultSet...)
-		env.Deadline = c.Deadline
-		env.Budget = c.Budget
-		env.HardDeadline = c.HardDeadline
-		if len(c.Constraints) > 0 {
-			env.Constraints = make(map[string]string, len(c.Constraints))
-			for k, v := range c.Constraints {
-				env.Constraints[k] = v
-			}
-		}
+		open := `,"items":[{"name":`
 		for _, item := range c.InitialData {
-			env.Items = append(env.Items, EnvelopeItem{Name: item.Name, Props: item.Props})
+			e.str(open, item.Name, false)
+			e.b = append(e.b, `,"props":`...)
+			e.props(item.Props)
+			e.b, open = append(e.b, '}'), `,{"name":`
+		}
+		e.flag(`]`, len(c.InitialData) > 0)
+		e.strs(`,"goal":`, c.Goal.Conditions)
+		e.strs(`,"resultSet":`, c.ResultSet)
+		if len(c.Constraints) > 0 {
+			e.marshaled(`,"constraints":`, c.Constraints) // rare, like a policy below
+		}
+		e.float(`,"deadline":`, c.Deadline)
+		e.float(`,"budget":`, c.Budget)
+		e.flag(`,"hardDeadline":true`, c.HardDeadline)
+	}
+	if pol != nil {
+		e.marshaled(`,"policy":`, pol) // rare, and flat: not worth an encoder of its own
+	}
+	e.b = append(e.b, '}')
+}
+
+// enc accumulates one record; its first error sticks. Fields other than the
+// ones str is told to keep are omitempty: an empty value appends nothing.
+type enc struct {
+	b   []byte
+	err error
+}
+
+func (e *enc) str(key, s string, omitempty bool) {
+	if s != "" || !omitempty {
+		e.b = expr.AppendJSONString(append(e.b, key...), s)
+	}
+}
+
+func (e *enc) int(key string, n int64) {
+	if n != 0 {
+		e.b = strconv.AppendInt(append(e.b, key...), n, 10)
+	}
+}
+
+func (e *enc) float(key string, f float64) {
+	if f != 0 && e.err == nil {
+		e.b, e.err = expr.AppendJSONFloat(append(e.b, key...), f)
+	}
+}
+
+// flag appends text — a key with its true, a bracket — when set.
+func (e *enc) flag(text string, set bool) {
+	if set {
+		e.b = append(e.b, text...)
+	}
+}
+
+func (e *enc) strs(key string, ss []string) {
+	e.flag(key, len(ss) > 0)
+	sep := "["
+	for _, s := range ss {
+		e.str(sep, s, false)
+		sep = ","
+	}
+	e.flag(`]`, len(ss) > 0)
+}
+
+// marshaled leaves v to encoding/json.
+func (e *enc) marshaled(key string, v any) {
+	if data, err := json.Marshal(v); err != nil {
+		e.err = err
+	} else {
+		e.b = append(append(e.b, key...), data...)
+	}
+}
+
+// props renders an item's properties, keys sorted; a nil map is null.
+func (e *enc) props(m map[string]expr.Value) {
+	if m == nil {
+		e.b = append(e.b, "null"...)
+		return
+	}
+	var buf [8]string // bigger maps spill to the heap
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	sep := "{"
+	for _, k := range keys {
+		e.str(sep, k, false)
+		if e.b, sep = append(e.b, ':'), ","; e.err == nil {
+			e.b, e.err = m[k].AppendJSON(e.b)
 		}
 	}
-	return env, nil
+	e.flag("{", len(keys) == 0)
+	e.b = append(e.b, '}')
 }
 
 // task rebuilds the workflow task from its durable envelope.
@@ -139,7 +244,13 @@ func (te *TaskEnvelope) task() (*workflow.Task, error) {
 // journal writes; write is the store method (as a method expression, so
 // picking it allocates nothing) and what names it in the error.
 func (e *Engine) journalWrite(write func(storageAPI, string, []byte) (int, error), what string, n *telemetry.Counter, rec JournalRecord) error {
-	data, err := json.Marshal(rec)
+	// Sized by the Fig-10 task's records: started 54 bytes, terminal 115,
+	// accepted 2 961 (1 706 of them the process description).
+	size := 128
+	if rec.task != nil {
+		size = 4096
+	}
+	data, err := appendRecord(make([]byte, 0, size), &rec)
 	if err != nil {
 		// Records are built from plain serializable fields; a marshal
 		// failure is a programming error, not a runtime condition.

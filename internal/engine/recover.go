@@ -101,6 +101,9 @@ func (e *Engine) RecoverOwned(own func(tenant, taskID string) bool) (RecoveryRep
 			reason:   st.reason,
 			env:      st.envelope,
 		}
+		if st.envelope != nil {
+			rec.pol = st.envelope.Policy
+		}
 		if terminal(st.status) {
 			// Finished before the crash: restore the record so GETs still
 			// answer, but nothing re-runs.

@@ -192,6 +192,19 @@ func (g *Grid) Nodes() []*Node {
 	return out
 }
 
+// UpCount returns how many nodes are currently available.
+func (g *Grid) UpCount() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	up := 0
+	for _, n := range g.nodes {
+		if n.Up() {
+			up++
+		}
+	}
+	return up
+}
+
 // Containers returns all containers sorted by ID.
 func (g *Grid) Containers() []*Container {
 	g.mu.RLock()

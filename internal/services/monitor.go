@@ -150,6 +150,7 @@ type Monitoring struct {
 	last        map[string]bool
 	health      map[string]*healthRecord
 	quarantined map[string]string // node -> reason
+	gUp         *telemetry.Gauge  // monitoring.nodes.up; see updateUpGauge
 }
 
 // HandleMessage implements agent.Handler.
@@ -335,18 +336,17 @@ func (s *Monitoring) ClusterHealth() ClusterHealthReply {
 	return reply
 }
 
-// updateUpGauge refreshes the monitoring.nodes.up gauge from the grid.
+// updateUpGauge refreshes the monitoring.nodes.up gauge from the grid. It
+// runs on the agent's goroutine alone (every execution outcome passes
+// through it), which is what lets it resolve the gauge once, unguarded.
 func (s *Monitoring) updateUpGauge() {
 	if s.Telemetry == nil {
 		return
 	}
-	up := 0
-	for _, n := range s.Grid.Nodes() {
-		if n.Up() {
-			up++
-		}
+	if s.gUp == nil {
+		s.gUp = s.Telemetry.Gauge("monitoring.nodes.up")
 	}
-	s.Telemetry.Gauge("monitoring.nodes.up").Set(float64(up))
+	s.gUp.Set(float64(s.Grid.UpCount()))
 }
 
 // snapshot captures every node's up/down state; callers hold s.mu.

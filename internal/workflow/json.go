@@ -34,30 +34,31 @@ type jsonProcess struct {
 
 // MarshalJSON implements json.Marshaler with a complete, deterministic
 // rendering of the process description.
-func (p *ProcessDescription) MarshalJSON() ([]byte, error) {
-	if p.encJSON != nil {
-		// Memoized rendering of the unchanged graph; hand out a copy so a
-		// caller scribbling on the result cannot poison the cache.
-		return append([]byte(nil), p.encJSON...), nil
+func (p *ProcessDescription) MarshalJSON() ([]byte, error) { return p.AppendJSON(nil) }
+
+// AppendJSON appends the MarshalJSON rendering to b. The rendering of an
+// unchanged graph is memoized, and handed out only as a copy.
+func (p *ProcessDescription) AppendJSON(b []byte) ([]byte, error) {
+	if p.encJSON == nil {
+		out := jsonProcess{Name: p.Name}
+		for _, a := range p.Activities {
+			out.Activities = append(out.Activities, jsonActivity{
+				ID: a.ID, Name: a.Name, Kind: a.Kind.String(), Service: a.Service,
+				Inputs: a.Inputs, Outputs: a.Outputs, Constraint: a.Constraint,
+			})
+		}
+		for _, t := range p.Transitions {
+			out.Transitions = append(out.Transitions, jsonTransition{
+				ID: t.ID, Source: t.Source, Dest: t.Dest, Condition: t.Condition,
+			})
+		}
+		data, err := json.Marshal(out)
+		if err != nil {
+			return nil, err
+		}
+		p.encJSON = data
 	}
-	out := jsonProcess{Name: p.Name}
-	for _, a := range p.Activities {
-		out.Activities = append(out.Activities, jsonActivity{
-			ID: a.ID, Name: a.Name, Kind: a.Kind.String(), Service: a.Service,
-			Inputs: a.Inputs, Outputs: a.Outputs, Constraint: a.Constraint,
-		})
-	}
-	for _, t := range p.Transitions {
-		out.Transitions = append(out.Transitions, jsonTransition{
-			ID: t.ID, Source: t.Source, Dest: t.Dest, Condition: t.Condition,
-		})
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil, err
-	}
-	p.encJSON = data
-	return append([]byte(nil), data...), nil
+	return append(b, p.encJSON...), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

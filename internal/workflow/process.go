@@ -2,7 +2,9 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/expr"
@@ -25,7 +27,12 @@ type Activity struct {
 	// (e.g. Cons1 on the Choice activity of Figure 10). For a Choice it
 	// selects among successors together with per-transition conditions.
 	Constraint string
+
+	constraint expr.Node // Constraint as the last Validate parsed it
 }
+
+// ConstraintNode returns the parsed Constraint (nil: none) once validated.
+func (a *Activity) ConstraintNode() expr.Node { return a.constraint }
 
 // Clone returns a deep copy of a.
 func (a *Activity) Clone() *Activity {
@@ -42,7 +49,12 @@ type Transition struct {
 	Source    string // source activity ID
 	Dest      string // destination activity ID
 	Condition string // condition-expression source; empty means always
+
+	cond expr.Node // Condition as the last Validate parsed it
 }
+
+// CondNode returns the parsed Condition (nil: none) once validated.
+func (t *Transition) CondNode() expr.Node { return t.cond }
 
 // Clone returns a copy of t.
 func (t *Transition) Clone() *Transition {
@@ -58,15 +70,18 @@ type ProcessDescription struct {
 	Activities  []*Activity
 	Transitions []*Transition
 
-	byID    map[string]*Activity
-	out     map[string][]*Transition
-	in      map[string][]*Transition
+	// The compiled form, built by index(): an activity is its position in
+	// Activities, and out[i] and in[i] are the transitions leaving and
+	// entering it, each side one flat list cut into runs.
 	indexed bool
+	byID    map[string]int32 // ID -> position (the first, if duplicated)
+	out, in [][]*Transition
 
 	// validated memoizes the last Validate result (validErr); Add and
 	// ConnectCond invalidate it alongside the index. A task's description
 	// is validated at admission, again by the coordinator, and once more by
 	// every enactment — on an unchanged graph those are the same answer.
+	// The pass keeps what it parsed on the transitions and activities.
 	validated bool
 	validErr  error
 
@@ -99,7 +114,7 @@ func (p *ProcessDescription) Connect(src, dst string) *Transition {
 // ConnectCond appends a conditional transition from src to dst.
 func (p *ProcessDescription) ConnectCond(src, dst, cond string) *Transition {
 	t := &Transition{
-		ID:        fmt.Sprintf("TR%d", len(p.Transitions)+1),
+		ID:        "TR" + strconv.Itoa(len(p.Transitions)+1),
 		Source:    src,
 		Dest:      dst,
 		Condition: cond,
@@ -111,28 +126,52 @@ func (p *ProcessDescription) ConnectCond(src, dst, cond string) *Transition {
 	return t
 }
 
-// index (re)builds the lookup maps.
+// index (re)builds the compiled form.
 func (p *ProcessDescription) index() {
 	if p.indexed {
 		return
 	}
-	p.byID = make(map[string]*Activity, len(p.Activities))
-	for _, a := range p.Activities {
-		p.byID[a.ID] = a
+	p.byID = make(map[string]int32, len(p.Activities))
+	for i := len(p.Activities) - 1; i >= 0; i-- {
+		p.byID[p.Activities[i].ID] = int32(i)
 	}
-	p.out = make(map[string][]*Transition)
-	p.in = make(map[string][]*Transition)
-	for _, t := range p.Transitions {
-		p.out[t.Source] = append(p.out[t.Source], t)
-		p.in[t.Dest] = append(p.in[t.Dest], t)
-	}
+	p.out = p.group(func(t *Transition) string { return t.Source })
+	p.in = p.group(func(t *Transition) string { return t.Dest })
 	p.indexed = true
+}
+
+// group returns, by position of the activity at the end of a transition that
+// end picks, the transitions there in declaration order: runs of one sorted
+// copy (the first run, dropped: the transitions whose end is no activity).
+func (p *ProcessDescription) group(end func(*Transition) string) [][]*Transition {
+	groups := make([][]*Transition, len(p.Activities)+1)
+	ts := slices.Clone(p.Transitions)
+	slices.SortStableFunc(ts, func(a, b *Transition) int { return p.pos(end(a)) - p.pos(end(b)) })
+	for i, j := 0, 0; i < len(ts); i = j {
+		for j < len(ts) && p.pos(end(ts[j])) == p.pos(end(ts[i])) {
+			j++
+		}
+		groups[p.pos(end(ts[i]))+1] = ts[i:j:j]
+	}
+	return groups[1:]
+}
+
+// pos returns the position in Activities of the activity with the given ID
+// (the first one, should the ID be duplicated), or -1. The index is built.
+func (p *ProcessDescription) pos(id string) int {
+	if pos, found := p.byID[id]; found {
+		return int(pos)
+	}
+	return -1
 }
 
 // Activity returns the activity with the given ID, or nil.
 func (p *ProcessDescription) Activity(id string) *Activity {
 	p.index()
-	return p.byID[id]
+	if pos := p.pos(id); pos >= 0 {
+		return p.Activities[pos]
+	}
+	return nil
 }
 
 // ActivityByName returns the first activity with the given display name, or
@@ -150,22 +189,27 @@ func (p *ProcessDescription) ActivityByName(name string) *Activity {
 // Out returns the transitions leaving the activity with the given ID.
 func (p *ProcessDescription) Out(id string) []*Transition {
 	p.index()
-	return p.out[id]
+	if pos, found := p.byID[id]; found {
+		return p.out[pos]
+	}
+	return nil
 }
 
 // In returns the transitions entering the activity with the given ID.
 func (p *ProcessDescription) In(id string) []*Transition {
 	p.index()
-	return p.in[id]
+	if pos, found := p.byID[id]; found {
+		return p.in[pos]
+	}
+	return nil
 }
 
 // Successors returns the successor activity set of the activity id.
 func (p *ProcessDescription) Successors(id string) []*Activity {
-	p.index()
-	ts := p.out[id]
+	ts := p.Out(id)
 	succ := make([]*Activity, 0, len(ts))
 	for _, t := range ts {
-		if a := p.byID[t.Dest]; a != nil {
+		if a := p.Activity(t.Dest); a != nil {
 			succ = append(succ, a)
 		}
 	}
@@ -174,11 +218,10 @@ func (p *ProcessDescription) Successors(id string) []*Activity {
 
 // Predecessors returns the predecessor activity set of the activity id.
 func (p *ProcessDescription) Predecessors(id string) []*Activity {
-	p.index()
-	ts := p.in[id]
+	ts := p.In(id)
 	pred := make([]*Activity, 0, len(ts))
 	for _, t := range ts {
-		if a := p.byID[t.Source]; a != nil {
+		if a := p.Activity(t.Source); a != nil {
 			pred = append(pred, a)
 		}
 	}
@@ -280,28 +323,32 @@ func (p *ProcessDescription) Validate() error {
 	addf := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
+	parse := func(src, format, id string) expr.Node {
+		if src == "" {
+			return nil
+		}
+		node, err := expr.Parse(src)
+		if err != nil {
+			addf(format, id, err)
+		}
+		return node
+	}
 
-	seen := make(map[string]bool, len(p.Activities))
-	for _, a := range p.Activities {
+	for i, a := range p.Activities {
 		if a.ID == "" {
 			addf("activity %q has empty ID", a.Name)
 			continue
 		}
-		if seen[a.ID] {
+		if p.pos(a.ID) != i {
 			addf("duplicate activity ID %q", a.ID)
 		}
-		seen[a.ID] = true
 		if a.Kind == KindEndUser && a.Service == "" {
 			addf("end-user activity %s has no service", a.ID)
 		}
 		if a.Kind != KindEndUser && a.Service != "" {
 			addf("flow-control activity %s names service %q", a.ID, a.Service)
 		}
-		if a.Constraint != "" {
-			if _, err := expr.Parse(a.Constraint); err != nil {
-				addf("activity %s constraint: %v", a.ID, err)
-			}
-		}
+		a.constraint = parse(a.Constraint, "activity %s constraint: %v", a.ID)
 	}
 
 	if n := p.CountKind(KindBegin); n != 1 {
@@ -319,25 +366,21 @@ func (p *ProcessDescription) Validate() error {
 			addf("duplicate transition ID %q", t.ID)
 		}
 		tseen[t.ID] = true
-		if p.byID[t.Source] == nil {
+		if p.pos(t.Source) < 0 {
 			addf("transition %s: unknown source %q", t.ID, t.Source)
 		}
-		if p.byID[t.Dest] == nil {
+		if p.pos(t.Dest) < 0 {
 			addf("transition %s: unknown destination %q", t.ID, t.Dest)
 		}
 		if t.Source == t.Dest {
 			addf("transition %s: self loop on %q", t.ID, t.Source)
 		}
-		if t.Condition != "" {
-			if _, err := expr.Parse(t.Condition); err != nil {
-				addf("transition %s condition: %v", t.ID, err)
-			}
-		}
+		t.cond = parse(t.Condition, "transition %s condition: %v", t.ID)
 	}
 
 	for _, a := range p.Activities {
 		inMin, inMax, outMin, outMax := a.Kind.minMaxDegree()
-		in, out := len(p.in[a.ID]), len(p.out[a.ID])
+		in, out := len(p.In(a.ID)), len(p.Out(a.ID))
 		if in < inMin || (inMax >= 0 && in > inMax) {
 			addf("%s activity %s has in-degree %d", a.Kind, a.ID, in)
 		}
@@ -347,20 +390,14 @@ func (p *ProcessDescription) Validate() error {
 	}
 
 	if len(problems) == 0 {
-		if begin := p.Begin(); begin != nil {
-			fromBegin := p.reachableFrom(begin.ID, false)
-			for _, a := range p.Activities {
-				if !fromBegin[a.ID] {
-					addf("activity %s unreachable from Begin", a.ID)
-				}
+		fromBegin := p.reachableFrom(p.Begin().ID, false)
+		toEnd := p.reachableFrom(p.End().ID, true)
+		for i, a := range p.Activities {
+			if !fromBegin[i] {
+				addf("activity %s unreachable from Begin", a.ID)
 			}
-		}
-		if end := p.End(); end != nil {
-			toEnd := p.reachableFrom(end.ID, true)
-			for _, a := range p.Activities {
-				if !toEnd[a.ID] {
-					addf("End unreachable from activity %s", a.ID)
-				}
+			if !toEnd[i] {
+				addf("End unreachable from activity %s", a.ID)
 			}
 		}
 	}
@@ -374,28 +411,27 @@ func (p *ProcessDescription) Validate() error {
 	return p.validErr
 }
 
-// reachableFrom returns the set of activity IDs reachable from start,
-// following transitions backwards when reverse is true.
-func (p *ProcessDescription) reachableFrom(start string, reverse bool) map[string]bool {
-	p.index()
-	visited := map[string]bool{start: true}
+// reachableFrom reports, by position, the activities reachable from start,
+// following transitions backwards when reverse is true. Every transition
+// end must be a known activity.
+func (p *ProcessDescription) reachableFrom(start string, reverse bool) []bool {
+	visited := make([]bool, len(p.Activities))
+	visited[p.pos(start)] = true
 	stack := []string{start}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		var ts []*Transition
+		ts := p.Out(id)
 		if reverse {
-			ts = p.in[id]
-		} else {
-			ts = p.out[id]
+			ts = p.In(id)
 		}
 		for _, t := range ts {
 			next := t.Dest
 			if reverse {
 				next = t.Source
 			}
-			if !visited[next] {
-				visited[next] = true
+			if pos := p.pos(next); !visited[pos] {
+				visited[pos] = true
 				stack = append(stack, next)
 			}
 		}

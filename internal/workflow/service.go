@@ -67,21 +67,6 @@ func (s *Service) Validate() error {
 	return nil
 }
 
-// itemList implements expr.Env over an ordered collection of data items by
-// linear scan: the fallback environment of BindItems, which resolves
-// conditions that name a data item instead of a formal.
-type itemList []*DataItem
-
-// Lookup implements expr.Env over the list.
-func (l itemList) Lookup(obj, prop string) (expr.Value, bool) {
-	for _, it := range l {
-		if it.Name == obj {
-			return it.Prop(prop)
-		}
-	}
-	return expr.Value{}, false
-}
-
 // Bind searches for an injective assignment of distinct state items to the
 // service's input parameters such that every parameter condition holds. It
 // returns the chosen binding (formal name -> item) and whether one exists.
@@ -91,32 +76,59 @@ func (l itemList) Lookup(obj, prop string) (expr.Value, bool) {
 // The search is deterministic: items are tried in sorted-name order, so the
 // same state always yields the same binding.
 func (s *Service) Bind(st *State) (map[string]*DataItem, bool) {
-	return s.BindItems(st.Items())
+	return s.BindItems(st.items)
 }
 
 // BindItems is Bind over an explicit item list, tried in list order.
 func (s *Service) BindItems(items []*DataItem) (map[string]*DataItem, bool) {
-	b := binder{
-		inputs: s.Inputs,
-		items:  items,
-		chosen: make(map[string]*DataItem, len(s.Inputs)),
-		picked: make([]*DataItem, 0, len(s.Inputs)),
+	b := newBinder(s.Inputs, items)
+	if !b.bind(0) {
+		return nil, false
 	}
-	// Boxed once: every candidate of every input evaluates against it.
-	b.env = Binding{Formals: b.chosen, Base: itemList(items)}
-	if b.bind(0) {
-		return b.chosen, true
+	chosen := make(map[string]*DataItem, len(s.Inputs))
+	for i, it := range b.picked {
+		chosen[s.Inputs[i].Name] = it
 	}
-	return nil, false
+	return chosen, true
 }
 
-// binder is the state of one BindItems search.
+// Applicable reports whether the service's preconditions are met in st:
+// Bind's search without materializing the binding.
+func (s *Service) Applicable(st *State) bool {
+	return newBinder(s.Inputs, st.items).bind(0)
+}
+
+// binder is the state of one binding search, and the environment its
+// conditions evaluate in: picked[i] is the item bound to inputs[i], the last
+// one being the candidate under test.
 type binder struct {
 	inputs []ParamSpec
 	items  []*DataItem
-	chosen map[string]*DataItem // the binding under test, by formal name
-	picked []*DataItem          // the items bound to inputs[:i], at depth i
-	env    expr.Env             // chosen over items
+	picked []*DataItem
+	buf    [4]*DataItem // backs picked; wider services spill to the heap
+}
+
+func newBinder(inputs []ParamSpec, items []*DataItem) *binder {
+	b := &binder{inputs: inputs, items: items}
+	b.picked = b.buf[:0]
+	return b
+}
+
+// Lookup implements expr.Env: a formal bound so far shadows a data item of
+// the same name (the latest binding of a repeated formal wins); any other
+// object is a data item of the list, by name.
+func (b *binder) Lookup(obj, prop string) (expr.Value, bool) {
+	for i := len(b.picked) - 1; i >= 0; i-- {
+		if b.inputs[i].Name == obj {
+			return b.picked[i].Prop(prop)
+		}
+	}
+	for _, it := range b.items {
+		if it.Name == obj {
+			return it.Prop(prop)
+		}
+	}
+	return expr.Value{}, false
 }
 
 // bind extends the binding to inputs[i:].
@@ -124,8 +136,7 @@ func (b *binder) bind(i int) bool {
 	if i == len(b.inputs) {
 		return true
 	}
-	p := &b.inputs[i]
-	cond, err := p.compile()
+	cond, err := b.inputs[i].compile()
 	if err != nil {
 		return false
 	}
@@ -136,15 +147,11 @@ next:
 				continue next
 			}
 		}
-		b.chosen[p.Name] = it
-		if cond.Eval(b.env) {
-			b.picked = append(b.picked, it)
-			if b.bind(i + 1) {
-				return true
-			}
-			b.picked = b.picked[:len(b.picked)-1]
+		b.picked = append(b.picked, it)
+		if cond.Eval(b) && b.bind(i+1) {
+			return true
 		}
-		delete(b.chosen, p.Name)
+		b.picked = b.picked[:i]
 	}
 	return false
 }
@@ -173,12 +180,6 @@ func (s *Service) Produce(names []string, seq int) []*DataItem {
 	return out
 }
 
-// Applicable reports whether the service's preconditions are met in st.
-func (s *Service) Applicable(st *State) bool {
-	_, ok := s.Bind(st)
-	return ok
-}
-
 // Apply executes the service against st in the metadata sense: it checks the
 // preconditions and, if met, adds one new data item per output spec. Output
 // item names are taken from names (parallel to s.Outputs) when provided;
@@ -186,7 +187,7 @@ func (s *Service) Applicable(st *State) bool {
 // It returns the new state and whether the activity was valid. st is not
 // modified.
 func (s *Service) Apply(st *State, names []string, seq int) (*State, bool) {
-	if _, ok := s.Bind(st); !ok {
+	if !s.Applicable(st) {
 		return st, false
 	}
 	next := st.Clone()
@@ -261,29 +262,43 @@ func (c *Catalog) Validate() error {
 // `G.Classification = "Resolution File"`).
 type Goal struct {
 	Conditions []string
+
+	// nodes holds the conditions as NewGoal parsed them, nil where one does
+	// not parse.
+	nodes []expr.Node
 }
 
-// NewGoal builds a goal from condition sources.
-func NewGoal(conditions ...string) Goal { return Goal{Conditions: conditions} }
+// NewGoal builds a goal from condition sources, parsing each once. It is the
+// only way to build one that can be met.
+func NewGoal(conditions ...string) Goal {
+	g := Goal{Conditions: conditions, nodes: make([]expr.Node, len(conditions))}
+	for i, src := range conditions {
+		g.nodes[i], _ = expr.Parse(src) // a condition that does not parse is never met
+	}
+	return g
+}
+
+// goalFormal is the one formal of a goal condition: the object G.
+var goalFormal = []ParamSpec{{Name: "G"}}
 
 // Satisfied returns how many of the goal conditions hold in st, and the
 // total number of conditions. A condition holds if at least one data item,
 // bound to the formal object "G", satisfies it.
 func (g Goal) Satisfied(st *State) (met, total int) {
-	total = len(g.Conditions)
-	for _, src := range g.Conditions {
-		node, err := expr.Parse(src)
-		if err != nil {
+	env := newBinder(goalFormal, st.items)
+	env.picked = env.picked[:1]
+	for _, node := range g.nodes {
+		if node == nil {
 			continue
 		}
-		for _, it := range st.Items() {
-			if node.Eval(Binding{Formals: map[string]*DataItem{"G": it}, Base: st}) {
+		for _, it := range st.items {
+			if env.picked[0] = it; node.Eval(env) {
 				met++
 				break
 			}
 		}
 	}
-	return met, total
+	return met, len(g.Conditions)
 }
 
 // Fitness returns the goal fitness fg of Equation 2: the fraction of goal

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -84,63 +85,71 @@ func (d *DataItem) String() string {
 }
 
 // State is the system state of the planning formalism (Section 3.2): the set
-// of data items currently available, with their specifications. States are
-// value-like: Clone before mutating a shared one.
+// of data items currently available, with their specifications. Items are
+// kept in name order as they are Put, so ordered iteration — the candidate
+// order of every binding search — allocates nothing. States are value-like:
+// Clone before mutating a shared one.
 type State struct {
-	items map[string]*DataItem
+	items []*DataItem // ascending by Name, names unique
 }
 
 // NewState builds a state holding the given items.
 func NewState(items ...*DataItem) *State {
-	s := &State{items: make(map[string]*DataItem, len(items))}
+	s := &State{items: make([]*DataItem, 0, len(items))}
 	for _, it := range items {
-		s.items[it.Name] = it
+		s.Put(it)
 	}
 	return s
 }
 
+// find returns where the named item is, or would be inserted.
+func (s *State) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.items, name, func(it *DataItem, name string) int {
+		return strings.Compare(it.Name, name)
+	})
+}
+
 // Put inserts or replaces an item.
 func (s *State) Put(item *DataItem) {
-	if s.items == nil {
-		s.items = make(map[string]*DataItem)
+	i, found := s.find(item.Name)
+	if found {
+		s.items[i] = item
+		return
 	}
-	s.items[item.Name] = item
+	s.items = slices.Insert(s.items, i, item)
 }
 
 // Get returns the named item, or nil.
-func (s *State) Get(name string) *DataItem { return s.items[name] }
+func (s *State) Get(name string) *DataItem {
+	if i, found := s.find(name); found {
+		return s.items[i]
+	}
+	return nil
+}
 
 // Has reports whether the named item exists.
-func (s *State) Has(name string) bool { return s.items[name] != nil }
+func (s *State) Has(name string) bool { return s.Get(name) != nil }
 
 // Len returns the number of items.
 func (s *State) Len() int { return len(s.items) }
 
-// Names returns the item names in sorted order (deterministic iteration).
+// Names returns the item names in sorted order.
 func (s *State) Names() []string {
-	names := make([]string, 0, len(s.items))
-	for n := range s.items {
-		names = append(names, n)
+	names := make([]string, len(s.items))
+	for i, it := range s.items {
+		names[i] = it.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Items returns the items sorted by name.
-func (s *State) Items() []*DataItem {
-	names := s.Names()
-	items := make([]*DataItem, len(names))
-	for i, n := range names {
-		items[i] = s.items[n]
-	}
-	return items
-}
+// Items returns the items sorted by name; the slice is the caller's.
+func (s *State) Items() []*DataItem { return slices.Clone(s.items) }
 
 // Clone returns a deep copy of s.
 func (s *State) Clone() *State {
-	c := &State{items: make(map[string]*DataItem, len(s.items))}
-	for n, it := range s.items {
-		c.items[n] = it.Clone()
+	c := &State{items: make([]*DataItem, len(s.items))}
+	for i, it := range s.items {
+		c.items[i] = it.Clone()
 	}
 	return c
 }
@@ -148,7 +157,7 @@ func (s *State) Clone() *State {
 // Lookup implements expr.Env over the items by name, so conditions like
 // D10.Classification = "Resolution File" evaluate directly against a state.
 func (s *State) Lookup(obj, prop string) (expr.Value, bool) {
-	it := s.items[obj]
+	it := s.Get(obj)
 	if it == nil {
 		return expr.Value{}, false
 	}
@@ -156,9 +165,8 @@ func (s *State) Lookup(obj, prop string) (expr.Value, bool) {
 }
 
 func (s *State) String() string {
-	items := s.Items()
-	parts := make([]string, len(items))
-	for i, it := range items {
+	parts := make([]string, len(s.items))
+	for i, it := range s.items {
 		parts[i] = it.String()
 	}
 	return "state[" + strings.Join(parts, "; ") + "]"
