@@ -723,6 +723,7 @@ func BenchmarkCostAwareScheduling(b *testing.B) {
 			}
 		}
 	}
+	history := func(node string) services.PerfStats { return perf[node] }
 	inputs := []services.DataRef{
 		{SizeMB: 120, Location: "bn-007"},
 		{SizeMB: 40, Location: "elsewhere"},
@@ -733,7 +734,7 @@ func BenchmarkCostAwareScheduling(b *testing.B) {
 	var headCost float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scored := services.ScoreCandidates(fleet, 2.5, inputs, perf, 4.0)
+		scored := services.ScoreCandidates(fleet, 2.5, inputs, history, 4.0)
 		ranked := services.RankCostAware(scored, i%2 == 1)
 		for _, sc := range ranked {
 			if sc.Feasible {

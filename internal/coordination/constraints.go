@@ -1,7 +1,6 @@
 package coordination
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -150,10 +149,10 @@ func dataRefs(act *workflow.Activity, state *workflow.State) []services.DataRef 
 // feasible first — or fastest first under deadline pressure. It also returns
 // the cheapest estimated cost so dispatch can detect an infeasible budget
 // before consuming any retry.
-func (c *Coordinator) costRank(ctx context.Context, act *workflow.Activity, svc *workflow.Service, state *workflow.State, cands []services.Candidate, cc *caseConstraints) ([]services.Candidate, float64) {
+func (c *Coordinator) costRank(act *workflow.Activity, svc *workflow.Service, state *workflow.State, cands []services.Candidate, cc *caseConstraints) ([]services.Candidate, float64) {
 	c.mCostSchedules.Inc()
-	scored := services.ScoreCandidates(cands, svc.BaseTime, dataRefs(act, state),
-		c.perfStats(ctx, act.Service, cands), cc.remainingDeadline())
+	history := func(node string) services.PerfStats { return c.cfg.Brokerage.Stats(act.Service, node) }
+	scored := services.ScoreCandidates(cands, svc.BaseTime, dataRefs(act, state), history, cc.remainingDeadline())
 	ranked := services.RankCostAware(scored, cc.timePressure)
 	out := make([]services.Candidate, len(ranked))
 	minCost := 0.0

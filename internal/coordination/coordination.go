@@ -15,7 +15,6 @@ import (
 	"log/slog"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/agent"
@@ -32,6 +31,12 @@ type Config struct {
 	// Catalog supplies the service specifications (pre/postconditions,
 	// nominal times) for the end-user activities.
 	Catalog *workflow.Catalog
+	// Matchmaking ranks the containers for each dispatch and Brokerage holds
+	// the execution history the ranking is adjusted by; the coordinator asks
+	// both by method call, so every placement reads the grid and the ledger
+	// as they are.
+	Matchmaking *services.Matchmaking
+	Brokerage   *services.Brokerage
 
 	// UseContractNet acquires resources by bidding: the coordinator sends a
 	// call for proposals to the brokerage's candidate containers and awards
@@ -130,42 +135,15 @@ type Coordinator struct {
 	mDeadlineMissed                         *telemetry.Counter
 	hBatchWall, hEnactReal, hCkptBytes      *telemetry.Histogram
 	hBackoff                                *telemetry.Histogram
-
-	// perfMu guards perfCache, the short-TTL memo of brokerage
-	// past-performance replies used by history-aware dispatch. The brokerage
-	// snapshot is best-effort by design ("may be obsolete"), so serving a
-	// reply a few hundred milliseconds stale trades nothing away and spares
-	// one agent round-trip per dispatch batch.
-	perfMu    sync.Mutex
-	perfCache map[string]perfCacheEntry
-	candCache map[string]candCacheEntry
 }
-
-// perfCacheEntry is one memoized PerfBatchReply, re-keyed by node.
-type perfCacheEntry struct {
-	stats map[string]services.PerfStats
-	at    time.Time
-}
-
-// candCacheEntry is one memoized matchmaking reply. Matchmaking reads the
-// live grid, so this cache does trade freshness for round-trips — bounded by
-// the same short TTL, and dropped the moment a dispatch on the service
-// fails, which is when staleness would actually matter.
-type candCacheEntry struct {
-	cands []services.Candidate
-	at    time.Time
-}
-
-// perfCacheTTL bounds how stale a memoized past-performance reply may be.
-const perfCacheTTL = 250 * time.Millisecond
 
 // maxReplans bounds re-planning rounds per task.
 const maxReplans = 3
 
 // New builds a coordinator and registers its agent (services.CoordinationName).
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Platform == nil || cfg.Catalog == nil {
-		return nil, fmt.Errorf("coordination: platform and catalog are required")
+	if cfg.Platform == nil || cfg.Catalog == nil || cfg.Matchmaking == nil || cfg.Brokerage == nil {
+		return nil, fmt.Errorf("coordination: platform, catalog, matchmaking and brokerage are required")
 	}
 	if cfg.MaxFires <= 0 {
 		cfg.MaxFires = 1000

@@ -93,6 +93,8 @@ func newEnvWith(t *testing.T, checkpoint bool, mod func(*Config)) *env {
 	cfg := Config{
 		Platform:    p,
 		Catalog:     catalog,
+		Matchmaking: core.Matchmaking,
+		Brokerage:   core.Brokerage,
 		PostProcess: virolab.ResolutionHook(nil),
 		Checkpoint:  checkpoint,
 	}
@@ -430,11 +432,15 @@ func runConstraintLoop(t *testing.T, marker []float64, maxFires int) (*Report, e
 
 // TestResumeFromMidwayCheckpoint runs the case study to completion (writing
 // a checkpoint per dispatch batch), then for EVERY checkpoint version crashes
-// an identical run right after that checkpoint and resumes it: the resumed
-// run must finish the remaining work exactly. The matchmaker's first choice
-// faults (and eventually crashes), so the uninterrupted run accumulates
-// failures, retries, faults and backoff; a resumed report must carry the
-// checkpointed share of each and end on the same totals.
+// an identical run right after that checkpoint and resumes it on a
+// coordinator that has never matched — what a restarted process is: the
+// resumed run must finish the remaining work exactly. The matchmaker's first
+// choice faults (and eventually crashes), so the uninterrupted run
+// accumulates failures, retries, faults and backoff; a resumed report must
+// carry the checkpointed share of each and end on the same totals. The
+// checkpoint gives the first half of that equality; the second half is that
+// placement reads nothing the coordinator remembers — the grid (the crashed
+// node stays down) and the brokerage's history are all it ranks by.
 func TestResumeFromMidwayCheckpoint(t *testing.T) {
 	faults := &grid.FaultSpec{Seed: 4, Nodes: []string{"cluster-1"}, FailureRate: 1, CrashRate: 0.2}
 	pol := &Policy{BackoffBase: 10, Seed: 42}
@@ -483,7 +489,8 @@ func TestResumeFromMidwayCheckpoint(t *testing.T) {
 		if snap.Executed < version {
 			t.Fatalf("snapshot v%d has executed=%d (< version)", version, snap.Executed)
 		}
-		report, err := e.coord.ResumeContext(context.Background(), snap, pol)
+		cold := &Coordinator{cfg: e.coord.cfg, ctx: e.coord.ctx}
+		report, err := cold.ResumeContext(context.Background(), snap, pol)
 		if err != nil {
 			t.Fatalf("resume from v%d: %v", version, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/services"
@@ -269,18 +268,13 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		ranked = cands
 	} else {
 		res.event("invoke", act.Name, services.MatchmakingName)
-		cands, err := c.matchCandidates(ctx, act.Service)
-		if err != nil {
-			res.err = err
-			return
-		}
-		ranked = cands
+		ranked = c.cfg.Matchmaking.Match(services.MatchRequest{Service: act.Service})
 	}
 	if len(ranked) == 0 {
 		res.err = &nonExecutableError{activity: act.Name, service: act.Service}
 		return
 	}
-	candidates, minCost := c.rank(ctx, act, svc, state, ranked, cc)
+	candidates, minCost := c.rank(act, svc, state, ranked, cc)
 	if cc != nil && cc.budget > 0 && cc.spent+minCost > cc.budget {
 		res.event("constraint", act.Name, fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget))
 		res.err = &ConstraintError{Reason: ReasonBudgetExceeded,
@@ -319,7 +313,6 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			return
 		}
 		res.failures++
-		c.invalidatePerf(act.Service)
 		res.event("fail", act.Name, fmt.Sprintf("on %s: %v", cand.Container, err))
 		if failedNodes == nil {
 			failedNodes = map[string]bool{}
@@ -329,11 +322,10 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		if attempt == p.MaxRetries {
 			break
 		}
-		// The failure just invalidated the memoized candidate list; re-match
-		// against the live grid so later attempts stop rotating through a
-		// snapshot that may still rank a node that went down mid-dispatch.
-		if fresh, ferr := c.matchCandidates(ctx, act.Service); ferr == nil && len(fresh) > 0 {
-			candidates, _ = c.rank(ctx, act, svc, state, fresh, cc)
+		// Re-match against the live grid so later attempts stop rotating
+		// through a ranking that may hold a node that went down mid-dispatch.
+		if fresh := c.cfg.Matchmaking.Match(services.MatchRequest{Service: act.Service}); len(fresh) > 0 {
+			candidates, _ = c.rank(act, svc, state, fresh, cc)
 		}
 		res.retries++
 		next := candidates[attempt%len(candidates)]
@@ -430,11 +422,11 @@ func (c *Coordinator) contractNet(ctx context.Context, res *execResult, act *wor
 // a constrained case is ordered by estimated cost and ETA alone — a total
 // order, so the incoming order does not matter — and also reports the
 // cheapest estimate.
-func (c *Coordinator) rank(ctx context.Context, act *workflow.Activity, svc *workflow.Service, state *workflow.State, cands []services.Candidate, cc *caseConstraints) ([]services.Candidate, float64) {
+func (c *Coordinator) rank(act *workflow.Activity, svc *workflow.Service, state *workflow.State, cands []services.Candidate, cc *caseConstraints) ([]services.Candidate, float64) {
 	if cc == nil {
-		return c.reorderByHistory(ctx, act.Service, cands), 0
+		return c.reorderByHistory(act.Service, cands), 0
 	}
-	return c.costRank(ctx, act, svc, state, cands, cc)
+	return c.costRank(act, svc, state, cands, cc)
 }
 
 // reorderByHistory consults the brokerage's past-performance data base and
@@ -442,18 +434,15 @@ func (c *Coordinator) rank(ctx context.Context, act *workflow.Activity, svc *wor
 // (success rate below 0.5 over at least three runs). This is the paper's
 // "ability to access history information about the past execution of the
 // task": resources with a proven record are preferred. Relative order
-// within the kept and demoted groups is preserved.
-func (c *Coordinator) reorderByHistory(ctx context.Context, service string, cands []services.Candidate) []services.Candidate {
+// within the kept and demoted groups is preserved, and cands — the ranking
+// matchmaking shares with every caller — is never written to.
+func (c *Coordinator) reorderByHistory(service string, cands []services.Candidate) []services.Candidate {
 	if len(cands) < 2 {
 		return cands
 	}
-	stats := c.perfStats(ctx, service, cands)
-	if stats == nil {
-		return cands
-	}
 	bad := func(cand services.Candidate) bool {
-		st, ok := stats[cand.Node]
-		return ok && st.Runs >= 3 && st.SuccessRate < 0.5
+		st := c.cfg.Brokerage.Stats(service, cand.Node)
+		return st.Runs >= 3 && st.SuccessRate < 0.5
 	}
 	// Fast path: every node healthy (the overwhelmingly common case) keeps
 	// the ranking as-is without allocating.
@@ -477,91 +466,6 @@ func (c *Coordinator) reorderByHistory(ctx context.Context, service string, cand
 		}
 	}
 	return append(kept, demoted...)
-}
-
-// perfStats resolves past-performance statistics by node for one service,
-// memoized for perfCacheTTL: consecutive dispatch batches reuse one
-// brokerage round-trip. The memo is keyed by service alone, so a candidate
-// set that grew within the TTL may miss nodes in the map — a missing node
-// simply has no history yet and is never demoted, which is the same answer
-// a fresh but empty brokerage record would give.
-func (c *Coordinator) perfStats(ctx context.Context, service string, cands []services.Candidate) map[string]services.PerfStats {
-	now := time.Now()
-	c.perfMu.Lock()
-	if e, ok := c.perfCache[service]; ok && now.Sub(e.at) < perfCacheTTL {
-		c.perfMu.Unlock()
-		return e.stats
-	}
-	c.perfMu.Unlock()
-
-	nodes := make([]string, len(cands))
-	for i, cand := range cands {
-		nodes[i] = cand.Node
-	}
-	reply, err := c.ctx.CallContext(ctx, services.BrokerageName, services.OntBrokerage,
-		services.PerfBatchRequest{Service: service, Nodes: nodes}, services.CallTimeout)
-	if err != nil {
-		return nil
-	}
-	pr, ok := reply.Content.(services.PerfBatchReply)
-	if !ok || len(pr.Stats) != len(nodes) {
-		return nil
-	}
-	byNode := make(map[string]services.PerfStats, len(nodes))
-	for i, node := range nodes {
-		byNode[node] = pr.Stats[i]
-	}
-	c.perfMu.Lock()
-	if c.perfCache == nil {
-		c.perfCache = make(map[string]perfCacheEntry)
-	}
-	c.perfCache[service] = perfCacheEntry{stats: byNode, at: now}
-	c.perfMu.Unlock()
-	return byNode
-}
-
-// matchCandidates resolves the ranked candidate list for one service,
-// memoized for perfCacheTTL. Empty replies are never cached: a re-planning
-// round may deploy software or discover new containers, and a cached "no
-// candidates" answer would blind it for the TTL.
-func (c *Coordinator) matchCandidates(ctx context.Context, service string) ([]services.Candidate, error) {
-	now := time.Now()
-	c.perfMu.Lock()
-	if e, ok := c.candCache[service]; ok && now.Sub(e.at) < perfCacheTTL {
-		c.perfMu.Unlock()
-		return e.cands, nil
-	}
-	c.perfMu.Unlock()
-
-	reply, err := c.ctx.CallContext(ctx, services.MatchmakingName, services.OntMatchmaking,
-		services.MatchRequest{Service: service}, services.CallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	mr, ok := reply.Content.(services.MatchReply)
-	if !ok {
-		return nil, fmt.Errorf("coordination: unexpected matchmaking reply %T", reply.Content)
-	}
-	if len(mr.Candidates) > 0 {
-		c.perfMu.Lock()
-		if c.candCache == nil {
-			c.candCache = make(map[string]candCacheEntry)
-		}
-		c.candCache[service] = candCacheEntry{cands: mr.Candidates, at: now}
-		c.perfMu.Unlock()
-	}
-	return mr.Candidates, nil
-}
-
-// invalidatePerf drops the memoized past-performance and matchmaking
-// replies for one service. The coordinator calls it the moment it observes
-// a failed execution itself: both cached snapshots are known-obsolete, and
-// the next dispatch must see fresh history and a fresh candidate ranking.
-func (c *Coordinator) invalidatePerf(service string) {
-	c.perfMu.Lock()
-	delete(c.perfCache, service)
-	delete(c.candCache, service)
-	c.perfMu.Unlock()
 }
 
 // apply merges a dispatch into the report and case state: accounting, trace,

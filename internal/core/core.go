@@ -232,6 +232,8 @@ func NewEnvironment(opts Options) (*Environment, error) {
 	coord, err := coordination.New(coordination.Config{
 		Platform:       platform,
 		Catalog:        opts.Catalog,
+		Matchmaking:    coreSvcs.Matchmaking,
+		Brokerage:      coreSvcs.Brokerage,
 		PostProcess:    opts.PostProcess,
 		Checkpoint:     opts.Checkpoint,
 		UseContractNet: opts.UseContractNet,

@@ -35,7 +35,10 @@ type Software struct {
 	Version string
 }
 
-// Node is one autonomous resource on the grid.
+// Node is one autonomous resource on the grid. The advertised fields are
+// fixed once the node is added: matchmaking ranks on them and recomputes a
+// ranking only when the grid's Version moves, which a direct write does not
+// do.
 type Node struct {
 	ID          string
 	Domain      string // administrative domain
@@ -110,6 +113,10 @@ type Grid struct {
 	faultStreams map[string]*rand.Rand
 	crashes      []Crash
 	clock        float64 // accumulated busy time, advanced by Execute
+	// version counts the changes to what matchmaking reads: nodes, containers
+	// and node status. It moves under the write lock, after the change it
+	// counts, so whoever loads it and then reads the grid sees no older state.
+	version atomic.Uint64
 }
 
 // New returns an empty grid with deterministic per-node failure/jitter
@@ -142,6 +149,7 @@ func (g *Grid) AddNode(n *Node) error {
 	if g.faults != nil {
 		g.faultStreams[n.ID] = nodeStream(g.faults.Seed, n.ID, 0x9e3779b97f4a7c15)
 	}
+	g.version.Add(1)
 	return nil
 }
 
@@ -159,8 +167,14 @@ func (g *Grid) AddContainer(c *Container) error {
 		return fmt.Errorf("grid: container %q references unknown node %q", c.ID, c.NodeID)
 	}
 	g.containers[c.ID] = c
+	g.version.Add(1)
 	return nil
 }
+
+// Version identifies the current set of nodes, containers and node statuses:
+// it moves on every AddNode, AddContainer, SetNodeUp and injected crash, and
+// on nothing else.
+func (g *Grid) Version() uint64 { return g.version.Load() }
 
 // Node returns the named node, or nil.
 func (g *Grid) Node(id string) *Node {
@@ -248,6 +262,7 @@ func (g *Grid) SetNodeUp(id string, up bool) error {
 		return fmt.Errorf("grid: unknown node %q", id)
 	}
 	n.up.Store(up)
+	g.version.Add(1)
 	return nil
 }
 
@@ -316,6 +331,7 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 	g.clock += dur
 	if crashed {
 		n.up.Store(false)
+		g.version.Add(1)
 		g.crashes = append(g.crashes, Crash{Node: n.ID, Clock: g.clock})
 		return ex, fmt.Errorf("grid: node %q crashed during execution of %q", n.ID, service)
 	}

@@ -83,7 +83,7 @@ func Bootstrap(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, err
 		}
 	}
 	for _, c := range g.Containers() {
-		ca := &ContainerAgent{Grid: g, Container: c.ID}
+		ca := &ContainerAgent{Grid: g, Container: c.ID, Brokerage: core.Brokerage}
 		if _, err := p.Register(c.ID, ca); err != nil {
 			return nil, fmt.Errorf("services: registering container %s: %w", c.ID, err)
 		}

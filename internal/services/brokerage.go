@@ -27,40 +27,26 @@ type PerfStats struct {
 	MeanCost     float64
 }
 
-// PerfBatchRequest asks for one service's statistics on several nodes in a
-// single round-trip (the coordinator queries every dispatch candidate at
-// once instead of paying one agent call per node).
-type PerfBatchRequest struct {
-	Service string
-	Nodes   []string
-}
-
-// PerfBatchReply carries the per-node stats, index-aligned with the request's
-// Nodes slice.
-type PerfBatchReply struct{ Stats []PerfStats }
-
 // ClassesRequest asks for the current resource equivalence classes.
 type ClassesRequest struct{}
 
 // ClassesReply lists them.
 type ClassesReply struct{ Classes []grid.EquivalenceClass }
 
-// ExecutionReport informs the brokerage of a completed execution, feeding
-// the past-performance data base.
-type ExecutionReport struct{ Exec grid.Execution }
-
 // RefreshRequest forces the brokerage to resnapshot the grid.
 type RefreshRequest struct{}
 
 // Brokerage is the brokerage service agent. It keeps a best-effort snapshot
 // of container offerings plus the performance history, folded incrementally
-// into one aggregate per (service, node) so a PerfBatchRequest costs one map
-// lookup per node regardless of how many executions were ever recorded.
+// into one aggregate per (service, node) so Stats costs one map lookup
+// regardless of how many executions were ever recorded. The history is
+// written and read by method call, not by message: a container agent records
+// its execution before it replies, so whoever saw the reply sees the record.
 type Brokerage struct {
 	Grid *grid.Grid
 
-	// Telemetry, when set, counts requests, refreshes, and recorded
-	// executions.
+	// Telemetry, when set, counts requests (messages), refreshes, and
+	// recorded executions.
 	Telemetry *telemetry.Registry
 
 	mu       sync.Mutex
@@ -127,8 +113,7 @@ func (b *Brokerage) Refresh() {
 	b.Telemetry.Counter("brokerage.refreshes").Inc()
 }
 
-// Record folds an execution into the running aggregates (also reachable by
-// message).
+// Record folds an execution into the running aggregates.
 func (b *Brokerage) Record(ex grid.Execution) {
 	b.mu.Lock()
 	if b.perf == nil {
@@ -145,7 +130,9 @@ func (b *Brokerage) Record(ex grid.Execution) {
 	b.Telemetry.Counter("brokerage.executions.recorded").Inc()
 }
 
-func (b *Brokerage) stats(service, node string) PerfStats {
+// Stats returns the execution history of a service on one node; the zero
+// value when nothing ran there.
+func (b *Brokerage) Stats(service, node string) PerfStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.perf[perfKey{service, node}].stats()
@@ -160,19 +147,8 @@ func (b *Brokerage) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		list := append([]string(nil), b.snapshot[req.Service]...)
 		b.mu.Unlock()
 		_ = ctx.Reply(msg, agent.Inform, ContainersReply{Containers: list})
-	case PerfBatchRequest:
-		stats := make([]PerfStats, len(req.Nodes))
-		for i, node := range req.Nodes {
-			stats[i] = b.stats(req.Service, node)
-		}
-		_ = ctx.Reply(msg, agent.Inform, PerfBatchReply{Stats: stats})
 	case ClassesRequest:
 		_ = ctx.Reply(msg, agent.Inform, ClassesReply{Classes: b.Grid.EquivalenceClasses()})
-	case ExecutionReport:
-		b.Record(req.Exec)
-		if msg.Performative == agent.Request {
-			_ = ctx.Reply(msg, agent.Agree, nil)
-		}
 	case RefreshRequest:
 		b.Refresh()
 		if msg.Performative == agent.Request {

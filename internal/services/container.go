@@ -35,6 +35,9 @@ type ExecuteReply struct{ Exec grid.Execution }
 type ContainerAgent struct {
 	Grid      *grid.Grid
 	Container string
+	// Brokerage, when set, receives every execution record before the
+	// requester receives its reply.
+	Brokerage *Brokerage
 }
 
 // HandleMessage implements agent.Handler.
@@ -60,11 +63,12 @@ func (a *ContainerAgent) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		}
 	case ExecuteRequest:
 		ex, err := a.Grid.Execute(a.Container, req.Service, req.BaseTime, req.DataMB)
-		// Report to the brokerage's performance data base, best effort —
-		// failed executions included, so the "proven record of reliability"
-		// reflects reality, not just the successes.
-		if ex.Service != "" && ctx.Platform().Has(BrokerageName) {
-			_ = ctx.Send(BrokerageName, agent.Inform, OntBrokerage, ExecutionReport{Exec: ex})
+		// Record in the brokerage's performance data base — failed
+		// executions included, so the "proven record of reliability"
+		// reflects reality, not just the successes. By call, before the
+		// reply: a message would race the requester's next history read.
+		if ex.Service != "" && a.Brokerage != nil {
+			a.Brokerage.Record(ex)
 		}
 		// And to the monitoring service's health statistics, also best
 		// effort — a crash mid-execution shows up here as a faulted failure.

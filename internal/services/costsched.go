@@ -56,10 +56,10 @@ func transferTime(c *Candidate, inputs []DataRef) float64 {
 
 // ScoreCandidates estimates ETA and cost for every candidate. baseTime is
 // the service's nominal duration on a speed-1 node; inputs describe the
-// activity's bound conditions; perf holds historical stats keyed by node ID
-// (nil for none); remainingDeadline constrains feasibility (<= 0 means
+// activity's bound conditions; perf returns a node's historical stats (nil
+// for none); remainingDeadline constrains feasibility (<= 0 means
 // unconstrained). The returned slice is index-aligned with cands.
-func ScoreCandidates(cands []Candidate, baseTime float64, inputs []DataRef, perf map[string]PerfStats, remainingDeadline float64) []ScoredCandidate {
+func ScoreCandidates(cands []Candidate, baseTime float64, inputs []DataRef, perf func(node string) PerfStats, remainingDeadline float64) []ScoredCandidate {
 	out := make([]ScoredCandidate, len(cands))
 	for i, c := range cands {
 		eta := c.PredictedTime
@@ -70,7 +70,11 @@ func ScoreCandidates(cands []Candidate, baseTime float64, inputs []DataRef, perf
 			}
 			eta = baseTime/speed + transferTime(&c, inputs) + c.LatencyUs/1e6
 		}
-		if st, ok := perf[c.Node]; ok && st.Runs > 0 {
+		var st PerfStats
+		if perf != nil {
+			st = perf(c.Node)
+		}
+		if st.Runs > 0 {
 			if st.MeanDuration > 0 {
 				eta = (eta + st.MeanDuration) / 2
 			}

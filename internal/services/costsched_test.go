@@ -89,7 +89,7 @@ func TestRankCostAwareNeverDominated(t *testing.T) {
 						}
 					}
 				}
-				scored := ScoreCandidates(fleet, baseTime, inputs, perf, deadline)
+				scored := ScoreCandidates(fleet, baseTime, inputs, func(node string) PerfStats { return perf[node] }, deadline)
 				ranked := RankCostAware(scored, tc.urgent)
 				if len(ranked) != len(fleet) {
 					t.Fatalf("trial %d: ranking changed candidate count: %d != %d",
@@ -172,7 +172,7 @@ func TestScoreCandidatesHistory(t *testing.T) {
 			if tc.perf.Runs > 0 {
 				perf["n1"] = tc.perf
 			}
-			scored := ScoreCandidates([]Candidate{cand}, base, nil, perf, 0)
+			scored := ScoreCandidates([]Candidate{cand}, base, nil, func(node string) PerfStats { return perf[node] }, 0)
 			if got := scored[0].ETA; got != tc.want {
 				t.Errorf("ETA = %v, want %v", got, tc.want)
 			}

@@ -3,6 +3,7 @@ package services
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/agent"
 	"repro/internal/grid"
@@ -48,30 +49,71 @@ type MatchReply struct{ Candidates []Candidate }
 
 // Matchmaking is the matchmaking service agent. Unlike the brokerage's
 // best-effort snapshot, matchmaking reads the live grid, so its answers
-// reflect current node status.
+// reflect current node status. The ranking of a request that names only a
+// service — what every dispatch asks for — is kept beside the grid version it
+// was computed at and recomputed only when that version moved; callers share
+// the returned slice and must not write to it.
 type Matchmaking struct {
 	Grid *grid.Grid
 
 	// Telemetry, when set, counts lookups and whether they produced any
 	// candidate (hits) or none (misses).
 	Telemetry *telemetry.Registry
+
+	instruments               sync.Once
+	mRequests, mHits, mMisses *telemetry.Counter
+
+	mu      sync.Mutex
+	version uint64                 // grid version ranked was computed at
+	ranked  map[string][]Candidate // service -> unfiltered ranking
 }
 
 // Match evaluates a request against the live grid.
 func (s *Matchmaking) Match(req MatchRequest) []Candidate {
 	var out []Candidate
-	defer func() {
-		tel := s.Telemetry
-		if tel == nil {
-			return
-		}
-		tel.Counter("matchmaking.requests").Inc()
+	if req.MinSpeed == 0 && req.MaxCostPerSec == 0 && req.MaxLatencyUs == 0 &&
+		len(req.RequireSoftware) == 0 && req.Domain == "" {
+		out = s.ranking(req.Service)
+	} else {
+		out = s.match(req)
+	}
+	if s.Telemetry != nil {
+		s.instruments.Do(func() {
+			s.mRequests = s.Telemetry.Counter("matchmaking.requests")
+			s.mHits = s.Telemetry.Counter("matchmaking.hits")
+			s.mMisses = s.Telemetry.Counter("matchmaking.misses")
+		})
+		s.mRequests.Inc()
 		if len(out) > 0 {
-			tel.Counter("matchmaking.hits").Inc()
+			s.mHits.Inc()
 		} else {
-			tel.Counter("matchmaking.misses").Inc()
+			s.mMisses.Inc()
 		}
-	}()
+	}
+	return out
+}
+
+// ranking returns the unfiltered ranking for one service at the current grid
+// version. The version is read before the grid is, under s.mu: a change that
+// lands while match runs leaves the entry stamped older than the grid, and
+// the next lookup recomputes it.
+func (s *Matchmaking) ranking(service string) []Candidate {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v := s.Grid.Version(); s.ranked == nil || v != s.version {
+		s.ranked, s.version = make(map[string][]Candidate), v
+	}
+	out, ok := s.ranked[service]
+	if !ok {
+		out = s.match(MatchRequest{Service: service})
+		s.ranked[service] = out
+	}
+	return out
+}
+
+// match ranks the live grid's containers for one request.
+func (s *Matchmaking) match(req MatchRequest) []Candidate {
+	var out []Candidate
 	for _, c := range s.Grid.ContainersFor(req.Service) {
 		n := s.Grid.Node(c.NodeID)
 		if n == nil {

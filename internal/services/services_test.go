@@ -1,6 +1,8 @@
 package services
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/grid"
 	"repro/internal/ontology"
+	"repro/internal/sim"
 )
 
 // fixture builds a platform with a small grid and all core services.
@@ -121,21 +124,13 @@ func TestBrokeragePerformanceHistory(t *testing.T) {
 	f.broker.Record(grid.Execution{Service: "P3DR", Node: "n1", Duration: 10, Cost: 1, OK: true})
 	f.broker.Record(grid.Execution{Service: "P3DR", Node: "n1", Duration: 20, Cost: 3, OK: false})
 	f.broker.Record(grid.Execution{Service: "POD", Node: "n1", Duration: 5, OK: true})
-	reply, err := f.client.Call(BrokerageName, OntBrokerage, PerfBatchRequest{Service: "P3DR", Nodes: []string{"n1", "n2"}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := reply.Content.(PerfBatchReply).Stats
-	if len(stats) != 2 {
-		t.Fatalf("stats = %+v, want one entry per requested node", stats)
-	}
-	if s := stats[0]; s.Runs != 2 || s.MeanDuration != 15 || s.SuccessRate != 0.5 || s.MeanCost != 2 {
+	if s := f.broker.Stats("P3DR", "n1"); s.Runs != 2 || s.MeanDuration != 15 || s.SuccessRate != 0.5 || s.MeanCost != 2 {
 		t.Errorf("n1 stats = %+v", s)
 	}
-	if stats[1] != (PerfStats{}) {
-		t.Errorf("n2 stats = %+v, want none: nothing ran there", stats[1])
+	if s := f.broker.Stats("P3DR", "n2"); s != (PerfStats{}) {
+		t.Errorf("n2 stats = %+v, want none: nothing ran there", s)
 	}
-	reply, _ = f.client.Call(BrokerageName, OntBrokerage, ClassesRequest{}, time.Second)
+	reply, _ := f.client.Call(BrokerageName, OntBrokerage, ClassesRequest{}, time.Second)
 	if classes := reply.Content.(ClassesReply).Classes; len(classes) != 2 {
 		t.Errorf("classes = %+v", classes)
 	}
@@ -183,6 +178,112 @@ func TestMatchmaking(t *testing.T) {
 	reply, _ = f.client.Call(MatchmakingName, OntMatchmaking, MatchRequest{Service: "P3DR"}, time.Second)
 	if cands := reply.Content.(MatchReply).Candidates; len(cands) != 1 {
 		t.Errorf("live candidates = %+v", cands)
+	}
+}
+
+// TestMatchmakingRankingFollowsGridVersion walks every way the grid changes
+// under matchmaking: each must move the grid version, and the memoized
+// ranking must then equal one computed from scratch. A change that forgot to
+// move the version would leave the ranking stale forever.
+func TestMatchmakingRankingFollowsGridVersion(t *testing.T) {
+	f := newFixture(t)
+	g, mm := f.grid, f.core.Matchmaking
+	eng := sim.NewEngine(9)
+	req := MatchRequest{Service: "P3DR"}
+	mm.Match(req) // warm: every step below starts from a memoized ranking
+	for _, step := range []struct {
+		name   string
+		change func() error
+		nodes  []string // the ranking afterwards, best first
+	}{
+		{"add node", func() error {
+			return g.AddNode(&grid.Node{ID: "n3", Domain: "c.org", Hardware: grid.Hardware{Speed: 8}, CostPerSec: 0.02})
+		}, []string{"n1", "n2"}},
+		{"add container", func() error {
+			return g.AddContainer(&grid.Container{ID: "ac-3", NodeID: "n3", Services: []string{"P3DR"}})
+		}, []string{"n3", "n1", "n2"}},
+		{"node down", func() error { return g.SetNodeUp("n3", false) }, []string{"n1", "n2"}},
+		{"node up", func() error { return g.SetNodeUp("n3", true) }, []string{"n3", "n1", "n2"}},
+		{"injected crash inside Execute", func() error {
+			if err := g.SetFaults(&grid.FaultSpec{Seed: 1, Nodes: []string{"n1"}, FailureRate: 1, CrashRate: 1}); err != nil {
+				return err
+			}
+			if _, err := g.Execute("ac-1", "P3DR", 1, 0); err == nil || len(g.Crashes()) != 1 {
+				t.Fatalf("execution on n1 did not crash it: err=%v crashes=%v", err, g.Crashes())
+			}
+			return nil
+		}, []string{"n3", "n2"}},
+		{"fault-plan repair", func() error {
+			plan, err := g.Inject(eng, 50, 5, 0)
+			if err != nil {
+				return err
+			}
+			repaired := func() bool {
+				n := len(plan.Transitions)
+				return n > 0 && plan.Transitions[n-1].Node == "n1" && plan.Transitions[n-1].Up
+			}
+			for !repaired() {
+				if !eng.Step() {
+					t.Fatal("failure plan drained before repairing n1")
+				}
+			}
+			// The plan fails and repairs every node; leave only n1's repair.
+			for _, node := range []string{"n2", "n3"} {
+				if err := g.SetNodeUp(node, true); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, []string{"n3", "n1", "n2"}},
+	} {
+		before := g.Version()
+		if err := step.change(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if g.Version() == before {
+			t.Errorf("%s: grid version stayed at %d", step.name, before)
+		}
+		got := mm.Match(req)
+		if fresh := (&Matchmaking{Grid: g}).Match(req); !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s: memoized ranking %+v, fresh %+v", step.name, got, fresh)
+		}
+		var nodes []string
+		for _, c := range got {
+			nodes = append(nodes, c.Node)
+		}
+		if !reflect.DeepEqual(nodes, step.nodes) {
+			t.Errorf("%s: ranking = %v, want %v", step.name, nodes, step.nodes)
+		}
+	}
+}
+
+// TestHistoryVisibleBeforeReply pins the ordering placement relies on: once
+// an execution request has been answered — Inform or Failure — the brokerage
+// already counts that run, so the requester's next ranking reads it.
+func TestHistoryVisibleBeforeReply(t *testing.T) {
+	f := newFixture(t)
+	f.grid.Node("n2").FailureRate = 1 // before any dispatch: ac-2 always fails
+	for _, tc := range []struct {
+		container, node string
+		want            agent.Performative
+		successRate     float64
+	}{
+		{"ac-1", "n1", agent.Inform, 1},
+		{"ac-2", "n2", agent.Failure, 0},
+	} {
+		for run := 1; run <= 3; run++ {
+			// A Failure reply may or may not come with an error; the
+			// performative is what says the execution was answered.
+			reply, _ := f.client.CallContext(context.Background(), tc.container, OntExecution,
+				ExecuteRequest{Service: "P3DR", BaseTime: 1}, time.Second)
+			if reply.Performative != tc.want {
+				t.Fatalf("run %d: %s answered %v, want %v", run, tc.container, reply.Performative, tc.want)
+			}
+			if st := f.broker.Stats("P3DR", tc.node); st.Runs != run || st.SuccessRate != tc.successRate {
+				t.Fatalf("after reply %d from %s: history %+v, want %d runs at success rate %g",
+					run, tc.container, st, run, tc.successRate)
+			}
+		}
 	}
 }
 
