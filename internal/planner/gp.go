@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,7 @@ type GP struct {
 	eval     *Evaluator
 	services []string
 	seeds    []*plantree.Node
+	ws       *workspace
 	tel      *telemetry.Registry
 	trace    *telemetry.TaskTrace
 	traceCtx telemetry.SpanContext
@@ -74,14 +76,37 @@ func (gp *GP) SetTraceContext(sc telemetry.SpanContext) { gp.traceCtx = sc }
 // Seed injects existing plan trees into the initial population (plan reuse:
 // re-planning "adapts an existing process description to new conditions").
 // Seeds larger than Smax or structurally invalid are ignored. Call before
-// Run.
+// Run. The trees are kept, not copied, and must not be modified until Run
+// returns (Run never writes to them: the population is built from copies).
 func (gp *GP) Seed(trees ...*plantree.Node) {
 	for _, t := range trees {
 		if t == nil || t.Validate(gp.params.Smax) != nil {
 			continue
 		}
-		gp.seeds = append(gp.seeds, t.Clone())
+		gp.seeds = append(gp.seeds, t)
 	}
+}
+
+// workspace is the memory a GP run works in, kept from one run to the next by
+// its owner (a planning-service worker; a standalone GP has its own): the
+// population lives in two arenas that swap roles every generation, and the
+// per-generation lists are reused. Nothing a run returns points into it.
+type workspace struct {
+	// retain is the PopulationSize x Smax up to which a run's memory is kept
+	// for the next run; a larger run's goes back to the collector with it.
+	retain  int
+	arenas  [2]plantree.Arena
+	pops    [2][]Individual
+	nodes   []plantree.Located  // Mutate's pre-order list
+	keys    []string            // the population's cache keys, cut from one string
+	keyLen  int                 // that string's length last generation, this one's first guess
+	seen    map[string]struct{} // the generation's cache misses
+	missed  []int
+	results []Evaluation
+}
+
+func newWorkspace(retain int) *workspace {
+	return &workspace{retain: retain, seen: make(map[string]struct{})}
 }
 
 // New builds a GP planner for the problem.
@@ -96,6 +121,7 @@ func New(problem *workflow.Problem, params Params) (*GP, error) {
 		rng:      rand.New(rand.NewSource(params.Seed)),
 		eval:     ev,
 		services: problem.Catalog.Names(),
+		ws:       newWorkspace(params.PopulationSize * params.Smax),
 	}, nil
 }
 
@@ -108,13 +134,24 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pop := make([]Individual, gp.params.PopulationSize)
+	// However the last run ended (cancelled, failed), this one starts empty.
+	ws := gp.ws
+	for i := range ws.pops {
+		ws.arenas[i].Reset()
+		ws.pops[i] = slices.Grow(ws.pops[i][:0], gp.params.PopulationSize)[:gp.params.PopulationSize]
+	}
+	if gp.params.PopulationSize*gp.params.Smax > ws.retain {
+		// Larger than the runs the workspace is kept for: what this one grows
+		// goes back to the collector with it.
+		defer func() { *ws = *newWorkspace(ws.retain) }()
+	}
+	pop, arena := ws.pops[0], &ws.arenas[0]
 	for i := range pop {
 		if i < len(gp.seeds) {
-			pop[i].Tree = gp.seeds[i].Clone()
+			pop[i] = Individual{Tree: arena.Clone(gp.seeds[i])}
 			continue
 		}
-		pop[i].Tree = plantree.Random(gp.rng, gp.services, gp.params.Smax)
+		pop[i] = Individual{Tree: arena.Random(gp.rng, gp.services, gp.params.Smax)}
 	}
 
 	res := &Result{}
@@ -149,14 +186,18 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 		if gen == gp.params.Generations {
 			break
 		}
-		elites := gp.takeElites(pop)
-		pop = gp.selectPop(pop)
-		gp.crossoverPop(pop)
-		gp.mutatePop(pop)
+		// The next generation is built in the idle arena, elites included.
+		next, arena := ws.pops[(gen+1)%2], &ws.arenas[(gen+1)%2]
+		arena.Reset()
+		elites := gp.takeElites(arena, pop)
+		gp.selectPop(arena, pop, next)
+		gp.crossoverPop(next)
+		gp.mutatePop(arena, next)
 		// Elites overwrite the tail slots, untouched by the operators.
 		for i, e := range elites {
-			pop[len(pop)-1-i] = e
+			next[len(next)-1-i] = e
 		}
+		pop = next
 	}
 
 	best := pop[0]
@@ -175,8 +216,8 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// takeElites clones the top-k individuals of the evaluated population.
-func (gp *GP) takeElites(pop []Individual) []Individual {
+// takeElites copies the top-k individuals of the evaluated population.
+func (gp *GP) takeElites(arena *plantree.Arena, pop []Individual) []Individual {
 	k := gp.params.Elites
 	if k <= 0 {
 		return nil
@@ -190,7 +231,7 @@ func (gp *GP) takeElites(pop []Individual) []Individual {
 	})
 	elites := make([]Individual, 0, k)
 	for _, i := range idx[:k] {
-		elites = append(elites, Individual{Tree: pop[i].Tree.Clone(), Eval: pop[i].Eval})
+		elites = append(elites, Individual{Tree: arena.Clone(pop[i].Tree), Eval: pop[i].Eval})
 	}
 	return elites
 }
@@ -200,23 +241,32 @@ func (gp *GP) takeElites(pop []Individual) []Individual {
 // scratch per worker. Results are independent of evaluation order, so
 // parallelism does not affect determinism.
 func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
-	keys := make([]string, len(pop))
-	misses := make(map[string]*plantree.Node)
-	var missKeys []string
+	// One string holds the generation's keys, so keying the population costs
+	// one allocation and a cache hit none (a key cut before the builder regrows
+	// keeps the old buffer). missed lists each distinct uncached tree once.
+	ws := gp.ws
+	var all strings.Builder
+	all.Grow(ws.keyLen)
+	keys, missed := ws.keys[:0], ws.missed[:0]
+	clear(ws.seen)
 	for i := range pop {
-		k := pop[i].Tree.String()
-		keys[i] = k
+		start := all.Len()
+		pop[i].Tree.Render(&all)
+		k := all.String()[start:] // String does not copy
+		keys = append(keys, k)
 		if _, ok := gp.eval.cache[k]; ok {
 			continue
 		}
-		if _, ok := misses[k]; !ok {
-			misses[k] = pop[i].Tree
-			missKeys = append(missKeys, k)
+		if _, ok := ws.seen[k]; !ok {
+			ws.seen[k] = struct{}{}
+			missed = append(missed, i)
 		}
 	}
+	ws.keys, ws.missed, ws.keyLen = keys, missed, all.Len()
 
-	results := make([]Evaluation, len(missKeys))
-	workers := gp.evalWorkers(len(missKeys))
+	ws.results = slices.Grow(ws.results[:0], len(missed))
+	results := ws.results[:len(missed)]
+	workers := gp.evalWorkers(len(missed))
 	if workers > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -227,21 +277,21 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 				defer wg.Done()
 				for ctx.Err() == nil {
 					i := int(next.Add(1)) - 1
-					if i >= len(missKeys) {
+					if i >= len(missed) {
 						return
 					}
-					results[i] = gp.eval.evaluateOnly(misses[missKeys[i]], sc)
+					results[i] = gp.eval.evaluateOnly(pop[missed[i]].Tree, sc)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		sc := gp.eval.worker(0)
-		for i, k := range missKeys {
+		for i, m := range missed {
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = gp.eval.evaluateOnly(misses[k], sc)
+			results[i] = gp.eval.evaluateOnly(pop[m].Tree, sc)
 		}
 	}
 	if ctx.Err() != nil {
@@ -249,9 +299,9 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 		// ctx.Err() before reading them, so skip the cache fill entirely.
 		return
 	}
-	gp.eval.Evaluations += len(missKeys)
-	for i, k := range missKeys {
-		gp.eval.cacheAdd(k, results[i])
+	gp.eval.Evaluations += len(missed)
+	for i, m := range missed {
+		gp.eval.cacheAdd(keys[m], results[i])
 	}
 	for i := range pop {
 		e, ok := gp.eval.cache[keys[i]]
@@ -295,9 +345,8 @@ func summarize(gen int, pop []Individual) GenStats {
 	}
 }
 
-// selectPop forms the next generation (Section 3.4.5).
-func (gp *GP) selectPop(pop []Individual) []Individual {
-	next := make([]Individual, len(pop))
+// selectPop forms the next generation (Section 3.4.5) in next and the arena.
+func (gp *GP) selectPop(arena *plantree.Arena, pop, next []Individual) {
 	switch gp.params.Selection {
 	case SelectRoulette:
 		total := 0.0
@@ -319,7 +368,7 @@ func (gp *GP) selectPop(pop []Individual) []Individual {
 			} else {
 				pick = pop[gp.rng.Intn(len(pop))]
 			}
-			next[i] = Individual{Tree: pick.Tree.Clone(), Eval: pick.Eval}
+			next[i] = Individual{Tree: arena.Clone(pick.Tree), Eval: pick.Eval}
 		}
 	default: // tournament
 		k := gp.params.TournamentSize
@@ -331,10 +380,9 @@ func (gp *GP) selectPop(pop []Individual) []Individual {
 					winner = challenger
 				}
 			}
-			next[i] = Individual{Tree: winner.Tree.Clone(), Eval: winner.Eval}
+			next[i] = Individual{Tree: arena.Clone(winner.Tree), Eval: winner.Eval}
 		}
 	}
-	return next
 }
 
 func (gp *GP) crossoverPop(pop []Individual) {
@@ -348,9 +396,11 @@ func (gp *GP) crossoverPop(pop []Individual) {
 	}
 }
 
-func (gp *GP) mutatePop(pop []Individual) {
+func (gp *GP) mutatePop(arena *plantree.Arena, pop []Individual) {
+	ws := gp.ws
 	for i := range pop {
-		Mutate(gp.rng, pop[i].Tree, gp.services, gp.params.MutationRate, gp.params.Smax)
+		ws.nodes = pop[i].Tree.AppendNodes(ws.nodes[:0])
+		mutate(gp.rng, arena, ws.nodes, gp.services, gp.params.MutationRate, gp.params.Smax)
 	}
 }
 
@@ -363,15 +413,13 @@ func (gp *GP) mutatePop(pop []Individual) {
 // If a chosen node is a root, the root's content is swapped in place (the
 // caller keeps stable tree pointers).
 func Crossover(rng *rand.Rand, a, b *plantree.Node, smax int) bool {
-	locA := a.At(rng.Intn(a.Size()))
-	locB := b.At(rng.Intn(b.Size()))
-	sizeA, sizeB := locA.Node.Size(), locB.Node.Size()
-	newASize := a.Size() - sizeA + sizeB
-	newBSize := b.Size() - sizeB + sizeA
-	if newASize > smax || newBSize > smax {
+	aSize, bSize := a.Size(), b.Size()
+	x, y := a.At(rng.Intn(aSize)).Node, b.At(rng.Intn(bSize)).Node
+	xSize, ySize := x.Size(), y.Size()
+	if aSize-xSize+ySize > smax || bSize-ySize+xSize > smax {
 		return false
 	}
-	swapContent(locA.Node, locB.Node)
+	swapContent(x, y)
 	return true
 }
 
@@ -387,12 +435,18 @@ func swapContent(x, y *plantree.Node) {
 // generated random tree. A replacement that would push the tree past smax
 // is skipped. It returns the number of mutations applied.
 func Mutate(rng *rand.Rand, tree *plantree.Node, services []string, rate float64, smax int) int {
+	return mutate(rng, nil, tree.Nodes(), services, rate, smax)
+}
+
+// mutate is Mutate with its memory named: nodes is the tree's pre-order list,
+// collected first (mutating while walking would visit fresh nodes), and the
+// fresh subtrees are built in the arena (nil is the heap).
+func mutate(rng *rand.Rand, arena *plantree.Arena, nodes []plantree.Located, services []string, rate float64, smax int) int {
 	if rate <= 0 {
 		return 0
 	}
-	applied := 0
-	// Collect nodes first; mutating while walking would visit fresh nodes.
-	for _, loc := range tree.Nodes() {
+	tree, applied := nodes[0].Node, 0
+	for _, loc := range nodes {
 		if rng.Float64() >= rate {
 			continue
 		}
@@ -400,8 +454,7 @@ func Mutate(rng *rand.Rand, tree *plantree.Node, services []string, rate float64
 		if budget < 1 {
 			continue
 		}
-		repl := plantree.Random(rng, services, budget)
-		*loc.Node = *repl
+		*loc.Node = *arena.Random(rng, services, budget)
 		applied++
 	}
 	return applied

@@ -542,16 +542,18 @@ func (s *Service) finalizeLocked(j *planJob, status Status, errMsg string) {
 	}
 }
 
-// worker consumes queued plans until the queue closes.
+// worker consumes queued plans until the queue closes. Its plans run one
+// after another in one workspace, which it alone touches.
 func (s *Service) worker() {
 	defer s.wg.Done()
+	ws := newWorkspace(s.cfg.Params.PopulationSize * s.cfg.Params.Smax)
 	for j := range s.queue {
-		s.run(j)
+		s.run(j, ws)
 	}
 }
 
 // run executes one plan end to end.
-func (s *Service) run(j *planJob) {
+func (s *Service) run(j *planJob, ws *workspace) {
 	s.mu.Lock()
 	if j.status.Status != StatusQueued {
 		// Cancelled while waiting in the queue.
@@ -572,7 +574,7 @@ func (s *Service) run(j *planJob) {
 	s.mu.Unlock()
 	defer cancel()
 
-	res, pdlText, tree, err := s.compute(ctx, j)
+	res, pdlText, tree, err := s.compute(ctx, j, ws)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -604,8 +606,8 @@ func (s *Service) run(j *planJob) {
 
 // compute runs the GP for one job: catalog minus exclusions, neighborhood
 // seeds for incremental re-plans, then RunContext, and (unless TreeOnly)
-// the PDL conversion of the normalized best tree.
-func (s *Service) compute(ctx context.Context, j *planJob) (*Result, string, *plantree.Node, error) {
+// the PDL conversion of the normalized best tree. The run happens in ws.
+func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Result, string, *plantree.Node, error) {
 	excluded := make(map[string]bool, len(j.spec.Excluded))
 	for _, n := range j.spec.Excluded {
 		excluded[n] = true
@@ -629,6 +631,7 @@ func (s *Service) compute(ctx context.Context, j *planJob) (*Result, string, *pl
 	if err != nil {
 		return nil, "", nil, err
 	}
+	gp.ws = ws
 	gp.SetTelemetry(s.tel)
 	traceID := j.spec.TaskID
 	if traceID == "" {

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/plantree"
+	"repro/internal/telemetry"
+	"repro/internal/virolab"
 )
 
 // fastParams converges on the test problem in well under a second.
@@ -379,5 +381,91 @@ func TestServiceRetention(t *testing.T) {
 	}
 	if _, err := s.Get("seed"); !errors.Is(err, ErrUnknownPlan) {
 		t.Errorf("evicted plan still queryable: %v", err)
+	}
+}
+
+// TestServiceResultOutlivesWorkspace pins what a plan's result may not do:
+// point into the worker's workspace. Plan A is seeded with a FromProcess tree
+// (Name, Inputs, Outputs and Condition set); plans B — cancelled after it has
+// evolved a few generations — and C then run in the same workspace, and A's
+// tree must read as it did, share no data list with the caller's seed, and
+// own each of its child lists.
+func TestServiceResultOutlivesWorkspace(t *testing.T) {
+	seed, err := plantree.FromProcess(virolab.Process())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := seed.Clone()
+	tel := telemetry.New()
+	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Workers: 1, Telemetry: tel})
+	ctx := context.Background()
+	problem := virolab.Problem()
+	generations := tel.Counter("planner.generations")
+
+	elitist := fastParams()
+	elitist.Generations, elitist.Elites = 3, 1
+	endless := fastParams()
+	endless.Generations = 1 << 20
+	var treeA, copyA *plantree.Node
+	var textA string
+	for _, plan := range []struct {
+		id     string
+		params Params
+		seeds  []*plantree.Node
+		cancel bool
+	}{
+		{"A", elitist, []*plantree.Node{seed}, false},
+		{"B", endless, nil, true},
+		{"C", fastParams(), nil, false},
+	} {
+		spec := PlanSpec{ID: plan.id, Initial: problem.Initial.Items(), Goal: problem.Goal.Conditions,
+			Params: &plan.params, Seeds: plan.seeds, NoCache: true}
+		ran := generations.Value()
+		if _, err := s.Submit(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		if plan.cancel {
+			for deadline := time.Now().Add(10 * time.Second); generations.Value() < ran+3; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("plan %s never reached its third generation", plan.id)
+				}
+			}
+			if _, err := s.Cancel(plan.id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := s.Wait(ctx, plan.id)
+		if want := map[bool]Status{false: StatusSucceeded, true: StatusCancelled}[plan.cancel]; err != nil || st.Status != want {
+			t.Fatalf("plan %s = %+v, %v, want %s", plan.id, st, err, want)
+		}
+		if plan.id == "A" {
+			treeA = st.Result.Best.Tree
+			copyA, textA = treeA.Clone(), treeA.String()
+		}
+	}
+
+	if !treeA.Equal(copyA) || treeA.String() != textA {
+		t.Fatalf("plan A's tree changed while later plans ran on its worker:\n got %s\nwant %s", treeA, textA)
+	}
+	var bound *plantree.Node
+	controllers := 0
+	for _, loc := range treeA.Nodes() {
+		if len(loc.Node.Inputs) > 0 && bound == nil {
+			bound = loc.Node
+		}
+		if loc.Node.Kind.IsController() {
+			controllers++
+			loc.Node.Children = append(loc.Node.Children, plantree.Activity("EXTRA"))
+		}
+	}
+	if bound == nil {
+		t.Fatalf("plan A's tree %s carries no Inputs: the seed did not survive, the test checks nothing", textA)
+	}
+	if got, want := treeA.Size(), copyA.Size()+controllers; got != want {
+		t.Errorf("appending a child per controller: size %d, want %d: %s", got, want, treeA)
+	}
+	bound.Inputs[0] = "MUTATED"
+	if !seed.Equal(pristine) {
+		t.Errorf("writing to the result's Inputs reached the caller's seed: %s", seed)
 	}
 }

@@ -7,7 +7,6 @@ package plantree
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 )
 
@@ -136,55 +135,6 @@ func (n *Node) Services() []string {
 	return out
 }
 
-// Clone returns a deep copy of the tree. The copy's nodes share one backing
-// array and its child lists another, so a tree costs two allocations, not
-// two per node; each child list is capped at its own length, so appending
-// to one reallocates it instead of running into its neighbour.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	nodes, links := 0, 0
-	n.count(&nodes, &links)
-	c := cloner{nodes: make([]Node, nodes), links: make([]*Node, links)}
-	return c.clone(n)
-}
-
-// count adds the subtree's nodes and child links to the totals.
-func (n *Node) count(nodes, links *int) {
-	*nodes++
-	*links += len(n.Children)
-	for _, c := range n.Children {
-		if c != nil {
-			c.count(nodes, links)
-		}
-	}
-}
-
-// cloner hands out the nodes and child lists of one Clone.
-type cloner struct {
-	nodes []Node
-	links []*Node
-}
-
-func (c *cloner) clone(n *Node) *Node {
-	m := &c.nodes[0]
-	c.nodes = c.nodes[1:]
-	*m = Node{Kind: n.Kind, Service: n.Service, Name: n.Name, Condition: n.Condition}
-	m.Inputs = append([]string(nil), n.Inputs...)
-	m.Outputs = append([]string(nil), n.Outputs...)
-	if k := len(n.Children); k > 0 {
-		m.Children = c.links[:k:k]
-		c.links = c.links[k:]
-		for i, ch := range n.Children {
-			if ch != nil {
-				m.Children[i] = c.clone(ch)
-			}
-		}
-	}
-	return m
-}
-
 // Equal reports structural equality.
 func (n *Node) Equal(m *Node) bool {
 	if n == nil || m == nil {
@@ -237,12 +187,17 @@ type Located struct {
 }
 
 // Nodes returns every node in pre-order with parent links.
-func (n *Node) Nodes() []Located {
-	out := make([]Located, 0, n.Size())
-	n.walk(func(node, parent *Node, idx int) {
-		out = append(out, Located{Node: node, Parent: parent, Index: idx})
-	})
-	return out
+func (n *Node) Nodes() []Located { return n.AppendNodes(make([]Located, 0, n.Size())) }
+
+// AppendNodes appends what Nodes returns to dst: one buffer can list many trees.
+func (n *Node) AppendNodes(dst []Located) []Located { return Located{Node: n, Index: -1}.appendTo(dst) }
+
+func (loc Located) appendTo(dst []Located) []Located {
+	dst = append(dst, loc)
+	for i, c := range loc.Node.Children {
+		dst = Located{Node: c, Parent: loc.Node, Index: i}.appendTo(dst)
+	}
+	return dst
 }
 
 // At returns the i-th node in pre-order; it panics when the tree has no
@@ -311,11 +266,11 @@ func (n *Node) String() string {
 	}
 	var sb strings.Builder
 	sb.Grow(n.renderLen())
-	n.render(&sb)
+	n.Render(&sb)
 	return sb.String()
 }
 
-// renderLen returns the number of bytes render writes.
+// renderLen returns the number of bytes Render writes.
 func (n *Node) renderLen() int {
 	switch {
 	case n == nil:
@@ -330,7 +285,8 @@ func (n *Node) renderLen() int {
 	return size
 }
 
-func (n *Node) render(sb *strings.Builder) {
+// Render writes what String returns to sb: one string can hold many trees.
+func (n *Node) Render(sb *strings.Builder) {
 	switch {
 	case n == nil:
 		sb.WriteString("()")
@@ -341,7 +297,7 @@ func (n *Node) render(sb *strings.Builder) {
 		sb.WriteString(n.Kind.String())
 		for _, c := range n.Children {
 			sb.WriteByte(' ')
-			c.render(sb)
+			c.Render(sb)
 		}
 		sb.WriteByte(')')
 	}
@@ -374,51 +330,4 @@ func (n *Node) Normalize() *Node {
 		return kids[0]
 	}
 	return n
-}
-
-// controllerKinds are the kinds random generation draws internal nodes from
-// (Section 3.4.2: "randomly selected from four controller nodes").
-var controllerKinds = []Kind{KindSequential, KindConcurrent, KindSelective, KindIterative}
-
-// Random generates a random plan tree with size at most maxSize, whose
-// terminals are drawn uniformly from services. It follows the paper's
-// two-step initialization: first an arbitrary tree structure of bounded
-// size, then instantiation of every node. maxSize must be >= 1 and services
-// non-empty.
-func Random(rng *rand.Rand, services []string, maxSize int) *Node {
-	if len(services) == 0 {
-		panic("plantree: Random with empty service set")
-	}
-	if maxSize < 1 {
-		maxSize = 1
-	}
-	target := 1 + rng.Intn(maxSize)
-	return randomWithSize(rng, services, target)
-}
-
-// randomWithSize builds a tree of exactly size nodes when size >= 1.
-func randomWithSize(rng *rand.Rand, services []string, size int) *Node {
-	if size <= 1 {
-		return Activity(services[rng.Intn(len(services))])
-	}
-	kind := controllerKinds[rng.Intn(len(controllerKinds))]
-	budget := size - 1 // nodes available for children subtrees
-	maxKids := budget
-	if maxKids > 4 {
-		maxKids = 4
-	}
-	k := 1 + rng.Intn(maxKids)
-	// Split budget into k parts, each >= 1.
-	parts := make([]int, k)
-	for i := range parts {
-		parts[i] = 1
-	}
-	for extra := budget - k; extra > 0; extra-- {
-		parts[rng.Intn(k)]++
-	}
-	node := &Node{Kind: kind, Children: make([]*Node, k)}
-	for i, p := range parts {
-		node.Children[i] = randomWithSize(rng, services, p)
-	}
-	return node
 }

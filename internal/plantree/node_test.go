@@ -266,8 +266,14 @@ func TestCloneRoundTripsEveryField(t *testing.T) {
 
 // TestCloneSlabIsolation pins what the shared backing arrays of Clone must
 // not leak: the in-place edits the genetic operators make to one clone may
-// not reach the source, nor a sibling clone of it.
+// not reach the source, nor a sibling clone of it. An arena's copies, which
+// share slabs with every other tree in it, are held to the same.
 func TestCloneSlabIsolation(t *testing.T) {
+	t.Run("Node.Clone", func(t *testing.T) { testCloneIsolation(t, (*Node).Clone) })
+	t.Run("Arena.Clone", func(t *testing.T) { testCloneIsolation(t, new(Arena).Clone) })
+}
+
+func testCloneIsolation(t *testing.T, clone func(*Node) *Node) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 200; i++ {
 		src := Random(rng, services, 30)
@@ -281,7 +287,7 @@ func TestCloneSlabIsolation(t *testing.T) {
 
 		// Appending to a child list must reallocate it, not overwrite the
 		// next list in the slab.
-		a := src.Clone()
+		a := clone(src)
 		for _, loc := range a.Nodes() {
 			if loc.Node.Kind.IsController() {
 				loc.Node.Children = append(loc.Node.Children, Activity("EXTRA"))
@@ -293,7 +299,7 @@ func TestCloneSlabIsolation(t *testing.T) {
 		}
 
 		// The crossover's content swap between nodes of two clones.
-		b, c := src.Clone(), src.Clone()
+		b, c := clone(src), clone(src)
 		x, y := b.At(rng.Intn(b.Size())).Node, c.At(rng.Intn(c.Size())).Node
 		xs, ys := x.String(), y.String()
 		*x, *y = *y, *x
@@ -306,7 +312,7 @@ func TestCloneSlabIsolation(t *testing.T) {
 		}
 
 		// Normalize rewrites child lists in place.
-		d := src.Clone().Normalize()
+		d := clone(src).Normalize()
 		check("Normalize")
 		if !equalStrings(d.Services(), src.Services()) {
 			t.Fatalf("Normalize of a clone changed the leaves: %s from %s", d, src)
