@@ -9,12 +9,14 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/planner"
 	"repro/internal/virolab"
 )
 
@@ -382,7 +384,7 @@ func errCode(body map[string]any) string {
 // convention: validation errors, the synchronous cache hit (201 Created),
 // and cancellation of in-flight plans.
 func TestPlanResourceLifecycle(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 
 	// Missing goal is a 400 plan_invalid.
 	resp, body := doRequest(t, http.MethodPost, ts.URL+"/api/v1/plans", PlanSubmission{InitialData: virolabItems()})
@@ -432,11 +434,14 @@ func TestPlanResourceLifecycle(t *testing.T) {
 
 	// Cancel a fresh plan: 200 when it was still queued, 202 while a running
 	// one unwinds; either way it settles as cancelled and a second DELETE
-	// answers 409 plan_cancelled.
-	resp, _ = doRequest(t, http.MethodPost, ts.URL+"/api/v1/plans",
-		PlanSubmission{ID: "doomed", InitialData: virolabItems(), Goal: []string{virolab.GoalCondition}, NoCache: true})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("doomed POST = %d, want 202", resp.StatusCode)
+	// answers 409 plan_cancelled. The plan is submitted to the service
+	// directly, with a budget no DELETE can miss: at the server's own budget
+	// a plan takes milliseconds and can finish before the DELETE arrives.
+	long := planner.DefaultParams()
+	long.Generations = 5000
+	if _, err := s.env.Planner.Submit(context.Background(), planner.PlanSpec{ID: "doomed",
+		Initial: virolab.Problem().Initial.Items(), Goal: []string{virolab.GoalCondition}, Params: &long, NoCache: true}); err != nil {
+		t.Fatal(err)
 	}
 	resp, body = doRequest(t, http.MethodDelete, ts.URL+"/api/v1/plans/doomed", nil)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {

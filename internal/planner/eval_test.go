@@ -363,7 +363,7 @@ func TestKernelCompilesTables(t *testing.T) {
 			conds = append(conds, s.inputs...)
 		}
 		for _, c := range conds {
-			if c.table != nil {
+			if c.node == nil {
 				tables++
 			} else {
 				nodes++

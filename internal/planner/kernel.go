@@ -13,20 +13,20 @@ import (
 //   - services are small integers;
 //   - every data item a flow can ever hold is one of a finite set of kinds —
 //     each initial item, then each (service, output) pair — and a kind fixes
-//     the item's properties, so the state of a flow is a []int32 of kinds;
-//   - a condition that references only its own formal is a []bool by kind.
+//     the item's properties, so the state of a flow is a count per kind;
+//   - a condition that references only its own formal is a list of kinds.
 //
 // A condition that references another formal or a named case item keeps its
-// parsed expression and is evaluated against the same integer state through
-// the scratch (scratch.Lookup). The kernel is immutable after compile; all
-// mutable state lives in a per-worker scratch.
+// parsed expression and is evaluated on every kind, through the scratch
+// (scratch.Lookup). The kernel is immutable after compile; all mutable state
+// lives in a per-worker scratch.
 type kernel struct {
 	services map[string]int32 // service name -> index into svcs
 	svcs     []kernelService
 
 	// items holds one representative data item per kind. The initial items
-	// are kinds 0..initial-1, in the sorted-name order of State.Items(), and
-	// open every flow's state in that order. A named reference (D1.Size) can
+	// are kinds 0..initial-1, in the sorted-name order of State.Items(), one
+	// of each in every flow's initial state. A named reference (D1.Size) can
 	// only resolve to one of them: generated item names contain dots, which
 	// the condition grammar's identifiers cannot.
 	items   []*workflow.DataItem
@@ -51,8 +51,8 @@ type kernelService struct {
 // kernelCond is one compiled condition.
 type kernelCond struct {
 	formal int32     // index of the formal it binds, in the owner's formals
-	table  []bool    // truth by kind of the bound item; nil: evaluate node
-	node   expr.Node // the parsed condition
+	kinds  []int32   // the kinds an item bound to the formal may have
+	node   expr.Node // still to evaluate on a candidate; nil: kinds decide
 }
 
 var goalFormals = []string{"G"}
@@ -73,7 +73,7 @@ func compileKernel(problem *workflow.Problem, params Params) (*kernel, error) {
 		k.services[svc.Name] = int32(len(k.svcs))
 		k.svcs = append(k.svcs, ks)
 	}
-	// Tables span every kind, so they are built after the kinds are known.
+	// Candidates span every kind, so they are listed after the kinds are known.
 	for si, svc := range services {
 		ks := &k.svcs[si]
 		for i := range svc.Inputs {
@@ -93,7 +93,7 @@ func compileKernel(problem *workflow.Problem, params Params) (*kernel, error) {
 				ks.formals = append(ks.formals, in.Name)
 			}
 			c := k.compileCond(node, in.Name, int32(formal))
-			ks.needEnv = ks.needEnv || c.table == nil
+			ks.needEnv = ks.needEnv || c.node != nil
 			ks.inputs = append(ks.inputs, c)
 		}
 	}
@@ -107,22 +107,24 @@ func compileKernel(problem *workflow.Problem, params Params) (*kernel, error) {
 	return k, nil
 }
 
-// compileCond tabulates node by kind when its value depends only on the item
-// bound to formal, which is the case when formal is the only object it
-// references: the formal shadows any case item of the same name.
+// compileCond lists the kinds that satisfy node when its value depends only on
+// the item bound to formal, which is the case when formal is the only object
+// it references: the formal shadows any case item of the same name. Any other
+// condition keeps node, and every kind is a candidate for it.
 func (k *kernel) compileCond(node expr.Node, formal string, idx int32) kernelCond {
-	c := kernelCond{formal: idx, node: node}
+	c := kernelCond{formal: idx}
 	for _, r := range node.Refs(nil) {
 		if r.Obj != formal {
-			return c
+			c.node = node
 		}
 	}
-	c.table = make([]bool, len(k.items))
 	bound := map[string]*workflow.DataItem{}
 	var env expr.Env = workflow.Binding{Formals: bound}
 	for kind, it := range k.items {
 		bound[formal] = it
-		c.table[kind] = node.Eval(env)
+		if c.node != nil || node.Eval(env) {
+			c.kinds = append(c.kinds, int32(kind))
+		}
 	}
 	return c
 }
@@ -152,24 +154,29 @@ type scratch struct {
 	odo    []int32
 	domain []int32
 
-	// One flow.
-	state    []int32 // kinds of the items available, in production order
-	used     []bool  // by state index: bound to an earlier input of the activity being checked
+	// One flow. Inputs are never consumed, so the state only grows: once a
+	// service binds it always does, and a failure stands until an item is added.
+	count    []int32 // by kind: the items of that kind available
+	produced int32   // items added so far: the state's version
+	memo     []int32 // by service: bindOK, produced+1 at its last failure, or 0
 	valid    int
 	executed int
 	cost     float64 // nominal resource cost of valid activities
 	time     float64 // nominal run time of valid activities
 
 	// The binding under test, for conditions evaluated through Lookup:
-	// bound[f] is the state index formals[f] is bound to, or -1.
+	// bound[f] is the kind formals[f] is bound to, or -1.
 	formals []string
 	bound   []int32
 }
 
+const bindOK = -1
+
 func newScratch(k *kernel) *scratch {
-	sc := &scratch{k: k}
-	for kind := 0; kind < k.initial; kind++ {
-		sc.state = append(sc.state, int32(kind))
+	block := make([]int32, len(k.items)+len(k.svcs))
+	sc := &scratch{k: k, count: block[:len(k.items)], memo: block[len(k.items):]}
+	for kind := range k.initial {
+		sc.count[kind] = 1
 	}
 	return sc
 }
@@ -235,8 +242,9 @@ func (sc *scratch) nextFlow() bool {
 
 // runFlow simulates the flow the odometer selects, from the initial state.
 func (sc *scratch) runFlow() {
-	sc.state = sc.state[:sc.k.initial]
-	sc.valid, sc.executed, sc.cost, sc.time = 0, 0, 0, 0
+	clear(sc.count[sc.k.initial:])
+	clear(sc.memo)
+	sc.produced, sc.valid, sc.executed, sc.cost, sc.time = 0, 0, 0, 0, 0
 	sc.run(0)
 }
 
@@ -260,22 +268,27 @@ func (sc *scratch) run(i int32) {
 		if n.svc < 0 {
 			return // unknown service: invalid activity
 		}
-		s := &sc.k.svcs[n.svc]
-		for len(sc.used) < len(sc.state) {
-			sc.used = append(sc.used, false)
-		}
-		if s.needEnv {
-			sc.setFormals(s.formals)
-		}
-		if !sc.bind(s, 0) {
-			return
+		s, memo := &sc.k.svcs[n.svc], &sc.memo[n.svc]
+		if *memo != bindOK {
+			if *memo == sc.produced+1 {
+				return // failed on this very state
+			}
+			if s.needEnv {
+				sc.setFormals(s.formals)
+			}
+			if !sc.bind(s, 0) {
+				*memo = sc.produced + 1
+				return
+			}
+			*memo = bindOK
 		}
 		sc.valid++
 		sc.cost += s.cost
 		sc.time += s.time
-		for o := int32(0); o < s.nOut; o++ {
-			sc.state = append(sc.state, s.outKind+o)
+		for o := s.outKind; o < s.outKind+s.nOut; o++ {
+			sc.count[o]++
 		}
+		sc.produced += s.nOut
 
 	case plantree.KindSequential:
 		for _, c := range kids {
@@ -320,36 +333,28 @@ func (sc *scratch) setFormals(formals []string) {
 	}
 }
 
-// bind searches, from input i on, for an injective assignment of distinct
-// state items to the service's inputs such that every input condition holds:
-// Service.BindItems over the integer state, same try order. It leaves used
-// and bound as it found them.
+// bind decides, from input i on, whether Service.BindItems would find an
+// injective assignment of state items to the service's inputs. Items of one
+// kind are interchangeable, so it tries each candidate kind with an item left
+// and takes one. It leaves count and bound as it found them.
 func (sc *scratch) bind(s *kernelService, i int) bool {
 	if i == len(s.inputs) {
 		return true
 	}
 	c := &s.inputs[i]
-	// Locals: the loop below is the planner's innermost, and through sc the
-	// compiler must reload both slices after every recursive call.
-	state, used, table := sc.state, sc.used[:len(sc.state)], c.table
-	for j, kind := range state {
-		if used[j] {
+	count := sc.count // a local: sc.count is reloaded after every call
+	for _, kind := range c.kinds {
+		if count[kind] == 0 {
 			continue
 		}
-		ok := false
-		if table != nil {
-			ok = table[kind]
-			if ok && s.needEnv {
-				sc.bound[c.formal] = int32(j)
-			}
-		} else {
-			sc.bound[c.formal] = int32(j)
-			ok = c.node.Eval(sc)
+		if s.needEnv {
+			sc.bound[c.formal] = kind
 		}
+		ok := c.node == nil || c.node.Eval(sc)
 		if ok {
-			used[j] = true
+			count[kind]--
 			ok = sc.bind(s, i+1)
-			used[j] = false
+			count[kind]++
 		}
 		if s.needEnv {
 			sc.bound[c.formal] = -1
@@ -368,15 +373,9 @@ func (sc *scratch) goalsMet() float64 {
 	sc.setFormals(goalFormals)
 	for gi := range sc.k.goals {
 		g := &sc.k.goals[gi]
-		for j, kind := range sc.state {
-			ok := false
-			if g.table != nil {
-				ok = g.table[kind]
-			} else {
-				sc.bound[0] = int32(j)
-				ok = g.node.Eval(sc)
-			}
-			if ok {
+		for _, kind := range g.kinds {
+			sc.bound[0] = kind
+			if sc.count[kind] > 0 && (g.node == nil || g.node.Eval(sc)) {
 				met++
 				break
 			}
@@ -385,13 +384,12 @@ func (sc *scratch) goalsMet() float64 {
 	return float64(met) / float64(len(sc.k.goals))
 }
 
-// Lookup implements expr.Env over the integer state for the conditions that
-// have no table: a bound formal shadows the case items, as in
-// workflow.Binding.
+// Lookup implements expr.Env over the counts for the conditions kinds do not
+// decide: a bound formal shadows the case items, as in workflow.Binding.
 func (sc *scratch) Lookup(obj, prop string) (expr.Value, bool) {
 	for f, name := range sc.formals {
 		if name == obj && sc.bound[f] >= 0 {
-			return sc.k.items[sc.state[sc.bound[f]]].Prop(prop)
+			return sc.k.items[sc.bound[f]].Prop(prop)
 		}
 	}
 	for _, it := range sc.k.items[:sc.k.initial] {

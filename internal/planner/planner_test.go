@@ -249,6 +249,58 @@ func TestEvaluateConcurrentSemantics(t *testing.T) {
 	}
 }
 
+// TestKernelBindMemo walks the kernel's per-flow bind memo through its
+// transitions on hand-built one-flow trees, each scored exactly as the oracle
+// scores it: a failure stands while the state is the one it failed on and is
+// re-tried once an item is added, and a bind takes as many items of one kind
+// as the kind has. memo is each service's entry after the flow (bindOK, or
+// the number of items produced at its last failure plus one; absent: 0).
+func TestKernelBindMemo(t *testing.T) {
+	a := plantree.Activity
+	for _, c := range []struct {
+		problem *workflow.Problem
+		tree    *plantree.Node
+		fv      float64
+		memo    map[string]int32
+	}{
+		// POD adds an Orientation File between the two: a memo blind to the
+		// state's version would fail the second P3DR too (fv 1/3).
+		{virolab.Problem(), plantree.Seq(a("P3DR"), a("POD"), a("P3DR")), 2.0 / 3,
+			map[string]int32{"POD": bindOK, "P3DR": bindOK}},
+		// The second P3DR meets the state the first failed on.
+		{virolab.Problem(), plantree.Seq(a("P3DR"), a("P3DR"), a("POD")), 1.0 / 3,
+			map[string]int32{"POD": bindOK, "P3DR": 1}},
+		// One 3D Model cannot be both of PSF's.
+		{virolab.Problem(), plantree.Seq(a("POD"), a("P3DR"), a("PSF")), 2.0 / 3,
+			map[string]int32{"POD": bindOK, "P3DR": bindOK, "PSF": 3}},
+		// Two of one kind can.
+		{virolab.Problem(), plantree.Seq(a("POD"), a("P3DR"), a("P3DR"), a("PSF")), 1,
+			map[string]int32{"POD": bindOK, "P3DR": bindOK, "PSF": bindOK}},
+		// JOIN's C reads B (an expression condition): re-tried after GEN's
+		// Raw, failed again on the grown state.
+		{crossProblem(), plantree.Seq(a("JOIN"), a("GEN"), a("JOIN")), 1.0 / 3,
+			map[string]int32{"GEN": bindOK, "JOIN": 2}},
+		// ... and bound once SPLIT's two halves of different make are in.
+		{crossProblem(), plantree.Seq(a("JOIN"), a("SPLIT"), a("JOIN")), 2.0 / 3,
+			map[string]int32{"SPLIT": bindOK, "JOIN": bindOK}},
+	} {
+		ev, err := NewEvaluator(c.problem, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := ev.worker(0)
+		got, want := ev.evaluateOnly(c.tree, sc), newOracle(t, c.problem, DefaultParams()).evaluate(c.tree)
+		if got != want || got.FV != c.fv {
+			t.Errorf("%s: kernel %+v, oracle %+v, want fv %v", c.tree, got, want, c.fv)
+		}
+		for name, svc := range sc.k.services {
+			if sc.memo[svc] != c.memo[name] {
+				t.Errorf("%s: memo of %s = %d, want %d", c.tree, name, sc.memo[svc], c.memo[name])
+			}
+		}
+	}
+}
+
 // TestFig8Crossover verifies the subtree exchange of Figure 8.
 func TestFig8Crossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
