@@ -306,8 +306,9 @@ func BenchmarkFig12ShellBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFig13InstanceLoad measures populating the shell with the Figure
-// 13 instances plus reference validation and JSON round trip.
+// BenchmarkFig13InstanceLoad measures the Figure 13 knowledge base's JSON
+// round trip with reference validation on decode. The KB itself is built once
+// per process; internal/virolab's bench of the same name measures building it.
 func BenchmarkFig13InstanceLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

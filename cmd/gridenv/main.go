@@ -50,6 +50,7 @@
 //
 //	curl localhost:8080/api/v1/nodes
 //	curl localhost:8080/api/v1/services
+//	curl localhost:8080/api/v1/ontology/3dsd
 //	curl -X POST localhost:8080/api/v1/tasks -d '{"id":"T1","goal":["G.Classification = \"Resolution File\""],"initialData":[...]}'
 //	curl -X POST localhost:8080/api/v1/tasks -d '{"id":"T2","budget":50,"deadline":30,"hardDeadline":true,"goal":[...],"initialData":[...]}'
 //	curl localhost:8080/api/v1/tasks/T1/trace
@@ -238,6 +239,12 @@ func run(ctx context.Context, cfg config) error {
 		return err
 	}
 	defer env.Close()
+	// The ontology agent serves the knowledge base the catalog was read from.
+	kb, err := virolab.Ontology()
+	if err != nil {
+		return err
+	}
+	env.Services.Ontology.Add("3dsd", kb)
 
 	node, err := cfg.cluster.node(env)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"reflect"
@@ -11,6 +12,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ontology"
+	"repro/internal/virolab"
 )
 
 // TestParseFlags pins which core.Options field each flag fills.
@@ -70,17 +73,19 @@ func TestRunRejectsBarePathStore(t *testing.T) {
 	}
 }
 
-// TestRunServesUntilCancelled boots the command on a free loopback port,
-// waits for /healthz, and checks that cancelling the context (what SIGTERM
-// does) makes run return cleanly. The port is found by listening and closing,
-// so another process could take it before run binds; that window is accepted
-// rather than giving run a listener parameter only the test would use.
-func TestRunServesUntilCancelled(t *testing.T) {
+// serve boots the command on a free loopback port and waits for /healthz.
+// It returns the address and a stop function that cancels the context (what
+// SIGTERM does) and returns run's result. The port is found by listening and
+// closing, so another process could take it before run binds; that window is
+// accepted rather than giving run a listener parameter only the test would
+// use.
+func serve(t *testing.T) (addr string, stop func() error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
+	addr = ln.Addr().String()
 	ln.Close()
 
 	cfg, err := parseFlags([]string{"-addr", addr, "-log-level", "error"})
@@ -88,7 +93,7 @@ func TestRunServesUntilCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, cfg) }()
 
@@ -112,14 +117,53 @@ func TestRunServesUntilCancelled(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run after cancel = %v, want nil", err)
+	return addr, func() error {
+		cancel()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("run did not return after cancel")
+			return nil
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return after cancel")
+	}
+}
+
+// TestRunServesUntilCancelled checks that cancelling the context makes run
+// return cleanly.
+func TestRunServesUntilCancelled(t *testing.T) {
+	_, stop := serve(t)
+	if err := stop(); err != nil {
+		t.Fatalf("run after cancel = %v, want nil", err)
+	}
+}
+
+// TestOntologyServesRunningCatalog: the ontology agent of a running server
+// answers with the Figure 13 knowledge base the catalog was read from.
+func TestOntologyServesRunningCatalog(t *testing.T) {
+	addr, stop := serve(t)
+	defer stop()
+	resp, err := http.Get("http://" + addr + "/api/v1/ontology/3dsd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/v1/ontology/3dsd = %d %v: %s", resp.StatusCode, err, body)
+	}
+	kb, err := ontology.Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n := kb.Stats(); n != 47 {
+		t.Errorf("instances = %d, want 47", n)
+	}
+	p3dr := kb.Instance("svc-P3DR")
+	if p3dr == nil {
+		t.Fatal("no svc-P3DR instance")
+	}
+	if v, _ := p3dr.Get("BaseTime"); v.N != 1800 || v.N != virolab.Catalog().Get("P3DR").BaseTime {
+		t.Errorf("P3DR BaseTime = %v, want 1800 as in the catalog", v)
 	}
 }

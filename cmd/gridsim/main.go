@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/services"
+	"repro/internal/virolab"
 )
 
 func main() {
@@ -62,22 +63,17 @@ func run(tasks int, arrival float64, retries int, seed int64, sweepStr string, s
 	}
 
 	workload := make([]services.TaskSpec, tasks)
+	catalog := virolab.Catalog()
 	kinds := []struct {
-		service  string
-		baseTime float64
-		dataMB   float64
-	}{
-		{"POD", 600, 1500},
-		{"P3DR", 1800, 1500},
-		{"POR", 1200, 1500},
-		{"PSF", 300, 100},
-	}
+		service string
+		dataMB  float64
+	}{{"POD", 1500}, {"P3DR", 1500}, {"POR", 1500}, {"PSF", 100}}
 	for i := range workload {
 		k := kinds[i%len(kinds)]
 		workload[i] = services.TaskSpec{
 			ID:       fmt.Sprintf("t%03d", i),
 			Service:  k.service,
-			BaseTime: k.baseTime,
+			BaseTime: catalog.Get(k.service).BaseTime,
 			DataMB:   k.dataMB,
 		}
 	}

@@ -1,17 +1,15 @@
 // Ontology: the metainformation side of the paper. Builds the Figure 12
 // grid ontology shell, populates it with the Figure 13 instances for the
-// 3DSD task, runs queries over the knowledge base, and round-trips the whole
-// ontology through the ontology service the way agents exchange it.
+// 3DSD task (the knowledge base the case study's catalog is read from), runs
+// queries over it, and round-trips it through the JSON form the ontology
+// agent exchanges.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"repro/internal/agent"
 	"repro/internal/ontology"
-	"repro/internal/services"
 	"repro/internal/virolab"
 )
 
@@ -51,35 +49,18 @@ func main() {
 			in.ID, in.Text("Name"), in.Text("InputDataSet"), in.Text("OutputDataSet"))
 	}
 
-	// --- Distribution through the ontology service ----------------------
-	platform := agent.NewPlatform()
-	defer platform.Shutdown()
-	ontsvc := services.NewOntologyService()
-	if _, err := platform.Register(services.OntologyName, ontsvc); err != nil {
-		log.Fatal(err)
-	}
-	client := platform.MustRegister("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
-
+	// --- Distribution: the JSON form the ontology agent serves ------------
+	// (gridenv registers this KB with its agent: GET /api/v1/ontology/3dsd).
 	data, err := kbase.MarshalJSON()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := client.Call(services.OntologyName, services.OntOntology,
-		services.PublishKB{Name: "3dsd", JSON: data}, time.Second); err != nil {
-		log.Fatal(err)
-	}
-	reply, err := client.Call(services.OntologyName, services.OntOntology,
-		services.KBRequest{Name: "3dsd"}, time.Second)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fetched, err := ontology.Decode(reply.Content.(services.KBReply).JSON)
+	fetched, err := ontology.Decode(data)
 	if err != nil {
 		log.Fatal(err)
 	}
 	_, n := fetched.Stats()
-	fmt.Printf("\npublished and fetched back through the ontology service: %d instances, %d bytes JSON\n",
-		n, len(data))
+	fmt.Printf("\nJSON round trip, as the ontology agent serves it: %d instances, %d bytes\n", n, len(data))
 	if errs := fetched.ValidateRefs(); len(errs) == 0 {
 		fmt.Println("all instance references validate")
 	} else {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/services"
 	"repro/internal/sim"
+	"repro/internal/virolab"
 )
 
 func main() {
@@ -26,12 +27,14 @@ func main() {
 	}
 
 	// A mixed workload: one long reconstruction per four short jobs.
+	catalog := virolab.Catalog()
 	var workload []services.TaskSpec
 	for i := 0; i < 40; i++ {
-		spec := services.TaskSpec{ID: fmt.Sprintf("t%02d", i), Service: "PSF", BaseTime: 300, DataMB: 100}
+		spec := services.TaskSpec{ID: fmt.Sprintf("t%02d", i), Service: "PSF", DataMB: 100}
 		if i%4 == 0 {
-			spec.Service, spec.BaseTime, spec.DataMB = "P3DR", 1800, 1500
+			spec.Service, spec.DataMB = "P3DR", 1500
 		}
+		spec.BaseTime = catalog.Get(spec.Service).BaseTime
 		workload = append(workload, spec)
 	}
 

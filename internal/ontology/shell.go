@@ -104,6 +104,7 @@ func GridShell() *KB {
 			{Name: "InputDataOrder", Kind: KindList},
 			{Name: "OutputDataOrder", Kind: KindList},
 			{Name: "Cost", Kind: KindNumber},
+			{Name: "BaseTime", Kind: KindNumber},
 			{Name: "Resource", Kind: KindRef, RefClass: ClassResource},
 		},
 	})
@@ -115,6 +116,7 @@ func GridShell() *KB {
 			{Name: "ID", Kind: KindString, Required: true},
 			{Name: "SourceActivity", Kind: KindString, Required: true},
 			{Name: "DestinationActivity", Kind: KindString, Required: true},
+			{Name: "Condition", Kind: KindString},
 		},
 	})
 

@@ -4,7 +4,8 @@
 // programs as end-user service specifications (POD, P3DR, POR, PSF) with the
 // paper's conditions C1-C8, the data items D1-D12, the Figure 10 process
 // description, the Figure 11 plan tree, and the Figure 13 ontology
-// instances.
+// instances. The instances are the only copy of the case's metadata: the
+// catalog, data, case and process are read from them.
 //
 // The paper's programs run on real micrographs (GBytes of 2D projections);
 // here they are simulated: the planner and coordinator only ever inspect
@@ -14,21 +15,14 @@
 package virolab
 
 import (
+	"fmt"
+	"slices"
+	"sync"
+
 	"repro/internal/expr"
+	"repro/internal/ontology"
 	"repro/internal/plantree"
 	"repro/internal/workflow"
-)
-
-// The input/output conditions of Figure 13.
-const (
-	C1 = `A.Classification = "POD-Parameter" and B.Classification = "2D Image"`
-	C2 = `C.Type = "Orientation File"`
-	C3 = `A.Classification = "P3DR-Parameter" and B.Classification = "2D Image" and C.Classification = "Orientation File"`
-	C4 = `D.Classification = "3D Model"`
-	C5 = `A.Classification = "POR-Parameter" and B.Classification = "2D Image" and C.Classification = "Orientation File" and D.Classification = "3D Model"`
-	C6 = `E.Classification = "Orientation File"`
-	C7 = `A.Classification = "PSF-Parameter" and B.Classification = "3D Model" and C.Classification = "3D Model"`
-	C8 = `D.Classification = "Resolution File"`
 )
 
 // Cons1 is the loop constraint of Figure 13: iterate the refinement while
@@ -46,114 +40,59 @@ const GoalCondition = `G.Classification = "Resolution File"`
 // behaviour with three iterations.
 var DefaultResolutionSchedule = []float64{12, 9.5, 7.8}
 
-// Catalog returns the set T of end-user services with the conditions C1-C8.
-// Base times are the simulated nominal durations on a speed-1 node.
-func Catalog() *workflow.Catalog {
-	pod := &workflow.Service{
-		Name: "POD",
-		Inputs: []workflow.ParamSpec{
-			{Name: "A", Condition: `A.Classification = "POD-Parameter"`},
-			{Name: "B", Condition: `B.Classification = "2D Image"`},
-		},
-		Outputs: []workflow.OutputSpec{{
-			Name: "C",
-			Props: map[string]expr.Value{
-				workflow.PropClassification: expr.String("Orientation File"),
-				workflow.PropType:           expr.String("Orientation File"),
-			},
-		}},
-		BaseTime: 600,
-		Cost:     2,
+// fig13 is the knowledge base and the templates read from it, once per
+// process; the exported readers hand out copies.
+var fig13 = sync.OnceValue(func() *figure13 {
+	kb, err := Ontology()
+	if err != nil {
+		panic(err)
 	}
-	p3dr := &workflow.Service{
-		Name: "P3DR",
-		Inputs: []workflow.ParamSpec{
-			{Name: "A", Condition: `A.Classification = "P3DR-Parameter"`},
-			{Name: "B", Condition: `B.Classification = "2D Image"`},
-			{Name: "C", Condition: `C.Classification = "Orientation File"`},
-		},
-		Outputs: []workflow.OutputSpec{{
-			Name: "D",
-			Props: map[string]expr.Value{
-				workflow.PropClassification: expr.String("3D Model"),
-				workflow.PropFormat:         expr.String("Electron Density Map"),
-			},
-		}},
-		BaseTime: 1800,
-		Cost:     10,
+	f := &figure13{kb: kb, task: kb.Instance("T1")}
+	f.caseDesc = kb.Instance(f.task.Values["CaseDescription"].S)
+	for _, id := range f.caseDesc.Values["InitialDataSet"].L {
+		f.initial = append(f.initial, readData(kb.Instance(id)))
 	}
-	por := &workflow.Service{
-		Name: "POR",
-		Inputs: []workflow.ParamSpec{
-			{Name: "A", Condition: `A.Classification = "POR-Parameter"`},
-			{Name: "B", Condition: `B.Classification = "2D Image"`},
-			{Name: "C", Condition: `C.Classification = "Orientation File"`},
-			{Name: "D", Condition: `D.Classification = "3D Model"`},
-		},
-		Outputs: []workflow.OutputSpec{{
-			Name: "E",
-			Props: map[string]expr.Value{
-				workflow.PropClassification: expr.String("Orientation File"),
-				workflow.PropType:           expr.String("Orientation File"),
-			},
-		}},
-		BaseTime: 1200,
-		Cost:     6,
+	if f.process, err = readProcess(kb, kb.Instance(f.task.Values["ProcessDescription"].S)); err != nil {
+		panic(err)
 	}
-	psf := &workflow.Service{
-		Name: "PSF",
-		Inputs: []workflow.ParamSpec{
-			{Name: "A", Condition: `A.Classification = "PSF-Parameter"`},
-			{Name: "B", Condition: `B.Classification = "3D Model"`},
-			{Name: "C", Condition: `C.Classification = "3D Model"`},
-		},
-		Outputs: []workflow.OutputSpec{{
-			Name: "D",
-			Props: map[string]expr.Value{
-				workflow.PropClassification: expr.String("Resolution File"),
-				workflow.PropValue:          expr.Number(12),
-			},
-		}},
-		BaseTime: 300,
-		Cost:     1,
-	}
-	return workflow.NewCatalog(pod, p3dr, por, psf)
+	return f
+})
+
+type figure13 struct {
+	kb             *ontology.KB
+	task, caseDesc *ontology.Instance // T1, CD-3DSD
+	initial        []*workflow.DataItem
+	process        *workflow.ProcessDescription
 }
 
-// InitialData returns the data items D1-D7 of Figure 13.
-func InitialData() []*workflow.DataItem {
-	return []*workflow.DataItem{
-		workflow.NewDataItem("D1", "POD-Parameter").
-			With(workflow.PropFormat, expr.String("Text")).
-			With(workflow.PropSize, expr.Number(3e3)).
-			With(workflow.PropCreator, expr.String("User")),
-		workflow.NewDataItem("D2", "P3DR-Parameter").
-			With(workflow.PropFormat, expr.String("Text")).
-			With(workflow.PropCreator, expr.String("User")),
-		workflow.NewDataItem("D3", "P3DR-Parameter").
-			With(workflow.PropFormat, expr.String("Text")).
-			With(workflow.PropCreator, expr.String("User")),
-		workflow.NewDataItem("D4", "P3DR-Parameter").
-			With(workflow.PropFormat, expr.String("Text")).
-			With(workflow.PropCreator, expr.String("User")),
-		workflow.NewDataItem("D5", "POR-Parameter").
-			With(workflow.PropFormat, expr.String("Text")).
-			With(workflow.PropCreator, expr.String("User")),
-		workflow.NewDataItem("D6", "PSF-Parameter").
-			With(workflow.PropFormat, expr.String("Text")).
-			With(workflow.PropCreator, expr.String("User")),
-		workflow.NewDataItem("D7", "2D Image").
-			With(workflow.PropSize, expr.Number(1.5e9)).
-			With(workflow.PropCreator, expr.String("User")),
+// Catalog returns the set T of end-user services with the conditions C1-C8,
+// read from the Figure 13 Service frames. Base times are the simulated
+// nominal durations on a speed-1 node.
+func Catalog() *workflow.Catalog {
+	cat, err := readCatalog(fig13().kb)
+	if err != nil {
+		panic(err)
 	}
+	return cat
+}
+
+// InitialData returns the data items D1-D7: CD-3DSD's initial data set.
+func InitialData() []*workflow.DataItem {
+	items := make([]*workflow.DataItem, len(fig13().initial))
+	for i, d := range fig13().initial {
+		items[i] = d.Clone()
+	}
+	return items
 }
 
 // Case returns the case description CD-3DSD.
 func Case() *workflow.CaseDescription {
-	c := workflow.NewCase("CD-3DSD", "CD-3DSD").AddData(InitialData()...)
-	c.ResultSet = []string{"D12"}
-	c.SetConstraint("Cons1", Cons1)
-	c.Goal = workflow.NewGoal(GoalCondition)
+	cd := fig13().caseDesc
+	c := workflow.NewCase(cd.Text("ID"), cd.Text("Name"))
+	c.InitialData = InitialData()
+	c.ResultSet = slices.Clone(cd.Values["ResultSet"].L)
+	c.SetConstraint("Cons1", cd.Text("Constraint"))
+	c.Goal = workflow.NewGoal(cd.Text("GoalCondition"))
 	return c
 }
 
@@ -161,59 +100,17 @@ func Case() *workflow.CaseDescription {
 // data D1-D7, the resolution-file goal, and the full catalog.
 func Problem() *workflow.Problem {
 	return &workflow.Problem{
-		Name:    "3DSD",
+		Name:    fig13().task.Text("Name"),
 		Initial: workflow.NewState(InitialData()...),
-		Goal:    workflow.NewGoal(GoalCondition),
+		Goal:    workflow.NewGoal(fig13().caseDesc.Text("GoalCondition")),
 		Catalog: Catalog(),
 	}
 }
 
-// Process builds the Figure 10 process description: BEGIN, POD, P3DR1,
-// MERGE, POR, FORK, {P3DR2, P3DR3, P3DR4}, JOIN, PSF, CHOICE, END with
-// transitions TR1-TR15 and the per-activity data sets of Figure 13.
-func Process() *workflow.ProcessDescription {
-	p := workflow.NewProcess("PD-3DSD")
-	add := func(id, name string, kind workflow.Kind, service string, in, out []string) {
-		p.Add(&workflow.Activity{
-			ID: id, Name: name, Kind: kind, Service: service,
-			Inputs: in, Outputs: out,
-		})
-	}
-	add("A1", "BEGIN", workflow.KindBegin, "", nil, nil)
-	add("A2", "POD", workflow.KindEndUser, "POD", []string{"D1", "D7"}, []string{"D8"})
-	add("A3", "P3DR1", workflow.KindEndUser, "P3DR", []string{"D2", "D7", "D8"}, []string{"D9"})
-	add("A4", "MERGE", workflow.KindMerge, "", nil, nil)
-	add("A5", "POR", workflow.KindEndUser, "POR", []string{"D5", "D7", "D8", "D9"}, []string{"D8"})
-	add("A6", "FORK", workflow.KindFork, "", nil, nil)
-	add("A7", "P3DR2", workflow.KindEndUser, "P3DR", []string{"D3", "D7", "D8"}, []string{"D10"})
-	add("A8", "P3DR3", workflow.KindEndUser, "P3DR", []string{"D4", "D7", "D8"}, []string{"D11"})
-	add("A9", "P3DR4", workflow.KindEndUser, "P3DR", []string{"D2", "D7", "D8"}, []string{"D9"})
-	add("A10", "JOIN", workflow.KindJoin, "", nil, nil)
-	add("A11", "PSF", workflow.KindEndUser, "PSF", []string{"D10", "D11"}, []string{"D12"})
-	add("A12", "CHOICE", workflow.KindChoice, "", nil, nil)
-	add("A13", "END", workflow.KindEnd, "", nil, nil)
-	p.Activity("A12").Constraint = Cons1
-
-	connect := func(src, dst, cond string) {
-		p.ConnectCond(src, dst, cond)
-	}
-	connect("A1", "A2", "")     // TR1  BEGIN -> POD
-	connect("A2", "A3", "")     // TR2  POD -> P3DR1
-	connect("A3", "A4", "")     // TR3  P3DR1 -> MERGE
-	connect("A4", "A5", "")     // TR4  MERGE -> POR
-	connect("A5", "A6", "")     // TR5  POR -> FORK
-	connect("A6", "A7", "")     // TR6  FORK -> P3DR2
-	connect("A6", "A8", "")     // TR7  FORK -> P3DR3
-	connect("A6", "A9", "")     // TR8  FORK -> P3DR4
-	connect("A7", "A10", "")    // TR9  P3DR2 -> JOIN
-	connect("A8", "A10", "")    // TR10 P3DR3 -> JOIN
-	connect("A9", "A10", "")    // TR11 P3DR4 -> JOIN
-	connect("A10", "A11", "")   // TR12 JOIN -> PSF
-	connect("A11", "A12", "")   // TR13 PSF -> CHOICE
-	connect("A12", "A4", Cons1) // TR14 CHOICE -> MERGE (iterate)
-	connect("A12", "A13", "")   // TR15 CHOICE -> END
-	return p
-}
+// Process returns the Figure 10 process description PD-3DSD: BEGIN, POD,
+// P3DR1, MERGE, POR, FORK, {P3DR2, P3DR3, P3DR4}, JOIN, PSF, CHOICE, END
+// with transitions TR1-TR15 and the per-activity data sets of Figure 13.
+func Process() *workflow.ProcessDescription { return fig13().process.Clone() }
 
 // PlanTree builds the Figure 11 plan tree corresponding to Process.
 func PlanTree() *plantree.Node {
@@ -236,13 +133,8 @@ func PlanTree() *plantree.Node {
 
 // Task assembles the full Figure 13 task T1 ("3DSD").
 func Task() *workflow.Task {
-	return &workflow.Task{
-		ID:      "T1",
-		Name:    "3DSD",
-		Owner:   "UCF",
-		Process: Process(),
-		Case:    Case(),
-	}
+	t := fig13().task
+	return &workflow.Task{ID: t.Text("ID"), Name: t.Text("Name"), Owner: t.Text("Owner"), Process: Process(), Case: Case()}
 }
 
 // ResolutionHook returns a coordination PostProcess hook that models the
@@ -291,3 +183,71 @@ BEGIN,
   },
 END
 `
+
+// readCatalog reads the Service frames: one input formal per InputCondition,
+// and an output's properties from the OutputCondition equalities naming it.
+func readCatalog(kb *ontology.KB) (*workflow.Catalog, error) {
+	cat := workflow.NewCatalog()
+	for _, f := range kb.InstancesOf(ontology.ClassService) {
+		var svc workflow.Service
+		svc.Name, svc.BaseTime, svc.Cost = f.Text("Name"), f.Values["BaseTime"].N, f.Values["Cost"].N
+		formals, conds := f.Values["InputDataSet"].L, f.Values["InputCondition"].L
+		svc.Inputs = make([]workflow.ParamSpec, len(formals))
+		for i := range formals {
+			svc.Inputs[i].Name, svc.Inputs[i].Condition = formals[i], conds[i]
+		}
+		props := map[string]map[string]expr.Value{}
+		for _, name := range f.Values["OutputDataSet"].L {
+			props[name] = map[string]expr.Value{}
+			svc.Outputs = append(svc.Outputs, workflow.OutputSpec{Name: name, Props: props[name]})
+		}
+		for _, src := range f.Values["OutputCondition"].L {
+			n, err := expr.Parse(src)
+			eq, ok := n.(*expr.Cmp)
+			if err != nil || !ok || eq.Op != expr.OpEq || !eq.Left.IsRef || eq.Right.IsRef || props[eq.Left.Ref.Obj] == nil {
+				return nil, fmt.Errorf("virolab: service %s: output condition %q is not output.prop = literal", svc.Name, src)
+			}
+			props[eq.Left.Ref.Obj][eq.Left.Ref.Prop] = eq.Right.Lit
+		}
+		cat.Add(&svc)
+	}
+	return cat, nil
+}
+
+// readData reads a Data frame: every slot but Name is a property.
+func readData(f *ontology.Instance) *workflow.DataItem {
+	d := &workflow.DataItem{Name: f.Text("Name"), Props: make(map[string]expr.Value, len(f.Values))}
+	for slot, v := range f.Values {
+		switch {
+		case slot == "Name":
+		case v.Kind == ontology.KindNumber:
+			d.Props[slot] = expr.Number(v.N)
+		default:
+			d.Props[slot] = expr.String(v.Text())
+		}
+	}
+	return d
+}
+
+// readProcess reads a ProcessDescription frame's activity and transition
+// sets, in list order.
+func readProcess(kb *ontology.KB, pd *ontology.Instance) (*workflow.ProcessDescription, error) {
+	p := workflow.NewProcess(pd.Text("Name"))
+	for _, id := range pd.Values["ActivitySet"].L {
+		f := kb.Instance(id)
+		kind, err := workflow.ParseKind(f.Text("Type"))
+		if err != nil {
+			return nil, err
+		}
+		p.Activities = append(p.Activities, &workflow.Activity{
+			ID: f.Text("ID"), Name: f.Text("Name"), Kind: kind, Service: f.Text("ServiceName"),
+			Inputs: f.Values["InputDataSet"].L, Outputs: f.Values["OutputDataSet"].L, Constraint: f.Text("Constraint"),
+		})
+	}
+	for _, id := range pd.Values["TransitionSet"].L {
+		f := kb.Instance(id)
+		p.Transitions = append(p.Transitions, &workflow.Transition{ID: f.Text("ID"),
+			Source: f.Text("SourceActivity"), Dest: f.Text("DestinationActivity"), Condition: f.Text("Condition")})
+	}
+	return p, p.Validate()
+}
