@@ -527,45 +527,6 @@ func BenchmarkAblationPlanReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAcquisition compares the two resource-acquisition modes:
-// matchmaking ranking versus contract-net bidding, over full Figure 10
-// enactments.
-func BenchmarkAblationAcquisition(b *testing.B) {
-	for _, cnp := range []bool{false, true} {
-		name := "matchmaking"
-		if cnp {
-			name = "contract-net"
-		}
-		b.Run(name, func(b *testing.B) {
-			env, err := core.NewEnvironment(core.Options{
-				Catalog:        virolab.Catalog(),
-				Planner:        reducedParams(),
-				PostProcess:    virolab.ResolutionHook(nil),
-				UseContractNet: cnp,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			var wall float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				task := virolab.Task()
-				task.ID = fmt.Sprintf("T-acq-%s-%d", name, i)
-				report, err := env.SubmitContext(context.Background(), task, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !report.Completed {
-					b.Fatal("incomplete")
-				}
-				wall = report.WallClockTime
-			}
-			b.ReportMetric(wall, "wallclock-s")
-		})
-	}
-}
-
 // BenchmarkGridSimScalability runs the simulation-service what-if model at
 // two grid sizes (the cmd/gridsim sweep's endpoints).
 func BenchmarkGridSimScalability(b *testing.B) {

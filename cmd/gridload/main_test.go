@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"testing"
@@ -47,6 +49,26 @@ func TestSimByteIdentical(t *testing.T) {
 	}
 	if report.Completed != 500 || len(report.Tenants) != 3 {
 		t.Fatalf("report = %+v", report)
+	}
+}
+
+// TestReportDigests pins two reports byte for byte: the fairness replay on
+// the virtual clock and the costmix scenario. A change to either digest is a
+// change to what the simulator computes, not to how it is scheduled.
+func TestReportDigests(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mode", "sim", "-seed", "7", "-tenants", "alpha:3,beta:1,gamma:1", "-n", "1000"},
+			"a85a1a12ecefb5e2791e12fc0b95faf7db8f2e1064e2b09d8bb62b24c53f98fb"},
+		{[]string{"-scenario", "costmix", "-seed", "42", "-n", "200", "-nodes", "16"},
+			"0481425729a554046a67c7463a5fa118f593f3f2b8a34f57aa58000f4959a68a"},
+	} {
+		sum := sha256.Sum256(runToBytes(t, tc.args...))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("run(%v) sha256 = %s, want %s", tc.args, got, tc.want)
+		}
 	}
 }
 

@@ -228,22 +228,6 @@ func (p *Platform) serve(rt *runtime, h Handler) {
 	}
 }
 
-// Deregister stops the named agent, draining its mailbox first.
-func (p *Platform) Deregister(name string) error {
-	p.mu.Lock()
-	rt, ok := p.agents[name]
-	if ok {
-		delete(p.agents, name)
-	}
-	p.mu.Unlock()
-	if !ok {
-		return ErrUnknownAgent
-	}
-	rt.stop()
-	<-rt.done
-	return nil
-}
-
 // Has reports whether the named agent is registered.
 func (p *Platform) Has(name string) bool {
 	p.mu.RLock()

@@ -180,27 +180,6 @@ func TestChainedCalls(t *testing.T) {
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	p := NewPlatform()
-	defer p.Shutdown()
-	var handled atomic.Int32
-	p.MustRegister("x", HandlerFunc(func(*Context, Message) { handled.Add(1) }))
-	c := p.MustRegister("c", HandlerFunc(func(*Context, Message) {}))
-	_ = c.Send("x", Inform, "", nil)
-	if err := p.Deregister("x"); err != nil {
-		t.Fatal(err)
-	}
-	if handled.Load() != 1 {
-		t.Errorf("mailbox not drained before stop: handled=%d", handled.Load())
-	}
-	if err := p.Deregister("x"); !errors.Is(err, ErrUnknownAgent) {
-		t.Errorf("second deregister = %v", err)
-	}
-	if p.Has("x") {
-		t.Error("Has(x) after deregister")
-	}
-}
-
 func TestAgentsListingAndShutdown(t *testing.T) {
 	p := NewPlatform()
 	p.MustRegister("b", echoHandler())

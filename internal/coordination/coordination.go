@@ -38,11 +38,6 @@ type Config struct {
 	Matchmaking *services.Matchmaking
 	Brokerage   *services.Brokerage
 
-	// UseContractNet acquires resources by bidding: the coordinator sends a
-	// call for proposals to the brokerage's candidate containers and awards
-	// execution by earliest predicted completion (ties by cost), instead of
-	// asking the matchmaking service for a metadata ranking.
-	UseContractNet bool
 	// MaxFires bounds total activity firings per enactment (loop safety).
 	MaxFires int
 
@@ -127,7 +122,7 @@ type Coordinator struct {
 	// cfg.Telemetry is nil.
 	mFired, mExecuted, mFailures, mReplans  *telemetry.Counter
 	mTasksCompleted, mTasksFailed, mBatches *telemetry.Counter
-	mCheckpoints, mCNRounds, mCNBids        *telemetry.Counter
+	mCheckpoints                            *telemetry.Counter
 	mRetries, mFaults, mFaultReplans        *telemetry.Counter
 	mCancelled                              *telemetry.Counter
 	mCostSchedules, mCostPreempts           *telemetry.Counter
@@ -161,8 +156,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.mTasksFailed = tel.Counter("coordination.tasks.failed")
 		c.mBatches = tel.Counter("coordination.batches")
 		c.mCheckpoints = tel.Counter("coordination.checkpoints.written")
-		c.mCNRounds = tel.Counter("coordination.contractnet.rounds")
-		c.mCNBids = tel.Counter("coordination.contractnet.bids")
 		c.mRetries = tel.Counter("coordination.retries")
 		c.mFaults = tel.Counter("coordination.dispatch.faults")
 		c.mFaultReplans = tel.Counter("coordination.replans.fault")

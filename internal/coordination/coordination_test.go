@@ -749,48 +749,46 @@ func TestHistoryAwareDispatchConstrained(t *testing.T) {
 	}
 }
 
-// TestContractNetDispatch acquires resources by bidding: the coordinator
-// sends CFPs to the brokerage's candidates, awards to the earliest predicted
-// completion, and the enactment completes as usual. A stale brokerage
-// snapshot is reconciled by refusals.
-func TestContractNetDispatch(t *testing.T) {
-	e := newEnv(t, false)
-	cnp := &Coordinator{cfg: e.coord.cfg, ctx: e.coord.ctx}
-	cnp.cfg.UseContractNet = true
-
-	report, err := cnp.RunTaskContext(context.Background(), virolab.Task(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Completed || report.Executed != 17 {
-		t.Fatalf("contract-net enactment: completed=%v executed=%d", report.Completed, report.Executed)
-	}
-	// Bids appear in the trace, and the fast smp wins the P3DR work (it
-	// predicts ~half the cluster's time).
-	bids := countTrace(report, "bid", "")
-	if bids == 0 {
-		t.Fatal("no bids recorded")
-	}
-	for _, ev := range report.Trace {
-		if ev.Kind == "dispatch" && ev.Activity == "P3DR1" && ev.Detail != "ac-main" {
-			t.Errorf("P3DR1 awarded to %s, want ac-main (fastest bid)", ev.Detail)
-		}
-	}
-
-	// Stale snapshot: kill the smp node WITHOUT refreshing the brokerage.
-	// Its container refuses the CFP, so the award falls to the backup and
-	// the P3DR work re-plans onto P3DRALT.
-	_ = e.grid.SetNodeUp("smp-1", false)
-	task := virolab.Task()
-	task.ID = "T-cnp-stale"
-	report, err = cnp.RunTaskContext(context.Background(), task, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Completed {
-		t.Fatalf("stale-snapshot contract net did not complete: %+v", report.Trace)
-	}
-	if report.Replans == 0 {
-		t.Error("expected a re-plan once the only P3DR bidder refused")
+// TestDeadlinePressureDispatch is how a deadline case buys fast machines: a
+// slow, cheap cluster container also offers P3DR, so a hard-deadline
+// Figure-10 case with time to spare sends P3DR1 there (cheapest feasible
+// first), while one whose deadline is 80% gone after POD switches to the
+// fastest candidates and sends P3DR1 to the smp's ac-main (earliest ETA).
+// Pressure leaves at most a fifth of the deadline, so no P3DR candidate is
+// feasible by then either; infeasible candidates rank by ETA too.
+func TestDeadlinePressureDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline float64
+		pressed  bool
+		want     string
+	}{
+		{"relaxed", 1e9, false, "ac-slow"},
+		{"pressed", 675, true, "ac-main"}, // POD takes 540-660s on the cluster
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, false)
+			if err := e.grid.AddContainer(&grid.Container{ID: "ac-slow", NodeID: "cluster-1", Services: []string{"P3DR"}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.platform.Register("ac-slow", &services.ContainerAgent{Grid: e.grid, Container: "ac-slow", Brokerage: e.core.Brokerage}); err != nil {
+				t.Fatal(err)
+			}
+			task := virolab.Task()
+			task.Case.Deadline, task.Case.HardDeadline = tc.deadline, true
+			// The pressed case misses its deadline by design; only the award matters.
+			report, _ := e.coord.RunTaskContext(context.Background(), task, nil)
+			preempted := false
+			for _, ev := range report.Trace {
+				preempted = preempted || ev.Kind == "preempt"
+				if ev.Kind == "dispatch" && ev.Activity == "P3DR1" {
+					if ev.Detail != tc.want || preempted != tc.pressed {
+						t.Fatalf("P3DR1 dispatched to %s (preempted=%v), want %s (preempted=%v)", ev.Detail, preempted, tc.want, tc.pressed)
+					}
+					return
+				}
+			}
+			t.Fatalf("P3DR1 never dispatched: %+v", report.Trace)
+		})
 	}
 }

@@ -257,19 +257,8 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		}
 	}
 
-	var ranked []services.Candidate
-	if c.cfg.UseContractNet {
-		res.event("invoke", act.Name, services.BrokerageName)
-		cands, err := c.contractNet(ctx, res, act, svc, dataMB)
-		if err != nil {
-			res.err = err
-			return
-		}
-		ranked = cands
-	} else {
-		res.event("invoke", act.Name, services.MatchmakingName)
-		ranked = c.cfg.Matchmaking.Match(services.MatchRequest{Service: act.Service})
-	}
+	res.event("invoke", act.Name, services.MatchmakingName)
+	ranked := c.cfg.Matchmaking.Match(services.MatchRequest{Service: act.Service})
 	if len(ranked) == 0 {
 		res.err = &nonExecutableError{activity: act.Name, service: act.Service}
 		return
@@ -369,52 +358,6 @@ func (c *Coordinator) noteFault(ctx context.Context, res *execResult, act *workf
 		res.faults++
 		res.event("fault", act.Name, fmt.Sprintf("node %s down after failed attempt on %s", cand.Node, cand.Container))
 	}
-}
-
-// contractNet acquires candidates by bidding (the Section 1 spot-market
-// negotiation): candidate containers come from the brokerage's possibly
-// stale snapshot; each is sent a CallForProposal; the bids are ranked by
-// earliest predicted completion, ties broken by predicted cost then ID.
-// Containers that refuse (down node, service not offered) drop out here —
-// exactly how staleness is reconciled in a negotiation.
-func (c *Coordinator) contractNet(ctx context.Context, res *execResult, act *workflow.Activity, svc *workflow.Service, dataMB float64) ([]services.Candidate, error) {
-	c.mCNRounds.Inc()
-	reply, err := c.ctx.CallContext(ctx, services.BrokerageName, services.OntBrokerage,
-		services.ContainersRequest{Service: act.Service}, services.CallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	cr, ok := reply.Content.(services.ContainersReply)
-	if !ok {
-		return nil, fmt.Errorf("coordination: unexpected brokerage reply %T", reply.Content)
-	}
-	cfp := services.CallForProposal{Service: act.Service, BaseTime: svc.BaseTime, DataMB: dataMB}
-	var bids []services.Proposal
-	for _, containerID := range cr.Containers {
-		bidReply, err := c.ctx.CallContext(ctx, containerID, services.OntExecution, cfp, services.CallTimeout)
-		if err != nil || bidReply.Performative != agent.Inform {
-			continue // refused or unreachable: not a bidder
-		}
-		if prop, ok := bidReply.Content.(services.Proposal); ok {
-			bids = append(bids, prop)
-			c.mCNBids.Inc()
-			res.event("bid", act.Name, fmt.Sprintf("%s offers %.0fs at %.2f", prop.Container, prop.PredictedTime, prop.PredictedCost))
-		}
-	}
-	sort.Slice(bids, func(i, j int) bool {
-		if bids[i].PredictedTime != bids[j].PredictedTime {
-			return bids[i].PredictedTime < bids[j].PredictedTime
-		}
-		if bids[i].PredictedCost != bids[j].PredictedCost {
-			return bids[i].PredictedCost < bids[j].PredictedCost
-		}
-		return bids[i].Container < bids[j].Container
-	})
-	out := make([]services.Candidate, len(bids))
-	for i, b := range bids {
-		out[i] = services.Candidate{Container: b.Container, Node: b.Node, Cost: b.CostPerSec, PredictedTime: b.PredictedTime}
-	}
-	return out, nil
 }
 
 // rank orders a service's candidates for dispatch. An unconstrained case

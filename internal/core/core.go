@@ -69,10 +69,6 @@ type Options struct {
 	// environment takes ownership and closes it on Close.
 	Store store.Store
 
-	// UseContractNet acquires resources by container bidding instead of
-	// matchmaking rankings (see coordination.Config).
-	UseContractNet bool
-
 	// Workers sizes the enactment engine's coordinator worker pool — the cap
 	// on concurrent case enactments. 0 means GOMAXPROCS.
 	Workers int
@@ -230,15 +226,14 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		return nil, err
 	}
 	coord, err := coordination.New(coordination.Config{
-		Platform:       platform,
-		Catalog:        opts.Catalog,
-		Matchmaking:    coreSvcs.Matchmaking,
-		Brokerage:      coreSvcs.Brokerage,
-		PostProcess:    opts.PostProcess,
-		Checkpoint:     opts.Checkpoint,
-		UseContractNet: opts.UseContractNet,
-		Telemetry:      tel,
-		Logger:         telemetry.ComponentLogger(logger, "coordination"),
+		Platform:    platform,
+		Catalog:     opts.Catalog,
+		Matchmaking: coreSvcs.Matchmaking,
+		Brokerage:   coreSvcs.Brokerage,
+		PostProcess: opts.PostProcess,
+		Checkpoint:  opts.Checkpoint,
+		Telemetry:   tel,
+		Logger:      telemetry.ComponentLogger(logger, "coordination"),
 	})
 	if err != nil {
 		platform.Shutdown()

@@ -85,8 +85,8 @@ func TestPlanArchivesAndReturns(t *testing.T) {
 	if err := pd.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if env.Archive.Versions("auto-3dsd") != 1 {
-		t.Error("plan not archived")
+	if _, e, err := env.Archive.Get("auto-3dsd", 0); err != nil || e.Version != 1 {
+		t.Errorf("plan not archived once: version %d, %v", e.Version, err)
 	}
 	// And the planned PD is enactable end to end.
 	task := &workflow.Task{ID: "TP", Name: "planned", Process: pd, Case: virolab.Case()}

@@ -23,15 +23,6 @@ func Parse(src string) (Node, error) {
 	return n, nil
 }
 
-// MustParse is Parse that panics on error; for use with known-good constants.
-func MustParse(src string) Node {
-	n, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Eval parses and evaluates src against env in one step.
 func Eval(src string, env Env) (bool, error) {
 	n, err := Parse(src)

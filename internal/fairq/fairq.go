@@ -187,18 +187,6 @@ func (q *Queue[T]) Len() int { return q.size }
 // ClassLen returns the number of items queued in one class.
 func (q *Queue[T]) ClassLen(cls int) int { return q.classes[cls].size }
 
-// TenantLen returns the number of items the tenant has queued across all
-// classes.
-func (q *Queue[T]) TenantLen(tenant string) int {
-	n := 0
-	for i := range q.classes {
-		if f := q.classes[i].byTenant[tenant]; f != nil {
-			n += len(f.items)
-		}
-	}
-	return n
-}
-
 // DepthByTenant returns the queued-item count per tenant across all classes.
 func (q *Queue[T]) DepthByTenant() map[string]int {
 	out := make(map[string]int)

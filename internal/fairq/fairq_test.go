@@ -142,8 +142,8 @@ func TestRemove(t *testing.T) {
 	if !q.Remove(0, "t", func(v int) bool { return v == 7 }) {
 		t.Fatal("Remove failed on single-item flow")
 	}
-	if q.Len() != 0 || q.TenantLen("t") != 0 {
-		t.Fatalf("queue not empty after removals: len=%d", q.Len())
+	if q.Len() != 0 || len(q.DepthByTenant()) != 0 {
+		t.Fatalf("queue not empty after removals: len=%d flows=%v", q.Len(), q.DepthByTenant())
 	}
 }
 
@@ -184,11 +184,8 @@ func TestDepthAccounting(t *testing.T) {
 	if q.Len() != 3 || q.ClassLen(0) != 1 || q.ClassLen(1) != 2 {
 		t.Fatalf("len=%d class0=%d class1=%d", q.Len(), q.ClassLen(0), q.ClassLen(1))
 	}
-	if q.TenantLen("a") != 2 || q.TenantLen("b") != 1 || q.TenantLen("zzz") != 0 {
-		t.Fatalf("tenant depths a=%d b=%d", q.TenantLen("a"), q.TenantLen("b"))
-	}
 	d := q.DepthByTenant()
-	if d["a"] != 2 || d["b"] != 1 {
+	if d["a"] != 2 || d["b"] != 1 || len(d) != 2 {
 		t.Fatalf("DepthByTenant = %v", d)
 	}
 	got := q.Drain()

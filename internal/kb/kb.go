@@ -75,13 +75,6 @@ func (a *Archive) Get(name string, version int) (*workflow.ProcessDescription, E
 	return p, e, nil
 }
 
-// Versions returns how many revisions of the plan exist.
-func (a *Archive) Versions(name string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.entries[name])
-}
-
 // Names returns the archived plan names with a prefix, sorted.
 func (a *Archive) Names(prefix string) []string {
 	a.mu.Lock()
@@ -94,11 +87,4 @@ func (a *Archive) Names(prefix string) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Delete removes a plan and all revisions.
-func (a *Archive) Delete(name string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.entries, name)
 }

@@ -1,11 +1,11 @@
 package load
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 
 	"repro/internal/fairq"
+	"repro/internal/sim"
 )
 
 // simTask is one simulated task flowing through the fair queue.
@@ -15,36 +15,14 @@ type simTask struct {
 	service float64
 }
 
-// simEvent is a point on the virtual clock: a task arrival or a worker
-// finishing. seq breaks time ties deterministically.
-type simEvent struct {
-	at   float64
-	seq  int64
-	task simTask
-	done bool // completion event (task left a worker)
-}
-
-type eventHeap []simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)     { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() any       { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) add(e simEvent) { heap.Push(h, e) }
-func (h *eventHeap) next() simEvent { return heap.Pop(h).(simEvent) }
-
 // RunSim replays the spec's workload against the real fair-queue scheduling
 // code (internal/fairq — the same deficit-round-robin queue the enactment
 // engine drains) under a virtual clock: Workers simulated servers pull from
 // the queue, service times are exponential draws, and every random draw
-// comes from the spec's seed. The returned report is a pure function of the
-// spec, so marshaling it yields byte-identical JSON run after run.
+// comes from the spec's seed. Arrivals and completions are events on a
+// sim.Engine, which breaks time ties by insertion order. The returned report
+// is a pure function of the spec, so marshaling it yields byte-identical JSON
+// run after run.
 func RunSim(spec Spec) (*Report, error) {
 	spec = spec.Defaults()
 	if err := spec.Validate(); err != nil {
@@ -76,12 +54,8 @@ func RunSim(spec Spec) (*Report, error) {
 		return -mean * math.Log(u)
 	}
 
-	var events eventHeap
-	var seq int64
-	push := func(at float64, t simTask, done bool) {
-		seq++
-		events.add(simEvent{at: at, seq: seq, task: t, done: done})
-	}
+	// The engine only orders events; every draw comes from rng above.
+	eng := sim.NewEngine(spec.Seed)
 
 	// shares resolves the open-loop tenant mix: explicit Share when set,
 	// weight-proportional otherwise, then normalized to a CDF.
@@ -116,26 +90,8 @@ func RunSim(spec Spec) (*Report, error) {
 		return len(cdf) - 1
 	}
 
-	target := spec.Arrivals
-	switch spec.Mode {
-	case "open":
-		// All arrivals are pre-drawn, so later completion-time draws cannot
-		// perturb the arrival process.
-		t := 0.0
-		for i := 0; i < target; i++ {
-			t += exp(1 / spec.RatePerSec)
-			push(t, simTask{tenant: pickTenant(), arrival: t}, false)
-		}
-	case "closed":
-		for ti := range spec.Tenants {
-			for k := 0; k < spec.Outstanding; k++ {
-				push(0, simTask{tenant: ti}, false)
-			}
-		}
-	}
-
 	busy := 0
-	now := 0.0
+	var arrive, complete func(t simTask)
 	admit := func(t simTask) {
 		tr := &report.Tenants[t.tenant]
 		tr.Submitted++
@@ -157,33 +113,52 @@ func RunSim(spec Spec) (*Report, error) {
 			}
 			busy++
 			t.service = exp(spec.ServiceMeanSec)
-			push(now+t.service, t, true)
+			eng.Schedule(t.service, "complete", func() { complete(t) })
 		}
 	}
-
-	for events.Len() > 0 && report.Completed < target {
-		ev := events.next()
-		now = ev.at
-		if !ev.done {
-			ev.task.arrival = now
-			admit(ev.task)
-			dispatch()
-			continue
-		}
+	arrive = func(t simTask) {
+		t.arrival = eng.Now()
+		admit(t)
+		dispatch()
+	}
+	complete = func(t simTask) {
 		busy--
 		report.Completed++
-		tr := &report.Tenants[ev.task.tenant]
-		tr.Completed++
-		latencies[ev.task.tenant] = append(latencies[ev.task.tenant], now-ev.task.arrival)
+		report.Tenants[t.tenant].Completed++
+		latencies[t.tenant] = append(latencies[t.tenant], eng.Now()-t.arrival)
 		if spec.Mode == "closed" {
 			// The tenant immediately replaces its finished task, keeping
 			// its window full until the completion target is reached.
-			push(now, simTask{tenant: ev.task.tenant}, false)
+			next := simTask{tenant: t.tenant}
+			eng.Schedule(0, "arrive", func() { arrive(next) })
 		}
 		dispatch()
 	}
 
-	report.DurationSec = now
+	target := spec.Arrivals
+	switch spec.Mode {
+	case "open":
+		// All arrivals are pre-drawn, so later completion-time draws cannot
+		// perturb the arrival process.
+		t := 0.0
+		for i := 0; i < target; i++ {
+			t += exp(1 / spec.RatePerSec)
+			task := simTask{tenant: pickTenant()}
+			eng.Schedule(t, "arrive", func() { arrive(task) })
+		}
+	case "closed":
+		for ti := range spec.Tenants {
+			for k := 0; k < spec.Outstanding; k++ {
+				task := simTask{tenant: ti}
+				eng.Schedule(0, "arrive", func() { arrive(task) })
+			}
+		}
+	}
+
+	for report.Completed < target && eng.Step() {
+	}
+
+	report.DurationSec = eng.Now()
 	for i := range report.Tenants {
 		report.Tenants[i].Latency = latencyStats(latencies[i])
 	}

@@ -132,16 +132,6 @@ type Class struct {
 	Slots  []Slot
 }
 
-// Slot returns the class's own slot with the given name, or nil.
-func (c *Class) Slot(name string) *Slot {
-	for i := range c.Slots {
-		if c.Slots[i].Name == name {
-			return &c.Slots[i]
-		}
-	}
-	return nil
-}
-
 // Instance is a populated frame.
 type Instance struct {
 	ID     string

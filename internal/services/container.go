@@ -54,13 +54,6 @@ func (a *ContainerAgent) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		_ = ctx.Reply(msg, agent.Inform, AvailabilityReply{
 			Container: a.Container, Service: req.Service, Executable: ok,
 		})
-	case CallForProposal:
-		a.heartbeat(ctx)
-		if prop, ok := a.bid(req); ok {
-			_ = ctx.Reply(msg, agent.Inform, prop)
-		} else {
-			_ = ctx.Reply(msg, agent.Refuse, "container "+a.Container+" declines")
-		}
 	case ExecuteRequest:
 		ex, err := a.Grid.Execute(a.Container, req.Service, req.BaseTime, req.DataMB)
 		// Record in the brokerage's performance data base — failed

@@ -3,13 +3,13 @@ package services
 import "sort"
 
 // Cost- and data-aware candidate scoring (ROADMAP item 5). The scorer turns
-// the raw matchmaking/contract-net candidate list into per-candidate (ETA,
-// cost) estimates that fold in node hardware, historical performance stats,
-// and the transfer time of the activity's bound input data, then ranks the
-// list so the head is the cheapest candidate that still meets the deadline
-// (or the fastest one, under deadline pressure). The functions are pure and
-// deterministic so the coordinator, the load simulator, property tests, and
-// benchmarks all share one implementation.
+// the raw matchmaking candidate list into per-candidate (ETA, cost) estimates
+// that fold in node hardware, historical performance stats, and the transfer
+// time of the activity's bound input data, then ranks the list so the head is
+// the cheapest candidate that still meets the deadline (or the fastest one,
+// under deadline pressure). The functions are pure and deterministic so the
+// coordinator, the load simulator, property tests, and benchmarks all share
+// one implementation.
 
 // DataRef describes one bound input condition of an activity: its size and
 // where it currently lives. Transfers are free when the data is already on
@@ -24,9 +24,9 @@ type ScoredCandidate struct {
 	Candidate
 
 	// ETA is the estimated run time in simulated seconds: compute time from
-	// hardware speed (or the contract-net predicted time), plus transfer
-	// time for remote inputs, plus dispatch latency, blended with the
-	// node's historical mean duration and inflated by its failure history.
+	// hardware speed, plus transfer time for remote inputs, plus dispatch
+	// latency, blended with the node's historical mean duration and inflated
+	// by its failure history.
 	ETA float64
 
 	// EstCost is the estimated spend for the run: ETA × CostPerSec.
@@ -62,14 +62,11 @@ func transferTime(c *Candidate, inputs []DataRef) float64 {
 func ScoreCandidates(cands []Candidate, baseTime float64, inputs []DataRef, perf func(node string) PerfStats, remainingDeadline float64) []ScoredCandidate {
 	out := make([]ScoredCandidate, len(cands))
 	for i, c := range cands {
-		eta := c.PredictedTime
-		if eta <= 0 {
-			speed := c.Speed
-			if speed <= 0 {
-				speed = 1
-			}
-			eta = baseTime/speed + transferTime(&c, inputs) + c.LatencyUs/1e6
+		speed := c.Speed
+		if speed <= 0 {
+			speed = 1
 		}
+		eta := baseTime/speed + transferTime(&c, inputs) + c.LatencyUs/1e6
 		var st PerfStats
 		if perf != nil {
 			st = perf(c.Node)

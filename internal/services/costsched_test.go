@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// randomFleet draws n candidates with fuzzed hardware, prices, and (for
-// some) contract-net predicted times.
+// randomFleet draws n candidates with fuzzed hardware and prices.
 func randomFleet(rng *rand.Rand, n int) []Candidate {
 	fleet := make([]Candidate, n)
 	for i := range fleet {
@@ -19,9 +18,6 @@ func randomFleet(rng *rand.Rand, n int) []Candidate {
 			Cost:          rng.Float64() * 10,
 			BandwidthMbps: 50 + rng.Float64()*2000,
 			LatencyUs:     rng.Float64() * 5000,
-		}
-		if rng.Intn(4) == 0 {
-			c.PredictedTime = 0.1 + rng.Float64()*5
 		}
 		if rng.Intn(8) == 0 {
 			c.BandwidthMbps = 0 // unknown bandwidth: transfers assumed free

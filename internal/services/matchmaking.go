@@ -37,11 +37,6 @@ type Candidate struct {
 	Domain        string
 	BandwidthMbps float64
 	LatencyUs     float64
-
-	// PredictedTime, when > 0, is an authoritative run-time estimate for
-	// this candidate (contract-net bids carry one); the cost scorer uses it
-	// instead of deriving an ETA from hardware speed.
-	PredictedTime float64
 }
 
 // MatchReply lists candidates best-first.

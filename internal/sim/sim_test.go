@@ -37,20 +37,6 @@ func TestFIFOAmongSimultaneous(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.Schedule(1, "x", func() { fired = true })
-	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
-	}
-	e.RunAll()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine(1)
 	var times []float64
@@ -85,21 +71,6 @@ func TestRunHorizon(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	e.Schedule(1, "a", func() { fired++; e.Stop() })
-	e.Schedule(2, "b", func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1 (stopped)", fired)
-	}
-	// The unfired event stays queued: a second Run picks it up.
-	if e.RunAll(); fired != 2 {
-		t.Errorf("fired = %d after resuming, want 2", fired)
-	}
-}
-
 func TestScheduleAtAndClamping(t *testing.T) {
 	e := NewEngine(1)
 	var at []float64
@@ -118,18 +89,6 @@ func TestScheduleAtAndClamping(t *testing.T) {
 	e.RunAll()
 	if !fired {
 		t.Error("negative-delay event did not fire")
-	}
-}
-
-func TestTrace(t *testing.T) {
-	e := NewEngine(1)
-	var names []string
-	e.SetTrace(func(_ float64, name string) { names = append(names, name) })
-	e.Schedule(1, "a", func() {})
-	e.Schedule(2, "b", func() {})
-	e.RunAll()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("trace = %v", names)
 	}
 }
 

@@ -3,6 +3,7 @@ package virolab
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,11 +43,11 @@ func TestFig10ProcessDescription(t *testing.T) {
 		t.Errorf("back edge = %+v", back)
 	}
 	// Activity data sets follow Figure 13.
-	psf := p.ActivityByName("PSF")
+	psf := p.Activity("A11")
 	if psf == nil || strings.Join(psf.Inputs, ",") != "D10,D11" || strings.Join(psf.Outputs, ",") != "D12" {
 		t.Errorf("PSF data sets = %+v", psf)
 	}
-	por := p.ActivityByName("POR")
+	por := p.Activity("A5")
 	if por == nil || strings.Join(por.Outputs, ",") != "D8" {
 		t.Errorf("POR outputs = %+v", por)
 	}
@@ -158,7 +159,7 @@ func TestCaseAndTask(t *testing.T) {
 
 func TestResolutionHook(t *testing.T) {
 	hook := ResolutionHook(nil)
-	psf := Process().ActivityByName("PSF")
+	psf := Process().Activity("A11")
 	mk := func() []*workflow.DataItem {
 		return []*workflow.DataItem{workflow.NewDataItem("D12", "Resolution File")}
 	}
@@ -173,7 +174,7 @@ func TestResolutionHook(t *testing.T) {
 	}
 	// Non-PSF activities untouched.
 	items := mk()
-	hook(Process().ActivityByName("POD"), items, 1)
+	hook(Process().Activity("A2"), items, 1)
 	if _, ok := items[0].Prop(workflow.PropValue); ok {
 		t.Error("hook touched non-PSF output")
 	}
@@ -268,9 +269,10 @@ func TestPDLSourceMatchesProcess(t *testing.T) {
 		t.Errorf("trees differ:\n text: %s\ngraph: %s", treeText, treeGraph)
 	}
 	// Binding spot checks survive the text form.
-	psf := fromText.ActivityByName("PSF")
-	if psf == nil || strings.Join(psf.Inputs, ",") != "D10,D11" || strings.Join(psf.Outputs, ",") != "D12" {
-		t.Errorf("PSF from text = %+v", psf)
+	if !slices.ContainsFunc(fromText.Activities, func(a *workflow.Activity) bool {
+		return a.Name == "PSF" && strings.Join(a.Inputs, ",") == "D10,D11" && strings.Join(a.Outputs, ",") == "D12"
+	}) {
+		t.Error("PSF bindings D10,D11 -> D12 lost in the text form")
 	}
 }
 

@@ -174,18 +174,6 @@ func (p *ProcessDescription) Activity(id string) *Activity {
 	return nil
 }
 
-// ActivityByName returns the first activity with the given display name, or
-// nil. Names are unique in the paper's figures but the model does not
-// enforce it.
-func (p *ProcessDescription) ActivityByName(name string) *Activity {
-	for _, a := range p.Activities {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Out returns the transitions leaving the activity with the given ID.
 func (p *ProcessDescription) Out(id string) []*Transition {
 	p.index()

@@ -202,11 +202,11 @@ func TestCountsAndLookups(t *testing.T) {
 	if n := p.CountKind(KindEndUser); n != 2 {
 		t.Errorf("CountKind(EndUser) = %d, want 2", n)
 	}
-	if a := p.ActivityByName("A"); a == nil || a.ID != "a" {
-		t.Errorf("ActivityByName(A) = %v", a)
+	if a := p.Activity("a"); a == nil || a.Name != "A" {
+		t.Errorf("Activity(a) = %v", a)
 	}
-	if a := p.ActivityByName("ZZZ"); a != nil {
-		t.Errorf("ActivityByName(ZZZ) = %v, want nil", a)
+	if a := p.Activity("zzz"); a != nil {
+		t.Errorf("Activity(zzz) = %v, want nil", a)
 	}
 	if !strings.Contains(p.String(), "forkjoin") {
 		t.Error("String() missing process name")
