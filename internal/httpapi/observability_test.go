@@ -493,6 +493,14 @@ func TestObservabilityDocListsEveryName(t *testing.T) {
 	if view := pollStatus(t, ts.URL+"/api/v1/tasks/T-doc", settled); view.Status != "succeeded" {
 		t.Fatalf("task = %+v", view)
 	}
+	// The monitor hears of each execution by message, which a busy machine
+	// may deliver after the task already reads as settled; the up gauge is
+	// the last instrument its handler registers.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if _, ok := s.env.Telemetry.Snapshot().Gauges["monitoring.nodes.up"]; ok {
+			break
+		}
+	}
 	if code := getJSON(t, ts.URL+"/api/v1/metrics", nil); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}

@@ -475,10 +475,11 @@ func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 // the GP loop's own — 26 709 mallocs and 18 261 KB; in a workspace a run
 // allocates what it keeps (kernel, evaluation cache, key strings, history,
 // result) and, standalone, its slabs: 472 mallocs and 3 226 KB. The re-plan,
-// whose worker already has the slabs, reads 2 003 mallocs and 206 KB (3 764
-// and 461 KB before), most of them the heap trees Neighborhood returns. A row
-// is the least of three runs, because the runtime's own allocations only
-// add; the ceilings leave under 4 %.
+// whose worker already has the slabs, reads 543 mallocs and 66 KB: its
+// neighborhood is built in the population's arena and its cache key without
+// fmt (2 000 and 206 KB when the neighborhood was heap trees, 3 764 and
+// 461 KB before the arenas). A row is the least of three runs, because the
+// runtime's own allocations only add; the ceilings leave under 4 %.
 func TestPlanAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations of its own")
@@ -529,7 +530,7 @@ func TestPlanAllocationBudget(t *testing.T) {
 		mallocs, kb uint64
 	}{
 		{"cold Table-1 plan", cold, 490, 3350},
-		{"incremental re-plan, warm service", replan, 2080, 214},
+		{"incremental re-plan, warm service", replan, 564, 68},
 	} {
 		mallocs, kb := ^uint64(0), ^uint64(0)
 		for i := 0; i < 3; i++ {

@@ -52,6 +52,11 @@ type GP struct {
 	eval     *Evaluator
 	services []string
 	seeds    []*plantree.Node
+	// A re-plan's failed plan, the services it may not use and the full
+	// catalog: RunContext seeds its neighborhood first (see neighborhood).
+	failed   *plantree.Node
+	excluded map[string]bool
+	catalog  *workflow.Catalog
 	ws       *workspace
 	tel      *telemetry.Registry
 	trace    *telemetry.TaskTrace
@@ -146,9 +151,10 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 		defer func() { *ws = *newWorkspace(ws.retain) }()
 	}
 	pop, arena := ws.pops[0], &ws.arenas[0]
-	for i := range pop {
-		if i < len(gp.seeds) {
-			pop[i] = Individual{Tree: arena.Clone(gp.seeds[i])}
+	seeded := gp.neighborhood(arena, pop)
+	for i := seeded; i < len(pop); i++ {
+		if j := i - seeded; j < len(gp.seeds) {
+			pop[i] = Individual{Tree: arena.Clone(gp.seeds[j])}
 			continue
 		}
 		pop[i] = Individual{Tree: arena.Random(gp.rng, gp.services, gp.params.Smax)}
@@ -481,27 +487,22 @@ func serviceSignature(s *workflow.Service) string {
 	return strings.Join(ins, ";") + "|" + strings.Join(outs, ";")
 }
 
-// Neighborhood derives population seeds from a failed plan for incremental
-// re-planning (Figure 3): the failed tree with excluded leaves rewritten —
-// preferring a drop-in replacement with the same pre/postconditions (the
-// paper's "adapt an existing process description to new conditions"),
-// falling back to a random usable service — plus mutated variants of the
-// adapted tree, up to k seeds. The catalog is the full service set; the
-// excluded services' signatures are looked up there. The returned trees all
-// validate against smax; nil when no usable adaptation exists.
-func Neighborhood(rng *rand.Rand, failed *plantree.Node, excluded map[string]bool, catalog *workflow.Catalog, k, smax int) []*plantree.Node {
-	if failed == nil || catalog == nil || k < 1 {
-		return nil
+// neighborhood seeds the head of pop, in the arena, from the failed plan of
+// an incremental re-plan (Figure 3): the failed tree with excluded leaves
+// rewritten — preferring a drop-in replacement with the same
+// pre/postconditions (the paper's "adapt an existing process description to
+// new conditions"), falling back to a random usable service — then mutated
+// variants of it, half a population in all, keeping those that validate
+// against Smax. It returns how many it placed: none without a failed plan or
+// when the adapted tree does not validate.
+func (gp *GP) neighborhood(arena *plantree.Arena, pop []Individual) int {
+	if gp.failed == nil {
+		return 0
 	}
-	var usable []string
-	for _, name := range catalog.Names() {
-		if !excluded[name] {
-			usable = append(usable, name)
-		}
-	}
-	if len(usable) == 0 {
-		return nil
-	}
+	// The rng is derived from (not equal to) the run seed so seeding does not
+	// replay the same stream the evolution uses.
+	rng := rand.New(rand.NewSource(gp.params.Seed ^ 0x5eedf00d))
+	usable, smax, ws := gp.services, gp.params.Smax, gp.ws
 	// One replacement per excluded service, so every leaf that ran it is
 	// rewritten coherently.
 	replacement := map[string]string{}
@@ -510,10 +511,10 @@ func Neighborhood(rng *rand.Rand, failed *plantree.Node, excluded map[string]boo
 			return r
 		}
 		r := ""
-		if dead := catalog.Get(name); dead != nil {
+		if dead := gp.catalog.Get(name); dead != nil {
 			want := serviceSignature(dead)
 			for _, cand := range usable {
-				if svc := catalog.Get(cand); svc != nil && serviceSignature(svc) == want {
+				if svc := gp.catalog.Get(cand); svc != nil && serviceSignature(svc) == want {
 					r = cand
 					break
 				}
@@ -525,27 +526,32 @@ func Neighborhood(rng *rand.Rand, failed *plantree.Node, excluded map[string]boo
 		replacement[name] = r
 		return r
 	}
-	base := failed.Clone()
-	for _, leaf := range base.Leaves() {
-		if excluded[leaf.Service] {
-			leaf.Service = replaceFor(leaf.Service)
-			leaf.Name = ""
+	base := arena.Clone(gp.failed)
+	ws.nodes = base.AppendNodes(ws.nodes[:0])
+	for _, loc := range ws.nodes {
+		if leaf := loc.Node; leaf.Kind == plantree.KindActivity && gp.excluded[leaf.Service] {
+			leaf.Service, leaf.Name = replaceFor(leaf.Service), ""
 		}
 	}
 	if base.Validate(smax) != nil {
-		return nil
+		return 0
 	}
-	seeds := []*plantree.Node{base}
+	pop[0] = Individual{Tree: base}
 	// The variants explore around the adapted plan at a heavier mutation
 	// rate than evolution uses, so the seeded population is diverse enough
 	// to escape a locally-broken structure.
 	const neighborRate = 0.15
-	for len(seeds) < k {
-		m := base.Clone()
-		Mutate(rng, m, usable, neighborRate, smax)
-		seeds = append(seeds, m)
+	n := 1
+	for made := 1; made < len(pop)/2; made++ {
+		m := arena.Clone(base)
+		ws.nodes = m.AppendNodes(ws.nodes[:0])
+		mutate(rng, arena, ws.nodes, usable, neighborRate, smax)
+		if m.Validate(smax) == nil {
+			pop[n] = Individual{Tree: m}
+			n++
+		}
 	}
-	return seeds
+	return n
 }
 
 // RunManyContext performs n independent GP runs with seeds seed, seed+1,

@@ -11,9 +11,8 @@ package planner
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/workflow"
@@ -33,32 +32,53 @@ const defaultPlanCacheLimit = 4096
 // exactly the answer a re-plan wants when it is still executable.
 // EvalWorkers is also excluded: the planned result is bit-identical at any
 // worker count.
+// The hashed text spells each list and parameter as fmt's %q, %d, %g and %t.
 func CanonicalKey(initial []*workflow.DataItem, goal, constraints, excluded []string, p Params) string {
-	h := sha256.New()
+	var b, item []byte
+	var sorted []string
 	section := func(name string, vals []string) {
-		sorted := append([]string(nil), vals...)
-		sort.Strings(sorted)
-		fmt.Fprintf(h, "%s/%d\n", name, len(sorted))
+		sorted = append(sorted[:0], vals...)
+		slices.Sort(sorted)
+		b = append(strconv.AppendInt(append(append(b, name...), '/'), int64(len(sorted)), 10), '\n')
 		for _, v := range sorted {
-			fmt.Fprintf(h, "%q\n", v)
+			b = append(strconv.AppendQuote(b, v), '\n')
 		}
 	}
 	items := make([]string, 0, len(initial))
 	for _, it := range initial {
 		if it != nil {
-			items = append(items, it.String())
+			item = it.Append(item[:0])
+			items = append(items, string(item))
 		}
 	}
 	section("initial", items)
 	section("goal", goal)
 	section("constraints", constraints)
 	section("excluded", excluded)
-	fmt.Fprintf(h, "params/%d/%d/%g/%g/%d/%g/%g/%g/%d/%s/%d/%d/%d/%t/%t/%d/%g/%g\n",
-		p.PopulationSize, p.Generations, p.CrossoverRate, p.MutationRate,
-		p.Smax, p.WV, p.WG, p.WR, p.TournamentSize, p.Selection, p.Elites,
-		p.MaxLoopUnroll, p.MaxFlows, p.StrictConcurrency, p.StopOnPerfect,
-		p.Seed, p.MaxCost, p.MaxTime)
-	return "case:" + hex.EncodeToString(h.Sum(nil))
+	ints := func(vs ...int64) {
+		for _, v := range vs {
+			b = strconv.AppendInt(append(b, '/'), v, 10)
+		}
+	}
+	floats := func(vs ...float64) {
+		for _, v := range vs {
+			b = strconv.AppendFloat(append(b, '/'), v, 'g', -1, 64)
+		}
+	}
+	b = append(b, "params"...)
+	ints(int64(p.PopulationSize), int64(p.Generations))
+	floats(p.CrossoverRate, p.MutationRate)
+	ints(int64(p.Smax))
+	floats(p.WV, p.WG, p.WR)
+	ints(int64(p.TournamentSize))
+	b = append(append(b, '/'), p.Selection.String()...)
+	ints(int64(p.Elites), int64(p.MaxLoopUnroll), int64(p.MaxFlows))
+	b = strconv.AppendBool(append(b, '/'), p.StrictConcurrency)
+	b = strconv.AppendBool(append(b, '/'), p.StopOnPerfect)
+	ints(p.Seed)
+	floats(p.MaxCost, p.MaxTime)
+	sum := sha256.Sum256(append(b, '\n'))
+	return string(hex.AppendEncode(append(b[:0], "case:"...), sum[:]))
 }
 
 // PlanResult is a finished plan as the cache stores it: the formatted PDL,

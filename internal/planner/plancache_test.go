@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
 
@@ -90,6 +91,23 @@ func TestCanonicalKeyDistinguishesCases(t *testing.T) {
 	par.EvalWorkers = 8
 	if CanonicalKey(initial, goal, constraints, excluded, par) != base {
 		t.Error("EvalWorkers leaked into the cache key")
+	}
+}
+
+// TestCanonicalKeyDigest pins the bytes the key hashes: the Figure-3 re-plan
+// case, and a constrained case whose budget and deadline are not integers.
+// A key that changes strands every plan cached under the old one.
+func TestCanonicalKeyDigest(t *testing.T) {
+	problem := virolab.Problem()
+	replan := CanonicalKey(problem.Initial.Items(), problem.Goal.Conditions, nil, []string{"P3DR"}, DefaultParams().Incremental())
+	if want := "case:efc25a12ad166aa220e5bd0c9b9e5df018a722f308908fd31955bb49b9032872"; replan != want {
+		t.Errorf("re-plan key = %s, want %s", replan, want)
+	}
+	p := DefaultParams()
+	p.MaxCost, p.MaxTime = 12.5, 1e21
+	initial, goal, constraints, excluded := caseInputs()
+	if got, want := CanonicalKey(initial, goal, constraints, excluded, p), "case:0060c1d9763ac1fc12b18d7137aed1a30a0985f79ea7b3112951b10f066c251e"; got != want {
+		t.Errorf("constrained key = %s, want %s", got, want)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -647,13 +646,7 @@ func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Resu
 	}
 	planSpan, endPlan := tr.Begin(planParent, "plan", j.status.ID)
 	gp.SetTraceContext(planSpan)
-	if j.spec.Failed != nil {
-		// The neighborhood rng is derived from (not equal to) the run seed
-		// so seeding does not replay the same stream the evolution uses.
-		nrng := rand.New(rand.NewSource(j.params.Seed ^ 0x5eedf00d))
-		k := max(1, j.params.PopulationSize/2)
-		gp.Seed(Neighborhood(nrng, j.spec.Failed, excluded, s.cfg.Catalog, k, j.params.Smax)...)
-	}
+	gp.failed, gp.excluded, gp.catalog = j.spec.Failed, excluded, s.cfg.Catalog
 	gp.Seed(j.spec.Seeds...)
 	res, err := gp.RunContext(ctx)
 	if err != nil {

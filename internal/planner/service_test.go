@@ -2,6 +2,8 @@ package planner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -286,6 +288,41 @@ func TestServiceIncrementalReplan(t *testing.T) {
 	}
 	t.Logf("cold=%d evaluations, incremental=%d (%.1f%%)",
 		cold.Evaluations, inc.Evaluations, 100*float64(inc.Evaluations)/float64(cold.Evaluations))
+}
+
+// TestIncrementalReplanDigest pins forty Figure-3 re-plans bit for bit: the
+// Figure 10 process fails at each of four services, re-planned at ten seeds
+// on one worker. Where the neighbourhood lives, how the failed process is
+// parsed and how the seeds are drawn may change; what is planned may not.
+func TestIncrementalReplanDigest(t *testing.T) {
+	problem := virolab.Problem()
+	failed, err := plantree.FromProcess(virolab.Process())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	params.EvalWorkers = 1
+	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Params: params, Workers: 1})
+	h := sha256.New()
+	for _, excluded := range [][]string{{"POR"}, {"P3DR"}, {"POD"}, {"PSF"}} {
+		for seed := int64(1); seed <= 10; seed++ {
+			p := params.Incremental()
+			p.Seed = seed
+			st, err := s.Submit(context.Background(), PlanSpec{Initial: problem.Initial.Items(),
+				Goal: problem.Goal.Conditions, Excluded: excluded, Failed: failed, NoCache: true, Params: &p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = s.Wait(context.Background(), st.ID); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%v %d %s %d %s\n%s\n", excluded, seed, st.Status, st.Evaluations, st.Tree, st.PDL)
+		}
+	}
+	const want = "69edd39da9d45b44e4b160523c42f5ff4e3d81bec95d768ee26506ea16c7b6e4"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("re-plan digest = %s, want %s", got, want)
+	}
 }
 
 // TestServiceConcurrentSubmitCancel hammers Submit/Get/Cancel/Stats from

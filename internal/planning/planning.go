@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -111,7 +112,8 @@ func (s *Service) remember(tree *plantree.Node) {
 // seeds returns the remembered plans adapted to the current exclusions:
 // leaves naming an excluded service are rewritten to a usable one, which is
 // exactly the "adapt an existing process description to new conditions"
-// behaviour of Section 3.3.
+// behaviour of Section 3.3. A plan that uses no excluded service is returned
+// as remember stored it, not copied: the planner only reads its seeds.
 func (s *Service) seeds(excluded map[string]bool, usable []string, seed int64) []*plantree.Node {
 	if s.DisableReuse || len(usable) == 0 {
 		return nil
@@ -119,22 +121,31 @@ func (s *Service) seeds(excluded map[string]bool, usable []string, seed int64) [
 	s.mu.Lock()
 	history := append([]*plantree.Node(nil), s.history...)
 	s.mu.Unlock()
-	if len(history) == 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*plantree.Node, 0, len(history))
-	for _, t := range history {
+	var rng *rand.Rand // made at the first substitution: the same draws, none paid for without one
+	for i, t := range history {
+		if !uses(t, excluded) {
+			continue
+		}
 		c := t.Clone()
 		for _, leaf := range c.Leaves() {
 			if excluded[leaf.Service] {
-				leaf.Service = usable[rng.Intn(len(usable))]
-				leaf.Name = ""
+				if rng == nil {
+					rng = rand.New(rand.NewSource(seed))
+				}
+				leaf.Service, leaf.Name = usable[rng.Intn(len(usable))], ""
 			}
 		}
-		out = append(out, c)
+		history[i] = c
 	}
-	return out
+	return history
+}
+
+// uses reports whether a leaf of t names a service in set.
+func uses(t *plantree.Node, set map[string]bool) bool {
+	if t.Kind == plantree.KindActivity {
+		return set[t.Service]
+	}
+	return slices.ContainsFunc(t.Children, func(c *plantree.Node) bool { return uses(c, set) })
 }
 
 // New builds a planning service over the full set T of end-user services.

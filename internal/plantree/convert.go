@@ -168,6 +168,7 @@ func FromProcess(p *workflow.ProcessDescription) (*Node, error) {
 	begin := p.Begin()
 	end := p.End()
 	pr := &parser{p: p}
+	pr.dominators()
 	nodes, stop, err := pr.parseSeq(onlySucc(p, begin.ID), end.ID)
 	if err != nil {
 		return nil, err
@@ -182,7 +183,9 @@ func FromProcess(p *workflow.ProcessDescription) (*Node, error) {
 type parser struct {
 	p     *workflow.ProcessDescription
 	steps int
-	dom   map[string]map[string]bool
+	// By activity position: the immediate dominator (Begin's is itself) and
+	// the number in a depth-first postorder from Begin.
+	idom, post []int32
 }
 
 const maxParseSteps = 1 << 16
@@ -289,14 +292,7 @@ func (pr *parser) parseChoice(choice *workflow.Activity) (*Node, string, error) 
 	node := &Node{Kind: KindSelective}
 	for _, t := range pr.p.Out(choice.ID) {
 		if t.Dest == merge {
-			// Empty alternative: Choice connected directly to Merge.
-			child := Seq()
-			child.Condition = t.Condition
-			// Represent the empty branch as a zero-activity sequential; it
-			// is normalized away only if the whole selective collapses, so
-			// keep a placeholder terminal-free node. Simplest faithful
-			// representation: skip empty branches entirely.
-			continue
+			continue // an empty alternative (Choice straight to Merge) is skipped
 		}
 		branch, stopped, err := pr.parseSeq(t.Dest, merge)
 		if err != nil {
@@ -330,77 +326,81 @@ func (pr *parser) parseChoice(choice *workflow.Activity) (*Node, string, error) 
 // separates loop headers from the Merges that close selective blocks, even
 // when selectives and loops nest inside each other.
 func (pr *parser) loopChoice(mergeID string) *workflow.Activity {
-	dom := pr.dominators()
 	for _, t := range pr.p.In(mergeID) {
 		src := pr.p.Activity(t.Source)
-		if src == nil || src.Kind != workflow.KindChoice {
-			continue
-		}
-		if dom[src.ID][mergeID] {
+		if src != nil && src.Kind == workflow.KindChoice && pr.dominates(mergeID, src.ID) {
 			return src
 		}
 	}
 	return nil
 }
 
-// dominators computes, for every activity, the set of activities that
-// dominate it (standard iterative dataflow from Begin). Cached per parse.
-func (pr *parser) dominators() map[string]map[string]bool {
-	if pr.dom != nil {
-		return pr.dom
-	}
-	begin := pr.p.Begin()
-	all := make(map[string]bool, len(pr.p.Activities))
-	for _, a := range pr.p.Activities {
-		all[a.ID] = true
-	}
-	dom := make(map[string]map[string]bool, len(all))
-	for id := range all {
-		if id == begin.ID {
-			dom[id] = map[string]bool{id: true}
-			continue
+// dominates reports whether every path from Begin to activity b passes
+// through activity a (a dominates itself): whether a is on b's chain of
+// immediate dominators.
+func (pr *parser) dominates(a, b string) bool {
+	x, y := int32(pr.p.Pos(a)), int32(pr.p.Pos(b))
+	for y != x {
+		if pr.idom[y] == y {
+			return false // Begin, which nothing else dominates
 		}
-		full := make(map[string]bool, len(all))
-		for other := range all {
-			full[other] = true
-		}
-		dom[id] = full
+		y = pr.idom[y]
 	}
+	return true
+}
+
+// dominators computes every activity's immediate dominator by the iteration
+// of Cooper, Harvey and Kennedy: in reverse postorder, an activity's is the
+// nearest common dominator of its predecessors seen so far, repeated until
+// nothing changes. FromProcess validated the process, so Begin reaches
+// every activity.
+func (pr *parser) dominators() {
+	n := len(pr.p.Activities)
+	buf := make([]int32, 3*n)
+	pr.idom, pr.post = buf[:n], buf[n:2*n]
+	for i := range pr.idom {
+		pr.idom[i], pr.post[i] = -1, -1
+	}
+	begin := int32(pr.p.Pos(pr.p.Begin().ID))
+	order := pr.postorder(begin, buf[2*n:2*n])
+	pr.idom[begin] = begin
 	for changed := true; changed; {
 		changed = false
-		for _, a := range pr.p.Activities {
-			if a.ID == begin.ID {
-				continue
-			}
-			preds := pr.p.In(a.ID)
-			var inter map[string]bool
-			for _, t := range preds {
-				pd := dom[t.Source]
-				if inter == nil {
-					inter = make(map[string]bool, len(pd))
-					for k := range pd {
-						inter[k] = true
-					}
-					continue
+		for i := len(order) - 2; i >= 0; i-- { // Begin is last
+			v, d := order[i], int32(-1)
+			for _, t := range pr.p.In(pr.p.Activities[v].ID) {
+				u := int32(pr.p.Pos(t.Source))
+				if pr.idom[u] < 0 {
+					continue // later in the order: a back edge, on the first pass
 				}
-				for k := range inter {
-					if !pd[k] {
-						delete(inter, k)
+				for d >= 0 && u != d {
+					for pr.post[u] < pr.post[d] {
+						u = pr.idom[u]
+					}
+					for pr.post[d] < pr.post[u] {
+						d = pr.idom[d]
 					}
 				}
+				d = u
 			}
-			if inter == nil {
-				inter = make(map[string]bool)
-			}
-			inter[a.ID] = true
-			if len(inter) != len(dom[a.ID]) {
-				dom[a.ID] = inter
-				changed = true
+			if pr.idom[v] != d {
+				pr.idom[v], changed = d, true
 			}
 		}
 	}
-	pr.dom = dom
-	return dom
+}
+
+// postorder appends the activities a depth-first walk from v reaches for the
+// first time, each after its successors, numbering them in pr.post.
+func (pr *parser) postorder(v int32, order []int32) []int32 {
+	pr.post[v] = 0 // on the walk
+	for _, t := range pr.p.Out(pr.p.Activities[v].ID) {
+		if w := int32(pr.p.Pos(t.Dest)); pr.post[w] < 0 {
+			order = pr.postorder(w, order)
+		}
+	}
+	pr.post[v] = int32(len(order))
+	return append(order, v)
 }
 
 // parseLoop parses an iterative block headed by a MERGE: the body runs until

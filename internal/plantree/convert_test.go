@@ -1,6 +1,7 @@
 package plantree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -263,6 +264,91 @@ func TestRandomTreesRoundTrip(t *testing.T) {
 		want := tr.Clone().Normalize()
 		if !back.Equal(want) {
 			t.Fatalf("round trip mismatch:\n tree %s\n norm %s\n back %s\n%s", tr, want, back, p)
+		}
+	}
+}
+
+// dominatorSets is the reference the parser's dominance is checked against:
+// for every activity, the set of activities dominating it, by the textbook
+// set-intersection fixpoint from Begin.
+func dominatorSets(p *workflow.ProcessDescription) map[string]map[string]bool {
+	begin := p.Begin().ID
+	dom := make(map[string]map[string]bool, len(p.Activities))
+	for _, a := range p.Activities {
+		dom[a.ID] = map[string]bool{}
+		for _, b := range p.Activities {
+			dom[a.ID][b.ID] = a.ID != begin || b.ID == begin
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, a := range p.Activities {
+			if a.ID == begin {
+				continue
+			}
+			for _, b := range p.Activities {
+				in := b.ID == a.ID
+				if !in {
+					in = true
+					for _, t := range p.In(a.ID) {
+						in = in && dom[t.Source][b.ID]
+					}
+				}
+				if dom[a.ID][b.ID] != in {
+					dom[a.ID][b.ID], changed = in, true
+				}
+			}
+		}
+	}
+	return dom
+}
+
+// DominanceDiff describes the first pair of activities of a valid process on
+// which the parser's dominance and dominatorSets disagree, or returns "".
+// It is exported for the fuzz target, which lives outside the package.
+func DominanceDiff(p *workflow.ProcessDescription) string {
+	want := dominatorSets(p)
+	pr := &parser{p: p}
+	pr.dominators()
+	for _, a := range p.Activities {
+		for _, b := range p.Activities {
+			if got := pr.dominates(a.ID, b.ID); got != want[b.ID][a.ID] {
+				return fmt.Sprintf("dominates(%s, %s) = %t, the fixpoint says %t", a.ID, b.ID, got, !got)
+			}
+		}
+	}
+	return ""
+}
+
+// TestDominanceMatchesFixpoint checks the parser's immediate-dominator chains
+// against dominatorSets on every pair of activities of the Figure 10 process
+// and of the processes of 2 000 random trees of every controller kind.
+func TestDominanceMatchesFixpoint(t *testing.T) {
+	p, err := ToProcess("fig10", fig11())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DominanceDiff(p); d != "" {
+		t.Fatalf("Figure 10: %s", d)
+	}
+	rng := rand.New(rand.NewSource(29))
+	kinds := map[Kind]int{}
+	for i := 0; i < 2000; i++ {
+		tr := Random(rng, services, 2+i%40)
+		for _, loc := range tr.Nodes() {
+			kinds[loc.Node.Kind]++
+		}
+		p, err := ToProcess("rand", tr)
+		if err != nil {
+			t.Fatalf("tree %s: %v", tr, err)
+		}
+		if d := DominanceDiff(p); d != "" {
+			t.Fatalf("tree %s: %s\n%s", tr, d, p)
+		}
+	}
+	for _, k := range controllerKinds {
+		if kinds[k] == 0 {
+			t.Errorf("no %s controller among the random trees", k)
 		}
 	}
 }

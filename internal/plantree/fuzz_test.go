@@ -14,7 +14,7 @@ import (
 // FuzzPDLPlanTreeRoundTrip parses arbitrary PDL text and, for every accepted
 // input, pushes the resulting plan tree through the process-description
 // graph and back: FromProcess(ToProcess(tree)) must equal the normalized
-// tree. This crosses the package boundary the unit tests exercise only with
+// tree, and the parser's dominance on the graph the set fixpoint's. This crosses the package boundary the unit tests exercise only with
 // hand-built or Random trees — the fuzzer supplies trees with the parser's
 // shapes: named activities, data bindings, guarded alternatives, loop
 // conditions. Explore with `go test -fuzz=FuzzPDLPlanTreeRoundTrip
@@ -62,6 +62,9 @@ func FuzzPDLPlanTreeRoundTrip(f *testing.F) {
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("generated process for %q does not validate: %v", src, err)
+		}
+		if d := plantree.DominanceDiff(p); d != "" {
+			t.Fatalf("graph of %q: %s\n%s", src, d, p)
 		}
 		back, err := plantree.FromProcess(p)
 		if err != nil {

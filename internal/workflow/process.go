@@ -165,6 +165,12 @@ func (p *ProcessDescription) pos(id string) int {
 	return -1
 }
 
+// Pos returns the position in Activities of the activity with the given ID, or -1.
+func (p *ProcessDescription) Pos(id string) int {
+	p.index()
+	return p.pos(id)
+}
+
 // Activity returns the activity with the given ID, or nil.
 func (p *ProcessDescription) Activity(id string) *Activity {
 	p.index()

@@ -1,9 +1,7 @@
 package workflow
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/expr"
@@ -71,17 +69,23 @@ func (d *DataItem) Clone() *DataItem {
 	return &DataItem{Name: d.Name, Props: props}
 }
 
-func (d *DataItem) String() string {
-	keys := make([]string, 0, len(d.Props))
+func (d *DataItem) String() string { return string(d.Append(nil)) }
+
+// Append appends d as String renders it, Name{prop=value, ...} by name, to b.
+func (d *DataItem) Append(b []byte) []byte {
+	keys := make([]string, 0, 8)
 	for k := range d.Props {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
+	slices.Sort(keys)
+	b = append(append(b, d.Name...), '{')
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%s", k, d.Props[k].Str())
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(append(append(b, k...), '='), d.Props[k].Str()...)
 	}
-	return fmt.Sprintf("%s{%s}", d.Name, strings.Join(parts, ", "))
+	return append(b, '}')
 }
 
 // State is the system state of the planning formalism (Section 3.2): the set
