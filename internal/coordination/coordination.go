@@ -214,10 +214,17 @@ func (c *Coordinator) RunTaskContext(ctx context.Context, task *workflow.Task, p
 	if err := task.Validate(); err != nil {
 		return nil, err
 	}
+	return c.RunValidated(ctx, task, pol)
+}
+
+// RunValidated is RunTaskContext for a task that passed Task.Validate and has
+// not changed since: the engine validates a submission at admission, and its
+// workers enact it without validating it again.
+func (c *Coordinator) RunValidated(ctx context.Context, task *workflow.Task, pol *Policy) (*Report, error) {
 	return c.run(ctx, task, pol, nil)
 }
 
-// run is the one tail behind RunTaskContext (snap nil: fresh data state,
+// run is the one tail behind RunValidated (snap nil: fresh data state,
 // token on Begin) and ResumeContext (snap set: data state, token positions
 // and accounting restored from the checkpoint).
 func (c *Coordinator) run(ctx context.Context, task *workflow.Task, pol *Policy, snap *CheckpointData) (*Report, error) {

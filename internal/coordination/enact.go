@@ -39,11 +39,11 @@ func newEnactState(pd *workflow.ProcessDescription) *enactState {
 // branches of a Fork — are dispatched concurrently as one batch, advancing
 // the wall clock by the slowest member only. It returns nil on reaching
 // End, a *nonExecutableError when re-planning is needed, ctx's error on
-// cancellation, or another error on a malformed enactment.
+// cancellation, or another error on a malformed enactment. pd has passed
+// Validate (the task's, a parsed plan's or a decoded checkpoint's): decide
+// evaluates the conditions it parsed.
 func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task *workflow.Task, pd *workflow.ProcessDescription, state *workflow.State, goal workflow.Goal, es *enactState, cc *caseConstraints) error {
-	if err := pd.Validate(); err != nil {
-		return err
-	}
+	var results []execResult // every batch's, grown only for a wider batch
 	for len(es.Ready) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -98,7 +98,10 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 		if len(batch) == 0 {
 			break
 		}
-		if err := c.runBatch(ctx, p, report, batch, state, cc); err != nil {
+		if cap(results) < len(batch) {
+			results = make([]execResult, len(batch))
+		}
+		if err := c.runBatch(ctx, p, report, batch, results[:len(batch)], state, cc); err != nil {
 			if verr := (*ConstraintError)(nil); errors.As(err, &verr) {
 				if verr.Reason == ReasonBudgetExceeded {
 					c.mBudgetExceeded.Inc()
@@ -449,9 +452,10 @@ func (c *Coordinator) apply(report *Report, res *execResult, state *workflow.Sta
 // in activity order. Wall-clock time advances by the longest member,
 // counting its backoff waits (compute time still accumulates every
 // execution). Returns the first error, preferring hard errors over
-// re-planning signals.
-func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, batch []pendingExec, state *workflow.State, cc *caseConstraints) error {
-	results := make([]execResult, len(batch))
+// re-planning signals. results, one per member, is the enactment's to
+// reuse: runBatch clears it first.
+func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, batch []pendingExec, results []execResult, state *workflow.State, cc *caseConstraints) error {
+	clear(results)
 	if len(batch) == 1 {
 		c.dispatch(ctx, p, batch[0].act, state, batch[0].visit, cc, &results[0])
 	} else {

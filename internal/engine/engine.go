@@ -731,12 +731,11 @@ func (e *Engine) run(rec *record) {
 	var err error
 	if rec.resume != nil {
 		report, err = e.coord.ResumeContext(ctx, rec.resume, rec.pol)
-	} else {
-		task := rec.task
-		if task == nil { // recovered: rebuild from the durable envelope
-			task, err = rec.env.task()
-		}
-		if err == nil {
+	} else if rec.task != nil { // validated by Submit
+		report, err = e.coord.RunValidated(ctx, rec.task, rec.pol)
+	} else { // recovered: rebuild from the durable envelope
+		var task *workflow.Task
+		if task, err = rec.env.task(); err == nil {
 			report, err = e.coord.RunTaskContext(ctx, task, rec.pol)
 		}
 	}

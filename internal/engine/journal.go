@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/coordination"
 	"repro/internal/expr"
@@ -114,8 +115,8 @@ func (e *enc) envelope(task *workflow.Task, pol *coordination.Policy) {
 	e.str(`,"task":{"id":`, task.ID, false)
 	e.str(`,"name":`, task.Name, true)
 	e.flag(`,"needPlanning":true`, task.NeedPlanning)
-	if task.Process != nil && e.err == nil {
-		e.b, e.err = task.Process.AppendJSON(append(e.b, `,"process":`...))
+	if task.Process != nil {
+		e.b = task.Process.AppendJSON(append(e.b, `,"process":`...))
 	}
 	if c := task.Case; c != nil {
 		open := `,"items":[{"name":`
@@ -148,11 +149,7 @@ type enc struct {
 	err error
 }
 
-func (e *enc) str(key, s string, omitempty bool) {
-	if s != "" || !omitempty {
-		e.b = expr.AppendJSONString(append(e.b, key...), s)
-	}
-}
+func (e *enc) str(key, s string, omitempty bool) { e.b = expr.AppendJSONField(e.b, key, s, omitempty) }
 
 func (e *enc) int(key string, n int64) {
 	if n != 0 {
@@ -173,15 +170,7 @@ func (e *enc) flag(text string, set bool) {
 	}
 }
 
-func (e *enc) strs(key string, ss []string) {
-	e.flag(key, len(ss) > 0)
-	sep := "["
-	for _, s := range ss {
-		e.str(sep, s, false)
-		sep = ","
-	}
-	e.flag(`]`, len(ss) > 0)
-}
+func (e *enc) strs(key string, ss []string) { e.b = expr.AppendJSONStrings(e.b, key, ss) }
 
 // marshaled leaves v to encoding/json.
 func (e *enc) marshaled(key string, v any) {
@@ -240,23 +229,26 @@ func (te *TaskEnvelope) task() (*workflow.Task, error) {
 	return task, nil
 }
 
+// journalBufs recycles the buffers journal records are rendered into: every
+// store copies a value before Put, PutAsync or Replace returns (the
+// store.Store contract), so a buffer is free again once the write returns.
+var journalBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // journalWrite is the one marshal / error / counter path behind the three
 // journal writes; write is the store method (as a method expression, so
 // picking it allocates nothing) and what names it in the error.
 func (e *Engine) journalWrite(write func(storageAPI, string, []byte) (int, error), what string, n *telemetry.Counter, rec JournalRecord) error {
-	// Sized by the Fig-10 task's records: started 54 bytes, terminal 115,
-	// accepted 2 961 (1 706 of them the process description).
-	size := 128
-	if rec.task != nil {
-		size = 4096
-	}
-	data, err := appendRecord(make([]byte, 0, size), &rec)
+	buf := journalBufs.Get().(*[]byte)
+	data, err := appendRecord((*buf)[:0], &rec)
 	if err != nil {
 		// Records are built from plain serializable fields; a marshal
 		// failure is a programming error, not a runtime condition.
 		panic(fmt.Sprintf("engine: journal record marshal: %v", err))
 	}
-	if _, err := write(e.store, JournalKey(rec.TaskID), data); err != nil {
+	_, err = write(e.store, JournalKey(rec.TaskID), data)
+	*buf = data
+	journalBufs.Put(buf)
+	if err != nil {
 		return fmt.Errorf("engine: journal %s for task %s: %w", what, rec.TaskID, err)
 	}
 	n.Inc()

@@ -33,6 +33,28 @@ func AppendJSONString(b []byte, s string) []byte {
 	return append(append(append(b, '"'), s...), '"')
 }
 
+// AppendJSONField appends key and s as a JSON string; with omitEmpty, an
+// empty s appends nothing.
+func AppendJSONField(b []byte, key, s string, omitEmpty bool) []byte {
+	if s == "" && omitEmpty {
+		return b
+	}
+	return AppendJSONString(append(b, key...), s)
+}
+
+// AppendJSONStrings appends key and ss as a JSON array of strings, or nothing
+// when ss is empty (omitempty).
+func AppendJSONStrings(b []byte, key string, ss []string) []byte {
+	if len(ss) == 0 {
+		return b
+	}
+	b, sep := append(b, key...), byte('[')
+	for _, s := range ss {
+		b, sep = AppendJSONString(append(b, sep), s), ','
+	}
+	return append(b, ']')
+}
+
 // AppendJSONFloat appends f in encoding/json's float64 form, which has none
 // for NaN and the infinities.
 func AppendJSONFloat(b []byte, f float64) ([]byte, error) {

@@ -34,7 +34,9 @@ import (
 // Store is the redesigned storage API: a versioned key-value store with
 // durability semantics per backend. Implementations are safe for concurrent
 // use. Mutations on durable backends return only after the write is fsynced
-// (group-committed); reads never block on the committer.
+// (group-committed); reads never block on the committer. A value is copied
+// before Put, PutAsync or Replace returns, so the caller may reuse its buffer
+// at once; Get returns a copy of its own.
 type Store interface {
 	// Kind names the backend ("mem" or "file").
 	Kind() string

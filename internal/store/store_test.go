@@ -601,10 +601,11 @@ func TestOpenDSN(t *testing.T) {
 	}
 }
 
-// TestBackendEquivalence drives both backends through the same random op
-// sequence — including reopens of the durable one — and requires
-// observationally identical results throughout, with Memory as the reference
-// semantics.
+// TestBackendEquivalence drives both backends and a fenced handle through
+// the same random op sequence — including reopens of the durable one — and
+// requires observationally identical results throughout, with Memory as the
+// reference semantics, and each write's value kept though its caller reuses
+// the buffer.
 func TestBackendEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	dirs := map[string]string{"file": t.TempDir()}
@@ -612,7 +613,36 @@ func TestBackendEquivalence(t *testing.T) {
 	defer ref.Close()
 	opts := Options{SegmentMaxBytes: 1024, CompactAfterSegments: 2}
 	stores := map[string]Store{
-		"file": openBackend(t, "file", dirs["file"], opts),
+		"file":   openBackend(t, "file", dirs["file"], opts),
+		"fenced": NewFenced(NewMemory(Options{})),
+	}
+	// write calls one mutation with a buffer of its own, scribbles on the
+	// buffer once the call returns and checks the store kept the value it was
+	// given: every backend copies a value before Put, PutAsync or Replace
+	// returns.
+	write := func(step int, kind string, s Store, op string, key string, val []byte) int {
+		t.Helper()
+		buf := append([]byte(nil), val...)
+		var ver int
+		var err error
+		switch op {
+		case "Put":
+			ver, err = s.Put(key, buf)
+		case "PutAsync":
+			ver, err = s.PutAsync(key, buf)
+		default:
+			ver, err = s.Replace(key, buf)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %s %s(%q): %v", step, kind, op, key, err)
+		}
+		for i := range buf {
+			buf[i] = 'X'
+		}
+		if got, _, found, err := s.Get(key, ver); err != nil || !found || !bytes.Equal(got, val) {
+			t.Fatalf("step %d: %s kept %q after the caller reused the buffer of %s(%q, %q)", step, kind, got, op, key, val)
+		}
+		return ver
 	}
 	defer func() {
 		for _, s := range stores {
@@ -630,16 +660,13 @@ func TestBackendEquivalence(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		key := keys[rng.Intn(len(keys))]
 		switch op := rng.Intn(11); {
-		case op < 5: // put
+		case op < 5: // put, durable or not
 			val := []byte(fmt.Sprintf("s%d-%d", step, rng.Int63()))
-			wantVer, err := ref.Put(key, val)
-			if err != nil {
-				t.Fatal(err)
-			}
+			put := []string{"Put", "PutAsync"}[rng.Intn(2)]
+			wantVer := write(step, "mem", ref, put, key, val)
 			for kind, s := range stores {
-				ver, err := s.Put(key, val)
-				if err != nil || ver != wantVer {
-					t.Fatalf("step %d: %s Put(%q) = (%d, %v), want (%d, nil)", step, kind, key, ver, err, wantVer)
+				if ver := write(step, kind, s, put, key, val); ver != wantVer {
+					t.Fatalf("step %d: %s %s(%q) = %d, want %d", step, kind, put, key, ver, wantVer)
 				}
 			}
 		case op < 7: // get random version (0 = latest)
@@ -670,14 +697,10 @@ func TestBackendEquivalence(t *testing.T) {
 			}
 		case op < 9: // replace: history collapses to a single version 1
 			val := []byte(fmt.Sprintf("r%d-%d", step, rng.Int63()))
-			wantVer, err := ref.Replace(key, val)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantVer := write(step, "mem", ref, "Replace", key, val)
 			for kind, s := range stores {
-				ver, err := s.Replace(key, val)
-				if err != nil || ver != wantVer {
-					t.Fatalf("step %d: %s Replace(%q) = (%d, %v), want (%d, nil)", step, kind, key, ver, err, wantVer)
+				if ver := write(step, kind, s, "Replace", key, val); ver != wantVer {
+					t.Fatalf("step %d: %s Replace(%q) = %d, want %d", step, kind, key, ver, wantVer)
 				}
 			}
 		case op < 10: // list

@@ -42,13 +42,20 @@ type TaskTrace struct {
 
 	seq atomic.Uint64
 
-	mu    sync.Mutex
-	root  SpanContext // latched by the first StartRoot; orients point events
-	buf   []Span      // ring buffer of capacity cap
-	cap   int
-	start int // index of the oldest span
-	n     int // spans currently held
+	mu   sync.Mutex
+	root SpanContext // latched by the first StartRoot; orients point events
+	// The ring's cap slots live in segments of traceSegment spans (the last
+	// one shorter), each allocated when the ring first reaches it and never
+	// copied: appended span n lands in slot n % cap.
+	segs   [][]Span
+	segBuf [2][]Span // backs segs up to 2*traceSegment spans
+	cap    int
+	n      uint64 // spans ever appended
 }
+
+// traceSegment is the ring's allocation unit: a Figure-10 enactment records
+// about 98 spans, so one task's trace is two segments.
+const traceSegment = 64
 
 // nopEnd is the end func returned for nil traces, so callers never branch.
 var nopEnd = func(string) float64 { return 0 }
@@ -77,6 +84,7 @@ func (r *Registry) TaskTrace(taskID string) *TaskTrace {
 		delete(r.traces, oldest)
 	}
 	t = &TaskTrace{reg: r, task: taskID, cap: r.spanCap}
+	t.segs = t.segBuf[:0]
 	r.traces[taskID] = t
 	r.traceOrder = append(r.traceOrder, taskID)
 	return t
@@ -193,29 +201,13 @@ func (t *TaskTrace) record(s Span) {
 		s.TraceID = t.root.TraceID
 		s.ParentID = t.root.SpanID
 	}
-	// The buffer grows geometrically up to cap, so short traces (the common
-	// case) never pay for the full ring.
-	if t.n == len(t.buf) && len(t.buf) < t.cap {
-		size := len(t.buf) * 2
-		if size == 0 {
-			size = 64
-		}
-		if size > t.cap {
-			size = t.cap
-		}
-		grown := make([]Span, size)
-		for i := 0; i < t.n; i++ {
-			grown[i] = t.buf[(t.start+i)%len(t.buf)]
-		}
-		t.buf = grown
-		t.start = 0
+	slot := int(t.n % uint64(t.cap))
+	seg := slot / traceSegment
+	if seg == len(t.segs) { // the ring's first pass reaches a new segment
+		t.segs = append(t.segs, make([]Span, min(traceSegment, t.cap-slot)))
 	}
-	t.buf[(t.start+t.n)%len(t.buf)] = s
-	if t.n < len(t.buf) {
-		t.n++
-	} else {
-		t.start = (t.start + 1) % len(t.buf) // overwrote the oldest
-	}
+	t.segs[seg][slot%traceSegment] = s
+	t.n++
 	t.mu.Unlock()
 	// Mirror onto the event bus outside the ring lock: a publish never holds
 	// up a concurrent Spans() reader.
@@ -229,12 +221,17 @@ func (t *TaskTrace) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(t.start+i)%len(t.buf)])
+	held := t.held()
+	out := make([]Span, 0, held)
+	for i := t.n - held; i < t.n; i++ {
+		slot := int(i % uint64(t.cap))
+		out = append(out, t.segs[slot/traceSegment][slot%traceSegment])
 	}
 	return out
 }
+
+// held is how many spans the ring retains: the newest cap of those appended.
+func (t *TaskTrace) held() uint64 { return min(t.n, uint64(t.cap)) }
 
 // Dropped reports how many spans the ring buffer has overwritten.
 func (t *TaskTrace) Dropped() uint64 {
@@ -243,5 +240,5 @@ func (t *TaskTrace) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.seq.Load() - uint64(t.n)
+	return t.seq.Load() - t.held()
 }

@@ -420,14 +420,7 @@ func TestCatalogReadFromKB(t *testing.T) {
 		t.Errorf("case = %s results %v constraints %v goal %v", c.ID, c.ResultSet, c.Constraints, c.Goal.Conditions)
 	}
 
-	gotJSON, err := Process().AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := oracleProcess().AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotJSON, wantJSON := Process().AppendJSON(nil), oracleProcess().AppendJSON(nil)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Errorf("process JSON:\n got %s\nwant %s", gotJSON, wantJSON)
 	}

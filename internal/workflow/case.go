@@ -66,14 +66,9 @@ func (c *CaseDescription) SetConstraint(name, cond string) *CaseDescription {
 	return c
 }
 
-// InitialState materializes the initial system state from the case data.
-func (c *CaseDescription) InitialState() *State {
-	items := make([]*DataItem, len(c.InitialData))
-	for i, d := range c.InitialData {
-		items[i] = d.Clone()
-	}
-	return NewState(items...)
-}
+// InitialState materializes the initial system state from the case data. The
+// state holds the case's own items: no item is written once it is in a State.
+func (c *CaseDescription) InitialState() *State { return NewState(c.InitialData...) }
 
 // ValidateConstraints checks the budget/deadline constraint fields alone so
 // API layers can map violations to a dedicated error code.

@@ -3,6 +3,8 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/expr"
 )
 
 // jsonActivity, jsonTransition, and jsonProcess are the interchange forms.
@@ -34,31 +36,41 @@ type jsonProcess struct {
 
 // MarshalJSON implements json.Marshaler with a complete, deterministic
 // rendering of the process description.
-func (p *ProcessDescription) MarshalJSON() ([]byte, error) { return p.AppendJSON(nil) }
+func (p *ProcessDescription) MarshalJSON() ([]byte, error) { return p.AppendJSON(nil), nil }
 
-// AppendJSON appends the MarshalJSON rendering to b. The rendering of an
-// unchanged graph is memoized, and handed out only as a copy.
-func (p *ProcessDescription) AppendJSON(b []byte) ([]byte, error) {
-	if p.encJSON == nil {
-		out := jsonProcess{Name: p.Name}
-		for _, a := range p.Activities {
-			out.Activities = append(out.Activities, jsonActivity{
-				ID: a.ID, Name: a.Name, Kind: a.Kind.String(), Service: a.Service,
-				Inputs: a.Inputs, Outputs: a.Outputs, Constraint: a.Constraint,
-			})
-		}
-		for _, t := range p.Transitions {
-			out.Transitions = append(out.Transitions, jsonTransition{
-				ID: t.ID, Source: t.Source, Dest: t.Dest, Condition: t.Condition,
-			})
-		}
-		data, err := json.Marshal(out)
-		if err != nil {
-			return nil, err
-		}
-		p.encJSON = data
+// AppendJSON appends the MarshalJSON rendering to b: what encoding/json
+// writes for the jsonProcess of p, byte for byte, without building it.
+func (p *ProcessDescription) AppendJSON(b []byte) []byte {
+	b = expr.AppendJSONField(b, `{"name":`, p.Name, false)
+	b = appendList(append(b, `,"activities":`...), p.Activities, func(b []byte, a *Activity) []byte {
+		b = expr.AppendJSONField(b, `{"id":`, a.ID, false)
+		b = expr.AppendJSONField(b, `,"name":`, a.Name, true)
+		b = expr.AppendJSONField(b, `,"kind":`, a.Kind.String(), false)
+		b = expr.AppendJSONField(b, `,"service":`, a.Service, true)
+		b = expr.AppendJSONStrings(b, `,"inputs":`, a.Inputs)
+		b = expr.AppendJSONStrings(b, `,"outputs":`, a.Outputs)
+		return append(expr.AppendJSONField(b, `,"constraint":`, a.Constraint, true), '}')
+	})
+	b = appendList(append(b, `,"transitions":`...), p.Transitions, func(b []byte, t *Transition) []byte {
+		b = expr.AppendJSONField(b, `{"id":`, t.ID, false)
+		b = expr.AppendJSONField(b, `,"source":`, t.Source, false)
+		b = expr.AppendJSONField(b, `,"dest":`, t.Dest, false)
+		return append(expr.AppendJSONField(b, `,"condition":`, t.Condition, true), '}')
+	})
+	return append(b, '}')
+}
+
+// appendList appends xs as a JSON array of elem's renderings; an empty list
+// is null, as the nil slice jsonProcess would hold.
+func appendList[T any](b []byte, xs []T, elem func([]byte, T) []byte) []byte {
+	if len(xs) == 0 {
+		return append(b, "null"...)
 	}
-	return append(b, p.encJSON...), nil
+	sep := byte('[')
+	for _, x := range xs {
+		b, sep = elem(append(b, sep), x), ','
+	}
+	return append(b, ']')
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -72,7 +84,6 @@ func (p *ProcessDescription) UnmarshalJSON(data []byte) error {
 	p.Transitions = nil
 	p.indexed = false
 	p.validated = false
-	p.encJSON = nil
 	for _, ja := range in.Activities {
 		kind, err := ParseKind(ja.Kind)
 		if err != nil {

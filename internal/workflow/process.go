@@ -79,16 +79,11 @@ type ProcessDescription struct {
 
 	// validated memoizes the last Validate result (validErr); Add and
 	// ConnectCond invalidate it alongside the index. A task's description
-	// is validated at admission, again by the coordinator, and once more by
-	// every enactment — on an unchanged graph those are the same answer.
+	// is validated where it is built (a PDL parse, a JSON decode) and again
+	// at admission — on an unchanged graph those are the same answer.
 	// The pass keeps what it parsed on the transitions and activities.
 	validated bool
 	validErr  error
-
-	// encJSON memoizes the MarshalJSON rendering; invalidated with the
-	// index. Every admission re-serializes the process into its journal
-	// envelope, and the graph almost never changes between admissions.
-	encJSON []byte
 }
 
 // NewProcess returns an empty process description with the given name.
@@ -101,7 +96,6 @@ func (p *ProcessDescription) Add(a *Activity) *Activity {
 	p.Activities = append(p.Activities, a)
 	p.indexed = false
 	p.validated = false
-	p.encJSON = nil
 	return a
 }
 
@@ -122,7 +116,6 @@ func (p *ProcessDescription) ConnectCond(src, dst, cond string) *Transition {
 	p.Transitions = append(p.Transitions, t)
 	p.indexed = false
 	p.validated = false
-	p.encJSON = nil
 	return t
 }
 

@@ -81,7 +81,8 @@ func (s *Service) Bind(st *State) (map[string]*DataItem, bool) {
 
 // BindItems is Bind over an explicit item list, tried in list order.
 func (s *Service) BindItems(items []*DataItem) (map[string]*DataItem, bool) {
-	b := newBinder(s.Inputs, items)
+	b := getBinder(s.Inputs, items)
+	defer b.release()
 	if !b.bind(0) {
 		return nil, false
 	}
@@ -95,7 +96,9 @@ func (s *Service) BindItems(items []*DataItem) (map[string]*DataItem, bool) {
 // Applicable reports whether the service's preconditions are met in st:
 // Bind's search without materializing the binding.
 func (s *Service) Applicable(st *State) bool {
-	return newBinder(s.Inputs, st.items).bind(0)
+	b := getBinder(s.Inputs, st.items)
+	defer b.release()
+	return b.bind(0)
 }
 
 // binder is the state of one binding search, and the environment its
@@ -108,10 +111,20 @@ type binder struct {
 	buf    [4]*DataItem // backs picked; wider services spill to the heap
 }
 
-func newBinder(inputs []ParamSpec, items []*DataItem) *binder {
-	b := &binder{inputs: inputs, items: items}
-	b.picked = b.buf[:0]
+// binders recycles binding searches: a binder is the expr.Env its conditions
+// evaluate in, so it lives on the heap, and a search runs on every dispatch.
+var binders = sync.Pool{New: func() any { return new(binder) }}
+
+// getBinder starts a search over items; release hands it back.
+func getBinder(inputs []ParamSpec, items []*DataItem) *binder {
+	b := binders.Get().(*binder)
+	b.inputs, b.items, b.picked = inputs, items, b.buf[:0]
 	return b
+}
+
+func (b *binder) release() {
+	*b = binder{} // holds no item past the search
+	binders.Put(b)
 }
 
 // Lookup implements expr.Env: a formal bound so far shadows a data item of
@@ -285,7 +298,8 @@ var goalFormal = []ParamSpec{{Name: "G"}}
 // total number of conditions. A condition holds if at least one data item,
 // bound to the formal object "G", satisfies it.
 func (g Goal) Satisfied(st *State) (met, total int) {
-	env := newBinder(goalFormal, st.items)
+	env := getBinder(goalFormal, st.items)
+	defer env.release()
 	env.picked = env.picked[:1]
 	for _, node := range g.nodes {
 		if node == nil {

@@ -366,9 +366,15 @@ func TestCaseDescription(t *testing.T) {
 	if !st.Has("D1") {
 		t.Error("InitialState missing D1")
 	}
-	st.Get("D1").Props[PropClassification] = expr.String("mutated")
-	if c.InitialData[0].Classification() == "mutated" {
-		t.Error("InitialState shares data with case")
+	// The state shares the case's items, never its item list: a Put replaces
+	// an item in the state alone.
+	if st.Get("D1") != c.InitialData[0] {
+		t.Error("InitialState copied an item")
+	}
+	st.Put(NewDataItem("D1", "mutated"))
+	st.Put(NewDataItem("D0", "new"))
+	if c.InitialData[0].Name != "D1" || c.InitialData[0].Classification() == "mutated" || len(c.InitialData) != 1 {
+		t.Error("a Put into the initial state changed the case")
 	}
 	// Duplicates rejected.
 	dup := NewCase("CD-2", "dup").AddData(NewDataItem("D1", "x"), NewDataItem("D1", "y"))
@@ -401,6 +407,23 @@ func TestTaskValidate(t *testing.T) {
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("task %q: Validate() = nil, want error", bad.ID)
+		}
+	}
+}
+
+// TestApplicableAllocatesNothing pins the precondition check every dispatch
+// makes: a binding search on a pooled binder, whether it succeeds or not.
+func TestApplicableAllocatesNothing(t *testing.T) {
+	st := initialState()
+	for _, svc := range testCatalog().Services() {
+		want := svc.Applicable(st) // parses the conditions once
+		allocs := testing.AllocsPerRun(200, func() {
+			if svc.Applicable(st) != want {
+				t.Fatalf("%s: Applicable changed its answer", svc.Name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Applicable allocates %.0f per call, want 0", svc.Name, allocs)
 		}
 	}
 }

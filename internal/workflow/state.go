@@ -93,6 +93,11 @@ func (d *DataItem) Append(b []byte) []byte {
 // kept in name order as they are Put, so ordered iteration — the candidate
 // order of every binding search — allocates nothing. States are value-like:
 // Clone before mutating a shared one.
+//
+// An item is never written once it is in a State: Put replaces an item
+// rather than editing it, and a service's outputs are final (the
+// coordinator's PostProcess hook sees them before they are Put). So a state
+// may share its items with the case it started from.
 type State struct {
 	items []*DataItem // ascending by Name, names unique
 }
