@@ -74,10 +74,10 @@ func TestEnactAllocationBudget(t *testing.T) {
 // through Engine.Submit on mem: to its terminal record — PDL parse,
 // admission, the three journal records and the enactment. It gates what the
 // coordinator-only budget never reaches: the journal encoder and admission.
-// It reads 455 allocations and 62.5 KB, the same on every machine; both
+// It reads 446–447 allocations and 62.2 KB, the same on every machine; both
 // ceilings leave under 4% headroom.
 const (
-	engineAllocsPerTask = 472
+	engineAllocsPerTask = 463
 	engineKBPerTask     = 64
 )
 

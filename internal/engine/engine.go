@@ -873,12 +873,17 @@ func (e *Engine) Cancel(id string) (string, error) {
 			e.mu.Unlock()
 			return StatusCancelled, nil
 		}
-		if e.fq.Remove(int(rec.priority), rec.tenant, func(r *record) bool { return r == rec }) {
-			e.queued--
-			ts := e.tenantLocked(rec.tenant)
-			ts.queued--
-			ts.gQueued.Set(float64(ts.queued))
+		if !e.fq.Remove(int(rec.priority), rec.tenant, func(r *record) bool { return r == rec }) {
+			// Out of the queue but not yet terminal: whoever took it out
+			// (an earlier Cancel, a cancelled admission, Close) is writing
+			// its terminal record; finishing it again would count it twice.
+			e.mu.Unlock()
+			return StatusCancelled, nil
 		}
+		e.queued--
+		ts := e.tenantLocked(rec.tenant)
+		ts.queued--
+		ts.gQueued.Set(float64(ts.queued))
 		depth := e.queued
 		e.mu.Unlock()
 		e.gDepth.Set(float64(depth))

@@ -331,20 +331,88 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
-// gatedStore holds the Put of one key (a task's accepted record) until
-// release closes, and closes entered once that Put has arrived.
+// gatedStore holds the Put of one key (a task's accepted record), or its
+// Replace (the terminal snapshot) when replace is set, until release closes,
+// and closes entered once the first such write has arrived.
 type gatedStore struct {
 	store.Store
 	key              string
+	replace          bool
+	once             sync.Once
 	entered, release chan struct{}
 }
 
-func (g *gatedStore) Put(key string, value []byte) (int, error) {
-	if key == g.key {
-		close(g.entered)
+func (g *gatedStore) gate(key string, gated bool) {
+	if gated && key == g.key {
+		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
+}
+
+func (g *gatedStore) Put(key string, value []byte) (int, error) {
+	g.gate(key, !g.replace)
 	return g.Store.Put(key, value)
+}
+
+func (g *gatedStore) Replace(key string, value []byte) (int, error) {
+	g.gate(key, g.replace)
+	return g.Store.Replace(key, value)
+}
+
+// TestCancelTwiceIsCountedOnce: a second Cancel that lands while the first
+// is still writing a queued task's terminal record must not finish the task
+// again — each finish counts it, and the tenant's books would read one more
+// terminal task than accepted ones.
+func TestCancelTwiceIsCountedOnce(t *testing.T) {
+	env := newEnv(t, nil)
+	gated := &gatedStore{
+		Store:   store.NewMemory(store.Options{}),
+		key:     engine.JournalKey("Q"),
+		replace: true,
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	eng, err := engine.New(engine.Config{Coordinator: env.Coordinator, Storage: gated, Telemetry: telemetry.New(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close) // never started: the task stays queued
+	if _, err := eng.Submit(engine.Submission{Task: forkTask(t, "Q"), Priority: engine.PriorityNormal}); err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan string, 1)
+	go func() {
+		result, _ := eng.Cancel("Q")
+		first <- result
+	}()
+	select {
+	case <-gated.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first Cancel never reached the terminal write")
+	}
+	second := make(chan string, 1)
+	go func() {
+		result, _ := eng.Cancel("Q")
+		second <- result
+	}()
+	select {
+	case result := <-second:
+		if result != engine.StatusCancelled {
+			t.Errorf("second Cancel = %q, want %q", result, engine.StatusCancelled)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the second Cancel waited on a terminal write of its own")
+	}
+	close(gated.release)
+	<-first
+	if st := waitTerminal(t, eng, "Q"); st.Status != engine.StatusCancelled {
+		t.Errorf("task = %+v, want cancelled", st)
+	}
+	for _, ts := range eng.Tenants() {
+		if ts.Accepted != 1 || ts.Cancelled != 1 {
+			t.Errorf("tenant %s: accepted %d, cancelled %d, want 1 and 1", ts.Tenant, ts.Accepted, ts.Cancelled)
+		}
+	}
 }
 
 // TestCancelDuringAdmissionIsCounted pins the Cancel-races-admission

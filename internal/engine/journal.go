@@ -13,12 +13,14 @@ import (
 	"repro/internal/workflow"
 )
 
-// The journal's format is the JSON of JournalRecord. It is read with
-// json.Unmarshal and written by appendRecord, an append-style encoder held to
-// encoding/json's bytes — the same keys in the same order, omitempty, map
-// keys sorted, the same escaping and float form, byte for byte
-// (TestJournalEncodingMatchesEncodingJSON) — so journals written before and
-// after it are interchangeable.
+// The journal's format is the JSON of JournalRecord, held to encoding/json's
+// bytes both ways without its reflection. appendRecord writes it — the same
+// keys in the same order, omitempty, map keys sorted, the same escaping and
+// float form, byte for byte (TestJournalEncodingMatchesEncodingJSON) — and
+// (*JournalRecord).decode reads it with an expr.JSONReader into what
+// json.Unmarshal would have read (TestJournalDecodeMatchesEncodingJSON, FuzzJournalDecode),
+// so journals written before and after either are interchangeable. Only a
+// policy, rare and flat, still goes through encoding/json both ways.
 
 // Journal event names. Every lifecycle transition of a task appends one
 // record to the task's journal key before (write-ahead) or immediately after
@@ -130,7 +132,7 @@ func (e *enc) envelope(task *workflow.Task, pol *coordination.Policy) {
 		e.strs(`,"goal":`, c.Goal.Conditions)
 		e.strs(`,"resultSet":`, c.ResultSet)
 		if len(c.Constraints) > 0 {
-			e.marshaled(`,"constraints":`, c.Constraints) // rare, like a policy below
+			e.strMap(`,"constraints":`, c.Constraints)
 		}
 		e.float(`,"deadline":`, c.Deadline)
 		e.float(`,"budget":`, c.Budget)
@@ -188,20 +190,39 @@ func (e *enc) props(m map[string]expr.Value) {
 		return
 	}
 	var buf [8]string // bigger maps spill to the heap
-	keys := buf[:0]
+	e.object(sortedKeys(buf[:0], m), func(k string) {
+		if e.err == nil {
+			e.b, e.err = m[k].AppendJSON(e.b)
+		}
+	})
+}
+
+// strMap renders key and a map of strings, keys sorted.
+func (e *enc) strMap(key string, m map[string]string) {
+	var buf [8]string
+	e.b = append(e.b, key...)
+	e.object(sortedKeys(buf[:0], m), func(k string) { e.b = expr.AppendJSONString(e.b, m[k]) })
+}
+
+// object renders an object of the given keys, value appending each one's.
+func (e *enc) object(keys []string, value func(k string)) {
+	sep := "{"
+	for _, k := range keys {
+		e.str(sep, k, false)
+		e.b, sep = append(e.b, ':'), ","
+		value(k)
+	}
+	e.flag("{", len(keys) == 0)
+	e.b = append(e.b, '}')
+}
+
+// sortedKeys appends m's keys to keys, sorted.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	sep := "{"
-	for _, k := range keys {
-		e.str(sep, k, false)
-		if e.b, sep = append(e.b, ':'), ","; e.err == nil {
-			e.b, e.err = m[k].AppendJSON(e.b)
-		}
-	}
-	e.flag("{", len(keys) == 0)
-	e.b = append(e.b, '}')
+	return keys
 }
 
 // task rebuilds the workflow task from its durable envelope.
@@ -285,29 +306,136 @@ func (e *Engine) compact(snapshot JournalRecord) error {
 
 // ReadJournal returns every journal record of a task in append order,
 // reading directly from a storage backend. Used by recovery, tests, and
-// operational tooling.
+// operational tooling. Each version is read once: the latest comes with the
+// version count.
 func ReadJournal(store storageAPI, taskID string) ([]JournalRecord, error) {
-	_, latest, found, err := store.Get(JournalKey(taskID), 0)
+	key := JournalKey(taskID)
+	latest, n, found, err := store.Get(key, 0)
 	if err != nil {
 		return nil, fmt.Errorf("engine: journal of task %s: %w", taskID, err)
 	}
 	if !found {
 		return nil, nil
 	}
-	out := make([]JournalRecord, 0, latest)
-	for v := 1; v <= latest; v++ {
-		raw, _, ok, err := store.Get(JournalKey(taskID), v)
-		if err != nil {
-			return nil, fmt.Errorf("engine: journal of task %s version %d: %w", taskID, v, err)
+	out := make([]JournalRecord, n)
+	for v := 1; v <= n; v++ {
+		raw := latest
+		if v < n {
+			var ok bool
+			if raw, _, ok, err = store.Get(key, v); err != nil {
+				return nil, fmt.Errorf("engine: journal of task %s version %d: %w", taskID, v, err)
+			} else if !ok {
+				return nil, fmt.Errorf("engine: journal of task %s missing version %d", taskID, v)
+			}
 		}
-		if !ok {
-			return nil, fmt.Errorf("engine: journal of task %s missing version %d", taskID, v)
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		if err := out[v-1].decode(raw); err != nil {
 			return nil, fmt.Errorf("engine: journal of task %s version %d corrupt: %w", taskID, v, err)
 		}
-		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// decode reads data into rec as json.Unmarshal reads a JournalRecord. The
+// envelope's Process is a sub-slice of data, which a store's Get hands over.
+func (rec *JournalRecord) decode(data []byte) error {
+	r := expr.NewJSONReader(data)
+	r.Object(func(key []byte) {
+		switch string(key) {
+		case "event":
+			r.String(&rec.Event)
+		case "taskId":
+			r.String(&rec.TaskID)
+		case "seq":
+			expr.ReadInt(&r, &rec.Seq)
+		case "attempt":
+			expr.ReadInt(&r, &rec.Attempt)
+		case "priority":
+			expr.ReadInt(&r, &rec.Priority)
+		case "tenant":
+			r.String(&rec.Tenant)
+		case "error":
+			r.String(&rec.Error)
+		case "task":
+			if r.Null() {
+				rec.Task = nil
+				return
+			}
+			if rec.Task == nil {
+				rec.Task = new(TaskEnvelope)
+			}
+			rec.Task.decode(&r)
+		case "status":
+			r.String(&rec.Status)
+		case "reason":
+			r.String(&rec.Reason)
+		default:
+			r.Skip()
+		}
+	})
+	return r.End()
+}
+
+func (te *TaskEnvelope) decode(r *expr.JSONReader) {
+	r.Object(func(key []byte) {
+		switch string(key) {
+		case "id":
+			r.String(&te.ID)
+		case "name":
+			r.String(&te.Name)
+		case "needPlanning":
+			r.Bool(&te.NeedPlanning)
+		case "process":
+			te.Process = r.Raw()
+		case "items":
+			expr.ReadSlice(r, &te.Items, func(it *EnvelopeItem) { it.decode(r) })
+		case "goal":
+			expr.ReadSlice(r, &te.Goal, r.String)
+		case "resultSet":
+			expr.ReadSlice(r, &te.ResultSet, r.String)
+		case "constraints":
+			expr.ReadMap(r, &te.Constraints, func(k string) {
+				var v string
+				r.String(&v)
+				te.Constraints[k] = v
+			})
+		case "deadline":
+			r.Float(&te.Deadline)
+		case "budget":
+			r.Float(&te.Budget)
+		case "hardDeadline":
+			r.Bool(&te.HardDeadline)
+		case "policy":
+			if r.Null() {
+				te.Policy = nil
+				return
+			}
+			if te.Policy == nil {
+				te.Policy = new(coordination.Policy)
+			}
+			if raw := r.Raw(); raw != nil {
+				if err := json.Unmarshal(raw, te.Policy); err != nil {
+					r.Fail(err)
+				}
+			}
+		default:
+			r.Skip()
+		}
+	})
+}
+
+func (it *EnvelopeItem) decode(r *expr.JSONReader) {
+	r.Object(func(key []byte) {
+		switch string(key) {
+		case "name":
+			r.String(&it.Name)
+		case "props":
+			expr.ReadMap(r, &it.Props, func(k string) {
+				var v expr.Value
+				r.Value(&v)
+				it.Props[k] = v
+			})
+		default:
+			r.Skip()
+		}
+	})
 }

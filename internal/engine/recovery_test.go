@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -268,4 +269,72 @@ func TestRecoveredQueueWaitIsThisLife(t *testing.T) {
 	if !(ts.MeanWaitSec >= 0 && ts.MeanWaitSec < 60) {
 		t.Errorf("tenant mean wait = %gs, want finite and < 60", ts.MeanWaitSec)
 	}
+}
+
+// TestRecoverCorruptJournal: a record that does not decode fails the whole
+// recovery, which names the task and the version; a record that decodes but
+// carries a process that does not is that task's failure alone.
+func TestRecoverCorruptJournal(t *testing.T) {
+	// accepted renders the accepted record of a fork task, with process as
+	// its process when given.
+	accepted := func(t *testing.T, id string, seq int64, process []byte) []byte {
+		t.Helper()
+		task := forkTask(t, id)
+		if process == nil {
+			process = task.Process.AppendJSON(nil)
+		}
+		env := &engine.TaskEnvelope{ID: id, Name: task.Name, Process: process, Goal: task.Case.Goal.Conditions}
+		for _, it := range task.Case.InitialData {
+			env.Items = append(env.Items, engine.EnvelopeItem{Name: it.Name, Props: it.Props})
+		}
+		data, err := json.Marshal(engine.JournalRecord{Event: engine.EventAccepted, TaskID: id, Seq: seq, Task: env})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	put := func(t *testing.T, s store.Store, id string, data []byte) {
+		t.Helper()
+		if _, err := s.Put(engine.JournalKey(id), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("truncated record", func(t *testing.T) {
+		s := store.NewMemory(store.Options{})
+		put(t, s, "T-ok", accepted(t, "T-ok", 1, nil))
+		put(t, s, "T-cut", accepted(t, "T-cut", 2, nil))
+		started := []byte(`{"event":"started","taskId":"T-cut","attempt":1}`)
+		put(t, s, "T-cut", started[:len(started)/2])
+		env := newEnv(t, func(opts *core.Options) { opts.Store = s })
+		if _, err := env.Engine.Recover(); err == nil || !strings.Contains(err.Error(), "journal of task T-cut version 2 corrupt") {
+			t.Fatalf("Recover = %v, want an error naming version 2 of T-cut", err)
+		}
+	})
+
+	t.Run("corrupt process", func(t *testing.T) {
+		s := store.NewMemory(store.Options{})
+		ids := []string{"T-a", "T-bad", "T-b"}
+		for i, id := range ids {
+			var process []byte
+			if id == "T-bad" {
+				process = []byte(`{"name":"broken","activities":[{"id":"A1","kind":"Sideways"}]}`)
+			}
+			put(t, s, id, accepted(t, id, int64(i+1), process))
+		}
+		env := newEnv(t, func(opts *core.Options) { opts.Store = s })
+		report, err := env.Engine.Recover()
+		if err != nil || len(report.Requeued) != len(ids) {
+			t.Fatalf("Recover = %+v, %v; want all %d tasks requeued", report, err, len(ids))
+		}
+		for _, id := range ids {
+			st := waitTerminal(t, env.Engine, id)
+			switch {
+			case id == "T-bad" && (st.Status != engine.StatusFailed || !strings.Contains(st.Error, "journaled process of task T-bad corrupt")):
+				t.Errorf("task %s ended %s (%q), want failed on its journaled process", id, st.Status, st.Error)
+			case id != "T-bad" && st.Status != engine.StatusCompleted:
+				t.Errorf("task %s ended %s (%q), want completed", id, st.Status, st.Error)
+			}
+		}
+	})
 }

@@ -1,36 +1,59 @@
 package expr
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
-// jsonValue is the interchange form of a Value: {"k":"s","s":...},
-// {"k":"n","n":...} or {"k":"b","b":...}, the payload left out when zero.
-type jsonValue struct {
-	K string  `json:"k"`
-	S string  `json:"s,omitempty"`
-	N float64 `json:"n,omitempty"`
-	B bool    `json:"b,omitempty"`
-}
-
 // The Append functions write what encoding/json writes for the same value,
-// byte for byte, without its reflection: the engine's journal is rendered
-// with them and read back with json.Unmarshal (the engine's
-// TestJournalEncodingMatchesEncodingJSON holds them to it).
+// byte for byte, without its reflection, and JSONReader reads it back: the
+// engine's journal is rendered and read with them (the engine's
+// TestJournalEncodingMatchesEncodingJSON and TestJournalDecodeMatchesEncodingJSON
+// hold them to encoding/json).
 
-// AppendJSONString appends s as a JSON string. Printable ASCII that needs no
-// escape is copied; anything else is left to encoding/json itself.
+// AppendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it: `"` and `\` with a backslash, \b \f \n \r \t by name, the
+// other control characters, <, >, &, U+2028 and U+2029 as \u00XX / \u20XX,
+// and each byte of invalid UTF-8 as \ufffd.
 func AppendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(b, quoted...)
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		switch {
+		case c >= utf8.RuneSelf:
+			if c, size = utf8.DecodeRuneInString(s[i:]); (c != utf8.RuneError || size > 1) && c != '\u2028' && c != '\u2029' {
+				i += size
+				continue
+			}
+		case c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&':
+			i++
+			continue
 		}
+		b = append(b, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			b = append(b, '\\', byte(c))
+		case '\b':
+			b = append(b, `\b`...)
+		case '\f':
+			b = append(b, `\f`...)
+		case '\n':
+			b = append(b, `\n`...)
+		case '\r':
+			b = append(b, `\r`...)
+		case '\t':
+			b = append(b, `\t`...)
+		default:
+			b = append(b, '\\', 'u', hex[c>>12&0xf], hex[c>>8&0xf], hex[c>>4&0xf], hex[c&0xf])
+		}
+		i += size
+		start = i
 	}
-	return append(append(append(b, '"'), s...), '"')
+	return append(append(b, s[start:]...), '"')
 }
 
 // AppendJSONField appends key and s as a JSON string; with omitEmpty, an
@@ -96,21 +119,14 @@ func (v Value) AppendJSON(b []byte) ([]byte, error) {
 // checkpointed by the coordination service.
 func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(nil) }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler with JSONReader.Value.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	var jv jsonValue
-	if err := json.Unmarshal(data, &jv); err != nil {
+	r := NewJSONReader(data)
+	var w Value
+	r.Value(&w)
+	if err := r.End(); err != nil {
 		return err
 	}
-	switch jv.K {
-	case "s":
-		*v = String(jv.S)
-	case "n":
-		*v = Number(jv.N)
-	case "b":
-		*v = Bool(jv.B)
-	default:
-		return fmt.Errorf("expr: unknown value kind %q", jv.K)
-	}
+	*v = w
 	return nil
 }

@@ -36,7 +36,8 @@ import (
 // use. Mutations on durable backends return only after the write is fsynced
 // (group-committed); reads never block on the committer. A value is copied
 // before Put, PutAsync or Replace returns, so the caller may reuse its buffer
-// at once; Get returns a copy of its own.
+// at once; Get returns a copy the caller owns, so it may keep sub-slices of
+// the value or write to it.
 type Store interface {
 	// Kind names the backend ("mem" or "file").
 	Kind() string
@@ -56,7 +57,8 @@ type Store interface {
 	// pair, whose batches may fsync separately). Log compaction of
 	// journal-style keys is the intended use.
 	Replace(key string, value []byte) (int, error)
-	// Get returns the given version of key (0 = latest).
+	// Get returns the given version of key (0 = latest), in a copy of its
+	// own.
 	Get(key string, version int) (value []byte, ver int, found bool, err error)
 	// Keys returns all live keys with the prefix, sorted.
 	Keys(prefix string) []string

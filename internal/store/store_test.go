@@ -644,6 +644,23 @@ func TestBackendEquivalence(t *testing.T) {
 		}
 		return ver
 	}
+	// get reads one version, scribbles on the value it got and reads it
+	// again: every backend's Get returns a copy the caller owns.
+	get := func(step int, kind string, s Store, key string, ver int) ([]byte, int, bool) {
+		t.Helper()
+		val, gv, found, err := s.Get(key, ver)
+		if err != nil {
+			t.Fatalf("step %d: %s Get: %v", step, kind, err)
+		}
+		kept := append([]byte(nil), val...)
+		for i := range val {
+			val[i] = 'X'
+		}
+		if again, _, _, err := s.Get(key, ver); err != nil || !bytes.Equal(again, kept) {
+			t.Fatalf("step %d: %s Get(%q, %d) = %q after the caller wrote to %q it got before", step, kind, key, ver, again, kept)
+		}
+		return kept, gv, found
+	}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -675,12 +692,9 @@ func TestBackendEquivalence(t *testing.T) {
 			if maxVer > 0 && rng.Intn(2) == 0 {
 				ver = 1 + rng.Intn(maxVer)
 			}
-			wantVal, wantVer, wantFound, _ := ref.Get(key, ver)
+			wantVal, wantVer, wantFound := get(step, "mem", ref, key, ver)
 			for kind, s := range stores {
-				val, gv, found, err := s.Get(key, ver)
-				if err != nil {
-					t.Fatalf("step %d: %s Get: %v", step, kind, err)
-				}
+				val, gv, found := get(step, kind, s, key, ver)
 				if found != wantFound || gv != wantVer || !bytes.Equal(val, wantVal) {
 					t.Fatalf("step %d: %s Get(%q, %d) = (%q, %d, %v), want (%q, %d, %v)",
 						step, kind, key, ver, val, gv, found, wantVal, wantVer, wantFound)
