@@ -187,22 +187,10 @@ func (c *Coordinator) logger() *slog.Logger {
 	return c.log
 }
 
-// TaskRequest asks the coordination service to enact a task.
-type TaskRequest struct{ Task *workflow.Task }
-
-// handle serves task requests sent as messages.
+// handle refuses every message: tasks reach the coordinator by method call
+// (the engine's workers), and its agent exists to send, not to serve.
 func (c *Coordinator) handle(ctx *agent.Context, msg agent.Message) {
-	req, ok := msg.Content.(TaskRequest)
-	if !ok {
-		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("coordination: unsupported content %T", msg.Content))
-		return
-	}
-	report, err := c.RunTaskContext(context.Background(), req.Task, nil)
-	if err != nil {
-		_ = ctx.Reply(msg, agent.Failure, err)
-		return
-	}
-	_ = ctx.Reply(msg, agent.Inform, report)
+	_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("coordination: unsupported content %T", msg.Content))
 }
 
 // RunTaskContext enacts the task: if it needs planning, the planning service

@@ -329,28 +329,20 @@ func TestRunTaskValidation(t *testing.T) {
 	}
 }
 
-func TestTaskRequestMessage(t *testing.T) {
+// TestCoordinatorRefusesMessages pins that the coordinator's agent serves no
+// protocol: tasks arrive by method call, so a task or anything else sent as a
+// message is refused rather than left to time out.
+func TestCoordinatorRefusesMessages(t *testing.T) {
 	e := newEnv(t, false)
 	client := e.platform.MustRegister("ui", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
-	reply, err := client.Call(services.CoordinationName, "grid-coordination",
-		TaskRequest{Task: virolab.Task()}, services.CallTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, ok := reply.Content.(*Report)
-	if !ok {
-		t.Fatalf("reply content %T", reply.Content)
-	}
-	if !report.Completed {
-		t.Error("message-driven task not completed")
-	}
-	// Junk content refused.
-	reply, err = client.Call(services.CoordinationName, "grid-coordination", 42, services.CallTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Performative != agent.Refuse {
-		t.Errorf("junk content performative = %v", reply.Performative)
+	for _, content := range []any{virolab.Task(), 42} {
+		reply, err := client.Call(services.CoordinationName, "grid-coordination", content, services.CallTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Performative != agent.Refuse {
+			t.Errorf("%T content performative = %v, want refuse", content, reply.Performative)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package core assembles the intelligent grid environment of Figure 1: the
 // agent platform, the simulated grid with its application containers, the
-// core services (information, brokerage, matchmaking, monitoring,
-// scheduling, storage, authentication, simulation, ontology), the planning
+// core services (the information, brokerage, monitoring, storage and
+// ontology agents; matchmaking and simulation as libraries), the planning
 // service, and the coordination service — behind one Environment value with
 // a small API: Plan a problem, Submit a task, Archive plans.
 //
@@ -96,8 +96,8 @@ type Options struct {
 	Telemetry *telemetry.Registry
 
 	// Logger is the root structured logger; each layer gets a
-	// component-scoped child (component=engine, coordination, scheduling,
-	// monitoring, httpapi). Nil means silent.
+	// component-scoped child (component=engine, coordination, monitoring,
+	// httpapi). Nil means silent.
 	Logger *slog.Logger
 
 	// NoTelemetry disables instrumentation entirely — the hot paths then pay
@@ -200,9 +200,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 	// after NewEnvironment returns.
 	coreSvcs.Brokerage.Telemetry = tel
 	coreSvcs.Matchmaking.Telemetry = tel
-	coreSvcs.Scheduling.Telemetry = tel
 	coreSvcs.Monitoring.Telemetry = tel
-	coreSvcs.Scheduling.Logger = telemetry.ComponentLogger(logger, "scheduling")
 	coreSvcs.Monitoring.Logger = telemetry.ComponentLogger(logger, "monitoring")
 	plannerSvc, err := planner.NewService(planner.ServiceConfig{
 		Catalog:   opts.Catalog,

@@ -34,8 +34,8 @@ func TestNewEnvironmentDefaults(t *testing.T) {
 		t.Fatal("no synthetic grid")
 	}
 	// Core services and container agents registered.
-	if !env.Platform.Has("coordination") || !env.Platform.Has("planning") || !env.Platform.Has("matchmaking") {
-		t.Error("coordination, planning or matchmaking agent not registered")
+	if !env.Platform.Has("coordination") || !env.Platform.Has("planning") || !env.Platform.Has("brokerage") {
+		t.Error("coordination, planning or brokerage agent not registered")
 	}
 	for _, s := range env.Catalog.Names() {
 		if len(env.Grid.ContainersFor(s)) == 0 {

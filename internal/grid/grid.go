@@ -47,8 +47,8 @@ type Node struct {
 	CostPerSec  float64 // spot-market cost of one second of computation
 	FailureRate float64 // probability that a single execution fails on this node
 
-	// up is written under the grid lock (SetNodeUp, an injected crash in
-	// Execute) and read by the services without it.
+	// up is written under the grid lock (AddNode, SetNodeUp, an injected
+	// crash in Execute) and read by the services without it.
 	up atomic.Bool
 }
 
@@ -117,6 +117,9 @@ type Grid struct {
 	// and node status. It moves under the write lock, after the change it
 	// counts, so whoever loads it and then reads the grid sees no older state.
 	version atomic.Uint64
+	// upNodes counts the nodes that are up. It moves with every flip of a
+	// node's up flag, under the write lock, so UpCount takes no lock.
+	upNodes atomic.Int64
 }
 
 // New returns an empty grid with deterministic per-node failure/jitter
@@ -144,6 +147,7 @@ func (g *Grid) AddNode(n *Node) error {
 		return fmt.Errorf("grid: node %q has non-positive speed", n.ID)
 	}
 	n.up.Store(true)
+	g.upNodes.Add(1)
 	g.nodes[n.ID] = n
 	g.streams[n.ID] = nodeStream(g.seed, n.ID, 0)
 	if g.faults != nil {
@@ -207,17 +211,7 @@ func (g *Grid) Nodes() []*Node {
 }
 
 // UpCount returns how many nodes are currently available.
-func (g *Grid) UpCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	up := 0
-	for _, n := range g.nodes {
-		if n.Up() {
-			up++
-		}
-	}
-	return up
-}
+func (g *Grid) UpCount() int { return int(g.upNodes.Load()) }
 
 // Containers returns all containers sorted by ID.
 func (g *Grid) Containers() []*Container {
@@ -261,7 +255,13 @@ func (g *Grid) SetNodeUp(id string, up bool) error {
 	if n == nil {
 		return fmt.Errorf("grid: unknown node %q", id)
 	}
-	n.up.Store(up)
+	if n.up.Swap(up) != up {
+		if up {
+			g.upNodes.Add(1)
+		} else {
+			g.upNodes.Add(-1)
+		}
+	}
 	g.version.Add(1)
 	return nil
 }
@@ -330,7 +330,9 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 	}
 	g.clock += dur
 	if crashed {
-		n.up.Store(false)
+		if n.up.Swap(false) {
+			g.upNodes.Add(-1)
+		}
 		g.version.Add(1)
 		g.crashes = append(g.crashes, Crash{Node: n.ID, Clock: g.clock})
 		return ex, fmt.Errorf("grid: node %q crashed during execution of %q", n.ID, service)

@@ -1,7 +1,10 @@
 package grid
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -217,5 +220,74 @@ func BenchmarkExecute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = g.Execute(cs[i%len(cs)].ID, "P3DR", 100, 10)
+	}
+}
+
+// TestUpCountMatchesScan races every writer of a node's up flag — SetNodeUp,
+// an injected crash inside Execute, AddNode — against UpCount readers, and
+// after each round checks the lock-free count against a scan of the nodes.
+func TestUpCountMatchesScan(t *testing.T) {
+	g := New(7)
+	addNode := func(i int) {
+		id := fmt.Sprintf("n%03d", i)
+		if err := g.AddNode(&Node{ID: id, Hardware: Hardware{Speed: 1}}); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := g.AddContainer(&Container{ID: "ac-" + id, NodeID: id, Services: []string{"S"}}); err != nil {
+			t.Error(err)
+		}
+	}
+	nodes := 8
+	for i := 0; i < nodes; i++ {
+		addNode(i)
+	}
+	if err := g.SetFaults(&FaultSpec{Seed: 1, FailureRate: 0.5, CrashRate: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			seed, known := rng.Int63(), nodes
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				for op := 0; op < 50; op++ {
+					id := fmt.Sprintf("n%03d", r.Intn(known))
+					switch r.Intn(3) {
+					case 0:
+						_ = g.SetNodeUp(id, r.Intn(2) == 0)
+					case 1:
+						_, _ = g.Execute("ac-"+id, "S", 1, 0)
+					default:
+						if n := g.UpCount(); n < 0 || n > len(g.Nodes()) {
+							t.Errorf("UpCount %d out of range", n)
+						}
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func(first int) {
+			defer wg.Done()
+			addNode(first)
+			addNode(first + 1)
+		}(nodes)
+		wg.Wait()
+		nodes += 2
+		up := 0
+		for _, n := range g.Nodes() {
+			if n.Up() {
+				up++
+			}
+		}
+		if got := g.UpCount(); got != up {
+			t.Fatalf("round %d: UpCount %d, scan %d", round, got, up)
+		}
+	}
+	if len(g.Crashes()) == 0 {
+		t.Error("no injected crash: the crash branch went unexercised")
 	}
 }

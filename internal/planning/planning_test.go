@@ -106,7 +106,8 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	}
 	p := agent.NewPlatform()
 	defer p.Shutdown()
-	if _, err := services.Bootstrap(p, g, nil); err != nil {
+	core, err := services.Bootstrap(p, g, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	svc := New(virolab.Catalog(), smallParams())
@@ -144,7 +145,7 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	// non-executable and is excluded; with no other way to make an
 	// orientation file the planning fails cleanly.
 	_ = g.SetNodeUp("n1", false)
-	_, _ = client.Call(services.BrokerageName, services.OntBrokerage, services.RefreshRequest{}, time.Second)
+	core.Brokerage.Refresh()
 	steps = nil
 	reply, err = client.Call(services.PlanningName, services.OntPlanning, PlanRequest{
 		Initial:       virolab.InitialData(),

@@ -8,23 +8,21 @@ import (
 	"repro/internal/store"
 )
 
-// Core bundles the concrete service instances registered by Bootstrap, for
-// scenarios that need direct access (forcing a brokerage refresh, reading
-// checkpoints out of storage, adding authentication principals).
+// Core bundles the concrete service instances Bootstrap builds, for callers
+// that use them directly (matchmaking and simulation are libraries, not
+// agents) and scenarios that inspect service state.
 type Core struct {
 	Information *Information
 	Brokerage   *Brokerage
 	Matchmaking *Matchmaking
 	Monitoring  *Monitoring
-	Scheduling  *Scheduling
 	Storage     *Storage
-	Auth        *Authentication
 	Simulation  *Simulation
 	Ontology    *OntologyService
 }
 
-// Bootstrap registers the standard core services plus one agent per grid
-// application container on the platform, and registers everything with the
+// Bootstrap registers the core service agents plus one agent per grid
+// application container on the platform, and registers them all with the
 // information service. The storage service runs on backend (opened via
 // store.Open; the caller keeps ownership of its lifecycle); nil means a
 // fresh in-memory store.
@@ -37,22 +35,16 @@ func Bootstrap(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, err
 		Brokerage:   NewBrokerage(g),
 		Matchmaking: &Matchmaking{Grid: g},
 		Monitoring:  &Monitoring{Grid: g},
-		Scheduling:  &Scheduling{Grid: g},
 		Storage:     &Storage{Store: backend},
-		Auth:        NewAuthentication("bootstrap-signing-key"),
 		Simulation:  &Simulation{Grid: g},
 		Ontology:    NewOntologyService(),
 	}
 	for name, h := range map[string]agent.Handler{
-		InformationName:    core.Information,
-		BrokerageName:      core.Brokerage,
-		MatchmakingName:    core.Matchmaking,
-		MonitoringName:     core.Monitoring,
-		SchedulingName:     core.Scheduling,
-		StorageName:        core.Storage,
-		AuthenticationName: core.Auth,
-		SimulationName:     core.Simulation,
-		OntologyName:       core.Ontology,
+		InformationName: core.Information,
+		BrokerageName:   core.Brokerage,
+		MonitoringName:  core.Monitoring,
+		StorageName:     core.Storage,
+		OntologyName:    core.Ontology,
 	} {
 		if _, err := p.Register(name, h); err != nil {
 			return nil, err
@@ -67,14 +59,10 @@ func Bootstrap(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, err
 		return nil, err
 	}
 	offerTypes := map[string]string{
-		BrokerageName:      "brokerage",
-		MatchmakingName:    "matchmaking",
-		MonitoringName:     "monitoring",
-		SchedulingName:     "scheduling",
-		StorageName:        "persistent-storage",
-		AuthenticationName: "authentication",
-		SimulationName:     "simulation",
-		OntologyName:       "ontology",
+		BrokerageName:  "brokerage",
+		MonitoringName: "monitoring",
+		StorageName:    "persistent-storage",
+		OntologyName:   "ontology",
 	}
 	for name, typ := range offerTypes {
 		if err := registrar.Send(InformationName, agent.Inform, OntInformation,

@@ -27,15 +27,6 @@ type PerfStats struct {
 	MeanCost     float64
 }
 
-// ClassesRequest asks for the current resource equivalence classes.
-type ClassesRequest struct{}
-
-// ClassesReply lists them.
-type ClassesReply struct{ Classes []grid.EquivalenceClass }
-
-// RefreshRequest forces the brokerage to resnapshot the grid.
-type RefreshRequest struct{}
-
 // Brokerage is the brokerage service agent. It keeps a best-effort snapshot
 // of container offerings plus the performance history, folded incrementally
 // into one aggregate per (service, node) so Stats costs one map lookup
@@ -147,13 +138,6 @@ func (b *Brokerage) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		list := append([]string(nil), b.snapshot[req.Service]...)
 		b.mu.Unlock()
 		_ = ctx.Reply(msg, agent.Inform, ContainersReply{Containers: list})
-	case ClassesRequest:
-		_ = ctx.Reply(msg, agent.Inform, ClassesReply{Classes: b.Grid.EquivalenceClasses()})
-	case RefreshRequest:
-		b.Refresh()
-		if msg.Performative == agent.Request {
-			_ = ctx.Reply(msg, agent.Agree, nil)
-		}
 	default:
 		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("brokerage: unsupported content %T", msg.Content))
 	}

@@ -6,6 +6,34 @@ import (
 	"repro/internal/grid"
 )
 
+// TaskSpec describes one independent task to schedule.
+type TaskSpec struct {
+	ID       string
+	Service  string
+	BaseTime float64
+	DataMB   float64
+}
+
+// Assignment places a task on a container with its predicted interval.
+type Assignment struct {
+	Task      string
+	Container string
+	Node      string
+	Start     float64
+	Finish    float64
+}
+
+// ScheduleReply carries a schedule and its makespan.
+type ScheduleReply struct {
+	Assignments []Assignment
+	Makespan    float64
+}
+
+// Scheduling is the scheduling service of Figure 1, a library called
+// directly: list-scheduling heuristics over predicted execution times on the
+// containers currently offering each task's service.
+type Scheduling struct{ Grid *grid.Grid }
+
 // Heuristic selects the scheduling policy used by Scheduling.ScheduleWith.
 type Heuristic int
 
@@ -93,12 +121,6 @@ func (s *Scheduling) bestOptions(tasks []TaskSpec, ready map[string]float64) ([]
 // ScheduleWith computes a schedule using the given heuristic. Tasks without
 // any provider are silently dropped (reported by their absence).
 func (s *Scheduling) ScheduleWith(tasks []TaskSpec, h Heuristic) ScheduleReply {
-	out := s.scheduleWith(tasks, h)
-	s.record(h, len(tasks), out)
-	return out
-}
-
-func (s *Scheduling) scheduleWith(tasks []TaskSpec, h Heuristic) ScheduleReply {
 	if h == HeuristicFCFS {
 		return s.scheduleFCFS(tasks)
 	}

@@ -1,11 +1,9 @@
 package services
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
-	"repro/internal/agent"
 	"repro/internal/grid"
 	"repro/internal/telemetry"
 )
@@ -39,15 +37,13 @@ type Candidate struct {
 	LatencyUs     float64
 }
 
-// MatchReply lists candidates best-first.
-type MatchReply struct{ Candidates []Candidate }
-
-// Matchmaking is the matchmaking service agent. Unlike the brokerage's
-// best-effort snapshot, matchmaking reads the live grid, so its answers
-// reflect current node status. The ranking of a request that names only a
-// service — what every dispatch asks for — is kept beside the grid version it
-// was computed at and recomputed only when that version moved; callers share
-// the returned slice and must not write to it.
+// Matchmaking is the matchmaking service, called directly by the
+// coordinator. Unlike the brokerage's best-effort snapshot, matchmaking reads
+// the live grid, so its answers reflect current node status. The ranking of
+// a request that names only a service — what every dispatch asks for — is
+// kept beside the grid version it was computed at and recomputed only when
+// that version moved; callers share the returned slice and must not write to
+// it.
 type Matchmaking struct {
 	Grid *grid.Grid
 
@@ -161,14 +157,4 @@ func (s *Matchmaking) match(req MatchRequest) []Candidate {
 		return out[i].Container < out[j].Container
 	})
 	return out
-}
-
-// HandleMessage implements agent.Handler.
-func (s *Matchmaking) HandleMessage(ctx *agent.Context, msg agent.Message) {
-	req, ok := msg.Content.(MatchRequest)
-	if !ok {
-		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("matchmaking: unsupported content %T", msg.Content))
-		return
-	}
-	_ = ctx.Reply(msg, agent.Inform, MatchReply{Candidates: s.Match(req)})
 }

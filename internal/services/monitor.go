@@ -3,7 +3,6 @@ package services
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 
 	"repro/internal/agent"
@@ -26,25 +25,6 @@ type NodeStatusReply struct {
 	Node  string
 	Known bool
 	Up    bool
-}
-
-// SubscribeStatus subscribes the sender to node status-change events; the
-// monitoring service delivers a StatusEvent to every subscriber whenever a
-// PollStatus detects a node changed state.
-type SubscribeStatus struct{}
-
-// UnsubscribeStatus removes the sender's subscription.
-type UnsubscribeStatus struct{}
-
-// PollStatus makes the monitoring service re-scan the grid and notify
-// subscribers of changes (in a deployment a ticker would send this; tests
-// and scenarios drive it explicitly for determinism).
-type PollStatus struct{}
-
-// StatusEvent is pushed to subscribers when a node changes state.
-type StatusEvent struct {
-	Node string
-	Up   bool
 }
 
 // Heartbeat is a container's liveness signal; containers emit one whenever
@@ -134,8 +114,8 @@ type healthRecord struct {
 }
 
 // Monitoring is the monitoring service agent: authoritative on-demand node
-// status, push subscriptions for status changes, per-node health from
-// heartbeats and execution outcomes, and node quarantine.
+// status, per-node health from heartbeats and execution outcomes, and node
+// quarantine.
 type Monitoring struct {
 	Grid *grid.Grid
 	// Telemetry, when set, receives monitoring.* metrics and node-health
@@ -146,8 +126,6 @@ type Monitoring struct {
 	Logger *slog.Logger
 
 	mu          sync.Mutex
-	subs        map[string]bool
-	last        map[string]bool
 	health      map[string]*healthRecord
 	quarantined map[string]string // node -> reason
 	gUp         *telemetry.Gauge  // monitoring.nodes.up; see updateUpGauge
@@ -213,46 +191,6 @@ func (s *Monitoring) HandleMessage(ctx *agent.Context, msg agent.Message) {
 			s.updateUpGauge()
 		}
 		_ = ctx.Reply(msg, agent.Agree, QuarantineReply{Node: req.Node, Known: known})
-	case SubscribeStatus:
-		s.mu.Lock()
-		if s.subs == nil {
-			s.subs = make(map[string]bool)
-		}
-		s.subs[msg.Sender] = true
-		if s.last == nil {
-			s.last = s.snapshot()
-		}
-		s.mu.Unlock()
-		_ = ctx.Reply(msg, agent.Agree, nil)
-	case UnsubscribeStatus:
-		s.mu.Lock()
-		delete(s.subs, msg.Sender)
-		s.mu.Unlock()
-		_ = ctx.Reply(msg, agent.Agree, nil)
-	case PollStatus:
-		events := s.poll()
-		for _, ev := range events {
-			status := HealthDown
-			detail := "node went down"
-			if ev.Up {
-				status, detail = HealthHealthy, "node came up"
-			}
-			s.publishHealth(ev.Node, status, detail)
-		}
-		for _, ev := range events {
-			s.mu.Lock()
-			subs := make([]string, 0, len(s.subs))
-			for name := range s.subs {
-				subs = append(subs, name)
-			}
-			s.mu.Unlock()
-			sort.Strings(subs)
-			for _, sub := range subs {
-				_ = ctx.Send(sub, agent.Inform, OntMonitoring, ev)
-			}
-		}
-		s.updateUpGauge()
-		_ = ctx.Reply(msg, agent.Inform, len(events))
 	default:
 		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("monitoring: unsupported content %T", msg.Content))
 	}
@@ -347,35 +285,4 @@ func (s *Monitoring) updateUpGauge() {
 		s.gUp = s.Telemetry.Gauge("monitoring.nodes.up")
 	}
 	s.gUp.Set(float64(s.Grid.UpCount()))
-}
-
-// snapshot captures every node's up/down state; callers hold s.mu.
-func (s *Monitoring) snapshot() map[string]bool {
-	out := make(map[string]bool)
-	for _, n := range s.Grid.Nodes() {
-		out[n.ID] = n.Up()
-	}
-	return out
-}
-
-// poll diffs the grid against the last snapshot and returns the changes.
-func (s *Monitoring) poll() []StatusEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snapshot()
-	var events []StatusEvent
-	if s.last != nil {
-		names := make([]string, 0, len(cur))
-		for n := range cur {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if prev, seen := s.last[n]; !seen || prev != cur[n] {
-				events = append(events, StatusEvent{Node: n, Up: cur[n]})
-			}
-		}
-	}
-	s.last = cur
-	return events
 }

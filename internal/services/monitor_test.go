@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/grid"
 	"repro/internal/telemetry"
 )
 
@@ -155,79 +154,5 @@ func TestContainerReportsToMonitoring(t *testing.T) {
 	h := nodeHealth(t, f, "n1")
 	if h.Heartbeats < 2 || h.Successes != 1 {
 		t.Fatalf("health after container traffic = %+v", h)
-	}
-}
-
-func TestMonitoringSubscriptions(t *testing.T) {
-	g := grid.New(1)
-	_ = g.AddNode(&grid.Node{ID: "n1", Hardware: grid.Hardware{Speed: 1}})
-	_ = g.AddNode(&grid.Node{ID: "n2", Hardware: grid.Hardware{Speed: 1}})
-	p := agent.NewPlatform()
-	defer p.Shutdown()
-	p.MustRegister(MonitoringName, &Monitoring{Grid: g})
-
-	events := make(chan StatusEvent, 16)
-	sub := p.MustRegister("watcher", agent.HandlerFunc(func(_ *agent.Context, msg agent.Message) {
-		if ev, ok := msg.Content.(StatusEvent); ok {
-			events <- ev
-		}
-	}))
-	if _, err := sub.Call(MonitoringName, OntMonitoring, SubscribeStatus{}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// No change: poll produces nothing.
-	reply, err := sub.Call(MonitoringName, OntMonitoring, PollStatus{}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := reply.Content.(int); n != 0 {
-		t.Errorf("initial poll events = %d, want 0", n)
-	}
-
-	// Fail a node: one event for n1.
-	_ = g.SetNodeUp("n1", false)
-	reply, _ = sub.Call(MonitoringName, OntMonitoring, PollStatus{}, time.Second)
-	if n := reply.Content.(int); n != 1 {
-		t.Fatalf("poll events = %d, want 1", n)
-	}
-	select {
-	case ev := <-events:
-		if ev.Node != "n1" || ev.Up {
-			t.Errorf("event = %+v", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no event delivered")
-	}
-
-	// Repair both state changes at once. Delivery is asynchronous, so
-	// collect with a deadline rather than assuming arrival before the poll
-	// reply.
-	_ = g.SetNodeUp("n1", true)
-	_ = g.SetNodeUp("n2", false)
-	reply, _ = sub.Call(MonitoringName, OntMonitoring, PollStatus{}, time.Second)
-	if n := reply.Content.(int); n != 2 {
-		t.Errorf("poll events = %d, want 2", n)
-	}
-	deadline := time.After(time.Second)
-	for drained := 0; drained < 2; {
-		select {
-		case <-events:
-			drained++
-		case <-deadline:
-			t.Fatalf("only %d of 2 events delivered", drained)
-		}
-	}
-
-	// Unsubscribe: further changes are not delivered.
-	if _, err := sub.Call(MonitoringName, OntMonitoring, UnsubscribeStatus{}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	_ = g.SetNodeUp("n2", true)
-	_, _ = sub.Call(MonitoringName, OntMonitoring, PollStatus{}, time.Second)
-	select {
-	case ev := <-events:
-		t.Errorf("event after unsubscribe: %+v", ev)
-	case <-time.After(50 * time.Millisecond):
 	}
 }

@@ -8,22 +8,12 @@ import (
 	"repro/internal/ontology"
 )
 
-// ShellRequest asks the ontology service for an ontology shell (classes and
-// slots without instances).
-type ShellRequest struct{ Name string }
-
 // KBRequest asks for a populated ontology.
 type KBRequest struct{ Name string }
 
 // KBReply carries a knowledge base serialized as JSON (ontologies cross
 // agent boundaries by value, never by reference).
 type KBReply struct {
-	Name string
-	JSON []byte
-}
-
-// PublishKB stores or replaces a named knowledge base.
-type PublishKB struct {
 	Name string
 	JSON []byte
 }
@@ -51,20 +41,6 @@ func (s *OntologyService) Add(name string, kb *ontology.KB) {
 // HandleMessage implements agent.Handler.
 func (s *OntologyService) HandleMessage(ctx *agent.Context, msg agent.Message) {
 	switch req := msg.Content.(type) {
-	case ShellRequest:
-		s.mu.Lock()
-		kb := s.kbs[req.Name]
-		s.mu.Unlock()
-		if kb == nil {
-			_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("ontology: unknown ontology %q", req.Name))
-			return
-		}
-		data, err := kb.Shell().MarshalJSON()
-		if err != nil {
-			_ = ctx.Reply(msg, agent.Failure, err)
-			return
-		}
-		_ = ctx.Reply(msg, agent.Inform, KBReply{Name: req.Name, JSON: data})
 	case KBRequest:
 		s.mu.Lock()
 		kb := s.kbs[req.Name]
@@ -79,14 +55,6 @@ func (s *OntologyService) HandleMessage(ctx *agent.Context, msg agent.Message) {
 			return
 		}
 		_ = ctx.Reply(msg, agent.Inform, KBReply{Name: req.Name, JSON: data})
-	case PublishKB:
-		kb, err := ontology.Decode(req.JSON)
-		if err != nil {
-			_ = ctx.Reply(msg, agent.Failure, err)
-			return
-		}
-		s.Add(req.Name, kb)
-		_ = ctx.Reply(msg, agent.Agree, nil)
 	default:
 		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("ontology: unsupported content %T", msg.Content))
 	}

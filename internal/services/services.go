@@ -1,10 +1,11 @@
-// Package services implements the core services of Figure 1 as agents on
-// the platform of package agent: information, brokerage, matchmaking,
-// monitoring, scheduling, persistent storage, authentication, and
-// simulation, plus the Application Container agents that host end-user
-// services. The planning and coordination services live in their own
-// packages (planner, coordination) and talk to these over the same message
-// ontologies.
+// Package services implements the core services of Figure 1. Those that
+// something messages — information, brokerage, monitoring, persistent
+// storage and ontology, plus the Application Container agents that host
+// end-user services — are agents on the platform of package agent.
+// Matchmaking, scheduling and simulation are libraries their callers use
+// directly; Figure 1's authentication service is not reproduced. The
+// planning and coordination services live in their own packages (planning,
+// coordination) and talk to these agents over the same message ontologies.
 //
 // Core services are persistent and reliable; end-user services (the
 // containers) may fail with their nodes, which is what exercises the
@@ -22,29 +23,22 @@ import (
 
 // Well-known agent names for the core services.
 const (
-	InformationName    = "information"
-	BrokerageName      = "brokerage"
-	MatchmakingName    = "matchmaking"
-	MonitoringName     = "monitoring"
-	SchedulingName     = "scheduling"
-	StorageName        = "storage"
-	AuthenticationName = "authentication"
-	SimulationName     = "simulation"
-	PlanningName       = "planning"
-	CoordinationName   = "coordination"
-	OntologyName       = "ontology"
+	InformationName  = "information"
+	BrokerageName    = "brokerage"
+	MatchmakingName  = "matchmaking"
+	MonitoringName   = "monitoring"
+	StorageName      = "storage"
+	PlanningName     = "planning"
+	CoordinationName = "coordination"
+	OntologyName     = "ontology"
 )
 
 // Ontology names (the vocabulary tag on messages).
 const (
 	OntInformation = "grid-information"
 	OntBrokerage   = "grid-brokerage"
-	OntMatchmaking = "grid-matchmaking"
 	OntMonitoring  = "grid-monitoring"
-	OntScheduling  = "grid-scheduling"
 	OntStorage     = "grid-storage"
-	OntAuth        = "grid-authentication"
-	OntSimulation  = "grid-simulation"
 	OntExecution   = "grid-execution"
 	OntPlanning    = "grid-planning"
 	OntOntology    = "grid-ontology"
@@ -113,25 +107,4 @@ func Lookup(ctx *agent.Context, offerType string) ([]Offer, error) {
 		return nil, fmt.Errorf("services: unexpected lookup reply %T", reply.Content)
 	}
 	return lr.Offers, nil
-}
-
-// ---------------------------------------------------------------------------
-// Monitoring service: see monitor.go.
-
-// ---------------------------------------------------------------------------
-// Authentication service: token issue and verification (HMAC-based).
-
-// LoginRequest authenticates a principal.
-type LoginRequest struct{ Principal, Secret string }
-
-// LoginReply carries the session token.
-type LoginReply struct{ Token string }
-
-// VerifyRequest checks a token.
-type VerifyRequest struct{ Token string }
-
-// VerifyReply reports the principal a valid token belongs to.
-type VerifyReply struct {
-	Valid     bool
-	Principal string
 }

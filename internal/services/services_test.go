@@ -3,7 +3,6 @@ package services
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -57,8 +56,7 @@ func newFixture(t *testing.T) *fixture {
 func TestBootstrapRegistersEverything(t *testing.T) {
 	f := newFixture(t)
 	for _, name := range []string{
-		InformationName, BrokerageName, MatchmakingName, MonitoringName,
-		SchedulingName, StorageName, AuthenticationName, SimulationName,
+		InformationName, BrokerageName, MonitoringName, StorageName,
 		OntologyName, "ac-1", "ac-2",
 	} {
 		if !f.platform.Has(name) {
@@ -110,9 +108,7 @@ func TestBrokerageSnapshotAndStaleness(t *testing.T) {
 	if got := len(reply.Content.(ContainersReply).Containers); got != 2 {
 		t.Errorf("stale snapshot = %d containers, want 2 (staleness is intentional)", got)
 	}
-	if _, err := f.client.Call(BrokerageName, OntBrokerage, RefreshRequest{}, time.Second); err != nil {
-		t.Fatal(err)
-	}
+	f.broker.Refresh()
 	reply, _ = f.client.Call(BrokerageName, OntBrokerage, ContainersRequest{Service: "P3DR"}, time.Second)
 	if got := reply.Content.(ContainersReply).Containers; len(got) != 1 || got[0] != "ac-1" {
 		t.Errorf("refreshed snapshot = %v", got)
@@ -130,19 +126,15 @@ func TestBrokeragePerformanceHistory(t *testing.T) {
 	if s := f.broker.Stats("P3DR", "n2"); s != (PerfStats{}) {
 		t.Errorf("n2 stats = %+v, want none: nothing ran there", s)
 	}
-	reply, _ := f.client.Call(BrokerageName, OntBrokerage, ClassesRequest{}, time.Second)
-	if classes := reply.Content.(ClassesReply).Classes; len(classes) != 2 {
+	if classes := f.grid.EquivalenceClasses(); len(classes) != 2 {
 		t.Errorf("classes = %+v", classes)
 	}
 }
 
 func TestMatchmaking(t *testing.T) {
 	f := newFixture(t)
-	reply, err := f.client.Call(MatchmakingName, OntMatchmaking, MatchRequest{Service: "P3DR"}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := reply.Content.(MatchReply).Candidates
+	mm := f.core.Matchmaking
+	cands := mm.Match(MatchRequest{Service: "P3DR"})
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %+v", cands)
 	}
@@ -152,31 +144,24 @@ func TestMatchmaking(t *testing.T) {
 		t.Errorf("ranking = %+v", cands)
 	}
 	// Constraints filter: min speed 2 leaves only n2.
-	reply, _ = f.client.Call(MatchmakingName, OntMatchmaking, MatchRequest{Service: "P3DR", MinSpeed: 2}, time.Second)
-	if cands := reply.Content.(MatchReply).Candidates; len(cands) != 1 || cands[0].Node != "n2" {
+	if cands := mm.Match(MatchRequest{Service: "P3DR", MinSpeed: 2}); len(cands) != 1 || cands[0].Node != "n2" {
 		t.Errorf("min-speed candidates = %+v", cands)
 	}
 	// Fine-grain task: low latency requirement excludes the PC cluster.
-	reply, _ = f.client.Call(MatchmakingName, OntMatchmaking, MatchRequest{Service: "P3DR", MaxLatencyUs: 50}, time.Second)
-	if cands := reply.Content.(MatchReply).Candidates; len(cands) != 1 || cands[0].Node != "n2" {
+	if cands := mm.Match(MatchRequest{Service: "P3DR", MaxLatencyUs: 50}); len(cands) != 1 || cands[0].Node != "n2" {
 		t.Errorf("latency candidates = %+v", cands)
 	}
 	// Software constraint.
-	reply, _ = f.client.Call(MatchmakingName, OntMatchmaking,
-		MatchRequest{Service: "P3DR", RequireSoftware: []string{"PSF"}}, time.Second)
-	if cands := reply.Content.(MatchReply).Candidates; len(cands) != 1 || cands[0].Node != "n2" {
+	if cands := mm.Match(MatchRequest{Service: "P3DR", RequireSoftware: []string{"PSF"}}); len(cands) != 1 || cands[0].Node != "n2" {
 		t.Errorf("software candidates = %+v", cands)
 	}
 	// Domain constraint.
-	reply, _ = f.client.Call(MatchmakingName, OntMatchmaking,
-		MatchRequest{Service: "P3DR", Domain: "a.edu"}, time.Second)
-	if cands := reply.Content.(MatchReply).Candidates; len(cands) != 1 || cands[0].Node != "n1" {
+	if cands := mm.Match(MatchRequest{Service: "P3DR", Domain: "a.edu"}); len(cands) != 1 || cands[0].Node != "n1" {
 		t.Errorf("domain candidates = %+v", cands)
 	}
 	// Matchmaking sees live status (unlike the brokerage).
 	_ = f.grid.SetNodeUp("n2", false)
-	reply, _ = f.client.Call(MatchmakingName, OntMatchmaking, MatchRequest{Service: "P3DR"}, time.Second)
-	if cands := reply.Content.(MatchReply).Candidates; len(cands) != 1 {
+	if cands := mm.Match(MatchRequest{Service: "P3DR"}); len(cands) != 1 {
 		t.Errorf("live candidates = %+v", cands)
 	}
 }
@@ -316,11 +301,7 @@ func TestScheduling(t *testing.T) {
 		{ID: "t3", Service: "POD", BaseTime: 60},
 		{ID: "t4", Service: "NOPE", BaseTime: 10}, // no provider: dropped
 	}
-	reply, err := f.client.Call(SchedulingName, OntScheduling, ScheduleRequest{Tasks: tasks}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := reply.Content.(ScheduleReply)
+	sched := (&Scheduling{Grid: f.grid}).ScheduleWith(tasks, HeuristicMinMin)
 	if len(sched.Assignments) != 3 {
 		t.Fatalf("assignments = %+v", sched.Assignments)
 	}
@@ -341,81 +322,22 @@ func TestScheduling(t *testing.T) {
 
 func TestStorageService(t *testing.T) {
 	f := newFixture(t)
-	call := func(content any) agent.Message {
+	put := func(value string) int {
 		t.Helper()
-		reply, err := f.client.Call(StorageName, OntStorage, content, time.Second)
+		reply, err := f.client.Call(StorageName, OntStorage, PutRequest{Key: "plans/p1", Value: []byte(value)}, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reply
+		return reply.Content.(PutReply).Version
 	}
-	if v := call(PutRequest{Key: "plans/p1", Value: []byte("v1")}); v.Content.(PutReply).Version != 1 {
+	if v := put("v1"); v != 1 {
 		t.Error("first version != 1")
 	}
-	if v := call(PutRequest{Key: "plans/p1", Value: []byte("v2")}); v.Content.(PutReply).Version != 2 {
+	if v := put("v2"); v != 2 {
 		t.Error("second version != 2")
 	}
-	got := call(GetRequest{Key: "plans/p1"}).Content.(GetReply)
-	if !got.Found || string(got.Value) != "v2" || got.Version != 2 {
-		t.Errorf("latest = %+v", got)
-	}
-	got = call(GetRequest{Key: "plans/p1", Version: 1}).Content.(GetReply)
-	if !got.Found || string(got.Value) != "v1" {
-		t.Errorf("v1 = %+v", got)
-	}
-	if got := call(GetRequest{Key: "missing"}).Content.(GetReply); got.Found {
-		t.Error("found missing key")
-	}
-	call(PutRequest{Key: "plans/p2", Value: []byte("x")})
-	call(PutRequest{Key: "other/k", Value: []byte("y")})
-	keys := call(ListRequest{Prefix: "plans/"}).Content.(ListReply).Keys
-	if len(keys) != 2 || keys[0] != "plans/p1" {
-		t.Errorf("keys = %v", keys)
-	}
-	call(DeleteRequest{Key: "plans/p1"})
-	if got := call(GetRequest{Key: "plans/p1"}).Content.(GetReply); got.Found {
-		t.Error("deleted key still found")
-	}
-}
-
-func TestAuthentication(t *testing.T) {
-	f := newFixture(t)
-	auth := NewAuthentication("k")
-	auth.AddPrincipal("hyu", "secret")
-	_ = f.platform // fixture's auth agent has no principals; use a fresh one
-	p := agent.NewPlatform()
-	defer p.Shutdown()
-	p.MustRegister(AuthenticationName, auth)
-	c := p.MustRegister("c", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
-
-	reply, err := c.Call(AuthenticationName, OntAuth, LoginRequest{Principal: "hyu", Secret: "secret"}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	token := reply.Content.(LoginReply).Token
-	if token == "" {
-		t.Fatal("empty token")
-	}
-	reply, _ = c.Call(AuthenticationName, OntAuth, VerifyRequest{Token: token}, time.Second)
-	v := reply.Content.(VerifyReply)
-	if !v.Valid || v.Principal != "hyu" {
-		t.Errorf("verify = %+v", v)
-	}
-	// Tampered token fails.
-	bad := strings.Replace(token, "hyu", "eve", 1)
-	reply, _ = c.Call(AuthenticationName, OntAuth, VerifyRequest{Token: bad}, time.Second)
-	if reply.Content.(VerifyReply).Valid {
-		t.Error("tampered token verified")
-	}
-	// Wrong secret refused.
-	reply, _ = c.Call(AuthenticationName, OntAuth, LoginRequest{Principal: "hyu", Secret: "nope"}, time.Second)
-	if reply.Performative != agent.Refuse {
-		t.Errorf("bad login performative = %v", reply.Performative)
-	}
-	// Garbage token invalid.
-	reply, _ = c.Call(AuthenticationName, OntAuth, VerifyRequest{Token: "garbage"}, time.Second)
-	if reply.Content.(VerifyReply).Valid {
-		t.Error("garbage token verified")
+	if value, ver, found, err := f.core.Storage.Get("plans/p1", 0); err != nil || !found || string(value) != "v2" || ver != 2 {
+		t.Errorf("latest = %q v%d found=%v err=%v", value, ver, found, err)
 	}
 }
 
@@ -458,12 +380,8 @@ func TestSimulationService(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = TaskSpec{ID: string(rune('a' + i)), Service: "P3DR", BaseTime: 300, DataMB: 10}
 	}
-	reply, err := f.client.Call(SimulationName, OntSimulation,
-		SimulateRequest{Tasks: tasks, InterArrival: 5, Retries: 2, Seed: 1}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := reply.Content.(SimulateReply)
+	req := SimulateRequest{Tasks: tasks, InterArrival: 5, Retries: 2, Seed: 1}
+	res := f.core.Simulation.Simulate(req)
 	if res.Completed+res.Failed != len(tasks) {
 		t.Errorf("completed %d + failed %d != %d", res.Completed, res.Failed, len(tasks))
 	}
@@ -474,46 +392,43 @@ func TestSimulationService(t *testing.T) {
 		t.Errorf("utilization = %g", res.Utilization)
 	}
 	// Determinism.
-	reply2, _ := f.client.Call(SimulationName, OntSimulation,
-		SimulateRequest{Tasks: tasks, InterArrival: 5, Retries: 2, Seed: 1}, time.Second)
-	if reply2.Content.(SimulateReply) != res {
+	if f.core.Simulation.Simulate(req) != res {
 		t.Error("simulation not deterministic for equal seeds")
 	}
 }
 
 func TestOntologyService(t *testing.T) {
 	f := newFixture(t)
-	reply, err := f.client.Call(OntologyName, OntOntology, ShellRequest{Name: "grid"}, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	fetch := func(name string) agent.Message {
+		t.Helper()
+		reply, err := f.client.Call(OntologyName, OntOntology, KBRequest{Name: name}, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
 	}
-	kb, err := ontology.Decode(reply.Content.(KBReply).JSON)
+	kb, err := ontology.Decode(fetch("grid").Content.(KBReply).JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if classes, instances := kb.Stats(); classes != 10 || instances != 0 {
 		t.Errorf("shell stats = %d/%d", classes, instances)
 	}
-	// Publish a populated KB and fetch it back.
+	// Add a populated KB and fetch it back.
 	pop := ontology.GridShell()
 	if err := pop.AddInstance(ontology.NewInstance("hw1", ontology.ClassHardware).Set("Speed", ontology.Num(2))); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := pop.MarshalJSON()
-	if _, err := f.client.Call(OntologyName, OntOntology, PublishKB{Name: "mine", JSON: data}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	reply, _ = f.client.Call(OntologyName, OntOntology, KBRequest{Name: "mine"}, time.Second)
-	back, err := ontology.Decode(reply.Content.(KBReply).JSON)
+	f.core.Ontology.Add("mine", pop)
+	back, err := ontology.Decode(fetch("mine").Content.(KBReply).JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Instance("hw1") == nil {
-		t.Error("published instance lost")
+		t.Error("added instance lost")
 	}
 	// Unknown ontology refused.
-	reply, _ = f.client.Call(OntologyName, OntOntology, KBRequest{Name: "nope"}, time.Second)
-	if reply.Performative != agent.Refuse {
+	if reply := fetch("nope"); reply.Performative != agent.Refuse {
 		t.Errorf("unknown KB performative = %v", reply.Performative)
 	}
 }
@@ -521,8 +436,7 @@ func TestOntologyService(t *testing.T) {
 func TestUnsupportedContentRefused(t *testing.T) {
 	f := newFixture(t)
 	for _, svc := range []string{
-		InformationName, BrokerageName, MatchmakingName, MonitoringName,
-		SchedulingName, StorageName, AuthenticationName, SimulationName, OntologyName, "ac-1",
+		InformationName, BrokerageName, MonitoringName, StorageName, OntologyName, "ac-1",
 	} {
 		reply, err := f.client.Call(svc, "junk", struct{ X int }{1}, time.Second)
 		if err != nil {

@@ -1,9 +1,6 @@
 package services
 
 import (
-	"fmt"
-
-	"repro/internal/agent"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -30,8 +27,8 @@ type SimulateReply struct {
 	Utilization float64 // busy seconds / (makespan * containers)
 }
 
-// Simulation is the simulation service agent: a discrete-event what-if model
-// over the grid's metadata. It never touches the real (well, simulated-real)
+// Simulation is the simulation service, a library called directly: a
+// discrete-event what-if model over the grid's metadata. It never touches the real (well, simulated-real)
 // grid state; executions are modelled on the DES clock only.
 type Simulation struct{ Grid *grid.Grid }
 
@@ -113,14 +110,4 @@ func (s *Simulation) Simulate(req SimulateRequest) SimulateReply {
 		reply.Utilization = reply.BusySeconds / (reply.Makespan * float64(len(containers)))
 	}
 	return reply
-}
-
-// HandleMessage implements agent.Handler.
-func (s *Simulation) HandleMessage(ctx *agent.Context, msg agent.Message) {
-	req, ok := msg.Content.(SimulateRequest)
-	if !ok {
-		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("simulation: unsupported content %T", msg.Content))
-		return
-	}
-	_ = ctx.Reply(msg, agent.Inform, s.Simulate(req))
 }
