@@ -31,10 +31,10 @@ const defaultCacheLimit = 1 << 17
 type Evaluator struct {
 	params Params
 	kernel *kernel
-	// workers holds one simulation scratch per evaluation worker; worker 0 is
-	// also the one Evaluate uses.
-	workers []*scratch
-	cache   map[string]Evaluation
+	// sc is Evaluate's simulation scratch; a GP run evaluates in its
+	// workspace's scratches instead.
+	sc    *scratch
+	cache map[string]Evaluation
 	// order lists the cached keys in insertion order, so trimming can evict
 	// the oldest half instead of wiping the whole cache (a full wipe forces
 	// the next generation to re-evaluate its entire population).
@@ -65,13 +65,12 @@ func NewEvaluator(problem *workflow.Problem, params Params) (*Evaluator, error) 
 	}, nil
 }
 
-// worker returns the scratch of evaluation worker w, building the scratches
-// up to it on first use. Call it from the goroutine that owns the Evaluator.
-func (ev *Evaluator) worker(w int) *scratch {
-	for len(ev.workers) <= w {
-		ev.workers = append(ev.workers, newScratch(ev.kernel))
+// scratch returns Evaluate's scratch, built on first use.
+func (ev *Evaluator) scratch() *scratch {
+	if ev.sc == nil {
+		ev.sc = &scratch{k: ev.kernel}
 	}
-	return ev.workers[w]
+	return ev.sc
 }
 
 // Evaluate scores the tree.
@@ -80,7 +79,7 @@ func (ev *Evaluator) Evaluate(tree *plantree.Node) Evaluation {
 	if e, ok := ev.cache[key]; ok {
 		return e
 	}
-	e := ev.evaluateOnly(tree, ev.worker(0))
+	e := ev.evaluateOnly(tree, ev.scratch())
 	ev.Evaluations++
 	ev.cacheAdd(key, e)
 	return e
@@ -112,11 +111,12 @@ func (ev *Evaluator) trimCache() {
 
 // evaluateOnly computes the fitness without touching the cache or the
 // evaluation counter: it enumerates the tree's execution flows, at most
-// MaxFlows of them, and simulates each on sc. It is safe to call from
-// multiple goroutines concurrently, each with its own scratch (the kernel and
-// params are read-only).
+// MaxFlows of them, simulates them on sc in one walk of the tree, and sums
+// their results in flow order. It is safe to call from multiple goroutines
+// concurrently, each with its own scratch (the kernel and params are
+// read-only).
 func (ev *Evaluator) evaluateOnly(tree *plantree.Node, sc *scratch) Evaluation {
-	size := sc.load(tree)
+	size := sc.simulate(tree, ev.params.MaxFlows)
 	fr := 1 - float64(size)/float64(ev.params.Smax)
 	if fr < 0 {
 		fr = 0
@@ -124,18 +124,14 @@ func (ev *Evaluator) evaluateOnly(tree *plantree.Node, sc *scratch) Evaluation {
 
 	totalValid, totalExecuted := 0, 0
 	goalSum, costSum, timeSum := 0.0, 0.0, 0.0
-	flows := 0
-	for {
-		sc.runFlow()
-		totalValid += sc.valid
-		totalExecuted += sc.executed
-		goalSum += sc.goalsMet()
-		costSum += sc.cost
-		timeSum += sc.time
-		flows++
-		if flows >= ev.params.MaxFlows || !sc.nextFlow() {
-			break
-		}
+	flows := len(sc.owner)
+	for _, c := range sc.owner {
+		cl := &sc.classes[c]
+		totalValid += cl.valid
+		totalExecuted += cl.executed
+		goalSum += cl.goal
+		costSum += cl.cost
+		timeSum += cl.time
 	}
 
 	fv := 1.0

@@ -297,7 +297,7 @@ func paramGrid() []Params {
 	var grid []Params
 	for _, strict := range []bool{false, true} {
 		for _, unroll := range []int{1, 2, 3} {
-			for _, flows := range []int{1, 4, 32} {
+			for _, flows := range []int{1, 4, 7, 32} {
 				for _, caps := range []bool{false, true} {
 					p := DefaultParams()
 					p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows = strict, unroll, flows
@@ -339,7 +339,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 				}
 				o := newOracle(t, c.problem, p)
 				for _, tree := range forest {
-					if got, want := ev.evaluateOnly(tree, ev.worker(0)), o.evaluate(tree); got != want {
+					if got, want := ev.evaluateOnly(tree, ev.scratch()), o.evaluate(tree); got != want {
 						t.Fatalf("strict=%v unroll=%d flows=%d caps=%v %s:\nkernel %+v\noracle %+v",
 							p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows, p.MaxCost > 0, tree, got, want)
 					}
@@ -376,6 +376,52 @@ func TestKernelCompilesTables(t *testing.T) {
 	}
 	if tables, nodes := tabled(crossProblem()); tables != 4 || nodes != 3 {
 		t.Errorf("cross: %d tables, %d expressions, want 4 and 3", tables, nodes)
+	}
+}
+
+// TestKernelFlowClasses pins how the walk groups flows, on hand-built trees
+// with known flow and class counts: flows that agree on every decision they
+// reach share one class, a digit a flow never reaches does not split it, and
+// a MaxFlows cut leaves the last class fewer flows than its split would have
+// had. Each tree scores exactly as the oracle scores it.
+func TestKernelFlowClasses(t *testing.T) {
+	a, sel, seq, iter := plantree.Activity, plantree.Sel, plantree.Seq, plantree.Iter
+	for _, c := range []struct {
+		tree             *plantree.Node
+		unroll, maxFlows int
+		strict           bool
+		flows, classes   int
+	}{
+		// The loop's digit splits only the two flows that take the loop, and
+		// only after their shared first iteration: {0, 1}, {2}, {3}.
+		{sel(a("POD"), iter(a("P3DR"))), 2, 32, true, 4, 3},
+		// Four flows cut at three: the first selective leaves {0, 1} and {2}
+		// (flow 3 is cut), and the second splits {0, 1}.
+		{seq(sel(a("POD"), a("P3DR")), sel(a("P3DR"), a("PSF"))), 2, 3, true, 3, 3},
+		// Splits inside a loop's body, then the loop's own: every flow alone.
+		{iter(sel(a("POD"), a("P3DR")), a("PSF")), 2, 32, true, 4, 4},
+		// A strict concurrent node: the forward and the reverse order.
+		{plantree.Conc(a("POD"), a("P3DR")), 2, 32, true, 2, 2},
+		// ... whose reverse order reaches the selective first.
+		{plantree.Conc(a("POD"), sel(a("P3DR"), a("PSF"))), 2, 32, true, 4, 4},
+		// Without StrictConcurrency there is one order, and at unroll 1 one
+		// iteration.
+		{plantree.Conc(a("POD"), iter(a("P3DR"))), 1, 32, false, 1, 1},
+	} {
+		p := DefaultParams()
+		p.MaxLoopUnroll, p.MaxFlows, p.StrictConcurrency = c.unroll, c.maxFlows, c.strict
+		ev, err := NewEvaluator(virolab.Problem(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := ev.scratch()
+		got, want := ev.evaluateOnly(c.tree, sc), newOracle(t, virolab.Problem(), p).evaluate(c.tree)
+		if got != want {
+			t.Errorf("%s: kernel %+v, oracle %+v", c.tree, got, want)
+		}
+		if got.Flows != c.flows || len(sc.classes) != c.classes {
+			t.Errorf("%s: %d flows in %d classes, want %d in %d", c.tree, got.Flows, len(sc.classes), c.flows, c.classes)
+		}
 	}
 }
 
@@ -461,7 +507,7 @@ func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 			tree = plantree.Seq(plantree.Activity("GEN"), plantree.Activity("SPLIT"),
 				plantree.Iter(plantree.Activity("JOIN"), plantree.Activity("PACK")))
 		}
-		sc := ev.worker(0)
+		sc := ev.scratch()
 		if allocs := testing.AllocsPerRun(100, func() { ev.evaluateOnly(tree, sc) }); allocs != 0 {
 			t.Errorf("%s: warm evaluation of %s allocates %v times, want 0", problem.Name, tree, allocs)
 		}

@@ -94,8 +94,9 @@ func (gp *GP) Seed(trees ...*plantree.Node) {
 
 // workspace is the memory a GP run works in, kept from one run to the next by
 // its owner (a planning-service worker; a standalone GP has its own): the
-// population lives in two arenas that swap roles every generation, and the
-// per-generation lists are reused. Nothing a run returns points into it.
+// population lives in two arenas that swap roles every generation, the
+// per-generation lists are reused, and so are the evaluation workers'
+// scratches. Nothing a run returns points into it.
 type workspace struct {
 	// retain is the PopulationSize x Smax up to which a run's memory is kept
 	// for the next run; a larger run's goes back to the collector with it.
@@ -108,6 +109,7 @@ type workspace struct {
 	seen    map[string]struct{} // the generation's cache misses
 	missed  []int
 	results []Evaluation
+	scratch []*scratch // by evaluation worker
 }
 
 func newWorkspace(retain int) *workspace {
@@ -273,11 +275,19 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 	ws.results = slices.Grow(ws.results[:0], len(missed))
 	results := ws.results[:len(missed)]
 	workers := gp.evalWorkers(len(missed))
+	// Worker w simulates on the workspace's scratch w, bound to this plan's
+	// kernel: a scratch's buffers do not depend on the kernel.
+	for len(ws.scratch) < workers {
+		ws.scratch = append(ws.scratch, new(scratch))
+	}
+	for _, sc := range ws.scratch {
+		sc.k = gp.eval.kernel
+	}
 	if workers > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			sc := gp.eval.worker(w)
+			sc := ws.scratch[w]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -292,7 +302,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 		}
 		wg.Wait()
 	} else {
-		sc := gp.eval.worker(0)
+		sc := ws.scratch[0]
 		for i, m := range missed {
 			if ctx.Err() != nil {
 				break

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 	"repro/internal/plantree"
 	"repro/internal/workflow"
@@ -138,10 +140,23 @@ type flatNode struct {
 	point int32 // index into odo/domain of the node's flow decision, or -1
 }
 
+// class is a set of flows that agree on every decision they have reached so
+// far, and the one state they share. Its flows are flows[lo:lo+n]; its counts
+// and bind memo are its row of the scratch's state. It holds no pointer, so
+// the walk's writes to it need no GC write barrier.
+type class struct {
+	lo, n           int32
+	produced        int32 // items added so far: the state's version
+	valid, executed int
+	cost            float64 // nominal resource cost of valid activities
+	time            float64 // nominal run time of valid activities
+	goal            float64 // goals met by the final state
+}
+
 // scratch is the mutable state of one evaluation worker: the tree flattened
-// to integer arrays, the flow odometer, and the simulated item state. Its
-// slices are reused across evaluations, so a warm evaluation allocates
-// nothing. A scratch belongs to one goroutine at a time.
+// to integer arrays, the flows' digits, and the classes the flows fall into
+// as the tree is walked. Its slices are reused across evaluations, so a warm
+// evaluation allocates nothing. A scratch belongs to one goroutine at a time.
 type scratch struct {
 	k *kernel
 
@@ -150,19 +165,25 @@ type scratch struct {
 	kids  []int32
 
 	// One digit per decision point, in pre-order; flows are enumerated in
-	// lexicographic order of odo, last digit fastest.
+	// lexicographic order of odo, last digit fastest. Flow f's digit at
+	// point p is digits[p*len(owner)+f].
 	odo    []int32
 	domain []int32
+	digits []int32
 
-	// One flow. Inputs are never consumed, so the state only grows: once a
-	// service binds it always does, and a failure stands until an item is added.
-	count    []int32 // by kind: the items of that kind available
-	produced int32   // items added so far: the state's version
-	memo     []int32 // by service: bindOK, produced+1 at its last failure, or 0
-	valid    int
-	executed int
-	cost     float64 // nominal resource cost of valid activities
-	time     float64 // nominal run time of valid activities
+	// A class's row of state is its count by kind (the items of that kind
+	// available), then its memo by service (bindOK, produced+1 at its last
+	// failure, or 0). Inputs are never consumed, so the state only grows: once
+	// a service binds it always does, and a failure stands until an item is
+	// added. Classes never merge: there are at most as many as flows.
+	classes []class
+	state   []int32
+	flows   []int32 // each class's flows, contiguous
+	act     []int32 // the classes a node runs on: a stack of sets
+	owner   []int32 // by flow: its class once the walk is done
+	tally   []int32 // split's counting sort: by key, then by flow
+	sorted  []int32
+	block   []int32 // digits, flows, sorted, owner, tally and state
 
 	// The binding under test, for conditions evaluated through Lookup:
 	// bound[f] is the kind formals[f] is bound to, or -1.
@@ -171,15 +192,6 @@ type scratch struct {
 }
 
 const bindOK = -1
-
-func newScratch(k *kernel) *scratch {
-	block := make([]int32, len(k.items)+len(k.svcs))
-	sc := &scratch{k: k, count: block[:len(k.items)], memo: block[len(k.items):]}
-	for kind := range k.initial {
-		sc.count[kind] = 1
-	}
-	return sc
-}
 
 // flatten appends the subtree at n and returns its index.
 func (sc *scratch) flatten(n *plantree.Node) int32 {
@@ -221,103 +233,234 @@ func (sc *scratch) flatten(n *plantree.Node) int32 {
 	return i
 }
 
-// load replaces the scratch's tree with tree and returns its size.
-func (sc *scratch) load(tree *plantree.Node) int {
+// simulate replaces the scratch's tree with tree and simulates its first
+// maxFlows flows in one walk: one class holding them all starts from the
+// initial state, and the walk splits it where their decisions differ. Then
+// owner maps each flow to its class, and each class has its goal. It returns
+// the tree's size.
+func (sc *scratch) simulate(tree *plantree.Node, maxFlows int) int {
 	sc.nodes, sc.kids, sc.odo, sc.domain = sc.nodes[:0], sc.kids[:0], sc.odo[:0], sc.domain[:0]
 	sc.flatten(tree)
+	flows, keys := 1, int32(1)
+	for _, d := range sc.domain {
+		flows, keys = min(flows*int(d), maxFlows), max(keys, d)
+	}
+	// The per-flow arrays, the tally and the classes' state are cut from one
+	// block, so a scratch grows one buffer for them.
+	width := len(sc.k.items) + len(sc.k.svcs)
+	b := slices.Grow(sc.block[:0], flows*(len(sc.odo)+3+width)+int(keys))
+	sc.block = b
+	cut := func(n int) []int32 {
+		s := b[:n:n]
+		b = b[n:cap(b)]
+		return s
+	}
+	sc.digits, sc.flows, sc.sorted, sc.owner = cut(flows*len(sc.odo)), cut(flows), cut(flows), cut(flows)
+	sc.tally, sc.state = cut(int(keys)), b[:0]
+	for f := range flows {
+		for p, d := range sc.odo {
+			sc.digits[p*flows+f] = d
+		}
+		sc.flows[f] = int32(f)
+		for p := len(sc.odo) - 1; p >= 0; p-- { // the odometer's next reading
+			if sc.odo[p]++; sc.odo[p] < sc.domain[p] {
+				break
+			}
+			sc.odo[p] = 0
+		}
+	}
+
+	sc.classes = append(slices.Grow(sc.classes[:0], flows), class{n: int32(flows)})
+	sc.state = sc.state[:width]
+	clear(sc.state)
+	for kind := range sc.k.initial {
+		sc.state[kind] = 1
+	}
+	sc.act = append(sc.act[:0], 0)
+	sc.run(0, 0)
+	for c := range sc.classes {
+		cl := &sc.classes[c]
+		count, _ := sc.row(int32(c))
+		cl.goal = sc.goalsMet(count)
+		for _, f := range sc.flows[cl.lo:][:cl.n] {
+			sc.owner[f] = int32(c)
+		}
+	}
 	return len(sc.nodes)
 }
 
-// nextFlow increments the odometer; it reports false on wrap-around.
-func (sc *scratch) nextFlow() bool {
-	for i := len(sc.odo) - 1; i >= 0; i-- {
-		sc.odo[i]++
-		if sc.odo[i] < sc.domain[i] {
-			return true
+// row returns class c's counts and memo.
+func (sc *scratch) row(c int32) (count, memo []int32) {
+	kinds := len(sc.k.items)
+	width := kinds + len(sc.k.svcs)
+	r := sc.state[int(c)*width:][:width]
+	return r[:kinds], r[kinds:]
+}
+
+// digit returns class c's decision at point: all of its flows agree on it
+// once the node that reads it has split the class.
+func (sc *scratch) digit(c, point int32) int32 {
+	return sc.digits[int(point)*len(sc.owner)+int(sc.flows[sc.classes[c].lo])]
+}
+
+// split splits each class of act[lo:] by its flows' keys at point, a key
+// being a digit less base, keys-1 at most: the flows of the lowest key keep
+// the class, and those of each other key become a new class with a copy of
+// its state, added to the set. It returns the set's new end.
+func (sc *scratch) split(lo int, point, base, keys int32) int {
+	width := len(sc.k.items) + len(sc.k.svcs)
+	digits := sc.digits[int(point)*len(sc.owner):][:len(sc.owner)]
+	key := func(f int32) int32 { return min(digits[f]-base, keys-1) }
+	for _, c := range sc.act[lo:] {
+		flo := sc.classes[c].lo
+		fl := sc.flows[flo:][:sc.classes[c].n]
+		if first := key(fl[0]); !slices.ContainsFunc(fl[1:], func(f int32) bool { return key(f) != first }) {
+			continue // the flows agree: the class passes through
 		}
-		sc.odo[i] = 0
+		// A counting sort by key; tally[k] ends as the end of key k's flows.
+		tally := sc.tally[:keys]
+		clear(tally)
+		for _, f := range fl {
+			tally[key(f)]++
+		}
+		sum := int32(0)
+		for k, t := range tally {
+			tally[k], sum = sum, sum+t
+		}
+		sorted := sc.sorted[:len(fl)]
+		for _, f := range fl {
+			k := key(f)
+			sorted[tally[k]] = f
+			tally[k]++
+		}
+		copy(fl, sorted)
+		start := int32(0)
+		for _, end := range tally {
+			if end == start {
+				continue
+			}
+			if start == 0 {
+				sc.classes[c].n = end
+			} else {
+				cl := sc.classes[c]
+				cl.lo, cl.n = flo+start, end-start
+				sc.act = append(sc.act, int32(len(sc.classes)))
+				sc.classes = append(sc.classes, cl)
+				sc.state = append(sc.state, sc.state[int(c)*width:][:width]...)
+			}
+			start = end
+		}
 	}
-	return false
+	return len(sc.act)
 }
 
-// runFlow simulates the flow the odometer selects, from the initial state.
-func (sc *scratch) runFlow() {
-	clear(sc.count[sc.k.initial:])
-	clear(sc.memo)
-	sc.produced, sc.valid, sc.executed, sc.cost, sc.time = 0, 0, 0, 0, 0
-	sc.run(0)
-}
-
-// decision returns the flow choice at n, 0 where there is none to make.
-func (sc *scratch) decision(n *flatNode) int32 {
-	if n.point >= 0 {
-		return sc.odo[n.point]
+// runAll runs nodes in order on the classes act[lo:].
+func (sc *scratch) runAll(nodes []int32, lo int) {
+	for _, i := range nodes {
+		sc.run(i, lo)
 	}
-	return 0
 }
 
-// run executes node i: activities apply their service's pre- and
-// postconditions to the state; invalid activities count against fv and leave
-// the state unchanged.
-func (sc *scratch) run(i int32) {
+// run executes node i on the set of classes act[lo:], which is the top of
+// the act stack: activities apply their service's pre- and postconditions to
+// each class's state (invalid activities count against fv and leave the
+// state unchanged), and a decision splits the classes whose flows differ on
+// it. The classes split off join the set.
+func (sc *scratch) run(i int32, lo int) {
 	n := &sc.nodes[i]
 	kids := sc.kids[n.first:][:n.nkids]
 	switch n.kind {
 	case plantree.KindActivity:
-		sc.executed++
-		if n.svc < 0 {
-			return // unknown service: invalid activity
-		}
-		s, memo := &sc.k.svcs[n.svc], &sc.memo[n.svc]
-		if *memo != bindOK {
-			if *memo == sc.produced+1 {
-				return // failed on this very state
+		for _, c := range sc.act[lo:] {
+			cl := &sc.classes[c]
+			cl.executed++
+			if n.svc < 0 {
+				continue // unknown service: invalid activity
 			}
-			if s.needEnv {
-				sc.setFormals(s.formals)
+			s := &sc.k.svcs[n.svc]
+			count, memo := sc.row(c)
+			if m := &memo[n.svc]; *m != bindOK {
+				if *m == cl.produced+1 {
+					continue // failed on this very state
+				}
+				if s.needEnv {
+					sc.setFormals(s.formals)
+				}
+				if !sc.bind(s, count, 0) {
+					*m = cl.produced + 1
+					continue
+				}
+				*m = bindOK
 			}
-			if !sc.bind(s, 0) {
-				*memo = sc.produced + 1
-				return
+			cl.valid++
+			cl.cost += s.cost
+			cl.time += s.time
+			for o := s.outKind; o < s.outKind+s.nOut; o++ {
+				count[o]++
 			}
-			*memo = bindOK
+			cl.produced += s.nOut
 		}
-		sc.valid++
-		sc.cost += s.cost
-		sc.time += s.time
-		for o := s.outKind; o < s.outKind+s.nOut; o++ {
-			sc.count[o]++
-		}
-		sc.produced += s.nOut
 
 	case plantree.KindSequential:
-		for _, c := range kids {
-			sc.run(c)
-		}
+		sc.runAll(kids, lo)
 
-	case plantree.KindConcurrent:
-		// Decision 0 runs the children left to right, decision 1 right to
-		// left (StrictConcurrency); without strict mode only order 0 exists.
-		if sc.decision(n) == 1 {
-			for c := len(kids) - 1; c >= 0; c-- {
-				sc.run(kids[c])
+	case plantree.KindConcurrent, plantree.KindSelective:
+		if n.point < 0 {
+			// One child, or one order: without StrictConcurrency only order 0
+			// exists.
+			if n.kind == plantree.KindSelective {
+				kids = kids[:min(len(kids), 1)]
 			}
+			sc.runAll(kids, lo)
 			return
 		}
-		for _, c := range kids {
-			sc.run(c)
-		}
-
-	case plantree.KindSelective:
-		if len(kids) > 0 {
-			sc.run(kids[sc.decision(n)])
+		domain := sc.domain[n.point]
+		end := sc.split(lo, n.point, 0, domain)
+		for d := range domain {
+			// The classes that take branch d go on top of the stack.
+			top, mark := len(sc.act), int32(len(sc.classes))
+			for _, c := range sc.act[lo:end] {
+				if sc.digit(c, n.point) == d {
+					sc.act = append(sc.act, c)
+				}
+			}
+			if len(sc.act) == top {
+				continue
+			}
+			switch {
+			case n.kind == plantree.KindSelective:
+				sc.run(kids[d], top)
+			case d == 0: // children left to right
+				sc.runAll(kids, top)
+			default: // right to left
+				for c := len(kids) - 1; c >= 0; c-- {
+					sc.run(kids[c], top)
+				}
+			}
+			// The group is in the set below; the classes the branch made are not.
+			sc.act = sc.act[:top]
+			for c := mark; c < int32(len(sc.classes)); c++ {
+				sc.act = append(sc.act, c)
+			}
 		}
 
 	case plantree.KindIterative:
-		iters := sc.decision(n) + 1 // decision d means d+1 iterations
-		for ; iters > 0; iters-- {
-			for _, c := range kids {
-				sc.run(c)
+		// Decision d means d+1 iterations: every class walks the body, then
+		// the classes whose count is reached move below the set that goes on.
+		for iter := int32(0); ; iter++ {
+			sc.runAll(kids, lo)
+			if n.point < 0 {
+				return
+			}
+			sc.split(lo, n.point, iter, 2)
+			for j := lo; j < len(sc.act); j++ {
+				if sc.digit(sc.act[j], n.point) == iter {
+					sc.act[lo], sc.act[j] = sc.act[j], sc.act[lo]
+					lo++
+				}
+			}
+			if lo == len(sc.act) {
+				return
 			}
 		}
 	}
@@ -334,15 +477,14 @@ func (sc *scratch) setFormals(formals []string) {
 }
 
 // bind decides, from input i on, whether Service.BindItems would find an
-// injective assignment of state items to the service's inputs. Items of one
-// kind are interchangeable, so it tries each candidate kind with an item left
-// and takes one. It leaves count and bound as it found them.
-func (sc *scratch) bind(s *kernelService, i int) bool {
+// injective assignment of the items count holds to the service's inputs.
+// Items of one kind are interchangeable, so it tries each candidate kind with
+// an item left and takes one. It leaves count and bound as it found them.
+func (sc *scratch) bind(s *kernelService, count []int32, i int) bool {
 	if i == len(s.inputs) {
 		return true
 	}
 	c := &s.inputs[i]
-	count := sc.count // a local: sc.count is reloaded after every call
 	for _, kind := range c.kinds {
 		if count[kind] == 0 {
 			continue
@@ -353,7 +495,7 @@ func (sc *scratch) bind(s *kernelService, i int) bool {
 		ok := c.node == nil || c.node.Eval(sc)
 		if ok {
 			count[kind]--
-			ok = sc.bind(s, i+1)
+			ok = sc.bind(s, count, i+1)
 			count[kind]++
 		}
 		if s.needEnv {
@@ -366,16 +508,16 @@ func (sc *scratch) bind(s *kernelService, i int) bool {
 	return false
 }
 
-// goalsMet evaluates Equation 2 on the flow's final state: a goal condition
-// is met if some item, bound to the formal G, satisfies it.
-func (sc *scratch) goalsMet() float64 {
+// goalsMet evaluates Equation 2 on a final state: a goal condition is met if
+// some item, bound to the formal G, satisfies it.
+func (sc *scratch) goalsMet(count []int32) float64 {
 	met := 0
 	sc.setFormals(goalFormals)
 	for gi := range sc.k.goals {
 		g := &sc.k.goals[gi]
 		for _, kind := range g.kinds {
 			sc.bound[0] = kind
-			if sc.count[kind] > 0 && (g.node == nil || g.node.Eval(sc)) {
+			if count[kind] > 0 && (g.node == nil || g.node.Eval(sc)) {
 				met++
 				break
 			}

@@ -249,12 +249,13 @@ func TestEvaluateConcurrentSemantics(t *testing.T) {
 	}
 }
 
-// TestKernelBindMemo walks the kernel's per-flow bind memo through its
+// TestKernelBindMemo walks the kernel's per-class bind memo through its
 // transitions on hand-built one-flow trees, each scored exactly as the oracle
 // scores it: a failure stands while the state is the one it failed on and is
 // re-tried once an item is added, and a bind takes as many items of one kind
-// as the kind has. memo is each service's entry after the flow (bindOK, or
-// the number of items produced at its last failure plus one; absent: 0).
+// as the kind has. memo is each service's entry after the flow, in the one
+// class the flow makes (bindOK, or the number of items produced at its last
+// failure plus one; absent: 0).
 func TestKernelBindMemo(t *testing.T) {
 	a := plantree.Activity
 	for _, c := range []struct {
@@ -288,14 +289,18 @@ func TestKernelBindMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := ev.worker(0)
+		sc := ev.scratch()
 		got, want := ev.evaluateOnly(c.tree, sc), newOracle(t, c.problem, DefaultParams()).evaluate(c.tree)
 		if got != want || got.FV != c.fv {
 			t.Errorf("%s: kernel %+v, oracle %+v, want fv %v", c.tree, got, want, c.fv)
 		}
+		if len(sc.classes) != 1 {
+			t.Fatalf("%s: %d classes, want 1", c.tree, len(sc.classes))
+		}
+		_, memo := sc.row(0)
 		for name, svc := range sc.k.services {
-			if sc.memo[svc] != c.memo[name] {
-				t.Errorf("%s: memo of %s = %d, want %d", c.tree, name, sc.memo[svc], c.memo[name])
+			if memo[svc] != c.memo[name] {
+				t.Errorf("%s: memo of %s = %d, want %d", c.tree, name, memo[svc], c.memo[name])
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/plantree"
 	"repro/internal/telemetry"
 	"repro/internal/virolab"
+	"repro/internal/workflow"
 )
 
 // fastParams converges on the test problem in well under a second.
@@ -504,5 +505,53 @@ func TestServiceResultOutlivesWorkspace(t *testing.T) {
 	bound.Inputs[0] = "MUTATED"
 	if !seed.Equal(pristine) {
 		t.Errorf("writing to the result's Inputs reached the caller's seed: %s", seed)
+	}
+}
+
+// TestWorkspaceScratchRebinds: a worker's evaluation scratches outlive the
+// plan whose kernel they were bound to. One worker alternates specs whose
+// initial data differ, so each plan compiles a kernel with another number of
+// kinds, and every result (tree, evaluations, fitness) must be what a
+// standalone GP, with scratches of its own, finds for the same spec.
+func TestWorkspaceScratchRebinds(t *testing.T) {
+	p := fastParams()
+	p.Generations, p.EvalWorkers = 6, 2
+	s := newTestService(t, ServiceConfig{Workers: 1, Params: p})
+	base := testProblem()
+	full := base.Initial.Items()
+	var fewer []*workflow.DataItem // no POR-Parameter: POR never binds
+	for _, it := range full {
+		if it.Name != "D5" {
+			fewer = append(fewer, it)
+		}
+	}
+	more := append(full[:len(full):len(full)], workflow.NewDataItem("D8", "2D Image"))
+	for i, initial := range [][]*workflow.DataItem{full, more, fewer, full, fewer, more} {
+		params := p
+		params.Seed = int64(11 + i%3)
+		spec := PlanSpec{ID: fmt.Sprintf("rebind-%d", i), Initial: initial, Goal: base.Goal.Conditions,
+			Params: &params, NoCache: true, TreeOnly: true}
+		if _, err := s.Submit(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Wait(context.Background(), spec.ID)
+		if err != nil || st.Status != StatusSucceeded {
+			t.Fatalf("plan %d = %+v, %v", i, st, err)
+		}
+		gp, err := New(&workflow.Problem{Name: spec.ID, Initial: workflow.NewState(initial...),
+			Goal: base.Goal, Catalog: base.Catalog}, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := gp.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The service hands out the normalized tree.
+		got, wantTree := st.Result, want.Best.Tree.Normalize()
+		if got.Evaluations != want.Evaluations || got.Best.Eval != want.Best.Eval || !got.Best.Tree.Equal(wantTree) {
+			t.Errorf("plan %d (%d initial items): service %d evals %+v %s\nstandalone %d evals %+v %s", i, len(initial),
+				got.Evaluations, got.Best.Eval, got.Best.Tree, want.Evaluations, want.Best.Eval, wantTree)
+		}
 	}
 }
