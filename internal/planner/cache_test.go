@@ -61,10 +61,10 @@ func TestEvaluateAllCacheTrimKeepsWorkingSet(t *testing.T) {
 	}
 	gp.eval.cacheLimit = 16
 
-	pop := func(lo, hi int) []Individual {
-		var out []Individual
+	pop := func(lo, hi int) []member {
+		var out []member
 		for i := lo; i <= hi; i++ {
-			out = append(out, Individual{Tree: seqOfSize(i)})
+			out = append(out, member{genes: plantree.AppendGenes(nil, seqOfSize(i), gp.services, nil)})
 		}
 		return out
 	}

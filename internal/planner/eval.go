@@ -73,7 +73,7 @@ func (ev *Evaluator) scratch() *scratch {
 	return ev.sc
 }
 
-// Evaluate scores the tree.
+// Evaluate scores the tree, cached by its String.
 func (ev *Evaluator) Evaluate(tree *plantree.Node) Evaluation {
 	key := tree.String()
 	if e, ok := ev.cache[key]; ok {
@@ -109,14 +109,21 @@ func (ev *Evaluator) trimCache() {
 	ev.order = ev.order[:n]
 }
 
-// evaluateOnly computes the fitness without touching the cache or the
+// evaluateOnly is evaluateGenes of the tree's genome, built in sc.
+func (ev *Evaluator) evaluateOnly(tree *plantree.Node, sc *scratch) Evaluation {
+	sc.genes = plantree.AppendGenes(sc.genes[:0], tree, ev.kernel.names, nil)
+	return ev.evaluateGenes(sc.genes, sc)
+}
+
+// evaluateGenes computes the fitness without touching the cache or the
 // evaluation counter: it enumerates the tree's execution flows, at most
 // MaxFlows of them, simulates them on sc in one walk of the tree, and sums
 // their results in flow order. It is safe to call from multiple goroutines
 // concurrently, each with its own scratch (the kernel and params are
 // read-only).
-func (ev *Evaluator) evaluateOnly(tree *plantree.Node, sc *scratch) Evaluation {
-	size := sc.simulate(tree, ev.params.MaxFlows)
+func (ev *Evaluator) evaluateGenes(genes []plantree.Gene, sc *scratch) Evaluation {
+	sc.simulate(genes, ev.params.MaxFlows)
+	size := len(genes)
 	fr := 1 - float64(size)/float64(ev.params.Smax)
 	if fr < 0 {
 		fr = 0

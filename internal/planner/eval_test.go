@@ -55,19 +55,19 @@ func (o *oracle) evaluate(tree *plantree.Node) Evaluation {
 
 	// Collect decision points in pre-order.
 	var points []decisionPoint
-	for _, loc := range tree.Nodes() {
-		switch loc.Node.Kind {
+	for _, n := range preorder(tree) {
+		switch n.Kind {
 		case plantree.KindSelective:
-			if len(loc.Node.Children) > 1 {
-				points = append(points, decisionPoint{loc.Node, len(loc.Node.Children)})
+			if len(n.Children) > 1 {
+				points = append(points, decisionPoint{n, len(n.Children)})
 			}
 		case plantree.KindIterative:
 			if o.params.MaxLoopUnroll > 1 {
-				points = append(points, decisionPoint{loc.Node, o.params.MaxLoopUnroll})
+				points = append(points, decisionPoint{n, o.params.MaxLoopUnroll})
 			}
 		case plantree.KindConcurrent:
-			if o.params.StrictConcurrency && len(loc.Node.Children) > 1 {
-				points = append(points, decisionPoint{loc.Node, 2})
+			if o.params.StrictConcurrency && len(n.Children) > 1 {
+				points = append(points, decisionPoint{n, 2})
 			}
 		}
 	}
@@ -495,7 +495,7 @@ func TestGoldenPlans(t *testing.T) {
 
 // TestEvaluateAllocatesNothingWarm gates the kernel's steady state: once a
 // worker's scratch has grown to the tree, a cache-missing evaluation makes
-// no allocation at all.
+// no allocation at all, from a genome or from a tree it converts first.
 func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 	for _, problem := range []*workflow.Problem{virolab.Problem(), crossProblem()} {
 		ev, err := NewEvaluator(problem, DefaultParams())
@@ -511,6 +511,10 @@ func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { ev.evaluateOnly(tree, sc) }); allocs != 0 {
 			t.Errorf("%s: warm evaluation of %s allocates %v times, want 0", problem.Name, tree, allocs)
 		}
+		genes := plantree.AppendGenes(nil, tree, ev.kernel.names, nil)
+		if allocs := testing.AllocsPerRun(100, func() { ev.evaluateGenes(genes, sc) }); allocs != 0 {
+			t.Errorf("%s: warm evaluation of the genome of %s allocates %v times, want 0", problem.Name, tree, allocs)
+		}
 	}
 }
 
@@ -520,12 +524,14 @@ func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 // interpreted evaluator spent 25 M mallocs on the first and the kernel left
 // the GP loop's own — 26 709 mallocs and 18 261 KB; in a workspace a run
 // allocates what it keeps (kernel, evaluation cache, key strings, history,
-// result) and, standalone, its slabs: 472 mallocs and 3 226 KB. The re-plan,
-// whose worker already has the slabs, reads 543 mallocs and 66 KB: its
-// neighborhood is built in the population's arena and its cache key without
-// fmt (2 000 and 206 KB when the neighborhood was heap trees, 3 764 and
-// 461 KB before the arenas). A row is the least of three runs, because the
-// runtime's own allocations only add; the ceilings leave under 4 %.
+// result) and, standalone, its two gene slabs: 428 mallocs and 1 700 KB
+// (463 and 3 235 KB when the population was pointer trees in node slabs).
+// The re-plan, whose worker already has the slabs, reads 518 mallocs and
+// 57 KB: its neighborhood is built in the population's slab and its cache
+// key without fmt (518 and 62 KB with pointer trees, 2 000 and 206 KB when
+// the neighborhood was heap trees, 3 764 and 461 KB before any slab). A row
+// is the least of three runs, because the runtime's own allocations only
+// add; the ceilings leave under 4 %.
 func TestPlanAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations of its own")
@@ -575,7 +581,7 @@ func TestPlanAllocationBudget(t *testing.T) {
 		plan        func()
 		mallocs, kb uint64
 	}{
-		{"cold Table-1 plan", cold, 490, 3350},
+		{"cold Table-1 plan", cold, 444, 1760},
 		{"incremental re-plan, warm service", replan, 564, 68},
 	} {
 		mallocs, kb := ^uint64(0), ^uint64(0)

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -17,10 +18,17 @@ import (
 	"repro/internal/workflow"
 )
 
-// Individual is one member of the GP population.
+// Individual is a plan tree and its evaluation: the best of a GP run.
 type Individual struct {
 	Tree *plantree.Node
 	Eval Evaluation
+}
+
+// member is one individual of a running population: its genome, a run of the
+// slab its generation lives in, and its evaluation.
+type member struct {
+	genes []plantree.Gene
+	eval  Evaluation
 }
 
 // GenStats summarizes one generation for the experiment harness.
@@ -94,22 +102,57 @@ func (gp *GP) Seed(trees ...*plantree.Node) {
 
 // workspace is the memory a GP run works in, kept from one run to the next by
 // its owner (a planning-service worker; a standalone GP has its own): the
-// population lives in two arenas that swap roles every generation, the
+// population's genes live in two slabs that swap roles every generation, the
 // per-generation lists are reused, and so are the evaluation workers'
 // scratches. Nothing a run returns points into it.
 type workspace struct {
 	// retain is the PopulationSize x Smax up to which a run's memory is kept
 	// for the next run; a larger run's goes back to the collector with it.
-	retain  int
-	arenas  [2]plantree.Arena
-	pops    [2][]Individual
-	nodes   []plantree.Located  // Mutate's pre-order list
-	keys    []string            // the population's cache keys, cut from one string
-	keyLen  int                 // that string's length last generation, this one's first guess
-	seen    map[string]struct{} // the generation's cache misses
-	missed  []int
-	results []Evaluation
-	scratch []*scratch // by evaluation worker
+	retain int
+	// slab holds the genomes of the generation being built, spare those of
+	// the one before; the operators append what they splice to slab.
+	slab, spare []plantree.Gene
+	fresh       []plantree.Gene  // a mutation's random subtree
+	srcs        []*plantree.Node // the nodes seed genes were read from, by Gene.Src
+	pops        [2][]member
+	keys        []string            // the population's cache keys, cut from one string
+	key         []byte              // one key, before it is written to that string
+	keyLen      int                 // that string's length last generation, this one's first guess
+	seen        map[string]struct{} // the generation's cache misses
+	missed      []int
+	results     []Evaluation
+	scratch     []*scratch // by evaluation worker
+}
+
+// since returns the genes appended to the slab from lo on: one genome.
+func (ws *workspace) since(lo int) []plantree.Gene { return ws.slab[lo:len(ws.slab):len(ws.slab)] }
+
+// put appends a copy of genes to the slab and returns it.
+func (ws *workspace) put(genes []plantree.Gene) []plantree.Gene {
+	lo := len(ws.slab)
+	ws.slab = append(ws.slab, genes...)
+	return ws.since(lo)
+}
+
+// splice appends to the slab the genome g with its subtree at x replaced by
+// sub, and returns it.
+func (ws *workspace) splice(g []plantree.Gene, x int, sub []plantree.Gene) []plantree.Gene {
+	lo := len(ws.slab)
+	ws.slab = append(append(append(ws.slab, g[:x]...), sub...), g[x+int(g[x].Size):]...)
+	out := ws.since(lo)
+	resize(out, 0)
+	return out
+}
+
+// resize recomputes the sizes of the subtree at g[i] from the child counts
+// and returns where it ends.
+func resize(g []plantree.Gene, i int) int {
+	end := i + 1
+	for range g[i].Kids {
+		end = resize(g, end)
+	}
+	g[i].Size = int32(end - i)
+	return end
 }
 
 func newWorkspace(retain int) *workspace {
@@ -127,7 +170,7 @@ func New(problem *workflow.Problem, params Params) (*GP, error) {
 		params:   params,
 		rng:      rand.New(rand.NewSource(params.Seed)),
 		eval:     ev,
-		services: problem.Catalog.Names(),
+		services: ev.kernel.names,
 		ws:       newWorkspace(params.PopulationSize * params.Smax),
 	}, nil
 }
@@ -144,22 +187,27 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	// However the last run ended (cancelled, failed), this one starts empty.
 	ws := gp.ws
 	for i := range ws.pops {
-		ws.arenas[i].Reset()
 		ws.pops[i] = slices.Grow(ws.pops[i][:0], gp.params.PopulationSize)[:gp.params.PopulationSize]
 	}
-	if gp.params.PopulationSize*gp.params.Smax > ws.retain {
+	// The selected copies of a generation fill at most PopulationSize x Smax
+	// genes; sized so from the start, a slab regrows only for splices.
+	genes := gp.params.PopulationSize * gp.params.Smax
+	ws.slab, ws.spare, ws.srcs = slices.Grow(ws.slab[:0], genes), slices.Grow(ws.spare[:0], genes), ws.srcs[:0]
+	if genes > ws.retain {
 		// Larger than the runs the workspace is kept for: what this one grows
 		// goes back to the collector with it.
 		defer func() { *ws = *newWorkspace(ws.retain) }()
 	}
-	pop, arena := ws.pops[0], &ws.arenas[0]
-	seeded := gp.neighborhood(arena, pop)
+	pop := ws.pops[0]
+	seeded := gp.neighborhood(pop)
 	for i := seeded; i < len(pop); i++ {
+		lo := len(ws.slab)
 		if j := i - seeded; j < len(gp.seeds) {
-			pop[i] = Individual{Tree: arena.Clone(gp.seeds[j])}
-			continue
+			ws.slab = plantree.AppendGenes(ws.slab, gp.seeds[j], gp.services, &ws.srcs)
+		} else {
+			ws.slab = plantree.AppendRandom(ws.slab, gp.rng, len(gp.services), gp.params.Smax)
 		}
-		pop[i] = Individual{Tree: arena.Random(gp.rng, gp.services, gp.params.Smax)}
+		pop[i] = member{genes: ws.since(lo)}
 	}
 
 	res := &Result{}
@@ -194,13 +242,13 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 		if gen == gp.params.Generations {
 			break
 		}
-		// The next generation is built in the idle arena, elites included.
-		next, arena := ws.pops[(gen+1)%2], &ws.arenas[(gen+1)%2]
-		arena.Reset()
-		elites := gp.takeElites(arena, pop)
-		gp.selectPop(arena, pop, next)
+		// The next generation is built in the idle slab, elites included.
+		next := ws.pops[(gen+1)%2]
+		ws.slab, ws.spare = ws.spare[:0], ws.slab
+		elites := gp.takeElites(pop)
+		gp.selectPop(pop, next)
 		gp.crossoverPop(next)
-		gp.mutatePop(arena, next)
+		gp.mutatePop(next)
 		// Elites overwrite the tail slots, untouched by the operators.
 		for i, e := range elites {
 			next[len(next)-1-i] = e
@@ -209,13 +257,12 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	best := pop[0]
-	for _, ind := range pop[1:] {
-		if ind.Eval.Fitness > best.Eval.Fitness {
-			best = ind
+	for _, m := range pop[1:] {
+		if m.eval.Fitness > best.eval.Fitness {
+			best = m
 		}
 	}
-	best.Tree = best.Tree.Clone()
-	res.Best = best
+	res.Best = Individual{Tree: plantree.Tree(best.genes, gp.services, ws.srcs), Eval: best.eval}
 	res.Evaluations = gp.eval.Evaluations
 	if tel := gp.tel; tel != nil {
 		tel.Counter("planner.runs").Inc()
@@ -225,7 +272,7 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // takeElites copies the top-k individuals of the evaluated population.
-func (gp *GP) takeElites(arena *plantree.Arena, pop []Individual) []Individual {
+func (gp *GP) takeElites(pop []member) []member {
 	k := gp.params.Elites
 	if k <= 0 {
 		return nil
@@ -235,11 +282,11 @@ func (gp *GP) takeElites(arena *plantree.Arena, pop []Individual) []Individual {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return pop[idx[a]].Eval.Fitness > pop[idx[b]].Eval.Fitness
+		return pop[idx[a]].eval.Fitness > pop[idx[b]].eval.Fitness
 	})
-	elites := make([]Individual, 0, k)
+	elites := make([]member, 0, k)
 	for _, i := range idx[:k] {
-		elites = append(elites, Individual{Tree: arena.Clone(pop[i].Tree), Eval: pop[i].Eval})
+		elites = append(elites, member{genes: gp.ws.put(pop[i].genes), eval: pop[i].eval})
 	}
 	return elites
 }
@@ -248,18 +295,19 @@ func (gp *GP) takeElites(arena *plantree.Arena, pop []Individual) []Individual {
 // fanning the cache misses out over the available cores, one simulation
 // scratch per worker. Results are independent of evaluation order, so
 // parallelism does not affect determinism.
-func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
+func (gp *GP) evaluateAll(ctx context.Context, pop []member) {
 	// One string holds the generation's keys, so keying the population costs
 	// one allocation and a cache hit none (a key cut before the builder regrows
 	// keeps the old buffer). missed lists each distinct uncached tree once.
 	ws := gp.ws
 	var all strings.Builder
 	all.Grow(ws.keyLen)
-	keys, missed := ws.keys[:0], ws.missed[:0]
+	keys, missed, key := ws.keys[:0], ws.missed[:0], ws.key
 	clear(ws.seen)
 	for i := range pop {
 		start := all.Len()
-		pop[i].Tree.Render(&all)
+		key = appendKey(key[:0], pop[i].genes)
+		all.Write(key)            // per key, not per node: each Write is a write barrier while the GC marks
 		k := all.String()[start:] // String does not copy
 		keys = append(keys, k)
 		if _, ok := gp.eval.cache[k]; ok {
@@ -270,7 +318,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 			missed = append(missed, i)
 		}
 	}
-	ws.keys, ws.missed, ws.keyLen = keys, missed, all.Len()
+	ws.keys, ws.missed, ws.key, ws.keyLen = keys, missed, key, all.Len()
 
 	ws.results = slices.Grow(ws.results[:0], len(missed))
 	results := ws.results[:len(missed)]
@@ -296,7 +344,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 					if i >= len(missed) {
 						return
 					}
-					results[i] = gp.eval.evaluateOnly(pop[missed[i]].Tree, sc)
+					results[i] = gp.eval.evaluateGenes(pop[missed[i]].genes, sc)
 				}
 			}()
 		}
@@ -307,7 +355,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = gp.eval.evaluateOnly(pop[m].Tree, sc)
+			results[i] = gp.eval.evaluateGenes(pop[m].genes, sc)
 		}
 	}
 	if ctx.Err() != nil {
@@ -323,10 +371,26 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 		e, ok := gp.eval.cache[keys[i]]
 		if !ok {
 			// Only possible right after a cache trim evicted a prior hit.
-			e = gp.eval.Evaluate(pop[i].Tree)
+			e = gp.eval.evaluateGenes(pop[i].genes, ws.scratch[0])
+			gp.eval.Evaluations++
+			gp.eval.cacheAdd(keys[i], e)
 		}
-		pop[i].Eval = e
+		pop[i].eval = e
 	}
+}
+
+// appendKey appends the genome's cache key: per node, its kind byte, then the
+// uvarint of an activity's name or a controller's child count. Genomes are
+// pre-order, so the key is injective.
+func appendKey(dst []byte, genes []plantree.Gene) []byte {
+	for _, g := range genes {
+		v := g.Kids
+		if g.Kind == plantree.KindActivity {
+			v = g.Name
+		}
+		dst = binary.AppendUvarint(append(dst, byte(g.Kind)), uint64(v))
+	}
+	return dst
 }
 
 // evalWorkers sizes the evaluation pool: the explicit Params.EvalWorkers
@@ -342,137 +406,163 @@ func (gp *GP) evalWorkers(n int) int {
 	return max(w, 1)
 }
 
-func summarize(gen int, pop []Individual) GenStats {
-	best := pop[0]
+func summarize(gen int, pop []member) GenStats {
+	best := pop[0].eval
 	sum := 0.0
-	for _, ind := range pop {
-		sum += ind.Eval.Fitness
-		if ind.Eval.Fitness > best.Eval.Fitness {
-			best = ind
+	for _, m := range pop {
+		sum += m.eval.Fitness
+		if m.eval.Fitness > best.Fitness {
+			best = m.eval
 		}
 	}
 	return GenStats{
 		Generation:  gen,
-		BestFitness: best.Eval.Fitness,
+		BestFitness: best.Fitness,
 		MeanFitness: sum / float64(len(pop)),
-		BestFV:      best.Eval.FV,
-		BestFG:      best.Eval.FG,
-		BestSize:    best.Eval.Size,
+		BestFV:      best.FV,
+		BestFG:      best.FG,
+		BestSize:    best.Size,
 	}
 }
 
-// selectPop forms the next generation (Section 3.4.5) in next and the arena.
-func (gp *GP) selectPop(arena *plantree.Arena, pop, next []Individual) {
+// selectPop forms the next generation (Section 3.4.5) in next and the slab.
+func (gp *GP) selectPop(pop, next []member) {
 	switch gp.params.Selection {
 	case SelectRoulette:
 		total := 0.0
-		for _, ind := range pop {
-			total += ind.Eval.Fitness
+		for _, m := range pop {
+			total += m.eval.Fitness
 		}
 		for i := range next {
-			pick := pop[len(pop)-1]
+			pick := &pop[len(pop)-1]
 			if total > 0 {
 				r := gp.rng.Float64() * total
 				acc := 0.0
-				for _, ind := range pop {
-					acc += ind.Eval.Fitness
+				for j := range pop {
+					acc += pop[j].eval.Fitness
 					if acc >= r {
-						pick = ind
+						pick = &pop[j]
 						break
 					}
 				}
 			} else {
-				pick = pop[gp.rng.Intn(len(pop))]
+				pick = &pop[gp.rng.Intn(len(pop))]
 			}
-			next[i] = Individual{Tree: arena.Clone(pick.Tree), Eval: pick.Eval}
+			next[i] = member{genes: gp.ws.put(pick.genes), eval: pick.eval}
 		}
 	default: // tournament
 		k := gp.params.TournamentSize
 		for i := range next {
-			winner := pop[gp.rng.Intn(len(pop))]
+			winner := &pop[gp.rng.Intn(len(pop))]
 			for j := 1; j < k; j++ {
-				challenger := pop[gp.rng.Intn(len(pop))]
-				if challenger.Eval.Fitness > winner.Eval.Fitness {
+				challenger := &pop[gp.rng.Intn(len(pop))]
+				if challenger.eval.Fitness > winner.eval.Fitness {
 					winner = challenger
 				}
 			}
-			next[i] = Individual{Tree: arena.Clone(winner.Tree), Eval: winner.Eval}
+			next[i] = member{genes: gp.ws.put(winner.genes), eval: winner.eval}
 		}
 	}
 }
 
-func (gp *GP) crossoverPop(pop []Individual) {
+func (gp *GP) crossoverPop(pop []member) {
 	for i := 0; i+1 < len(pop); i += 2 {
 		if gp.rng.Float64() >= gp.params.CrossoverRate {
 			continue
 		}
-		if !Crossover(gp.rng, pop[i].Tree, pop[i+1].Tree, gp.params.Smax) {
+		if !gp.ws.crossover(gp.rng, &pop[i].genes, &pop[i+1].genes, gp.params.Smax) {
 			gp.tel.Counter("planner.crossover.size_rejections").Inc()
 		}
 	}
 }
 
-func (gp *GP) mutatePop(arena *plantree.Arena, pop []Individual) {
-	ws := gp.ws
+func (gp *GP) mutatePop(pop []member) {
 	for i := range pop {
-		ws.nodes = pop[i].Tree.AppendNodes(ws.nodes[:0])
-		mutate(gp.rng, arena, ws.nodes, gp.services, gp.params.MutationRate, gp.params.Smax)
+		pop[i].genes, _ = gp.ws.mutate(gp.rng, pop[i].genes, len(gp.services), gp.params.MutationRate, gp.params.Smax)
 	}
+}
+
+// crossover is the subtree exchange of Figure 8 on two genomes: it draws a
+// node in each and swaps the subtrees rooted there, unless an offspring
+// would exceed smax. Subtrees of one size swap in place; otherwise both
+// offspring are spliced into the slab. It reports whether the swap happened.
+func (ws *workspace) crossover(rng *rand.Rand, a, b *[]plantree.Gene, smax int) bool {
+	ga, gb := *a, *b
+	x, y := rng.Intn(len(ga)), rng.Intn(len(gb))
+	xs, ys := int(ga[x].Size), int(gb[y].Size)
+	if len(ga)-xs+ys > smax || len(gb)-ys+xs > smax {
+		return false
+	}
+	if xs == ys {
+		for i := range xs {
+			ga[x+i], gb[y+i] = gb[y+i], ga[x+i]
+		}
+		return true
+	}
+	*a, *b = ws.splice(ga, x, gb[y:y+ys]), ws.splice(gb, y, ga[x:x+xs])
+	return true
+}
+
+// mutate is the mutation of Figure 9 on a genome: every node is selected
+// with probability rate, in pre-order, and a selected node's subtree is
+// replaced by a random tree of at most the size that keeps the tree within
+// smax. A node under one replaced before it still draws, counts and is
+// sized as it was, but its replacement is dropped. The replacements are
+// spliced into the slab; it returns the genome, g itself when none was
+// kept, and the number of mutations.
+func (ws *workspace) mutate(rng *rand.Rand, g []plantree.Gene, services int, rate float64, smax int) ([]plantree.Gene, int) {
+	if rate <= 0 {
+		return g, 0
+	}
+	// out is g with the replacements so far, g[p] is out[p+shift] for every
+	// p from dead on, and g[:dead] ends with the last replaced subtree.
+	out, shift, dead, applied := g, 0, 0, 0
+	for p := range g {
+		if rng.Float64() >= rate {
+			continue
+		}
+		size := int(g[p].Size)
+		budget := smax - (len(out) - size)
+		if budget < 1 {
+			continue
+		}
+		ws.fresh = plantree.AppendRandom(ws.fresh[:0], rng, services, budget)
+		applied++
+		if p < dead {
+			continue
+		}
+		out = ws.splice(out, p+shift, ws.fresh)
+		shift += len(ws.fresh) - size
+		dead = p + size
+	}
+	return out, applied
 }
 
 // Crossover performs the subtree exchange of Figure 8 on two trees in
 // place: a random node is chosen in each parent and the subtrees rooted
 // there are swapped. If either offspring would exceed smax the crossover
 // fails and both parents are left unchanged. It reports whether the swap
-// happened.
-//
-// If a chosen node is a root, the root's content is swapped in place (the
-// caller keeps stable tree pointers).
+// happened. The roots keep their addresses.
 func Crossover(rng *rand.Rand, a, b *plantree.Node, smax int) bool {
-	aSize, bSize := a.Size(), b.Size()
-	x, y := a.At(rng.Intn(aSize)).Node, b.At(rng.Intn(bSize)).Node
-	xSize, ySize := x.Size(), y.Size()
-	if aSize-xSize+ySize > smax || bSize-ySize+xSize > smax {
+	var ws workspace
+	ga := plantree.AppendGenes(nil, a, nil, &ws.srcs)
+	gb := plantree.AppendGenes(nil, b, nil, &ws.srcs)
+	if !ws.crossover(rng, &ga, &gb, smax) {
 		return false
 	}
-	swapContent(x, y)
+	*a, *b = *plantree.Tree(ga, nil, ws.srcs), *plantree.Tree(gb, nil, ws.srcs)
 	return true
-}
-
-// swapContent exchanges the payload of two nodes (kind, service, children,
-// condition), which swaps the subtrees while keeping the two node addresses
-// stable — this uniformly handles root selection.
-func swapContent(x, y *plantree.Node) {
-	*x, *y = *y, *x
 }
 
 // Mutate performs the mutation of Figure 9 in place: every node is selected
 // with probability rate; a selected node's subtree is replaced by a freshly
 // generated random tree. A replacement that would push the tree past smax
-// is skipped. It returns the number of mutations applied.
+// is skipped. It returns the number of mutations applied. The root keeps its
+// address.
 func Mutate(rng *rand.Rand, tree *plantree.Node, services []string, rate float64, smax int) int {
-	return mutate(rng, nil, tree.Nodes(), services, rate, smax)
-}
-
-// mutate is Mutate with its memory named: nodes is the tree's pre-order list,
-// collected first (mutating while walking would visit fresh nodes), and the
-// fresh subtrees are built in the arena (nil is the heap).
-func mutate(rng *rand.Rand, arena *plantree.Arena, nodes []plantree.Located, services []string, rate float64, smax int) int {
-	if rate <= 0 {
-		return 0
-	}
-	tree, applied := nodes[0].Node, 0
-	for _, loc := range nodes {
-		if rng.Float64() >= rate {
-			continue
-		}
-		budget := smax - (tree.Size() - loc.Node.Size())
-		if budget < 1 {
-			continue
-		}
-		*loc.Node = *arena.Random(rng, services, budget)
-		applied++
-	}
+	var ws workspace
+	g, applied := ws.mutate(rng, plantree.AppendGenes(nil, tree, services, &ws.srcs), len(services), rate, smax)
+	*tree = *plantree.Tree(g, services, ws.srcs)
 	return applied
 }
 
@@ -497,7 +587,7 @@ func serviceSignature(s *workflow.Service) string {
 	return strings.Join(ins, ";") + "|" + strings.Join(outs, ";")
 }
 
-// neighborhood seeds the head of pop, in the arena, from the failed plan of
+// neighborhood seeds the head of pop, in the slab, from the failed plan of
 // an incremental re-plan (Figure 3): the failed tree with excluded leaves
 // rewritten — preferring a drop-in replacement with the same
 // pre/postconditions (the paper's "adapt an existing process description to
@@ -505,7 +595,7 @@ func serviceSignature(s *workflow.Service) string {
 // variants of it, half a population in all, keeping those that validate
 // against Smax. It returns how many it placed: none without a failed plan or
 // when the adapted tree does not validate.
-func (gp *GP) neighborhood(arena *plantree.Arena, pop []Individual) int {
+func (gp *GP) neighborhood(pop []member) int {
 	if gp.failed == nil {
 		return 0
 	}
@@ -515,53 +605,67 @@ func (gp *GP) neighborhood(arena *plantree.Arena, pop []Individual) int {
 	usable, smax, ws := gp.services, gp.params.Smax, gp.ws
 	// One replacement per excluded service, so every leaf that ran it is
 	// rewritten coherently.
-	replacement := map[string]string{}
-	replaceFor := func(name string) string {
+	replacement := map[string]int32{}
+	replaceFor := func(name string) int32 {
 		if r, ok := replacement[name]; ok {
 			return r
 		}
-		r := ""
+		r := -1
 		if dead := gp.catalog.Get(name); dead != nil {
 			want := serviceSignature(dead)
-			for _, cand := range usable {
-				if svc := gp.catalog.Get(cand); svc != nil && serviceSignature(svc) == want {
-					r = cand
-					break
-				}
-			}
+			r = slices.IndexFunc(usable, func(cand string) bool {
+				svc := gp.catalog.Get(cand)
+				return svc != nil && serviceSignature(svc) == want
+			})
 		}
-		if r == "" {
-			r = usable[rng.Intn(len(usable))]
+		if r < 0 {
+			r = rng.Intn(len(usable))
 		}
-		replacement[name] = r
-		return r
+		replacement[name] = int32(r)
+		return int32(r)
 	}
-	base := arena.Clone(gp.failed)
-	ws.nodes = base.AppendNodes(ws.nodes[:0])
-	for _, loc := range ws.nodes {
-		if leaf := loc.Node; leaf.Kind == plantree.KindActivity && gp.excluded[leaf.Service] {
-			leaf.Service, leaf.Name = replaceFor(leaf.Service), ""
+	lo := len(ws.slab)
+	ws.slab = plantree.AppendGenes(ws.slab, gp.failed, usable, &ws.srcs)
+	base := ws.since(lo)
+	for i, g := range base {
+		if g.Kind != plantree.KindActivity {
+			continue
+		}
+		if service := g.Service(usable, ws.srcs); gp.excluded[service] {
+			base[i].Name, base[i].Bare = replaceFor(service), true
 		}
 	}
-	if base.Validate(smax) != nil {
+	if !gp.valid(base) {
 		return 0
 	}
-	pop[0] = Individual{Tree: base}
+	pop[0] = member{genes: base}
 	// The variants explore around the adapted plan at a heavier mutation
 	// rate than evolution uses, so the seeded population is diverse enough
-	// to escape a locally-broken structure.
+	// to escape a locally-broken structure. A variant no mutation reached
+	// shares base's genes: the first population is only read.
 	const neighborRate = 0.15
 	n := 1
 	for made := 1; made < len(pop)/2; made++ {
-		m := arena.Clone(base)
-		ws.nodes = m.AppendNodes(ws.nodes[:0])
-		mutate(rng, arena, ws.nodes, usable, neighborRate, smax)
-		if m.Validate(smax) == nil {
-			pop[n] = Individual{Tree: m}
+		if m, _ := ws.mutate(rng, base, len(usable), neighborRate, smax); gp.valid(m) {
+			pop[n] = member{genes: m}
 			n++
 		}
 	}
 	return n
+}
+
+// valid reports whether the tree the genome encodes passes Validate(Smax).
+func (gp *GP) valid(genes []plantree.Gene) bool {
+	if len(genes) > gp.params.Smax {
+		return false
+	}
+	for _, g := range genes {
+		if g.Kind == plantree.KindActivity && (g.Kids > 0 || g.Service(gp.services, gp.ws.srcs) == "") ||
+			g.Kind != plantree.KindActivity && g.Kids == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // RunManyContext performs n independent GP runs with seeds seed, seed+1,

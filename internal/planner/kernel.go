@@ -23,8 +23,8 @@ import (
 // (scratch.Lookup). The kernel is immutable after compile; all mutable state
 // lives in a per-worker scratch.
 type kernel struct {
-	services map[string]int32 // service name -> index into svcs
-	svcs     []kernelService
+	names []string // by service index: the catalog's names, sorted
+	svcs  []kernelService
 
 	// items holds one representative data item per kind. The initial items
 	// are kinds 0..initial-1, in the sorted-name order of State.Items(), one
@@ -61,18 +61,14 @@ var goalFormals = []string{"G"}
 
 // compileKernel compiles a validated problem.
 func compileKernel(problem *workflow.Problem, params Params) (*kernel, error) {
-	k := &kernel{
-		services: make(map[string]int32, problem.Catalog.Len()),
-		unroll:   params.MaxLoopUnroll,
-		strict:   params.StrictConcurrency,
-	}
+	k := &kernel{unroll: params.MaxLoopUnroll, strict: params.StrictConcurrency}
 	k.items = problem.Initial.Items()
 	k.initial = len(k.items)
 	services := problem.Catalog.Services()
 	for _, svc := range services {
 		ks := kernelService{outKind: int32(len(k.items)), nOut: int32(len(svc.Outputs)), cost: svc.Cost, time: svc.BaseTime}
 		k.items = append(k.items, svc.Produce(nil, 0)...)
-		k.services[svc.Name] = int32(len(k.svcs))
+		k.names = append(k.names, svc.Name)
 		k.svcs = append(k.svcs, ks)
 	}
 	// Candidates span every kind, so they are listed after the kinds are known.
@@ -154,13 +150,15 @@ type class struct {
 }
 
 // scratch is the mutable state of one evaluation worker: the tree flattened
-// to integer arrays, the flows' digits, and the classes the flows fall into
-// as the tree is walked. Its slices are reused across evaluations, so a warm
-// evaluation allocates nothing. A scratch belongs to one goroutine at a time.
+// to integer arrays (and, for a tree given as nodes, its genome), the flows'
+// digits, and the classes the flows fall into as the tree is walked. Its
+// slices are reused across evaluations, so a warm evaluation allocates
+// nothing. A scratch belongs to one goroutine at a time.
 type scratch struct {
 	k *kernel
 
 	// The tree in pre-order.
+	genes []plantree.Gene
 	nodes []flatNode
 	kids  []int32
 
@@ -193,54 +191,51 @@ type scratch struct {
 
 const bindOK = -1
 
-// flatten appends the subtree at n and returns its index.
-func (sc *scratch) flatten(n *plantree.Node) int32 {
-	fn := flatNode{kind: n.Kind, svc: -1, first: int32(len(sc.kids)), nkids: int32(len(n.Children)), point: -1}
-	domain := 0
-	switch n.Kind {
-	case plantree.KindActivity:
-		if id, ok := sc.k.services[n.Service]; ok {
-			fn.svc = id
+// flatten replaces the scratch's tree with the genome's: node i is gene i,
+// and a node's children are the subtrees that follow it.
+func (sc *scratch) flatten(genes []plantree.Gene) {
+	sc.nodes, sc.kids, sc.odo, sc.domain = sc.nodes[:0], sc.kids[:0], sc.odo[:0], sc.domain[:0]
+	for i, g := range genes {
+		fn := flatNode{kind: g.Kind, svc: -1, first: int32(len(sc.kids)), nkids: g.Kids, point: -1}
+		domain := 0
+		switch g.Kind {
+		case plantree.KindActivity:
+			if int(g.Name) < len(sc.k.svcs) {
+				fn.svc = g.Name
+			}
+		case plantree.KindSelective:
+			if g.Kids > 1 {
+				domain = int(g.Kids)
+			}
+		case plantree.KindIterative:
+			if sc.k.unroll > 1 {
+				domain = sc.k.unroll
+			}
+		case plantree.KindConcurrent:
+			// Concurrent children may run in any order; enumerating the forward
+			// and reverse orders catches most order dependencies.
+			if sc.k.strict && g.Kids > 1 {
+				domain = 2
+			}
 		}
-	case plantree.KindSelective:
-		if len(n.Children) > 1 {
-			domain = len(n.Children)
+		if domain > 0 {
+			fn.point = int32(len(sc.odo))
+			sc.odo = append(sc.odo, 0)
+			sc.domain = append(sc.domain, int32(domain))
 		}
-	case plantree.KindIterative:
-		if sc.k.unroll > 1 {
-			domain = sc.k.unroll
-		}
-	case plantree.KindConcurrent:
-		// Concurrent children may run in any order; enumerating the forward
-		// and reverse orders catches most order dependencies.
-		if sc.k.strict && len(n.Children) > 1 {
-			domain = 2
+		sc.nodes = append(sc.nodes, fn)
+		for c := int32(i + 1); len(sc.kids) < int(fn.first+fn.nkids); c += genes[c].Size {
+			sc.kids = append(sc.kids, c)
 		}
 	}
-	if domain > 0 {
-		fn.point = int32(len(sc.odo))
-		sc.odo = append(sc.odo, 0)
-		sc.domain = append(sc.domain, int32(domain))
-	}
-	i := int32(len(sc.nodes))
-	sc.nodes = append(sc.nodes, fn)
-	for range n.Children {
-		sc.kids = append(sc.kids, 0)
-	}
-	for c, ch := range n.Children {
-		sc.kids[int(fn.first)+c] = sc.flatten(ch)
-	}
-	return i
 }
 
-// simulate replaces the scratch's tree with tree and simulates its first
-// maxFlows flows in one walk: one class holding them all starts from the
-// initial state, and the walk splits it where their decisions differ. Then
-// owner maps each flow to its class, and each class has its goal. It returns
-// the tree's size.
-func (sc *scratch) simulate(tree *plantree.Node, maxFlows int) int {
-	sc.nodes, sc.kids, sc.odo, sc.domain = sc.nodes[:0], sc.kids[:0], sc.odo[:0], sc.domain[:0]
-	sc.flatten(tree)
+// simulate replaces the scratch's tree with the genome's and simulates its
+// first maxFlows flows in one walk: one class holding them all starts from
+// the initial state, and the walk splits it where their decisions differ.
+// Then owner maps each flow to its class, and each class has its goal.
+func (sc *scratch) simulate(genes []plantree.Gene, maxFlows int) {
+	sc.flatten(genes)
 	flows, keys := 1, int32(1)
 	for _, d := range sc.domain {
 		flows, keys = min(flows*int(d), maxFlows), max(keys, d)
@@ -286,7 +281,6 @@ func (sc *scratch) simulate(tree *plantree.Node, maxFlows int) int {
 			sc.owner[f] = int32(c)
 		}
 	}
-	return len(sc.nodes)
 }
 
 // row returns class c's counts and memo.

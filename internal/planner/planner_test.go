@@ -2,7 +2,6 @@ package planner
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -298,7 +297,7 @@ func TestKernelBindMemo(t *testing.T) {
 			t.Fatalf("%s: %d classes, want 1", c.tree, len(sc.classes))
 		}
 		_, memo := sc.row(0)
-		for name, svc := range sc.k.services {
+		for svc, name := range sc.k.names {
 			if memo[svc] != c.memo[name] {
 				t.Errorf("%s: memo of %s = %d, want %d", c.tree, name, memo[svc], c.memo[name])
 			}
@@ -373,53 +372,6 @@ func TestFig9Mutation(t *testing.T) {
 	}
 	if Mutate(rng, tree, services, 0, 40) != 0 {
 		t.Error("rate 0 mutated")
-	}
-}
-
-// TestArenaLeavesRandomStreamAlone is the differential behind the golden
-// plans: building, copying, mutating and crossing trees in an arena gives the
-// trees the heap gives and draws exactly what the heap draws from rng — where
-// a tree lives is invisible to the search. Rate 0.3 reaches the case where a
-// replaced ancestor leaves later entries of Mutate's list detached.
-func TestArenaLeavesRandomStreamAlone(t *testing.T) {
-	const smax = 40
-	for _, services := range [][]string{virolab.Problem().Catalog.Names(), crossServices} {
-		heapRng, arenaRng := rand.New(rand.NewSource(24)), rand.New(rand.NewSource(24))
-		var arena plantree.Arena
-		var prevH, prevA *plantree.Node
-		same := func(op string, h, a *plantree.Node) {
-			t.Helper()
-			if !h.Equal(a) {
-				t.Fatalf("%s: heap %s, arena %s", op, h, a)
-			}
-			if hn, an := heapRng.Int63(), arenaRng.Int63(); hn != an {
-				t.Fatalf("%s of %s left the random streams apart", op, h)
-			}
-		}
-		for i := 0; i < 200; i++ {
-			if i%50 == 0 {
-				arena.Reset()
-				prevH, prevA = nil, nil
-			}
-			h, a := plantree.Random(heapRng, services, smax), arena.Random(arenaRng, services, smax)
-			same("Random", h, a)
-			same("Clone", h.Clone(), arena.Clone(h))
-			for _, rate := range []float64{0.001, 0.05, 0.3} {
-				hm, am := h.Clone(), arena.Clone(a)
-				if hk, ak := Mutate(heapRng, hm, services, rate, smax), mutate(arenaRng, &arena, am.Nodes(), services, rate, smax); hk != ak {
-					t.Fatalf("Mutate at %g of %s: %d mutations on the heap, %d in the arena", rate, h, hk, ak)
-				}
-				same(fmt.Sprintf("Mutate at %g", rate), hm, am)
-			}
-			if prevH != nil {
-				if hs, as := Crossover(heapRng, h, prevH, smax), Crossover(arenaRng, a, prevA, smax); hs != as {
-					t.Fatalf("Crossover of %s and %s: swapped %v on the heap, %v in the arena", h, prevH, hs, as)
-				}
-				same("Crossover", h, a)
-				same("Crossover (mate)", prevH, prevA)
-			}
-			prevH, prevA = h, a
-		}
 	}
 }
 
@@ -809,7 +761,7 @@ func TestWorkspaceReleasesOversizedRun(t *testing.T) {
 	big := p
 	big.PopulationSize *= 2
 	run(big)
-	if ws.pops[0] != nil || ws.nodes != nil || ws.results != nil || ws.retain != p.PopulationSize*p.Smax {
+	if ws.pops[0] != nil || ws.slab != nil || ws.spare != nil || ws.results != nil || ws.retain != p.PopulationSize*p.Smax {
 		t.Errorf("an oversized run stayed in the workspace: %d individuals, retain %d", len(ws.pops[0]), ws.retain)
 	}
 }

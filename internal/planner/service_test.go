@@ -487,13 +487,13 @@ func TestServiceResultOutlivesWorkspace(t *testing.T) {
 	}
 	var bound *plantree.Node
 	controllers := 0
-	for _, loc := range treeA.Nodes() {
-		if len(loc.Node.Inputs) > 0 && bound == nil {
-			bound = loc.Node
+	for _, n := range preorder(treeA) {
+		if len(n.Inputs) > 0 && bound == nil {
+			bound = n
 		}
-		if loc.Node.Kind.IsController() {
+		if n.Kind.IsController() {
 			controllers++
-			loc.Node.Children = append(loc.Node.Children, plantree.Activity("EXTRA"))
+			n.Children = append(n.Children, plantree.Activity("EXTRA"))
 		}
 	}
 	if bound == nil {

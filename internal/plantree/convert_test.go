@@ -335,8 +335,8 @@ func TestDominanceMatchesFixpoint(t *testing.T) {
 	kinds := map[Kind]int{}
 	for i := 0; i < 2000; i++ {
 		tr := Random(rng, services, 2+i%40)
-		for _, loc := range tr.Nodes() {
-			kinds[loc.Node.Kind]++
+		for _, n := range preorder(tr) {
+			kinds[n.Kind]++
 		}
 		p, err := ToProcess("rand", tr)
 		if err != nil {

@@ -51,10 +51,8 @@ func FuzzPDLPlanTreeRoundTrip(f *testing.F) {
 		// literal "false" (run the body exactly once) and FromProcess
 		// inverts that spelling back to empty — so a tree whose source
 		// really wrote `COND false` cannot round-trip. Skip the collision.
-		for _, loc := range tree.Nodes() {
-			if loc.Node.Kind == plantree.KindIterative && loc.Node.Condition == "false" {
-				return
-			}
+		if hasFalseLoop(tree) {
+			return
 		}
 		p, err := plantree.ToProcess("fuzz", tree)
 		if err != nil {
@@ -75,4 +73,18 @@ func FuzzPDLPlanTreeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed the tree:\n src  %q\n norm %s\n back %s", src, want, back)
 		}
 	})
+}
+
+// hasFalseLoop reports whether the tree has an iterative node whose condition
+// is the literal "false".
+func hasFalseLoop(n *plantree.Node) bool {
+	if n.Kind == plantree.KindIterative && n.Condition == "false" {
+		return true
+	}
+	for _, c := range n.Children {
+		if hasFalseLoop(c) {
+			return true
+		}
+	}
+	return false
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Kind classifies plan-tree nodes.
-type Kind int
+type Kind int8
 
 // Node kinds. KindActivity is the terminal kind; the other four are the
 // controller kinds of the paper.
@@ -176,55 +176,6 @@ func (n *Node) walk(fn func(node, parent *Node, idx int)) {
 		}
 	}
 	rec(n, nil, -1)
-}
-
-// Located identifies a node within a tree together with its parent link, as
-// needed by the genetic operators to splice subtrees.
-type Located struct {
-	Node   *Node
-	Parent *Node
-	Index  int // child index within Parent; -1 for the root
-}
-
-// Nodes returns every node in pre-order with parent links.
-func (n *Node) Nodes() []Located { return n.AppendNodes(make([]Located, 0, n.Size())) }
-
-// AppendNodes appends what Nodes returns to dst: one buffer can list many trees.
-func (n *Node) AppendNodes(dst []Located) []Located { return Located{Node: n, Index: -1}.appendTo(dst) }
-
-func (loc Located) appendTo(dst []Located) []Located {
-	dst = append(dst, loc)
-	for i, c := range loc.Node.Children {
-		dst = Located{Node: c, Parent: loc.Node, Index: i}.appendTo(dst)
-	}
-	return dst
-}
-
-// At returns the i-th node in pre-order; it panics when the tree has no
-// such node.
-func (n *Node) At(i int) Located {
-	loc, left := Located{Node: n, Index: -1}, i
-	if !loc.skip(&left) {
-		panic(fmt.Sprintf("plantree: At(%d) in a tree of %d nodes", i, n.Size()))
-	}
-	return loc
-}
-
-// skip moves loc forward *i nodes in pre-order within the subtree it points
-// at, counting *i down; it reports false when the subtree ends first.
-func (loc *Located) skip(i *int) bool {
-	if *i == 0 {
-		return true
-	}
-	*i--
-	parent := loc.Node
-	for idx, c := range parent.Children {
-		*loc = Located{Node: c, Parent: parent, Index: idx}
-		if loc.skip(i) {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks the structural invariants of plan trees: controller nodes

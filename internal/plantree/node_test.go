@@ -119,26 +119,63 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestNodesAndAt(t *testing.T) {
-	tr := fig11()
-	nodes := tr.Nodes()
-	if len(nodes) != tr.Size() {
-		t.Fatalf("Nodes len = %d, want %d", len(nodes), tr.Size())
-	}
-	if nodes[0].Node != tr || nodes[0].Parent != nil || nodes[0].Index != -1 {
-		t.Error("root location wrong")
-	}
+// preorder lists the tree's nodes in pre-order.
+func preorder(n *Node) []*Node {
+	var out []*Node
+	n.walk(func(node, _ *Node, _ int) { out = append(out, node) })
+	return out
+}
+
+// TestGenesPreorder pins the genome's layout on Figure 11: pre-order genes
+// with their subtree sizes and child counts, each pointing at its source
+// node. A gene resolves its service through the name table, or through its
+// first source node when the table lacks it; a bare gene drops the source's
+// Name and keeps its Inputs, Outputs and Condition.
+func TestGenesPreorder(t *testing.T) {
+	tr := annotated()
+	var srcs []*Node
+	names := []string{"PSF", "POD", "P3DR"} // unsorted, and POR is missing
+	genes := AppendGenes(nil, tr, names, &srcs)
 	// Pre-order: root, POD, P3DR, iter, POR, conc, P3DR x3, PSF.
-	if nodes[1].Node.Service != "POD" || nodes[1].Parent != tr || nodes[1].Index != 0 {
-		t.Errorf("nodes[1] = %+v", nodes[1])
+	want := []Gene{
+		{Kind: KindSequential, Kids: 3, Size: 10},
+		{Kind: KindActivity, Name: 1, Size: 1}, {Kind: KindActivity, Name: 2, Size: 1},
+		{Kind: KindIterative, Kids: 3, Size: 7},
+		{Kind: KindActivity, Name: 3 + 4, Size: 1},
+		{Kind: KindConcurrent, Kids: 3, Size: 4},
+		{Kind: KindActivity, Name: 2, Size: 1}, {Kind: KindActivity, Name: 2, Size: 1}, {Kind: KindActivity, Name: 2, Size: 1},
+		{Kind: KindActivity, Name: 0, Size: 1},
 	}
-	if at := tr.At(3); at.Node.Kind != KindIterative {
-		t.Errorf("At(3).Kind = %v, want iterative", at.Node.Kind)
+	nodes := preorder(tr)
+	if len(genes) != len(want) || len(srcs) != len(nodes) {
+		t.Fatalf("%d genes and %d sources for %d nodes", len(genes), len(srcs), len(nodes))
 	}
-	// Every non-root node's parent link must be consistent.
-	for _, loc := range nodes[1:] {
-		if loc.Parent.Children[loc.Index] != loc.Node {
-			t.Fatalf("inconsistent parent link at %+v", loc)
+	for i, g := range genes {
+		want[i].Src = int32(i)
+		if g != want[i] || srcs[i] != nodes[i] {
+			t.Errorf("gene %d = %+v, want %+v", i, g, want[i])
+		}
+	}
+	if got := genes[4].Service(names, srcs); got != "POR" {
+		t.Errorf("POR's gene reads service %q", got)
+	}
+	if back := Tree(genes, names, srcs); !back.Equal(tr) {
+		t.Fatalf("round trip: %s, want %s", back, tr)
+	}
+
+	// The first activity's service replaced: a bare gene naming PSF.
+	genes[1].Name, genes[1].Bare = 0, true
+	back := Tree(genes, names, srcs)
+	first := back.Children[0]
+	if first.Service != "PSF" || first.Name != "" || !equalStrings(first.Inputs, tr.Children[0].Inputs) ||
+		!equalStrings(first.Outputs, tr.Children[0].Outputs) || back.Children[2].Condition != tr.Children[2].Condition {
+		t.Errorf("bare leaf: %+v; loop condition %q", first, back.Children[2].Condition)
+	}
+
+	// Without a source table every name outside the table is len(names).
+	for i, g := range AppendGenes(nil, tr, names, nil) {
+		if g.Src != -1 || (i == 4 && g.Name != 3) {
+			t.Errorf("gene %d without sources = %+v", i, g)
 		}
 	}
 }
@@ -265,12 +302,17 @@ func TestCloneRoundTripsEveryField(t *testing.T) {
 }
 
 // TestCloneSlabIsolation pins what the shared backing arrays of Clone must
-// not leak: the in-place edits the genetic operators make to one clone may
-// not reach the source, nor a sibling clone of it. An arena's copies, which
-// share slabs with every other tree in it, are held to the same.
+// not leak: in-place edits to one clone may not reach the source, nor a
+// sibling clone of it. The tree a genome builds, whose nodes and child lists
+// share two arrays the same way, is held to the same.
 func TestCloneSlabIsolation(t *testing.T) {
 	t.Run("Node.Clone", func(t *testing.T) { testCloneIsolation(t, (*Node).Clone) })
-	t.Run("Arena.Clone", func(t *testing.T) { testCloneIsolation(t, new(Arena).Clone) })
+	t.Run("Tree", func(t *testing.T) {
+		testCloneIsolation(t, func(n *Node) *Node {
+			var srcs []*Node
+			return Tree(AppendGenes(nil, n, nil, &srcs), nil, srcs)
+		})
+	})
 }
 
 func testCloneIsolation(t *testing.T, clone func(*Node) *Node) {
@@ -288,19 +330,19 @@ func testCloneIsolation(t *testing.T, clone func(*Node) *Node) {
 		// Appending to a child list must reallocate it, not overwrite the
 		// next list in the slab.
 		a := clone(src)
-		for _, loc := range a.Nodes() {
-			if loc.Node.Kind.IsController() {
-				loc.Node.Children = append(loc.Node.Children, Activity("EXTRA"))
+		for _, n := range preorder(a) {
+			if n.Kind.IsController() {
+				n.Children = append(n.Children, Activity("EXTRA"))
 			}
 		}
 		check("append")
-		if got, want := a.Size(), src.Size()+len(src.Nodes())-len(src.Leaves()); got != want {
+		if got, want := a.Size(), 2*src.Size()-len(src.Leaves()); got != want {
 			t.Fatalf("appending one child per controller: size %d, want %d: %s", got, want, a)
 		}
 
 		// The crossover's content swap between nodes of two clones.
 		b, c := clone(src), clone(src)
-		x, y := b.At(rng.Intn(b.Size())).Node, c.At(rng.Intn(c.Size())).Node
+		x, y := preorder(b)[rng.Intn(b.Size())], preorder(c)[rng.Intn(c.Size())]
 		xs, ys := x.String(), y.String()
 		*x, *y = *y, *x
 		check("swap")

@@ -61,28 +61,26 @@ func TestQuickCloneIsolation(t *testing.T) {
 	}
 }
 
-// Property: every node reported by Nodes() is reachable through its parent
-// chain from the root, and pre-order positions are stable.
-func TestQuickNodesConsistency(t *testing.T) {
+// Property: a random tree's genome lists its nodes in pre-order, each with
+// its subtree's size and child count, and builds the tree back; its genome
+// names every service by its index in the name table.
+func TestQuickGenesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	f := func(seed int64) bool {
 		local := rand.New(rand.NewSource(seed))
 		tree := Random(local, services, 25)
-		nodes := tree.Nodes()
-		if len(nodes) != tree.Size() {
+		var srcs []*Node
+		genes := AppendGenes(nil, tree, services, &srcs)
+		nodes := preorder(tree)
+		if len(genes) != len(nodes) || !Tree(genes, services, srcs).Equal(tree) {
 			return false
 		}
-		for i, loc := range nodes {
-			if tree.At(i).Node != loc.Node {
+		for i, g := range genes {
+			n := nodes[i]
+			if srcs[g.Src] != n || g.Kind != n.Kind || int(g.Kids) != len(n.Children) || int(g.Size) != n.Size() {
 				return false
 			}
-			if loc.Parent == nil {
-				if loc.Node != tree {
-					return false
-				}
-				continue
-			}
-			if loc.Parent.Children[loc.Index] != loc.Node {
+			if n.Kind == KindActivity && services[g.Name] != n.Service {
 				return false
 			}
 		}
@@ -111,14 +109,14 @@ func TestQuickToProcessStructure(t *testing.T) {
 		// Count controllers that actually emit pairs (>= 2 children for
 		// conc/sel; iter always emits).
 		forks, sels, iters := 0, 0, 0
-		for _, loc := range tree.Nodes() {
-			switch loc.Node.Kind {
+		for _, n := range preorder(tree) {
+			switch n.Kind {
 			case KindConcurrent:
-				if len(loc.Node.Children) > 1 {
+				if len(n.Children) > 1 {
 					forks++
 				}
 			case KindSelective:
-				if len(loc.Node.Children) > 1 {
+				if len(n.Children) > 1 {
 					sels++
 				}
 			case KindIterative:
