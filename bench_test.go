@@ -12,18 +12,11 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/httpapi"
 	"repro/internal/ontology"
 	"repro/internal/planner"
 	"repro/internal/plantree"
@@ -550,109 +543,6 @@ func BenchmarkGridSimScalability(b *testing.B) {
 			b.ReportMetric(res.Utilization*100, "utilization-pct")
 		})
 	}
-}
-
-// --- Cluster benches (the internal/cluster scale-out path) ----------------
-
-// BenchmarkClusterForwardOverhead prices the forwarding hop: a 2-node
-// in-process cluster serves GETs of a finished task through the node that
-// owns it (local) and through its peer (forwarded — one extra loopback HTTP
-// exchange plus header copying). The per-op difference between the two
-// sub-benchmarks is the cost a request pays for arriving at the wrong node.
-func BenchmarkClusterForwardOverhead(b *testing.B) {
-	type member struct {
-		env *core.Environment
-		ts  *httptest.Server
-	}
-	nodes := make([]member, 2)
-	for i := range nodes {
-		env, err := core.NewEnvironment(core.Options{
-			Catalog:     virolab.Catalog(),
-			Planner:     reducedParams(),
-			PostProcess: virolab.ResolutionHook(nil),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer env.Close()
-		srv := httpapi.New(env)
-		srv.Logger = nil
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		nodes[i] = member{env: env, ts: ts}
-	}
-	peers := []cluster.Peer{
-		{ID: "n0", Addr: nodes[0].ts.URL},
-		{ID: "n1", Addr: nodes[1].ts.URL},
-	}
-	var ring *cluster.Node
-	for i, m := range nodes {
-		node, err := cluster.New(cluster.Config{
-			NodeID: fmt.Sprintf("n%d", i), Peers: peers,
-			Engine: m.env.Engine, Telemetry: m.env.Telemetry,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.env.AttachCluster(node)
-		if i == 0 {
-			ring = node
-		}
-	}
-
-	// One finished task per node, IDs picked by ring ownership so a GET via
-	// node 0 is handled locally for the first and forwarded for the second.
-	pick := func(wantSelf bool) string {
-		for i := 0; ; i++ {
-			id := fmt.Sprintf("bench-fwd-%v-%d", wantSelf, i)
-			if _, self := ring.Owner("", id); self == wantSelf {
-				return id
-			}
-		}
-	}
-	localID, fwdID := pick(true), pick(false)
-	for i, id := range []string{localID, fwdID} {
-		task := virolab.Task()
-		task.ID = id
-		if _, err := nodes[i].env.Engine.Submit(engine.Submission{Task: task}); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			st, err := nodes[i].env.Engine.Task(id)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Status == engine.StatusCompleted {
-				break
-			}
-			if st.Status == engine.StatusFailed || st.Status == engine.StatusCancelled {
-				b.Fatalf("task %s ended %s: %s", id, st.Status, st.Error)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	get := func(b *testing.B, id string, wantOwner string) {
-		b.Helper()
-		client := &http.Client{}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := client.Get(nodes[0].ts.URL + "/api/v1/tasks/" + id)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("GET %s = %d", id, resp.StatusCode)
-			}
-			if got := resp.Header.Get("X-Gridenv-Owner"); got != wantOwner {
-				b.Fatalf("X-Gridenv-Owner = %q, want %q", got, wantOwner)
-			}
-		}
-	}
-	b.Run("local", func(b *testing.B) { get(b, localID, "") })
-	b.Run("forwarded", func(b *testing.B) { get(b, fwdID, "n1") })
 }
 
 // BenchmarkCostAwareScheduling measures the cost-aware candidate scorer on a

@@ -8,7 +8,6 @@
 //	        [-store mem:|file:DIR] [-workers N] [-enact-delay D]
 //	        [-tenants alpha:3,beta:1] [-tenant-max-queued N]
 //	        [-tenant-max-inflight N] [-tenant-rate R] [-tenant-burst N]
-//	        [-node-id a -peers a=http://h1:8080,b=http://h2:8080]
 //	        [-log-level info] [-log-format text] [-pprof]
 //
 // -store selects the storage backend by DSN: "mem:" (volatile, the default)
@@ -37,14 +36,6 @@
 // view (spent/budget, deadlineSlackSec) and per-tenant spend as spentCost in
 // /api/v1/tenants, and a blown constraint terminates the task with reason
 // budget_exceeded or deadline_missed. See README "Cost-aware scheduling".
-//
-// -peers joins this process to a multi-node cluster: the value is the full
-// static membership (id=addr or id=addr=weight, comma-separated, including
-// this node, whose entry -node-id selects). Task and plan ownership is
-// partitioned across members by consistent hashing; requests landing on a
-// non-owner are forwarded to the owner transparently, /api/v1/cluster
-// serves membership and health, and ?scope=cluster on /api/v1/stats and
-// /api/v1/tenants aggregates across the cluster. See README "Clustering".
 //
 // Try it:
 //
@@ -79,7 +70,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -107,17 +97,9 @@ func main() {
 // config is the parsed command line: the environment's options, filled
 // directly by the flags, plus what only this command needs.
 type config struct {
-	addr    string
-	opts    core.Options
-	cluster clusterOptions
-	pprof   bool
-}
-
-// clusterOptions carries the clustering flags into run.
-type clusterOptions struct {
-	nodeID    string
-	peers     string
-	heartbeat time.Duration
+	addr  string
+	opts  core.Options
+	pprof bool
 }
 
 // parseFlags turns the command line into a config, rejecting flag values
@@ -152,9 +134,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.opts.TenantDefaults.MaxInFlight, "tenant-max-inflight", 0, "default per-tenant concurrent-enactment cap (0 = unlimited)")
 	fs.Float64Var(&cfg.opts.TenantDefaults.RatePerSec, "tenant-rate", 0, "default per-tenant submit rate per second (0 = unlimited)")
 	fs.IntVar(&cfg.opts.TenantDefaults.Burst, "tenant-burst", 0, "default per-tenant submit burst (0 = max(1, ceil(rate)))")
-	fs.StringVar(&cfg.cluster.nodeID, "node-id", "", "this node's cluster identity (required with -peers)")
-	fs.StringVar(&cfg.cluster.peers, "peers", "", "cluster membership as id=addr[,id=addr=weight,...] including this node (empty = single-node)")
-	fs.DurationVar(&cfg.cluster.heartbeat, "heartbeat", 0, "cluster heartbeat probe interval (0 = 500ms)")
 	fs.StringVar(&logLevel, "log-level", "info", "structured log threshold: debug, info, warn, error")
 	fs.StringVar(&logFormat, "log-format", "text", "structured log encoding: text or json")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
@@ -162,12 +141,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.opts.TraceMaxTasks, "trace-tasks", 0, "task traces retained before the oldest is evicted (0 = default 1024)")
 	_ = fs.Parse(args) // ExitOnError: a malformed flag prints usage and exits 2
 
-	switch {
-	case cfg.cluster.peers == "" && cfg.cluster.nodeID != "":
-		return config{}, fmt.Errorf("-node-id given without -peers")
-	case cfg.cluster.peers != "" && cfg.cluster.nodeID == "":
-		return config{}, fmt.Errorf("-peers requires -node-id")
-	}
 	cfg.opts.Planner = planner.DefaultParams()
 	cfg.opts.Planner.Seed = gridCfg.Seed
 	var err error
@@ -211,26 +184,6 @@ func tenantConfigs(weights string, defaults engine.TenantConfig) (map[string]eng
 	return out, nil
 }
 
-// node builds the cluster node, or returns nil when -peers is unset
-// (single-node deployment).
-func (c clusterOptions) node(env *core.Environment) (*cluster.Node, error) {
-	if c.peers == "" {
-		return nil, nil
-	}
-	list, err := cluster.ParsePeers(c.peers)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.New(cluster.Config{
-		NodeID:            c.nodeID,
-		Peers:             list,
-		Engine:            env.Engine,
-		Telemetry:         env.Telemetry,
-		Logger:            env.Logger,
-		HeartbeatInterval: c.heartbeat,
-	})
-}
-
 // run builds the environment, replays a durable journal, and serves the
 // HTTP API until the listener fails or ctx is cancelled.
 func run(ctx context.Context, cfg config) error {
@@ -246,25 +199,8 @@ func run(ctx context.Context, cfg config) error {
 	}
 	env.Services.Ontology.Add("3dsd", kb)
 
-	node, err := cfg.cluster.node(env)
-	if err != nil {
-		return err
-	}
-	if node != nil {
-		env.AttachCluster(node)
-	}
-
 	if env.Store.Kind() != "mem" {
-		// Clustered nodes sharing a replicated store replay only their own
-		// ring partition, so a restart does not steal live peers' tasks.
-		var own func(tenant, taskID string) bool
-		if node != nil {
-			own = func(tenant, taskID string) bool {
-				_, mine := node.Owner(tenant, taskID)
-				return mine
-			}
-		}
-		report, err := env.Engine.RecoverOwned(own)
+		report, err := env.Engine.Recover()
 		if err != nil {
 			return fmt.Errorf("replaying task journal: %w", err)
 		}
@@ -282,13 +218,6 @@ func run(ctx context.Context, cfg config) error {
 	server := &http.Server{Addr: cfg.addr, Handler: ui.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
-	if node != nil {
-		// Heartbeats start once the HTTP server is accepting, since peers
-		// probe this node's /healthz right back.
-		node.Start()
-		fmt.Printf("cluster node %s up: %d peers, ring %s\n",
-			node.Self().ID, len(node.Ring().Members())-1, node.Ring().Version())
-	}
 	fmt.Printf("grid environment up: %d nodes, %d containers; serving on %s\n",
 		len(env.Grid.Nodes()), len(env.Grid.Containers()), cfg.addr)
 

@@ -51,8 +51,6 @@ func TestParseFlags(t *testing.T) {
 
 func TestParseFlagsRejects(t *testing.T) {
 	for _, args := range [][]string{
-		{"-node-id", "n0"},
-		{"-peers", "n0=http://127.0.0.1:1"},
 		{"-tenants", "nope"},
 		{"-log-level", "loud"},
 	} {

@@ -22,9 +22,8 @@
 //
 // -endpoints (live mode) drives already-running gridenv processes over
 // their HTTP API instead of building an in-process engine, round-robining
-// submissions across the listed base URLs — point it at the members of a
-// gridenv -peers cluster to measure whole-cluster goodput at 1, 2, or 4
-// nodes, forwarding overhead included.
+// submissions across the listed base URLs. The processes are independent:
+// each task is polled on the process that accepted it.
 //
 // The default sim mode replays the workload against the engine's actual
 // fair-queue scheduling code under a virtual clock: the same seed and flags
@@ -78,7 +77,7 @@ func run(args []string, out *os.File) error {
 	var (
 		mode        = fs.String("mode", "sim", "sim (virtual clock, reproducible) or live (real engine)")
 		tenants     = fs.String("tenants", "alpha:3,beta:1,gamma:1", "tenant mix as id:weight[:share],...")
-		endpoints   = fs.String("endpoints", "", "comma-separated gridenv base URLs to drive over HTTP (live mode; empty = in-process engine)")
+		endpoints   = fs.String("endpoints", "", "comma-separated base URLs of independent gridenv processes to drive over HTTP (live mode; empty = in-process engine)")
 		traceparent = fs.Bool("traceparent", false, "send a fresh W3C traceparent header per submission so server traces join client-originated trace IDs (HTTP live mode)")
 		indent      = fs.Bool("indent", false, "pretty-print the JSON report")
 		scenario    = fs.String("scenario", "fairness", "fairness (tenant goodput mix) or costmix (cost-aware scheduling SLOs)")
@@ -160,11 +159,10 @@ func runLive(spec load.Spec) (*load.Report, error) {
 	return load.RunLive(load.EngineTarget(env.Engine, liveTask), spec)
 }
 
-// runHTTP drives already-running gridenv nodes over their HTTP API,
-// round-robining submissions across the endpoints — on a multi-node
-// cluster (gridenv -peers) this measures whole-cluster goodput including
-// the request-forwarding path. Endpoints are base URLs without trailing
-// slash; whitespace around commas is tolerated.
+// runHTTP drives already-running gridenv processes over their HTTP API,
+// round-robining submissions across the independent endpoints. Endpoints
+// are base URLs without trailing slash; whitespace around commas is
+// tolerated.
 func runHTTP(spec load.Spec, endpoints []string, traceparent bool) (*load.Report, error) {
 	cleaned := make([]string, 0, len(endpoints))
 	for _, e := range endpoints {

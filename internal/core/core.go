@@ -16,7 +16,6 @@ import (
 	"log/slog"
 
 	"repro/internal/agent"
-	"repro/internal/cluster"
 	"repro/internal/coordination"
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -126,13 +125,7 @@ type Environment struct {
 	Engine *engine.Engine
 	// Store is the storage backend behind Services.Storage and the engine's
 	// journal (selected by Options.StoreDSN); the environment closes it.
-	Store store.Store
-	// Cluster is this process's view of the multi-node cluster, attached
-	// after construction (the node needs the engine, which needs the
-	// environment). Nil for single-node deployments; when set, the HTTP
-	// layer forwards non-owned requests to the owning peer and Close stops
-	// the heartbeat loop.
-	Cluster *cluster.Node
+	Store   store.Store
 	Archive *kb.Archive
 	Catalog *workflow.Catalog
 	// Telemetry is the monitoring registry every layer records into; nil
@@ -271,19 +264,11 @@ func NewEnvironment(opts Options) (*Environment, error) {
 	}, nil
 }
 
-// AttachCluster installs the node and makes the environment part of a
-// multi-node cluster: httpapi starts forwarding non-owned requests, and
-// Close stops the node's heartbeat loop before tearing the engine down.
-func (e *Environment) AttachCluster(n *cluster.Node) { e.Cluster = n }
-
-// Close stops the cluster heartbeat loop (if any), the enactment engine
-// (cancelling in-flight work), the planning service (cancelling in-flight
-// plans), shuts the agent platform down, and closes the storage backend
-// (flushing any pending group-commit batch).
+// Close stops the enactment engine (cancelling in-flight work), the
+// planning service (cancelling in-flight plans), shuts the agent platform
+// down, and closes the storage backend (flushing any pending group-commit
+// batch).
 func (e *Environment) Close() {
-	if e.Cluster != nil {
-		e.Cluster.Stop()
-	}
 	e.Engine.Close()
 	if e.Planner != nil {
 		e.Planner.Close()

@@ -177,9 +177,9 @@ type Submission struct {
 	// queueing, quota enforcement, and accounting. Empty means
 	// DefaultTenant.
 	Tenant string
-	// Traceparent is an inbound W3C trace context (a forwarded submit, a
-	// parent task). When valid, the task's root span joins that trace
-	// instead of starting a fresh one.
+	// Traceparent is an inbound W3C trace context (a client's traceparent
+	// header, a parent task). When valid, the task's root span joins that
+	// trace instead of starting a fresh one.
 	Traceparent string
 	// RequestID is the HTTP request ID that carried the submission; it is
 	// stamped on the root span and admission logs so traces, logs, and
@@ -514,7 +514,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 	e.mu.Unlock()
 
 	// Open the distributed trace: the root span covers admission through the
-	// terminal transition, joining an inbound traceparent (forwarded submit,
+	// terminal transition, joining an inbound traceparent (client header,
 	// parent task) when one was carried in.
 	tr := e.tel.TaskTrace(id)
 	var rootAttrs map[string]string

@@ -50,17 +50,6 @@ type replayState struct {
 // after core loads a store file and before traffic arrives; tasks the engine
 // already tracks are skipped, so calling it on a warm engine is harmless.
 func (e *Engine) Recover() (RecoveryReport, error) {
-	return e.RecoverOwned(nil)
-}
-
-// RecoverOwned is Recover restricted to the tasks an ownership filter
-// claims: a journal is replayed only when own(tenant, taskID) is true (nil
-// means everything). A multi-node cluster sharing one store uses it for
-// failover — each survivor replays exactly the partition the consistent-
-// hash ring now assigns to it, so a dead peer's tasks move to one new
-// owner and nothing is enacted twice. Tasks the engine already tracks are
-// skipped either way, so a warm engine only picks up newly owned work.
-func (e *Engine) RecoverOwned(own func(tenant, taskID string) bool) (RecoveryReport, error) {
 	var report RecoveryReport
 	keys := e.store.Keys(JournalPrefix)
 	states := make([]*replayState, 0, len(keys))
@@ -78,9 +67,6 @@ func (e *Engine) RecoverOwned(own func(tenant, taskID string) bool) (RecoveryRep
 		}
 		st := replay(id, recs)
 		if st == nil {
-			continue
-		}
-		if own != nil && !own(canonicalTenant(st.tenant), st.id) {
 			continue
 		}
 		states = append(states, st)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/planner"
 	"repro/internal/virolab"
+	"repro/internal/workflow"
 )
 
 // lifecycleStatuses is the shared async-resource status enum.
@@ -269,107 +270,41 @@ func TestAsyncResourceConformance(t *testing.T) {
 	})
 }
 
-// TestForwardedRequestConformance re-runs the async-resource checklist
-// through a cluster node that does NOT own the resource, so every request
-// crosses the forwarding hop. The contract: a forwarded exchange is
-// indistinguishable from a local one — same status codes, Location
-// agreement, lifecycle enum, error-envelope codes, and the client's
-// X-Request-Id threaded through both the response header and the envelope
-// — except that X-Gridenv-Owner names the node that actually handled it.
-func TestForwardedRequestConformance(t *testing.T) {
-	nodes := newTestCluster(t, 2, nil)
-	entry := nodes[0]
-
-	type resource struct {
-		name         string
-		collection   string
-		submit       func(id string) any
-		notFoundCode string
-		conflictCode string
+// virolabItemsFull serializes the virolab initial data with every property,
+// so explicit-PDL submissions (which skip planning) run to completion.
+func virolabItemsFull() []DataItemJSON {
+	var items []DataItemJSON
+	for _, d := range virolab.InitialData() {
+		it := DataItemJSON{Name: d.Name, Classification: d.Classification()}
+		for k, v := range d.Props {
+			if k == workflow.PropClassification {
+				continue
+			}
+			if num, ok := v.Num(); ok {
+				if it.Props == nil {
+					it.Props = map[string]float64{}
+				}
+				it.Props[k] = num
+			} else {
+				if it.TextProps == nil {
+					it.TextProps = map[string]string{}
+				}
+				it.TextProps[k] = v.Str()
+			}
+		}
+		items = append(items, it)
 	}
-	resources := []resource{
-		{
-			name:       "tasks",
-			collection: "/api/v1/tasks",
-			submit: func(id string) any {
-				sub := podSubmission(id)
-				return sub
-			},
-			notFoundCode: "not_found",
-			conflictCode: "task_finished",
-		},
-		{
-			name:       "plans",
-			collection: "/api/v1/plans",
-			submit: func(id string) any {
-				return PlanSubmission{ID: id, InitialData: virolabItems(), Goal: []string{virolab.GoalCondition}, NoCache: true}
-			},
-			notFoundCode: "plan_not_found",
-			conflictCode: "plan_finished",
-		},
-	}
+	return items
+}
 
-	for _, rc := range resources {
-		t.Run(rc.name, func(t *testing.T) {
-			id := idOwnedElsewhere(t, entry.node(), "", "conf-fwd-"+rc.name)
-
-			// Forwarded POST keeps the creation convention and names the owner.
-			resp, body := doRequest(t, http.MethodPost, entry.ts.URL+rc.collection, rc.submit(id))
-			if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusCreated {
-				t.Fatalf("forwarded POST %s = %d (%v)", rc.collection, resp.StatusCode, body)
-			}
-			if loc := resp.Header.Get("Location"); loc != rc.collection+"/"+id {
-				t.Fatalf("forwarded POST %s: Location %q, want %s/%s", rc.collection, loc, rc.collection, id)
-			}
-			if owner := resp.Header.Get("X-Gridenv-Owner"); owner != nodes[1].id {
-				t.Errorf("forwarded POST %s: X-Gridenv-Owner %q, want %s", rc.collection, owner, nodes[1].id)
-			}
-			if rid := resp.Header.Get("X-Request-Id"); rid == "" {
-				t.Errorf("forwarded POST %s carries no X-Request-Id", rc.collection)
-			}
-			if status, _ := body["status"].(string); !lifecycleStatuses[status] {
-				t.Errorf("forwarded POST %s: status %q outside the lifecycle enum", rc.collection, status)
-			}
-
-			// Forwarded polling walks the same lifecycle to success.
-			final := pollTerminal(t, entry.ts.URL+rc.collection+"/"+id)
-			if status, _ := final["status"].(string); status != "succeeded" {
-				t.Fatalf("forwarded %s %s finished %q (%v)", rc.name, id, status, final)
-			}
-
-			// Forwarded post-terminal DELETE keeps the resource's 409 code.
-			resp, errBody := doRequest(t, http.MethodDelete, entry.ts.URL+rc.collection+"/"+id, nil)
-			if resp.StatusCode != http.StatusConflict || errCode(errBody) != rc.conflictCode {
-				t.Errorf("forwarded DELETE %s = %d code %q, want 409 %q",
-					rc.collection, resp.StatusCode, errCode(errBody), rc.conflictCode)
-			}
-
-			// A client-supplied X-Request-Id survives the hop into a forwarded
-			// error envelope: header and body agree on the caller's ID.
-			ghost := idOwnedElsewhere(t, entry.node(), "", "conf-ghost-"+rc.name)
-			req, err := http.NewRequest(http.MethodGet, entry.ts.URL+rc.collection+"/"+ghost, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const rid = "conf-rid-7"
-			req.Header.Set("X-Request-Id", rid)
-			raw, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ghostBody map[string]any
-			_ = json.NewDecoder(raw.Body).Decode(&ghostBody)
-			raw.Body.Close()
-			if raw.StatusCode != http.StatusNotFound || errCode(ghostBody) != rc.notFoundCode {
-				t.Errorf("forwarded GET ghost = %d code %q, want 404 %q", raw.StatusCode, errCode(ghostBody), rc.notFoundCode)
-			}
-			if got := raw.Header.Get("X-Request-Id"); got != rid {
-				t.Errorf("forwarded error lost the client request ID: header %q, want %q", got, rid)
-			}
-			if got, _ := ghostBody["requestId"].(string); got != rid {
-				t.Errorf("forwarded envelope requestId = %q, want %q", got, rid)
-			}
-		})
+// podSubmission is a fast explicit-PDL task (no planning involved).
+func podSubmission(id string) TaskSubmission {
+	return TaskSubmission{
+		ID:          id,
+		Name:        "pod " + id,
+		PDL:         `BEGIN, POD(D1, D7 -> D8), END`,
+		InitialData: virolabItemsFull(),
+		Goal:        []string{`G.Classification = "Density Map"`},
 	}
 }
 

@@ -36,18 +36,11 @@
 //	GET  /api/v1/events                 live SSE stream of task spans and
 //	                                    node-health transitions (?task=, ?kind=)
 //	GET  /api/v1/stats                  grid-wide rollup: nodes, queue, rates
-//	                                    (?scope=cluster aggregates every node)
-//	GET  /api/v1/cluster                cluster membership, ring version, and
-//	                                    per-node health (enabled=false standalone)
 //	GET  /api/v1/store                  storage backend snapshot: kind, journal
 //	                                    depth, group-commit and compaction counters
 //	POST /api/v1/simulate               run the simulation service
 //
-// When the environment carries a cluster node (gridenv -peers), task and
-// plan requests whose consistent-hash owner is another node are forwarded
-// there transparently; see internal/httpapi/cluster.go for the protocol
-// (X-Tenant routing on reads, X-Gridenv-Forwarded one-hop guard,
-// X-Gridenv-Owner on forwarded responses).
+// Every request is handled by the process that receives it.
 //
 // Outside the versioned prefix the server answers the operational probes
 // GET /healthz (process liveness) and GET /readyz (enactment engine
@@ -120,8 +113,7 @@ type Server struct {
 	// endpoints expose internals and cost CPU, so they are opt-in.
 	EnablePprof bool
 
-	reqSeq  atomic.Int64 // request ID counter
-	planSeq atomic.Int64 // cluster-unique service-assigned plan names
+	reqSeq atomic.Int64 // request ID counter
 
 	mu     sync.Mutex
 	client *agent.Context // the UI's own agent, registered lazily
@@ -169,7 +161,6 @@ func (s *Server) routes() []route {
 		{http.MethodGet, "/metrics", s.handleMetrics},
 		{http.MethodGet, "/events", s.handleEvents},
 		{http.MethodGet, "/stats", s.handleStats},
-		{http.MethodGet, "/cluster", s.handleCluster},
 		{http.MethodGet, "/store", s.handleStore},
 		{http.MethodPost, "/simulate", s.handleSimulate},
 	}
@@ -252,10 +243,8 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 	latency := tel.Histogram("http.request.seconds",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// An inbound X-Request-Id (a request forwarded by a cluster peer, or
-		// a client threading its own correlation ID) is adopted; otherwise
-		// one is generated — so one logical request keeps one ID across
-		// every node that touches it.
+		// An inbound X-Request-Id (a client threading its own correlation
+		// ID) is adopted; otherwise one is generated.
 		rid := r.Header.Get(requestIDHeader)
 		if rid == "" {
 			rid = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
@@ -599,6 +588,14 @@ type DataItemJSON struct {
 	TextProps      map[string]string  `json:"textProps,omitempty"`
 }
 
+// tenantHeader carries the requester's tenant. A submission without a body
+// tenant reads it, so a client may name its tenant the same way on every
+// request.
+const tenantHeader = "X-Tenant"
+
+// requestTenant reads the tenant a request acts for from its header.
+func requestTenant(r *http.Request) string { return r.Header.Get(tenantHeader) }
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -615,13 +612,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sub.Tenant == "" {
-		// Tenant may also ride the X-Tenant header (the read-path spelling);
-		// adopting it here keeps the routing key and the engine's accounting
-		// on the same tenant.
 		sub.Tenant = requestTenant(r)
-	}
-	if s.maybeForward(w, r, sub.Tenant, sub.ID, body) {
-		return
 	}
 	caseDesc := workflow.NewCase(sub.ID, sub.Name)
 	for _, d := range sub.InitialData {
@@ -727,9 +718,6 @@ func lifecycle(status string) string {
 // Finished tasks answer 409.
 func (s *Server) handleTaskCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.maybeForward(w, r, requestTenant(r), id, nil) {
-		return
-	}
 	result, err := s.env.Engine.Cancel(id)
 	switch {
 	case errors.Is(err, engine.ErrEvicted):
@@ -854,9 +842,6 @@ func (s *Server) handleTaskList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTaskGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.maybeForward(w, r, requestTenant(r), id, nil) {
-		return
-	}
 	rec, err := s.env.Engine.Task(id)
 	switch {
 	case errors.Is(err, engine.ErrEvicted):
@@ -893,18 +878,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is the readiness probe: 200 only while the enactment engine
 // is started and accepting work, 503 otherwise (so load balancers drain the
-// instance during startup and shutdown). A clustered node replaying a
-// failed-over partition also answers 503, with reason cluster_rebalancing,
-// until the replay settles and its partition is consistent.
+// instance during startup and shutdown).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.env == nil || s.env.Engine == nil || !s.env.Engine.Ready() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unready"})
-		return
-	}
-	if s.env.Cluster != nil && s.env.Cluster.Rebalancing() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"status": "unready", "reason": "cluster_rebalancing",
-		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})

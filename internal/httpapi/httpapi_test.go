@@ -21,14 +21,14 @@ import (
 	"repro/internal/workflow"
 )
 
-func testServer(t *testing.T) (*Server, *httptest.Server) {
+func testServer(t testing.TB) (*Server, *httptest.Server) {
 	return testServerWith(t, nil)
 }
 
 // testServerWith is testServer with an environment-options hook applied
 // before the environment is built; the fault-tolerance tests use it to
 // install blocking post-process hooks.
-func testServerWith(t *testing.T, mod func(*core.Options)) (*Server, *httptest.Server) {
+func testServerWith(t testing.TB, mod func(*core.Options)) (*Server, *httptest.Server) {
 	t.Helper()
 	params := planner.DefaultParams()
 	params.PopulationSize = 120

@@ -11,7 +11,6 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -104,19 +103,6 @@ func (s *Server) handlePlanSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "plan_invalid", "goal is required")
 		return
 	}
-	if n := s.env.Cluster; n != nil && sub.ID == "" {
-		// Service-assigned plan names are a per-node sequence; across a
-		// cluster those collide, so the API layer names the plan first —
-		// node-scoped, hence cluster-unique — and routes by that name.
-		sub.ID = fmt.Sprintf("p-%s-%d", n.Self().ID, s.planSeq.Add(1))
-		if body, err = json.Marshal(sub); err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, "internal", "%v", err)
-			return
-		}
-	}
-	if s.maybeForward(w, r, requestTenant(r), sub.ID, body) {
-		return
-	}
 	items := make([]*workflow.DataItem, 0, len(sub.InitialData))
 	for _, d := range sub.InitialData {
 		item := workflow.NewDataItem(d.Name, d.Classification)
@@ -183,9 +169,6 @@ func (s *Server) handlePlanList(w http.ResponseWriter, r *http.Request) {
 // itself — warm handles answer straight from memory).
 func (s *Server) handlePlanStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.maybeForward(w, r, requestTenant(r), id, nil) {
-		return
-	}
 	st, err := s.env.Planner.Get(id)
 	if err != nil {
 		s.writeError(w, r, http.StatusNotFound, "plan_not_found", "no plan %q", id)
@@ -200,9 +183,6 @@ func (s *Server) handlePlanStatus(w http.ResponseWriter, r *http.Request) {
 // plan_finished — the same shape DELETE /api/v1/tasks/{id} uses.
 func (s *Server) handlePlanCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.maybeForward(w, r, requestTenant(r), id, nil) {
-		return
-	}
 	st, err := s.env.Planner.Cancel(id)
 	switch {
 	case errors.Is(err, planner.ErrUnknownPlan):

@@ -1,13 +1,12 @@
 package httpapi
 
-// GET /api/v1/stats is the grid-wide rollup a dashboard polls: cluster
+// GET /api/v1/stats is the grid-wide rollup a dashboard polls: grid-node
 // health counts, engine queue/worker state, enactment outcome totals and
 // rates derived from the telemetry counters, and the event-bus publication
 // counters — one request instead of stitching /monitor, /queue, and
 // /metrics together client-side.
 
 import (
-	"fmt"
 	"net/http"
 
 	"repro/internal/coordination"
@@ -27,7 +26,7 @@ type StatsView struct {
 	Store   StoreView            `json:"store"`
 }
 
-// statsNodes summarizes cluster health (monitoring's authoritative view).
+// statsNodes summarizes grid-node health (monitoring's authoritative view).
 type statsNodes struct {
 	Total       int `json:"total"`
 	Up          int `json:"up"`
@@ -80,35 +79,23 @@ func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.storeView())
 }
 
-// handleStats serves this node's rollup, or — with ?scope=cluster on a
-// clustered environment — the scatter-gathered cluster-wide view.
+// handleStats serves the rollup.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.clusterScope(r) {
-		s.handleStatsCluster(w, r)
-		return
-	}
-	out, err := s.buildStats()
+	client, err := s.clientContext()
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// buildStats assembles this node's own StatsView.
-func (s *Server) buildStats() (StatsView, error) {
-	client, err := s.clientContext()
-	if err != nil {
-		return StatsView{}, err
-	}
 	reply, err := client.Call(services.MonitoringName, services.OntMonitoring,
 		services.ClusterHealthRequest{}, services.CallTimeout)
 	if err != nil {
-		return StatsView{}, err
+		s.writeError(w, r, http.StatusInternalServerError, "internal", "%v", err)
+		return
 	}
 	ch, ok := reply.Content.(services.ClusterHealthReply)
 	if !ok {
-		return StatsView{}, fmt.Errorf("unexpected monitoring reply %T", reply.Content)
+		s.writeError(w, r, http.StatusInternalServerError, "internal", "unexpected monitoring reply %T", reply.Content)
+		return
 	}
 
 	snap := s.telemetry().Snapshot()
@@ -138,5 +125,5 @@ func (s *Server) buildStats() (StatsView, error) {
 	if finished := out.Tasks.Completed + out.Tasks.Failed; finished > 0 {
 		out.Tasks.SuccessRate = float64(out.Tasks.Completed) / float64(finished)
 	}
-	return out, nil
+	writeJSON(w, http.StatusOK, out)
 }

@@ -7,13 +7,8 @@ import (
 
 // handleTenants lists per-tenant fair-share configuration and accounting
 // (weights, quotas, queue/running depths, admission and outcome counters,
-// mean latencies), paginated like the other listings. With ?scope=cluster
-// on a clustered environment it instead merges every reachable node's rows.
+// mean latencies), paginated like the other listings.
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if s.clusterScope(r) {
-		s.handleTenantsCluster(w, r)
-		return
-	}
 	limit, offset, err := parsePage(r)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "%v", err)

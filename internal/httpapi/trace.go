@@ -1,41 +1,25 @@
 package httpapi
 
 // GET /api/v1/tasks/{id}/trace: the hierarchical task trace.
-//
-//   - Default scope serves this node's segment (on a clustered deployment
-//     the request is forwarded to the task's owner, whose segment holds the
-//     lifecycle spans; the forwarding node keeps only its "forward" span).
-//   - ?scope=cluster scatter-gathers every node's segment and merges them
-//     into one tree keyed by span parentage — a forwarded submit or a
-//     plan-spawned task comes back as a single trace across processes.
-//   - ?format=otlp renders either scope as OTLP/JSON (one resourceSpans
-//     entry per node) for external tooling; point events become OTLP span
-//     events on their parent span.
+// ?format=otlp renders it as OTLP/JSON for external tooling; point events
+// become OTLP span events on their parent span.
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
-// traceparentHeader is the W3C trace-context header propagated on submits
-// and cluster forwards.
+// traceparentHeader is the inbound W3C trace-context header: a submit that
+// carries it joins the caller's trace.
 const traceparentHeader = "traceparent"
 
-// nopForwardEnd keeps the forward path free of nil checks when no span was
-// opened for the hop.
-var nopForwardEnd = func(string) float64 { return 0 }
-
-// traceView is the single-node GET /api/v1/tasks/{id}/trace response.
+// traceView is the GET /api/v1/tasks/{id}/trace response.
 type traceView struct {
 	TaskID  string           `json:"taskId"`
 	TraceID string           `json:"traceId,omitempty"`
@@ -43,46 +27,11 @@ type traceView struct {
 	Dropped uint64           `json:"dropped"`
 }
 
-// clusterSpan is one span tagged with the node whose segment recorded it.
-type clusterSpan struct {
-	telemetry.Span
-	Node string `json:"node"`
-}
-
-// traceTreeNode is one node of the assembled trace tree.
-type traceTreeNode struct {
-	Span     telemetry.Span   `json:"span"`
-	Node     string           `json:"node"`
-	Children []*traceTreeNode `json:"children,omitempty"`
-}
-
-// clusterTraceView is the ?scope=cluster response: every node's spans plus
-// the merged tree.
-type clusterTraceView struct {
-	Scope   string           `json:"scope"`
-	Partial bool             `json:"partial"`
-	Peers   []peerLeg        `json:"peers"`
-	TaskID  string           `json:"taskId"`
-	TraceID string           `json:"traceId,omitempty"`
-	Spans   []clusterSpan    `json:"spans"`
-	Tree    []*traceTreeNode `json:"tree"`
-	Dropped uint64           `json:"dropped"`
-}
-
 func (s *Server) handleTaskTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.clusterScope(r) {
-		s.handleTaskTraceCluster(w, r, id)
-		return
-	}
-	if s.maybeForward(w, r, requestTenant(r), id, nil) {
-		return
-	}
 	tr := s.telemetry().LookupTrace(id)
 	if tr == nil {
-		// No local segment: fall back to the engine for the 404 flavor. A
-		// forwarding node may hold a trace segment for a task its engine
-		// never saw, which is why the trace lookup comes first.
+		// No trace segment: fall back to the engine for the 404 flavor.
 		if _, err := s.env.Engine.Task(id); err != nil {
 			if errors.Is(err, engine.ErrEvicted) {
 				s.writeError(w, r, http.StatusNotFound, "task_evicted", "task %q finished and its record was evicted", id)
@@ -105,7 +54,7 @@ func (s *Server) handleTaskTrace(w http.ResponseWriter, r *http.Request) {
 		dropped = tr.Dropped()
 	}
 	if r.URL.Query().Get("format") == "otlp" {
-		writeJSON(w, http.StatusOK, otlpExport(map[string][]telemetry.Span{s.nodeName(): spans}))
+		writeJSON(w, http.StatusOK, otlpExport(spans))
 		return
 	}
 	writeJSON(w, http.StatusOK, traceView{
@@ -113,178 +62,68 @@ func (s *Server) handleTaskTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// nodeName identifies this node in cluster-tagged and OTLP output.
-func (s *Server) nodeName() string {
-	if n := s.env.Cluster; n != nil {
-		return n.Self().ID
-	}
-	return "gridenv"
-}
-
-// handleTaskTraceCluster assembles the distributed trace: this node's
-// segment plus every alive peer's, merged into one tree by span parentage.
-func (s *Server) handleTaskTraceCluster(w http.ResponseWriter, r *http.Request, id string) {
-	var (
-		mu      sync.Mutex
-		spans   []clusterSpan
-		dropped uint64
-		traceID string
-	)
-	add := func(node string, view traceView) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, sp := range view.Spans {
-			spans = append(spans, clusterSpan{Span: sp, Node: node})
-		}
-		dropped += view.Dropped
-		if traceID == "" {
-			traceID = view.TraceID
-		}
-	}
-	if tr := s.telemetry().LookupTrace(id); tr != nil {
-		add(s.nodeName(), traceView{TraceID: tr.Context().TraceID, Spans: tr.Spans(), Dropped: tr.Dropped()})
-	}
-	legs := s.gather("/api/v1/tasks/"+url.PathEscape(id)+"/trace", func(node string, status int, body []byte) error {
-		if status == http.StatusNotFound {
-			return nil // no segment on that node: a valid empty answer
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("peer answered %d", status)
-		}
-		var view traceView
-		if err := json.Unmarshal(body, &view); err != nil {
-			return err
-		}
-		add(node, view)
-		return nil
-	})
-	if len(spans) == 0 {
-		s.writeError(w, r, http.StatusNotFound, "not_found", "no trace for task %q on any reachable node", id)
-		return
-	}
-	// The owner's root span carries the authoritative trace ID; a forwarding
-	// node's segment shares it by propagation, so any non-empty one wins.
-	if traceID == "" {
-		for _, sp := range spans {
-			if sp.TraceID != "" {
-				traceID = sp.TraceID
-				break
-			}
-		}
-	}
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Time.Before(spans[j].Time) })
-	if r.URL.Query().Get("format") == "otlp" {
-		byNode := map[string][]telemetry.Span{}
-		for _, sp := range spans {
-			byNode[sp.Node] = append(byNode[sp.Node], sp.Span)
-		}
-		writeJSON(w, http.StatusOK, otlpExport(byNode))
-		return
-	}
-	writeJSON(w, http.StatusOK, clusterTraceView{
-		Scope: "cluster", Partial: partial(legs), Peers: legs,
-		TaskID: id, TraceID: traceID, Spans: spans,
-		Tree: assembleTree(spans), Dropped: dropped,
-	})
-}
-
-// assembleTree links spans into trees by ParentID. Duration spans are the
-// interior nodes (they own SpanIDs); point events and spans whose parent is
-// not in the merged set (a remote parent, or one evicted from a ring)
-// surface as roots so nothing is silently dropped — except point events
-// whose parent IS present, which nest under it.
-func assembleTree(spans []clusterSpan) []*traceTreeNode {
-	nodes := make([]*traceTreeNode, len(spans))
-	byID := map[string]*traceTreeNode{}
-	for i, sp := range spans {
-		nodes[i] = &traceTreeNode{Span: sp.Span, Node: sp.Node}
-		if sp.SpanID != "" {
-			byID[sp.SpanID] = nodes[i]
-		}
-	}
-	var roots []*traceTreeNode
-	for _, n := range nodes {
-		if parent := byID[n.Span.ParentID]; parent != nil && parent != n {
-			parent.Children = append(parent.Children, n)
-		} else {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
-// otlpExport renders span segments as OTLP/JSON: one resourceSpans entry
-// per node. Duration spans map to OTLP spans; point events map to events on
-// their parent span when it is present in the same segment, and to
+// otlpExport renders a trace segment as OTLP/JSON: one resourceSpans
+// entry. Duration spans map to OTLP spans; point events map to events on
+// their parent span when it is present in the segment, and to
 // zero-duration spans otherwise (write-at-end recording means a mid-run
 // export can see events before their parent closes).
-func otlpExport(byNode map[string][]telemetry.Span) map[string]any {
-	nodes := make([]string, 0, len(byNode))
-	for node := range byNode {
-		nodes = append(nodes, node)
+func otlpExport(spans []telemetry.Span) map[string]any {
+	present := map[string]bool{}
+	for _, sp := range spans {
+		if sp.SpanID != "" {
+			present[sp.SpanID] = true
+		}
 	}
-	sort.Strings(nodes)
-	var resourceSpans []map[string]any
-	for _, node := range nodes {
-		spans := byNode[node]
-		present := map[string]bool{}
-		for _, sp := range spans {
-			if sp.SpanID != "" {
-				present[sp.SpanID] = true
-			}
+	events := map[string][]map[string]any{}
+	var otlpSpans []map[string]any
+	for _, sp := range spans {
+		if sp.SpanID == "" && present[sp.ParentID] {
+			events[sp.ParentID] = append(events[sp.ParentID], map[string]any{
+				"timeUnixNano": strconv.FormatInt(sp.Time.UnixNano(), 10),
+				"name":         sp.Kind,
+				"attributes":   otlpSpanAttrs(sp),
+			})
 		}
-		events := map[string][]map[string]any{}
-		var otlpSpans []map[string]any
-		for _, sp := range spans {
-			if sp.SpanID == "" && present[sp.ParentID] {
-				events[sp.ParentID] = append(events[sp.ParentID], map[string]any{
-					"timeUnixNano": strconv.FormatInt(sp.Time.UnixNano(), 10),
-					"name":         sp.Kind,
-					"attributes":   otlpSpanAttrs(sp),
-				})
-			}
+	}
+	for _, sp := range spans {
+		if sp.SpanID == "" && present[sp.ParentID] {
+			continue // exported as an event on its parent
 		}
-		for _, sp := range spans {
-			if sp.SpanID == "" && present[sp.ParentID] {
-				continue // exported as an event on its parent
-			}
-			start := sp.Time.UnixNano()
-			end := sp.Time.Add(time.Duration(sp.DurationSec * 1e9)).UnixNano()
-			spanID := sp.SpanID
-			if spanID == "" {
-				spanID = telemetry.NewSpanID() // orphan point event: synthesize
-			}
-			o := map[string]any{
-				"traceId":           sp.TraceID,
-				"spanId":            spanID,
-				"name":              otlpName(sp),
-				"kind":              1, // SPAN_KIND_INTERNAL
-				"startTimeUnixNano": strconv.FormatInt(start, 10),
-				"endTimeUnixNano":   strconv.FormatInt(end, 10),
-				"attributes":        otlpSpanAttrs(sp),
-			}
-			if sp.ParentID != "" {
-				o["parentSpanId"] = sp.ParentID
-			}
-			if evs := events[sp.SpanID]; len(evs) > 0 {
-				o["events"] = evs
-			}
-			otlpSpans = append(otlpSpans, o)
+		start := sp.Time.UnixNano()
+		end := sp.Time.Add(time.Duration(sp.DurationSec * 1e9)).UnixNano()
+		spanID := sp.SpanID
+		if spanID == "" {
+			spanID = telemetry.NewSpanID() // orphan point event: synthesize
 		}
-		resourceSpans = append(resourceSpans, map[string]any{
-			"resource": map[string]any{
-				"attributes": []map[string]any{
-					otlpAttr("service.name", "gridenv"),
-					otlpAttr("gridenv.node", node),
-				},
+		o := map[string]any{
+			"traceId":           sp.TraceID,
+			"spanId":            spanID,
+			"name":              otlpName(sp),
+			"kind":              1, // SPAN_KIND_INTERNAL
+			"startTimeUnixNano": strconv.FormatInt(start, 10),
+			"endTimeUnixNano":   strconv.FormatInt(end, 10),
+			"attributes":        otlpSpanAttrs(sp),
+		}
+		if sp.ParentID != "" {
+			o["parentSpanId"] = sp.ParentID
+		}
+		if evs := events[sp.SpanID]; len(evs) > 0 {
+			o["events"] = evs
+		}
+		otlpSpans = append(otlpSpans, o)
+	}
+	return map[string]any{"resourceSpans": []map[string]any{{
+		"resource": map[string]any{
+			"attributes": []map[string]any{
+				otlpAttr("service.name", "gridenv"),
+				otlpAttr("gridenv.node", "gridenv"),
 			},
-			"scopeSpans": []map[string]any{{
-				"scope": map[string]any{"name": "gridenv/telemetry"},
-				"spans": otlpSpans,
-			}},
-		})
-	}
-	return map[string]any{"resourceSpans": resourceSpans}
+		},
+		"scopeSpans": []map[string]any{{
+			"scope": map[string]any{"name": "gridenv/telemetry"},
+			"spans": otlpSpans,
+		}},
+	}}}
 }
 
 func otlpName(sp telemetry.Span) string {

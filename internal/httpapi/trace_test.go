@@ -123,151 +123,6 @@ func TestTaskTraceHierarchy(t *testing.T) {
 	}
 }
 
-// TestClusterTwoNodeJoinableTrace forwards a submission and checks the two
-// nodes' segments join into one trace: the forwarding node's "forward" span
-// and the owner's "task" root share a trace ID, and the root's parent IS the
-// forward span — the cross-process link a trace viewer follows.
-func TestClusterTwoNodeJoinableTrace(t *testing.T) {
-	nodes := newTestCluster(t, 2, nil)
-	entry := nodes[0]
-	id := idOwnedElsewhere(t, entry.node(), "", "trace-join")
-
-	resp, body := doRequest(t, http.MethodPost, entry.ts.URL+"/api/v1/tasks", podSubmission(id))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("forwarded POST = %d (%v)", resp.StatusCode, body)
-	}
-	pollTerminal(t, entry.ts.URL+"/api/v1/tasks/"+id)
-
-	var view clusterTraceView
-	if code := getJSON(t, entry.ts.URL+"/api/v1/tasks/"+id+"/trace?scope=cluster", &view); code != 200 {
-		t.Fatalf("cluster trace status %d", code)
-	}
-	var forward, root *clusterSpan
-	for i := range view.Spans {
-		s := &view.Spans[i]
-		switch s.Kind {
-		case "forward":
-			forward = s
-		case "task":
-			root = s
-		}
-	}
-	if forward == nil || root == nil {
-		t.Fatalf("missing forward or task span in %d spans", len(view.Spans))
-	}
-	if forward.Node != "n0" {
-		t.Errorf("forward span recorded on %q, want the entry node n0", forward.Node)
-	}
-	if root.Node != "n1" {
-		t.Errorf("task root recorded on %q, want the owner n1", root.Node)
-	}
-	if root.TraceID != forward.TraceID {
-		t.Errorf("trace IDs diverge: root %q, forward %q", root.TraceID, forward.TraceID)
-	}
-	if root.ParentID != forward.SpanID {
-		t.Errorf("root ParentID %q, want the forward span %q", root.ParentID, forward.SpanID)
-	}
-	if view.TraceID != forward.TraceID {
-		t.Errorf("view trace ID %q, want %q", view.TraceID, forward.TraceID)
-	}
-}
-
-// TestClusterTraceAssembly is the acceptance scenario: on a 3-node cluster a
-// forwarded task yields ONE assembled trace tree under ?scope=cluster —
-// rooted at the forward span, spanning two processes — whose stage-span
-// durations agree with the owner's latency histograms, and which exports as
-// multi-resource OTLP.
-func TestClusterTraceAssembly(t *testing.T) {
-	nodes := newTestCluster(t, 3, nil)
-	entry := nodes[0]
-	id := idOwnedElsewhere(t, entry.node(), "", "trace-asm")
-
-	resp, body := doRequest(t, http.MethodPost, entry.ts.URL+"/api/v1/tasks", podSubmission(id))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("forwarded POST = %d (%v)", resp.StatusCode, body)
-	}
-	pollTerminal(t, entry.ts.URL+"/api/v1/tasks/"+id)
-
-	// Any node can assemble the cluster view, including one that neither
-	// accepted nor owns the task.
-	var view clusterTraceView
-	if code := getJSON(t, nodes[2].ts.URL+"/api/v1/tasks/"+id+"/trace?scope=cluster", &view); code != 200 {
-		t.Fatalf("cluster trace status %d", code)
-	}
-	if view.Scope != "cluster" || view.Partial {
-		t.Fatalf("scope=%q partial=%v, want a complete cluster view", view.Scope, view.Partial)
-	}
-	byNode := map[string]int{}
-	for _, s := range view.Spans {
-		byNode[s.Node]++
-		if s.TraceID != view.TraceID {
-			t.Errorf("span %s on %s has trace %q, want %q", s.Kind, s.Node, s.TraceID, view.TraceID)
-		}
-	}
-	if len(byNode) < 2 {
-		t.Fatalf("spans from %v, want at least forwarder + owner", byNode)
-	}
-	if len(view.Tree) != 1 {
-		t.Fatalf("assembled %d trees, want exactly 1 (roots: %+v)", len(view.Tree), view.Tree)
-	}
-	if view.Tree[0].Span.Kind != "forward" {
-		t.Errorf("tree root kind %q, want the forward span", view.Tree[0].Span.Kind)
-	}
-
-	// The stage durations in the tree agree with the owner node's stage
-	// histograms: for each stage, the histogram observed at least this
-	// task's spans and its sum is no smaller than any single span duration.
-	stageSpans := map[string][]float64{}
-	var walk func(n *traceTreeNode)
-	walk = func(n *traceTreeNode) {
-		if n.Span.SpanID != "" {
-			stageSpans[n.Span.Kind] = append(stageSpans[n.Span.Kind], n.Span.DurationSec)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, root := range view.Tree {
-		walk(root)
-	}
-	owner := nodes[1]
-	if byNode["n1"] == 0 { // the ring picked n2 as owner instead
-		owner = nodes[2]
-	}
-	snap := owner.srv.env.Telemetry.Snapshot()
-	for stage, hist := range map[string]string{
-		"queue_wait":     "trace.stage.queue_wait.seconds",
-		"enact":          "trace.stage.enact.seconds",
-		"journal_commit": "trace.stage.journal_commit.seconds",
-	} {
-		durs := stageSpans[stage]
-		if len(durs) == 0 {
-			t.Errorf("assembled tree has no %s span", stage)
-			continue
-		}
-		h := snap.Histograms[hist]
-		if h.Count < int64(len(durs)) {
-			t.Errorf("%s: histogram count %d < %d spans in the trace", hist, h.Count, len(durs))
-		}
-		for _, d := range durs {
-			if d > h.Sum+1e-9 {
-				t.Errorf("%s: span duration %v exceeds histogram sum %v", hist, d, h.Sum)
-			}
-		}
-	}
-
-	// Cluster OTLP export: one resource per contributing node.
-	var otlp struct {
-		ResourceSpans []json.RawMessage `json:"resourceSpans"`
-	}
-	if code := getJSON(t, nodes[2].ts.URL+"/api/v1/tasks/"+id+"/trace?scope=cluster&format=otlp", &otlp); code != 200 {
-		t.Fatalf("cluster otlp status %d", code)
-	}
-	if len(otlp.ResourceSpans) != len(byNode) {
-		t.Errorf("otlp has %d resources, want %d contributing nodes", len(otlp.ResourceSpans), len(byNode))
-	}
-}
-
 // TestEventsSSEResume reconnects with Last-Event-ID and checks the handler
 // replays the retained events published while the client was away, without
 // duplicating what it already saw.

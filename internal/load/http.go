@@ -16,13 +16,12 @@ import (
 // the run.
 type BodyFactory func(tenant string, n int) (id string, body []byte, err error)
 
-// HTTPTarget drives one or more gridenv nodes over their HTTP API — the
-// cluster-scale counterpart of EngineTarget. endpoints are the nodes' base
-// URLs (no trailing slash). Submissions round-robin across them, so on a
-// multi-node cluster a share lands on a non-owner and rides the forwarding
-// path; the report therefore reflects whole-cluster goodput including
-// forwarding overhead. Each task is polled on the endpoint that accepted
-// it, and its latency runs from the 202 to the poll that saw it finished.
+// HTTPTarget drives one or more gridenv processes over their HTTP API — the
+// over-the-wire counterpart of EngineTarget. endpoints are the processes'
+// base URLs (no trailing slash). Submissions round-robin across them; the
+// processes are independent (nothing forwards between them), so each task
+// is polled on the endpoint that accepted it, and its latency runs from the
+// 202 to the poll that saw it finished.
 //
 // traceparent makes every submission carry a fresh W3C traceparent header,
 // so the server's task root span joins a client-originated trace (visible

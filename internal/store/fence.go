@@ -8,17 +8,15 @@ import (
 // ErrFenced rejects mutations on a fenced store handle.
 var ErrFenced = errors.New("store: handle is fenced")
 
-// Fenced wraps a backend with a write fence, the standard failover guard
-// against split-brain: once the cluster declares a node dead and moves its
-// partition, that node's storage handle is fenced so a zombie process (a
-// network-partitioned peer that is still running) can no longer mutate the
-// shared store underneath the new owner. Reads stay allowed — they are
-// harmless and keep the zombie's diagnostics working.
+// Fenced wraps a backend with a write fence that simulates a crash: once a
+// handle is fenced, not one more mutation reaches the backend, exactly as
+// if the process had been killed -9. Reads stay allowed. The crash-point
+// tests and the benchmark's recovery workload (benchmark/recover.go) use it
+// to build a crash image and recover from it.
 //
-// Fenced also lets several in-process environments share one backend: each
-// gets its own handle, Close fences the handle without closing the shared
-// backend (unless OwnsBackend is set), and tests can Fence a handle to
-// simulate a kill -9 whose victim never gets another byte to disk.
+// Close fences the handle without closing the wrapped backend (unless
+// OwnsBackend is set), so a second environment can reopen the same
+// backend.
 type Fenced struct {
 	inner Store
 	// OwnsBackend makes Close close the wrapped backend too. Leave false

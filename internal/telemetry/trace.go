@@ -10,16 +10,16 @@ import (
 //
 //   - Duration spans (SpanID set, DurationSec > 0 or explicitly recorded):
 //     a stage with a start time and a measured length — the task root,
-//     queue_wait, schedule, enact, journal_commit, plan, forward. Created
+//     queue_wait, enact, journal_commit, plan. Created
 //     with StartRoot/Begin and recorded when the returned end func runs;
 //     Time is the start instant.
 //   - Point events (SpanID empty): the flat events the trace always carried
 //     (dispatch, complete, retry, gp-generation, ...). They attach to a
 //     parent duration span via ParentID and carry no duration.
 //
-// TraceID groups every span of one distributed trace across nodes; ParentID
-// links children to parents (a root span's ParentID names the remote span
-// that caused it, e.g. the forwarding node's forward span). Seq orders spans
+// TraceID groups every span of one distributed trace; ParentID links
+// children to parents (a root span's ParentID names the remote span that
+// caused it, e.g. the client's span from its traceparent). Seq orders spans
 // within a task; the ring buffer keeps the most recent DefaultSpanCap spans.
 type Span struct {
 	Seq         uint64            `json:"seq"`
@@ -101,7 +101,7 @@ func (r *Registry) LookupTrace(taskID string) *TaskTrace {
 }
 
 // StartRoot opens the task's root duration span. When traceparent carries a
-// valid W3C context (a forwarded submit, a parent task), the trace ID is
+// valid W3C context (a client's traceparent, a parent task), the trace ID is
 // inherited and the remote span becomes the root's parent, joining this
 // node's segment to the distributed trace; otherwise a fresh trace ID is
 // minted. The first root latches the trace context that orients point

@@ -1,14 +1,14 @@
 package telemetry
 
 // Trace context: the identity a span tree carries across goroutines, engine
-// stages, and cluster hops. The wire form is the W3C traceparent header
+// stages, and from an HTTP client into the task it submits. The wire form is the W3C traceparent header
 // (version 00, sampled flag always 01):
 //
 //	00-<32 hex trace id>-<16 hex span id>-01
 //
 // A SpanContext travels through context.Context between layers (engine →
-// coordination → planner) and through the traceparent HTTP header between
-// nodes (submit forwarding in internal/httpapi).
+// coordination → planner) and in through the traceparent HTTP header on a
+// submit (internal/httpapi).
 
 import (
 	"context"
