@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/pdl"
 	"repro/internal/planning"
 	"repro/internal/services"
 	"repro/internal/telemetry"
@@ -377,6 +376,8 @@ func (c *Coordinator) quarantine(ctx context.Context, report *Report, ne *nonExe
 // requestPlan performs the Figure 2 interaction with the planning service.
 // For constrained cases the remaining budget and deadline ride along so the
 // Figure-3 re-plan folds them into the plan fitness (cheap/short plans win).
+// The reply carries the plan compiled: it is enacted as it comes, unparsed
+// and shared with the plan cache.
 func (c *Coordinator) requestPlan(ctx context.Context, report *Report, state *workflow.State, goal workflow.Goal, nonExecutable []string, trustCaller bool, failed *workflow.ProcessDescription, cc *caseConstraints) (*workflow.ProcessDescription, error) {
 	report.trace("plan-request", "", fmt.Sprintf("non-executable: %v", nonExecutable))
 	req := planning.PlanRequest{
@@ -402,12 +403,11 @@ func (c *Coordinator) requestPlan(ctx context.Context, report *Report, state *wo
 	if !ok {
 		return nil, fmt.Errorf("coordination: unexpected planning reply %T", reply.Content)
 	}
-	pd, err := pdl.ParseProcess("planned", pr.PDL)
-	if err != nil {
-		return nil, fmt.Errorf("coordination: planned PDL invalid: %w", err)
+	if pr.Process == nil {
+		return nil, fmt.Errorf("coordination: planning reply carries no process")
 	}
 	report.trace("plan-received", "", pr.Tree)
-	return pd, nil
+	return pr.Process, nil
 }
 
 func (r *Report) trace(kind, activity, detail string) {

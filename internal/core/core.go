@@ -20,7 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/kb"
-	"repro/internal/pdl"
 	"repro/internal/planner"
 	"repro/internal/planning"
 	"repro/internal/services"
@@ -300,10 +299,10 @@ func (e *Environment) Plan(name string, problem *workflow.Problem) (*workflow.Pr
 	if err != nil {
 		return nil, planning.PlanReply{}, err
 	}
-	p, err := pdl.ParseProcess(name, reply.PDL)
-	if err != nil {
-		return nil, planning.PlanReply{}, err
-	}
+	// The reply's process is shared with the plan cache: archive and return
+	// a copy under the caller's name.
+	p := reply.Process.Clone()
+	p.Name = name
 	if _, err := e.Archive.Put(name, "planning-service", reply.Tree, p); err != nil {
 		return nil, planning.PlanReply{}, err
 	}

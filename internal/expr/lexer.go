@@ -207,7 +207,7 @@ func (l *lexer) lexIdent() (token, error) {
 		l.pos += size
 	}
 	text := l.src[start:l.pos]
-	switch strings.ToLower(text) {
+	switch lowerWord(text) {
 	case "and":
 		return token{kind: tokAnd, text: text, pos: start}, nil
 	case "or":
@@ -220,4 +220,25 @@ func (l *lexer) lexIdent() (token, error) {
 		return token{kind: tokFalse, text: text, pos: start}, nil
 	}
 	return token{kind: tokIdent, text: text, pos: start}, nil
+}
+
+// lowerWord returns the words that can spell a keyword in lower case, and ""
+// for any other. Only ASCII letters lower to a keyword's letters, so a short
+// ASCII word is lowered in a buffer, allocating nothing.
+func lowerWord(text string) string {
+	var buf [len("false")]byte
+	if len(text) > len(buf) {
+		return ""
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return ""
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return string(buf[:len(text)])
 }

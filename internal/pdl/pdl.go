@@ -26,9 +26,14 @@
 //	  },
 //	END
 //
-// Parsing produces a plan tree (package plantree), which converts losslessly
-// to the graph-form process description (package workflow) via
-// plantree.ToProcess; Format inverts Parse.
+// PDL is the wire and archive form of a process: what HTTP clients send and
+// read and what the knowledge base stores. The form a process is enacted in
+// is the validated process description (package workflow), and ParseProcess
+// compiles text to it: Parse produces a plan tree (package plantree) whose
+// conditions carry their parse, and plantree.ToProcess converts it losslessly
+// without parsing a condition again. Format inverts Parse. Inside one
+// process a plan travels compiled: the planning service's reply carries its
+// process description beside the text, and the coordinator never parses PDL.
 package pdl
 
 import (
@@ -79,8 +84,6 @@ type scanner struct {
 	pos       int
 	line, col int
 }
-
-func newScanner(src string) *scanner { return &scanner{src: src, line: 1, col: 1} }
 
 func (s *scanner) errf(line, col int, format string, args ...any) error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
@@ -186,9 +189,51 @@ func (s *scanner) condText() (string, error) {
 	return "", s.errf(s.line, s.col, "unterminated condition")
 }
 
+// parser is a recursive-descent parser building a plan tree. The tree is
+// cut from a few chunks, not allocated a node, a child list or a name at a
+// time: nodes, child lists and binding names each have a chunk, and the
+// elements of the bodies and the names of the binding being read wait on
+// two stacks until their list is complete.
 type parser struct {
-	s   *scanner
+	s   scanner
 	tok tok
+
+	nodes []plantree.Node
+	kids  []*plantree.Node
+	names []string
+
+	elems []*plantree.Node
+	list  []string
+}
+
+// cut returns k consecutive elements of *chunk, capped at k. When the chunk
+// has no room it starts a new one, so nothing handed out before moves.
+func cut[T any](chunk *[]T, k int) []T {
+	if cap(*chunk)-len(*chunk) < k {
+		*chunk = make([]T, 0, max(k, 2*cap(*chunk), 16))
+	}
+	i := len(*chunk)
+	*chunk = (*chunk)[:i+k]
+	return (*chunk)[i : i+k : i+k]
+}
+
+// node returns a node of the kind whose children are the elements stacked
+// since base, moved to a child list.
+func (p *parser) node(kind plantree.Kind, base int) *plantree.Node {
+	n := &cut(&p.nodes, 1)[0]
+	n.Kind = kind
+	if k := len(p.elems) - base; k > 0 {
+		n.Children = cut(&p.kids, k)
+		copy(n.Children, p.elems[base:])
+		p.elems = p.elems[:base]
+	}
+	return n
+}
+
+// wrap returns a node of the kind over one child.
+func (p *parser) wrap(kind plantree.Kind, child *plantree.Node) *plantree.Node {
+	p.elems = append(p.elems, child)
+	return p.node(kind, len(p.elems)-1)
 }
 
 func (p *parser) advance() error {
@@ -222,9 +267,10 @@ func (p *parser) atKeyword(kw string) bool {
 	return p.tok.kind == tIdent && strings.EqualFold(p.tok.text, kw)
 }
 
-// Parse parses PDL source into a plan tree.
+// Parse parses PDL source into a plan tree. Every condition in it carries
+// its parse (Node.Cond).
 func Parse(src string) (*plantree.Node, error) {
-	p := &parser{s: newScanner(src)}
+	p := &parser{s: scanner{src: src, line: 1, col: 1}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -234,7 +280,7 @@ func Parse(src string) (*plantree.Node, error) {
 	if err := p.expect(tComma, "','"); err != nil {
 		return nil, err
 	}
-	body, err := p.parseBody(func() bool { return p.tok.kind == tComma })
+	body, err := p.parseBody(tComma)
 	if err != nil {
 		return nil, err
 	}
@@ -247,31 +293,37 @@ func Parse(src string) (*plantree.Node, error) {
 	if p.tok.kind != tEOF {
 		return nil, p.errf("unexpected %q after END", p.tok.text)
 	}
-	root := plantree.Seq(body...).Normalize()
+	root := body.Normalize()
 	if err := root.Validate(0); err != nil {
 		return nil, err
 	}
 	return root, nil
 }
 
-// parseBody parses element {";" element} until stop() reports the body is
-// done (at a ',' before END or at a closing '}').
-func (p *parser) parseBody(stop func() bool) ([]*plantree.Node, error) {
-	var nodes []*plantree.Node
+// parseBody parses element {";" element} until the body is done, at end (a
+// ',' before END) or at a closing '}', and returns it as a single node
+// (wrapping multi-element bodies in a sequential).
+func (p *parser) parseBody(end tkind) (*plantree.Node, error) {
+	base := len(p.elems)
 	for {
 		n, err := p.parseElement()
 		if err != nil {
 			return nil, err
 		}
-		nodes = append(nodes, n)
+		p.elems = append(p.elems, n)
 		if p.tok.kind == tSemi {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if stop() || p.tok.kind == tRBrace {
-			return nodes, nil
+		if p.tok.kind == end || p.tok.kind == tRBrace {
+			if len(p.elems)-base == 1 {
+				n = p.elems[base]
+				p.elems = p.elems[:base]
+				return n, nil
+			}
+			return p.node(plantree.KindSequential, base), nil
 		}
 		return nil, p.errf("expected ';', found %q", p.tok.text)
 	}
@@ -313,7 +365,8 @@ func (p *parser) parseElement() (*plantree.Node, error) {
 			return nil, err
 		}
 	}
-	a := plantree.Activity(service)
+	a := p.node(plantree.KindActivity, len(p.elems))
+	a.Service = service
 	if name != service {
 		a.Name = name
 	}
@@ -333,23 +386,7 @@ func (p *parser) parseBindings() (inputs, outputs []string, err error) {
 	if err := p.advance(); err != nil { // consume '('
 		return nil, nil, err
 	}
-	readNames := func() ([]string, error) {
-		var names []string
-		for p.tok.kind == tIdent {
-			names = append(names, p.tok.text)
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.tok.kind != tComma {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-		return names, nil
-	}
-	inputs, err = readNames()
+	inputs, err = p.readNames()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -357,7 +394,7 @@ func (p *parser) parseBindings() (inputs, outputs []string, err error) {
 		if err := p.advance(); err != nil {
 			return nil, nil, err
 		}
-		outputs, err = readNames()
+		outputs, err = p.readNames()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -371,66 +408,88 @@ func (p *parser) parseBindings() (inputs, outputs []string, err error) {
 	return inputs, outputs, nil
 }
 
-// parseBranch parses "{" body "}" and returns a single node (wrapping
-// multi-element bodies in a sequential).
+// readNames reads Ident {"," Ident}, or nothing (nil).
+func (p *parser) readNames() ([]string, error) {
+	p.list = p.list[:0]
+	for p.tok.kind == tIdent {
+		p.list = append(p.list, p.tok.text)
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+		if p.tok.kind != tComma {
+			break
+		}
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+	}
+	if len(p.list) == 0 {
+		return nil, nil
+	}
+	names := cut(&p.names, len(p.list))
+	copy(names, p.list)
+	return names, nil
+}
+
+// parseBranch parses "{" body "}".
 func (p *parser) parseBranch() (*plantree.Node, error) {
 	if err := p.expect(tLBrace, "'{'"); err != nil {
 		return nil, err
 	}
-	body, err := p.parseBody(func() bool { return false })
+	body, err := p.parseBody(tRBrace)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.expect(tRBrace, "'}'"); err != nil {
 		return nil, err
 	}
-	if len(body) == 1 {
-		return body[0], nil
-	}
-	return plantree.Seq(body...), nil
+	return body, nil
 }
 
-// parseCond parses "{" "COND" text "}" and returns the validated condition.
-// The condition text is captured raw from the scanner (it is a different
-// language, handled by package expr), so it may contain characters the PDL
-// tokenizer does not know.
-func (p *parser) parseCond() (string, error) {
+// parseCond parses "{" "COND" text "}" and returns the condition with its
+// parse (nil for an empty condition). The condition text is captured raw
+// from the scanner (it is a different language, handled by package expr),
+// so it may contain characters the PDL tokenizer does not know.
+func (p *parser) parseCond() (string, expr.Node, error) {
 	if err := p.expect(tLBrace, "'{'"); err != nil {
-		return "", err
+		return "", nil, err
 	}
 	if !p.atKeyword("COND") {
-		return "", p.errf("expected COND, found %q", p.tok.text)
+		return "", nil, p.errf("expected COND, found %q", p.tok.text)
 	}
 	// Capture everything between COND and the closing brace without
 	// tokenizing it.
 	cond, err := p.s.condText()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	if _, err := expr.Parse(cond); err != nil {
-		return "", p.errf("bad condition %q: %v", cond, err)
+	var node expr.Node
+	if cond != "" {
+		if node, err = expr.Parse(cond); err != nil {
+			return "", nil, p.errf("bad condition %q: %v", cond, err)
+		}
 	}
 	// Re-prime the token stream: the next token is the closing brace.
 	if err := p.advance(); err != nil {
-		return "", err
+		return "", nil, err
 	}
 	if err := p.expect(tRBrace, "'}' after condition"); err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return cond, nil
+	return cond, node, nil
 }
 
 func (p *parser) parseFork() (*plantree.Node, error) {
 	if err := p.advance(); err != nil { // consume FORK
 		return nil, err
 	}
-	node := plantree.Conc()
+	base := len(p.elems)
 	for p.tok.kind == tLBrace {
 		br, err := p.parseBranch()
 		if err != nil {
 			return nil, err
 		}
-		node.Children = append(node.Children, br)
+		p.elems = append(p.elems, br)
 	}
 	if err := p.expectKeyword("JOIN"); err != nil {
 		return nil, err
@@ -438,40 +497,37 @@ func (p *parser) parseFork() (*plantree.Node, error) {
 	if err := p.expect(tRBrace, "'}'"); err != nil {
 		return nil, err
 	}
-	if len(node.Children) < 2 {
-		return nil, p.errf("FORK needs at least two branches, has %d", len(node.Children))
+	if n := len(p.elems) - base; n < 2 {
+		return nil, p.errf("FORK needs at least two branches, has %d", n)
 	}
-	return node, nil
+	return p.node(plantree.KindConcurrent, base), nil
 }
 
 func (p *parser) parseChoice() (*plantree.Node, error) {
 	if err := p.advance(); err != nil { // consume CHOICE
 		return nil, err
 	}
-	node := plantree.Sel()
+	base := len(p.elems)
 	for p.tok.kind == tLBrace {
 		// Peek: a brace group starting with COND is a guard for the next
 		// branch; otherwise it is an unguarded branch.
-		cond := ""
-		save := *p.s
-		saveTok := p.tok
+		var cond string
+		var guard expr.Node
+		save, saveTok := p.s, p.tok
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if p.atKeyword("COND") {
-			*p.s = save
-			p.tok = saveTok
-			c, err := p.parseCond()
+		guarded := p.atKeyword("COND")
+		p.s, p.tok = save, saveTok
+		if guarded {
+			c, g, err := p.parseCond()
 			if err != nil {
 				return nil, err
 			}
-			cond = c
+			cond, guard = c, g
 			if p.tok.kind != tLBrace {
 				return nil, p.errf("expected branch after condition, found %q", p.tok.text)
 			}
-		} else {
-			*p.s = save
-			p.tok = saveTok
 		}
 		br, err := p.parseBranch()
 		if err != nil {
@@ -481,11 +537,11 @@ func (p *parser) parseChoice() (*plantree.Node, error) {
 			// An iterative alternative keeps its loop condition; its guard
 			// goes on a sequential wrapper (same convention as plantree).
 			if br.Kind == plantree.KindIterative || br.Condition != "" {
-				br = plantree.Seq(br)
+				br = p.wrap(plantree.KindSequential, br)
 			}
-			br.Condition = cond
+			br.Condition, br.Cond = cond, guard
 		}
-		node.Children = append(node.Children, br)
+		p.elems = append(p.elems, br)
 	}
 	if err := p.expectKeyword("MERGE"); err != nil {
 		return nil, err
@@ -493,17 +549,17 @@ func (p *parser) parseChoice() (*plantree.Node, error) {
 	if err := p.expect(tRBrace, "'}'"); err != nil {
 		return nil, err
 	}
-	if len(node.Children) < 2 {
-		return nil, p.errf("CHOICE needs at least two alternatives, has %d", len(node.Children))
+	if n := len(p.elems) - base; n < 2 {
+		return nil, p.errf("CHOICE needs at least two alternatives, has %d", n)
 	}
-	return node, nil
+	return p.node(plantree.KindSelective, base), nil
 }
 
 func (p *parser) parseIterative() (*plantree.Node, error) {
 	if err := p.advance(); err != nil { // consume ITERATIVE
 		return nil, err
 	}
-	cond, err := p.parseCond()
+	cond, parsed, err := p.parseCond()
 	if err != nil {
 		return nil, err
 	}
@@ -514,11 +570,11 @@ func (p *parser) parseIterative() (*plantree.Node, error) {
 	if err := p.expect(tRBrace, "'}'"); err != nil {
 		return nil, err
 	}
-	node := plantree.Iter(body)
+	node := p.wrap(plantree.KindIterative, body)
 	if body.Kind == plantree.KindSequential && body.Condition == "" {
 		node.Children = body.Children
 	}
-	node.Condition = cond
+	node.Condition, node.Cond = cond, parsed
 	return node, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/plantree"
+	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
 
@@ -252,6 +253,34 @@ func BenchmarkParseFig10(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(fig10Source); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestParseProcessAllocationBudget pins what compiling the Figure-10 PDL
+// with its Figure-13 bindings to a validated process costs: each condition
+// parsed once, IDs from a table, and the tree, the activities, the
+// transitions and the binding names each cut from one or two arrays. It
+// read 176 allocations when each condition was parsed twice and every
+// transition, ID and binding list was an allocation of its own; 39 now.
+func TestParseProcessAllocationBudget(t *testing.T) {
+	const budget = 80
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseProcess("3DSD", virolab.PDLSource); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ParseProcess(Figure 10 with bindings): %v allocations", allocs)
+	if allocs > budget {
+		t.Errorf("ParseProcess(Figure 10 with bindings) allocates %v times, budget %d", allocs, budget)
+	}
+}
+
+func BenchmarkParseProcessFig10(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseProcess("3DSD", virolab.PDLSource); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -524,14 +524,17 @@ func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 // interpreted evaluator spent 25 M mallocs on the first and the kernel left
 // the GP loop's own — 26 709 mallocs and 18 261 KB; in a workspace a run
 // allocates what it keeps (kernel, evaluation cache, key strings, history,
-// result) and, standalone, its two gene slabs: 428 mallocs and 1 700 KB
-// (463 and 3 235 KB when the population was pointer trees in node slabs).
-// The re-plan, whose worker already has the slabs, reads 518 mallocs and
-// 57 KB: its neighborhood is built in the population's slab and its cache
-// key without fmt (518 and 62 KB with pointer trees, 2 000 and 206 KB when
-// the neighborhood was heap trees, 3 764 and 461 KB before any slab). A row
-// is the least of three runs, because the runtime's own allocations only
-// add; the ceilings leave under 4 %.
+// result) and, standalone, its two gene slabs: 400 mallocs and 1 700 KB
+// (428 while the condition lexer lowered a copy of every word, 463 and
+// 3 235 KB when the population was pointer trees in node slabs). The
+// re-plan, whose worker already has the slabs, reads 363 mallocs and 54 KB:
+// its neighborhood is built in the population's slab, its cache key without
+// fmt, its process from arrays sized to the tree and its PDL straight from
+// the tree (518 and 57 KB through tree → process → tree → text, 518 and
+// 62 KB with pointer trees, 2 000 and 206 KB when the neighborhood was heap
+// trees, 3 764 and 461 KB before any slab). A row is the least of three
+// runs, because the runtime's own allocations only add; the ceilings leave
+// under 4 %.
 func TestPlanAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations of its own")
@@ -581,8 +584,8 @@ func TestPlanAllocationBudget(t *testing.T) {
 		plan        func()
 		mallocs, kb uint64
 	}{
-		{"cold Table-1 plan", cold, 444, 1760},
-		{"incremental re-plan, warm service", replan, 564, 68},
+		{"cold Table-1 plan", cold, 416, 1760},
+		{"incremental re-plan, warm service", replan, 377, 56},
 	} {
 		mallocs, kb := ^uint64(0), ^uint64(0)
 		for i := 0; i < 3; i++ {

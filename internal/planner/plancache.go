@@ -82,10 +82,13 @@ func CanonicalKey(initial []*workflow.DataItem, goal, constraints, excluded []st
 }
 
 // PlanResult is a finished plan as the cache stores it: the formatted PDL,
-// the canonical tree rendering, its evaluation, and the services the plan
-// uses (the invalidation index).
+// the validated process description it formats, the canonical tree
+// rendering, its evaluation, and the services the plan uses (the
+// invalidation index). Process is shared by every hit: read it, never
+// change it.
 type PlanResult struct {
 	PDL      string
+	Process  *workflow.ProcessDescription
 	Tree     string
 	Eval     Evaluation
 	Services []string

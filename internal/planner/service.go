@@ -113,6 +113,11 @@ type PlanStatus struct {
 	Generations int        `json:"generations"`
 	Excluded    []string   `json:"excluded,omitempty"`
 
+	// Process is the validated process description PDL formats, built once
+	// by the plan that computed it. Every cache hit hands out the same
+	// value, so it is read-only: enact it or clone it, never change it.
+	Process *workflow.ProcessDescription `json:"-"`
+
 	// Key is the canonical case key the cache used.
 	Key string `json:"key,omitempty"`
 
@@ -314,6 +319,7 @@ func (s *Service) Submit(ctx context.Context, spec PlanSpec) (PlanStatus, error)
 			j.status.Status = StatusSucceeded
 			j.status.CacheHit = true
 			j.status.PDL = hit.PDL
+			j.status.Process = hit.Process
 			j.status.Tree = hit.Tree
 			j.status.Eval = hit.Eval
 			s.records[spec.ID] = j
@@ -573,7 +579,7 @@ func (s *Service) run(j *planJob, ws *workspace) {
 	s.mu.Unlock()
 	defer cancel()
 
-	res, pdlText, tree, err := s.compute(ctx, j, ws)
+	res, plan, err := s.compute(ctx, j, ws)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -585,28 +591,25 @@ func (s *Service) run(j *planJob, ws *workspace) {
 	case err != nil:
 		s.finalizeLocked(j, StatusFailed, err.Error())
 	default:
-		j.status.PDL = pdlText
-		j.status.Tree = tree.String()
-		j.status.Eval = res.Best.Eval
+		j.status.PDL = plan.PDL
+		j.status.Process = plan.Process
+		j.status.Tree = plan.Tree
+		j.status.Eval = plan.Eval
 		j.status.Evaluations = res.Evaluations
 		j.status.Generations = len(res.History)
 		j.status.Result = res
 		if !j.spec.NoCache && !j.spec.TreeOnly {
-			s.cache.Put(j.status.Key, PlanResult{
-				PDL:      pdlText,
-				Tree:     tree.String(),
-				Eval:     res.Best.Eval,
-				Services: tree.Services(),
-			})
+			s.cache.Put(j.status.Key, plan)
 		}
 		s.finalizeLocked(j, StatusSucceeded, "")
 	}
 }
 
 // compute runs the GP for one job: catalog minus exclusions, neighborhood
-// seeds for incremental re-plans, then RunContext, and (unless TreeOnly)
-// the PDL conversion of the normalized best tree. The run happens in ws.
-func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Result, string, *plantree.Node, error) {
+// seeds for incremental re-plans, then RunContext, and the plan of the
+// normalized best tree: unless TreeOnly, with its process description and
+// PDL. The run happens in ws.
+func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Result, PlanResult, error) {
 	excluded := make(map[string]bool, len(j.spec.Excluded))
 	for _, n := range j.spec.Excluded {
 		excluded[n] = true
@@ -628,7 +631,7 @@ func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Resu
 	}
 	gp, err := New(problem, j.params)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, PlanResult{}, err
 	}
 	gp.ws = ws
 	gp.SetTelemetry(s.tel)
@@ -651,20 +654,19 @@ func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Resu
 	res, err := gp.RunContext(ctx)
 	if err != nil {
 		endPlan("failed: " + err.Error())
-		return nil, "", nil, err
+		return nil, PlanResult{}, err
 	}
 	endPlan(fmt.Sprintf("%d evaluations over %d generations", res.Evaluations, len(res.History)))
 	tree := res.Best.Tree.Normalize()
+	plan := PlanResult{Tree: tree.String(), Eval: res.Best.Eval, Services: tree.Services()}
 	if j.spec.TreeOnly {
-		return res, "", tree, nil
+		return res, plan, nil
 	}
-	pd, err := plantree.ToProcess("planned", tree)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("planner: best tree does not convert: %w", err)
+	if plan.Process, err = plantree.ToProcess("planned", tree); err != nil {
+		return nil, PlanResult{}, fmt.Errorf("planner: best tree does not convert: %w", err)
 	}
-	text, err := pdl.FormatProcess(pd)
-	if err != nil {
-		return nil, "", nil, err
+	if plan.PDL, err = pdl.Format(tree); err != nil {
+		return nil, PlanResult{}, err
 	}
-	return res, text, tree, nil
+	return res, plan, nil
 }

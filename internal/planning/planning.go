@@ -60,9 +60,13 @@ type PlanRequest struct {
 	Traceparent string
 }
 
-// PlanReply returns the new plan.
+// PlanReply returns the new plan: the process description compiled, ready to
+// enact, and as PDL text, the form HTTP clients and the archive see.
 type PlanReply struct {
-	PDL      string // process description, PDL text
+	// Process is validated and shared (every plan-cache hit hands out the
+	// same one): read or clone it, never change it.
+	Process  *workflow.ProcessDescription
+	PDL      string // Process as PDL text
 	Tree     string // plan tree rendering (diagnostic)
 	Eval     planner.Evaluation
 	Excluded []string // services excluded as non-executable
@@ -286,7 +290,7 @@ func (s *Service) Plan(ctx *agent.Context, req PlanRequest) (PlanReply, error) {
 			s.remember(st.Result.Best.Tree.Normalize())
 		}
 	}
-	return PlanReply{PDL: st.PDL, Tree: st.Tree, Eval: st.Eval, Excluded: exList}, nil
+	return PlanReply{Process: st.Process, PDL: st.PDL, Tree: st.Tree, Eval: st.Eval, Excluded: exList}, nil
 }
 
 // verifyExecutable performs the Figure 3 interaction: find a brokerage via

@@ -3,26 +3,39 @@ package plantree
 import (
 	"fmt"
 
+	"repro/internal/expr"
 	"repro/internal/workflow"
 )
 
-// builder tracks ID allocation while emitting a process description.
+// builder emits a process description into arrays sized to the tree.
 type builder struct {
-	p    *workflow.ProcessDescription
-	next int
+	p     *workflow.ProcessDescription
+	acts  []workflow.Activity // handed out from the front
+	names []string            // the activities' bindings, likewise
 }
 
 func (b *builder) fresh(name string, kind workflow.Kind, service string) *workflow.Activity {
-	b.next++
-	a := &workflow.Activity{
-		ID:      fmt.Sprintf("A%d", b.next),
-		Name:    name,
-		Kind:    kind,
-		Service: service,
-	}
-	b.p.Add(a)
-	return a
+	a := &b.acts[0]
+	b.acts = b.acts[1:]
+	*a = workflow.Activity{ID: workflow.ActivityID(len(b.p.Activities) + 1), Name: name, Kind: kind, Service: service}
+	return b.p.Add(a)
 }
+
+// bind returns a copy of names cut from the bindings array (nil for none).
+func (b *builder) bind(names []string) []string {
+	if len(names) == 0 {
+		return nil
+	}
+	k := len(names)
+	out := b.names[:k:k]
+	b.names = b.names[k:]
+	copy(out, names)
+	return out
+}
+
+// falseCond is "false" parsed: the condition ToProcess gives a loop that
+// has none.
+var falseCond, _ = expr.Parse("false")
 
 // ToProcess converts a plan tree to the equivalent process description,
 // applying the correspondences of Figures 4-7:
@@ -35,12 +48,15 @@ func (b *builder) fresh(name string, kind workflow.Kind, service string) *workfl
 //
 // Single-child concurrent and selective nodes are inlined (a Fork with one
 // branch is not a legal process description). The resulting process always
-// validates.
+// validates. A condition the tree carries parsed (Node.Cond) is not parsed
+// again.
 func ToProcess(name string, root *Node) (*workflow.ProcessDescription, error) {
 	if err := root.Validate(0); err != nil {
 		return nil, err
 	}
-	b := &builder{p: workflow.NewProcess(name)}
+	acts, links, names := root.graphSize()
+	b := &builder{p: workflow.NewProcess(name), acts: make([]workflow.Activity, acts+2), names: make([]string, names)}
+	b.p.Grow(acts+2, links+2)
 	begin := b.fresh("BEGIN", workflow.KindBegin, "")
 	end := b.fresh("END", workflow.KindEnd, "")
 	entry, exit, err := b.emit(root)
@@ -55,6 +71,27 @@ func ToProcess(name string, root *Node) (*workflow.ProcessDescription, error) {
 	return b.p, nil
 }
 
+// graphSize returns the activities, transitions and binding names emit
+// makes of the subtree.
+func (n *Node) graphSize() (acts, links, names int) {
+	k := len(n.Children)
+	switch {
+	case n.Kind == KindActivity:
+		acts, names = 1, len(n.Inputs)+len(n.Outputs)
+	case n.Kind == KindSequential:
+		links = k - 1
+	case n.Kind == KindIterative:
+		acts, links = 2, k+2
+	case k > 1: // a concurrent or selective pair around its branches
+		acts, links = 2, 2*k
+	}
+	for _, c := range n.Children {
+		a, l, m := c.graphSize()
+		acts, links, names = acts+a, links+l, names+m
+	}
+	return acts, links, names
+}
+
 // emit writes the subgraph for node n and returns its entry and exit
 // activity IDs.
 func (b *builder) emit(n *Node) (entry, exit string, err error) {
@@ -65,8 +102,7 @@ func (b *builder) emit(n *Node) (entry, exit string, err error) {
 			name = n.Service
 		}
 		a := b.fresh(name, workflow.KindEndUser, n.Service)
-		a.Inputs = append([]string(nil), n.Inputs...)
-		a.Outputs = append([]string(nil), n.Outputs...)
+		a.Inputs, a.Outputs = b.bind(n.Inputs), b.bind(n.Outputs)
 		return a.ID, a.ID, nil
 
 	case KindSequential:
@@ -115,11 +151,11 @@ func (b *builder) emit(n *Node) (entry, exit string, err error) {
 			// On an iterative child, Condition is its loop condition, not a
 			// guard; such an alternative is unguarded unless wrapped in a
 			// sequential carrying the guard.
-			guard := c.Condition
+			guard, node := c.Condition, c.Cond
 			if c.Kind == KindIterative {
-				guard = ""
+				guard, node = "", nil
 			}
-			b.p.ConnectCond(choice.ID, e, guard)
+			b.p.ConnectParsed(choice.ID, e, guard, node)
 			b.p.Connect(x, merge.ID)
 		}
 		return choice.ID, merge.ID, nil
@@ -146,11 +182,11 @@ func (b *builder) emit(n *Node) (entry, exit string, err error) {
 		// holds; the forward transition exits. A condition-less iterative
 		// node gets the literal "false" so enactment runs the body exactly
 		// once instead of looping forever.
-		cond := n.Condition
+		cond, node := n.Condition, n.Cond
 		if cond == "" {
-			cond = "false"
+			cond, node = "false", falseCond
 		}
-		b.p.ConnectCond(choice.ID, merge.ID, cond)
+		b.p.ConnectParsed(choice.ID, merge.ID, cond, node)
 		return merge.ID, choice.ID, nil
 	}
 	return "", "", fmt.Errorf("plantree: unknown node kind %v", n.Kind)
@@ -309,7 +345,7 @@ func (pr *parser) parseChoice(choice *workflow.Activity) (*Node, string, error) 
 			if child.Kind == KindIterative || child.Condition != "" {
 				child = Seq(child)
 			}
-			child.Condition = t.Condition
+			child.Condition, child.Cond = t.Condition, t.CondNode()
 		}
 		node.Children = append(node.Children, child)
 	}
@@ -430,7 +466,7 @@ func (pr *parser) parseLoop(merge *workflow.Activity) (*Node, string, error) {
 	for _, t := range pr.p.Out(backChoice.ID) {
 		if t.Dest == merge.ID {
 			if t.Condition != "false" { // inverse of the ToProcess sentinel
-				node.Condition = t.Condition
+				node.Condition, node.Cond = t.Condition, t.CondNode()
 			}
 			continue
 		}
@@ -444,7 +480,7 @@ func (pr *parser) parseLoop(merge *workflow.Activity) (*Node, string, error) {
 	}
 	// Pick up the constraint attached to the choice (e.g. Cons1).
 	if backChoice.Constraint != "" && node.Condition == "" {
-		node.Condition = backChoice.Constraint
+		node.Condition, node.Cond = backChoice.Constraint, backChoice.ConstraintNode()
 	}
 	return node, exit, nil
 }

@@ -130,7 +130,7 @@ func (s *slabs) tree(genes []Gene, names []string, srcs []*Node) *Node {
 	g, n := genes[0], s.node()
 	if g.Src >= 0 {
 		src := srcs[g.Src]
-		*n = Node{Service: src.Service, Name: src.Name, Condition: src.Condition,
+		*n = Node{Service: src.Service, Name: src.Name, Condition: src.Condition, Cond: src.Cond,
 			Inputs: slices.Clone(src.Inputs), Outputs: slices.Clone(src.Outputs)}
 	}
 	n.Kind = g.Kind

@@ -8,6 +8,8 @@ package plantree
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/expr"
 )
 
 // Kind classifies plan-tree nodes.
@@ -70,6 +72,11 @@ type Node struct {
 	// iterative node it is the loop-continue condition; on a child of a
 	// selective node it guards that alternative.
 	Condition string
+
+	// Cond is Condition parsed, when whoever set Condition parsed it (the
+	// PDL parser and FromProcess do); nil leaves the parse to the process
+	// description ToProcess builds. Equal and String ignore it.
+	Cond expr.Node
 }
 
 // Activity returns a terminal node for the named service.

@@ -50,7 +50,8 @@ type Transition struct {
 	Dest      string // destination activity ID
 	Condition string // condition-expression source; empty means always
 
-	cond expr.Node // Condition as the last Validate parsed it
+	cond    expr.Node // condSrc parsed: Validate parses Condition when they differ
+	condSrc string
 }
 
 // CondNode returns the parsed Condition (nil: none) once validated.
@@ -72,10 +73,13 @@ type ProcessDescription struct {
 
 	// The compiled form, built by index(): an activity is its position in
 	// Activities, and out[i] and in[i] are the transitions leaving and
-	// entering it, each side one flat list cut into runs.
+	// entering it, both sides one flat list cut into runs.
 	indexed bool
 	byID    map[string]int32 // ID -> position (the first, if duplicated)
 	out, in [][]*Transition
+
+	// spare holds the transitions Grow set aside for the next Connects.
+	spare []Transition
 
 	// validated memoizes the last Validate result (validErr); Add and
 	// ConnectCond invalidate it alongside the index. A task's description
@@ -99,19 +103,39 @@ func (p *ProcessDescription) Add(a *Activity) *Activity {
 	return a
 }
 
+// Grow makes room for n more activities and m more transitions: Add appends
+// without copying, and the next m Connects take their transitions from one
+// array.
+func (p *ProcessDescription) Grow(n, m int) {
+	p.Activities = slices.Grow(p.Activities, n)
+	p.Transitions = slices.Grow(p.Transitions, m)
+	p.spare = make([]Transition, m)
+}
+
 // Connect appends a transition from src to dst with an auto-generated ID and
 // returns it.
 func (p *ProcessDescription) Connect(src, dst string) *Transition {
-	return p.ConnectCond(src, dst, "")
+	return p.ConnectParsed(src, dst, "", nil)
 }
 
 // ConnectCond appends a conditional transition from src to dst.
 func (p *ProcessDescription) ConnectCond(src, dst, cond string) *Transition {
-	t := &Transition{
-		ID:        "TR" + strconv.Itoa(len(p.Transitions)+1),
-		Source:    src,
-		Dest:      dst,
-		Condition: cond,
+	return p.ConnectParsed(src, dst, cond, nil)
+}
+
+// ConnectParsed is ConnectCond for a caller that has parsed cond already:
+// node is what expr.Parse(cond) returned, and Validate takes it instead of
+// parsing cond again. A nil node leaves the parse to Validate.
+func (p *ProcessDescription) ConnectParsed(src, dst, cond string, node expr.Node) *Transition {
+	var t *Transition
+	if len(p.spare) > 0 {
+		t, p.spare = &p.spare[0], p.spare[1:]
+	} else {
+		t = new(Transition)
+	}
+	*t = Transition{ID: tableID(transitionIDs, "TR", len(p.Transitions)+1), Source: src, Dest: dst, Condition: cond}
+	if node != nil {
+		t.cond, t.condSrc = node, cond
 	}
 	p.Transitions = append(p.Transitions, t)
 	p.indexed = false
@@ -119,34 +143,72 @@ func (p *ProcessDescription) ConnectCond(src, dst, cond string) *Transition {
 	return t
 }
 
-// index (re)builds the compiled form.
+// The IDs builders number activities and transitions with, made once:
+// numbering one costs no allocation below idTableSize.
+const idTableSize = 128
+
+var activityIDs, transitionIDs = idTable("A"), idTable("TR")
+
+func idTable(prefix string) []string {
+	ids := make([]string, idTableSize)
+	for i := range ids {
+		ids[i] = prefix + strconv.Itoa(i)
+	}
+	return ids
+}
+
+func tableID(table []string, prefix string, n int) string {
+	if n < len(table) {
+		return table[n]
+	}
+	return prefix + strconv.Itoa(n)
+}
+
+// ActivityID returns "A<n>", the ID of the n-th activity plantree.ToProcess
+// builds.
+func ActivityID(n int) string { return tableID(activityIDs, "A", n) }
+
+// index (re)builds the compiled form: a counting sort of the transitions by
+// the position of their source (runs 0..n-1) and of their destination (runs
+// n..2n-1), in declaration order within a run. A transition end that is no
+// activity is in no run.
 func (p *ProcessDescription) index() {
 	if p.indexed {
 		return
 	}
-	p.byID = make(map[string]int32, len(p.Activities))
-	for i := len(p.Activities) - 1; i >= 0; i-- {
+	n := len(p.Activities)
+	p.byID = make(map[string]int32, n)
+	for i := n - 1; i >= 0; i-- {
 		p.byID[p.Activities[i].ID] = int32(i)
 	}
-	p.out = p.group(func(t *Transition) string { return t.Source })
-	p.in = p.group(func(t *Transition) string { return t.Dest })
-	p.indexed = true
-}
-
-// group returns, by position of the activity at the end of a transition that
-// end picks, the transitions there in declaration order: runs of one sorted
-// copy (the first run, dropped: the transitions whose end is no activity).
-func (p *ProcessDescription) group(end func(*Transition) string) [][]*Transition {
-	groups := make([][]*Transition, len(p.Activities)+1)
-	ts := slices.Clone(p.Transitions)
-	slices.SortStableFunc(ts, func(a, b *Transition) int { return p.pos(end(a)) - p.pos(end(b)) })
-	for i, j := 0, 0; i < len(ts); i = j {
-		for j < len(ts) && p.pos(end(ts[j])) == p.pos(end(ts[i])) {
-			j++
+	size := make([]int32, 2*n)
+	total := 0
+	for _, t := range p.Transitions {
+		if i := p.pos(t.Source); i >= 0 {
+			size[i]++
+			total++
 		}
-		groups[p.pos(end(ts[i]))+1] = ts[i:j:j]
+		if i := p.pos(t.Dest); i >= 0 {
+			size[n+i]++
+			total++
+		}
 	}
-	return groups[1:]
+	runs, flat := make([][]*Transition, 2*n), make([]*Transition, total)
+	for i, k := range size {
+		if k > 0 {
+			runs[i], flat = flat[:0:k], flat[k:]
+		}
+	}
+	for _, t := range p.Transitions {
+		if i := p.pos(t.Source); i >= 0 {
+			runs[i] = append(runs[i], t)
+		}
+		if i := p.pos(t.Dest); i >= 0 {
+			runs[n+i] = append(runs[n+i], t)
+		}
+	}
+	p.out, p.in = runs[:n:n], runs[n:]
+	p.indexed = true
 }
 
 // pos returns the position in Activities of the activity with the given ID
@@ -345,14 +407,13 @@ func (p *ProcessDescription) Validate() error {
 		addf("want exactly 1 End activity, have %d", n)
 	}
 
-	tseen := make(map[string]bool, len(p.Transitions))
+	ids := make([]string, 0, len(p.Transitions))
 	for _, t := range p.Transitions {
 		if t.ID == "" {
 			addf("transition %s->%s has empty ID", t.Source, t.Dest)
-		} else if tseen[t.ID] {
-			addf("duplicate transition ID %q", t.ID)
+		} else {
+			ids = append(ids, t.ID)
 		}
-		tseen[t.ID] = true
 		if p.pos(t.Source) < 0 {
 			addf("transition %s: unknown source %q", t.ID, t.Source)
 		}
@@ -362,7 +423,15 @@ func (p *ProcessDescription) Validate() error {
 		if t.Source == t.Dest {
 			addf("transition %s: self loop on %q", t.ID, t.Source)
 		}
-		t.cond = parse(t.Condition, "transition %s condition: %v", t.ID)
+		if t.cond == nil || t.condSrc != t.Condition {
+			t.cond, t.condSrc = parse(t.Condition, "transition %s condition: %v", t.ID), t.Condition
+		}
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			addf("duplicate transition ID %q", ids[i])
+		}
 	}
 
 	for _, a := range p.Activities {
@@ -377,8 +446,11 @@ func (p *ProcessDescription) Validate() error {
 	}
 
 	if len(problems) == 0 {
-		fromBegin := p.reachableFrom(p.Begin().ID, false)
-		toEnd := p.reachableFrom(p.End().ID, true)
+		n := len(p.Activities)
+		seen, stack := make([]bool, 2*n), make([]int32, 0, n)
+		fromBegin, toEnd := seen[:n], seen[n:]
+		p.reach(p.pos(p.Begin().ID), false, fromBegin, stack)
+		p.reach(p.pos(p.End().ID), true, toEnd, stack)
 		for i, a := range p.Activities {
 			if !fromBegin[i] {
 				addf("activity %s unreachable from Begin", a.ID)
@@ -398,30 +470,28 @@ func (p *ProcessDescription) Validate() error {
 	return p.validErr
 }
 
-// reachableFrom reports, by position, the activities reachable from start,
-// following transitions backwards when reverse is true. Every transition
-// end must be a known activity.
-func (p *ProcessDescription) reachableFrom(start string, reverse bool) []bool {
-	visited := make([]bool, len(p.Activities))
-	visited[p.pos(start)] = true
-	stack := []string{start}
+// reach marks in visited, by position, the activities reachable from the one
+// at start, following transitions backwards when reverse is true. Every
+// transition end must be a known activity; stack is room for the walk.
+func (p *ProcessDescription) reach(start int, reverse bool, visited []bool, stack []int32) {
+	runs := p.out
+	if reverse {
+		runs = p.in
+	}
+	visited[start] = true
+	stack = append(stack[:0], int32(start))
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		ts := p.Out(id)
-		if reverse {
-			ts = p.In(id)
-		}
-		for _, t := range ts {
+		for _, t := range runs[i] {
 			next := t.Dest
 			if reverse {
 				next = t.Source
 			}
-			if pos := p.pos(next); !visited[pos] {
-				visited[pos] = true
-				stack = append(stack, next)
+			if j := p.pos(next); !visited[j] {
+				visited[j] = true
+				stack = append(stack, int32(j))
 			}
 		}
 	}
-	return visited
 }
