@@ -30,12 +30,14 @@ type Config struct {
 	// Catalog supplies the service specifications (pre/postconditions,
 	// nominal times) for the end-user activities.
 	Catalog *workflow.Catalog
-	// Matchmaking ranks the containers for each dispatch and Brokerage holds
-	// the execution history the ranking is adjusted by; the coordinator asks
-	// both by method call, so every placement reads the grid and the ledger
-	// as they are.
+	// Matchmaking ranks the containers for each dispatch, Brokerage holds
+	// the execution history the ranking is adjusted by, and Containers runs
+	// the execution; the coordinator calls all three on the enacting
+	// goroutine, so every placement reads the grid and the ledger as they
+	// are, the last execution included.
 	Matchmaking *services.Matchmaking
 	Brokerage   *services.Brokerage
+	Containers  *services.Containers
 
 	// MaxFires bounds total activity firings per enactment (loop safety).
 	MaxFires int
@@ -136,8 +138,8 @@ const maxReplans = 3
 
 // New builds a coordinator and registers its agent (services.CoordinationName).
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Platform == nil || cfg.Catalog == nil || cfg.Matchmaking == nil || cfg.Brokerage == nil {
-		return nil, fmt.Errorf("coordination: platform, catalog, matchmaking and brokerage are required")
+	if cfg.Platform == nil || cfg.Catalog == nil || cfg.Matchmaking == nil || cfg.Brokerage == nil || cfg.Containers == nil {
+		return nil, fmt.Errorf("coordination: platform, catalog, matchmaking, brokerage and containers are required")
 	}
 	if cfg.MaxFires <= 0 {
 		cfg.MaxFires = 1000

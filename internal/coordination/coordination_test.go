@@ -95,6 +95,7 @@ func newEnvWith(t *testing.T, checkpoint bool, mod func(*Config)) *env {
 		Catalog:     catalog,
 		Matchmaking: core.Matchmaking,
 		Brokerage:   core.Brokerage,
+		Containers:  core.Containers,
 		PostProcess: virolab.ResolutionHook(nil),
 		Checkpoint:  checkpoint,
 	}
@@ -761,9 +762,6 @@ func TestDeadlinePressureDispatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, false)
 			if err := e.grid.AddContainer(&grid.Container{ID: "ac-slow", NodeID: "cluster-1", Services: []string{"P3DR"}}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.platform.Register("ac-slow", &services.ContainerAgent{Grid: e.grid, Container: "ac-slow", Brokerage: e.core.Brokerage}); err != nil {
 				t.Fatal(err)
 			}
 			task := virolab.Task()

@@ -8,9 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
-	"repro/internal/agent"
 	"repro/internal/services"
 	"repro/internal/workflow"
 )
@@ -36,9 +34,9 @@ func newEnactState(pd *workflow.ProcessDescription) *enactState {
 // enact runs the ATN token game over the process description from the given
 // token state, mutating state, es, and report in place. Flow-control tokens
 // fire immediately; end-user tokens that are ready at the same time — the
-// branches of a Fork — are dispatched concurrently as one batch, advancing
-// the wall clock by the slowest member only. It returns nil on reaching
-// End, a *nonExecutableError when re-planning is needed, ctx's error on
+// branches of a Fork — are dispatched as one batch, advancing the wall clock
+// by the slowest member only. It returns nil on reaching End, a
+// *nonExecutableError when re-planning is needed, ctx's error on
 // cancellation, or another error on a malformed enactment. pd has passed
 // Validate (the task's, a parsed plan's or a decoded checkpoint's): decide
 // evaluates the conditions it parsed.
@@ -51,8 +49,7 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 		var members [4]pendingExec // wider batches spill to the heap
 		batch := members[:0]
 		// Drain the current worklist: flow control fires in place (and may
-		// enqueue more tokens); end-user activities accumulate into the
-		// concurrent batch.
+		// enqueue more tokens); end-user activities accumulate into the batch.
 		for len(es.Ready) > 0 {
 			if report.Fired >= c.cfg.MaxFires {
 				return fmt.Errorf("coordination: task %s exceeded %d activity firings (livelock?)", task.ID, c.cfg.MaxFires)
@@ -201,8 +198,8 @@ func (c *Coordinator) decide(report *Report, pd *workflow.ProcessDescription, ac
 }
 
 // execResult is the outcome of one dispatched activity, gathered before its
-// effects are applied to the shared case state (dispatches in a concurrent
-// batch must not mutate state until every member finished).
+// effects are applied to the case state (every member of a batch is
+// dispatched against the state the batch started from).
 type execResult struct {
 	act      *workflow.Activity
 	visit    int
@@ -225,8 +222,8 @@ func (r *execResult) event(kind, activity, detail string) {
 	r.events = append(r.events, TraceEvent{Kind: kind, Activity: activity, Detail: detail})
 }
 
-// dispatch runs one end-user activity remotely: it verifies the service's
-// preconditions against the (read-only) state, matchmakes candidate
+// dispatch runs one end-user activity on a container: it verifies the
+// service's preconditions against the (read-only) state, matchmakes candidate
 // containers, and tries them best-first with retry-on-alternate-candidate —
 // attempt n goes to candidate (n-1) mod len(candidates), so retries rotate
 // through the ranking before coming back around — bounded by the policy's
@@ -235,7 +232,7 @@ func (r *execResult) event(kind, activity, detail string) {
 // candidate that still meets the deadline first — and an activity no
 // remaining budget can afford aborts before the first attempt, consuming no
 // retry. It fills res and does NOT mutate the state; apply() does that
-// afterwards. Safe to call from multiple goroutines over the same state.
+// afterwards.
 func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Activity, state *workflow.State, visit int, cc *caseConstraints, res *execResult) {
 	res.act, res.visit, res.events = act, visit, res.buf[:0]
 	svc := c.cfg.Catalog.Get(act.Service)
@@ -284,21 +281,14 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		}
 		cand := candidates[(attempt-1)%len(candidates)]
 		res.event("dispatch", act.Name, cand.Container)
-		execReply, err := c.ctx.CallContext(ctx, cand.Container, services.OntExecution, services.ExecuteRequest{
-			Service:  act.Service,
-			BaseTime: svc.BaseTime,
-			DataMB:   dataMB,
-		}, services.CallTimeout)
-		if err == nil && execReply.Performative != agent.Failure {
-			if er, ok := execReply.Content.(services.ExecuteReply); ok {
-				res.duration = er.Exec.Duration
-				res.cost = er.Exec.Cost
-				var buf [64]byte // "on <container> in <d>s"
-				detail := append(append(buf[:0], "on "...), cand.Container...)
-				detail = strconv.AppendFloat(append(detail, " in "...), er.Exec.Duration, 'f', 1, 64)
-				res.event("complete", act.Name, string(append(detail, 's')))
-				return
-			}
+		ex, err := c.cfg.Containers.Execute(cand.Container, act.Service, svc.BaseTime, dataMB)
+		if err == nil {
+			res.duration, res.cost = ex.Duration, ex.Cost
+			var buf [64]byte // "on <container> in <d>s"
+			detail := append(append(buf[:0], "on "...), cand.Container...)
+			detail = strconv.AppendFloat(append(detail, " in "...), ex.Duration, 'f', 1, 64)
+			res.event("complete", act.Name, string(append(detail, 's')))
+			return
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			res.err = cerr
@@ -447,27 +437,20 @@ func (c *Coordinator) apply(report *Report, res *execResult, state *workflow.Sta
 	}
 }
 
-// runBatch dispatches a set of simultaneously ready end-user activities
-// concurrently — the Fork semantics of the paper — and applies the results
-// in activity order. Wall-clock time advances by the longest member,
-// counting its backoff waits (compute time still accumulates every
+// runBatch dispatches a set of simultaneously ready end-user activities —
+// the Fork semantics of the paper — in member order, each against the state
+// the batch started from, and then applies the results in member order. The
+// members overlap in simulated time, not on the host: an execution is a
+// simulation under the grid's lock, so dispatching them on goroutines of
+// their own would buy nothing. Wall-clock time advances by the longest
+// member, counting its backoff waits (compute time still accumulates every
 // execution). Returns the first error, preferring hard errors over
 // re-planning signals. results, one per member, is the enactment's to
 // reuse: runBatch clears it first.
 func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, batch []pendingExec, results []execResult, state *workflow.State, cc *caseConstraints) error {
 	clear(results)
-	if len(batch) == 1 {
-		c.dispatch(ctx, p, batch[0].act, state, batch[0].visit, cc, &results[0])
-	} else {
-		var wg sync.WaitGroup
-		for i, b := range batch {
-			wg.Add(1)
-			go func() { // b by value: the caller's batch stays on its stack
-				defer wg.Done()
-				c.dispatch(ctx, p, b.act, state, b.visit, cc, &results[i])
-			}()
-		}
-		wg.Wait()
+	for i, b := range batch {
+		c.dispatch(ctx, p, b.act, state, b.visit, cc, &results[i])
 	}
 	longest := 0.0
 	var dbuf, cbuf [8]float64 // wider batches spill to the heap
@@ -482,10 +465,9 @@ func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, ba
 			costs = append(costs, results[i].cost)
 		}
 	}
-	// Concurrent members draw their jitter from a node's stream in goroutine
-	// arrival order: the seed fixes the multiset of a batch's durations, not
-	// which member drew which. Float addition is not associative, so the
-	// totals take the batch in ascending order rather than member order.
+	// Float addition is not associative, so the totals take the batch in
+	// ascending order rather than member order: they do not depend on which
+	// member drew which jitter from a node's stream.
 	slices.Sort(durations)
 	slices.Sort(costs)
 	for i := range durations {

@@ -104,8 +104,8 @@ func (p Policy) backoff(attempt int, rng *rand.Rand) float64 {
 }
 
 // retryStream derives the jitter stream for one activity visit. Seeding from
-// the activity name and visit count (not a shared stream) keeps backoff waits
-// independent of how concurrent batch members interleave.
+// the activity name and visit count (not a shared stream) keeps an activity's
+// backoff waits independent of the other members of its batch.
 func (p Policy) retryStream(activity string, visit int) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(activity))

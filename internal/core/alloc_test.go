@@ -17,16 +17,17 @@ import (
 
 // Stated allocation budget of one Figure-10 enactment (17 activity
 // executions) through SubmitContext on a failure-free synthetic grid. The
-// counts are machine-independent and read 280 bare / 283 instrumented (304 /
-// 307 before the task's process was indexed and validated by position); the
-// ceilings leave under 4% headroom — less than the 17 one more message per
-// dispatch would add. The difference is the telemetry record sites on the
+// counts are machine-independent and read 217 bare / 220 instrumented (280 /
+// 283 while each execution was a message round trip to the container agent
+// plus an outcome message to monitoring, 304 / 307 before the task's process
+// was indexed and validated by position); the ceilings leave under 4%
+// headroom — less than the 17 one message per dispatch would add. The difference is the telemetry record sites on the
 // enact path: adding one moves instrumented-minus-bare, so it cannot land
 // without raising the budget here. This is the exact form of the "<5%
 // instrumentation overhead" promise (OBSERVABILITY.md).
 const (
-	enactAllocsBare         = 291
-	enactAllocsInstrumented = 294
+	enactAllocsBare         = 225
+	enactAllocsInstrumented = 228
 	enactAllocsTelemetry    = 8
 )
 
@@ -76,12 +77,13 @@ func TestEnactAllocationBudget(t *testing.T) {
 // through Engine.Submit on mem: to its terminal record — PDL parse,
 // admission, the three journal records and the enactment. It gates what the
 // coordinator-only budget never reaches: the journal encoder and admission.
-// It reads 307–308 allocations and 62.2 KB, the same on every machine (446–447
-// before the PDL parse compiled straight to a validated process); both
-// ceilings leave under 4% headroom.
+// It reads 243 allocations and 57.5 KB, the same on every machine (307–308 /
+// 62.2 KB while executions were messages, 446–447 before the PDL parse
+// compiled straight to a validated process); both ceilings leave under 4%
+// headroom.
 const (
-	engineAllocsPerTask = 320
-	engineKBPerTask     = 64
+	engineAllocsPerTask = 252
+	engineKBPerTask     = 59
 )
 
 // submitAndWait sends the task through env.Engine.Submit and waits for it.
@@ -173,15 +175,16 @@ func TestEngineAllocationBudget(t *testing.T) {
 // A miss plans incrementally in the failed plan's neighbourhood; a hit takes
 // the cached plan, the very process the miss built. A plan reaches the
 // coordinator compiled, so neither parses the plan's PDL. The counts are
-// machine-independent and read 820–821 allocations / 126.7 KB (miss) and
-// 440 / 73.0 KB (hit); 1 304 / 140.3 KB and 757 / 83.0 KB when each plan
-// crossed as text and the Figure-10 parse cost 176 allocations. Each
-// ceiling leaves under 4% headroom.
+// machine-independent and read 754 allocations / 122.0 KB (miss) and
+// 374 / 68.3 KB (hit); 820–821 / 126.7 KB and 440 / 73.0 KB while executions
+// were messages, 1 304 / 140.3 KB and 757 / 83.0 KB when each plan crossed
+// as text and the Figure-10 parse cost 176 allocations. Each ceiling leaves
+// under 4% headroom.
 const (
-	replanMissAllocs = 850
-	replanMissKB     = 131
-	replanHitAllocs  = 457
-	replanHitKB      = 75
+	replanMissAllocs = 784
+	replanMissKB     = 126
+	replanHitAllocs  = 388
+	replanHitKB      = 71
 )
 
 func TestReplanAllocationBudget(t *testing.T) {

@@ -188,8 +188,8 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		return nil, err
 	}
 	// Instrument the core services. Safe before any traffic: the services
-	// only touch the registry while handling messages, which start flowing
-	// after NewEnvironment returns.
+	// only touch the registry while handling messages and calls, which start
+	// flowing after NewEnvironment returns.
 	coreSvcs.Brokerage.Telemetry = tel
 	coreSvcs.Matchmaking.Telemetry = tel
 	coreSvcs.Monitoring.Telemetry = tel
@@ -220,6 +220,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		Catalog:     opts.Catalog,
 		Matchmaking: coreSvcs.Matchmaking,
 		Brokerage:   coreSvcs.Brokerage,
+		Containers:  coreSvcs.Containers,
 		PostProcess: opts.PostProcess,
 		Checkpoint:  opts.Checkpoint,
 		Telemetry:   tel,

@@ -2,8 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/agent"
+	"repro/internal/coordination"
+	"repro/internal/grid"
 	"repro/internal/planner"
 	"repro/internal/virolab"
 	"repro/internal/workflow"
@@ -188,5 +194,68 @@ func TestNoTelemetry(t *testing.T) {
 	report, err := env.SubmitContext(context.Background(), virolab.Task(), nil)
 	if err != nil || !report.Completed {
 		t.Fatalf("bare environment cannot enact: %v %+v", err, report)
+	}
+}
+
+// TestFig10DispatchSendsNoMessage pins execution by call: a failure-free
+// Figure-10 enactment — 17 executions, a three-way Fork among them — sends
+// no platform message at all. Matchmaking, the brokerage's history, the
+// execution and its monitoring outcome are all calls on the enacting
+// goroutine; messages are left to planning, probes and quarantine.
+func TestFig10DispatchSendsNoMessage(t *testing.T) {
+	cfg := grid.DefaultSyntheticConfig()
+	cfg.FailureRate = 0
+	env, err := NewEnvironment(Options{
+		Catalog:     virolab.Catalog(),
+		GridConfig:  &cfg,
+		PostProcess: virolab.ResolutionHook(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	var sent atomic.Int64
+	env.Platform.SetTrace(func(agent.Message) { sent.Add(1) })
+	report, err := env.SubmitContext(context.Background(), virolab.Task(), nil)
+	if err != nil || !report.Completed || report.Executed != 17 {
+		t.Fatalf("enactment: err %v, report %+v", err, report)
+	}
+	if n := sent.Load(); n != 0 {
+		t.Errorf("a Figure-10 enactment sent %d messages, want 0", n)
+	}
+}
+
+// TestForkDispatchIsDeterministic enacts the same Figure-10 task on two fresh
+// environments: a Fork's members draw their grid jitter in member order, so
+// the traces — every complete event's duration included — and the totals
+// are bit-equal.
+func TestForkDispatchIsDeterministic(t *testing.T) {
+	enact := func() *coordination.Report {
+		report, err := testEnv(t).SubmitContext(context.Background(), virolab.Task(), nil)
+		if err != nil || !report.Completed {
+			t.Fatalf("enactment: err %v", err)
+		}
+		return report
+	}
+	a, b := enact(), enact()
+	if !reflect.DeepEqual(a.Trace, b.Trace) {
+		for i := range min(len(a.Trace), len(b.Trace)) {
+			if a.Trace[i] != b.Trace[i] {
+				t.Fatalf("traces differ at event %d: %+v vs %+v", i, a.Trace[i], b.Trace[i])
+			}
+		}
+		t.Fatalf("traces differ in length: %d vs %d events", len(a.Trace), len(b.Trace))
+	}
+	for _, f := range []struct {
+		name string
+		a, b float64
+	}{
+		{"SimulatedTime", a.SimulatedTime, b.SimulatedTime},
+		{"WallClockTime", a.WallClockTime, b.WallClockTime},
+		{"TotalCost", a.TotalCost, b.TotalCost},
+	} {
+		if math.Float64bits(f.a) != math.Float64bits(f.b) {
+			t.Errorf("%s differs: %v vs %v", f.name, f.a, f.b)
+		}
 	}
 }

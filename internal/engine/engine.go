@@ -765,6 +765,19 @@ func (e *Engine) finish(rec *record, status string, report *coordination.Report,
 	e.finishReason(rec, status, "", report, errText)
 }
 
+// retire appends a finished task to the retention window and evicts the
+// oldest beyond RetainFinished: their lookups answer ErrEvicted. Callers hold
+// e.mu.
+func (e *Engine) retire(id string) {
+	e.finished = append(e.finished, id)
+	for len(e.finished) > e.cfg.RetainFinished {
+		oldest := e.finished[0]
+		e.finished = e.finished[1:]
+		delete(e.records, oldest)
+		e.evicted[oldest] = true
+	}
+}
+
 // finishReason is finish with a terminal constraint reason (budget_exceeded,
 // deadline_missed) riding along into the snapshot and the public view.
 func (e *Engine) finishReason(rec *record, status, reason string, report *coordination.Report, errText string) {
@@ -818,13 +831,7 @@ func (e *Engine) finishReason(rec *record, status, reason string, report *coordi
 		ts.cancelled++
 		ts.mCancelled.Inc()
 	}
-	e.finished = append(e.finished, rec.id)
-	for len(e.finished) > e.cfg.RetainFinished {
-		oldest := e.finished[0]
-		e.finished = e.finished[1:]
-		delete(e.records, oldest)
-		e.evicted[oldest] = true
-	}
+	e.retire(rec.id)
 	// Wake workers parked because this tenant was at its in-flight cap.
 	e.cond.Broadcast()
 	e.mu.Unlock()

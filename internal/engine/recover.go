@@ -48,7 +48,8 @@ type replayState struct {
 // started tasks re-enter the queue flagged to resume from their latest
 // coordination checkpoint (or from scratch if the store holds none). Call it
 // after core loads a store file and before traffic arrives; tasks the engine
-// already tracks are skipped, so calling it on a warm engine is harmless.
+// already tracks or has evicted are skipped, so calling it on a warm engine
+// is harmless.
 func (e *Engine) Recover() (RecoveryReport, error) {
 	var report RecoveryReport
 	keys := e.store.Keys(JournalPrefix)
@@ -56,7 +57,7 @@ func (e *Engine) Recover() (RecoveryReport, error) {
 	for _, key := range keys {
 		id := key[len(JournalPrefix):]
 		e.mu.Lock()
-		_, known := e.records[id]
+		known := e.records[id] != nil || e.evicted[id]
 		e.mu.Unlock()
 		if known || id == "" {
 			continue
@@ -92,13 +93,14 @@ func (e *Engine) Recover() (RecoveryReport, error) {
 		}
 		if terminal(st.status) {
 			// Finished before the crash: restore the record so GETs still
-			// answer, but nothing re-runs.
+			// answer — within the retention window, as after a finish — but
+			// nothing re-runs.
 			e.mu.Lock()
 			e.records[st.id] = rec
 			if st.seq > e.seq {
 				e.seq = st.seq
 			}
-			e.finished = append(e.finished, st.id)
+			e.retire(st.id)
 			e.mu.Unlock()
 			report.Terminal++
 			continue

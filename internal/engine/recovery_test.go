@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -337,4 +338,47 @@ func TestRecoverCorruptJournal(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRecoverHonoursRetention restores five finished tasks on an engine that
+// retains two: as after five finishes, the oldest three answer ErrEvicted and
+// stay reserved, the newest two answer, and a second replay restores none of
+// them again.
+func TestRecoverHonoursRetention(t *testing.T) {
+	shared := store.NewMemory(store.Options{})
+	fence1 := store.NewFenced(shared)
+	env1 := newEnv(t, func(opts *core.Options) { opts.Workers = 1; opts.Store = fence1 })
+	ids := []string{"K1", "K2", "K3", "K4", "K5"}
+	for _, id := range ids {
+		if _, err := env1.Engine.Submit(engine.Submission{Task: forkTask(t, id), Priority: engine.PriorityNormal}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitTerminal(t, env1.Engine, "K5") // one worker: K5 finishes last
+	fence1.Fence()
+	env1.Close()
+
+	env2 := newEnv(t, func(opts *core.Options) {
+		opts.Workers = 1
+		opts.RetainFinished = 2
+		opts.Store = store.NewFenced(shared)
+	})
+	for range 2 {
+		if _, err := env2.Engine.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids[:3] {
+			if _, err := env2.Engine.Task(id); !errors.Is(err, engine.ErrEvicted) {
+				t.Errorf("task %s err = %v, want ErrEvicted", id, err)
+			}
+		}
+		for _, id := range ids[3:] {
+			if st, err := env2.Engine.Task(id); err != nil || st.Status != engine.StatusCompleted {
+				t.Errorf("task %s = %+v, %v", id, st, err)
+			}
+		}
+	}
+	if _, err := env2.Engine.Submit(engine.Submission{Task: forkTask(t, "K1"), Priority: engine.PriorityNormal}); !errors.Is(err, engine.ErrDuplicate) {
+		t.Errorf("resubmit evicted err = %v, want ErrDuplicate", err)
+	}
 }

@@ -10,12 +10,14 @@ import (
 
 // Core bundles the concrete service instances Bootstrap builds, for callers
 // that use them directly (matchmaking and simulation are libraries, not
-// agents) and scenarios that inspect service state.
+// agents, and executions run by call) and scenarios that inspect service
+// state.
 type Core struct {
 	Information *Information
 	Brokerage   *Brokerage
 	Matchmaking *Matchmaking
 	Monitoring  *Monitoring
+	Containers  *Containers
 	Storage     *Storage
 	Simulation  *Simulation
 	Ontology    *OntologyService
@@ -39,6 +41,7 @@ func Bootstrap(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, err
 		Simulation:  &Simulation{Grid: g},
 		Ontology:    NewOntologyService(),
 	}
+	core.Containers = &Containers{Grid: g, Brokerage: core.Brokerage, Monitoring: core.Monitoring}
 	for name, h := range map[string]agent.Handler{
 		InformationName: core.Information,
 		BrokerageName:   core.Brokerage,
@@ -71,8 +74,7 @@ func Bootstrap(p *agent.Platform, g *grid.Grid, backend store.Store) (*Core, err
 		}
 	}
 	for _, c := range g.Containers() {
-		ca := &ContainerAgent{Grid: g, Container: c.ID, Brokerage: core.Brokerage}
-		if _, err := p.Register(c.ID, ca); err != nil {
+		if _, err := p.Register(c.ID, &ContainerAgent{Grid: g, Container: c.ID}); err != nil {
 			return nil, fmt.Errorf("services: registering container %s: %w", c.ID, err)
 		}
 		for _, svc := range c.Services {

@@ -18,35 +18,28 @@ type AvailabilityReply struct {
 	Executable bool
 }
 
-// ExecuteRequest asks a container to run a service.
-type ExecuteRequest struct {
-	Service  string
-	BaseTime float64
-	DataMB   float64
-}
-
-// ExecuteReply reports the execution record on success.
-type ExecuteReply struct{ Exec grid.Execution }
-
-// ContainerAgent exposes one grid application container as an agent. It
-// answers availability probes and execution requests; failures at the grid
-// level surface as Failure replies, which triggers the coordinator's
-// recovery path.
+// ContainerAgent exposes one grid application container as an agent that
+// answers the planning service's availability probes. Executions do not pass
+// through it: the coordinator runs them by call (Containers.Execute).
 type ContainerAgent struct {
 	Grid      *grid.Grid
 	Container string
-	// Brokerage, when set, receives every execution record before the
-	// requester receives its reply.
-	Brokerage *Brokerage
 }
 
 // HandleMessage implements agent.Handler.
 func (a *ContainerAgent) HandleMessage(ctx *agent.Context, msg agent.Message) {
 	switch req := msg.Content.(type) {
 	case AvailabilityRequest:
-		a.heartbeat(ctx)
+		c := a.Grid.Container(a.Container)
+		if ctx.Platform().Has(MonitoringName) { // a liveness signal, best effort
+			hb := Heartbeat{Container: a.Container}
+			if c != nil {
+				hb.Node = c.NodeID
+			}
+			_ = ctx.Send(MonitoringName, agent.Inform, OntMonitoring, hb)
+		}
 		ok := false
-		if c := a.Grid.Container(a.Container); c != nil && c.Provides(req.Service) {
+		if c != nil && c.Provides(req.Service) {
 			if n := a.Grid.Node(c.NodeID); n != nil && n.Up() {
 				ok = true
 			}
@@ -54,47 +47,38 @@ func (a *ContainerAgent) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		_ = ctx.Reply(msg, agent.Inform, AvailabilityReply{
 			Container: a.Container, Service: req.Service, Executable: ok,
 		})
-	case ExecuteRequest:
-		ex, err := a.Grid.Execute(a.Container, req.Service, req.BaseTime, req.DataMB)
-		// Record in the brokerage's performance data base — failed
-		// executions included, so the "proven record of reliability"
-		// reflects reality, not just the successes. By call, before the
-		// reply: a message would race the requester's next history read.
-		if ex.Service != "" && a.Brokerage != nil {
-			a.Brokerage.Record(ex)
-		}
-		// And to the monitoring service's health statistics, also best
-		// effort — a crash mid-execution shows up here as a faulted failure.
-		if ctx.Platform().Has(MonitoringName) {
-			out := ExecOutcome{Node: a.node(), Container: a.Container, Service: req.Service, OK: err == nil}
-			if ex.Service != "" {
-				out.Fault = ex.Fault
-			}
-			_ = ctx.Send(MonitoringName, agent.Inform, OntMonitoring, out)
-		}
-		if err != nil {
-			_ = ctx.Reply(msg, agent.Failure, fmt.Errorf("container %s: %w", a.Container, err))
-			return
-		}
-		_ = ctx.Reply(msg, agent.Inform, ExecuteReply{Exec: ex})
 	default:
 		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("container %s: unsupported content %T", a.Container, msg.Content))
 	}
 }
 
-// node returns the hosting node's ID (looked up live, since the container
-// record is the source of truth).
-func (a *ContainerAgent) node() string {
-	if c := a.Grid.Container(a.Container); c != nil {
-		return c.NodeID
-	}
-	return ""
+// Containers executes end-user services on the grid's application
+// containers by call, on the caller's goroutine: a simulated execution holds
+// the grid's lock and nothing else, so a round trip through the container's
+// agent would buy no parallelism.
+type Containers struct {
+	Grid       *grid.Grid
+	Brokerage  *Brokerage
+	Monitoring *Monitoring
 }
 
-// heartbeat signals liveness to the monitoring service, best effort.
-func (a *ContainerAgent) heartbeat(ctx *agent.Context) {
-	if ctx.Platform().Has(MonitoringName) {
-		_ = ctx.Send(MonitoringName, agent.Inform, OntMonitoring,
-			Heartbeat{Node: a.node(), Container: a.Container})
+// Execute runs a service on a container. An execution that reached a node is
+// in the brokerage's performance data base before Execute returns — failed
+// ones included, so the "proven record of reliability" reflects reality —
+// and the caller's next ranking reads it. The monitoring service's health
+// statistics then take the outcome; a crash mid-execution shows up there as
+// a faulted failure.
+func (c *Containers) Execute(container, service string, baseTime, dataMB float64) (grid.Execution, error) {
+	ex, err := c.Grid.Execute(container, service, baseTime, dataMB)
+	node := ex.Node
+	if ex.Service != "" {
+		c.Brokerage.Record(ex)
+	} else if ct := c.Grid.Container(container); ct != nil {
+		node = ct.NodeID
 	}
+	c.Monitoring.Outcome(node, service, err == nil, ex.Fault)
+	if err != nil {
+		return ex, fmt.Errorf("container %s: %w", container, err)
+	}
+	return ex, nil
 }

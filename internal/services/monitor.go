@@ -12,10 +12,10 @@ import (
 
 // The monitoring service of Figure 1: accurate, on-demand resource status
 // (the brokerage's view may be stale; monitoring's is authoritative), plus
-// per-node health tracked from container heartbeats and execution outcomes,
-// and the quarantine interface the coordinator uses to take a faulty node
-// out of rotation before re-planning (Figure 3: the new plan must route
-// around the failed resource).
+// per-node health tracked from container heartbeats and execution outcomes
+// (reported by call, see Outcome), and the quarantine interface the
+// coordinator uses to take a faulty node out of rotation before re-planning
+// (Figure 3: the new plan must route around the failed resource).
 
 // NodeStatusRequest asks for the live status of a node.
 type NodeStatusRequest struct{ Node string }
@@ -28,22 +28,10 @@ type NodeStatusReply struct {
 }
 
 // Heartbeat is a container's liveness signal; containers emit one whenever
-// they answer an availability probe or a call for proposals.
+// they answer an availability probe.
 type Heartbeat struct {
 	Node      string
 	Container string
-}
-
-// ExecOutcome reports one finished execution attempt (success or failure)
-// from a container, feeding the per-node health statistics.
-type ExecOutcome struct {
-	Node      string
-	Container string
-	Service   string
-	OK        bool
-	// Fault marks an injected fault (see grid.FaultSpec) as opposed to the
-	// node's ordinary failure rate.
-	Fault bool
 }
 
 // NodeHealthRequest asks for the full health record of a node.
@@ -128,7 +116,10 @@ type Monitoring struct {
 	mu          sync.Mutex
 	health      map[string]*healthRecord
 	quarantined map[string]string // node -> reason
-	gUp         *telemetry.Gauge  // monitoring.nodes.up; see updateUpGauge
+	// The instruments every outcome records into, resolved once under mu
+	// (see instrument); nil until Telemetry is set.
+	mOutcomes *telemetry.Counter // monitoring.outcomes
+	gUp       *telemetry.Gauge   // monitoring.nodes.up
 }
 
 // HandleMessage implements agent.Handler.
@@ -146,32 +137,6 @@ func (s *Monitoring) HandleMessage(ctx *agent.Context, msg agent.Message) {
 		s.mu.Lock()
 		s.record(req.Node).heartbeats++
 		s.mu.Unlock()
-	case ExecOutcome:
-		s.Telemetry.Counter("monitoring.outcomes").Inc()
-		s.mu.Lock()
-		rec := s.record(req.Node)
-		rec.heartbeats++
-		wasDegraded := rec.consecutiveFailures >= DegradedAfter
-		if req.OK {
-			rec.successes++
-			rec.consecutiveFailures = 0
-		} else {
-			rec.failures++
-			rec.consecutiveFailures++
-			if req.Fault {
-				rec.faults++
-			}
-		}
-		nowDegraded := rec.consecutiveFailures >= DegradedAfter
-		s.mu.Unlock()
-		// Publish only the edge, not every outcome while degraded.
-		if !wasDegraded && nowDegraded {
-			s.publishHealth(req.Node, HealthDegraded,
-				fmt.Sprintf("%d consecutive failures (service %s)", DegradedAfter, req.Service))
-		} else if wasDegraded && req.OK {
-			s.publishHealth(req.Node, HealthHealthy, "recovered after successful execution")
-		}
-		s.updateUpGauge()
 	case NodeHealthRequest:
 		_ = ctx.Reply(msg, agent.Inform, NodeHealthReply{Health: s.NodeHealth(req.Node)})
 	case ClusterHealthRequest:
@@ -185,15 +150,49 @@ func (s *Monitoring) HandleMessage(ctx *agent.Context, msg agent.Message) {
 				s.quarantined = make(map[string]string)
 			}
 			s.quarantined[req.Node] = req.Reason
+			s.updateUpGauge()
 			s.mu.Unlock()
 			s.Telemetry.Counter("monitoring.quarantines").Inc()
 			s.publishHealth(req.Node, HealthQuarantined, req.Reason)
-			s.updateUpGauge()
 		}
 		_ = ctx.Reply(msg, agent.Agree, QuarantineReply{Node: req.Node, Known: known})
 	default:
 		_ = ctx.Reply(msg, agent.Refuse, fmt.Sprintf("monitoring: unsupported content %T", msg.Content))
 	}
+}
+
+// Outcome records one finished execution attempt on a node in its health
+// statistics: success or failure, fault marking an injected fault (see
+// grid.FaultSpec) as opposed to the node's ordinary failure rate. Executions
+// report on their own goroutines (Containers.Execute), so callers may race.
+// mu orders them: each crossing of DegradedAfter is published once, by the
+// caller that made it, in the order the crossings happened, and an outcome
+// that leaves the status as it was publishes nothing.
+func (s *Monitoring) Outcome(node, service string, ok, fault bool) {
+	s.mu.Lock()
+	s.instrument()
+	s.mOutcomes.Inc()
+	rec := s.record(node)
+	rec.heartbeats++
+	wasDegraded := rec.consecutiveFailures >= DegradedAfter
+	if ok {
+		rec.successes++
+		rec.consecutiveFailures = 0
+	} else {
+		rec.failures++
+		rec.consecutiveFailures++
+		if fault {
+			rec.faults++
+		}
+	}
+	if nowDegraded := rec.consecutiveFailures >= DegradedAfter; !wasDegraded && nowDegraded {
+		s.publishHealth(node, HealthDegraded,
+			fmt.Sprintf("%d consecutive failures (service %s)", DegradedAfter, service))
+	} else if wasDegraded && ok {
+		s.publishHealth(node, HealthHealthy, "recovered after successful execution")
+	}
+	s.updateUpGauge()
+	s.mu.Unlock()
 }
 
 // publishHealth mirrors one node-health transition onto the telemetry event
@@ -274,15 +273,19 @@ func (s *Monitoring) ClusterHealth() ClusterHealthReply {
 	return reply
 }
 
-// updateUpGauge refreshes the monitoring.nodes.up gauge from the grid. It
-// runs on the agent's goroutine alone (every execution outcome passes
-// through it), which is what lets it resolve the gauge once, unguarded.
-func (s *Monitoring) updateUpGauge() {
-	if s.Telemetry == nil {
-		return
-	}
-	if s.gUp == nil {
+// instrument resolves the instruments outcomes record into, once Telemetry
+// is set; callers hold s.mu.
+func (s *Monitoring) instrument() {
+	if s.gUp == nil && s.Telemetry != nil {
+		s.mOutcomes = s.Telemetry.Counter("monitoring.outcomes")
 		s.gUp = s.Telemetry.Gauge("monitoring.nodes.up")
 	}
+}
+
+// updateUpGauge refreshes the monitoring.nodes.up gauge from the grid.
+// Callers hold s.mu, so racing callers set it in the order they read the
+// grid and the last reading stays.
+func (s *Monitoring) updateUpGauge() {
+	s.instrument()
 	s.gUp.Set(float64(s.Grid.UpCount()))
 }

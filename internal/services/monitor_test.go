@@ -1,21 +1,13 @@
 package services
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/telemetry"
 )
-
-// sendOutcome reports one execution outcome; a follow-up synchronous call on
-// the same mailbox guarantees the async send has been processed.
-func sendOutcome(t *testing.T, f *fixture, out ExecOutcome) {
-	t.Helper()
-	if err := f.client.Send(MonitoringName, agent.Inform, OntMonitoring, out); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func nodeHealth(t *testing.T, f *fixture, node string) NodeHealth {
 	t.Helper()
@@ -38,8 +30,8 @@ func TestMonitorHealthFromOutcomes(t *testing.T) {
 	if err := f.client.Send(MonitoringName, agent.Inform, OntMonitoring, Heartbeat{Node: "n1", Container: "ac-1"}); err != nil {
 		t.Fatal(err)
 	}
-	sendOutcome(t, f, ExecOutcome{Node: "n1", Container: "ac-1", Service: "POD", OK: true})
-	sendOutcome(t, f, ExecOutcome{Node: "n1", Container: "ac-1", Service: "POD", OK: false, Fault: true})
+	f.core.Monitoring.Outcome("n1", "POD", true, false)
+	f.core.Monitoring.Outcome("n1", "POD", false, true)
 
 	h := nodeHealth(t, f, "n1")
 	if !h.Known || !h.Up || h.Status != HealthHealthy {
@@ -64,13 +56,13 @@ func TestMonitorHealthFromOutcomes(t *testing.T) {
 func TestMonitorDegradedThreshold(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < DegradedAfter; i++ {
-		sendOutcome(t, f, ExecOutcome{Node: "n2", Container: "ac-2", Service: "PSF", OK: false})
+		f.core.Monitoring.Outcome("n2", "PSF", false, false)
 	}
 	if h := nodeHealth(t, f, "n2"); h.Status != HealthDegraded {
 		t.Fatalf("after %d consecutive failures status = %q", DegradedAfter, h.Status)
 	}
 	// One success resets the streak.
-	sendOutcome(t, f, ExecOutcome{Node: "n2", Container: "ac-2", Service: "PSF", OK: true})
+	f.core.Monitoring.Outcome("n2", "PSF", true, false)
 	if h := nodeHealth(t, f, "n2"); h.Status != HealthHealthy || h.ConsecutiveFailures != 0 {
 		t.Fatalf("after recovery health = %+v", h)
 	}
@@ -118,7 +110,7 @@ func TestMonitorQuarantine(t *testing.T) {
 func TestMonitorClusterHealth(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < DegradedAfter; i++ {
-		sendOutcome(t, f, ExecOutcome{Node: "n2", Container: "ac-2", Service: "PSF", OK: false})
+		f.core.Monitoring.Outcome("n2", "PSF", false, false)
 	}
 	if _, err := f.client.Call(MonitoringName, OntMonitoring,
 		QuarantineRequest{Node: "n1", Reason: "test"}, time.Second); err != nil {
@@ -140,19 +132,91 @@ func TestMonitorClusterHealth(t *testing.T) {
 	}
 }
 
-// TestContainerReportsToMonitoring drives a container agent end to end and
-// checks that heartbeats (from probes) and outcomes (from executions) land
-// in the monitoring service's health record.
+// TestContainerReportsToMonitoring probes a container agent and executes on
+// its container, and checks that heartbeats (from probes) and outcomes (from
+// executions) land in the monitoring service's health record.
 func TestContainerReportsToMonitoring(t *testing.T) {
 	f := newFixture(t)
 	if _, err := f.client.Call("ac-1", OntExecution, AvailabilityRequest{Service: "POD"}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.client.Call("ac-1", OntExecution, ExecuteRequest{Service: "POD", BaseTime: 5}, time.Second); err != nil {
+	if _, err := f.core.Containers.Execute("ac-1", "POD", 5, 0); err != nil {
 		t.Fatal(err)
 	}
 	h := nodeHealth(t, f, "n1")
 	if h.Heartbeats < 2 || h.Successes != 1 {
 		t.Fatalf("health after container traffic = %+v", h)
+	}
+}
+
+// TestMonitorConcurrentOutcomes reports outcomes from many goroutines at
+// once, the way executions on concurrent enactments do (run it under -race):
+// every outcome lands in the counters, and the one node whose streak crosses
+// DegradedAfter publishes exactly one degraded edge.
+func TestMonitorConcurrentOutcomes(t *testing.T) {
+	const goroutines, perG = 8, 50
+	f := newFixture(t)
+	tel := telemetry.New()
+	f.core.Monitoring.Telemetry = tel
+	sub := tel.Subscribe(4 * goroutines * perG) // n1 may flap on every outcome
+	defer sub.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				// n1 alternates success, failure and fault; n2 only fails.
+				switch i % 3 {
+				case 0:
+					f.core.Monitoring.Outcome("n1", "POD", true, false)
+				case 1:
+					f.core.Monitoring.Outcome("n1", "POD", false, false)
+				default:
+					f.core.Monitoring.Outcome("n1", "POD", false, true)
+				}
+				f.core.Monitoring.Outcome("n2", "PSF", false, false)
+			}
+		}()
+	}
+	wg.Wait()
+
+	n1, n2 := f.core.Monitoring.NodeHealth("n1"), f.core.Monitoring.NodeHealth("n2")
+	var wantOK, wantFailed, wantFaults int64
+	for i := 0; i < perG; i++ {
+		switch i % 3 {
+		case 0:
+			wantOK++
+		case 1:
+			wantFailed++
+		default:
+			wantFailed++
+			wantFaults++
+		}
+	}
+	wantOK, wantFailed, wantFaults = wantOK*goroutines, wantFailed*goroutines, wantFaults*goroutines
+	if n1.Successes != wantOK || n1.Failures != wantFailed || n1.Faults != wantFaults {
+		t.Errorf("n1 counted %d ok / %d failed / %d faults, reported %d / %d / %d",
+			n1.Successes, n1.Failures, n1.Faults, wantOK, wantFailed, wantFaults)
+	}
+	if n2.Failures != goroutines*perG || n2.Successes != 0 || n2.Status != HealthDegraded {
+		t.Errorf("n2 = %+v, want %d failures and degraded", n2, goroutines*perG)
+	}
+	if got := tel.Counter("monitoring.outcomes").Value(); got != 2*goroutines*perG {
+		t.Errorf("monitoring.outcomes = %d, want %d", got, 2*goroutines*perG)
+	}
+	degraded := 0
+	for drained := false; !drained; {
+		select {
+		case ev := <-sub.Events():
+			if ev.Node == "n2" && ev.Name == HealthDegraded {
+				degraded++
+			}
+		default:
+			drained = true
+		}
+	}
+	if degraded != 1 || sub.Dropped() != 0 {
+		t.Errorf("n2 published %d degraded edges (%d events dropped), want 1", degraded, sub.Dropped())
 	}
 }

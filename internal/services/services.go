@@ -1,9 +1,11 @@
 // Package services implements the core services of Figure 1. Those that
 // something messages — information, brokerage, monitoring, persistent
-// storage and ontology, plus the Application Container agents that host
-// end-user services — are agents on the platform of package agent.
+// storage and ontology, plus the Application Container agents that answer
+// availability probes — are agents on the platform of package agent.
 // Matchmaking, scheduling and simulation are libraries their callers use
-// directly; Figure 1's authentication service is not reproduced. The
+// directly, and so is execution on a container (Containers), which reports
+// to the brokerage and monitoring by call; Figure 1's authentication service
+// is not reproduced. The
 // planning and coordination services live in their own packages (planning,
 // coordination) and talk to these agents over the same message ontologies.
 //

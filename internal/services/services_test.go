@@ -1,8 +1,8 @@
 package services
 
 import (
-	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,29 +243,25 @@ func TestMatchmakingRankingFollowsGridVersion(t *testing.T) {
 }
 
 // TestHistoryVisibleBeforeReply pins the ordering placement relies on: once
-// an execution request has been answered — Inform or Failure — the brokerage
-// already counts that run, so the requester's next ranking reads it.
+// an execution call has returned — with or without an error — the brokerage
+// already counts that run, so the caller's next ranking reads it.
 func TestHistoryVisibleBeforeReply(t *testing.T) {
 	f := newFixture(t)
 	f.grid.Node("n2").FailureRate = 1 // before any dispatch: ac-2 always fails
 	for _, tc := range []struct {
 		container, node string
-		want            agent.Performative
+		ok              bool
 		successRate     float64
 	}{
-		{"ac-1", "n1", agent.Inform, 1},
-		{"ac-2", "n2", agent.Failure, 0},
+		{"ac-1", "n1", true, 1},
+		{"ac-2", "n2", false, 0},
 	} {
 		for run := 1; run <= 3; run++ {
-			// A Failure reply may or may not come with an error; the
-			// performative is what says the execution was answered.
-			reply, _ := f.client.CallContext(context.Background(), tc.container, OntExecution,
-				ExecuteRequest{Service: "P3DR", BaseTime: 1}, time.Second)
-			if reply.Performative != tc.want {
-				t.Fatalf("run %d: %s answered %v, want %v", run, tc.container, reply.Performative, tc.want)
+			if _, err := f.core.Containers.Execute(tc.container, "P3DR", 1, 0); (err == nil) != tc.ok {
+				t.Fatalf("run %d on %s: err = %v, want success %v", run, tc.container, err, tc.ok)
 			}
 			if st := f.broker.Stats("P3DR", tc.node); st.Runs != run || st.SuccessRate != tc.successRate {
-				t.Fatalf("after reply %d from %s: history %+v, want %d runs at success rate %g",
+				t.Fatalf("after call %d on %s: history %+v, want %d runs at success rate %g",
 					run, tc.container, st, run, tc.successRate)
 			}
 		}
@@ -354,19 +350,20 @@ func TestContainerAgent(t *testing.T) {
 	if reply.Content.(AvailabilityReply).Executable {
 		t.Error("ac-2 should not execute POD")
 	}
-	reply, err = f.client.Call("ac-2", OntExecution, ExecuteRequest{Service: "PSF", BaseTime: 120, DataMB: 10}, time.Second)
+	ex, err := f.core.Containers.Execute("ac-2", "PSF", 120, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := reply.Content.(ExecuteReply).Exec
 	if ex.Node != "n2" || !ex.OK {
 		t.Errorf("execution = %+v", ex)
 	}
-	// Execution on a down node fails.
+	// Execution on a down node fails, and monitoring counts it on the node.
 	_ = f.grid.SetNodeUp("n2", false)
-	_, err = f.client.Call("ac-2", OntExecution, ExecuteRequest{Service: "PSF", BaseTime: 1}, time.Second)
-	if err == nil {
-		t.Error("execution on down node succeeded")
+	if _, err := f.core.Containers.Execute("ac-2", "PSF", 1, 0); err == nil || !strings.HasPrefix(err.Error(), "container ac-2: ") {
+		t.Errorf("execution on down node: err = %v", err)
+	}
+	if h := f.core.Monitoring.NodeHealth("n2"); h.Successes != 1 || h.Failures != 1 {
+		t.Errorf("n2 health after one success and one refusal = %+v", h)
 	}
 	reply, _ = f.client.Call("ac-2", OntExecution, AvailabilityRequest{Service: "PSF"}, time.Second)
 	if reply.Content.(AvailabilityReply).Executable {
