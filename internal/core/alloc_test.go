@@ -24,18 +24,22 @@ import (
 // headroom — less than the 17 one message per dispatch would add. The difference is the telemetry record sites on the
 // enact path: adding one moves instrumented-minus-bare, so it cannot land
 // without raising the budget here. This is the exact form of the "<5%
-// instrumentation overhead" promise (OBSERVABILITY.md).
+// instrumentation overhead" promise (OBSERVABILITY.md). The bytes telemetry
+// adds are gated too: 12.3 KB (29.1 bare, 41.4 instrumented), nearly all of
+// it the task trace's two 64-slot segments of 88-byte span slots; 18.8 KB
+// while the ring held 144-byte Spans.
 const (
 	enactAllocsBare         = 225
 	enactAllocsInstrumented = 228
 	enactAllocsTelemetry    = 8
+	enactKBTelemetry        = 12.7
 )
 
 func TestEnactAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations of its own")
 	}
-	measure := func(bare bool) float64 {
+	measure := func(bare bool) (allocs, kb float64) {
 		cfg := grid.DefaultSyntheticConfig()
 		cfg.FailureRate = 0
 		env, err := NewEnvironment(Options{
@@ -49,7 +53,7 @@ func TestEnactAllocationBudget(t *testing.T) {
 		}
 		defer env.Close()
 		n := 0
-		return testing.AllocsPerRun(20, func() {
+		return perTask(20, func() {
 			task := virolab.Task()
 			task.ID = fmt.Sprintf("T-alloc-%d", n)
 			n++
@@ -59,8 +63,10 @@ func TestEnactAllocationBudget(t *testing.T) {
 			}
 		})
 	}
-	bare, instrumented := measure(true), measure(false)
+	bare, bareKB := measure(true)
+	instrumented, instrumentedKB := measure(false)
 	t.Logf("allocs per Fig-10 enactment: bare %.0f, instrumented %.0f, telemetry %.0f", bare, instrumented, instrumented-bare)
+	t.Logf("KB per Fig-10 enactment: bare %.1f, instrumented %.1f, telemetry %.1f", bareKB, instrumentedKB, instrumentedKB-bareKB)
 	if bare > enactAllocsBare {
 		t.Errorf("bare enactment allocates %.0f, budget %d", bare, enactAllocsBare)
 	}
@@ -70,6 +76,9 @@ func TestEnactAllocationBudget(t *testing.T) {
 	if instrumented-bare > enactAllocsTelemetry {
 		t.Errorf("telemetry adds %.0f allocations per enactment, budget %d", instrumented-bare, enactAllocsTelemetry)
 	}
+	if instrumentedKB-bareKB > enactKBTelemetry {
+		t.Errorf("telemetry adds %.1f KB per enactment, budget %.1f", instrumentedKB-bareKB, enactKBTelemetry)
+	}
 }
 
 // The same budget one layer out, where the benchmark's enact_sat stands: a
@@ -77,13 +86,14 @@ func TestEnactAllocationBudget(t *testing.T) {
 // through Engine.Submit on mem: to its terminal record — PDL parse,
 // admission, the three journal records and the enactment. It gates what the
 // coordinator-only budget never reaches: the journal encoder and admission.
-// It reads 243 allocations and 57.5 KB, the same on every machine (307–308 /
-// 62.2 KB while executions were messages, 446–447 before the PDL parse
-// compiled straight to a validated process); both ceilings leave under 4%
-// headroom.
+// It reads 228 allocations and 50.6 KB, the same on every machine (243 /
+// 57.5 KB while the trace ring held 144-byte Spans and every span and trace
+// ID was minted as a hex string, 307–308 / 62.2 KB while executions were
+// messages, 446–447 before the PDL parse compiled straight to a validated
+// process); both ceilings leave under 4% headroom.
 const (
-	engineAllocsPerTask = 252
-	engineKBPerTask     = 59
+	engineAllocsPerTask = 236
+	engineKBPerTask     = 52
 )
 
 // submitAndWait sends the task through env.Engine.Submit and waits for it.
@@ -175,16 +185,17 @@ func TestEngineAllocationBudget(t *testing.T) {
 // A miss plans incrementally in the failed plan's neighbourhood; a hit takes
 // the cached plan, the very process the miss built. A plan reaches the
 // coordinator compiled, so neither parses the plan's PDL. The counts are
-// machine-independent and read 754 allocations / 122.0 KB (miss) and
-// 374 / 68.3 KB (hit); 820–821 / 126.7 KB and 440 / 73.0 KB while executions
-// were messages, 1 304 / 140.3 KB and 757 / 83.0 KB when each plan crossed
-// as text and the Figure-10 parse cost 176 allocations. Each ceiling leaves
-// under 4% headroom.
+// machine-independent and read 736 allocations / 115.0 KB (miss) and
+// 359 / 61.4 KB (hit); 754 / 122.0 KB and 374 / 68.3 KB while the trace ring
+// held 144-byte Spans with hex-string IDs, 820–821 / 126.7 KB and
+// 440 / 73.0 KB while executions were messages, 1 304 / 140.3 KB and
+// 757 / 83.0 KB when each plan crossed as text and the Figure-10 parse cost
+// 176 allocations. Each ceiling leaves under 4% headroom.
 const (
-	replanMissAllocs = 784
-	replanMissKB     = 126
-	replanHitAllocs  = 388
-	replanHitKB      = 71
+	replanMissAllocs = 765
+	replanMissKB     = 119
+	replanHitAllocs  = 373
+	replanHitKB      = 63
 )
 
 func TestReplanAllocationBudget(t *testing.T) {

@@ -532,7 +532,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 		Event: EventAccepted, TaskID: id, Seq: rec.seq,
 		Priority: int(rec.priority), Tenant: rec.tenant, task: sub.Task, policy: sub.Policy,
 	})
-	e.hStageJournal.ObserveExemplar(endJournal("write-ahead accepted record"), rec.rootCtx.TraceID)
+	e.hStageJournal.ObserveTraced(endJournal("write-ahead accepted record"), rec.rootCtx.TraceID)
 	// The queue_wait span opens here — before the record becomes poppable —
 	// and ends when a worker dequeues it in run().
 	_, rec.endQueue = tr.Begin(rec.rootCtx, "queue_wait", "")
@@ -601,7 +601,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 		logAttrs = append(logAttrs, slog.String("requestId", sub.RequestID))
 	}
 	if rec.rootCtx.Valid() {
-		logAttrs = append(logAttrs, slog.String("traceId", rec.rootCtx.TraceID))
+		logAttrs = append(logAttrs, slog.String("traceId", rec.rootCtx.TraceID.String()))
 	}
 	e.log.Info("task admitted", logAttrs...)
 	return status, nil
@@ -715,7 +715,7 @@ func (e *Engine) run(rec *record) {
 	e.hWait.Observe(rec.queueWait)
 	if rec.endQueue != nil {
 		wait := rec.endQueue(fmt.Sprintf("dequeued for attempt %d", rec.attempt))
-		e.hStageWait.ObserveExemplar(wait, rec.rootCtx.TraceID)
+		e.hStageWait.ObserveTraced(wait, rec.rootCtx.TraceID)
 		rec.endQueue = nil
 	}
 	rec.trace.Span("attempt", "", fmt.Sprintf("attempt %d after %.3fs queued", rec.attempt, rec.queueWait))
@@ -740,7 +740,7 @@ func (e *Engine) run(rec *record) {
 		}
 	}
 	e.hRun.Observe(time.Since(rec.started).Seconds())
-	e.hStageEnact.ObserveExemplar(endEnact(fmt.Sprintf("attempt %d", rec.attempt)), rec.rootCtx.TraceID)
+	e.hStageEnact.ObserveTraced(endEnact(fmt.Sprintf("attempt %d", rec.attempt)), rec.rootCtx.TraceID)
 
 	status := StatusCompleted
 	switch {
@@ -790,7 +790,7 @@ func (e *Engine) finishReason(rec *record, status, reason string, report *coordi
 		e.log.Error("journal compaction failed",
 			slog.String("task", rec.id), slog.String("error", err.Error()))
 	}
-	e.hStageJournal.ObserveExemplar(endCompact("terminal snapshot"), rec.rootCtx.TraceID)
+	e.hStageJournal.ObserveTraced(endCompact("terminal snapshot"), rec.rootCtx.TraceID)
 	if rec.endRoot != nil {
 		rec.endRoot(status)
 		rec.endRoot = nil

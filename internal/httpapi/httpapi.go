@@ -242,6 +242,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 	tel := s.telemetry()
 	latency := tel.Histogram("http.request.seconds",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
+	requests := tel.Counter("http.requests.total")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// An inbound X-Request-Id (a client threading its own correlation
 		// ID) is adopted; otherwise one is generated.
@@ -254,7 +255,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		start := time.Now()
 		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
-		tel.Counter("http.requests.total").Inc()
+		requests.Inc()
 		tel.Counter(fmt.Sprintf("http.responses.%dxx", rec.status/100)).Inc()
 		latency.Observe(elapsed.Seconds())
 		if s.Logger != nil {

@@ -50,7 +50,7 @@ func (s *Server) handleTaskTrace(w http.ResponseWriter, r *http.Request) {
 		if got := tr.Spans(); got != nil {
 			spans = got
 		}
-		traceID = tr.Context().TraceID
+		traceID = tr.Context().TraceID.String()
 		dropped = tr.Dropped()
 	}
 	if r.URL.Query().Get("format") == "otlp" {
@@ -93,7 +93,7 @@ func otlpExport(spans []telemetry.Span) map[string]any {
 		end := sp.Time.Add(time.Duration(sp.DurationSec * 1e9)).UnixNano()
 		spanID := sp.SpanID
 		if spanID == "" {
-			spanID = telemetry.NewSpanID() // orphan point event: synthesize
+			spanID = telemetry.NewSpanID().String() // orphan point event: synthesize
 		}
 		o := map[string]any{
 			"traceId":           sp.TraceID,

@@ -22,6 +22,7 @@ import (
 func TestTaskTraceHierarchy(t *testing.T) {
 	_, ts := testServer(t)
 	client := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID()}
+	clientTrace, clientSpan := client.TraceID.String(), client.SpanID.String()
 
 	sub := podSubmission("T-hier")
 	body, err := json.Marshal(sub)
@@ -49,8 +50,8 @@ func TestTaskTraceHierarchy(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/api/v1/tasks/T-hier/trace", &view); code != 200 {
 		t.Fatalf("trace status %d", code)
 	}
-	if view.TraceID != client.TraceID {
-		t.Fatalf("trace ID %q, want the client's %q", view.TraceID, client.TraceID)
+	if view.TraceID != clientTrace {
+		t.Fatalf("trace ID %q, want the client's %q", view.TraceID, clientTrace)
 	}
 
 	var root *telemetry.Span
@@ -68,15 +69,15 @@ func TestTaskTraceHierarchy(t *testing.T) {
 		if s.Kind == "task" {
 			root = s
 		}
-		if s.TraceID != client.TraceID {
-			t.Errorf("%s span trace %q, want %q", s.Kind, s.TraceID, client.TraceID)
+		if s.TraceID != clientTrace {
+			t.Errorf("%s span trace %q, want %q", s.Kind, s.TraceID, clientTrace)
 		}
 	}
 	if root == nil {
 		t.Fatal("no task root span recorded")
 	}
-	if root.ParentID != client.SpanID {
-		t.Errorf("root ParentID %q, want the client span %q", root.ParentID, client.SpanID)
+	if root.ParentID != clientSpan {
+		t.Errorf("root ParentID %q, want the client span %q", root.ParentID, clientSpan)
 	}
 	if root.Attrs["request.id"] != "req-hier-1" {
 		t.Errorf("root request.id attr = %q, want req-hier-1", root.Attrs["request.id"])
@@ -95,7 +96,7 @@ func TestTaskTraceHierarchy(t *testing.T) {
 		if s.SpanID == root.SpanID {
 			continue
 		}
-		if s.ParentID == "" || !(ids[s.ParentID] || s.ParentID == client.SpanID) {
+		if s.ParentID == "" || !(ids[s.ParentID] || s.ParentID == clientSpan) {
 			t.Errorf("span kind=%s name=%s has unresolvable parent %q", s.Kind, s.Name, s.ParentID)
 		}
 	}
@@ -117,8 +118,8 @@ func TestTaskTraceHierarchy(t *testing.T) {
 		t.Fatalf("otlp shape = %+v", otlp)
 	}
 	for _, s := range otlp.ResourceSpans[0].ScopeSpans[0].Spans {
-		if s.TraceID != client.TraceID {
-			t.Fatalf("otlp span trace %q, want %q", s.TraceID, client.TraceID)
+		if s.TraceID != clientTrace {
+			t.Fatalf("otlp span trace %q, want %q", s.TraceID, clientTrace)
 		}
 	}
 }

@@ -168,6 +168,12 @@ type Service struct {
 	submitted, succeeded, failed, cancelled int64
 	latencies                               [512]float64
 	latPos, latCount                        int
+
+	// Instruments, resolved once by NewService: a submission looks none up.
+	mHits, mMisses, mInvalidations              *telemetry.Counter
+	mSubmitted, mSucceeded, mFailed, mCancelled *telemetry.Counter
+	hPlanSeconds                                *telemetry.Histogram
+	gInFlight                                   *telemetry.Gauge
 }
 
 type planJob struct {
@@ -206,6 +212,16 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		tel:     cfg.Telemetry,
 		queue:   make(chan *planJob, capacity),
 		records: make(map[string]*planJob),
+
+		mHits:          cfg.Telemetry.Counter("planner.plan_cache.hits"),
+		mMisses:        cfg.Telemetry.Counter("planner.plan_cache.misses"),
+		mInvalidations: cfg.Telemetry.Counter("planner.plan_cache.invalidations"),
+		mSubmitted:     cfg.Telemetry.Counter("planner.service.submitted"),
+		mSucceeded:     cfg.Telemetry.Counter("planner.service.succeeded"),
+		mFailed:        cfg.Telemetry.Counter("planner.service.failed"),
+		mCancelled:     cfg.Telemetry.Counter("planner.service.cancelled"),
+		hPlanSeconds:   cfg.Telemetry.Histogram("planner.service.plan_seconds", []float64{0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10}),
+		gInFlight:      cfg.Telemetry.Gauge("planner.service.in_flight"),
 	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -315,7 +331,7 @@ func (s *Service) Submit(ctx context.Context, spec PlanSpec) (PlanStatus, error)
 
 	if !spec.NoCache && !spec.TreeOnly {
 		if hit, ok := s.cache.Get(key); ok {
-			s.tel.Counter("planner.plan_cache.hits").Inc()
+			s.mHits.Inc()
 			j.status.Status = StatusSucceeded
 			j.status.CacheHit = true
 			j.status.PDL = hit.PDL
@@ -325,11 +341,11 @@ func (s *Service) Submit(ctx context.Context, spec PlanSpec) (PlanStatus, error)
 			s.records[spec.ID] = j
 			s.order = append(s.order, spec.ID)
 			s.submitted++
-			s.tel.Counter("planner.service.submitted").Inc()
+			s.mSubmitted.Inc()
 			s.finalizeLocked(j, StatusSucceeded, "")
 			return j.status, nil
 		}
-		s.tel.Counter("planner.plan_cache.misses").Inc()
+		s.mMisses.Inc()
 	}
 
 	select {
@@ -340,7 +356,7 @@ func (s *Service) Submit(ctx context.Context, spec PlanSpec) (PlanStatus, error)
 	s.records[spec.ID] = j
 	s.order = append(s.order, spec.ID)
 	s.submitted++
-	s.tel.Counter("planner.service.submitted").Inc()
+	s.mSubmitted.Inc()
 	return j.status, nil
 }
 
@@ -428,9 +444,7 @@ func (s *Service) List() []PlanStatus {
 // PlanCache.InvalidateService) and returns the count.
 func (s *Service) InvalidateService(name string) int {
 	n := s.cache.InvalidateService(name)
-	if n > 0 {
-		s.tel.Counter("planner.plan_cache.invalidations").Add(int64(n))
-	}
+	s.mInvalidations.Add(int64(n))
 	return n
 }
 
@@ -516,13 +530,13 @@ func (s *Service) finalizeLocked(j *planJob, status Status, errMsg string) {
 	switch status {
 	case StatusSucceeded:
 		s.succeeded++
-		s.tel.Counter("planner.service.succeeded").Inc()
+		s.mSucceeded.Inc()
 	case StatusFailed:
 		s.failed++
-		s.tel.Counter("planner.service.failed").Inc()
+		s.mFailed.Inc()
 	case StatusCancelled:
 		s.cancelled++
-		s.tel.Counter("planner.service.cancelled").Inc()
+		s.mCancelled.Inc()
 	}
 	latency := j.status.Finished.Sub(j.status.Submitted).Seconds()
 	s.latencies[s.latPos] = latency
@@ -530,8 +544,7 @@ func (s *Service) finalizeLocked(j *planJob, status Status, errMsg string) {
 	if s.latCount < len(s.latencies) {
 		s.latCount++
 	}
-	s.tel.Histogram("planner.service.plan_seconds",
-		[]float64{0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10}).Observe(latency)
+	s.hPlanSeconds.Observe(latency)
 
 	s.finished = append(s.finished, j.status.ID)
 	for len(s.finished) > s.retain {
@@ -575,7 +588,7 @@ func (s *Service) run(j *planJob, ws *workspace) {
 	j.status.Status = StatusRunning
 	j.status.Started = time.Now()
 	s.inFlight++
-	s.tel.Gauge("planner.service.in_flight").Set(float64(s.inFlight))
+	s.gInFlight.Set(float64(s.inFlight))
 	s.mu.Unlock()
 	defer cancel()
 
@@ -584,7 +597,7 @@ func (s *Service) run(j *planJob, ws *workspace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inFlight--
-	s.tel.Gauge("planner.service.in_flight").Set(float64(s.inFlight))
+	s.gInFlight.Set(float64(s.inFlight))
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 		s.finalizeLocked(j, StatusCancelled, "cancelled while running")

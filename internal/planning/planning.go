@@ -96,6 +96,10 @@ type Service struct {
 	// first request.
 	Planner *planner.Service
 
+	// instruments resolves the request counters once Telemetry is set.
+	instruments         sync.Once
+	mRequests, mReplans *telemetry.Counter
+
 	mu      sync.Mutex
 	history []*plantree.Node // most recent first, bounded
 }
@@ -201,9 +205,15 @@ func (s *Service) HandleMessage(ctx *agent.Context, msg agent.Message) {
 // carries NonExecutable hints without TrustCaller, each hinted service is
 // verified through brokerage and containers before being excluded.
 func (s *Service) Plan(ctx *agent.Context, req PlanRequest) (PlanReply, error) {
-	s.Telemetry.Counter("planning.requests").Inc()
+	if s.Telemetry != nil {
+		s.instruments.Do(func() {
+			s.mRequests = s.Telemetry.Counter("planning.requests")
+			s.mReplans = s.Telemetry.Counter("planning.replan.requests")
+		})
+	}
+	s.mRequests.Inc()
 	if len(req.NonExecutable) > 0 {
-		s.Telemetry.Counter("planning.replan.requests").Inc()
+		s.mReplans.Inc()
 	}
 	excluded := map[string]bool{}
 	for _, name := range req.NonExecutable {

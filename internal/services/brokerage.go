@@ -40,6 +40,10 @@ type Brokerage struct {
 	// recorded executions.
 	Telemetry *telemetry.Registry
 
+	// instruments resolves the per-call counters once Telemetry is set.
+	instruments          sync.Once
+	mRecorded, mRequests *telemetry.Counter
+
 	mu       sync.Mutex
 	snapshot map[string][]string // service -> container IDs (possibly stale)
 	perf     map[perfKey]*perfAccum
@@ -118,7 +122,19 @@ func (b *Brokerage) Record(ex grid.Execution) {
 	}
 	a.add(ex)
 	b.mu.Unlock()
-	b.Telemetry.Counter("brokerage.executions.recorded").Inc()
+	b.instrument()
+	b.mRecorded.Inc()
+}
+
+// instrument resolves the counters Record and HandleMessage bump, the first
+// time either runs with Telemetry set.
+func (b *Brokerage) instrument() {
+	if b.Telemetry != nil {
+		b.instruments.Do(func() {
+			b.mRecorded = b.Telemetry.Counter("brokerage.executions.recorded")
+			b.mRequests = b.Telemetry.Counter("brokerage.requests")
+		})
+	}
 }
 
 // Stats returns the execution history of a service on one node; the zero
@@ -131,7 +147,8 @@ func (b *Brokerage) Stats(service, node string) PerfStats {
 
 // HandleMessage implements agent.Handler.
 func (b *Brokerage) HandleMessage(ctx *agent.Context, msg agent.Message) {
-	b.Telemetry.Counter("brokerage.requests").Inc()
+	b.instrument()
+	b.mRequests.Inc()
 	switch req := msg.Content.(type) {
 	case ContainersRequest:
 		b.mu.Lock()

@@ -109,7 +109,7 @@ func TestEvictionNeverOrphansLiveLinks(t *testing.T) {
 
 	for w, rs := range results {
 		for i, res := range rs {
-			ids := map[string]bool{res.root.SpanID: true}
+			ids := map[string]bool{res.root.SpanID.String(): true}
 			for _, s := range res.spans {
 				if s.SpanID != "" {
 					ids[s.SpanID] = true
@@ -119,7 +119,7 @@ func TestEvictionNeverOrphansLiveLinks(t *testing.T) {
 				t.Fatalf("worker %d task %d: %d spans, want 4", w, i, len(res.spans))
 			}
 			for _, s := range res.spans {
-				if s.TraceID != res.root.TraceID {
+				if s.TraceID != res.root.TraceID.String() {
 					t.Fatalf("worker %d task %d: span %s trace %q, want %q",
 						w, i, s.Kind, s.TraceID, res.root.TraceID)
 				}

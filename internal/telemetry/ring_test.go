@@ -47,7 +47,7 @@ func TestSegmentedRingMatchesFlatRing(t *testing.T) {
 		total := 2*capacity + 3*traceSegment + rng.Intn(capacity+1)
 		for n := 1; n <= total; n++ {
 			s := Span{Time: base.Add(time.Duration(n)), Kind: "fire", Name: fmt.Sprintf("a%d", n), Detail: "d"}
-			tr.record(s)
+			recordSpan(t, tr, s)
 			s.Seq = uint64(n)
 			ref.add(s, capacity)
 			// Checking after every append is quadratic: check densely around

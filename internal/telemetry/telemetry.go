@@ -27,10 +27,19 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	traces     map[string]*TaskTrace
-	traceOrder []string // insertion order, for eviction
-	spanCap    int
-	maxTraces  int
+
+	// Task traces have a lock of their own: creating one must not stall the
+	// by-name instrument lookups that read mu. It is a plain Mutex because
+	// every task creates a trace: behind an RWMutex's write lock the lookups
+	// queued up (enact_sat's mutex profile). traceRing is the FIFO of the
+	// live traces' task IDs, for eviction: it grows to maxTraces, then the
+	// newest overwrites the oldest, at traceHead.
+	traceMu   sync.Mutex
+	traces    map[string]*TaskTrace
+	traceRing []string
+	traceHead int
+	spanCap   int
+	maxTraces int
 
 	// Event bus state (see bus.go). nsubs shadows len(subs) so the publish
 	// hot path can skip the lock entirely while nobody is listening.
@@ -83,8 +92,8 @@ func (r *Registry) SetTraceCapacity(spanCap, maxTraces int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
 	if spanCap > 0 {
 		r.spanCap = spanCap
 	}
@@ -204,8 +213,11 @@ type Histogram struct {
 	bounds  []float64 // sorted upper bounds; len(counts) == len(bounds)+1
 	counts  []atomic.Int64
 	count   atomic.Int64
-	sumBits atomic.Uint64            // float64 bits, updated by CAS
-	ex      atomic.Pointer[Exemplar] // most recent traced observation
+	sumBits atomic.Uint64 // float64 bits, updated by CAS
+
+	exMu    sync.Mutex // guards the most recent traced observation, kept in place
+	exTrace TraceID
+	exValue float64
 }
 
 // Exemplar ties one histogram observation back to the trace that produced
@@ -238,15 +250,27 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one sample and, when traceID is non-empty,
-// remembers it as the histogram's latest exemplar.
+// ObserveExemplar is ObserveTraced for a trace ID in its 32-hex-character
+// wire form; anything else records the sample without an exemplar.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+	var id TraceID
+	if !decodeHex(id[:], traceID) {
+		id = TraceID{}
+	}
+	h.ObserveTraced(v, id)
+}
+
+// ObserveTraced records one sample and, when trace is valid, remembers it as
+// the histogram's latest exemplar.
+func (h *Histogram) ObserveTraced(v float64, trace TraceID) {
 	if h == nil {
 		return
 	}
 	h.Observe(v)
-	if traceID != "" {
-		h.ex.Store(&Exemplar{TraceID: traceID, Value: v})
+	if trace != (TraceID{}) {
+		h.exMu.Lock()
+		h.exTrace, h.exValue = trace, v
+		h.exMu.Unlock()
 	}
 }
 
@@ -255,7 +279,13 @@ func (h *Histogram) Exemplar() *Exemplar {
 	if h == nil {
 		return nil
 	}
-	return h.ex.Load()
+	h.exMu.Lock()
+	trace, v := h.exTrace, h.exValue
+	h.exMu.Unlock()
+	if trace == (TraceID{}) {
+		return nil
+	}
+	return &Exemplar{TraceID: trace.String(), Value: v}
 }
 
 // Count returns the number of observations.

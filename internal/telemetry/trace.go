@@ -1,8 +1,8 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -21,6 +21,8 @@ import (
 // children to parents (a root span's ParentID names the remote span that
 // caused it, e.g. the client's span from its traceparent). Seq orders spans
 // within a task; the ring buffer keeps the most recent DefaultSpanCap spans.
+// Span is how a trace is read: the ring keeps compact spanSlots, and
+// TaskTrace.Spans builds Spans from them, IDs rendered in hex.
 type Span struct {
 	Seq         uint64            `json:"seq"`
 	Time        time.Time         `json:"time"`
@@ -40,17 +42,40 @@ type TaskTrace struct {
 	reg  *Registry // owning registry; spans are mirrored onto its event bus
 	task string
 
-	seq atomic.Uint64
-
 	mu   sync.Mutex
 	root SpanContext // latched by the first StartRoot; orients point events
-	// The ring's cap slots live in segments of traceSegment spans (the last
+	// The ring's cap slots live in segments of traceSegment slots (the last
 	// one shorter), each allocated when the ring first reaches it and never
-	// copied: appended span n lands in slot n % cap.
-	segs   [][]Span
-	segBuf [2][]Span // backs segs up to 2*traceSegment spans
+	// copied: appended span n (from 0) lands in slot n % cap, with Seq n+1.
+	segs   [][]spanSlot
+	segBuf [2][]spanSlot // backs segs up to 2*traceSegment slots
 	cap    int
-	n      uint64 // spans ever appended
+	n      uint64    // spans ever appended
+	ids    []TraceID // the trace IDs slots name; idBuf backs the first
+	idBuf  [1]TraceID
+	side   []sideEntry // in seq order: what a slot has no room for
+}
+
+// spanSlot is a span as the ring holds it, 88 bytes where a Span takes 144:
+// Seq is its ring position, IDs are numbers, the trace ID an index into the
+// trace's table, and a root span's Attrs wait beside the ring. Spans()
+// builds the Span when someone reads the trace.
+type spanSlot struct {
+	unixNano           int64
+	dur                float64
+	kind, name, detail string
+	span, parent       SpanID
+	trace              uint8 // 0: none; traceSide: in the side entry; else ids[trace-1]
+}
+
+// traceSide marks a trace ID past the table's 254 entries, kept beside the
+// ring in the span's sideEntry with its Attrs.
+const traceSide = 255
+
+type sideEntry struct {
+	seq   uint64
+	trace TraceID
+	attrs map[string]string
 }
 
 // traceSegment is the ring's allocation unit: a Figure-10 enactment records
@@ -67,27 +92,46 @@ func (r *Registry) TaskTrace(taskID string) *TaskTrace {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	t := r.traces[taskID]
-	r.mu.RUnlock()
+	r.traceMu.Lock()
+	t, spanCap := r.traces[taskID], r.spanCap
+	r.traceMu.Unlock()
 	if t != nil {
 		return t
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.traces[taskID]; t != nil {
-		return t
-	}
-	for len(r.traceOrder) >= r.maxTraces {
-		oldest := r.traceOrder[0]
-		r.traceOrder = r.traceOrder[1:]
-		delete(r.traces, oldest)
-	}
-	t = &TaskTrace{reg: r, task: taskID, cap: r.spanCap}
+	// Built outside the lock: an allocation may stop to assist the garbage
+	// collector, and every trace lookup would wait behind it.
+	t = &TaskTrace{reg: r, task: taskID, cap: spanCap}
 	t.segs = t.segBuf[:0]
+	t.ids = t.idBuf[:0]
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
+	if known := r.traces[taskID]; known != nil {
+		return known
+	}
+	if r.traceHead != 0 && len(r.traces) != r.maxTraces || len(r.traces) > r.maxTraces {
+		r.relayTraceRing()
+	}
+	if len(r.traces) < r.maxTraces { // room: the FIFO grows
+		r.traceRing = append(r.traceRing, taskID)
+	} else { // full: the newest takes the oldest's slot
+		delete(r.traces, r.traceRing[r.traceHead])
+		r.traceRing[r.traceHead] = taskID
+		r.traceHead = (r.traceHead + 1) % len(r.traceRing)
+	}
 	r.traces[taskID] = t
-	r.traceOrder = append(r.traceOrder, taskID)
 	return t
+}
+
+// relayTraceRing rotates the FIFO to start at index 0 and evicts the oldest
+// traces beyond maxTraces, after SetTraceCapacity moved the limit. Callers
+// hold traceMu.
+func (r *Registry) relayTraceRing() {
+	ring := slices.Concat(r.traceRing[r.traceHead:], r.traceRing[:r.traceHead])
+	drop := max(0, len(ring)-r.maxTraces)
+	for _, id := range ring[:drop] {
+		delete(r.traces, id)
+	}
+	r.traceRing, r.traceHead = ring[drop:], 0
 }
 
 // LookupTrace returns the task's trace or nil if none was ever recorded.
@@ -95,8 +139,8 @@ func (r *Registry) LookupTrace(taskID string) *TaskTrace {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
 	return r.traces[taskID]
 }
 
@@ -111,11 +155,10 @@ func (t *TaskTrace) StartRoot(kind, name, traceparent string, attrs map[string]s
 	if t == nil {
 		return SpanContext{}, nopEnd
 	}
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
-	parentID := ""
-	if remote, ok := ParseTraceparent(traceparent); ok {
-		sc.TraceID = remote.TraceID
-		parentID = remote.SpanID
+	remote, ok := ParseTraceparent(traceparent)
+	sc := SpanContext{TraceID: remote.TraceID, SpanID: NewSpanID()}
+	if !ok {
+		sc.TraceID = NewTraceID()
 	}
 	t.mu.Lock()
 	if !t.root.Valid() {
@@ -125,11 +168,7 @@ func (t *TaskTrace) StartRoot(kind, name, traceparent string, attrs map[string]s
 	start := time.Now()
 	return sc, func(detail string) float64 {
 		d := time.Since(start).Seconds()
-		t.record(Span{
-			Time: start, Kind: kind, Name: name, Detail: detail,
-			TraceID: sc.TraceID, SpanID: sc.SpanID, ParentID: parentID,
-			DurationSec: d, Attrs: attrs,
-		})
+		t.record(start, spanSlot{kind: kind, name: name, detail: detail, dur: d, span: sc.SpanID, parent: remote.SpanID}, sc.TraceID, attrs)
 		return d
 	}
 }
@@ -153,11 +192,7 @@ func (t *TaskTrace) Begin(parent SpanContext, kind, name string) (SpanContext, f
 	start := time.Now()
 	return sc, func(detail string) float64 {
 		d := time.Since(start).Seconds()
-		t.record(Span{
-			Time: start, Kind: kind, Name: name, Detail: detail,
-			TraceID: sc.TraceID, SpanID: sc.SpanID, ParentID: parent.SpanID,
-			DurationSec: d,
-		})
+		t.record(start, spanSlot{kind: kind, name: name, detail: detail, dur: d, span: sc.SpanID, parent: parent.SpanID}, sc.TraceID, nil)
 		return d
 	}
 }
@@ -186,35 +221,66 @@ func (t *TaskTrace) SpanUnder(parent SpanContext, kind, name, detail string) {
 	if t == nil {
 		return
 	}
-	t.record(Span{
-		Time: time.Now(), Kind: kind, Name: name, Detail: detail,
-		TraceID: parent.TraceID, ParentID: parent.SpanID,
-	})
+	t.record(time.Now(), spanSlot{kind: kind, name: name, detail: detail, parent: parent.SpanID}, parent.TraceID, nil)
 }
 
-// record assigns the sequence number, attaches orphan point events to the
-// root span, appends to the ring, and mirrors onto the event bus.
-func (t *TaskTrace) record(s Span) {
-	s.Seq = t.seq.Add(1)
+// record attaches orphan point events to the root span, appends the span to
+// the ring as the next seq, and mirrors it onto the event bus.
+func (t *TaskTrace) record(at time.Time, s spanSlot, trace TraceID, attrs map[string]string) {
+	s.unixNano = at.UnixNano()
 	t.mu.Lock()
-	if s.TraceID == "" && t.root.Valid() {
-		s.TraceID = t.root.TraceID
-		s.ParentID = t.root.SpanID
+	if trace == (TraceID{}) && t.root.Valid() {
+		trace, s.parent = t.root.TraceID, t.root.SpanID
+	}
+	s.trace = t.traceIndex(trace)
+	if attrs != nil || s.trace == traceSide {
+		t.addSide(sideEntry{seq: t.n + 1, trace: trace, attrs: attrs})
 	}
 	slot := int(t.n % uint64(t.cap))
 	seg := slot / traceSegment
 	if seg == len(t.segs) { // the ring's first pass reaches a new segment
-		t.segs = append(t.segs, make([]Span, min(traceSegment, t.cap-slot)))
+		t.segs = append(t.segs, make([]spanSlot, min(traceSegment, t.cap-slot)))
 	}
 	t.segs[seg][slot%traceSegment] = s
 	t.n++
 	t.mu.Unlock()
 	// Mirror onto the event bus outside the ring lock: a publish never holds
 	// up a concurrent Spans() reader.
-	t.reg.PublishEvent(Event{Task: t.task, Time: s.Time, Kind: s.Kind, Name: s.Name, Detail: s.Detail})
+	t.reg.PublishEvent(Event{Task: t.task, Time: at, Kind: s.kind, Name: s.name, Detail: s.detail})
 }
 
-// Spans returns the retained spans in seq order (oldest first).
+// traceIndex returns the slot's index for a trace ID, adding the ID to the
+// table on first sight, or traceSide once the table is full. Callers hold
+// t.mu.
+func (t *TaskTrace) traceIndex(id TraceID) uint8 {
+	if id == (TraceID{}) {
+		return 0
+	}
+	for i, known := range t.ids {
+		if known == id {
+			return uint8(i + 1)
+		}
+	}
+	if len(t.ids) == traceSide-1 {
+		return traceSide
+	}
+	t.ids = append(t.ids, id)
+	return uint8(len(t.ids))
+}
+
+// addSide appends a side entry, first dropping those whose spans the ring
+// has overwritten. Callers hold t.mu.
+func (t *TaskTrace) addSide(e sideEntry) {
+	gone := 0
+	for gone < len(t.side) && t.side[gone].seq+uint64(t.cap) <= e.seq {
+		gone++
+	}
+	clear(t.side[:gone])
+	t.side = append(t.side[gone:], e)
+}
+
+// Spans returns the retained spans in seq order (oldest first), built from
+// the ring's slots.
 func (t *TaskTrace) Spans() []Span {
 	if t == nil {
 		return nil
@@ -222,10 +288,33 @@ func (t *TaskTrace) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	held := t.held()
-	out := make([]Span, 0, held)
-	for i := t.n - held; i < t.n; i++ {
-		slot := int(i % uint64(t.cap))
-		out = append(out, t.segs[slot/traceSegment][slot%traceSegment])
+	out := make([]Span, held)
+	traceIDs := make([]string, len(t.ids)) // the table in hex, once per read
+	for i, id := range t.ids {
+		traceIDs[i] = id.String()
+	}
+	side := t.side
+	for k := range out {
+		seq := t.n - held + uint64(k) + 1
+		slot := int((seq - 1) % uint64(t.cap))
+		s := &t.segs[slot/traceSegment][slot%traceSegment]
+		sp := Span{
+			Seq: seq, Time: time.Unix(0, s.unixNano), Kind: s.kind, Name: s.name, Detail: s.detail,
+			SpanID: s.span.String(), ParentID: s.parent.String(), DurationSec: s.dur,
+		}
+		for len(side) > 0 && side[0].seq < seq {
+			side = side[1:]
+		}
+		if len(side) > 0 && side[0].seq == seq {
+			sp.Attrs = side[0].attrs
+			if s.trace == traceSide {
+				sp.TraceID = side[0].trace.String()
+			}
+		}
+		if s.trace != 0 && s.trace != traceSide {
+			sp.TraceID = traceIDs[s.trace-1]
+		}
+		out[k] = sp
 	}
 	return out
 }
@@ -240,5 +329,5 @@ func (t *TaskTrace) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.seq.Load() - t.held()
+	return t.n - t.held()
 }

@@ -15,19 +15,45 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"sync/atomic"
 )
 
+// TraceID identifies one distributed trace: 16 bytes, the 32 hex characters
+// of the wire form. The zero value is invalid and means "no trace".
+type TraceID [16]byte
+
+// SpanID identifies one span: the 16 hex characters of the wire form read as
+// a big-endian number. Zero is invalid and means "no span".
+type SpanID uint64
+
+// String renders the ID as 32 lower-case hex characters, or "" for the zero
+// ID. IDs stay numbers inside the process; this is where they leave it.
+func (id TraceID) String() string {
+	if id == (TraceID{}) {
+		return ""
+	}
+	return hex.EncodeToString(id[:])
+}
+
+// String renders the ID as 16 lower-case hex characters, or "" for zero.
+func (id SpanID) String() string {
+	if id == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%016x", uint64(id))
+}
+
 // SpanContext identifies one span within one trace. The zero value is
 // invalid and means "no trace in flight".
 type SpanContext struct {
-	TraceID string // 32 lower-case hex characters
-	SpanID  string // 16 lower-case hex characters
+	TraceID TraceID
+	SpanID  SpanID
 }
 
 // Valid reports whether the context carries a usable trace identity.
-func (sc SpanContext) Valid() bool { return sc.TraceID != "" && sc.SpanID != "" }
+func (sc SpanContext) Valid() bool { return sc.TraceID != TraceID{} && sc.SpanID != 0 }
 
 // Traceparent renders the context as a W3C traceparent header value, or ""
 // for an invalid context.
@@ -35,33 +61,38 @@ func (sc SpanContext) Traceparent() string {
 	if !sc.Valid() {
 		return ""
 	}
-	return "00-" + sc.TraceID + "-" + sc.SpanID + "-01"
+	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
 }
 
-// ParseTraceparent parses a W3C traceparent header value. Unknown versions
-// are accepted as long as the field shape matches; all-zero IDs are invalid.
+// ParseTraceparent parses a W3C traceparent header value: a two-character
+// version, 32 hex characters of trace ID and 16 of span ID, then the flags
+// field and anything after it. Unknown versions are accepted as long as the
+// field shape matches, hex is read in either case, and all-zero IDs are
+// invalid.
 func ParseTraceparent(s string) (SpanContext, bool) {
-	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	s = strings.TrimSpace(s)
+	if len(s) < 53 || s[0] == '-' || s[1] == '-' || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return SpanContext{}, false
 	}
-	if !isHex(parts[1]) || !isHex(parts[2]) {
+	var sc SpanContext
+	var span [8]byte
+	if !decodeHex(sc.TraceID[:], s[3:35]) || !decodeHex(span[:], s[36:52]) {
 		return SpanContext{}, false
 	}
-	if parts[1] == strings.Repeat("0", 32) || parts[2] == strings.Repeat("0", 16) {
+	sc.SpanID = SpanID(binary.BigEndian.Uint64(span[:]))
+	if !sc.Valid() {
 		return SpanContext{}, false
 	}
-	return SpanContext{TraceID: strings.ToLower(parts[1]), SpanID: strings.ToLower(parts[2])}, true
+	return sc, true
 }
 
-func isHex(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
-			return false
-		}
+// decodeHex fills dst from the 2*len(dst) hex characters of src.
+func decodeHex(dst []byte, src string) bool {
+	if len(src) != 2*len(dst) {
+		return false
 	}
-	return true
+	_, err := hex.Decode(dst, []byte(src)) // at most 32 bytes: on the stack
+	return err == nil
 }
 
 type spanContextKey struct{}
@@ -112,17 +143,13 @@ func nextID() uint64 {
 	return x
 }
 
-// NewTraceID returns a fresh 32-hex-character trace ID.
-func NewTraceID() string {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], nextID())
-	binary.BigEndian.PutUint64(b[8:], nextID())
-	return hex.EncodeToString(b[:])
+// NewTraceID returns a fresh trace ID.
+func NewTraceID() TraceID {
+	var id TraceID
+	binary.BigEndian.PutUint64(id[:8], nextID())
+	binary.BigEndian.PutUint64(id[8:], nextID())
+	return id
 }
 
-// NewSpanID returns a fresh 16-hex-character span ID.
-func NewSpanID() string {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], nextID())
-	return hex.EncodeToString(b[:])
-}
+// NewSpanID returns a fresh span ID.
+func NewSpanID() SpanID { return SpanID(nextID()) }

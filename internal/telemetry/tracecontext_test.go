@@ -12,7 +12,7 @@ func TestParseTraceparent(t *testing.T) {
 	if !ok {
 		t.Fatalf("ParseTraceparent(%q) rejected a valid header", valid)
 	}
-	if sc.TraceID != "0123456789abcdef0123456789abcdef" || sc.SpanID != "0123456789abcdef" {
+	if sc.TraceID.String() != "0123456789abcdef0123456789abcdef" || sc.SpanID.String() != "0123456789abcdef" {
 		t.Fatalf("parsed %+v", sc)
 	}
 	if got := sc.Traceparent(); got != valid {
@@ -36,7 +36,7 @@ func TestParseTraceparent(t *testing.T) {
 	// the shape matches, and uppercase hex normalizes to lower.
 	upper := "cc-0123456789ABCDEF0123456789abcdef-0123456789abcdef-01"
 	sc, ok = ParseTraceparent(upper)
-	if !ok || sc.TraceID != "0123456789abcdef0123456789abcdef" {
+	if !ok || sc.TraceID.String() != "0123456789abcdef0123456789abcdef" {
 		t.Fatalf("lenient parse of %q = %+v, %v", upper, sc, ok)
 	}
 }
@@ -44,7 +44,7 @@ func TestParseTraceparent(t *testing.T) {
 func TestNewIDs(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		tr, sp := NewTraceID(), NewSpanID()
+		tr, sp := NewTraceID().String(), NewSpanID().String()
 		if len(tr) != 32 || len(sp) != 16 {
 			t.Fatalf("id lengths %d/%d, want 32/16", len(tr), len(sp))
 		}
@@ -82,7 +82,7 @@ func TestStartRootInheritsTraceparent(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("%d spans, want 1", len(spans))
 	}
-	if spans[0].ParentID != remote.SpanID {
+	if spans[0].ParentID != remote.SpanID.String() {
 		t.Fatalf("root ParentID %q, want remote span %q", spans[0].ParentID, remote.SpanID)
 	}
 	if spans[0].DurationSec <= 0 {
@@ -115,17 +115,17 @@ func TestBeginAndPointEventsParentUnderRoot(t *testing.T) {
 	for _, s := range tr.Spans() {
 		byKind[s.Kind] = s
 	}
-	if got := byKind["queue_wait"].ParentID; got != root.SpanID {
+	if got := byKind["queue_wait"].ParentID; got != root.SpanID.String() {
 		t.Errorf("queue_wait parent %q, want root %q", got, root.SpanID)
 	}
-	if got := byKind["dispatch"].ParentID; got != root.SpanID {
+	if got := byKind["dispatch"].ParentID; got != root.SpanID.String() {
 		t.Errorf("dispatch parent %q, want root %q", got, root.SpanID)
 	}
-	if got := byKind["gp-generation"].ParentID; got != child.SpanID {
+	if got := byKind["gp-generation"].ParentID; got != child.SpanID.String() {
 		t.Errorf("gp-generation parent %q, want child %q", got, child.SpanID)
 	}
 	for kind, s := range byKind {
-		if s.TraceID != root.TraceID {
+		if s.TraceID != root.TraceID.String() {
 			t.Errorf("%s trace %q, want %q", kind, s.TraceID, root.TraceID)
 		}
 	}
