@@ -37,7 +37,7 @@ func runToBytes(t *testing.T, args ...string) []byte {
 // TestSimByteIdentical is the CLI half of the reproducibility criterion:
 // identical flags produce identical bytes.
 func TestSimByteIdentical(t *testing.T) {
-	args := []string{"-mode", "sim", "-seed", "7", "-tenants", "a:3,b:1,c:1", "-n", "500"}
+	args := []string{"-seed", "7", "-tenants", "a:3,b:1,c:1", "-n", "500"}
 	first := runToBytes(t, args...)
 	second := runToBytes(t, args...)
 	if !bytes.Equal(first, second) {
@@ -60,7 +60,7 @@ func TestReportDigests(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-mode", "sim", "-seed", "7", "-tenants", "alpha:3,beta:1,gamma:1", "-n", "1000"},
+		{[]string{"-seed", "7", "-tenants", "alpha:3,beta:1,gamma:1", "-n", "1000"},
 			"a85a1a12ecefb5e2791e12fc0b95faf7db8f2e1064e2b09d8bb62b24c53f98fb"},
 		{[]string{"-scenario", "costmix", "-seed", "42", "-n", "200", "-nodes", "16"},
 			"0481425729a554046a67c7463a5fa118f593f3f2b8a34f57aa58000f4959a68a"},
@@ -79,9 +79,9 @@ func TestBadFlags(t *testing.T) {
 	}
 	defer null.Close()
 	for _, args := range [][]string{
-		{"-mode", "warp"},
+		{"-scenario", "warp"},
 		{"-tenants", "nope"},
-		{"-pattern", "square", "-mode", "sim"},
+		{"-pattern", "square"},
 	} {
 		if err := run(args, null); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

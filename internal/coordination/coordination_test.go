@@ -163,18 +163,50 @@ func TestFig10Enactment(t *testing.T) {
 	}
 }
 
-// TestFig2PlanningFlow submits a task without a process description: the
-// coordination service asks the planning service for one (Figure 2) and
-// enacts the result.
-func TestFig2PlanningFlow(t *testing.T) {
-	e := newEnv(t, false)
+// recordFlow records every message the platform delivers or replies as
+// "sender>receiver content-type", in the order the platform sends them.
+func recordFlow(p *agent.Platform) func() []string {
 	var mu sync.Mutex
-	var msgTrace []string
-	e.platform.SetTrace(func(m agent.Message) {
+	var flow []string
+	p.SetTrace(func(m agent.Message) {
 		mu.Lock()
-		msgTrace = append(msgTrace, m.Sender+">"+m.Receiver)
+		flow = append(flow, fmt.Sprintf("%s>%s %T", m.Sender, m.Receiver, m.Content))
 		mu.Unlock()
 	})
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(flow)
+	}
+}
+
+// checkFlow asserts got is exactly the concatenation of want's groups: the
+// groups in order, the messages inside one group in any order.
+func checkFlow(t *testing.T, got []string, want ...[]string) {
+	t.Helper()
+	sorted := func(s []string) []string {
+		s = slices.Clone(s)
+		slices.Sort(s)
+		return s
+	}
+	var norm, exp []string
+	for _, group := range want {
+		n := min(len(group), len(got)-len(norm))
+		norm = append(norm, sorted(got[len(norm):len(norm)+n])...)
+		exp = append(exp, sorted(group)...)
+	}
+	norm = append(norm, got[len(norm):]...)
+	if !slices.Equal(norm, exp) {
+		t.Errorf("message flow:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestFig2PlanningFlow submits a task without a process description: the
+// coordination service asks the planning service for one (Figure 2) and
+// enacts the result. The planned enactment itself sends no message.
+func TestFig2PlanningFlow(t *testing.T) {
+	e := newEnv(t, false)
+	flow := recordFlow(e.platform)
 	task := &workflow.Task{
 		ID:           "T2",
 		Name:         "planned-3DSD",
@@ -191,16 +223,12 @@ func TestFig2PlanningFlow(t *testing.T) {
 	if countTrace(report, "plan-request", "") != 1 || countTrace(report, "plan-received", "") != 1 {
 		t.Errorf("planning trace missing: %+v", report.Trace)
 	}
-	// Figure 2 message flow: coordination -> planning, planning -> coordination.
-	mu.Lock()
-	joined := strings.Join(msgTrace, " ")
-	mu.Unlock()
-	if !strings.Contains(joined, "coordination>planning") {
-		t.Errorf("message trace missing coordination>planning: %v", msgTrace)
-	}
-	if !strings.Contains(joined, "planning>coordination") {
-		t.Errorf("message trace missing planning>coordination: %v", msgTrace)
-	}
+	checkFlow(t, flow(),
+		// 1. the planning task specification
+		[]string{"coordination>planning planning.PlanRequest"},
+		// 2. the process description
+		[]string{"planning>coordination planning.PlanReply"},
+	)
 }
 
 // TestFig3ReplanningFlow fails the only P3DR provider mid-environment: the
@@ -209,8 +237,7 @@ func TestFig2PlanningFlow(t *testing.T) {
 // the new plan uses the backup service P3DRALT.
 func TestFig3ReplanningFlow(t *testing.T) {
 	e := newEnv(t, false)
-	var steps []string
-	e.plansvc.Trace = func(s string) { steps = append(steps, s) }
+	flow := recordFlow(e.platform)
 
 	// The P3DR provider node goes down before the run. The brokerage
 	// snapshot still lists it (stale information, as in the paper); the
@@ -229,18 +256,27 @@ func TestFig3ReplanningFlow(t *testing.T) {
 	if report.Replans != 1 {
 		t.Errorf("replans = %d, want 1", report.Replans)
 	}
-	// Fig 3 steps appeared: brokerage lookup, container query, probes.
-	joined := strings.Join(steps, " | ")
-	for _, want := range []string{
-		"information: brokerage service?",
-		"brokerage service found",
-		"application containers for P3DR?",
-		"not executable",
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("Figure 3 step %q missing in %s", want, joined)
-		}
-	}
+	// The first enactment fails P3DR by call, without a message; the
+	// re-planned one runs by call too. So the flow is the eight steps of
+	// Figure 3, plus the probed container's heartbeat to monitoring.
+	checkFlow(t, flow(),
+		// 1. task specification with the non-executable activity
+		[]string{"coordination>planning planning.PlanRequest"},
+		// 2-3. which agent is the brokerage service?
+		[]string{"planning>information services.LookupRequest"},
+		[]string{"information>planning services.LookupReply"},
+		// 4-5. which application containers offer P3DR? (the stale list)
+		[]string{"planning>brokerage services.ContainersRequest"},
+		[]string{"brokerage>planning services.ContainersReply"},
+		// 6. is P3DR executable on ac-main?
+		[]string{"planning>ac-main services.AvailabilityRequest"},
+		// 7. not executable. The heartbeat is a best-effort liveness signal
+		// outside the paper's protocol: the reply does not wait on it, so
+		// which of the two the container sends first is not pinned.
+		[]string{"ac-main>monitoring services.Heartbeat", "ac-main>planning services.AvailabilityReply"},
+		// 8. the new process description, which avoids P3DR
+		[]string{"planning>coordination planning.PlanReply"},
+	)
 	// The alternative service carried the reconstruction.
 	usedAlt := false
 	for _, ev := range report.Trace {

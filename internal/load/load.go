@@ -1,16 +1,15 @@
 // Package load is the deterministic load-generation harness behind
-// cmd/gridload and the engine's fairness soak tests. A Spec describes a
-// seeded multi-tenant workload — open-loop (Poisson arrivals at a fixed
-// aggregate rate) or closed-loop (a fixed number of outstanding tasks per
-// tenant, the saturation shape used for fairness assertions) — and produces
-// a Report with per-tenant goodput shares, latency statistics, and fairness
-// indices.
+// cmd/gridload. A Spec describes a seeded multi-tenant workload — open-loop
+// (Poisson arrivals at a fixed aggregate rate) or closed-loop (a fixed
+// number of outstanding tasks per tenant, the saturation shape used for
+// fairness assertions) — and RunSim (sim.go) replays it against the real
+// fair-queue scheduling code under a virtual clock, producing a Report with
+// per-tenant goodput shares, latency statistics, and fairness indices. The
+// same seed always yields a byte-identical JSON report. RunCostMix
+// (costmix.go) is the cost-aware scheduling scenario on the same clock.
 //
-// Two drivers consume a Spec: RunSim (sim.go) replays the workload against
-// the real fair-queue scheduling code under a virtual clock, so the same
-// seed always yields a byte-identical JSON report; RunLive (live.go) drives
-// a Target — an in-process enactment engine (EngineTarget) or gridenv nodes
-// over HTTP (HTTPTarget) — and measures wall-clock behavior.
+// Wall-clock load on the real enactment path is the benchmark client's job
+// (benchmark/), not this package's.
 package load
 
 import (
@@ -24,7 +23,7 @@ import (
 // Defaults or fill the fields and call Validate.
 type Spec struct {
 	// Seed drives every random draw (arrival spacing, tenant mix, service
-	// times). Same seed, same spec → same simulated report, byte for byte.
+	// times). Same seed, same spec → same report, byte for byte.
 	Seed int64 `json:"seed"`
 	// Mode is "closed" (Outstanding tasks per tenant kept in flight until
 	// Arrivals completions — saturates the queue) or "open" (Poisson
@@ -39,13 +38,12 @@ type Spec struct {
 	RatePerSec float64 `json:"ratePerSec,omitempty"`
 	// Outstanding is the closed-loop in-flight window per tenant.
 	Outstanding int `json:"outstanding,omitempty"`
-	// Workers is the service-capacity knob: simulated workers in sim mode;
-	// informational in live mode (the engine's own pool applies).
+	// Workers is the number of simulated servers draining the queue.
 	Workers int `json:"workers"`
-	// QueueCapacity bounds the simulated admission queue (sim mode).
+	// QueueCapacity bounds the simulated admission queue.
 	QueueCapacity int `json:"queueCapacity"`
 	// ServiceMeanSec is the simulated per-task service time mean
-	// (exponentially distributed); sim mode only.
+	// (exponentially distributed).
 	ServiceMeanSec float64 `json:"serviceMeanSec"`
 }
 
@@ -91,7 +89,7 @@ func (s Spec) Defaults() Spec {
 	return s
 }
 
-// Validate rejects specs the drivers cannot run.
+// Validate rejects specs RunSim cannot run.
 func (s Spec) Validate() error {
 	if s.Mode != "open" && s.Mode != "closed" {
 		return fmt.Errorf("load: mode must be open or closed, got %q", s.Mode)

@@ -312,6 +312,10 @@ func paramGrid() []Params {
 	return grid
 }
 
+// TestKernelMatchesOracle compares the kernel with the oracle, score for
+// score, on a seeded forest of random trees under every paramGrid point. Each
+// point is a parallel subtest with its own problem, Evaluator and oracle; the
+// forest is shared read-only.
 func TestKernelMatchesOracle(t *testing.T) {
 	trees := 2000
 	if testing.Short() {
@@ -319,11 +323,11 @@ func TestKernelMatchesOracle(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		problem  *workflow.Problem
+		problem  func() *workflow.Problem
 		services []string
 	}{
-		{"virolab", virolab.Problem(), virolab.Problem().Catalog.Names()},
-		{"cross", crossProblem(), crossServices},
+		{"virolab", virolab.Problem, virolab.Problem().Catalog.Names()},
+		{"cross", crossProblem, crossServices},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -333,17 +337,21 @@ func TestKernelMatchesOracle(t *testing.T) {
 				forest[i] = plantree.Random(rng, c.services, DefaultParams().Smax)
 			}
 			for _, p := range paramGrid() {
-				ev, err := NewEvaluator(c.problem, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := newOracle(t, c.problem, p)
-				for _, tree := range forest {
-					if got, want := ev.evaluateOnly(tree, ev.scratch()), o.evaluate(tree); got != want {
-						t.Fatalf("strict=%v unroll=%d flows=%d caps=%v %s:\nkernel %+v\noracle %+v",
-							p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows, p.MaxCost > 0, tree, got, want)
+				name := fmt.Sprintf("strict=%v,unroll=%d,flows=%d,caps=%v", p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows, p.MaxCost > 0)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					problem := c.problem()
+					ev, err := NewEvaluator(problem, p)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+					o := newOracle(t, problem, p)
+					for _, tree := range forest {
+						if got, want := ev.evaluateOnly(tree, ev.scratch()), o.evaluate(tree); got != want {
+							t.Fatalf("%s:\nkernel %+v\noracle %+v", tree, got, want)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -73,7 +73,7 @@ func TestWritePrometheusEncoding(t *testing.T) {
 func TestWritePrometheusExemplar(t *testing.T) {
 	r := New()
 	h := r.Histogram("trace.stage.enact.seconds", []float64{0.1, 1})
-	h.ObserveExemplar(0.5, "0123456789abcdef0123456789abcdef")
+	h.ObserveTraced(0.5, TraceID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef})
 	h.Observe(0.05)
 
 	plain := r.Histogram("engine.run.seconds", []float64{0.1, 1})

@@ -250,16 +250,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar is ObserveTraced for a trace ID in its 32-hex-character
-// wire form; anything else records the sample without an exemplar.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	var id TraceID
-	if !decodeHex(id[:], traceID) {
-		id = TraceID{}
-	}
-	h.ObserveTraced(v, id)
-}
-
 // ObserveTraced records one sample and, when trace is valid, remembers it as
 // the histogram's latest exemplar.
 func (h *Histogram) ObserveTraced(v float64, trace TraceID) {
