@@ -39,6 +39,11 @@ func newFenceAfter(backend store.Store, k int) *fenceAfter {
 	return &fenceAfter{Fenced: store.NewFenced(backend), k: k, cut: make(chan struct{})}
 }
 
+// Kind reports a durable backend: the shared memory is the crash image, so
+// a write that returned has survived the crash, as on file:. The engine
+// therefore hands terminal commits off as it does on a file store.
+func (f *fenceAfter) Kind() string { return "file" }
+
 func (f *fenceAfter) mutate(write func() (int, error)) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -83,13 +88,16 @@ func (f *fenceAfter) mutations() int {
 // covers is enacted again, a checkpoint that reached the store is used, the
 // tenant is charged once, and every journal folds to one terminal snapshot.
 // Before that it pins what the path costs: at most 14 store mutations per
-// task — accepted, started, eleven checkpoints, the terminal snapshot.
+// task — accepted, started, eleven checkpoints, the terminal snapshot — and
+// that the two workers hand terminal commits off, so the crash points fall
+// on that path too.
 func TestCrashAtEveryJournalWrite(t *testing.T) {
 	ids := []string{"T-a", "T-b", "T-c"}
 	reliable := grid.DefaultSyntheticConfig()
 	reliable.FailureRate = 0 // no retries: activity executions are exact
-	// life starts an environment over handle and counts activity executions.
-	life := func(t *testing.T, handle store.Store, calls *atomic.Int64) *core.Environment {
+	// life starts an environment over handle and counts activity executions;
+	// no activity runs before ready closes.
+	life := func(t *testing.T, handle store.Store, calls *atomic.Int64, ready <-chan struct{}) *core.Environment {
 		resolve := virolab.ResolutionHook(nil)
 		return newEnv(t, func(opts *core.Options) {
 			opts.GridConfig = &reliable
@@ -97,6 +105,7 @@ func TestCrashAtEveryJournalWrite(t *testing.T) {
 			opts.Checkpoint = true
 			opts.Store = handle
 			opts.PostProcess = func(act *workflow.Activity, produced []*workflow.DataItem, visit int) {
+				<-ready
 				calls.Add(1)
 				resolve(act, produced, visit)
 			}
@@ -114,15 +123,26 @@ func TestCrashAtEveryJournalWrite(t *testing.T) {
 		return acked
 	}
 
+	// The uninterrupted run holds the first activities until all three tasks
+	// are queued, so the first worker to finish finds T-c waiting and hands
+	// its commit off.
 	var calls atomic.Int64
 	whole := newFenceAfter(store.NewMemory(store.Options{}), 0)
-	env := life(t, whole, &calls)
-	for _, id := range submit(env) {
+	queued := make(chan struct{})
+	env := life(t, whole, &calls, queued)
+	acked := submit(env)
+	close(queued)
+	unheld := queued
+	for _, id := range acked {
 		if st := waitTerminal(t, env.Engine, id); st.Status != engine.StatusCompleted {
 			t.Fatalf("uninterrupted task %s = %+v", id, st)
 		}
 	}
+	handoffs := env.Telemetry.Counter("engine.journal.handoffs").Value()
 	env.Close()
+	if handoffs == 0 {
+		t.Fatal("no terminal commit was handed off: the crash points miss the hand-off path")
+	}
 	total := whole.mutations()
 	if total > 14*len(ids) || calls.Load() != int64(fig10Activities*len(ids)) {
 		t.Fatalf("%d tasks cost %d store mutations and %d activity executions, want at most %d and exactly %d",
@@ -134,7 +154,7 @@ func TestCrashAtEveryJournalWrite(t *testing.T) {
 			shared := store.NewMemory(store.Options{})
 			doomed := newFenceAfter(shared, k)
 			var calls1, calls2 atomic.Int64
-			env1 := life(t, doomed, &calls1)
+			env1 := life(t, doomed, &calls1, unheld)
 			acked := submit(env1)
 			select {
 			case <-doomed.cut:
@@ -170,7 +190,7 @@ func TestCrashAtEveryJournalWrite(t *testing.T) {
 				}
 			}
 
-			env2 := life(t, store.NewFenced(shared), &calls2)
+			env2 := life(t, store.NewFenced(shared), &calls2, unheld)
 			report, err := env2.Engine.Recover()
 			if err != nil {
 				t.Fatal(err)

@@ -86,10 +86,10 @@ func (e *Engine) Recover() (RecoveryReport, error) {
 			status:   st.status,
 			err:      st.err,
 			reason:   st.reason,
-			env:      st.envelope,
 		}
-		if st.envelope != nil {
-			rec.pol = st.envelope.Policy
+		if env := st.envelope; env != nil {
+			rec.pol = env.Policy
+			rec.budget, rec.deadline, rec.hardDeadline = env.Budget, env.Deadline, env.HardDeadline
 		}
 		if terminal(st.status) {
 			// Finished before the crash: restore the record so GETs still
@@ -110,6 +110,7 @@ func (e *Engine) Recover() (RecoveryReport, error) {
 			// instead of silently dropping the task.
 			return report, fmt.Errorf("engine: recover: journal of task %s has no envelope", st.id)
 		}
+		rec.env = st.envelope
 		// Whether a started task resumes is the store's word, not the
 		// journal's: a checkpoint that is there is used.
 		switch _, _, checkpointed, err := e.store.Get(coordination.CheckpointKey(st.id), 0); {

@@ -817,9 +817,7 @@ func viewTask(rec engine.TaskStatus) TaskView {
 			v.DeadlineSlackSec = &slack
 		}
 		if r.FinalState != nil {
-			for _, item := range r.FinalState.Items() {
-				v.FinalData = append(v.FinalData, item.String())
-			}
+			v.FinalData = r.FinalState.ItemStrings()
 		}
 	}
 	return v

@@ -83,7 +83,7 @@ func (d *DataItem) Append(b []byte) []byte {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
-		b = append(append(append(b, k...), '='), d.Props[k].Str()...)
+		b = d.Props[k].AppendStr(append(append(b, k...), '='))
 	}
 	return append(b, '}')
 }
@@ -153,6 +153,29 @@ func (s *State) Names() []string {
 
 // Items returns the items sorted by name; the slice is the caller's.
 func (s *State) Items() []*DataItem { return slices.Clone(s.items) }
+
+// ItemStrings returns each item as its String renders it, in name order. The
+// renderings are cut from one string, so the result costs that string and
+// the slice, not a string per item.
+func (s *State) ItemStrings() []string {
+	if len(s.items) == 0 {
+		return nil
+	}
+	var scratch [2048]byte
+	var endScratch [64]int
+	b, ends := scratch[:0], endScratch[:0]
+	for _, it := range s.items {
+		b = it.Append(b)
+		ends = append(ends, len(b))
+	}
+	all := string(b)
+	out := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i], start = all[start:end], end
+	}
+	return out
+}
 
 // Clone returns a deep copy of s.
 func (s *State) Clone() *State {
