@@ -202,11 +202,14 @@ func BenchmarkFig3Replanning(b *testing.B) {
 // conversions of Figures 4-7 (one canonical fragment per construct, both
 // directions).
 func BenchmarkFig4to7Conversion(b *testing.B) {
+	ab := func(kind plantree.Kind) *plantree.Node {
+		return &plantree.Node{Kind: kind, Children: []*plantree.Node{plantree.Activity("A"), plantree.Activity("B")}}
+	}
 	trees := []*plantree.Node{
 		plantree.Seq(plantree.Activity("A"), plantree.Activity("B"), plantree.Activity("C")), // Fig 4
-		plantree.Conc(plantree.Activity("A"), plantree.Activity("B")),                        // Fig 5
-		plantree.Sel(plantree.Activity("A"), plantree.Activity("B")),                         // Fig 6
-		plantree.Iter(plantree.Activity("A"), plantree.Activity("B")),                        // Fig 7
+		ab(plantree.KindConcurrent), // Fig 5
+		ab(plantree.KindSelective),  // Fig 6
+		ab(plantree.KindIterative),  // Fig 7
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -226,12 +229,20 @@ func BenchmarkFig4to7Conversion(b *testing.B) {
 func BenchmarkFig8Crossover(b *testing.B) {
 	gpParams := table2Params()
 	rng := newRand(1)
-	a := virolab.PlanTree()
-	c := virolab.PlanTree()
+	a, c := fig11Tree(b), fig11Tree(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		planner.Crossover(rng, a, c, gpParams.Smax)
 	}
+}
+
+// fig11Tree is the Figure 11 plan tree, parsed from the Figure 10 process.
+func fig11Tree(b *testing.B) *plantree.Node {
+	tree, err := plantree.FromProcess(virolab.Process())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tree
 }
 
 // BenchmarkFig9Mutation measures the subtree mutation of Figure 9.
@@ -239,7 +250,7 @@ func BenchmarkFig9Mutation(b *testing.B) {
 	gpParams := table2Params()
 	rng := newRand(2)
 	services := virolab.Catalog().Names()
-	tree := virolab.PlanTree()
+	tree := fig11Tree(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		planner.Mutate(rng, tree, services, 0.05, gpParams.Smax)

@@ -161,7 +161,7 @@ func TestOntologyServesRunningCatalog(t *testing.T) {
 	if p3dr == nil {
 		t.Fatal("no svc-P3DR instance")
 	}
-	if v, _ := p3dr.Get("BaseTime"); v.N != 1800 || v.N != virolab.Catalog().Get("P3DR").BaseTime {
+	if v := p3dr.Values["BaseTime"]; v.N != 1800 || v.N != virolab.Catalog().Get("P3DR").BaseTime {
 		t.Errorf("P3DR BaseTime = %v, want 1800 as in the catalog", v)
 	}
 }

@@ -205,16 +205,6 @@ func (p *Platform) Register(name string, h Handler) (*Context, error) {
 	return rt.ctx, nil
 }
 
-// MustRegister is Register that panics on error, for wiring fixed service
-// topologies.
-func (p *Platform) MustRegister(name string, h Handler) *Context {
-	ctx, err := p.Register(name, h)
-	if err != nil {
-		panic(err)
-	}
-	return ctx
-}
-
 func (p *Platform) serve(rt *runtime, h Handler) {
 	defer p.wg.Done()
 	defer close(rt.done)
@@ -283,9 +273,6 @@ type Context struct {
 	platform *Platform
 	self     string
 }
-
-// Name returns the agent's own name.
-func (c *Context) Name() string { return c.self }
 
 // Platform returns the hosting platform.
 func (c *Context) Platform() *Platform { return c.platform }

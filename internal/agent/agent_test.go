@@ -228,7 +228,7 @@ func TestContextAccessors(t *testing.T) {
 	p := NewPlatform()
 	defer p.Shutdown()
 	c := p.MustRegister("me", echoHandler())
-	if c.Name() != "me" || c.Platform() != p {
+	if c.self != "me" || c.Platform() != p {
 		t.Error("accessors broken")
 	}
 }

@@ -317,8 +317,8 @@ func TestCheckpointing(t *testing.T) {
 		t.Errorf("checkpoint executed = %d, want %d", snap.Executed, report.Executed)
 	}
 	st := snap.RestoreState()
-	if st.Len() != report.FinalState.Len() {
-		t.Errorf("restored items = %d, want %d", st.Len(), report.FinalState.Len())
+	if got, want := len(st.Names()), len(report.FinalState.Names()); got != want {
+		t.Errorf("restored items = %d, want %d", got, want)
 	}
 	d12 := st.Get("D12")
 	if d12 == nil || d12.Classification() != "Resolution File" {
@@ -371,7 +371,10 @@ func TestRunTaskValidation(t *testing.T) {
 // message is refused rather than left to time out.
 func TestCoordinatorRefusesMessages(t *testing.T) {
 	e := newEnv(t, false)
-	client := e.platform.MustRegister("ui", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
+	client, err := e.platform.Register("ui", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, content := range []any{virolab.Task(), 42} {
 		reply, err := client.Call(services.CoordinationName, "grid-coordination", content, services.CallTimeout)
 		if err != nil {

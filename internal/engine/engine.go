@@ -440,7 +440,7 @@ func (e *Engine) Close() {
 
 	e.baseCancel()
 	for _, rec := range drained {
-		e.finish(rec, StatusCancelled, nil, "engine closed before the task started")
+		e.finish(rec, StatusCancelled, "", nil, "engine closed before the task started")
 	}
 	e.gDepth.Set(0)
 	if e.started.Load() {
@@ -608,7 +608,7 @@ func (e *Engine) Submit(sub Submission) (TaskStatus, error) {
 		if closed {
 			reason = "engine closed before the task started"
 		}
-		e.finish(rec, StatusCancelled, nil, reason)
+		e.finish(rec, StatusCancelled, "", nil, reason)
 		if closed {
 			return TaskStatus{}, ErrClosed
 		}
@@ -755,7 +755,7 @@ func (e *Engine) worker(commits chan<- outcome) {
 			commits <- outcome{}
 			held = false
 		}
-		e.finishReason(out.rec, out.status, out.reason, out.report, out.errText)
+		e.finish(out.rec, out.status, out.reason, out.report, out.errText)
 		e.gBusy.Set(float64(e.busy.Add(-1)))
 	}
 }
@@ -766,7 +766,7 @@ func (e *Engine) companion(commits <-chan outcome) {
 	defer e.wg.Done()
 	for out := range commits {
 		if out.rec != nil {
-			e.finishReason(out.rec, out.status, out.reason, out.report, out.errText)
+			e.finish(out.rec, out.status, out.reason, out.report, out.errText)
 		}
 	}
 }
@@ -836,15 +836,6 @@ func (e *Engine) run(rec *record) outcome {
 	return out
 }
 
-// finish records a terminal transition: record update, retention eviction,
-// metrics, and one journal write. The terminal snapshot — carrying the
-// status, attempt, and error — IS the terminal record; compacting straight
-// to it costs a single durable wait where a terminal append followed by a
-// Delete+Put compaction used to cost three.
-func (e *Engine) finish(rec *record, status string, report *coordination.Report, errText string) {
-	e.finishReason(rec, status, "", report, errText)
-}
-
 // retire appends a finished task to the retention window and evicts the
 // oldest beyond RetainFinished: their lookups answer ErrEvicted. Callers hold
 // e.mu.
@@ -858,14 +849,19 @@ func (e *Engine) retire(id string) {
 	}
 }
 
-// finishReason is finish with a terminal constraint reason (budget_exceeded,
-// deadline_missed) riding along into the snapshot and the public view.
-func (e *Engine) finishReason(rec *record, status, reason string, report *coordination.Report, errText string) {
+// finish records a terminal transition: record update, retention eviction,
+// metrics, and one journal write. The terminal snapshot — carrying the
+// status, attempt, error, constraint reason (budget_exceeded,
+// deadline_missed) and the case's budget and deadlines — IS the terminal
+// record; compacting straight to it costs a single durable wait where a
+// terminal append followed by a Delete+Put compaction used to cost three.
+func (e *Engine) finish(rec *record, status, reason string, report *coordination.Report, errText string) {
 	_, endCompact := rec.trace.Begin(rec.rootCtx, "journal_commit", "terminal")
 	if err := e.compact(JournalRecord{
 		TaskID: rec.id, Seq: rec.seq, Attempt: rec.attempt,
 		Priority: int(rec.priority), Tenant: rec.tenant,
 		Status: status, Error: errText, Reason: reason,
+		Budget: rec.budget, Deadline: rec.deadline, HardDeadline: rec.hardDeadline,
 	}); err != nil {
 		e.log.Error("journal compaction failed",
 			slog.String("task", rec.id), slog.String("error", err.Error()))
@@ -977,7 +973,7 @@ func (e *Engine) Cancel(id string) (string, error) {
 		depth := e.queued
 		e.mu.Unlock()
 		e.gDepth.Set(float64(depth))
-		e.finish(rec, StatusCancelled, nil, "cancelled while queued")
+		e.finish(rec, StatusCancelled, "", nil, "cancelled while queued")
 		return StatusCancelled, nil
 	case StatusRunning:
 		cancel := rec.cancel

@@ -208,8 +208,8 @@ func TestRunContextReleased(t *testing.T) {
 // TestFinishedRecordKeepsOnlyItsView: a terminal record lets go of the
 // submission, its envelope, its checkpoint and its trace — after a live run,
 // after a journal replay restores it, and after a re-queued task finishes —
-// while its status view still echoes the case's constraints (those a
-// restored record has: the terminal snapshot does not journal them).
+// while its status view still echoes the case's constraints (a restored
+// record reads them from the terminal snapshot).
 func TestFinishedRecordKeepsOnlyItsView(t *testing.T) {
 	env := newEnv(t, nil)
 	backend := store.NewMemory(store.Options{})
@@ -261,7 +261,7 @@ func TestFinishedRecordKeepsOnlyItsView(t *testing.T) {
 	if err != nil || report.Terminal != 1 || !slices.Equal(report.Requeued, []string{"K2"}) {
 		t.Fatalf("recovery = %+v, %v; want K1 restored and K2 re-queued", report, err)
 	}
-	check(second, "K1", false)
+	check(second, "K1", true)
 	if held := engine.Holds(second, "K2"); !slices.Contains(held, "env") {
 		t.Errorf("re-queued K2 holds %v, want its envelope to run from", held)
 	}

@@ -63,6 +63,12 @@ type JournalRecord struct {
 	// Reason refines a terminal status (budget_exceeded, deadline_missed);
 	// empty on ordinary outcomes, so pre-existing journals replay unchanged.
 	Reason string `json:"reason,omitempty"`
+	// Budget, Deadline and HardDeadline are the case's (on terminal
+	// snapshots, which carry no Task), so a finished task restored after a
+	// restart still shows them.
+	Budget       float64 `json:"budget,omitempty"`
+	Deadline     float64 `json:"deadline,omitempty"`
+	HardDeadline bool    `json:"hardDeadline,omitempty"`
 
 	// task and policy are the write side of Task (which is only ever read):
 	// appendRecord renders the envelope straight from the live submission.
@@ -109,6 +115,9 @@ func appendRecord(b []byte, rec *JournalRecord) ([]byte, error) {
 	}
 	e.str(`,"status":`, rec.Status, true)
 	e.str(`,"reason":`, rec.Reason, true)
+	e.float(`,"budget":`, rec.Budget)
+	e.float(`,"deadline":`, rec.Deadline)
+	e.flag(`,"hardDeadline":true`, rec.HardDeadline)
 	return append(e.b, '}'), e.err
 }
 
@@ -368,6 +377,12 @@ func (rec *JournalRecord) decode(data []byte) error {
 			r.String(&rec.Status)
 		case "reason":
 			r.String(&rec.Reason)
+		case "budget":
+			r.Float(&rec.Budget)
+		case "deadline":
+			r.Float(&rec.Deadline)
+		case "hardDeadline":
+			r.Bool(&rec.HardDeadline)
 		default:
 			r.Skip()
 		}

@@ -111,6 +111,7 @@ func randomRecord(rng *rand.Rand) JournalRecord {
 		Event:  []string{EventAccepted, EventStarted, EventSnapshot, str()}[rng.Intn(4)],
 		TaskID: str(), Seq: rng.Int63n(3) * (1<<53 + 7), Attempt: rng.Intn(3), Priority: rng.Intn(3) - 1,
 		Tenant: str(), Error: str(), Status: str(), Reason: str(),
+		Budget: num(), Deadline: num(), HardDeadline: rng.Intn(2) == 0,
 	}
 	if rec.Event != EventAccepted {
 		return rec
@@ -184,7 +185,7 @@ func TestJournalEncodingMatchesEncodingJSON(t *testing.T) {
 	// one of these must be added to appendRecord / (*enc).envelope, to the
 	// decode methods (and generated above).
 	for typ, fields := range map[reflect.Type]int{
-		reflect.TypeOf(JournalRecord{}): 12, reflect.TypeOf(TaskEnvelope{}): 12, reflect.TypeOf(EnvelopeItem{}): 2,
+		reflect.TypeOf(JournalRecord{}): 15, reflect.TypeOf(TaskEnvelope{}): 12, reflect.TypeOf(EnvelopeItem{}): 2,
 	} {
 		if typ.NumField() != fields {
 			t.Errorf("%v has %d fields, the journal encoder knows %d", typ, typ.NumField(), fields)
@@ -363,7 +364,8 @@ func FuzzJournalEncoding(f *testing.F) {
 		f.Add(s, nastyStrings[(i+1)%len(nastyStrings)], nastyNumbers[i%len(nastyNumbers)], int64(i)<<50, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, a, b string, x float64, n int64, flags uint8) {
-		rec := JournalRecord{Event: a, TaskID: b, Seq: n, Attempt: int(flags), Tenant: a, Error: b, Status: a, Reason: b}
+		rec := JournalRecord{Event: a, TaskID: b, Seq: n, Attempt: int(flags), Tenant: a, Error: b, Status: a, Reason: b,
+			Budget: x, Deadline: -x, HardDeadline: flags&32 != 0}
 		if flags&1 != 0 {
 			c := &workflow.CaseDescription{Goal: workflow.NewGoal(a, b), ResultSet: []string{b}, Deadline: x, Budget: -x,
 				Constraints: map[string]string{a: b, b: a, "k": a}, HardDeadline: flags&2 != 0}

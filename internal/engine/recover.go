@@ -29,19 +29,6 @@ func (r RecoveryReport) Total() int {
 	return len(r.Requeued) + len(r.Resumed) + len(r.Restarted)
 }
 
-// replayState is the effective state of one task after folding its journal.
-type replayState struct {
-	id       string
-	seq      int64
-	attempt  int
-	priority Priority
-	tenant   string
-	status   string
-	err      string
-	reason   string
-	envelope *TaskEnvelope
-}
-
 // Recover replays every task journal in the storage service and rebuilds the
 // engine's state: terminal tasks get their records restored for lookups,
 // accepted-but-never-started tasks are re-enqueued in admission order, and
@@ -53,7 +40,7 @@ type replayState struct {
 func (e *Engine) Recover() (RecoveryReport, error) {
 	var report RecoveryReport
 	keys := e.store.Keys(JournalPrefix)
-	states := make([]*replayState, 0, len(keys))
+	restored := make([]*record, 0, len(keys))
 	for _, key := range keys {
 		id := key[len(JournalPrefix):]
 		e.mu.Lock()
@@ -66,114 +53,105 @@ func (e *Engine) Recover() (RecoveryReport, error) {
 		if err != nil {
 			return report, fmt.Errorf("engine: recover: %w", err)
 		}
-		st := replay(id, recs)
-		if st == nil {
-			continue
+		if rec := replay(id, recs); rec != nil {
+			restored = append(restored, rec)
 		}
-		states = append(states, st)
 	}
 	// Journal keys come back in map order; admission order is the Seq
 	// stamped on accepted/snapshot records.
-	sort.Slice(states, func(i, j int) bool { return states[i].seq < states[j].seq })
+	sort.Slice(restored, func(i, j int) bool { return restored[i].seq < restored[j].seq })
 
-	for _, st := range states {
-		rec := &record{
-			id:       st.id,
-			seq:      st.seq,
-			priority: st.priority,
-			tenant:   st.tenant,
-			attempt:  st.attempt,
-			status:   st.status,
-			err:      st.err,
-			reason:   st.reason,
-		}
-		if env := st.envelope; env != nil {
-			rec.pol = env.Policy
-			rec.budget, rec.deadline, rec.hardDeadline = env.Budget, env.Deadline, env.HardDeadline
-		}
-		if terminal(st.status) {
+	for _, rec := range restored {
+		if terminal(rec.status) {
 			// Finished before the crash: restore the record so GETs still
 			// answer — within the retention window, as after a finish — but
-			// nothing re-runs.
+			// nothing re-runs, and a finished record keeps only its view.
+			rec.env = nil
 			e.mu.Lock()
-			e.records[st.id] = rec
-			if st.seq > e.seq {
-				e.seq = st.seq
+			e.records[rec.id] = rec
+			if rec.seq > e.seq {
+				e.seq = rec.seq
 			}
-			e.retire(st.id)
+			e.retire(rec.id)
 			e.mu.Unlock()
 			report.Terminal++
 			continue
 		}
-		if st.envelope == nil {
+		if rec.env == nil {
 			// A journal with no envelope cannot be re-run; surface it
 			// instead of silently dropping the task.
-			return report, fmt.Errorf("engine: recover: journal of task %s has no envelope", st.id)
+			return report, fmt.Errorf("engine: recover: journal of task %s has no envelope", rec.id)
 		}
-		rec.env = st.envelope
 		// Whether a started task resumes is the store's word, not the
 		// journal's: a checkpoint that is there is used.
-		switch _, _, checkpointed, err := e.store.Get(coordination.CheckpointKey(st.id), 0); {
+		switch _, _, checkpointed, err := e.store.Get(coordination.CheckpointKey(rec.id), 0); {
 		case err != nil:
-			return report, fmt.Errorf("engine: recover task %s: %w", st.id, err)
-		case st.status == StatusQueued:
+			return report, fmt.Errorf("engine: recover task %s: %w", rec.id, err)
+		case rec.status == StatusQueued:
 			e.enqueueRecovered(rec)
 			e.mRequeued.Inc()
-			report.Requeued = append(report.Requeued, st.id)
-			e.tel.TaskTrace(st.id).Span("recovered", "", "re-enqueued: accepted but never started")
-			e.log.Info("recovery re-enqueued task", slog.String("task", st.id))
+			report.Requeued = append(report.Requeued, rec.id)
+			e.tel.TaskTrace(rec.id).Span("recovered", "", "re-enqueued: accepted but never started")
+			e.log.Info("recovery re-enqueued task", slog.String("task", rec.id))
 		case checkpointed:
-			snap, err := coordination.LoadCheckpointVersion(e.store, st.id, 0)
+			snap, err := coordination.LoadCheckpointVersion(e.store, rec.id, 0)
 			if err != nil {
-				return report, fmt.Errorf("engine: recover task %s: %w", st.id, err)
+				return report, fmt.Errorf("engine: recover task %s: %w", rec.id, err)
 			}
 			rec.resume = snap
 			e.enqueueRecovered(rec)
 			e.mResumed.Inc()
-			report.Resumed = append(report.Resumed, st.id)
-			e.tel.TaskTrace(st.id).Span("recovered", "",
+			report.Resumed = append(report.Resumed, rec.id)
+			e.tel.TaskTrace(rec.id).Span("recovered", "",
 				fmt.Sprintf("resuming from checkpoint after %d executions", snap.Executed))
 			e.log.Info("recovery resumed task from checkpoint",
-				slog.String("task", st.id), slog.Int("executed", snap.Executed))
+				slog.String("task", rec.id), slog.Int("executed", snap.Executed))
 		default:
 			e.enqueueRecovered(rec)
 			e.mRestarted.Inc()
-			report.Restarted = append(report.Restarted, st.id)
-			e.tel.TaskTrace(st.id).Span("recovered", "", "restarting: started but no checkpoint written")
-			e.log.Info("recovery restarted task", slog.String("task", st.id))
+			report.Restarted = append(report.Restarted, rec.id)
+			e.tel.TaskTrace(rec.id).Span("recovered", "", "restarting: started but no checkpoint written")
+			e.log.Info("recovery restarted task", slog.String("task", rec.id))
 		}
 	}
 	return report, nil
 }
 
-// replay folds a task's journal records into its effective state; nil when
-// the journal is empty.
-func replay(id string, recs []JournalRecord) *replayState {
+// replay folds a task's journal records into the record it recovers to; nil
+// when the journal is empty. A surviving envelope supplies the policy and
+// the case's constraints; a terminal snapshot, which has none, carries the
+// constraints itself.
+func replay(id string, recs []JournalRecord) *record {
 	if len(recs) == 0 {
 		return nil
 	}
-	st := &replayState{id: id}
+	rec := &record{id: id}
 	for _, r := range recs {
 		switch r.Event {
 		case EventAccepted:
-			st.status = StatusQueued
-			st.seq = r.Seq
-			st.priority = Priority(r.Priority)
-			st.tenant = r.Tenant
-			st.envelope = r.Task
+			rec.status = StatusQueued
+			rec.seq = r.Seq
+			rec.priority = Priority(r.Priority)
+			rec.tenant = r.Tenant
+			rec.env = r.Task
 		case EventStarted:
-			st.status = StatusRunning
-			st.attempt = r.Attempt
+			rec.status = StatusRunning
+			rec.attempt = r.Attempt
 		case EventSnapshot:
-			st.status = r.Status
-			st.seq = r.Seq
-			st.attempt = r.Attempt
-			st.priority = Priority(r.Priority)
-			st.tenant = r.Tenant
-			st.err = r.Error
-			st.reason = r.Reason
-			st.envelope = r.Task
+			rec.status = r.Status
+			rec.seq = r.Seq
+			rec.attempt = r.Attempt
+			rec.priority = Priority(r.Priority)
+			rec.tenant = r.Tenant
+			rec.err = r.Error
+			rec.reason = r.Reason
+			rec.env = r.Task
+			rec.budget, rec.deadline, rec.hardDeadline = r.Budget, r.Deadline, r.HardDeadline
 		}
 	}
-	return st
+	if env := rec.env; env != nil {
+		rec.pol = env.Policy
+		rec.budget, rec.deadline, rec.hardDeadline = env.Budget, env.Deadline, env.HardDeadline
+	}
+	return rec
 }

@@ -76,9 +76,6 @@ type Ref struct {
 
 func (r Ref) String() string { return r.Obj + "." + r.Prop }
 
-// Lit wraps a literal value as an operand.
-type Lit struct{ Val Value }
-
 // Operand is either a Ref or a Lit.
 type Operand struct {
 	IsRef bool

@@ -57,12 +57,12 @@ func TestParseAndEval(t *testing.T) {
 		{`A.Classification = B.Classification`, false},
 	}
 	for _, tt := range tests {
-		got, err := Eval(tt.src, env())
+		n, err := Parse(tt.src)
 		if err != nil {
-			t.Errorf("Eval(%q) error: %v", tt.src, err)
+			t.Errorf("Parse(%q) error: %v", tt.src, err)
 			continue
 		}
-		if got != tt.want {
+		if got := n.Eval(env()); got != tt.want {
 			t.Errorf("Eval(%q) = %v, want %v", tt.src, got, tt.want)
 		}
 	}
@@ -198,12 +198,6 @@ func TestValueKindsAndAccessors(t *testing.T) {
 	}
 	if n, ok := Bool(true).Num(); !ok || n != 1 {
 		t.Errorf("Bool(true).Num() = %v,%v", n, ok)
-	}
-	if !Number(2).AsBool() || Number(0).AsBool() {
-		t.Error("Number AsBool mismatch")
-	}
-	if !String("s").AsBool() || String("").AsBool() {
-		t.Error("String AsBool mismatch")
 	}
 	if Number(2.5).Str() != "2.5" || Bool(false).Str() != "false" {
 		t.Error("Str() canonical form mismatch")

@@ -23,15 +23,6 @@ func Parse(src string) (Node, error) {
 	return n, nil
 }
 
-// Eval parses and evaluates src against env in one step.
-func Eval(src string, env Env) (bool, error) {
-	n, err := Parse(src)
-	if err != nil {
-		return false, err
-	}
-	return n.Eval(env), nil
-}
-
 type parser struct {
 	lex lexer
 	tok token

@@ -112,20 +112,6 @@ func (v Value) Num() (float64, bool) {
 	return 0, false
 }
 
-// AsBool returns the boolean payload; non-bool kinds report false, true for
-// non-empty/non-zero.
-func (v Value) AsBool() bool {
-	switch v.kind {
-	case KindBool:
-		return v.b
-	case KindNumber:
-		return v.n != 0
-	case KindString:
-		return v.s != ""
-	}
-	return false
-}
-
 // Equal reports deep equality with numeric coercion: "8" equals 8.
 func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {

@@ -63,12 +63,6 @@ func (f *FaultSpec) applies(node string) bool {
 	return false
 }
 
-// Crash records one injected node crash.
-type Crash struct {
-	Node  string  `json:"node"`
-	Clock float64 `json:"clock"` // grid busy-time when the crash happened
-}
-
 // SetFaults installs (or, with nil, clears) a fault-injection spec. The
 // spec is copied; per-node injection streams are re-seeded, so installing
 // the same spec twice reproduces the same fault sequence. Named nodes must
@@ -97,25 +91,6 @@ func (g *Grid) SetFaults(f *FaultSpec) error {
 		g.faultStreams[id] = nodeStream(spec.Seed, id, 0x9e3779b97f4a7c15)
 	}
 	return nil
-}
-
-// Faults returns a copy of the installed fault spec, or nil.
-func (g *Grid) Faults() *FaultSpec {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.faults == nil {
-		return nil
-	}
-	spec := *g.faults
-	spec.Nodes = append([]string(nil), g.faults.Nodes...)
-	return &spec
-}
-
-// Crashes returns the injected node crashes recorded so far.
-func (g *Grid) Crashes() []Crash {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return append([]Crash(nil), g.crashes...)
 }
 
 // nodeStream derives a deterministic per-node random stream from a base seed

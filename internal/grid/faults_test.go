@@ -148,7 +148,7 @@ func TestFaultSlowFactor(t *testing.T) {
 
 // TestFaultCrashTakesNodeDown drives executions at FailureRate 1 and
 // CrashRate 1: the very first execution must fail as a fault, crash the
-// node, record the crash, and leave the node down for later calls.
+// node, and leave the node down for later calls.
 func TestFaultCrashTakesNodeDown(t *testing.T) {
 	g := faultGrid(t)
 	if err := g.SetFaults(&FaultSpec{Seed: 3, Nodes: []string{"n1"}, FailureRate: 1, CrashRate: 1}); err != nil {
@@ -164,16 +164,9 @@ func TestFaultCrashTakesNodeDown(t *testing.T) {
 	if g.Node("n1").Up() {
 		t.Fatal("node still up after crash")
 	}
-	crashes := g.Crashes()
-	if len(crashes) != 1 || crashes[0].Node != "n1" {
-		t.Fatalf("crashes = %+v", crashes)
-	}
-	// Further executions fail fast on the downed node, no new crash records.
+	// Further executions fail fast on the downed node.
 	if _, err := g.Execute("ac-n1", "S", 10, 0); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Fatalf("want node-down error, got %v", err)
-	}
-	if len(g.Crashes()) != 1 {
-		t.Fatal("crash recorded twice")
 	}
 	// The untargeted node is unaffected.
 	if _, err := g.Execute("ac-n2", "S", 10, 0); err != nil {

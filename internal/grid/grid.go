@@ -111,8 +111,6 @@ type Grid struct {
 	streams      map[string]*rand.Rand
 	faults       *FaultSpec
 	faultStreams map[string]*rand.Rand
-	crashes      []Crash
-	clock        float64 // accumulated busy time, advanced by Execute
 	// version counts the changes to what matchmaking reads: nodes, containers
 	// and node status. It moves under the write lock, after the change it
 	// counts, so whoever loads it and then reads the grid sees no older state.
@@ -280,11 +278,11 @@ func ExecTime(baseTime float64, dataMB float64, n *Node) float64 {
 }
 
 // Execute simulates one run of service on the container: it computes the
-// duration from the node's hardware, samples the node's failure rate (plus
-// any injected fault spec), and advances the busy-time clock.
-// baseTime is the service's nominal duration, dataMB the input volume. It
-// fails when the container does not provide the service or its node is down;
-// an injected crash additionally takes the node down mid-execution.
+// duration from the node's hardware and samples the node's failure rate
+// (plus any injected fault spec). baseTime is the service's nominal
+// duration, dataMB the input volume. It fails when the container does not
+// provide the service or its node is down; an injected crash additionally
+// takes the node down mid-execution.
 func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (Execution, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -328,13 +326,11 @@ func (g *Grid) Execute(containerID, service string, baseTime, dataMB float64) (E
 		OK:        ok,
 		Fault:     fault,
 	}
-	g.clock += dur
 	if crashed {
 		if n.up.Swap(false) {
 			g.upNodes.Add(-1)
 		}
 		g.version.Add(1)
-		g.crashes = append(g.crashes, Crash{Node: n.ID, Clock: g.clock})
 		return ex, fmt.Errorf("grid: node %q crashed during execution of %q", n.ID, service)
 	}
 	if !ok {

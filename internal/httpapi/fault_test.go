@@ -171,8 +171,14 @@ func TestSubmitWithFaultsReportsRetries(t *testing.T) {
 	if view.Status != "succeeded" {
 		t.Fatalf("task = %+v", view)
 	}
-	if spec := s.env.Grid.Faults(); spec == nil || spec.Nodes[0] != victim {
-		t.Errorf("fault spec not installed: %+v", spec)
+	// The spec is installed: every execution on the victim now faults.
+	for _, c := range s.env.Grid.Containers() {
+		if c.NodeID != victim {
+			continue
+		}
+		if ex, err := s.env.Grid.Execute(c.ID, c.Services[0], 1, 0); err == nil || !ex.Fault {
+			t.Errorf("execution on %s after the task: err=%v fault=%v, want an injected fault", c.ID, err, ex.Fault)
+		}
 	}
 	// The doomed node may or may not be picked by matchmaking; when it is,
 	// the counters must surface in the view.

@@ -81,32 +81,6 @@ func (v Value) Text() string {
 	return ""
 }
 
-// Equal reports value equality.
-func (v Value) Equal(w Value) bool {
-	if v.Kind != w.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindString, KindRef:
-		return v.S == w.S
-	case KindNumber:
-		return v.N == w.N
-	case KindBool:
-		return v.B == w.B
-	case KindList:
-		if len(v.L) != len(w.L) {
-			return false
-		}
-		for i := range v.L {
-			if v.L[i] != w.L[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // Slot describes one property of a class: its value type and facets.
 type Slot struct {
 	Name     string
@@ -151,12 +125,6 @@ func (in *Instance) Set(slot string, v Value) *Instance {
 	}
 	in.Values[slot] = v
 	return in
-}
-
-// Get returns the slot value and whether it is set.
-func (in *Instance) Get(slot string) (Value, bool) {
-	v, ok := in.Values[slot]
-	return v, ok
 }
 
 // Text returns the slot's display text, or "" when unset.
@@ -217,9 +185,6 @@ func (kb *KB) MustAddClass(c *Class) {
 		panic(err)
 	}
 }
-
-// Class returns the named class, or nil.
-func (kb *KB) Class(name string) *Class { return kb.classes[name] }
 
 // Classes returns the classes in definition order.
 func (kb *KB) Classes() []*Class {
@@ -425,18 +390,6 @@ func (kb *KB) ValidateRefs() []error {
 		}
 	}
 	return errs
-}
-
-// Shell returns a copy of the KB containing only the class definitions (an
-// "ontology shell" in the paper's terms).
-func (kb *KB) Shell() *KB {
-	out := NewKB()
-	for _, c := range kb.Classes() {
-		cc := *c
-		cc.Slots = append([]Slot(nil), c.Slots...)
-		out.MustAddClass(&cc)
-	}
-	return out
 }
 
 // Stats returns the number of classes and instances.

@@ -35,10 +35,10 @@ func animalKB(t *testing.T) *KB {
 
 func TestClassRegistration(t *testing.T) {
 	kb := animalKB(t)
-	if kb.Class("Animal") == nil || kb.Class("Dog") == nil {
+	if kb.classes["Animal"] == nil || kb.classes["Dog"] == nil {
 		t.Fatal("classes missing")
 	}
-	if kb.Class("Cat") != nil {
+	if kb.classes["Cat"] != nil {
 		t.Fatal("phantom class")
 	}
 	if err := kb.AddClass(&Class{Name: "Animal"}); err == nil {
@@ -129,7 +129,7 @@ func TestQueries(t *testing.T) {
 		t.Errorf("InstancesOf(Dog) = %d, want 2", got)
 	}
 	threeLegged := kb.Query("Dog", func(in *Instance) bool {
-		v, _ := in.Get("Legs")
+		v := in.Values["Legs"]
 		return v.N == 3
 	})
 	if len(threeLegged) != 1 || threeLegged[0].ID != "d2" {
@@ -205,7 +205,7 @@ func TestValueHelpers(t *testing.T) {
 func TestInstanceHelpers(t *testing.T) {
 	in := &Instance{ID: "x", Class: "C"}
 	in.Set("a", Str("v"))
-	if v, ok := in.Get("a"); !ok || v.S != "v" {
+	if v, ok := in.Values["a"]; !ok || v.S != "v" {
 		t.Error("Set/Get on zero-map instance")
 	}
 	if in.Text("a") != "v" || in.Text("missing") != "" {
@@ -236,7 +236,7 @@ func TestGridShell(t *testing.T) {
 		ClassProcessDescription: {"ActivitySet", "TransitionSet", "Creator"},
 	}
 	for class, slots := range checks {
-		c := kb.Class(class)
+		c := kb.classes[class]
 		if c == nil {
 			t.Errorf("class %s missing", class)
 			continue
@@ -264,8 +264,8 @@ func TestShellCopyIsIndependent(t *testing.T) {
 	if _, i := shell.Stats(); i != 0 {
 		t.Error("Shell() carried instances")
 	}
-	shell.Class(ClassHardware).Slots[0].Name = "Mutated"
-	if kb.Class(ClassHardware).Slots[0].Name == "Mutated" {
+	shell.classes[ClassHardware].Slots[0].Name = "Mutated"
+	if kb.classes[ClassHardware].Slots[0].Name == "Mutated" {
 		t.Error("Shell() shares slot storage")
 	}
 }
@@ -296,10 +296,10 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip stats %d/%d vs %d/%d", c1, i1, c2, i2)
 	}
 	r1 := back.Instance("r1")
-	if v, _ := r1.Get("Hardware"); v.S != "hw1" {
+	if v := r1.Values["Hardware"]; v.S != "hw1" {
 		t.Errorf("r1.Hardware = %v", v)
 	}
-	if v, _ := r1.Get("NumberOfNodes"); v.N != 64 {
+	if v := r1.Values["NumberOfNodes"]; v.N != 64 {
 		t.Errorf("r1.NumberOfNodes = %v", v)
 	}
 	if errs := back.ValidateRefs(); len(errs) != 0 {
@@ -347,7 +347,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		kb.Query("Dog", func(in *Instance) bool {
-			v, _ := in.Get("Legs")
+			v := in.Values["Legs"]
 			return v.N == 3
 		})
 	}

@@ -56,7 +56,7 @@ func TestQuickKBRoundTrip(t *testing.T) {
 				return false
 			}
 			for slot, v := range in.Values {
-				w, ok := other.Get(slot)
+				w, ok := other.Values[slot]
 				if !ok || !v.Equal(w) {
 					return false
 				}

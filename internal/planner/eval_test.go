@@ -16,7 +16,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // The reference: the interpreted flow simulation the kernel replaced, kept as
-// it was (plan-tree nodes, data-item lists, Service.BindItems/Produce,
+// it was (plan-tree nodes, data-item lists, a binding search, Service.Produce,
 // decisions by node pointer) so the kernel has something independent to be
 // compared against.
 
@@ -24,6 +24,7 @@ type oracle struct {
 	problem *workflow.Problem
 	params  Params
 	goals   []expr.Node
+	inputs  map[*workflow.Service][]expr.Node // parsed input conditions; nil if one fails to parse
 }
 
 func newOracle(t testing.TB, problem *workflow.Problem, params Params) *oracle {
@@ -35,6 +36,14 @@ func newOracle(t testing.TB, problem *workflow.Problem, params Params) *oracle {
 			t.Fatal(err)
 		}
 		o.goals = append(o.goals, n)
+	}
+	o.inputs = map[*workflow.Service][]expr.Node{}
+	for _, svc := range problem.Catalog.Services() {
+		conds := make([]expr.Node, len(svc.Inputs))
+		for i := range svc.Inputs {
+			conds[i], _ = expr.Parse(svc.Inputs[i].Condition)
+		}
+		o.inputs[svc] = conds
 	}
 	return o
 }
@@ -138,6 +147,55 @@ func (l itemList) Lookup(obj, prop string) (expr.Value, bool) {
 	return expr.Value{}, false
 }
 
+// binds reports whether distinct items of the list bind to svc's inputs so
+// that every input condition holds: a backtracking search over the list in
+// its order.
+func (o *oracle) binds(svc *workflow.Service, items itemList) bool {
+	conds := o.inputs[svc]
+	env := &bindEnv{inputs: svc.Inputs, items: items}
+	var bind func(i int) bool
+	bind = func(i int) bool {
+		if i == len(conds) {
+			return true
+		}
+		if conds[i] == nil {
+			return false
+		}
+	next:
+		for _, it := range items {
+			for _, u := range env.picked {
+				if u == it {
+					continue next
+				}
+			}
+			env.picked = append(env.picked, it)
+			if conds[i].Eval(env) && bind(i+1) {
+				return true
+			}
+			env.picked = env.picked[:i]
+		}
+		return false
+	}
+	return bind(0)
+}
+
+// bindEnv resolves a formal bound so far (the latest binding of a repeated
+// formal wins), then any other object by name in the list.
+type bindEnv struct {
+	inputs []workflow.ParamSpec
+	picked itemList
+	items  itemList
+}
+
+func (e *bindEnv) Lookup(obj, prop string) (expr.Value, bool) {
+	for i := len(e.picked) - 1; i >= 0; i-- {
+		if e.inputs[i].Name == obj {
+			return e.picked[i].Prop(prop)
+		}
+	}
+	return e.items.Lookup(obj, prop)
+}
+
 // goalFitness evaluates Equation 2: a condition is met if some data item,
 // bound to the formal object G, satisfies it.
 func (o *oracle) goalFitness(items itemList) float64 {
@@ -178,7 +236,7 @@ func (fs *flowSim) run(n *plantree.Node, items itemList) itemList {
 		if svc == nil {
 			return items // unknown service: invalid activity
 		}
-		if _, ok := svc.BindItems(items); !ok {
+		if !fs.o.binds(svc, items) {
 			return items
 		}
 		fs.valid++
@@ -393,7 +451,7 @@ func TestKernelCompilesTables(t *testing.T) {
 // a MaxFlows cut leaves the last class fewer flows than its split would have
 // had. Each tree scores exactly as the oracle scores it.
 func TestKernelFlowClasses(t *testing.T) {
-	a, sel, seq, iter := plantree.Activity, plantree.Sel, plantree.Seq, plantree.Iter
+	a, seq := plantree.Activity, plantree.Seq
 	for _, c := range []struct {
 		tree             *plantree.Node
 		unroll, maxFlows int
@@ -409,12 +467,12 @@ func TestKernelFlowClasses(t *testing.T) {
 		// Splits inside a loop's body, then the loop's own: every flow alone.
 		{iter(sel(a("POD"), a("P3DR")), a("PSF")), 2, 32, true, 4, 4},
 		// A strict concurrent node: the forward and the reverse order.
-		{plantree.Conc(a("POD"), a("P3DR")), 2, 32, true, 2, 2},
+		{conc(a("POD"), a("P3DR")), 2, 32, true, 2, 2},
 		// ... whose reverse order reaches the selective first.
-		{plantree.Conc(a("POD"), sel(a("P3DR"), a("PSF"))), 2, 32, true, 4, 4},
+		{conc(a("POD"), sel(a("P3DR"), a("PSF"))), 2, 32, true, 4, 4},
 		// Without StrictConcurrency there is one order, and at unroll 1 one
 		// iteration.
-		{plantree.Conc(a("POD"), iter(a("P3DR"))), 1, 32, false, 1, 1},
+		{conc(a("POD"), iter(a("P3DR"))), 1, 32, false, 1, 1},
 	} {
 		p := DefaultParams()
 		p.MaxLoopUnroll, p.MaxFlows, p.StrictConcurrency = c.unroll, c.maxFlows, c.strict
@@ -510,10 +568,13 @@ func TestEvaluateAllocatesNothingWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := virolab.PlanTree() // Figure 11
+		tree, err := plantree.FromProcess(virolab.Process()) // Figure 11
+		if err != nil {
+			t.Fatal(err)
+		}
 		if problem.Name == "cross" {
 			tree = plantree.Seq(plantree.Activity("GEN"), plantree.Activity("SPLIT"),
-				plantree.Iter(plantree.Activity("JOIN"), plantree.Activity("PACK")))
+				iter(plantree.Activity("JOIN"), plantree.Activity("PACK")))
 		}
 		sc := ev.scratch()
 		if allocs := testing.AllocsPerRun(100, func() { ev.evaluateOnly(tree, sc) }); allocs != 0 {

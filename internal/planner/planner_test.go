@@ -177,10 +177,23 @@ func TestEvaluateOrderMatters(t *testing.T) {
 	}
 }
 
+// conc, sel and iter build the controllers of Figures 5-7 over the children.
+func conc(children ...*plantree.Node) *plantree.Node {
+	return &plantree.Node{Kind: plantree.KindConcurrent, Children: children}
+}
+
+func sel(children ...*plantree.Node) *plantree.Node {
+	return &plantree.Node{Kind: plantree.KindSelective, Children: children}
+}
+
+func iter(children ...*plantree.Node) *plantree.Node {
+	return &plantree.Node{Kind: plantree.KindIterative, Children: children}
+}
+
 func TestEvaluateSelectiveEnumeratesFlows(t *testing.T) {
 	ev := mustEvaluator(t, DefaultParams())
 	// sel(POD, PSF): flow 1 runs POD (valid), flow 2 runs PSF (invalid).
-	tree := plantree.Sel(plantree.Activity("POD"), plantree.Activity("PSF"))
+	tree := sel(plantree.Activity("POD"), plantree.Activity("PSF"))
 	e := ev.Evaluate(tree)
 	if e.Flows != 2 {
 		t.Fatalf("flows = %d, want 2", e.Flows)
@@ -196,7 +209,7 @@ func TestEvaluateIterativeUnroll(t *testing.T) {
 	ev := mustEvaluator(t, p)
 	// iter(POD): flows with 1, 2, 3 iterations. POD is valid every time
 	// (parameters are not consumed), so fv=1; executions 1+2+3=6.
-	tree := plantree.Iter(plantree.Activity("POD"))
+	tree := iter(plantree.Activity("POD"))
 	e := ev.Evaluate(tree)
 	if e.Flows != 3 {
 		t.Fatalf("flows = %d, want 3", e.Flows)
@@ -212,9 +225,9 @@ func TestEvaluateFlowCap(t *testing.T) {
 	ev := mustEvaluator(t, p)
 	// Three selectives of 2 children each = 8 flows, capped at 4.
 	tree := plantree.Seq(
-		plantree.Sel(plantree.Activity("POD"), plantree.Activity("POD")),
-		plantree.Sel(plantree.Activity("POD"), plantree.Activity("POD")),
-		plantree.Sel(plantree.Activity("POD"), plantree.Activity("POD")),
+		sel(plantree.Activity("POD"), plantree.Activity("POD")),
+		sel(plantree.Activity("POD"), plantree.Activity("POD")),
+		sel(plantree.Activity("POD"), plantree.Activity("POD")),
 	)
 	e := ev.Evaluate(tree)
 	if e.Flows != 4 {
@@ -239,7 +252,7 @@ func TestEvaluateConcurrentSemantics(t *testing.T) {
 	// produced, so PSF afterwards is valid and the goal is met.
 	tree := plantree.Seq(
 		plantree.Activity("POD"),
-		plantree.Conc(plantree.Activity("P3DR"), plantree.Activity("P3DR")),
+		conc(plantree.Activity("P3DR"), plantree.Activity("P3DR")),
 		plantree.Activity("PSF"),
 	)
 	e := ev.Evaluate(tree)
@@ -607,7 +620,7 @@ func BenchmarkGPGeneration(b *testing.B) {
 func TestStrictConcurrencyPenalizesOrderDependence(t *testing.T) {
 	// conc(POD, P3DR) only works when POD runs first: strict mode must see
 	// the reverse order fail, lenient mode must not.
-	tree := plantree.Conc(plantree.Activity("POD"), plantree.Activity("P3DR"))
+	tree := conc(plantree.Activity("POD"), plantree.Activity("P3DR"))
 
 	strict := DefaultParams()
 	strict.StrictConcurrency = true
@@ -633,7 +646,7 @@ func TestStrictConcurrencyPenalizesOrderDependence(t *testing.T) {
 	// two P3DR runs commute.
 	indep := plantree.Seq(
 		plantree.Activity("POD"),
-		plantree.Conc(plantree.Activity("P3DR"), plantree.Activity("P3DR")),
+		conc(plantree.Activity("P3DR"), plantree.Activity("P3DR")),
 		plantree.Activity("PSF"),
 	)
 	e3 := evStrict.Evaluate(indep)

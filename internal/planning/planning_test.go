@@ -116,7 +116,10 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	if _, err := p.Register(services.PlanningName, svc); err != nil {
 		t.Fatal(err)
 	}
-	client := p.MustRegister("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
+	client, err := p.Register("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// POD is executable: it must NOT be excluded despite the hint.
 	reply, err := client.Call(services.PlanningName, services.OntPlanning, PlanRequest{
@@ -171,7 +174,10 @@ func TestHandleRejectsJunk(t *testing.T) {
 	if _, err := p.Register(services.PlanningName, New(virolab.Catalog(), smallParams())); err != nil {
 		t.Fatal(err)
 	}
-	client := p.MustRegister("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
+	client, err := p.Register("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reply, err := client.Call(services.PlanningName, services.OntPlanning, "junk", time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestFromProcessFigure10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := virolab.PlanTree().String(); tree.String() != want {
+	if want := "(seq POD P3DR (iter POR (conc P3DR P3DR P3DR) PSF))"; tree.String() != want { // Figure 11
 		t.Errorf("FromProcess(Figure 10) = %s, want %s", tree, want)
 	}
 	const budget = 43 // 42 measured (156 with a set of dominators per activity)

@@ -85,15 +85,6 @@ func Activity(service string) *Node { return &Node{Kind: KindActivity, Service: 
 // Seq returns a sequential controller over the children.
 func Seq(children ...*Node) *Node { return &Node{Kind: KindSequential, Children: children} }
 
-// Conc returns a concurrent controller over the children.
-func Conc(children ...*Node) *Node { return &Node{Kind: KindConcurrent, Children: children} }
-
-// Sel returns a selective controller over the children.
-func Sel(children ...*Node) *Node { return &Node{Kind: KindSelective, Children: children} }
-
-// Iter returns an iterative controller over the children.
-func Iter(children ...*Node) *Node { return &Node{Kind: KindIterative, Children: children} }
-
 // Size returns the number of nodes in the tree (Section 3.4.1's tree size,
 // bounded by Smax during evolution).
 func (n *Node) Size() int {

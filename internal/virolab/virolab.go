@@ -3,8 +3,8 @@
 // structures from electron microscopy data. It provides the four parallel
 // programs as end-user service specifications (POD, P3DR, POR, PSF) with the
 // paper's conditions C1-C8, the data items D1-D12, the Figure 10 process
-// description, the Figure 11 plan tree, and the Figure 13 ontology
-// instances. The instances are the only copy of the case's metadata: the
+// description (plantree.FromProcess recovers its Figure 11 plan tree), and
+// the Figure 13 ontology instances. The instances are the only copy of the case's metadata: the
 // catalog, data, case and process are read from them.
 //
 // The paper's programs run on real micrographs (GBytes of 2D projections);
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/ontology"
-	"repro/internal/plantree"
 	"repro/internal/workflow"
 )
 
@@ -111,25 +110,6 @@ func Problem() *workflow.Problem {
 // P3DR1, MERGE, POR, FORK, {P3DR2, P3DR3, P3DR4}, JOIN, PSF, CHOICE, END
 // with transitions TR1-TR15 and the per-activity data sets of Figure 13.
 func Process() *workflow.ProcessDescription { return fig13().process.Clone() }
-
-// PlanTree builds the Figure 11 plan tree corresponding to Process.
-func PlanTree() *plantree.Node {
-	p3dr1 := plantree.Activity("P3DR")
-	p3dr1.Name = "P3DR1"
-	p3dr2 := plantree.Activity("P3DR")
-	p3dr2.Name = "P3DR2"
-	p3dr3 := plantree.Activity("P3DR")
-	p3dr3.Name = "P3DR3"
-	p3dr4 := plantree.Activity("P3DR")
-	p3dr4.Name = "P3DR4"
-	loop := plantree.Iter(
-		plantree.Activity("POR"),
-		plantree.Conc(p3dr2, p3dr3, p3dr4),
-		plantree.Activity("PSF"),
-	)
-	loop.Condition = Cons1
-	return plantree.Seq(plantree.Activity("POD"), p3dr1, loop)
-}
 
 // Task assembles the full Figure 13 task T1 ("3DSD").
 func Task() *workflow.Task {

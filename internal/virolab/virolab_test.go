@@ -53,10 +53,14 @@ func TestFig10ProcessDescription(t *testing.T) {
 	}
 }
 
-// TestFig11PlanTree checks the plan tree and its correspondence with the
-// Figure 10 process description.
+// TestFig11PlanTree checks that the Figure 10 process description parses to
+// the Figure 11 plan tree, and that the tree survives the round trip through
+// the graph form.
 func TestFig11PlanTree(t *testing.T) {
-	tree := PlanTree()
+	tree, err := plantree.FromProcess(Process())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tree.Validate(40); err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +82,6 @@ func TestFig11PlanTree(t *testing.T) {
 	}
 	if !back.Equal(tree) {
 		t.Errorf("round trip:\n got %s\nwant %s", back, tree)
-	}
-	// The hand-built Figure 10 graph also parses back to the same shape.
-	fromFig10, err := plantree.FromProcess(Process())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromFig10.String() != want {
-		t.Errorf("Figure 10 parses to %s, want %s", fromFig10, want)
 	}
 }
 
@@ -212,7 +208,7 @@ func TestFig13Instances(t *testing.T) {
 	if task == nil {
 		t.Fatal("task instance missing")
 	}
-	if v, _ := task.Get("ProcessDescription"); v.S != "PD-3DSD" {
+	if v := task.Values["ProcessDescription"]; v.S != "PD-3DSD" {
 		t.Errorf("task PD ref = %v", v)
 	}
 	// Query: all 3D models.
@@ -295,14 +291,14 @@ func oracleCatalog() *workflow.Catalog {
 				{Name: "A", Condition: `A.Classification = "POD-Parameter"`},
 				{Name: "B", Condition: `B.Classification = "2D Image"`}},
 			Outputs: []workflow.OutputSpec{{Name: "C", Props: map[string]expr.Value{
-				workflow.PropClassification: str("Orientation File"), workflow.PropType: str("Orientation File")}}}},
+				workflow.PropClassification: str("Orientation File"), "Type": str("Orientation File")}}}},
 		&workflow.Service{Name: "P3DR", BaseTime: 1800, Cost: 10,
 			Inputs: []workflow.ParamSpec{
 				{Name: "A", Condition: `A.Classification = "P3DR-Parameter"`},
 				{Name: "B", Condition: `B.Classification = "2D Image"`},
 				{Name: "C", Condition: `C.Classification = "Orientation File"`}},
 			Outputs: []workflow.OutputSpec{{Name: "D", Props: map[string]expr.Value{
-				workflow.PropClassification: str("3D Model"), workflow.PropFormat: str("Electron Density Map")}}}},
+				workflow.PropClassification: str("3D Model"), "Format": str("Electron Density Map")}}}},
 		&workflow.Service{Name: "POR", BaseTime: 1200, Cost: 6,
 			Inputs: []workflow.ParamSpec{
 				{Name: "A", Condition: `A.Classification = "POR-Parameter"`},
@@ -310,7 +306,7 @@ func oracleCatalog() *workflow.Catalog {
 				{Name: "C", Condition: `C.Classification = "Orientation File"`},
 				{Name: "D", Condition: `D.Classification = "3D Model"`}},
 			Outputs: []workflow.OutputSpec{{Name: "E", Props: map[string]expr.Value{
-				workflow.PropClassification: str("Orientation File"), workflow.PropType: str("Orientation File")}}}},
+				workflow.PropClassification: str("Orientation File"), "Type": str("Orientation File")}}}},
 		&workflow.Service{Name: "PSF", BaseTime: 300, Cost: 1,
 			Inputs: []workflow.ParamSpec{
 				{Name: "A", Condition: `A.Classification = "PSF-Parameter"`},
@@ -325,7 +321,7 @@ func oracleCatalog() *workflow.Catalog {
 func oracleInitialData() []*workflow.DataItem {
 	param := func(name, class string) *workflow.DataItem {
 		return workflow.NewDataItem(name, class).
-			With(workflow.PropFormat, expr.String("Text")).
+			With("Format", expr.String("Text")).
 			With(workflow.PropCreator, expr.String("User"))
 	}
 	return []*workflow.DataItem{
@@ -341,7 +337,7 @@ func oracleInitialData() []*workflow.DataItem {
 	}
 }
 
-// oracleProcess is the Figure 10 graph built with Add and ConnectCond.
+// oracleProcess is the Figure 10 graph built with Add and ConnectParsed.
 func oracleProcess() *workflow.ProcessDescription {
 	p := workflow.NewProcess("PD-3DSD")
 	add := func(id, name string, kind workflow.Kind, service string, in, out []string) {
@@ -366,7 +362,7 @@ func oracleProcess() *workflow.ProcessDescription {
 		{"A6", "A7"}, {"A6", "A8"}, {"A6", "A9"}, {"A7", "A10"}, {"A8", "A10"},
 		{"A9", "A10"}, {"A10", "A11"}, {"A11", "A12"}, {"A12", "A4", Cons1}, {"A12", "A13"},
 	} {
-		p.ConnectCond(tr[0], tr[1], tr[2])
+		p.ConnectParsed(tr[0], tr[1], tr[2], nil)
 	}
 	return p
 }
@@ -433,12 +429,12 @@ func TestReadersHandOutCopies(t *testing.T) {
 	c.InitialData[0].With(workflow.PropClassification, expr.String("mutated"))
 	c.ResultSet[0] = "mutated"
 	Process().Activities[1].Inputs[0] = "mutated"
-	Catalog().Get("POD").Outputs[0].Props[workflow.PropType] = expr.String("mutated")
+	Catalog().Get("POD").Outputs[0].Props["Type"] = expr.String("mutated")
 	if Case().InitialData[0].Classification() != "POD-Parameter" || Case().ResultSet[0] != "D12" ||
 		Process().Activities[1].Inputs[0] != "D1" {
 		t.Error("a mutated case or process leaked into the next call")
 	}
-	if v, _ := Catalog().Get("POD").Outputs[0].Props[workflow.PropType]; v.Str() != "Orientation File" {
+	if v, _ := Catalog().Get("POD").Outputs[0].Props["Type"]; v.Str() != "Orientation File" {
 		t.Error("a mutated catalog leaked into the next call")
 	}
 }

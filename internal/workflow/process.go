@@ -82,7 +82,7 @@ type ProcessDescription struct {
 	spare []Transition
 
 	// validated memoizes the last Validate result (validErr); Add and
-	// ConnectCond invalidate it alongside the index. A task's description
+	// ConnectParsed invalidate it alongside the index. A task's description
 	// is validated where it is built (a PDL parse, a JSON decode) and again
 	// at admission — on an unchanged graph those are the same answer.
 	// The pass keeps what it parsed on the transitions and activities.
@@ -118,14 +118,9 @@ func (p *ProcessDescription) Connect(src, dst string) *Transition {
 	return p.ConnectParsed(src, dst, "", nil)
 }
 
-// ConnectCond appends a conditional transition from src to dst.
-func (p *ProcessDescription) ConnectCond(src, dst, cond string) *Transition {
-	return p.ConnectParsed(src, dst, cond, nil)
-}
-
-// ConnectParsed is ConnectCond for a caller that has parsed cond already:
-// node is what expr.Parse(cond) returned, and Validate takes it instead of
-// parsing cond again. A nil node leaves the parse to Validate.
+// ConnectParsed appends a conditional transition from src to dst. node is
+// what expr.Parse(cond) returned, and Validate takes it instead of parsing
+// cond again; a nil node leaves the parse to Validate.
 func (p *ProcessDescription) ConnectParsed(src, dst, cond string, node expr.Node) *Transition {
 	var t *Transition
 	if len(p.spare) > 0 {
@@ -251,30 +246,6 @@ func (p *ProcessDescription) In(id string) []*Transition {
 		return p.in[pos]
 	}
 	return nil
-}
-
-// Successors returns the successor activity set of the activity id.
-func (p *ProcessDescription) Successors(id string) []*Activity {
-	ts := p.Out(id)
-	succ := make([]*Activity, 0, len(ts))
-	for _, t := range ts {
-		if a := p.Activity(t.Dest); a != nil {
-			succ = append(succ, a)
-		}
-	}
-	return succ
-}
-
-// Predecessors returns the predecessor activity set of the activity id.
-func (p *ProcessDescription) Predecessors(id string) []*Activity {
-	ts := p.In(id)
-	pred := make([]*Activity, 0, len(ts))
-	for _, t := range ts {
-		if a := p.Activity(t.Source); a != nil {
-			pred = append(pred, a)
-		}
-	}
-	return pred
 }
 
 // Begin returns the Begin activity, or nil if absent or duplicated.

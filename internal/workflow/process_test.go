@@ -47,8 +47,8 @@ func buildChoiceMerge() *ProcessDescription {
 	p.Add(&Activity{ID: "merge", Kind: KindMerge, Name: "MERGE"})
 	p.Add(&Activity{ID: "end", Kind: KindEnd, Name: "END"})
 	p.Connect("begin", "choice")
-	p.ConnectCond("choice", "a", `x.v > 0`)
-	p.ConnectCond("choice", "b", `x.v <= 0`)
+	p.ConnectParsed("choice", "a", `x.v > 0`, nil)
+	p.ConnectParsed("choice", "b", `x.v <= 0`, nil)
 	p.Connect("a", "merge")
 	p.Connect("b", "merge")
 	p.Connect("merge", "end")
@@ -162,15 +162,13 @@ func TestValidateUnreachable(t *testing.T) {
 
 func TestSuccessorsPredecessors(t *testing.T) {
 	p := buildForkJoin()
-	succ := p.Successors("fork")
-	if len(succ) != 2 {
+	if succ := p.Out("fork"); len(succ) != 2 {
 		t.Fatalf("fork successors = %d, want 2", len(succ))
 	}
-	pred := p.Predecessors("join")
-	if len(pred) != 2 {
+	if pred := p.In("join"); len(pred) != 2 {
 		t.Fatalf("join predecessors = %d, want 2", len(pred))
 	}
-	if got := p.Successors("end"); len(got) != 0 {
+	if got := p.Out("end"); len(got) != 0 {
 		t.Errorf("end successors = %d, want 0", len(got))
 	}
 	if b := p.Begin(); b == nil || b.ID != "begin" {

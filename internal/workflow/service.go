@@ -67,34 +67,11 @@ func (s *Service) Validate() error {
 	return nil
 }
 
-// Bind searches for an injective assignment of distinct state items to the
-// service's input parameters such that every parameter condition holds. It
-// returns the chosen binding (formal name -> item) and whether one exists.
-// Distinctness matters: PSF needs two different 3D models (C7 binds B and C
-// to different items).
-//
-// The search is deterministic: items are tried in sorted-name order, so the
-// same state always yields the same binding.
-func (s *Service) Bind(st *State) (map[string]*DataItem, bool) {
-	return s.BindItems(st.items)
-}
-
-// BindItems is Bind over an explicit item list, tried in list order.
-func (s *Service) BindItems(items []*DataItem) (map[string]*DataItem, bool) {
-	b := getBinder(s.Inputs, items)
-	defer b.release()
-	if !b.bind(0) {
-		return nil, false
-	}
-	chosen := make(map[string]*DataItem, len(s.Inputs))
-	for i, it := range b.picked {
-		chosen[s.Inputs[i].Name] = it
-	}
-	return chosen, true
-}
-
 // Applicable reports whether the service's preconditions are met in st:
-// Bind's search without materializing the binding.
+// whether an injective assignment of distinct items of st to the service's
+// input parameters makes every parameter condition hold. Distinctness
+// matters: PSF needs two different 3D models (C7 binds B and C to different
+// items).
 func (s *Service) Applicable(st *State) bool {
 	b := getBinder(s.Inputs, st.items)
 	defer b.release()

@@ -15,9 +15,6 @@ const (
 	PropSize           = "Size"
 	PropLocation       = "Location"
 	PropValue          = "value"
-	PropFormat         = "Format"
-	PropType           = "Type"
-	PropOwner          = "Owner"
 	PropCreator        = "Creator"
 )
 
@@ -135,12 +132,6 @@ func (s *State) Get(name string) *DataItem {
 	}
 	return nil
 }
-
-// Has reports whether the named item exists.
-func (s *State) Has(name string) bool { return s.Get(name) != nil }
-
-// Len returns the number of items.
-func (s *State) Len() int { return len(s.items) }
 
 // Names returns the item names in sorted order.
 func (s *State) Names() []string {
