@@ -67,6 +67,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -74,7 +76,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/httpapi"
-	"repro/internal/load"
 	"repro/internal/planner"
 	"repro/internal/telemetry"
 	"repro/internal/virolab"
@@ -165,21 +166,29 @@ func parseFlags(args []string) (config, error) {
 	return cfg, nil
 }
 
-// tenantConfigs parses -tenants and merges the default quotas into every
-// explicit entry, so a weighted tenant still gets the shared quota settings.
+// tenantConfigs parses -tenants (id:weight,...) and merges the default
+// quotas into every entry, so a weighted tenant still gets the shared quota
+// settings.
 func tenantConfigs(weights string, defaults engine.TenantConfig) (map[string]engine.TenantConfig, error) {
 	if weights == "" {
 		return nil, nil
 	}
-	mix, err := load.ParseTenants(weights)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]engine.TenantConfig, len(mix))
-	for _, m := range mix {
+	out := make(map[string]engine.TenantConfig)
+	for _, entry := range strings.Split(weights, ",") {
+		id, weight, ok := strings.Cut(strings.TrimSpace(entry), ":")
+		w, err := strconv.Atoi(weight)
+		switch {
+		case !ok || id == "" || err != nil:
+			return nil, fmt.Errorf("-tenants entry %q: want id:weight", entry)
+		case w <= 0:
+			return nil, fmt.Errorf("-tenants entry %q: weight must be positive", entry)
+		}
+		if _, dup := out[id]; dup {
+			return nil, fmt.Errorf("-tenants entry %q: tenant %q listed twice", entry, id)
+		}
 		cfg := defaults
-		cfg.Weight = m.Weight
-		out[m.ID] = cfg
+		cfg.Weight = w
+		out[id] = cfg
 	}
 	return out, nil
 }

@@ -52,6 +52,10 @@ func TestParseFlags(t *testing.T) {
 func TestParseFlagsRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-tenants", "nope"},
+		{"-tenants", "alpha:3:0.5"},
+		{"-tenants", "a:1,a:3"},
+		{"-tenants", ":3"},
+		{"-tenants", "alpha:0"},
 		{"-log-level", "loud"},
 	} {
 		if _, err := parseFlags(args); err == nil {

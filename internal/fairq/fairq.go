@@ -5,10 +5,9 @@
 //
 // Both structures are pure and deterministic: the queue's drain order is a
 // function of the push/pop sequence alone, and the bucket takes its clock as
-// an explicit argument. That is what lets the load generator (internal/load)
-// drive the exact same code synchronously under a virtual clock and produce
-// byte-identical reports from a fixed seed, while the engine drives it from
-// real goroutines and wall time.
+// an explicit argument. That is what lets the tests pin exact drain windows
+// synchronously, while the engine drives the same code from real goroutines
+// and wall time.
 package fairq
 
 // Queue is a bounded-class weighted fair queue. Items are pushed into a
@@ -180,9 +179,6 @@ func (q *Queue[T]) Drain() []T {
 		out = append(out, item)
 	}
 }
-
-// Len returns the total number of queued items.
-func (q *Queue[T]) Len() int { return q.size }
 
 // ClassLen returns the number of items queued in one class.
 func (q *Queue[T]) ClassLen(cls int) int { return q.classes[cls].size }

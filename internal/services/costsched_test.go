@@ -204,3 +204,84 @@ func TestRankCostAwareModes(t *testing.T) {
 		}
 	}
 }
+
+// costMixFleet draws a heterogeneous fleet: the first half is cheap and slow
+// (low speed, low cost-per-second, modest bandwidth), the second half fast
+// and expensive.
+func costMixFleet(rng *rand.Rand, n int) []Candidate {
+	fleet := make([]Candidate, n)
+	for i := range fleet {
+		c := Candidate{
+			Container: fmt.Sprintf("cm-cont-%02d", i),
+			Node:      fmt.Sprintf("cm-node-%02d", i),
+			Domain:    fmt.Sprintf("dom-%d", i%4),
+			LatencyUs: 100 + rng.Float64()*900,
+		}
+		if i < n/2 {
+			c.Speed = 0.5 + rng.Float64()*0.7 // slow
+			c.Cost = 0.5 + rng.Float64()      // cheap
+			c.BandwidthMbps = 200 + rng.Float64()*300
+		} else {
+			c.Speed = 2 + rng.Float64()*2 // fast
+			c.Cost = 4 + rng.Float64()*6  // expensive
+			c.BandwidthMbps = 800 + rng.Float64()*1200
+		}
+		fleet[i] = c
+	}
+	return fleet
+}
+
+// TestRankCostAwareTenantProfiles: two tenant profiles with opposite
+// constraints share one 16-node fleet, and every dispatch goes through
+// ScoreCandidates and RankCostAware. The patient, poor "batch" profile
+// (deadline 8× base time, budget 2.5 a task, not urgent) must finish inside
+// its budget, which picking fast-expensive nodes would blow; the rushed,
+// rich "rush" profile (deadline 1× base time, which no slow node can meet,
+// budget 60 a task, urgent) must meet at least 95 % of its deadlines, and
+// pays more per task than batch for it.
+func TestRankCostAwareTenantProfiles(t *testing.T) {
+	const tasks = 200
+	profiles := []struct {
+		urgent                 bool
+		deadlineMul, budgetPer float64
+	}{
+		{false, 8, 2.5}, // batch
+		{true, 1, 60},   // rush
+	}
+	for _, seed := range []int64{42, 7} {
+		rng := rand.New(rand.NewSource(seed))
+		fleet := costMixFleet(rng, 16)
+		locations := []string{""} // unknown location: treated as local
+		for _, c := range fleet {
+			locations = append(locations, c.Node)
+		}
+		var spent [2]float64
+		var met [2]int
+		for p, prof := range profiles {
+			for i := 0; i < tasks; i++ {
+				baseTime := 0.5 + rng.Float64()*2.5
+				inputs := make([]DataRef, rng.Intn(3))
+				for j := range inputs {
+					inputs[j] = DataRef{SizeMB: rng.Float64() * 48, Location: locations[rng.Intn(len(locations))]}
+				}
+				deadline := baseTime * prof.deadlineMul
+				pick := RankCostAware(ScoreCandidates(fleet, baseTime, inputs, nil, deadline), prof.urgent)[0]
+				spent[p] += pick.EstCost
+				if pick.ETA <= deadline {
+					met[p]++
+				}
+			}
+		}
+		if budget := profiles[0].budgetPer * tasks; spent[0] > budget {
+			t.Errorf("seed %d: batch spent %.2f of budget %.2f", seed, spent[0], budget)
+		}
+		if rate := float64(met[1]) / tasks; rate < 0.95 {
+			t.Errorf("seed %d: rush met %.3f of its deadlines, want >= 0.95", seed, rate)
+		}
+		// Both profiles dispatch the same number of tasks, so comparing
+		// totals compares mean costs.
+		if spent[1] <= spent[0] {
+			t.Errorf("seed %d: rush mean cost %.3f should exceed batch's %.3f", seed, spent[1]/tasks, spent[0]/tasks)
+		}
+	}
+}

@@ -370,6 +370,23 @@ func TestSimulationService(t *testing.T) {
 	if f.core.Simulation.Simulate(req) != res {
 		t.Error("simulation not deterministic for equal seeds")
 	}
+
+	// A task no up container provides never runs: it counts as failed, not
+	// as lost.
+	unplaceable := SimulateRequest{Tasks: []TaskSpec{
+		{ID: "pod", Service: "POD", BaseTime: 60},
+		{ID: "ghost", Service: "NOSUCH", BaseTime: 60},
+	}, Seed: 1}
+	if res := f.core.Simulation.Simulate(unplaceable); res.Completed != 1 || res.Failed != 1 {
+		t.Errorf("POD + unknown service: completed %d, failed %d, want 1 and 1", res.Completed, res.Failed)
+	}
+	if err := f.grid.SetNodeUp("n1", false); err != nil { // n1 is POD's only provider
+		t.Fatal(err)
+	}
+	unplaceable.Tasks = unplaceable.Tasks[:1]
+	if res := f.core.Simulation.Simulate(unplaceable); res.Completed != 0 || res.Failed != 1 {
+		t.Errorf("POD with its provider down: completed %d, failed %d, want 0 and 1", res.Completed, res.Failed)
+	}
 }
 
 func TestOntologyService(t *testing.T) {

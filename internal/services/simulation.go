@@ -21,7 +21,7 @@ type SimulateRequest struct {
 type SimulateReply struct {
 	Makespan    float64
 	Completed   int
-	Failed      int
+	Failed      int // out of retries, or no up container provides the service
 	Retried     int
 	BusySeconds float64 // total compute seconds across containers
 	Utilization float64 // busy seconds / (makespan * containers)
@@ -69,7 +69,6 @@ func (s *Simulation) Simulate(req SimulateRequest) SimulateReply {
 		free[bestC.ID] = false
 		dur := grid.ExecTime(t.BaseTime, t.DataMB, bestN) * (0.9 + 0.2*rng.Float64())
 		failed := rng.Float64() < bestN.FailureRate
-		node := bestN
 		eng.Schedule(dur, "finish:"+t.ID, func() {
 			free[bestC.ID] = true
 			reply.BusySeconds += dur
@@ -84,7 +83,6 @@ func (s *Simulation) Simulate(req SimulateRequest) SimulateReply {
 				run(t, attempt+1)
 			default:
 				reply.Failed++
-				_ = node
 			}
 			tryDispatch()
 		})
@@ -106,6 +104,9 @@ func (s *Simulation) Simulate(req SimulateRequest) SimulateReply {
 		eng.Schedule(req.InterArrival*float64(i), "arrive:"+t.ID, func() { run(t, 0) })
 	}
 	eng.RunAll()
+	// A task still queued when the events run out had no free, up provider
+	// left to wait for: it can never run.
+	reply.Failed += len(queues)
 	if reply.Makespan > 0 && len(containers) > 0 {
 		reply.Utilization = reply.BusySeconds / (reply.Makespan * float64(len(containers)))
 	}

@@ -1,8 +1,8 @@
 // Package sim provides a small deterministic discrete-event simulation
 // kernel: a virtual clock and an event queue ordered by time (FIFO among
-// simultaneous events). The grid substrate and the simulation core service
-// are built on it; determinism (given a seed) is what lets the experiment
-// harness reproduce the paper's runs exactly.
+// simultaneous events). The simulation service (services.Simulation) is
+// built on it; determinism (given a seed) makes each what-if run
+// reproducible.
 package sim
 
 import (
@@ -71,8 +71,8 @@ func (e *Engine) Schedule(delay float64, name string, fn func()) {
 	heap.Push(&e.queue, &event{Time: e.now + delay, Name: name, Fn: fn, seq: e.seq})
 }
 
-// Step fires the next event. It reports whether an event fired.
-func (e *Engine) Step() bool {
+// step fires the next event. It reports whether an event fired.
+func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -85,23 +85,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or the clock passes until
-// (until <= 0 means no horizon). It returns the number of events fired.
-func (e *Engine) Run(until float64) int {
+// RunAll fires events until the queue drains and returns the count.
+func (e *Engine) RunAll() int {
 	fired := 0
-	for {
-		// Peek: do not cross the horizon.
-		if until > 0 && len(e.queue) > 0 && e.queue[0].Time > until {
-			e.now = until
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for e.step() {
 		fired++
 	}
 	return fired
 }
-
-// RunAll fires events until the queue drains and returns the count.
-func (e *Engine) RunAll() int { return e.Run(0) }

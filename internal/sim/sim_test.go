@@ -52,25 +52,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunHorizon(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(float64(i), "x", func() { fired++ })
-	}
-	n := e.Run(5.5)
-	if n != 5 || fired != 5 {
-		t.Errorf("fired %d/%d events before horizon, want 5", n, fired)
-	}
-	if e.Now() != 5.5 {
-		t.Errorf("Now = %g, want 5.5 (advanced to horizon)", e.Now())
-	}
-	// Remaining events still fire afterwards.
-	if n := e.RunAll(); n != 5 {
-		t.Errorf("remaining = %d, want 5", n)
-	}
-}
-
 func TestScheduleAtAndClamping(t *testing.T) {
 	e := NewEngine(1)
 	var at []float64
