@@ -485,52 +485,6 @@ func BenchmarkAblationStrictConcurrency(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPlanReuse compares a cold planning service against one
-// whose population is seeded with a remembered plan (the Section 3.3
-// "adapt an existing process description" behaviour) under a small budget.
-func BenchmarkAblationPlanReuse(b *testing.B) {
-	variants := []struct {
-		name   string
-		seed   bool
-		elites int
-	}{
-		{"cold", false, 0},
-		{"seeded", true, 0},
-		{"seeded-elite", true, 1},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			problem := virolab.Problem()
-			goals := 0
-			for i := 0; i < b.N; i++ {
-				small := planner.DefaultParams()
-				small.PopulationSize = 20
-				small.Generations = 3
-				small.Elites = v.elites
-				small.Seed = int64(i + 1)
-				gp, err := planner.New(problem, small)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.seed {
-					gp.Seed(plantree.Seq(
-						plantree.Activity("POD"), plantree.Activity("P3DR"),
-						plantree.Activity("P3DR"), plantree.Activity("PSF"),
-					))
-				}
-				r, err := gp.RunContext(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Best.Eval.FG >= 1 {
-					goals++
-				}
-			}
-			b.ReportMetric(float64(goals)/float64(b.N), "goal-rate")
-		})
-	}
-}
-
 // BenchmarkGridSimScalability runs the simulation-service what-if model at
 // two grid sizes (the cmd/gridsim sweep's endpoints).
 func BenchmarkGridSimScalability(b *testing.B) {

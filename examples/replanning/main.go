@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/planner"
+	"repro/internal/services"
 	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
@@ -65,12 +66,11 @@ func main() {
 	}
 	defer env.Close()
 
-	// Print the Figure 3 interaction steps as the planning service runs
-	// them, and the message flow between the services.
-	env.Planning.Trace = func(step string) { fmt.Println("    [fig3]", step) }
+	// Print the Figure 3 interaction as it happens: every message the
+	// planning service sends or receives.
 	env.Platform.SetTrace(func(m agent.Message) {
-		if m.Sender == "coordination" || m.Receiver == "coordination" {
-			fmt.Printf("    [msg] %s -> %s (%s)\n", m.Sender, m.Receiver, m.Performative)
+		if m.Sender == services.PlanningName || m.Receiver == services.PlanningName {
+			fmt.Printf("    [msg] %s -> %s (%s %T)\n", m.Sender, m.Receiver, m.Performative, m.Content)
 		}
 	})
 

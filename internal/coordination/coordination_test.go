@@ -25,7 +25,6 @@ type env struct {
 	platform *agent.Platform
 	grid     *grid.Grid
 	core     *services.Core
-	plansvc  *planning.Service
 	coord    *Coordinator
 }
 
@@ -86,8 +85,10 @@ func newEnvWith(t *testing.T, checkpoint bool, mod func(*Config)) *env {
 	params.PopulationSize = 120
 	params.Generations = 15
 	params.Seed = 7
-	plansvc := planning.New(catalog, params)
-	_, err = p.Register(services.PlanningName, plansvc)
+	ps, err := planner.NewService(planner.ServiceConfig{Catalog: catalog, Params: params})
+	must(err)
+	t.Cleanup(ps.Close)
+	_, err = p.Register(services.PlanningName, planning.New(catalog, params, ps))
 	must(err)
 
 	cfg := Config{
@@ -105,7 +106,7 @@ func newEnvWith(t *testing.T, checkpoint bool, mod func(*Config)) *env {
 	coord, err := New(cfg)
 	must(err)
 	t.Cleanup(p.Shutdown)
-	return &env{platform: p, grid: g, core: core, plansvc: plansvc, coord: coord}
+	return &env{platform: p, grid: g, core: core, coord: coord}
 }
 
 func countTrace(report *Report, kind, activity string) int {

@@ -185,16 +185,17 @@ func TestEngineAllocationBudget(t *testing.T) {
 // A miss plans incrementally in the failed plan's neighbourhood; a hit takes
 // the cached plan, the very process the miss built. A plan reaches the
 // coordinator compiled, so neither parses the plan's PDL. The counts are
-// machine-independent and read 736 allocations / 115.0 KB (miss) and
-// 359 / 61.4 KB (hit); 754 / 122.0 KB and 374 / 68.3 KB while the trace ring
-// held 144-byte Spans with hex-string IDs, 820–821 / 126.7 KB and
-// 440 / 73.0 KB while executions were messages, 1 304 / 140.3 KB and
-// 757 / 83.0 KB when each plan crossed as text and the Figure-10 parse cost
-// 176 allocations. Each ceiling leaves under 4% headroom.
+// machine-independent and read 701 allocations / 112.8 KB (miss) and
+// 350 / 61.1 KB (hit); 733 / 115.1 KB and 357 / 61.4 KB while the planning
+// agent seeded every request with its last eight plans; 754 / 122.0 KB and
+// 374 / 68.3 KB while the trace ring held 144-byte Spans with hex-string IDs,
+// 820–821 / 126.7 KB and 440 / 73.0 KB while executions were messages,
+// 1 304 / 140.3 KB and 757 / 83.0 KB when each plan crossed as text and the
+// Figure-10 parse cost 176 allocations. Each ceiling leaves under 4% headroom.
 const (
-	replanMissAllocs = 765
-	replanMissKB     = 119
-	replanHitAllocs  = 373
+	replanMissAllocs = 728
+	replanMissKB     = 117
+	replanHitAllocs  = 363
 	replanHitKB      = 63
 )
 
@@ -211,8 +212,8 @@ func TestReplanAllocationBudget(t *testing.T) {
 			t.Fatalf("task %d: %d re-plans, want 1", n, report.Replans)
 		}
 	}
-	// Warm-up: the planning service's plan history, the seeds of the next
-	// re-plan, fills up.
+	// Warm-up: ten misses first, so the measured ones run in planner
+	// workspaces that are already grown.
 	for ; variant < 10; variant++ {
 		replan(variant)
 	}

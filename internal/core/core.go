@@ -206,9 +206,8 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		backend.Close()
 		return nil, err
 	}
-	plansvc := planning.New(opts.Catalog, params)
+	plansvc := planning.New(opts.Catalog, params, plannerSvc)
 	plansvc.Telemetry = tel
-	plansvc.Planner = plannerSvc
 	if _, err := platform.Register(services.PlanningName, plansvc); err != nil {
 		plannerSvc.Close()
 		platform.Shutdown()

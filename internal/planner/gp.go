@@ -59,7 +59,6 @@ type GP struct {
 	rng      *rand.Rand
 	eval     *Evaluator
 	services []string
-	seeds    []*plantree.Node
 	// A re-plan's failed plan, the services it may not use and the full
 	// catalog: RunContext seeds its neighborhood first (see neighborhood).
 	failed   *plantree.Node
@@ -86,20 +85,6 @@ func (gp *GP) SetTrace(t *telemetry.TaskTrace) { gp.trace = t }
 // correctly in the task's distributed trace. Call before Run.
 func (gp *GP) SetTraceContext(sc telemetry.SpanContext) { gp.traceCtx = sc }
 
-// Seed injects existing plan trees into the initial population (plan reuse:
-// re-planning "adapts an existing process description to new conditions").
-// Seeds larger than Smax or structurally invalid are ignored. Call before
-// Run. The trees are kept, not copied, and must not be modified until Run
-// returns (Run never writes to them: the population is built from copies).
-func (gp *GP) Seed(trees ...*plantree.Node) {
-	for _, t := range trees {
-		if t == nil || t.Validate(gp.params.Smax) != nil {
-			continue
-		}
-		gp.seeds = append(gp.seeds, t)
-	}
-}
-
 // workspace is the memory a GP run works in, kept from one run to the next by
 // its owner (a planning-service worker; a standalone GP has its own): the
 // population's genes live in two slabs that swap roles every generation, the
@@ -113,7 +98,7 @@ type workspace struct {
 	// the one before; the operators append what they splice to slab.
 	slab, spare []plantree.Gene
 	fresh       []plantree.Gene  // a mutation's random subtree
-	srcs        []*plantree.Node // the nodes seed genes were read from, by Gene.Src
+	srcs        []*plantree.Node // the nodes a failed plan's genes were read from, by Gene.Src
 	pops        [2][]member
 	keys        []string            // the population's cache keys, cut from one string
 	key         []byte              // one key, before it is written to that string
@@ -202,11 +187,7 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	seeded := gp.neighborhood(pop)
 	for i := seeded; i < len(pop); i++ {
 		lo := len(ws.slab)
-		if j := i - seeded; j < len(gp.seeds) {
-			ws.slab = plantree.AppendGenes(ws.slab, gp.seeds[j], gp.services, &ws.srcs)
-		} else {
-			ws.slab = plantree.AppendRandom(ws.slab, gp.rng, len(gp.services), gp.params.Smax)
-		}
+		ws.slab = plantree.AppendRandom(ws.slab, gp.rng, len(gp.services), gp.params.Smax)
 		pop[i] = member{genes: ws.since(lo)}
 	}
 

@@ -52,8 +52,8 @@ type Params struct {
 
 	// Elites preserves the top-k individuals unchanged into the next
 	// generation (0 reproduces the paper exactly: selection only, so even
-	// the best plan can be destroyed by crossover or mutation). The
-	// planning service benefits from 1 when reusing seeded plans.
+	// the best plan can be destroyed by crossover or mutation).
+	// Incremental() sets 1, so a re-plan keeps its adapted failed plan.
 	Elites int
 
 	// MaxLoopUnroll bounds how many iterations of an iterative node the

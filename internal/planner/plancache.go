@@ -26,10 +26,10 @@ const defaultPlanCacheLimit = 4096
 // CanonicalKey derives the plan-cache key from a case description: the
 // sorted goal set, sorted initial data items (rendered with sorted
 // properties), sorted constraints, sorted excluded services, and the
-// result-affecting GP parameters. Population seeds and the failed plan of
-// an incremental re-plan are deliberately excluded — they are hints that
-// change how fast a plan is found, and a cached plan for the same case is
-// exactly the answer a re-plan wants when it is still executable.
+// result-affecting GP parameters. The failed plan of an incremental re-plan
+// is deliberately excluded — it is a hint that changes how fast a plan is
+// found, and a cached plan for the same case is exactly the answer a re-plan
+// wants when it is still executable.
 // EvalWorkers is also excluded: the planned result is bit-identical at any
 // worker count.
 // The hashed text spells each list and parameter as fmt's %q, %d, %g and %t.

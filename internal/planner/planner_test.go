@@ -655,60 +655,6 @@ func TestStrictConcurrencyPenalizesOrderDependence(t *testing.T) {
 	}
 }
 
-func TestGPSeeding(t *testing.T) {
-	p := DefaultParams()
-	p.PopulationSize = 20
-	p.Generations = 1
-	p.Seed = 13
-	gp, err := New(testProblem(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp.Seed(perfectPlan())
-	res, err := gp.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The seeded perfect plan dominates generation 0 immediately.
-	ev := mustEvaluator(t, p)
-	want := ev.Evaluate(perfectPlan()).Fitness
-	if res.History[0].BestFitness < want {
-		t.Errorf("gen-0 best = %g, want >= %g (seed should be present)",
-			res.History[0].BestFitness, want)
-	}
-	// Invalid or oversized seeds are ignored, not fatal.
-	gp2, _ := New(testProblem(), p)
-	big := plantree.Seq()
-	for i := 0; i < p.Smax+5; i++ {
-		big.Children = append(big.Children, plantree.Activity("POD"))
-	}
-	gp2.Seed(nil, plantree.Seq(), big)
-	if len(gp2.seeds) != 0 {
-		t.Errorf("bad seeds accepted: %d", len(gp2.seeds))
-	}
-}
-
-func TestGPSeedingAccelerates(t *testing.T) {
-	// With a near-perfect seed, even a tiny run finds the goal; without it,
-	// the same tiny budget usually does not (seed 17 chosen accordingly).
-	p := DefaultParams()
-	p.PopulationSize = 10
-	p.Generations = 2
-	p.Seed = 17
-	seeded, err := New(testProblem(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded.Seed(perfectPlan())
-	rs, err := seeded.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Best.Eval.FG < 1 {
-		t.Errorf("seeded tiny run missed the goal: fg=%g", rs.Best.Eval.FG)
-	}
-}
-
 func TestElitismPreservesBest(t *testing.T) {
 	p := DefaultParams()
 	p.PopulationSize = 20
@@ -720,13 +666,12 @@ func TestElitismPreservesBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp.Seed(perfectPlan())
 	res, err := gp.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With the perfect plan seeded and one elite slot, best fitness is
-	// monotone non-decreasing across generations.
+	// With one elite slot, best fitness is monotone non-decreasing across
+	// generations.
 	prev := 0.0
 	for _, g := range res.History {
 		if g.BestFitness+1e-12 < prev {
@@ -735,7 +680,7 @@ func TestElitismPreservesBest(t *testing.T) {
 		prev = g.BestFitness
 	}
 	if res.Best.Eval.FG < 1 {
-		t.Errorf("elite seeded run lost the goal: %g", res.Best.Eval.FG)
+		t.Errorf("elitist run lost the goal: %g", res.Best.Eval.FG)
 	}
 	// Parameter validation.
 	bad := DefaultParams()

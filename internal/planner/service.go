@@ -67,9 +67,6 @@ type PlanSpec struct {
 	// Excluded removes services from the planning catalog (the verified
 	// non-executable set of a Figure-3 re-plan).
 	Excluded []string
-	// Seeds inject existing plan trees into the initial population (plan
-	// reuse). Execution hints: not part of the cache key.
-	Seeds []*plantree.Node
 	// Failed, when set, makes the plan incremental: the population is
 	// seeded from this failed plan's neighborhood (the adapted tree plus
 	// mutants) and, unless Params overrides it, the reduced Incremental()
@@ -663,7 +660,6 @@ func (s *Service) compute(ctx context.Context, j *planJob, ws *workspace) (*Resu
 	planSpan, endPlan := tr.Begin(planParent, "plan", j.status.ID)
 	gp.SetTraceContext(planSpan)
 	gp.failed, gp.excluded, gp.catalog = j.spec.Failed, excluded, s.cfg.Catalog
-	gp.Seed(j.spec.Seeds...)
 	res, err := gp.RunContext(ctx)
 	if err != nil {
 		endPlan("failed: " + err.Error())

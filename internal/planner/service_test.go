@@ -423,17 +423,17 @@ func TestServiceRetention(t *testing.T) {
 }
 
 // TestServiceResultOutlivesWorkspace pins what a plan's result may not do:
-// point into the worker's workspace. Plan A is seeded with a FromProcess tree
-// (Name, Inputs, Outputs and Condition set); plans B — cancelled after it has
-// evolved a few generations — and C then run in the same workspace, and A's
-// tree must read as it did, share no data list with the caller's seed, and
-// own each of its child lists.
+// point into the worker's workspace. Plan A re-plans a failed FromProcess
+// tree (Name, Inputs, Outputs and Condition set), which its neighbourhood
+// reads; plans B — cancelled after it has evolved a few generations — and C
+// then run in the same workspace, and A's tree must read as it did, share no
+// data list with the caller's failed plan, and own each of its child lists.
 func TestServiceResultOutlivesWorkspace(t *testing.T) {
-	seed, err := plantree.FromProcess(virolab.Process())
+	failed, err := plantree.FromProcess(virolab.Process())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := seed.Clone()
+	pristine := failed.Clone()
 	tel := telemetry.New()
 	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Workers: 1, Telemetry: tel})
 	ctx := context.Background()
@@ -449,15 +449,15 @@ func TestServiceResultOutlivesWorkspace(t *testing.T) {
 	for _, plan := range []struct {
 		id     string
 		params Params
-		seeds  []*plantree.Node
+		failed *plantree.Node
 		cancel bool
 	}{
-		{"A", elitist, []*plantree.Node{seed}, false},
+		{"A", elitist, failed, false},
 		{"B", endless, nil, true},
 		{"C", fastParams(), nil, false},
 	} {
 		spec := PlanSpec{ID: plan.id, Initial: problem.Initial.Items(), Goal: problem.Goal.Conditions,
-			Params: &plan.params, Seeds: plan.seeds, NoCache: true}
+			Params: &plan.params, Failed: plan.failed, NoCache: true}
 		ran := generations.Value()
 		if _, err := s.Submit(ctx, spec); err != nil {
 			t.Fatal(err)
@@ -497,14 +497,14 @@ func TestServiceResultOutlivesWorkspace(t *testing.T) {
 		}
 	}
 	if bound == nil {
-		t.Fatalf("plan A's tree %s carries no Inputs: the seed did not survive, the test checks nothing", textA)
+		t.Fatalf("plan A's tree %s carries no Inputs: the failed plan did not survive, the test checks nothing", textA)
 	}
 	if got, want := treeA.Size(), copyA.Size()+controllers; got != want {
 		t.Errorf("appending a child per controller: size %d, want %d: %s", got, want, treeA)
 	}
 	bound.Inputs[0] = "MUTATED"
-	if !seed.Equal(pristine) {
-		t.Errorf("writing to the result's Inputs reached the caller's seed: %s", seed)
+	if !failed.Equal(pristine) {
+		t.Errorf("writing to the result's Inputs reached the caller's failed plan: %s", failed)
 	}
 }
 

@@ -9,9 +9,6 @@ package planning
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -72,118 +69,32 @@ type PlanReply struct {
 	Excluded []string // services excluded as non-executable
 }
 
-// Service is the planning service agent.
+// Service is the planning service agent. It keeps no state between
+// requests: a plan depends only on the catalog, the case, the exclusions, the
+// failed plan, Params and the seed.
 type Service struct {
 	Catalog *workflow.Catalog
 	Params  planner.Params
 
-	// Trace, when set, receives a line per step of the re-planning flow, so
-	// tests can assert the Figure 3 sequence.
-	Trace func(step string)
-
-	// Telemetry, when set, receives planner metrics and per-task GP
-	// generation spans (see OBSERVABILITY.md).
+	// Telemetry, when set, counts requests and re-plan requests (see
+	// OBSERVABILITY.md); the planner's own metrics and GP spans go to the
+	// registry Planner was built with.
 	Telemetry *telemetry.Registry
 
-	// DisableReuse turns plan reuse off (every request starts from a fresh
-	// random population). By default the service seeds each run with its
-	// most recent successful plans, adapted to the current exclusions.
-	DisableReuse bool
-
-	// Planner is the planning backend every request runs through — the
-	// worker pool and plan cache live there. core.NewEnvironment wires the
-	// environment-wide instance; when unset, one is created lazily on the
-	// first request.
+	// Planner is the planning backend every request runs through (required;
+	// core.NewEnvironment passes the environment-wide one) — the worker pool
+	// and plan cache live there.
 	Planner *planner.Service
 
 	// instruments resolves the request counters once Telemetry is set.
 	instruments         sync.Once
 	mRequests, mReplans *telemetry.Counter
-
-	mu      sync.Mutex
-	history []*plantree.Node // most recent first, bounded
 }
 
-// historyCap bounds how many past plans seed future populations.
-const historyCap = 8
-
-// remember stores a successful plan for reuse.
-func (s *Service) remember(tree *plantree.Node) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.history = append([]*plantree.Node{tree.Clone()}, s.history...)
-	if len(s.history) > historyCap {
-		s.history = s.history[:historyCap]
-	}
-}
-
-// seeds returns the remembered plans adapted to the current exclusions:
-// leaves naming an excluded service are rewritten to a usable one, which is
-// exactly the "adapt an existing process description to new conditions"
-// behaviour of Section 3.3. A plan that uses no excluded service is returned
-// as remember stored it, not copied: the planner only reads its seeds.
-func (s *Service) seeds(excluded map[string]bool, usable []string, seed int64) []*plantree.Node {
-	if s.DisableReuse || len(usable) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	history := append([]*plantree.Node(nil), s.history...)
-	s.mu.Unlock()
-	var rng *rand.Rand // made at the first substitution: the same draws, none paid for without one
-	for i, t := range history {
-		if !uses(t, excluded) {
-			continue
-		}
-		c := t.Clone()
-		for _, leaf := range c.Leaves() {
-			if excluded[leaf.Service] {
-				if rng == nil {
-					rng = rand.New(rand.NewSource(seed))
-				}
-				leaf.Service, leaf.Name = usable[rng.Intn(len(usable))], ""
-			}
-		}
-		history[i] = c
-	}
-	return history
-}
-
-// uses reports whether a leaf of t names a service in set.
-func uses(t *plantree.Node, set map[string]bool) bool {
-	if t.Kind == plantree.KindActivity {
-		return set[t.Service]
-	}
-	return slices.ContainsFunc(t.Children, func(c *plantree.Node) bool { return uses(c, set) })
-}
-
-// New builds a planning service over the full set T of end-user services.
-func New(catalog *workflow.Catalog, params planner.Params) *Service {
-	return &Service{Catalog: catalog, Params: params}
-}
-
-func (s *Service) trace(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(fmt.Sprintf(format, args...))
-	}
-}
-
-// planner returns the planning backend, creating a private one on first
-// use when core did not wire a shared instance.
-func (s *Service) planner() (*planner.Service, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.Planner == nil {
-		ps, err := planner.NewService(planner.ServiceConfig{
-			Catalog:   s.Catalog,
-			Params:    s.Params,
-			Telemetry: s.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.Planner = ps
-	}
-	return s.Planner, nil
+// New builds a planning service over the full set T of end-user services
+// that plans through ps.
+func New(catalog *workflow.Catalog, params planner.Params, ps *planner.Service) *Service {
+	return &Service{Catalog: catalog, Params: params, Planner: ps}
 }
 
 // HandleMessage implements agent.Handler.
@@ -231,27 +142,15 @@ func (s *Service) Plan(ctx *agent.Context, req PlanRequest) (PlanReply, error) {
 	}
 
 	exList := make([]string, 0, len(excluded))
-	usable := make([]string, 0, s.Catalog.Len())
 	for _, name := range s.Catalog.Names() {
 		if excluded[name] {
 			exList = append(exList, name)
-		} else {
-			usable = append(usable, name)
 		}
-	}
-	sort.Strings(exList)
-	if len(usable) == 0 {
-		return PlanReply{}, fmt.Errorf("planning: no executable services remain")
-	}
-
-	ps, err := s.planner()
-	if err != nil {
-		return PlanReply{}, err
 	}
 	// A verified-dead service invalidates every cached plan that uses it:
 	// a stale cache hit would send enactment straight back to the fault.
 	for _, name := range exList {
-		ps.InvalidateService(name)
+		s.Planner.InvalidateService(name)
 	}
 
 	params := s.Params
@@ -268,18 +167,11 @@ func (s *Service) Plan(ctx *agent.Context, req PlanRequest) (PlanReply, error) {
 			params = params.Incremental()
 		}
 	}
-	seeds := s.seeds(excluded, usable, params.Seed)
-	if (len(seeds) > 0 || failedTree != nil) && params.Elites == 0 {
-		// A reused plan is only useful if evolution cannot destroy the last
-		// copy of it; reserve one elite slot when seeding.
-		params.Elites = 1
-	}
 
-	st, err := ps.Submit(context.Background(), planner.PlanSpec{
+	st, err := s.Planner.Submit(context.Background(), planner.PlanSpec{
 		Initial:     req.Initial,
 		Goal:        req.Goal,
 		Excluded:    exList,
-		Seeds:       seeds,
 		Failed:      failedTree,
 		Params:      &params,
 		TaskID:      req.TaskID,
@@ -288,17 +180,12 @@ func (s *Service) Plan(ctx *agent.Context, req PlanRequest) (PlanReply, error) {
 	if err != nil {
 		return PlanReply{}, fmt.Errorf("planning: %w", err)
 	}
-	st, err = ps.Wait(context.Background(), st.ID)
+	st, err = s.Planner.Wait(context.Background(), st.ID)
 	if err != nil {
 		return PlanReply{}, fmt.Errorf("planning: %w", err)
 	}
 	if st.Status != planner.StatusSucceeded {
 		return PlanReply{}, fmt.Errorf("planning: plan %s %s: %s", st.ID, st.Status, st.Error)
-	}
-	if st.Result != nil {
-		if e := st.Result.Best.Eval; e.FV >= 1 && e.FG >= 1 {
-			s.remember(st.Result.Best.Tree.Normalize())
-		}
 	}
 	return PlanReply{Process: st.Process, PDL: st.PDL, Tree: st.Tree, Eval: st.Eval, Excluded: exList}, nil
 }
@@ -307,15 +194,12 @@ func (s *Service) Plan(ctx *agent.Context, req PlanRequest) (PlanReply, error) {
 // the information service (steps 2-3), get candidate containers (steps 4-5),
 // and probe each for availability (steps 6-7).
 func (s *Service) verifyExecutable(ctx *agent.Context, service string) (bool, error) {
-	s.trace("information: brokerage service?")
 	offers, err := services.Lookup(ctx, "brokerage")
 	if err != nil || len(offers) == 0 {
 		return false, fmt.Errorf("planning: no brokerage service found: %v", err)
 	}
 	broker := offers[0].Name
-	s.trace("information: brokerage service found (%s)", broker)
 
-	s.trace("brokerage: application containers for %s?", service)
 	reply, err := ctx.Call(broker, services.OntBrokerage,
 		services.ContainersRequest{Service: service}, 10*time.Second)
 	if err != nil {
@@ -325,20 +209,16 @@ func (s *Service) verifyExecutable(ctx *agent.Context, service string) (bool, er
 	if !ok {
 		return false, fmt.Errorf("planning: unexpected brokerage reply %T", reply.Content)
 	}
-	s.trace("brokerage: %d containers found", len(cr.Containers))
 
 	for _, containerID := range cr.Containers {
-		s.trace("%s: activity %s executable?", containerID, service)
 		probe, err := ctx.Call(containerID, services.OntExecution,
 			services.AvailabilityRequest{Service: service}, 10*time.Second)
 		if err != nil {
 			continue // container agent gone: treat as not executable there
 		}
 		if ar, ok := probe.Content.(services.AvailabilityReply); ok && ar.Executable {
-			s.trace("%s: executable", containerID)
 			return true, nil
 		}
-		s.trace("%s: not executable", containerID)
 	}
 	return false, nil
 }

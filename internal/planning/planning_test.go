@@ -1,7 +1,9 @@
 package planning
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,8 +24,19 @@ func smallParams() planner.Params {
 	return p
 }
 
+// newService builds a planning agent over a planner.Service of its own.
+func newService(t *testing.T, catalog *workflow.Catalog, params planner.Params) *Service {
+	t.Helper()
+	ps, err := planner.NewService(planner.ServiceConfig{Catalog: catalog, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ps.Close)
+	return New(catalog, params, ps)
+}
+
 func TestPlanAbInitio(t *testing.T) {
-	s := New(virolab.Catalog(), smallParams())
+	s := newService(t, virolab.Catalog(), smallParams())
 	req := PlanRequest{
 		Initial: virolab.InitialData(),
 		Goal:    []string{virolab.GoalCondition},
@@ -51,7 +64,7 @@ func TestPlanTrustCallerExclusion(t *testing.T) {
 	catalog.Add(&workflow.Service{
 		Name: "P3DRALT", Inputs: p3dr.Inputs, Outputs: p3dr.Outputs, BaseTime: p3dr.BaseTime,
 	})
-	s := New(catalog, smallParams())
+	s := newService(t, catalog, smallParams())
 	reply, err := s.Plan(nil, PlanRequest{
 		Initial:       virolab.InitialData(),
 		Goal:          []string{virolab.GoalCondition},
@@ -82,7 +95,7 @@ func TestPlanTrustCallerExclusion(t *testing.T) {
 }
 
 func TestPlanAllExcludedFails(t *testing.T) {
-	s := New(virolab.Catalog(), smallParams())
+	s := newService(t, virolab.Catalog(), smallParams())
 	_, err := s.Plan(nil, PlanRequest{
 		Initial:       virolab.InitialData(),
 		Goal:          []string{virolab.GoalCondition},
@@ -110,10 +123,14 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(virolab.Catalog(), smallParams())
-	var steps []string
-	svc.Trace = func(s string) { steps = append(steps, s) }
-	if _, err := p.Register(services.PlanningName, svc); err != nil {
+	var mu sync.Mutex
+	var flow []string
+	p.SetTrace(func(m agent.Message) {
+		mu.Lock()
+		flow = append(flow, m.Sender+">"+m.Receiver)
+		mu.Unlock()
+	})
+	if _, err := p.Register(services.PlanningName, newService(t, virolab.Catalog(), smallParams())); err != nil {
 		t.Fatal(err)
 	}
 	client, err := p.Register("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
@@ -137,10 +154,16 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	if len(pr.Excluded) != 0 {
 		t.Errorf("POD wrongly excluded: %v", pr.Excluded)
 	}
-	joined := strings.Join(steps, " | ")
-	for _, want := range []string{"brokerage service?", "containers for POD?", "ac-1: executable"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("step %q missing in trace: %s", want, joined)
+	// Figure 3's steps 2-7: the information service names the brokerage, the
+	// brokerage names ac-1, and ac-1 answers the probe.
+	mu.Lock()
+	got := slices.Clone(flow)
+	mu.Unlock()
+	for _, peer := range []string{"information", "brokerage", "ac-1"} {
+		for _, want := range []string{services.PlanningName + ">" + peer, peer + ">" + services.PlanningName} {
+			if !slices.Contains(got, want) {
+				t.Errorf("message %s missing in the flow: %v", want, got)
+			}
 		}
 	}
 
@@ -149,7 +172,6 @@ func TestVerifyExecutableFlow(t *testing.T) {
 	// orientation file the planning fails cleanly.
 	_ = g.SetNodeUp("n1", false)
 	core.Brokerage.Refresh()
-	steps = nil
 	reply, err = client.Call(services.PlanningName, services.OntPlanning, PlanRequest{
 		Initial:       virolab.InitialData(),
 		Goal:          []string{`G.Classification = "Orientation File"`},
@@ -165,13 +187,14 @@ func TestVerifyExecutableFlow(t *testing.T) {
 		}
 	}
 	// With a stale brokerage snapshot instead (no refresh), the container
-	// probe still reports non-executable; covered by the steps trace.
+	// probe still reports non-executable; TestFig3ReplanningFlow
+	// (internal/coordination) covers that flow.
 }
 
 func TestHandleRejectsJunk(t *testing.T) {
 	p := agent.NewPlatform()
 	defer p.Shutdown()
-	if _, err := p.Register(services.PlanningName, New(virolab.Catalog(), smallParams())); err != nil {
+	if _, err := p.Register(services.PlanningName, newService(t, virolab.Catalog(), smallParams())); err != nil {
 		t.Fatal(err)
 	}
 	client, err := p.Register("client", agent.HandlerFunc(func(*agent.Context, agent.Message) {}))
@@ -187,75 +210,54 @@ func TestHandleRejectsJunk(t *testing.T) {
 	}
 }
 
-func TestPlanReuseAcrossRequests(t *testing.T) {
-	// First request at normal scale remembers its plan; a second request at
-	// a tiny budget still succeeds because the remembered plan seeds it.
-	s := New(virolab.Catalog(), smallParams())
-	req := PlanRequest{Initial: virolab.InitialData(), Goal: []string{virolab.GoalCondition}}
-	first, err := s.Plan(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Eval.FG < 1 {
-		t.Fatal("first plan missed the goal")
-	}
-
-	tiny := smallParams()
-	tiny.PopulationSize = 10
-	tiny.Generations = 1
-	s.Params = tiny
-	second, err := s.Plan(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Eval.FG < 1 {
-		t.Errorf("reused plan lost the goal: fg=%g tree=%s", second.Eval.FG, second.Tree)
-	}
-
-	// With reuse disabled the same tiny budget is on its own (it may still
-	// get lucky, so only assert it runs).
-	s.DisableReuse = true
-	if _, err := s.Plan(nil, req); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlanReuseAdaptsToExclusions(t *testing.T) {
+// TestPlanDependsOnlyOnItsCase: the agent keeps nothing from one request to
+// the next, so one case at one seed and Params is planned to the same tree and
+// PDL by a fresh agent, by an agent that planned other cases before it, and
+// by two goroutines asking at once.
+func TestPlanDependsOnlyOnItsCase(t *testing.T) {
+	params := planner.DefaultParams()
+	params.PopulationSize, params.Generations, params.Seed = 40, 4, 3
 	catalog := virolab.Catalog()
-	p3dr := catalog.Get("P3DR")
-	catalog.Add(&workflow.Service{
-		Name: "P3DRALT", Inputs: p3dr.Inputs, Outputs: p3dr.Outputs, BaseTime: p3dr.BaseTime,
-	})
-	s := New(catalog, smallParams())
-	req := PlanRequest{Initial: virolab.InitialData(), Goal: []string{virolab.GoalCondition}}
-	if _, err := s.Plan(nil, req); err != nil {
-		t.Fatal(err)
+	request := func(goal string) PlanRequest {
+		return PlanRequest{Initial: virolab.InitialData(), Goal: []string{goal}}
 	}
-	// Now exclude P3DR: remembered plans get their P3DR leaves rewritten,
-	// and even a small budget finds a valid alternative plan.
-	tiny := smallParams()
-	tiny.PopulationSize = 40
-	tiny.Generations = 5
-	s.Params = tiny
-	reply, err := s.Plan(nil, PlanRequest{
-		Initial:       virolab.InitialData(),
-		Goal:          []string{virolab.GoalCondition},
-		NonExecutable: []string{"P3DR"},
-		TrustCaller:   true,
-	})
+	target := request(`G.Classification = "3D Model"`)
+	want, err := newService(t, catalog, params).Plan(nil, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Eval.FG < 1 {
-		t.Errorf("adapted plan missed goal: %s", reply.Tree)
-	}
-	tree, err := pdl.Parse(reply.PDL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, svc := range tree.Services() {
-		if svc == "P3DR" {
-			t.Errorf("excluded service survived adaptation: %s", reply.Tree)
+	check := func(how string, got PlanReply, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
 		}
+		if got.Tree != want.Tree || got.PDL != want.PDL {
+			t.Errorf("%s: planned %s (fv %g), a fresh agent %s (fv %g)", how, got.Tree, got.Eval.FV, want.Tree, want.Eval.FV)
+		}
+	}
+
+	s := newService(t, catalog, params)
+	for _, goal := range []string{virolab.GoalCondition, `G.Classification = "Orientation File"`} {
+		if _, err := s.Plan(nil, request(goal)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Plan(nil, target)
+	check("after other cases", got, err)
+
+	s = newService(t, catalog, params)
+	var replies [2]PlanReply
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i], errs[i] = s.Plan(nil, target)
+		}()
+	}
+	wg.Wait()
+	for i := range replies {
+		check("from two goroutines at once", replies[i], errs[i])
 	}
 }
