@@ -5,7 +5,7 @@
 // coordination service, a GP-based planning service, a Protégé-style
 // ontology store, and the virus-reconstruction case study.
 //
-// The root package holds the experiment benchmark harness (bench_test.go),
-// one benchmark per table and figure of the paper; the implementation lives
-// under internal/ (see DESIGN.md for the module map).
+// The implementation lives under internal/ (see DESIGN.md for the module
+// map); EXPERIMENTS.md names the test or command that regenerates each table
+// and figure of the paper.
 package repro

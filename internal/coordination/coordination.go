@@ -39,9 +39,6 @@ type Config struct {
 	Brokerage   *services.Brokerage
 	Containers  *services.Containers
 
-	// MaxFires bounds total activity firings per enactment (loop safety).
-	MaxFires int
-
 	// PostProcess, when set, is invoked after each successful end-user
 	// activity with the produced data items and the per-activity visit
 	// count; the virus-reconstruction scenario uses it to model resolution
@@ -133,16 +130,17 @@ type Coordinator struct {
 	hBackoff                                *telemetry.Histogram
 }
 
-// maxReplans bounds re-planning rounds per task.
-const maxReplans = 3
+// maxReplans bounds re-planning rounds per task, and maxFires the activity
+// firings of one enactment (loop safety).
+const (
+	maxReplans = 3
+	maxFires   = 1000
+)
 
 // New builds a coordinator and registers its agent (services.CoordinationName).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Platform == nil || cfg.Catalog == nil || cfg.Matchmaking == nil || cfg.Brokerage == nil || cfg.Containers == nil {
 		return nil, fmt.Errorf("coordination: platform, catalog, matchmaking, brokerage and containers are required")
-	}
-	if cfg.MaxFires <= 0 {
-		cfg.MaxFires = 1000
 	}
 	c := &Coordinator{cfg: cfg, log: cfg.Logger}
 	if c.log == nil {

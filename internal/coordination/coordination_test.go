@@ -391,7 +391,7 @@ func TestDecideConstraintPath(t *testing.T) {
 	// A Choice with an activity-level constraint but unconditioned
 	// transitions (the Figure 13 "Constraint" style) picks the first
 	// successor while the constraint holds, the last when it fails.
-	report, err := runConstraintLoop(t, []float64{1, 1, 0}, 0) // loop twice, then exit
+	report, err := runConstraintLoop(t, []float64{1, 1, 0}) // loop twice, then exit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,19 +404,22 @@ func TestDecideConstraintPath(t *testing.T) {
 // turns false: the token game must stop at the firing bound with an error,
 // not spin.
 func TestMaxFiresStopsLivelock(t *testing.T) {
-	report, err := runConstraintLoop(t, []float64{1}, 40)
-	if err == nil || !strings.Contains(err.Error(), "exceeded 40 activity firings") {
+	report, err := runConstraintLoop(t, []float64{1})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeded %d activity firings", maxFires)) {
 		t.Fatalf("err = %v, want the firing-bound error", err)
 	}
-	if report == nil || report.Completed || report.Fired != 40 {
-		t.Errorf("report = %+v, want incomplete with 40 firings", report)
+	if report == nil {
+		t.Fatal("no report")
+	}
+	if report.Completed || report.Fired != maxFires {
+		t.Errorf("completed=%v fired=%d, want incomplete with %d firings", report.Completed, report.Fired, maxFires)
 	}
 }
 
 // runConstraintLoop enacts BEGIN, POD, {MERGE, PSFX, CHOICE} looping while
 // the CHOICE's constraint DX.marker = 1 holds, END; PSFX's visit v stamps
-// marker[v-1] (the last entry repeating). maxFires 0 keeps the default bound.
-func runConstraintLoop(t *testing.T, marker []float64, maxFires int) (*Report, error) {
+// marker[v-1] (the last entry repeating).
+func runConstraintLoop(t *testing.T, marker []float64) (*Report, error) {
 	t.Helper()
 	e := newEnv(t, false)
 	pd := workflow.NewProcess("constraint-choice")
@@ -438,9 +441,6 @@ func runConstraintLoop(t *testing.T, marker []float64, maxFires int) (*Report, e
 	}
 
 	coordCfg := e.coord.cfg
-	if maxFires > 0 {
-		coordCfg.MaxFires = maxFires
-	}
 	coordCfg.PostProcess = func(act *workflow.Activity, produced []*workflow.DataItem, visit int) {
 		if act.Name != "PSFX" {
 			return

@@ -51,8 +51,8 @@ func (c *Coordinator) enact(ctx context.Context, p Policy, report *Report, task 
 		// Drain the current worklist: flow control fires in place (and may
 		// enqueue more tokens); end-user activities accumulate into the batch.
 		for len(es.Ready) > 0 {
-			if report.Fired >= c.cfg.MaxFires {
-				return fmt.Errorf("coordination: task %s exceeded %d activity firings (livelock?)", task.ID, c.cfg.MaxFires)
+			if report.Fired >= maxFires {
+				return fmt.Errorf("coordination: task %s exceeded %d activity firings (livelock?)", task.ID, maxFires)
 			}
 			// Pop the head in place: the worklist is a handful of tokens, and
 			// re-slicing past the head would leak its capacity to every append.
@@ -210,16 +210,6 @@ type execResult struct {
 	faults   int
 	backoff  float64 // simulated seconds waited between attempts
 	err      error
-
-	// The trace events of the dispatch, in order; buf backs the first few (an
-	// undisturbed dispatch records three), so the result must stay in place.
-	events []TraceEvent
-	buf    [4]TraceEvent
-}
-
-// event records one trace event of the dispatch.
-func (r *execResult) event(kind, activity, detail string) {
-	r.events = append(r.events, TraceEvent{Kind: kind, Activity: activity, Detail: detail})
 }
 
 // dispatch runs one end-user activity on a container: it verifies the
@@ -231,10 +221,10 @@ func (r *execResult) event(kind, activity, detail string) {
 // constrained case (cc non-nil) the ranking is cost-aware — cheapest
 // candidate that still meets the deadline first — and an activity no
 // remaining budget can afford aborts before the first attempt, consuming no
-// retry. It fills res and does NOT mutate the state; apply() does that
-// afterwards.
-func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Activity, state *workflow.State, visit int, cc *caseConstraints, res *execResult) {
-	res.act, res.visit, res.events = act, visit, res.buf[:0]
+// retry. It records its trace events in report and fills res, but does NOT
+// mutate the state or the report's totals; apply() does that afterwards.
+func (c *Coordinator) dispatch(ctx context.Context, p Policy, report *Report, act *workflow.Activity, state *workflow.State, visit int, cc *caseConstraints, res *execResult) {
+	res.act, res.visit = act, visit
 	svc := c.cfg.Catalog.Get(act.Service)
 	if svc == nil {
 		res.err = fmt.Errorf("coordination: activity %s references unknown service %q", act.ID, act.Service)
@@ -257,7 +247,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 		}
 	}
 
-	res.event("invoke", act.Name, services.MatchmakingName)
+	report.trace("invoke", act.Name, services.MatchmakingName)
 	ranked := c.cfg.Matchmaking.Match(services.MatchRequest{Service: act.Service})
 	if len(ranked) == 0 {
 		res.err = &nonExecutableError{activity: act.Name, service: act.Service}
@@ -265,7 +255,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 	}
 	candidates, minCost := c.rank(act, svc, state, ranked, cc)
 	if cc != nil && cc.budget > 0 && cc.spent+minCost > cc.budget {
-		res.event("constraint", act.Name, fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget))
+		report.trace("constraint", act.Name, fmt.Sprintf("cheapest candidate costs ~%.2f but only %.2f of budget %.2f remains", minCost, cc.budget-cc.spent, cc.budget))
 		res.err = &ConstraintError{Reason: ReasonBudgetExceeded,
 			Detail: fmt.Sprintf("activity %s: cheapest estimate %.2f exceeds remaining budget %.2f", act.Name, minCost, cc.budget-cc.spent)}
 		return
@@ -280,14 +270,14 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			return
 		}
 		cand := candidates[(attempt-1)%len(candidates)]
-		res.event("dispatch", act.Name, cand.Container)
+		report.trace("dispatch", act.Name, cand.Container)
 		ex, err := c.cfg.Containers.Execute(cand.Container, act.Service, svc.BaseTime, dataMB)
 		if err == nil {
 			res.duration, res.cost = ex.Duration, ex.Cost
 			var buf [64]byte // "on <container> in <d>s"
 			detail := append(append(buf[:0], "on "...), cand.Container...)
 			detail = strconv.AppendFloat(append(detail, " in "...), ex.Duration, 'f', 1, 64)
-			res.event("complete", act.Name, string(append(detail, 's')))
+			report.trace("complete", act.Name, string(append(detail, 's')))
 			return
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -295,12 +285,12 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			return
 		}
 		res.failures++
-		res.event("fail", act.Name, fmt.Sprintf("on %s: %v", cand.Container, err))
+		report.trace("fail", act.Name, fmt.Sprintf("on %s: %v", cand.Container, err))
 		if failedNodes == nil {
 			failedNodes = map[string]bool{}
 		}
 		failedNodes[cand.Node] = true
-		c.noteFault(ctx, res, act, cand)
+		c.noteFault(ctx, report, res, act, cand)
 		if attempt == p.MaxRetries {
 			break
 		}
@@ -317,13 +307,13 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 			}
 			wait := p.backoff(attempt, rng)
 			if p.ActivityTimeout > 0 && res.backoff+wait > p.ActivityTimeout {
-				res.event("retry", act.Name, fmt.Sprintf("abandoned: backoff budget %.0fs exhausted", p.ActivityTimeout))
+				report.trace("retry", act.Name, fmt.Sprintf("abandoned: backoff budget %.0fs exhausted", p.ActivityTimeout))
 				break
 			}
 			res.backoff += wait
-			res.event("retry", act.Name, fmt.Sprintf("attempt %d/%d on %s after %.1fs backoff", attempt+1, p.MaxRetries, next.Container, wait))
+			report.trace("retry", act.Name, fmt.Sprintf("attempt %d/%d on %s after %.1fs backoff", attempt+1, p.MaxRetries, next.Container, wait))
 		} else {
-			res.event("retry", act.Name, fmt.Sprintf("attempt %d/%d on %s", attempt+1, p.MaxRetries, next.Container))
+			report.trace("retry", act.Name, fmt.Sprintf("attempt %d/%d on %s", attempt+1, p.MaxRetries, next.Container))
 		}
 	}
 	ne := &nonExecutableError{activity: act.Name, service: act.Service, hadCandidates: true}
@@ -338,7 +328,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p Policy, act *workflow.Acti
 // noteFault asks the monitoring service whether the candidate's node went
 // down during the failed attempt — the signature of an injected crash — and
 // records it as a fault. Best effort; silent without a monitoring service.
-func (c *Coordinator) noteFault(ctx context.Context, res *execResult, act *workflow.Activity, cand services.Candidate) {
+func (c *Coordinator) noteFault(ctx context.Context, report *Report, res *execResult, act *workflow.Activity, cand services.Candidate) {
 	if c.ctx == nil || !c.ctx.Platform().Has(services.MonitoringName) {
 		return
 	}
@@ -349,7 +339,7 @@ func (c *Coordinator) noteFault(ctx context.Context, res *execResult, act *workf
 	}
 	if sr, ok := reply.Content.(services.NodeStatusReply); ok && sr.Known && !sr.Up {
 		res.faults++
-		res.event("fault", act.Name, fmt.Sprintf("node %s down after failed attempt on %s", cand.Node, cand.Container))
+		report.trace("fault", act.Name, fmt.Sprintf("node %s down after failed attempt on %s", cand.Node, cand.Container))
 	}
 }
 
@@ -404,14 +394,10 @@ func (c *Coordinator) reorderByHistory(service string, cands []services.Candidat
 	return append(kept, demoted...)
 }
 
-// apply merges a dispatch into the report and case state: accounting, trace,
+// apply merges a dispatch into the report and case state: accounting,
 // postconditions (with the steering hook), data items. Compute time and cost
 // are summed by runBatch, which sees the whole batch.
 func (c *Coordinator) apply(report *Report, res *execResult, state *workflow.State) {
-	report.Trace = append(report.Trace, res.events...)
-	for _, ev := range res.events {
-		report.spans.Span(ev.Kind, ev.Activity, ev.Detail)
-	}
 	report.Failures += res.failures
 	c.mFailures.Add(int64(res.failures))
 	report.Retries += res.retries
@@ -450,7 +436,7 @@ func (c *Coordinator) apply(report *Report, res *execResult, state *workflow.Sta
 func (c *Coordinator) runBatch(ctx context.Context, p Policy, report *Report, batch []pendingExec, results []execResult, state *workflow.State, cc *caseConstraints) error {
 	clear(results)
 	for i, b := range batch {
-		c.dispatch(ctx, p, b.act, state, b.visit, cc, &results[i])
+		c.dispatch(ctx, p, report, b.act, state, b.visit, cc, &results[i])
 	}
 	longest := 0.0
 	var dbuf, cbuf [8]float64 // wider batches spill to the heap

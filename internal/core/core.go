@@ -136,7 +136,7 @@ type Environment struct {
 }
 
 // NewEnvironment builds and starts an environment.
-func NewEnvironment(opts Options) (*Environment, error) {
+func NewEnvironment(opts Options) (_ *Environment, err error) {
 	if opts.Catalog == nil || opts.Catalog.Len() == 0 {
 		return nil, fmt.Errorf("core: a service catalog is required")
 	}
@@ -173,7 +173,6 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		if dsn == "" {
 			dsn = "mem:"
 		}
-		var err error
 		backend, err = store.Open(dsn, store.Options{Telemetry: tel})
 		if err != nil {
 			return nil, err
@@ -181,10 +180,19 @@ func NewEnvironment(opts Options) (*Environment, error) {
 	}
 
 	platform := agent.NewPlatform()
-	coreSvcs, err := services.Bootstrap(platform, g, backend)
-	if err != nil {
+	var plannerSvc *planner.Service
+	defer func() {
+		if err == nil {
+			return
+		}
+		if plannerSvc != nil {
+			plannerSvc.Close()
+		}
 		platform.Shutdown()
 		backend.Close()
+	}()
+	coreSvcs, err := services.Bootstrap(platform, g, backend)
+	if err != nil {
 		return nil, err
 	}
 	// Instrument the core services. Safe before any traffic: the services
@@ -194,7 +202,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 	coreSvcs.Matchmaking.Telemetry = tel
 	coreSvcs.Monitoring.Telemetry = tel
 	coreSvcs.Monitoring.Logger = telemetry.ComponentLogger(logger, "monitoring")
-	plannerSvc, err := planner.NewService(planner.ServiceConfig{
+	plannerSvc, err = planner.NewService(planner.ServiceConfig{
 		Catalog:   opts.Catalog,
 		Params:    params,
 		Workers:   opts.PlanWorkers,
@@ -202,16 +210,11 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		Telemetry: tel,
 	})
 	if err != nil {
-		platform.Shutdown()
-		backend.Close()
 		return nil, err
 	}
 	plansvc := planning.New(opts.Catalog, params, plannerSvc)
 	plansvc.Telemetry = tel
 	if _, err := platform.Register(services.PlanningName, plansvc); err != nil {
-		plannerSvc.Close()
-		platform.Shutdown()
-		backend.Close()
 		return nil, err
 	}
 	coord, err := coordination.New(coordination.Config{
@@ -226,8 +229,6 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		Logger:      telemetry.ComponentLogger(logger, "coordination"),
 	})
 	if err != nil {
-		platform.Shutdown()
-		backend.Close()
 		return nil, err
 	}
 	eng, err := engine.New(engine.Config{
@@ -242,8 +243,6 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		TenantDefaults: opts.TenantDefaults,
 	})
 	if err != nil {
-		platform.Shutdown()
-		backend.Close()
 		return nil, err
 	}
 	eng.Start()

@@ -131,7 +131,7 @@ func TestKernelAgreesWithCoordinator(t *testing.T) {
 			defer env.Close()
 			// One flow per order of each Fork's branches, nothing else.
 			flow := planner.DefaultParams()
-			flow.MaxLoopUnroll, flow.StrictConcurrency, flow.MaxFlows = 1, true, 1<<16
+			flow.MaxLoopUnroll, flow.MaxFlows = 1, 1<<16
 			kernel, err := planner.NewEvaluator(c.problem, flow)
 			if err != nil {
 				t.Fatal(err)

@@ -75,7 +75,7 @@ func (o *oracle) evaluate(tree *plantree.Node) Evaluation {
 				points = append(points, decisionPoint{n, o.params.MaxLoopUnroll})
 			}
 		case plantree.KindConcurrent:
-			if o.params.StrictConcurrency && len(n.Children) > 1 {
+			if len(n.Children) > 1 {
 				points = append(points, decisionPoint{n, 2})
 			}
 		}
@@ -353,17 +353,15 @@ var crossServices = []string{"GEN", "JOIN", "PACK", "SPLIT", "NOSUCH"}
 // compiles in or enumerates by.
 func paramGrid() []Params {
 	var grid []Params
-	for _, strict := range []bool{false, true} {
-		for _, unroll := range []int{1, 2, 3} {
-			for _, flows := range []int{1, 4, 7, 32} {
-				for _, caps := range []bool{false, true} {
-					p := DefaultParams()
-					p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows = strict, unroll, flows
-					if caps {
-						p.MaxCost, p.MaxTime = 9, 2000
-					}
-					grid = append(grid, p)
+	for _, unroll := range []int{1, 2, 3} {
+		for _, flows := range []int{1, 4, 7, 32} {
+			for _, caps := range []bool{false, true} {
+				p := DefaultParams()
+				p.MaxLoopUnroll, p.MaxFlows = unroll, flows
+				if caps {
+					p.MaxCost, p.MaxTime = 9, 2000
 				}
+				grid = append(grid, p)
 			}
 		}
 	}
@@ -395,7 +393,9 @@ func TestKernelMatchesOracle(t *testing.T) {
 				forest[i] = plantree.Random(rng, c.services, DefaultParams().Smax)
 			}
 			for _, p := range paramGrid() {
-				name := fmt.Sprintf("strict=%v,unroll=%d,flows=%d,caps=%v", p.StrictConcurrency, p.MaxLoopUnroll, p.MaxFlows, p.MaxCost > 0)
+				// strict=true: every point enumerates both orders of a
+				// concurrent node.
+				name := fmt.Sprintf("strict=true,unroll=%d,flows=%d,caps=%v", p.MaxLoopUnroll, p.MaxFlows, p.MaxCost > 0)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					problem := c.problem()
@@ -455,27 +455,26 @@ func TestKernelFlowClasses(t *testing.T) {
 	for _, c := range []struct {
 		tree             *plantree.Node
 		unroll, maxFlows int
-		strict           bool
 		flows, classes   int
 	}{
 		// The loop's digit splits only the two flows that take the loop, and
 		// only after their shared first iteration: {0, 1}, {2}, {3}.
-		{sel(a("POD"), iter(a("P3DR"))), 2, 32, true, 4, 3},
+		{sel(a("POD"), iter(a("P3DR"))), 2, 32, 4, 3},
 		// Four flows cut at three: the first selective leaves {0, 1} and {2}
 		// (flow 3 is cut), and the second splits {0, 1}.
-		{seq(sel(a("POD"), a("P3DR")), sel(a("P3DR"), a("PSF"))), 2, 3, true, 3, 3},
+		{seq(sel(a("POD"), a("P3DR")), sel(a("P3DR"), a("PSF"))), 2, 3, 3, 3},
 		// Splits inside a loop's body, then the loop's own: every flow alone.
-		{iter(sel(a("POD"), a("P3DR")), a("PSF")), 2, 32, true, 4, 4},
-		// A strict concurrent node: the forward and the reverse order.
-		{conc(a("POD"), a("P3DR")), 2, 32, true, 2, 2},
+		{iter(sel(a("POD"), a("P3DR")), a("PSF")), 2, 32, 4, 4},
+		// A concurrent node: the forward and the reverse order.
+		{conc(a("POD"), a("P3DR")), 2, 32, 2, 2},
 		// ... whose reverse order reaches the selective first.
-		{conc(a("POD"), sel(a("P3DR"), a("PSF"))), 2, 32, true, 4, 4},
-		// Without StrictConcurrency there is one order, and at unroll 1 one
-		// iteration.
-		{conc(a("POD"), iter(a("P3DR"))), 1, 32, false, 1, 1},
+		{conc(a("POD"), sel(a("P3DR"), a("PSF"))), 2, 32, 4, 4},
+		// At unroll 1 a loop has one iteration and no digit, so only the two
+		// orders split.
+		{conc(a("POD"), iter(a("P3DR"))), 1, 32, 2, 2},
 	} {
 		p := DefaultParams()
-		p.MaxLoopUnroll, p.MaxFlows, p.StrictConcurrency = c.unroll, c.maxFlows, c.strict
+		p.MaxLoopUnroll, p.MaxFlows = c.unroll, c.maxFlows
 		ev, err := NewEvaluator(virolab.Problem(), p)
 		if err != nil {
 			t.Fatal(err)

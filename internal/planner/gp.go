@@ -431,15 +431,11 @@ func (gp *GP) selectPop(pop, next []member) {
 			}
 			next[i] = member{genes: gp.ws.put(pick.genes), eval: pick.eval}
 		}
-	default: // tournament
-		k := gp.params.TournamentSize
+	default: // binary tournament, as in the paper
 		for i := range next {
 			winner := &pop[gp.rng.Intn(len(pop))]
-			for j := 1; j < k; j++ {
-				challenger := &pop[gp.rng.Intn(len(pop))]
-				if challenger.eval.Fitness > winner.eval.Fitness {
-					winner = challenger
-				}
+			if challenger := &pop[gp.rng.Intn(len(pop))]; challenger.eval.Fitness > winner.eval.Fitness {
+				winner = challenger
 			}
 			next[i] = member{genes: gp.ws.put(winner.genes), eval: winner.eval}
 		}

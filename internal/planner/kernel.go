@@ -36,8 +36,7 @@ type kernel struct {
 
 	goals []kernelCond // bound to the formal G
 
-	unroll int  // Params.MaxLoopUnroll
-	strict bool // Params.StrictConcurrency
+	unroll int // Params.MaxLoopUnroll
 }
 
 type kernelService struct {
@@ -61,7 +60,7 @@ var goalFormals = []string{"G"}
 
 // compileKernel compiles a validated problem.
 func compileKernel(problem *workflow.Problem, params Params) (*kernel, error) {
-	k := &kernel{unroll: params.MaxLoopUnroll, strict: params.StrictConcurrency}
+	k := &kernel{unroll: params.MaxLoopUnroll}
 	k.items = problem.Initial.Items()
 	k.initial = len(k.items)
 	services := problem.Catalog.Services()
@@ -214,7 +213,7 @@ func (sc *scratch) flatten(genes []plantree.Gene) {
 		case plantree.KindConcurrent:
 			// Concurrent children may run in any order; enumerating the forward
 			// and reverse orders catches most order dependencies.
-			if sc.k.strict && g.Kids > 1 {
+			if g.Kids > 1 {
 				domain = 2
 			}
 		}
@@ -399,12 +398,7 @@ func (sc *scratch) run(i int32, lo int) {
 		sc.runAll(kids, lo)
 
 	case plantree.KindConcurrent, plantree.KindSelective:
-		if n.point < 0 {
-			// One child, or one order: without StrictConcurrency only order 0
-			// exists.
-			if n.kind == plantree.KindSelective {
-				kids = kids[:min(len(kids), 1)]
-			}
+		if n.point < 0 { // at most one child: nothing to decide
 			sc.runAll(kids, lo)
 			return
 		}

@@ -1,8 +1,8 @@
 // Package planner implements the paper's planning service: the GP-based
 // planner of Section 3.4 (tree-encoded plans, subtree crossover and
 // mutation, tournament selection, and the three-part fitness of Equations
-// 1-4), plus the deterministic baselines used for comparison benches
-// (forward state-space search and random search).
+// 1-4), plus the deterministic baselines it is compared with (forward
+// state-space search and random search).
 package planner
 
 import "fmt"
@@ -11,7 +11,7 @@ import "fmt"
 type SelectionScheme int
 
 // Selection schemes. The paper uses binary tournament; roulette is kept for
-// the ablation benches.
+// the ablation table (TestAblations).
 const (
 	SelectTournament SelectionScheme = iota
 	SelectRoulette
@@ -45,10 +45,7 @@ type Params struct {
 	MaxCost float64
 	MaxTime float64
 
-	// TournamentSize is the number of individuals compared per selection
-	// (the paper uses 2).
-	TournamentSize int
-	Selection      SelectionScheme
+	Selection SelectionScheme
 
 	// Elites preserves the top-k individuals unchanged into the next
 	// generation (0 reproduces the paper exactly: selection only, so even
@@ -64,13 +61,6 @@ type Params struct {
 	// MaxFlows caps the number of enumerated execution flows per plan; the
 	// enumeration is truncated in lexicographic decision order beyond it.
 	MaxFlows int
-
-	// StrictConcurrency makes the simulation enumerate both the forward and
-	// the reverse child order of every concurrent node, so a plan whose
-	// "concurrent" activities only work in one order is penalized (the
-	// paper's concurrent blocks may execute in any order). Disabling it
-	// simulates only the canonical left-to-right order.
-	StrictConcurrency bool
 
 	Seed int64
 
@@ -94,20 +84,18 @@ type Params struct {
 // therefore wr 0.3).
 func DefaultParams() Params {
 	return Params{
-		PopulationSize:    200,
-		Generations:       20,
-		CrossoverRate:     0.7,
-		MutationRate:      0.001,
-		Smax:              40,
-		WV:                0.2,
-		WG:                0.5,
-		WR:                0.3,
-		TournamentSize:    2,
-		Selection:         SelectTournament,
-		MaxLoopUnroll:     2,
-		MaxFlows:          32,
-		StrictConcurrency: true,
-		Seed:              1,
+		PopulationSize: 200,
+		Generations:    20,
+		CrossoverRate:  0.7,
+		MutationRate:   0.001,
+		Smax:           40,
+		WV:             0.2,
+		WG:             0.5,
+		WR:             0.3,
+		Selection:      SelectTournament,
+		MaxLoopUnroll:  2,
+		MaxFlows:       32,
+		Seed:           1,
 	}
 }
 
@@ -146,9 +134,6 @@ func (p Params) Validate() error {
 	}
 	if w := p.WV + p.WG + p.WR; w < 0.999 || w > 1.001 {
 		return fmt.Errorf("planner: fitness weights sum to %g, want 1", w)
-	}
-	if p.TournamentSize < 1 {
-		return fmt.Errorf("planner: tournament size %d < 1", p.TournamentSize)
 	}
 	if p.Elites < 0 || p.Elites >= p.PopulationSize {
 		return fmt.Errorf("planner: elites %d out of [0, population)", p.Elites)

@@ -70,10 +70,8 @@ func CanonicalKey(initial []*workflow.DataItem, goal, constraints, excluded []st
 	floats(p.CrossoverRate, p.MutationRate)
 	ints(int64(p.Smax))
 	floats(p.WV, p.WG, p.WR)
-	ints(int64(p.TournamentSize))
 	b = append(append(b, '/'), p.Selection.String()...)
 	ints(int64(p.Elites), int64(p.MaxLoopUnroll), int64(p.MaxFlows))
-	b = strconv.AppendBool(append(b, '/'), p.StrictConcurrency)
 	b = strconv.AppendBool(append(b, '/'), p.StopOnPerfect)
 	ints(p.Seed)
 	floats(p.MaxCost, p.MaxTime)

@@ -100,13 +100,13 @@ func TestCanonicalKeyDistinguishesCases(t *testing.T) {
 func TestCanonicalKeyDigest(t *testing.T) {
 	problem := virolab.Problem()
 	replan := CanonicalKey(problem.Initial.Items(), problem.Goal.Conditions, nil, []string{"P3DR"}, DefaultParams().Incremental())
-	if want := "case:efc25a12ad166aa220e5bd0c9b9e5df018a722f308908fd31955bb49b9032872"; replan != want {
+	if want := "case:d799f17990fae191a7c8ec72ee7eb862990ae4c253fd2c126628370a234cc60b"; replan != want {
 		t.Errorf("re-plan key = %s, want %s", replan, want)
 	}
 	p := DefaultParams()
 	p.MaxCost, p.MaxTime = 12.5, 1e21
 	initial, goal, constraints, excluded := caseInputs()
-	if got, want := CanonicalKey(initial, goal, constraints, excluded, p), "case:0060c1d9763ac1fc12b18d7137aed1a30a0985f79ea7b3112951b10f066c251e"; got != want {
+	if got, want := CanonicalKey(initial, goal, constraints, excluded, p), "case:59e096f48d02f5ad304036fe695fc2b5ae2222d651b8a37d87073c03c8c95a6b"; got != want {
 		t.Errorf("constrained key = %s, want %s", got, want)
 	}
 }

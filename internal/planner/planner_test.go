@@ -113,7 +113,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.MutationRate = -1 },
 		func(p *Params) { p.Smax = 0 },
 		func(p *Params) { p.WV = 0.9 },
-		func(p *Params) { p.TournamentSize = 0 },
 		func(p *Params) { p.MaxLoopUnroll = 0 },
 		func(p *Params) { p.MaxFlows = 0 },
 	}
@@ -618,28 +617,18 @@ func BenchmarkGPGeneration(b *testing.B) {
 }
 
 func TestStrictConcurrencyPenalizesOrderDependence(t *testing.T) {
-	// conc(POD, P3DR) only works when POD runs first: strict mode must see
-	// the reverse order fail, lenient mode must not.
+	// conc(POD, P3DR) only works when POD runs first: the simulation must
+	// see the reverse order fail.
 	tree := conc(plantree.Activity("POD"), plantree.Activity("P3DR"))
 
-	strict := DefaultParams()
-	strict.StrictConcurrency = true
-	evStrict := mustEvaluator(t, strict)
-	e := evStrict.Evaluate(tree)
+	ev := mustEvaluator(t, DefaultParams())
+	e := ev.Evaluate(tree)
 	if e.Flows != 2 {
-		t.Fatalf("strict flows = %d, want 2", e.Flows)
+		t.Fatalf("flows = %d, want 2", e.Flows)
 	}
 	// Forward: POD ok, P3DR ok (2 valid). Reverse: P3DR fails, POD ok.
 	if !almost(e.FV, 3.0/4) {
-		t.Errorf("strict fv = %g, want 0.75", e.FV)
-	}
-
-	lenient := DefaultParams()
-	lenient.StrictConcurrency = false
-	evLenient := mustEvaluator(t, lenient)
-	e2 := evLenient.Evaluate(tree)
-	if e2.Flows != 1 || e2.FV != 1 {
-		t.Errorf("lenient flows=%d fv=%g, want 1, 1", e2.Flows, e2.FV)
+		t.Errorf("fv = %g, want 0.75", e.FV)
 	}
 
 	// Genuinely order-independent concurrency is not penalized: after POD,
@@ -649,7 +638,7 @@ func TestStrictConcurrencyPenalizesOrderDependence(t *testing.T) {
 		conc(plantree.Activity("P3DR"), plantree.Activity("P3DR")),
 		plantree.Activity("PSF"),
 	)
-	e3 := evStrict.Evaluate(indep)
+	e3 := ev.Evaluate(indep)
 	if e3.FV != 1 || e3.FG != 1 {
 		t.Errorf("independent conc fv=%g fg=%g, want 1,1", e3.FV, e3.FG)
 	}

@@ -2,14 +2,14 @@ package services
 
 import "sort"
 
-// Cost- and data-aware candidate scoring (ROADMAP item 5). The scorer turns
+// Cost- and data-aware candidate scoring. The scorer turns
 // the raw matchmaking candidate list into per-candidate (ETA, cost) estimates
 // that fold in node hardware, historical performance stats, and the transfer
 // time of the activity's bound input data, then ranks the list so the head is
 // the cheapest candidate that still meets the deadline (or the fastest one,
-// under deadline pressure). The functions are pure and deterministic so the
-// coordinator, the load simulator, property tests, and benchmarks all share
-// one implementation.
+// under deadline pressure). The functions are pure and deterministic, so the
+// coordinator's ranking of a constrained case (coordination's costRank) and
+// the cost-aware ranking tests share one implementation.
 
 // DataRef describes one bound input condition of an activity: its size and
 // where it currently lives. Transfers are free when the data is already on
