@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"testing"
@@ -17,20 +18,22 @@ import (
 
 // Stated allocation budget of one Figure-10 enactment (17 activity
 // executions) through SubmitContext on a failure-free synthetic grid. The
-// counts are machine-independent and read 217 bare / 220 instrumented (280 /
-// 283 while each execution was a message round trip to the container agent
-// plus an outcome message to monitoring, 304 / 307 before the task's process
-// was indexed and validated by position); the ceilings leave under 4%
-// headroom — less than the 17 one message per dispatch would add. The difference is the telemetry record sites on the
-// enact path: adding one moves instrumented-minus-bare, so it cannot land
-// without raising the budget here. This is the exact form of the "<5%
-// instrumentation overhead" promise (OBSERVABILITY.md). The bytes telemetry
-// adds are gated too: 12.3 KB (29.1 bare, 41.4 instrumented), nearly all of
-// it the task trace's two 64-slot segments of 88-byte span slots; 18.8 KB
-// while the ring held 144-byte Spans.
+// counts are machine-independent and read 175 bare / 178 instrumented (217 /
+// 220 while every produced and cloned item had a property map of its own,
+// 280 / 283 while each execution was a message round trip to the container
+// agent plus an outcome message to monitoring, 304 / 307 before the task's
+// process was indexed and validated by position); the ceilings leave under
+// 4% headroom — less than the 17 one message per dispatch would add. The
+// difference is the telemetry record sites on the enact path: adding one
+// moves instrumented-minus-bare, so it cannot land without raising the
+// budget here. This is the exact form of the "<5% instrumentation
+// overhead" promise (OBSERVABILITY.md). The bytes telemetry adds are gated
+// too: 12.4 KB (17.4 bare, 29.8 instrumented; 28.2 bare before items shared
+// property maps), nearly all of it the task trace's two 64-slot segments of
+// 88-byte span slots; 18.8 KB while the ring held 144-byte Spans.
 const (
-	enactAllocsBare         = 225
-	enactAllocsInstrumented = 228
+	enactAllocsBare         = 181
+	enactAllocsInstrumented = 184
 	enactAllocsTelemetry    = 8
 	enactKBTelemetry        = 12.7
 )
@@ -86,14 +89,15 @@ func TestEnactAllocationBudget(t *testing.T) {
 // through Engine.Submit on mem: to its terminal record — PDL parse,
 // admission, the three journal records and the enactment. It gates what the
 // coordinator-only budget never reaches: the journal encoder and admission.
-// It reads 228 allocations and 50.6 KB, the same on every machine (243 /
-// 57.5 KB while the trace ring held 144-byte Spans and every span and trace
-// ID was minted as a hex string, 307–308 / 62.2 KB while executions were
-// messages, 446–447 before the PDL parse compiled straight to a validated
-// process); both ceilings leave under 4% headroom.
+// It reads 186 allocations and 39.0 KB, the same on every machine (228 /
+// 50.6 KB while every produced and cloned item had a property map of its
+// own, 243 / 57.5 KB while the trace ring held 144-byte Spans and every span
+// and trace ID was minted as a hex string, 307–308 / 62.2 KB while
+// executions were messages, 446–447 before the PDL parse compiled straight
+// to a validated process); both ceilings leave under 4% headroom.
 const (
-	engineAllocsPerTask = 236
-	engineKBPerTask     = 52
+	engineAllocsPerTask = 193
+	engineKBPerTask     = 40
 )
 
 // submitAndWait sends the task through env.Engine.Submit and waits for it.
@@ -185,18 +189,20 @@ func TestEngineAllocationBudget(t *testing.T) {
 // A miss plans incrementally in the failed plan's neighbourhood; a hit takes
 // the cached plan, the very process the miss built. A plan reaches the
 // coordinator compiled, so neither parses the plan's PDL. The counts are
-// machine-independent and read 701 allocations / 112.8 KB (miss) and
-// 350 / 61.1 KB (hit); 733 / 115.1 KB and 357 / 61.4 KB while the planning
-// agent seeded every request with its last eight plans; 754 / 122.0 KB and
-// 374 / 68.3 KB while the trace ring held 144-byte Spans with hex-string IDs,
-// 820–821 / 126.7 KB and 440 / 73.0 KB while executions were messages,
+// machine-independent and read 651 allocations / 98.7 KB (miss) and
+// 308 / 49.1 KB (hit); 701 / 112.8 KB and 350 / 61.1 KB while every produced
+// and cloned item had a property map of its own; 733 / 115.1 KB and
+// 357 / 61.4 KB while the planning agent seeded every request with its last
+// eight plans; 754 / 122.0 KB and 374 / 68.3 KB while the trace ring held
+// 144-byte Spans with hex-string IDs, 820–821 / 126.7 KB and 440 / 73.0 KB
+// while executions were messages,
 // 1 304 / 140.3 KB and 757 / 83.0 KB when each plan crossed as text and the
 // Figure-10 parse cost 176 allocations. Each ceiling leaves under 4% headroom.
 const (
-	replanMissAllocs = 728
-	replanMissKB     = 117
-	replanHitAllocs  = 363
-	replanHitKB      = 63
+	replanMissAllocs = 676
+	replanMissKB     = 102
+	replanHitAllocs  = 319
+	replanHitKB      = 51
 )
 
 func TestReplanAllocationBudget(t *testing.T) {
@@ -254,15 +260,8 @@ func TestEnactmentLeavesInitialDataAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	snapshot := func(items []*workflow.DataItem) []*workflow.DataItem {
-		out := make([]*workflow.DataItem, len(items))
-		for i, it := range items {
-			out[i] = it.Clone()
-		}
-		return out
-	}
 	direct := virolab.Task()
-	before := snapshot(direct.Case.InitialData)
+	before := deepCopy(direct.Case.InitialData)
 	if report, err := env.SubmitContext(context.Background(), direct, nil); err != nil || !report.Completed {
 		t.Fatalf("direct enactment: %v", err)
 	}
@@ -272,7 +271,7 @@ func TestEnactmentLeavesInitialDataAlone(t *testing.T) {
 
 	queued := virolab.Task()
 	queued.ID = "T-queued"
-	before = snapshot(queued.Case.InitialData)
+	before = deepCopy(queued.Case.InitialData)
 	if _, err := env.Engine.Submit(engine.Submission{Task: queued, Priority: engine.PriorityNormal}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,5 +290,96 @@ func TestEnactmentLeavesInitialDataAlone(t *testing.T) {
 	}
 	if !reflect.DeepEqual(queued.Case.InitialData, before) {
 		t.Errorf("an engine enactment wrote to the case's initial data:\n got %v\nwant %v", queued.Case.InitialData, before)
+	}
+}
+
+// deepCopy copies items with maps of their own: a Clone shares the map, so
+// it would follow a write into it.
+func deepCopy(items []*workflow.DataItem) []*workflow.DataItem {
+	out := make([]*workflow.DataItem, len(items))
+	for i, it := range items {
+		out[i] = &workflow.DataItem{Name: it.Name, Props: maps.Clone(it.Props)}
+	}
+	return out
+}
+
+// TestPublishedPropsAreNeverWritten pins what lets data items share property
+// maps: the items one output spec produces hold its service's one map, and a
+// cloned item holds the original's, so nothing on the enactment and re-plan
+// paths may write a map in place — the resolution hook stamping PSF's output
+// included. It runs Figure-10 tasks directly and through the engine and
+// Figure-3 re-plans of three case variants, then checks every catalog's
+// output specs and produced maps against a fresh catalog's, the case's items
+// against a copy taken first, and that the outputs of the four P3DR
+// activities share P3DR's map.
+func TestPublishedPropsAreNeverWritten(t *testing.T) {
+	initial := deepCopy(virolab.InitialData())
+	cfg := grid.DefaultSyntheticConfig()
+	cfg.FailureRate = 0
+	env, err := NewEnvironment(Options{
+		Catalog:     virolab.Catalog(),
+		GridConfig:  &cfg,
+		PostProcess: virolab.ResolutionHook(nil),
+		Workers:     4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	// submitAll sends tasks through the engine before waiting for any: four
+	// workers run them at once, so under -race the services' maps are built
+	// and read from several goroutines.
+	submitAll := func(env *Environment, tasks ...*workflow.Task) []*coordination.Report {
+		for _, task := range tasks {
+			if _, err := env.Engine.Submit(engine.Submission{Task: task, Priority: engine.PriorityNormal}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports := make([]*coordination.Report, len(tasks))
+		for i, task := range tasks {
+			reports[i] = waitFor(t, env, task.ID)
+		}
+		return reports
+	}
+	reports := submitAll(env, fig10Task(t, "T-0"), fig10Task(t, "T-1"), fig10Task(t, "T-2"), fig10Task(t, "T-3"))
+	direct, err := env.SubmitContext(context.Background(), virolab.Task(), nil)
+	if err != nil || !direct.Completed {
+		t.Fatalf("direct enactment: %v", err)
+	}
+	reports = append(reports, direct)
+	replanEnv := fig3Env(t, Options{Workers: 4})
+	replans := submitAll(replanEnv, fig3Task(t, "T-replan-0", 0), fig3Task(t, "T-replan-1", 0),
+		fig3Task(t, "T-replan-2", 1), fig3Task(t, "T-replan-3", 2))
+	for i, report := range replans {
+		if report.Replans != 1 {
+			t.Errorf("T-replan-%d: %d re-plans, want 1", i, report.Replans)
+		}
+	}
+
+	fresh := virolab.Catalog()
+	for _, cat := range []*workflow.Catalog{env.Catalog, replanEnv.Catalog} {
+		for _, want := range fresh.Services() {
+			got := cat.Get(want.Name)
+			if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+				t.Errorf("%s's output specs were written: %v, want %v", want.Name, got.Outputs, want.Outputs)
+			}
+			gotItems, wantItems := got.Produce(nil, 0), want.Produce(nil, 0)
+			for i := range wantItems {
+				if !reflect.DeepEqual(gotItems[i].Props, wantItems[i].Props) {
+					t.Errorf("%s's produced properties were written: %v, want %v", want.Name, gotItems[i], wantItems[i])
+				}
+			}
+		}
+	}
+	if got := virolab.InitialData(); !reflect.DeepEqual(got, initial) {
+		t.Errorf("the case's initial data was written:\n got %v\nwant %v", got, initial)
+	}
+	p3dr := reflect.ValueOf(env.Catalog.Get("P3DR").Produce(nil, 0)[0].Props).Pointer()
+	for _, report := range reports {
+		for _, name := range []string{"D9", "D10", "D11"} {
+			if reflect.ValueOf(report.FinalState.Get(name).Props).Pointer() != p3dr {
+				t.Errorf("%s holds a property map of its own, not P3DR's", name)
+			}
+		}
 	}
 }

@@ -589,6 +589,19 @@ type DataItemJSON struct {
 	TextProps      map[string]string  `json:"textProps,omitempty"`
 }
 
+// item is the data item d describes. Its map is written in place, not
+// through With, which copies it: the item is not published yet.
+func (d DataItemJSON) item() *workflow.DataItem {
+	item := workflow.NewDataItem(d.Name, d.Classification)
+	for k, v := range d.Props {
+		item.Props[k] = expr.Number(v)
+	}
+	for k, v := range d.TextProps {
+		item.Props[k] = expr.String(v)
+	}
+	return item
+}
+
 // tenantHeader carries the requester's tenant. A submission without a body
 // tenant reads it, so a client may name its tenant the same way on every
 // request.
@@ -617,14 +630,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	caseDesc := workflow.NewCase(sub.ID, sub.Name)
 	for _, d := range sub.InitialData {
-		item := workflow.NewDataItem(d.Name, d.Classification)
-		for k, v := range d.Props {
-			item.With(k, expr.Number(v))
-		}
-		for k, v := range d.TextProps {
-			item.With(k, expr.String(v))
-		}
-		caseDesc.AddData(item)
+		caseDesc.AddData(d.item())
 	}
 	caseDesc.Goal = workflow.NewGoal(sub.Goal...)
 	caseDesc.Deadline = sub.Deadline

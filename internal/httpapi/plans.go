@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/planner"
 	"repro/internal/workflow"
 )
@@ -105,14 +104,7 @@ func (s *Server) handlePlanSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]*workflow.DataItem, 0, len(sub.InitialData))
 	for _, d := range sub.InitialData {
-		item := workflow.NewDataItem(d.Name, d.Classification)
-		for k, v := range d.Props {
-			item.With(k, expr.Number(v))
-		}
-		for k, v := range d.TextProps {
-			item.With(k, expr.String(v))
-		}
-		items = append(items, item)
+		items = append(items, d.item())
 	}
 	st, err := s.env.Planner.Submit(r.Context(), planner.PlanSpec{
 		ID:          sub.ID,

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -47,6 +48,12 @@ type Service struct {
 	// reference node (speed 1.0); Cost is the spot-market cost per run.
 	BaseTime float64
 	Cost     float64
+
+	// props holds, per output spec, the property map of every item Produce
+	// makes from it: the spec's props plus Creator, built on the first
+	// Produce. Items share it, so nothing may write it.
+	propsOnce sync.Once
+	props     []map[string]expr.Value
 }
 
 // Validate checks that every input condition parses.
@@ -148,9 +155,9 @@ next:
 
 // Produce builds the output items of one application. Output names are
 // taken from names (parallel to s.Outputs) when provided, otherwise
-// generated from seq.
+// generated from seq. The items of one output spec share one property map.
 func (s *Service) Produce(names []string, seq int) []*DataItem {
-	out := make([]*DataItem, len(s.Outputs))
+	out, props := make([]*DataItem, len(s.Outputs)), s.outputProps()
 	for i, o := range s.Outputs {
 		name := ""
 		if i < len(names) && names[i] != "" {
@@ -158,16 +165,25 @@ func (s *Service) Produce(names []string, seq int) []*DataItem {
 		} else {
 			name = fmt.Sprintf("%s.%s.%d", s.Name, o.Name, seq)
 		}
-		item := &DataItem{Name: name, Props: make(map[string]expr.Value, len(o.Props)+1)}
-		for k, v := range o.Props {
-			item.Props[k] = v
-		}
-		if _, ok := item.Props[PropCreator]; !ok {
-			item.Props[PropCreator] = expr.String(s.Name)
-		}
-		out[i] = item
+		out[i] = &DataItem{Name: name, Props: props[i]}
 	}
 	return out
+}
+
+// outputProps returns the property map of each output spec's items, built
+// once per service on the first call. Not in Catalog.Add: the planning
+// service adds services into catalogs of its own while they are producing.
+func (s *Service) outputProps() []map[string]expr.Value {
+	s.propsOnce.Do(func() {
+		s.props = make([]map[string]expr.Value, len(s.Outputs))
+		for i, o := range s.Outputs {
+			props := make(map[string]expr.Value, len(o.Props)+1)
+			props[PropCreator] = expr.String(s.Name)
+			maps.Copy(props, o.Props) // a spec's own Creator wins
+			s.props[i] = props
+		}
+	})
+	return s.props
 }
 
 // Apply executes the service against st in the metadata sense: it checks the

@@ -263,9 +263,16 @@ func TestStateBasics(t *testing.T) {
 		t.Errorf("Names = %v", names)
 	}
 	cl := st.Clone()
-	cl.Get("A").Props[PropClassification] = expr.String("mutated")
-	if st.Get("A").Classification() == "mutated" {
-		t.Error("Clone is shallow")
+	cl.Get("A").With(PropClassification, expr.String("mutated"))
+	if st.Get("A").Classification() != "x" || cl.Get("A").Classification() != "mutated" {
+		t.Error("With on a clone's item reached the original")
+	}
+	svc := &Service{Name: "S", Outputs: []OutputSpec{{Name: "O", Props: map[string]expr.Value{PropClassification: expr.String("out")}}}}
+	if it := svc.Produce(nil, 1)[0].With(PropClassification, expr.String("mutated")); it.Classification() != "mutated" {
+		t.Errorf("With on a produced item: %v", it)
+	}
+	if it := svc.Produce(nil, 2)[0]; it.Classification() != "out" || it.Props[PropCreator].Str() != "S" {
+		t.Errorf("With on a produced item reached the service's template: %v", it)
 	}
 	if v, ok := st.Lookup("B", PropSize); !ok || v.Str() != "10" {
 		t.Errorf("Lookup = %v, %v", v, ok)

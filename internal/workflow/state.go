@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"maps"
 	"slices"
 	"strings"
 
@@ -20,6 +21,10 @@ const (
 
 // DataItem is one unit of data known to the system, described purely by
 // metadata properties (the planner and coordinator never see contents).
+//
+// Props is read-only once the item is published: items produced from one
+// output spec, and an item and its clones, share one map. With is the one
+// way to change a property; it gives the item a map of its own.
 type DataItem struct {
 	Name  string
 	Props map[string]expr.Value
@@ -35,11 +40,13 @@ func NewDataItem(name, classification string) *DataItem {
 }
 
 // With sets property prop to v and returns the item, for chained literals.
+// It never writes the map the item holds, which may be shared: it replaces it
+// with a copy that has the property set.
 func (d *DataItem) With(prop string, v expr.Value) *DataItem {
-	if d.Props == nil {
-		d.Props = make(map[string]expr.Value)
-	}
-	d.Props[prop] = v
+	props := make(map[string]expr.Value, len(d.Props)+1)
+	maps.Copy(props, d.Props)
+	props[prop] = v
+	d.Props = props
 	return d
 }
 
@@ -57,14 +64,9 @@ func (d *DataItem) Classification() string {
 	return ""
 }
 
-// Clone returns a deep copy of d.
-func (d *DataItem) Clone() *DataItem {
-	props := make(map[string]expr.Value, len(d.Props))
-	for k, v := range d.Props {
-		props[k] = v
-	}
-	return &DataItem{Name: d.Name, Props: props}
-}
+// Clone returns a copy of d that shares its read-only property map; a With
+// on either leaves the other as it was.
+func (d *DataItem) Clone() *DataItem { return &DataItem{Name: d.Name, Props: d.Props} }
 
 func (d *DataItem) String() string { return string(d.Append(nil)) }
 
@@ -168,7 +170,7 @@ func (s *State) ItemStrings() []string {
 	return out
 }
 
-// Clone returns a deep copy of s.
+// Clone returns a copy of s holding a Clone of each item.
 func (s *State) Clone() *State {
 	c := &State{items: make([]*DataItem, len(s.items))}
 	for i, it := range s.items {
