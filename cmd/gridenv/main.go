@@ -21,7 +21,8 @@
 // their latest checkpoint, and finished tasks stay queryable. A value
 // without a scheme is rejected. -workers sizes the engine's coordinator
 // worker pool (default: GOMAXPROCS); -enact-delay sleeps that long per
-// enacted activity, emulating remote service latency for load experiments.
+// enacted activity, emulating remote service latency so that tasks stay in
+// flight for a crash-recovery check.
 //
 // -tenants assigns fair-share weights (id:weight,...) to named tenants; the
 // -tenant-* flags set the default admission quotas — max queued tasks, max
@@ -127,9 +128,7 @@ func parseFlags(args []string) (config, error) {
 	fs.Int64Var(&gridCfg.Seed, "seed", gridCfg.Seed, "grid and planner seed")
 	fs.StringVar(&cfg.opts.StoreDSN, "store", "", "storage backend DSN: mem: or file:DIR (empty = mem:)")
 	fs.IntVar(&cfg.opts.Workers, "workers", 0, "enactment worker pool size (0 = GOMAXPROCS)")
-	fs.DurationVar(&enactDelay, "enact-delay", 0, "emulated per-activity service latency (load experiments; 0 = none)")
-	fs.IntVar(&cfg.opts.PlanWorkers, "plan-workers", 0, "planning service worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.opts.PlanCacheSize, "plan-cache", 0, "plan cache size in entries (0 = default 4096)")
+	fs.DurationVar(&enactDelay, "enact-delay", 0, "emulated per-activity service latency, to hold tasks in flight for a crash-recovery check (0 = none)")
 	fs.StringVar(&tenants, "tenants", "", "per-tenant fair-share weights as id:weight,... (empty = all weight 1)")
 	fs.IntVar(&cfg.opts.TenantDefaults.MaxQueued, "tenant-max-queued", 0, "default per-tenant queued-task quota (0 = unlimited)")
 	fs.IntVar(&cfg.opts.TenantDefaults.MaxInFlight, "tenant-max-inflight", 0, "default per-tenant concurrent-enactment cap (0 = unlimited)")
@@ -138,8 +137,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&logLevel, "log-level", "info", "structured log threshold: debug, info, warn, error")
 	fs.StringVar(&logFormat, "log-format", "text", "structured log encoding: text or json")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
-	fs.IntVar(&cfg.opts.TraceSpanCap, "trace-spans", 0, "spans retained per task trace (0 = default 2048)")
-	fs.IntVar(&cfg.opts.TraceMaxTasks, "trace-tasks", 0, "task traces retained before the oldest is evicted (0 = default 1024)")
 	_ = fs.Parse(args) // ExitOnError: a malformed flag prints usage and exits 2
 
 	cfg.opts.Planner = planner.DefaultParams()
@@ -153,8 +150,8 @@ func parseFlags(args []string) (config, error) {
 	}
 
 	// -enact-delay emulates per-activity service latency (network + remote
-	// compute) so load experiments exercise worker-pool capacity rather than
-	// raw single-process CPU; it composes with the resolution hook.
+	// compute) so tasks stay in flight, as a crash-recovery check needs; it
+	// composes with the resolution hook.
 	cfg.opts.PostProcess = virolab.ResolutionHook(nil)
 	if enactDelay > 0 {
 		inner := cfg.opts.PostProcess

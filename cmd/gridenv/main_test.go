@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"reflect"
@@ -10,40 +12,58 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ontology"
 	"repro/internal/virolab"
+	"repro/internal/workflow"
 )
 
-// TestParseFlags pins which core.Options field each flag fills.
+// TestParseFlags pins what each flag fills: one row per flag.
 func TestParseFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args  []string
-		field func(core.Options) any
+		field func(config) any
 		want  any
 	}{
-		{[]string{"-workers", "3"}, func(o core.Options) any { return o.Workers }, 3},
-		{[]string{"-plan-cache", "64"}, func(o core.Options) any { return o.PlanCacheSize }, 64},
-		{[]string{"-trace-spans", "99"}, func(o core.Options) any { return o.TraceSpanCap }, 99},
-		{[]string{"-seed", "5"}, func(o core.Options) any { return [2]int64{o.GridConfig.Seed, o.Planner.Seed} }, [2]int64{5, 5}},
+		{[]string{"-addr", "127.0.0.1:9"}, func(c config) any { return c.addr }, "127.0.0.1:9"},
+		{[]string{"-clusters", "2"}, func(c config) any { return c.opts.GridConfig.Clusters }, 2},
+		{[]string{"-smps", "4"}, func(c config) any { return c.opts.GridConfig.SMPs }, 4},
+		{[]string{"-supers", "2"}, func(c config) any { return c.opts.GridConfig.Supercomputers }, 2},
+		{[]string{"-seed", "5"}, func(c config) any { return [2]int64{c.opts.GridConfig.Seed, c.opts.Planner.Seed} }, [2]int64{5, 5}},
+		{[]string{"-store", "file:state"}, func(c config) any { return c.opts.StoreDSN }, "file:state"},
+		{[]string{"-workers", "3"}, func(c config) any { return c.opts.Workers }, 3},
+		{
+			[]string{"-enact-delay", "20ms"},
+			func(c config) any {
+				start := time.Now()
+				c.opts.PostProcess(&workflow.Activity{Service: "POD"}, nil, 1)
+				return time.Since(start) >= 20*time.Millisecond
+			},
+			true,
+		},
 		{
 			[]string{"-tenants", "alpha:3,beta:1", "-tenant-max-queued", "7"},
-			func(o core.Options) any { return o.Tenants },
+			func(c config) any { return c.opts.Tenants },
 			map[string]engine.TenantConfig{"alpha": {Weight: 3, MaxQueued: 7}, "beta": {Weight: 1, MaxQueued: 7}},
 		},
+		{[]string{"-tenant-max-queued", "7"}, func(c config) any { return c.opts.TenantDefaults }, engine.TenantConfig{MaxQueued: 7}},
+		{[]string{"-tenant-max-inflight", "2"}, func(c config) any { return c.opts.TenantDefaults }, engine.TenantConfig{MaxInFlight: 2}},
+		{[]string{"-tenant-rate", "2.5"}, func(c config) any { return c.opts.TenantDefaults }, engine.TenantConfig{RatePerSec: 2.5}},
+		{[]string{"-tenant-burst", "4"}, func(c config) any { return c.opts.TenantDefaults }, engine.TenantConfig{Burst: 4}},
 		{
-			[]string{"-tenant-max-queued", "7"},
-			func(o core.Options) any { return o.TenantDefaults },
-			engine.TenantConfig{MaxQueued: 7},
+			[]string{"-log-level", "debug"},
+			func(c config) any { return c.opts.Logger.Enabled(context.Background(), slog.LevelDebug) },
+			true,
 		},
+		{[]string{"-log-format", "json"}, func(c config) any { return fmt.Sprintf("%T", c.opts.Logger.Handler()) }, "*slog.JSONHandler"},
+		{[]string{"-pprof"}, func(c config) any { return c.pprof }, true},
 	} {
 		cfg, err := parseFlags(tc.args)
 		if err != nil {
 			t.Errorf("parseFlags(%v): %v", tc.args, err)
 			continue
 		}
-		if got := tc.field(cfg.opts); !reflect.DeepEqual(got, tc.want) {
+		if got := tc.field(cfg); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseFlags(%v) set %#v, want %#v", tc.args, got, tc.want)
 		}
 	}

@@ -100,8 +100,8 @@ func (c *Coordinator) checkpoint(ctx context.Context, report *Report, task *work
 	c.hCkptBytes.Observe(float64(len(data)))
 	if pr, ok := reply.Content.(services.PutReply); ok {
 		report.trace("checkpoint", "", fmt.Sprintf("version %d", pr.Version))
-		if c.cfg.OnCheckpoint != nil {
-			c.cfg.OnCheckpoint(task.ID, pr.Version)
+		if c.cfg.onCheckpoint != nil {
+			c.cfg.onCheckpoint(task.ID, pr.Version)
 		}
 	}
 }

@@ -58,10 +58,11 @@ type Config struct {
 	// quarantines); nil means silent.
 	Logger *slog.Logger
 
-	// OnCheckpoint, when set, is invoked after every checkpoint successfully
+	// onCheckpoint, when set, is invoked after every checkpoint successfully
 	// written to the storage service, with the task ID and the stored
-	// version. Tests use it to stop an enactment at a known checkpoint.
-	OnCheckpoint func(taskID string, version int)
+	// version. This package's tests use it to stop an enactment at a known
+	// checkpoint.
+	onCheckpoint func(taskID string, version int)
 }
 
 // TraceEvent records one step of an enactment for inspection.

@@ -483,7 +483,7 @@ func TestResumeFromMidwayCheckpoint(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		e := newEnvWith(t, true, func(cfg *Config) {
-			cfg.OnCheckpoint = func(_ string, version int) {
+			cfg.onCheckpoint = func(_ string, version int) {
 				if version == crashAt {
 					cancel()
 				}

@@ -44,14 +44,6 @@ type Options struct {
 	// planner.DefaultParams (the paper's Table 1).
 	Planner planner.Params
 
-	// PlanWorkers sizes the planning service's worker pool — the cap on
-	// concurrently computed plans. 0 means GOMAXPROCS.
-	PlanWorkers int
-
-	// PlanCacheSize bounds the plan cache (finished plans memoized by
-	// canonical case). 0 means the planner default (4096).
-	PlanCacheSize int
-
 	// PostProcess is the coordination steering hook (see coordination.Config).
 	PostProcess func(act *workflow.Activity, produced []*workflow.DataItem, visit int)
 
@@ -101,12 +93,6 @@ type Options struct {
 	// NoTelemetry disables instrumentation entirely — the hot paths then pay
 	// only a nil check per record site. Used by overhead benchmarks.
 	NoTelemetry bool
-
-	// TraceSpanCap and TraceMaxTasks bound trace retention: spans kept per
-	// task and distinct task traces kept before the oldest is evicted.
-	// Zero means the telemetry defaults.
-	TraceSpanCap  int
-	TraceMaxTasks int
 }
 
 // Environment is a fully wired grid environment.
@@ -161,7 +147,6 @@ func NewEnvironment(opts Options) (_ *Environment, err error) {
 	if tel == nil && !opts.NoTelemetry {
 		tel = telemetry.New()
 	}
-	tel.SetTraceCapacity(opts.TraceSpanCap, opts.TraceMaxTasks)
 	logger := opts.Logger
 	if logger == nil {
 		logger = telemetry.NopLogger()
@@ -205,8 +190,6 @@ func NewEnvironment(opts Options) (_ *Environment, err error) {
 	plannerSvc, err = planner.NewService(planner.ServiceConfig{
 		Catalog:   opts.Catalog,
 		Params:    params,
-		Workers:   opts.PlanWorkers,
-		CacheSize: opts.PlanCacheSize,
 		Telemetry: tel,
 	})
 	if err != nil {

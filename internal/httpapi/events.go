@@ -115,8 +115,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-r.Context().Done():
-			if s.Logger != nil {
-				s.Logger.Debug("event stream closed",
+			if s.logger != nil {
+				s.logger.Debug("event stream closed",
 					slog.Int("sent", sent), slog.Uint64("dropped", sub.Dropped()))
 			}
 			return

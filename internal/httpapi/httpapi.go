@@ -102,16 +102,15 @@ import (
 type Server struct {
 	env *core.Environment
 
-	// Logger receives one structured record per request (method, path,
-	// status, duration, request ID). Defaults to the environment's root
-	// logger scoped to component=httpapi; replace before Handler is mounted
-	// to redirect it, or set nil to silence request logging.
-	Logger *slog.Logger
-
 	// EnablePprof mounts the net/http/pprof profiling handlers under
 	// /debug/pprof/ (gridenv's -pprof flag). Off by default: profiling
 	// endpoints expose internals and cost CPU, so they are opt-in.
 	EnablePprof bool
+
+	// logger receives one structured record per request (method, path,
+	// status, duration, request ID): the environment's root logger scoped
+	// to component=httpapi. Nil silences request logging.
+	logger *slog.Logger
 
 	reqSeq atomic.Int64 // request ID counter
 
@@ -121,7 +120,7 @@ type Server struct {
 
 // New builds a server over the environment.
 func New(env *core.Environment) *Server {
-	return &Server{env: env, Logger: telemetry.ComponentLogger(env.Logger, "httpapi")}
+	return &Server{env: env, logger: telemetry.ComponentLogger(env.Logger, "httpapi")}
 }
 
 // --- routing ---------------------------------------------------------------
@@ -258,8 +257,8 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		requests.Inc()
 		tel.Counter(fmt.Sprintf("http.responses.%dxx", rec.status/100)).Inc()
 		latency.Observe(elapsed.Seconds())
-		if s.Logger != nil {
-			s.Logger.Info("request served",
+		if s.logger != nil {
+			s.logger.Info("request served",
 				slog.String("method", r.Method), slog.String("path", r.URL.Path),
 				slog.Int("status", rec.status), slog.Float64("durMs", float64(elapsed)/float64(time.Millisecond)),
 				slog.String("requestId", rid))

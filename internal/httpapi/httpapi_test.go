@@ -47,7 +47,7 @@ func testServerWith(t testing.TB, mod func(*core.Options)) (*Server, *httptest.S
 	}
 	t.Cleanup(env.Close)
 	s := New(env)
-	s.Logger = nil
+	s.logger = nil
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

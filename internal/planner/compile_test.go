@@ -87,7 +87,7 @@ func TestPlanProcessMatchesItsPDL(t *testing.T) {
 	problem := virolab.Problem()
 	params := DefaultParams()
 	params.EvalWorkers = 1
-	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Params: params, Workers: 1})
+	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Params: params, workers: 1})
 	for seed := int64(1); seed <= 4; seed++ {
 		p := params
 		p.Seed = seed

@@ -627,7 +627,7 @@ func TestPlanAllocationBudget(t *testing.T) {
 	}
 	params := DefaultParams()
 	params.EvalWorkers = 1
-	svc, err := NewService(ServiceConfig{Catalog: virolab.Catalog(), Params: params, Workers: 1})
+	svc, err := NewService(ServiceConfig{Catalog: virolab.Catalog(), Params: params, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -648,8 +648,8 @@ func (gp *GP) valid(genes []plantree.Gene) bool {
 // RunManyContext performs n independent GP runs with seeds seed, seed+1,
 // ... (the paper's 10-run protocol) through an ephemeral planning service,
 // so independent runs execute across the service worker pool, and returns
-// the per-run results in run order. Plan caching is disabled: every run is a
-// cold plan.
+// the per-run results in run order. The runs are TreeOnly, which the plan
+// cache never serves or keeps: every run is a cold plan.
 func RunManyContext(ctx context.Context, problem *workflow.Problem, params Params, n int) ([]*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("planner: RunMany with n=%d", n)
@@ -662,10 +662,9 @@ func RunManyContext(ctx context.Context, problem *workflow.Problem, params Param
 		return nil, err
 	}
 	defer svc.Close()
-	// At most runWindow runs are in the service at once — its queue holds
-	// 256 and it forgets all but the last 1 024 finished plans — so run i is
-	// submitted only once run i-runWindow has been collected.
-	const runWindow = 256
+	// At most queueCapacity runs are in the service at once, fewer than the
+	// retainFinished plans it keeps queryable, so run i is submitted only
+	// once run i-queueCapacity has been collected.
 	ids := make([]string, n)
 	results := make([]*Result, n)
 	collect := func(i int) error {
@@ -680,8 +679,8 @@ func RunManyContext(ctx context.Context, problem *workflow.Problem, params Param
 		return nil
 	}
 	for i := range ids {
-		if i >= runWindow {
-			if err := collect(i - runWindow); err != nil {
+		if i >= queueCapacity {
+			if err := collect(i - queueCapacity); err != nil {
 				return nil, err
 			}
 		}
@@ -692,7 +691,6 @@ func RunManyContext(ctx context.Context, problem *workflow.Problem, params Param
 			Initial:  problem.Initial.Items(),
 			Goal:     problem.Goal.Conditions,
 			Params:   &p,
-			NoCache:  true,
 			TreeOnly: true,
 		})
 		if err != nil {
@@ -700,7 +698,7 @@ func RunManyContext(ctx context.Context, problem *workflow.Problem, params Param
 		}
 		ids[i] = st.ID
 	}
-	for i := max(0, n-runWindow); i < n; i++ {
+	for i := max(0, n-queueCapacity); i < n; i++ {
 		if err := collect(i); err != nil {
 			return nil, err
 		}

@@ -18,11 +18,6 @@ import (
 	"repro/internal/workflow"
 )
 
-// defaultPlanCacheLimit bounds the plan cache; past it the oldest half is
-// dropped (same policy as the fitness cache). Plans are small (a PDL string
-// and an evaluation), so the default is generous.
-const defaultPlanCacheLimit = 4096
-
 // CanonicalKey derives the plan-cache key from a case description: the
 // sorted goal set, sorted initial data items (rendered with sorted
 // properties), sorted constraints, sorted excluded services, and the
@@ -109,12 +104,9 @@ type PlanCache struct {
 	invalidations int64
 }
 
-// NewPlanCache builds a cache bounded to limit entries (0 means the
-// default).
+// NewPlanCache builds a cache bounded to limit entries; past it the oldest
+// half is dropped (same policy as the fitness cache).
 func NewPlanCache(limit int) *PlanCache {
-	if limit <= 0 {
-		limit = defaultPlanCacheLimit
-	}
 	return &PlanCache{limit: limit, entries: make(map[string]PlanResult), uses: make(map[string]int)}
 }
 

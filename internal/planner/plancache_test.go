@@ -116,7 +116,7 @@ func planFor(services ...string) PlanResult {
 }
 
 func TestPlanCacheHitMissCounters(t *testing.T) {
-	c := NewPlanCache(0)
+	c := NewPlanCache(planCacheSize)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -145,7 +145,7 @@ func TestPlanCacheBounded(t *testing.T) {
 }
 
 func TestPlanCacheInvalidateService(t *testing.T) {
-	c := NewPlanCache(0)
+	c := NewPlanCache(planCacheSize)
 	c.Put("uses-pod", planFor("POD", "PSF"))
 	c.Put("uses-p3dr", planFor("P3DR", "PSF"))
 	c.Put("uses-both", planFor("POD", "P3DR"))

@@ -123,6 +123,16 @@ type PlanStatus struct {
 	Result *Result `json:"-"`
 }
 
+// The service's bounds: queueCapacity queued plans, planCacheSize cached
+// plans (past it the oldest half is dropped; plans are small, a PDL string
+// and an evaluation, so it is generous), and retainFinished terminal plans
+// kept queryable, the oldest evicted first.
+const (
+	queueCapacity  = 256
+	planCacheSize  = 4096
+	retainFinished = 1024
+)
+
 // ServiceConfig configures NewService.
 type ServiceConfig struct {
 	// Catalog is the full service catalog plans draw from (required).
@@ -130,17 +140,11 @@ type ServiceConfig struct {
 	// Params are the default GP parameters; the zero value means
 	// DefaultParams().
 	Params Params
-	// Workers sizes the plan worker pool; 0 means GOMAXPROCS.
-	Workers int
-	// QueueCapacity bounds the backlog of queued plans; 0 means 256.
-	QueueCapacity int
-	// CacheSize bounds the plan cache; 0 means the default (4096).
-	CacheSize int
-	// RetainFinished bounds how many terminal plans stay queryable; 0
-	// means 1024. The oldest are evicted first.
-	RetainFinished int
 	// Telemetry, when set, receives planner.* metrics and per-plan spans.
 	Telemetry *telemetry.Registry
+	// workers sizes the plan worker pool; 0 means GOMAXPROCS. Only this
+	// package's tests set it.
+	workers int
 }
 
 // Service is the asynchronous planning service. Create with NewService,
@@ -148,7 +152,6 @@ type ServiceConfig struct {
 type Service struct {
 	cfg     ServiceConfig
 	workers int
-	retain  int
 	cache   *PlanCache
 	tel     *telemetry.Registry
 	queue   chan *planJob
@@ -189,25 +192,16 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Params == (Params{}) {
 		cfg.Params = DefaultParams()
 	}
-	workers := cfg.Workers
+	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	capacity := cfg.QueueCapacity
-	if capacity <= 0 {
-		capacity = 256
-	}
-	retain := cfg.RetainFinished
-	if retain <= 0 {
-		retain = 1024
 	}
 	s := &Service{
 		cfg:     cfg,
 		workers: workers,
-		retain:  retain,
-		cache:   NewPlanCache(cfg.CacheSize),
+		cache:   NewPlanCache(planCacheSize),
 		tel:     cfg.Telemetry,
-		queue:   make(chan *planJob, capacity),
+		queue:   make(chan *planJob, queueCapacity),
 		records: make(map[string]*planJob),
 
 		mHits:          cfg.Telemetry.Counter("planner.plan_cache.hits"),
@@ -544,7 +538,7 @@ func (s *Service) finalizeLocked(j *planJob, status Status, errMsg string) {
 	s.hPlanSeconds.Observe(latency)
 
 	s.finished = append(s.finished, j.status.ID)
-	for len(s.finished) > s.retain {
+	for len(s.finished) > retainFinished {
 		evict := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.records, evict)

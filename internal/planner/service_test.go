@@ -50,7 +50,7 @@ func testSpec(id string) PlanSpec {
 }
 
 func TestServiceLifecycle(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 2})
+	s := newTestService(t, ServiceConfig{workers: 2})
 	ctx := context.Background()
 
 	st, err := s.Submit(ctx, testSpec("p1"))
@@ -109,7 +109,7 @@ func TestServiceLifecycle(t *testing.T) {
 }
 
 func TestServiceCacheHitIsSynchronousAndFast(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 1})
+	s := newTestService(t, ServiceConfig{workers: 1})
 	ctx := context.Background()
 
 	if _, err := s.Submit(ctx, testSpec("cold")); err != nil {
@@ -158,7 +158,7 @@ func TestServiceCacheHitIsSynchronousAndFast(t *testing.T) {
 func TestServiceDeterministicAcrossWorkers(t *testing.T) {
 	var want string
 	for _, w := range []struct{ service, eval int }{{1, 1}, {2, 2}, {4, 4}} {
-		s := newTestService(t, ServiceConfig{Workers: w.service})
+		s := newTestService(t, ServiceConfig{workers: w.service})
 		p := fastParams()
 		p.EvalWorkers = w.eval
 		sp := testSpec("det")
@@ -181,7 +181,7 @@ func TestServiceDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestServiceCancel(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 1})
+	s := newTestService(t, ServiceConfig{workers: 1})
 	ctx := context.Background()
 
 	// A big budget keeps the first plan running long enough to cancel; the
@@ -243,7 +243,7 @@ func TestServiceCancel(t *testing.T) {
 // budget — converging on a repaired plan in under 10% of the cold-plan
 // evaluation count.
 func TestServiceIncrementalReplan(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 1})
+	s := newTestService(t, ServiceConfig{workers: 1})
 	ctx := context.Background()
 
 	if _, err := s.Submit(ctx, testSpec("cold")); err != nil {
@@ -303,7 +303,7 @@ func TestIncrementalReplanDigest(t *testing.T) {
 	}
 	params := DefaultParams()
 	params.EvalWorkers = 1
-	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Params: params, Workers: 1})
+	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Params: params, workers: 1})
 	h := sha256.New()
 	for _, excluded := range [][]string{{"POR"}, {"P3DR"}, {"POD"}, {"PSF"}} {
 		for seed := int64(1); seed <= 10; seed++ {
@@ -330,7 +330,7 @@ func TestIncrementalReplanDigest(t *testing.T) {
 // many goroutines; run under -race this is the service's thread-safety
 // proof.
 func TestServiceConcurrentSubmitCancel(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 4, QueueCapacity: 128})
+	s := newTestService(t, ServiceConfig{workers: 4})
 	small := DefaultParams()
 	small.PopulationSize = 16
 	small.Generations = 2
@@ -370,7 +370,7 @@ func TestServiceConcurrentSubmitCancel(t *testing.T) {
 }
 
 func TestServiceCloseCancelsPending(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 1})
+	s := newTestService(t, ServiceConfig{workers: 1})
 	big := DefaultParams()
 	big.PopulationSize = 400
 	big.Generations = 500
@@ -399,7 +399,7 @@ func TestServiceCloseCancelsPending(t *testing.T) {
 
 // TestServiceRetention bounds the finished-plan records.
 func TestServiceRetention(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Workers: 1, RetainFinished: 4})
+	s := newTestService(t, ServiceConfig{workers: 1})
 	ctx := context.Background()
 	if _, err := s.Submit(ctx, testSpec("seed")); err != nil {
 		t.Fatal(err)
@@ -409,16 +409,21 @@ func TestServiceRetention(t *testing.T) {
 	}
 	// Warm hits finalize synchronously, so each submit adds one finished
 	// record; the oldest fall off past the retention bound.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < retainFinished+10; i++ {
 		if _, err := s.Submit(ctx, testSpec(fmt.Sprintf("r-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(s.List()); n != 4 {
-		t.Errorf("retained %d records, want 4", n)
+	if n := len(s.List()); n != 1024 {
+		t.Errorf("retained %d records, want 1024", n)
 	}
-	if _, err := s.Get("seed"); !errors.Is(err, ErrUnknownPlan) {
-		t.Errorf("evicted plan still queryable: %v", err)
+	for _, id := range []string{"seed", "r-9"} {
+		if _, err := s.Get(id); !errors.Is(err, ErrUnknownPlan) {
+			t.Errorf("evicted plan %s still queryable: %v", id, err)
+		}
+	}
+	if _, err := s.Get("r-10"); err != nil {
+		t.Errorf("plan r-10, the oldest of the last 1024, was evicted: %v", err)
 	}
 }
 
@@ -435,7 +440,7 @@ func TestServiceResultOutlivesWorkspace(t *testing.T) {
 	}
 	pristine := failed.Clone()
 	tel := telemetry.New()
-	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), Workers: 1, Telemetry: tel})
+	s := newTestService(t, ServiceConfig{Catalog: virolab.Catalog(), workers: 1, Telemetry: tel})
 	ctx := context.Background()
 	problem := virolab.Problem()
 	generations := tel.Counter("planner.generations")
@@ -516,7 +521,7 @@ func TestServiceResultOutlivesWorkspace(t *testing.T) {
 func TestWorkspaceScratchRebinds(t *testing.T) {
 	p := fastParams()
 	p.Generations, p.EvalWorkers = 6, 2
-	s := newTestService(t, ServiceConfig{Workers: 1, Params: p})
+	s := newTestService(t, ServiceConfig{workers: 1, Params: p})
 	base := testProblem()
 	full := base.Initial.Items()
 	var fewer []*workflow.DataItem // no POR-Parameter: POR never binds

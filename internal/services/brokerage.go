@@ -36,8 +36,8 @@ type PerfStats struct {
 type Brokerage struct {
 	Grid *grid.Grid
 
-	// Telemetry, when set, counts requests (messages), refreshes, and
-	// recorded executions.
+	// Telemetry, when set, counts requests (messages) and recorded
+	// executions.
 	Telemetry *telemetry.Registry
 
 	// instruments resolves the per-call counters once Telemetry is set.
@@ -105,7 +105,6 @@ func (b *Brokerage) Refresh() {
 	b.mu.Lock()
 	b.snapshot = snap
 	b.mu.Unlock()
-	b.Telemetry.Counter("brokerage.refreshes").Inc()
 }
 
 // Record folds an execution into the running aggregates.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,9 +29,64 @@ import (
 // names it: error, or one declared in a checked package or in one a checked
 // package imports (String, ServeHTTP, the store.Store methods, ...).
 func TestEveryExportHasACaller(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
+	c, err := loadExportCheck()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range c.uncalled() {
+		t.Errorf("no non-test file uses %s", m)
+	}
+}
+
+// TestEveryConfigFieldHasACaller keeps the settings honest: every exported
+// field of the structs that configure a layer must be referenced by a
+// non-test file of either module outside the package that declares it. A
+// field only its own package's tests set is a test hook; unexport it. A
+// field nothing else sets has one value; make it a constant.
+func TestEveryConfigFieldHasACaller(t *testing.T) {
+	c, err := loadExportCheck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []struct{ pkg, name string }{
+		{"repro/internal/core", "Options"},
+		{"repro/internal/engine", "Config"},
+		{"repro/internal/engine", "TenantConfig"},
+		{"repro/internal/coordination", "Config"},
+		{"repro/internal/planner", "ServiceConfig"},
+		{"repro/internal/store", "Options"},
+		{"repro/internal/grid", "SyntheticConfig"},
+		{"repro/internal/httpapi", "Server"},
+	} {
+		pkg := c.pkgs[st.pkg]
+		if pkg == nil {
+			t.Errorf("package %s not checked", st.pkg)
+			continue
+		}
+		tn, ok := pkg.Scope().Lookup(st.name).(*types.TypeName)
+		if !ok {
+			t.Errorf("%s.%s is not a type", pkg.Name(), st.name)
+			continue
+		}
+		fields := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < fields.NumFields(); i++ {
+			f := fields.Field(i)
+			if f.Exported() && !c.usedOutside[f] {
+				pos := c.fset.Position(f.Pos())
+				rel, _ := filepath.Rel(c.root, pos.Filename)
+				t.Errorf("no non-test file outside %s uses %s.%s.%s (%s:%d)",
+					pkg.Name(), pkg.Name(), st.name, f.Name(), rel, pos.Line)
+			}
+		}
+	}
+}
+
+// loadExportCheck type-checks the non-test files of the root module and of
+// the benchmark module, once per test binary.
+var loadExportCheck = sync.OnceValues(func() (*exportCheck, error) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
 	}
 	c := newExportCheck(root)
 	for _, mod := range []struct{ path, dir string }{
@@ -38,16 +94,14 @@ func TestEveryExportHasACaller(t *testing.T) {
 		{"repro/benchmark", filepath.Join(root, "benchmark")},
 	} {
 		if err := c.loadModule(mod.path, mod.dir); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	if len(c.pkgs) < 20 {
-		t.Fatalf("checked only %d packages: the scan is broken", len(c.pkgs))
+		return nil, fmt.Errorf("checked only %d packages: the scan is broken", len(c.pkgs))
 	}
-	for _, m := range c.uncalled() {
-		t.Errorf("no non-test file uses %s", m)
-	}
-}
+	return c, nil
+})
 
 // exportCheck type-checks the module's packages from their non-test files
 // and records every object a use resolves to.
@@ -58,6 +112,9 @@ type exportCheck struct {
 	pkgs map[string]*types.Package // checked packages by import path
 	dirs map[string]string         // import path -> directory, for the repro/ packages
 	used map[types.Object]bool
+	// usedOutside holds the struct fields used from a package other than
+	// the one that declares them.
+	usedOutside map[types.Object]bool
 }
 
 func newExportCheck(root string) *exportCheck {
@@ -69,6 +126,8 @@ func newExportCheck(root string) *exportCheck {
 		pkgs: map[string]*types.Package{},
 		dirs: map[string]string{},
 		used: map[types.Object]bool{},
+
+		usedOutside: map[types.Object]bool{},
 	}
 }
 
@@ -149,7 +208,11 @@ func (c *exportCheck) Import(path string) (*types.Package, error) {
 		return nil, err
 	}
 	for _, obj := range info.Uses {
-		c.used[origin(obj)] = true
+		obj = origin(obj)
+		c.used[obj] = true
+		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+			c.usedOutside[obj] = true
+		}
 	}
 	c.pkgs[path] = pkg
 	return pkg, nil

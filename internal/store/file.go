@@ -31,7 +31,7 @@ import (
 //
 // little-endian, with the CRC-32 (IEEE) covering everything after itself.
 //
-// The active segment rotates once it outgrows SegmentMaxBytes; when enough
+// The active segment rotates once it outgrows segmentMaxBytes; when enough
 // sealed segments accumulate, compaction folds them (and the previous
 // snapshot) into a fresh snapshot and deletes them. Compaction reads only
 // sealed files — never the live map — so it cannot observe a mutation whose
@@ -191,11 +191,11 @@ func replay(m map[string][][]byte, path string) (int64, error) {
 
 // OpenFile opens (or initializes) a segmented file store rooted at dir.
 func OpenFile(dir string, opts Options) (*File, error) {
-	if opts.SegmentMaxBytes <= 0 {
-		opts.SegmentMaxBytes = DefaultSegmentMaxBytes
+	if opts.segmentMaxBytes <= 0 {
+		opts.segmentMaxBytes = DefaultSegmentMaxBytes
 	}
-	if opts.CompactAfterSegments <= 0 {
-		opts.CompactAfterSegments = DefaultCompactAfterSegments
+	if opts.compactAfterSegments <= 0 {
+		opts.compactAfterSegments = DefaultCompactAfterSegments
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: file backend: %w", err)
@@ -534,11 +534,11 @@ func (f *File) flushBatch(buf []byte) error {
 	f.actSize += int64(len(buf))
 	f.durable = f.actSize
 
-	if f.actSize >= f.opts.SegmentMaxBytes {
+	if f.actSize >= f.opts.segmentMaxBytes {
 		if err := f.rotateLocked(); err != nil {
 			return err
 		}
-		if len(f.sealed) >= f.opts.CompactAfterSegments {
+		if len(f.sealed) >= f.opts.compactAfterSegments {
 			if err := f.compactLocked(); err != nil {
 				return err
 			}

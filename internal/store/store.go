@@ -114,13 +114,15 @@ type Options struct {
 	// Telemetry, when set, records store.* metrics (appends, flushes, batch
 	// sizes, flush latency, segment counts, compactions).
 	Telemetry *telemetry.Registry
-	// SegmentMaxBytes rotates the file backend's active segment beyond this
+	// Only this package's tests set the two bounds below.
+	//
+	// segmentMaxBytes rotates the file backend's active segment beyond this
 	// size. 0 means DefaultSegmentMaxBytes.
-	SegmentMaxBytes int64
-	// CompactAfterSegments folds sealed segments into a snapshot once their
+	segmentMaxBytes int64
+	// compactAfterSegments folds sealed segments into a snapshot once their
 	// count reaches this bound (file backend). 0 means
 	// DefaultCompactAfterSegments.
-	CompactAfterSegments int
+	compactAfterSegments int
 }
 
 // Defaults for the file backend's segment lifecycle.

@@ -282,7 +282,7 @@ func TestDurableReopen(t *testing.T) {
 
 func TestFileRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentMaxBytes: 512, CompactAfterSegments: 2}
+	opts := Options{segmentMaxBytes: 512, compactAfterSegments: 2}
 	s, err := OpenFile(filepath.Join(dir, "segs"), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestFileTornTailTruncated(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "segs")
 			// "a" and the padding seal segment 1; "last" sits in the active one.
-			opts := Options{SegmentMaxBytes: 64, CompactAfterSegments: 100}
+			opts := Options{segmentMaxBytes: 64, compactAfterSegments: 100}
 			s, err := OpenFile(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -611,7 +611,7 @@ func TestBackendEquivalence(t *testing.T) {
 	dirs := map[string]string{"file": t.TempDir()}
 	ref := NewMemory(Options{})
 	defer ref.Close()
-	opts := Options{SegmentMaxBytes: 1024, CompactAfterSegments: 2}
+	opts := Options{segmentMaxBytes: 1024, compactAfterSegments: 2}
 	stores := map[string]Store{
 		"file":   openBackend(t, "file", dirs["file"], opts),
 		"fenced": NewFenced(NewMemory(Options{})),
@@ -749,7 +749,7 @@ func TestCopyDurableIsConsistent(t *testing.T) {
 	for _, kind := range backends[1:] { // the durable ones
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
-			s := openBackend(t, kind, dir, Options{SegmentMaxBytes: 512, CompactAfterSegments: 2})
+			s := openBackend(t, kind, dir, Options{segmentMaxBytes: 512, compactAfterSegments: 2})
 			defer s.Close()
 
 			var acked sync.Map

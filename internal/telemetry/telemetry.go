@@ -84,24 +84,6 @@ func New() *Registry {
 	return r
 }
 
-// SetTraceCapacity overrides the trace retention limits: spanCap spans kept
-// per task and maxTraces distinct task traces before the oldest is evicted.
-// Non-positive arguments keep the current value. Call before traffic;
-// already-created traces keep their original span capacity.
-func (r *Registry) SetTraceCapacity(spanCap, maxTraces int) {
-	if r == nil {
-		return
-	}
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	if spanCap > 0 {
-		r.spanCap = spanCap
-	}
-	if maxTraces > 0 {
-		r.maxTraces = maxTraces
-	}
-}
-
 // Counter returns the named counter, creating it on first use.
 // Returns nil (a no-op counter) on a nil registry.
 func (r *Registry) Counter(name string) *Counter {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -108,9 +107,6 @@ func (r *Registry) TaskTrace(taskID string) *TaskTrace {
 	if known := r.traces[taskID]; known != nil {
 		return known
 	}
-	if r.traceHead != 0 && len(r.traces) != r.maxTraces || len(r.traces) > r.maxTraces {
-		r.relayTraceRing()
-	}
 	if len(r.traces) < r.maxTraces { // room: the FIFO grows
 		r.traceRing = append(r.traceRing, taskID)
 	} else { // full: the newest takes the oldest's slot
@@ -120,18 +116,6 @@ func (r *Registry) TaskTrace(taskID string) *TaskTrace {
 	}
 	r.traces[taskID] = t
 	return t
-}
-
-// relayTraceRing rotates the FIFO to start at index 0 and evicts the oldest
-// traces beyond maxTraces, after SetTraceCapacity moved the limit. Callers
-// hold traceMu.
-func (r *Registry) relayTraceRing() {
-	ring := slices.Concat(r.traceRing[r.traceHead:], r.traceRing[:r.traceHead])
-	drop := max(0, len(ring)-r.maxTraces)
-	for _, id := range ring[:drop] {
-		delete(r.traces, id)
-	}
-	r.traceRing, r.traceHead = ring[drop:], 0
 }
 
 // LookupTrace returns the task's trace or nil if none was ever recorded.

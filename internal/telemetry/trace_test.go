@@ -236,29 +236,6 @@ func TestTraceCreationBesideInstrumentLookups(t *testing.T) {
 	}
 }
 
-// TestTraceRingFollowsMaxTraces shrinks and grows maxTraces between
-// creations: eviction stays oldest first.
-func TestTraceRingFollowsMaxTraces(t *testing.T) {
-	r := New()
-	r.SetTraceCapacity(0, 4)
-	for i := 0; i < 6; i++ {
-		r.TaskTrace(fmt.Sprint("T", i))
-	}
-	r.SetTraceCapacity(0, 2)
-	r.TaskTrace("T6")
-	r.SetTraceCapacity(0, 3)
-	r.TaskTrace("T7")
-	var live []string
-	for i := 0; i < 8; i++ {
-		if r.LookupTrace(fmt.Sprint("T", i)) != nil {
-			live = append(live, fmt.Sprint("T", i))
-		}
-	}
-	if got := strings.Join(live, " "); got != "T5 T6 T7" {
-		t.Errorf("live traces %s, want T5 T6 T7", got)
-	}
-}
-
 // parseTraceparentBySplit is the field-splitting parser the fixed-offset one
 // replaced, kept as its oracle.
 func parseTraceparentBySplit(s string) (string, string, bool) {
